@@ -1,8 +1,27 @@
 #!/usr/bin/env bash
 # Tier-1 gate: formatting, lints, build, and the full test suite.
 # Everything here must pass before a change lands.
+#
+#   ./ci.sh [--fence <rev>]
+#
+# --fence <rev> is for control-plane-only changes: it additionally fails
+# if any file the packet and fleet data paths, or the benchmark itself,
+# are built from differs from <rev> (the change's merge-base) — so a
+# pkt-* or fleet-* movement in the benchmark cannot come from the change.
 set -euo pipefail
 cd "$(dirname "$0")"
+
+if [ "${1:-}" = --fence ]; then
+  base="${2:?--fence needs the merge-base revision}"
+  echo "==> data-plane fence vs $base"
+  fenced="$(git diff --name-only "$base" -- crates/packet crates/click crates/obs \
+    crates/sim crates/topology crates/platform crates/policy benchmark BENCHMARK.json)"
+  if [ -n "$fenced" ]; then
+    echo "fenced files changed since $base:" >&2
+    echo "$fenced" >&2
+    exit 1
+  fi
+fi
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -101,5 +120,11 @@ INNET_BENCH_QUICK=1 INNET_BENCH_SNAPSHOT_DIR="$snapdir" \
   cargo bench --quiet --bench scenarios >/dev/null
 cargo run --release -q -p innet-bench --bin validate_snapshot \
   "$snapdir/BENCH_scenarios.json"
+
+echo "==> benchmark workspace"
+# benchmark/ is a Cargo workspace of its own, so the root build and test
+# above do not notice a rename or deletion that breaks it.
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+bash benchmark/run.sh --check >/dev/null
 
 echo "CI OK"

@@ -1,0 +1,422 @@
+//! The admission pipeline (§4.3, §4.5): verdict-memo replay, then the
+//! full evaluation as four stages — lint → abstract fast path →
+//! compositional symbolic → placement — and the commit of whichever
+//! candidate platform verifies first.
+//!
+//! Each path describes the work it did as a [`ControllerStats`] delta;
+//! [`Controller::finish`] stamps the outcome on it and hands it to the
+//! ledger, the only place statistics are written.
+
+use std::collections::HashMap;
+use std::convert::Infallible;
+use std::net::Ipv4Addr;
+use std::sync::Arc;
+use std::time::Instant;
+
+use innet_analysis::LintReport;
+use innet_click::ClickConfig;
+use innet_policy::Requirement;
+use innet_symnet::{
+    check_module_summarized, check_module_with_stats, SecurityContext, SecurityReport, SymError,
+    Verdict,
+};
+use innet_topology::NodeId;
+
+use crate::{
+    cache::{verdict_key, CachedOutcome, CachedVerdict},
+    controller::{ClientAccount, Controller, DeployError, DeployResponse},
+    hardening::apply_udp_reflection_ban,
+    netmodel::{compile, InstalledModule},
+    request::{ClientRequest, ModuleConfig},
+    sandbox::wrap_with_enforcer,
+    stats::ControllerStats,
+    verify::check_requirement_summarized,
+};
+
+fn ns_since(t: Instant) -> u64 {
+    t.elapsed().as_nanos() as u64
+}
+
+impl Controller {
+    /// Handles a deployment request (§4.3, §4.5): parse → verdict-cache
+    /// lookup → security check → per-platform placement search → commit.
+    ///
+    /// The verdict cache is consulted before any model is compiled: a hit
+    /// replays the memoized decision (re-checking only platform capacity
+    /// for accepts), a miss runs the full pipeline and memoizes its
+    /// outcome. See the `cache` module docs for the key derivation and
+    /// the invalidation contract.
+    pub fn deploy(
+        &mut self,
+        client_id: &str,
+        request: ClientRequest,
+    ) -> Result<DeployResponse, DeployError> {
+        self.deploy_counted(client_id, request, true)
+    }
+
+    /// [`Controller::deploy`] with explicit control over the `requests`
+    /// statistic. `deploy_batch`'s conflict path re-verifies a request
+    /// that a shard already counted, so it passes `count_request: false`
+    /// to keep batch and serial statistics identical.
+    pub(crate) fn deploy_counted(
+        &mut self,
+        client_id: &str,
+        request: ClientRequest,
+        count_request: bool,
+    ) -> Result<DeployResponse, DeployError> {
+        let mut delta = ControllerStats {
+            requests: u64::from(count_request),
+            ..ControllerStats::default()
+        };
+        let Some(account) = self.clients.get(client_id).cloned() else {
+            // Not a verdict about the request: counted, never rejected.
+            self.ledger.record(&delta, None);
+            return Err(DeployError::UnknownClient(client_id.to_string()));
+        };
+
+        let epoch = self.verdicts.epoch();
+        let key = verdict_key(
+            epoch,
+            &request,
+            &account,
+            self.hardening,
+            self.analysis_enabled,
+            self.summaries_enabled,
+        );
+        // One occupancy map per request, built by whichever path first
+        // places something: a replayed accept's capacity re-check, the
+        // ranking, and every candidate's capacity check read the same map.
+        let mut occupancy = None;
+        if let Some(hit) = self.verdicts.get(&key) {
+            let replay = match hit.outcome {
+                CachedOutcome::Reject(e) => Some(Err(e)),
+                CachedOutcome::Accept {
+                    platform,
+                    sandboxed,
+                } => {
+                    let occupancy = occupancy.insert(self.occupancy());
+                    let cached = self.topology.index_of(&platform);
+                    if cached.is_some_and(|p| self.has_room(occupancy, p)) {
+                        Some(Ok((platform, sandboxed)))
+                    } else if request.requirements.is_empty() && self.operator_policy.is_empty() {
+                        // The cached placement filled up since it was
+                        // verified, but with no requirements and no
+                        // operator policy the verdict is
+                        // placement-independent (the same argument
+                        // `commit_unchecked` already relies on) — only
+                        // the placement step needs redoing. Commit on the
+                        // best-ranked platform with room, still as a
+                        // cache hit: no model is compiled and no check
+                        // re-runs. The refreshed entry points the next
+                        // hit straight at the new platform. With every
+                        // platform full, fall through to the full
+                        // pipeline (counted as a miss), which reports the
+                        // per-platform reasons.
+                        self.best_platform_with_room(occupancy).map(|alt| {
+                            let alt = self.topology.node(alt).name.clone();
+                            self.verdicts.insert(
+                                epoch,
+                                key.clone(),
+                                CachedVerdict {
+                                    outcome: CachedOutcome::Accept {
+                                        platform: alt.clone(),
+                                        sandboxed,
+                                    },
+                                    check_ns: hit.check_ns,
+                                },
+                            );
+                            Ok((alt, sandboxed))
+                        })
+                    } else {
+                        // The cached placement filled up, and the request
+                        // constrains placement (requirements or operator
+                        // policy), so the verdict may not transfer to
+                        // another platform: full re-verification (counted
+                        // as a miss), whose outcome replaces the stale
+                        // entry.
+                        None
+                    }
+                }
+            };
+            if let Some(replay) = replay {
+                delta.cache_hits += 1;
+                delta.check_ns_saved += hit.check_ns;
+                let result = replay.and_then(|(platform, sandboxed)| {
+                    self.commit_unchecked(client_id, &account, request, &platform, sandboxed)
+                });
+                return self.finish(delta, result);
+            }
+        }
+
+        delta.cache_misses += 1;
+        let occupancy = occupancy.unwrap_or_else(|| self.occupancy());
+        let (result, work) = self.deploy_uncached(client_id, &account, request, &occupancy);
+        delta += &work;
+        if let Some(outcome) = CachedOutcome::of(&result) {
+            let check_ns = work.check_ns;
+            self.verdicts
+                .insert(epoch, key, CachedVerdict { outcome, check_ns });
+        }
+        self.finish(delta, result)
+    }
+
+    /// Stamps a request's outcome on its delta and records it.
+    pub(crate) fn finish(
+        &mut self,
+        mut delta: ControllerStats,
+        result: Result<DeployResponse, DeployError>,
+    ) -> Result<DeployResponse, DeployError> {
+        match &result {
+            Ok(_) => delta.accepted += 1,
+            Err(e) => {
+                delta.rejected += 1;
+                if let DeployError::NoFeasiblePlacement { reasons } = e {
+                    delta.placement_rejects += reasons.len() as u64;
+                }
+            }
+        }
+        self.ledger.record(&delta, Some(&result));
+        result
+    }
+
+    /// The full (uncached) admission pipeline, run as four explicit
+    /// stages — lint → abstract fast path → compositional symbolic →
+    /// placement. Returns the outcome and the delta of the work done:
+    /// per-phase and per-stage wall time plus the analysis and memo
+    /// counters. A committed module is the only state change.
+    fn deploy_uncached(
+        &mut self,
+        client_id: &str,
+        account: &ClientAccount,
+        request: ClientRequest,
+        occupancy: &HashMap<NodeId, usize>,
+    ) -> (Result<DeployResponse, DeployError>, ControllerStats) {
+        let mut delta = ControllerStats::default();
+
+        let lint_report = self.lint_stage(&request.config, &mut delta);
+        if lint_report.has_errors() {
+            delta.lint_rejects += 1;
+            return (Err(DeployError::Lint(lint_report)), delta);
+        }
+
+        // Stage 2 is only sound when nothing the analyzer cannot see
+        // influences the outcome: requirements and operator policy need a
+        // compiled network model, and the UDP-reflection ban inspects
+        // symbolic egress flows.
+        let fastpath_eligible = self.analysis_enabled
+            && request.requirements.is_empty()
+            && self.operator_policy.is_empty()
+            && !self.hardening.ban_udp_reflection;
+
+        let mut reasons: Vec<(String, String)> = Vec::new();
+        let result = 'search: {
+            // Candidates in placement-preference order: client latency,
+            // residual capacity, link headroom (see `PlacementContext`).
+            // On figure-3-scale topologies with uniform links this
+            // degenerates to the paper's declaration-order iteration.
+            for platform in self.placement.rank(&self.topology, occupancy) {
+                // Placement: capacity check and tentative address
+                // assignment on this platform, then the configuration
+                // materialized for that address (stock modules need it;
+                // Click configurations may reference it as `$SELF`).
+                let t_place = Instant::now();
+                let slot = if self.has_room(occupancy, platform) {
+                    self.free_addr(platform)
+                } else {
+                    Err("platform full")
+                };
+                let (addr, next_addr) = match slot {
+                    Ok(slot) => slot,
+                    Err(why) => {
+                        delta.stage_placement_ns += ns_since(t_place);
+                        let name = self.topology.node(platform).name.clone();
+                        reasons.push((name, why.to_string()));
+                        continue;
+                    }
+                };
+                let raw_cfg = request.config.materialize(addr);
+                delta.stage_placement_ns += ns_since(t_place);
+
+                let ctx = SecurityContext {
+                    assigned_addr: addr,
+                    registered: account.registered.clone(),
+                    class: account.class,
+                };
+                let (report, fast_path) =
+                    match self.security_stages(&raw_cfg, &ctx, fastpath_eligible, &mut delta) {
+                        Ok(decided) => decided,
+                        Err(e) => break 'search Err(DeployError::BadConfig(e)),
+                    };
+                let (config, sandboxed) = match report.verdict {
+                    Verdict::Reject => {
+                        break 'search Err(DeployError::SecurityReject(Arc::new(report)));
+                    }
+                    Verdict::SafeWithSandbox => (
+                        wrap_with_enforcer(&raw_cfg, addr, &account.registered),
+                        true,
+                    ),
+                    Verdict::Safe => (raw_cfg.into_owned(), false),
+                };
+
+                // Pretend the module is installed here.
+                let candidate = InstalledModule {
+                    id: self.next_id,
+                    name: request.module_name.clone(),
+                    platform,
+                    addr,
+                    config,
+                    sandboxed,
+                    owner: client_id.to_string(),
+                };
+                // A fast-path verdict only fires when the requirement and
+                // policy sets are empty, so the network model would have
+                // nothing to check — skip compiling it.
+                if !fast_path {
+                    match self.placement_stage(&candidate, &request.requirements, &mut delta) {
+                        Ok(None) => {}
+                        Ok(Some(why)) => {
+                            reasons.push((self.topology.node(platform).name.clone(), why));
+                            continue;
+                        }
+                        Err(e) => break 'search Err(e),
+                    }
+                }
+
+                let mut resp = self.commit(candidate, next_addr);
+                resp.compile_ns = delta.compile_ns;
+                resp.check_ns = delta.check_ns;
+                break 'search Ok(resp);
+            }
+            Err(DeployError::NoFeasiblePlacement { reasons })
+        };
+        (result, delta)
+    }
+
+    /// Stage 1: lint. Structural rules are address-independent, so one
+    /// pass covers every candidate platform; `$SELF` is bound to a
+    /// documentation address purely so argument parsing succeeds. Lint is
+    /// a pure function of (configuration, registry), so a report memoized
+    /// under the configuration's canonical text is an exact replay — the
+    /// stock chains a fleet redeploys under fresh module names lint once.
+    fn lint_stage(&self, config: &ModuleConfig, delta: &mut ControllerStats) -> LintReport {
+        let t = Instant::now();
+        let cfg = config.materialize(Ipv4Addr::new(192, 0, 2, 1));
+        let mut hit = true;
+        let Ok(report) = self.lint.get_or_try_insert_with(cfg.canonical_text(), || {
+            hit = false;
+            Ok::<_, Infallible>(innet_analysis::lint(&cfg, &self.registry))
+        });
+        delta.lint_cache_hits += u64::from(hit);
+        let ns = ns_since(t);
+        delta.analysis_ns += ns;
+        delta.stage_lint_ns += ns;
+        report
+    }
+
+    /// Stages 2 and 3: the security verdict for `cfg` at its candidate
+    /// address, and whether the abstract fast path produced it.
+    fn security_stages(
+        &self,
+        cfg: &ClickConfig,
+        ctx: &SecurityContext,
+        fastpath_eligible: bool,
+        delta: &mut ControllerStats,
+    ) -> Result<(SecurityReport, bool), SymError> {
+        // Stage 2: field-effect abstract interpretation. A conclusive
+        // answer provably agrees with what symbolic execution would
+        // decide (see innet-analysis), so both the security check and the
+        // model compile are skipped.
+        if fastpath_eligible {
+            let t = Instant::now();
+            let fast = innet_analysis::abstract_verdict(cfg, ctx, &self.registry);
+            let ns = ns_since(t);
+            delta.analysis_ns += ns;
+            delta.stage_fastpath_ns += ns;
+            if let Some(a) = fast {
+                delta.fastpath_hits += 1;
+                let report = SecurityReport {
+                    verdict: a.verdict,
+                    flows_checked: a.flows_checked,
+                    violations: a.violations,
+                    unknowns: a.unknowns,
+                    egress_flows: Vec::new(),
+                };
+                return Ok((report, true));
+            }
+            delta.fastpath_fallbacks += 1;
+        }
+
+        // Stage 3: compositional symbolic security check (per requester
+        // class). The summary walk replays memoized chain summaries from
+        // the fleet-wide memos; disabled, the whole-graph oracle runs.
+        let t = Instant::now();
+        let checked = if self.summaries_enabled {
+            check_module_summarized(cfg, ctx, &self.registry, Some(&self.models))
+        } else {
+            check_module_with_stats(cfg, ctx, &self.registry)
+        };
+        let (mut report, check) = checked?;
+        delta.absorb(check);
+        let ns = ns_since(t);
+        delta.check_ns += ns;
+        delta.stage_symbolic_ns += ns;
+
+        // §7 hardening: the UDP-reflection (amplification) ban
+        // (fast-path-ineligible, so only seen here).
+        if self.hardening.ban_udp_reflection {
+            let (hardened, offenders) =
+                apply_udp_reflection_ban(ctx.class, &report.egress_flows, &report);
+            report.verdict = hardened;
+            report.violations.extend(offenders);
+        }
+        Ok((report, false))
+    }
+
+    /// Stage 4: placement verification — compile the network model with
+    /// the candidate installed and check operator policy, then client
+    /// requirements, against it (summary-walked where the entry chains
+    /// allow). `Ok(Some(why))` is this platform's reject reason.
+    fn placement_stage(
+        &self,
+        candidate: &InstalledModule,
+        requirements: &[Requirement],
+        delta: &mut ControllerStats,
+    ) -> Result<Option<String>, DeployError> {
+        let mut world = self.modules.clone();
+        world.push(candidate.clone());
+
+        let t = Instant::now();
+        let mut model =
+            compile(&self.topology, &world, &self.registry).map_err(DeployError::BadConfig)?;
+        model.ingress_filtering = self.hardening.ingress_filtering;
+        let ns = ns_since(t);
+        delta.compile_ns += ns;
+        delta.stage_placement_ns += ns;
+
+        let t = Instant::now();
+        let policy = self.operator_policy.iter();
+        let policy = policy.map(|rule| (rule, "operator policy violated"));
+        let wanted = requirements.iter();
+        let wanted = wanted.map(|rule| (rule, "client requirement unsatisfied"));
+        let mut verdict = Ok(None);
+        for (rule, what) in policy.chain(wanted) {
+            match check_requirement_summarized(&model, rule, self.summaries_enabled) {
+                Ok((holds, check)) => {
+                    delta.absorb(check);
+                    if !holds {
+                        verdict = Ok(Some(format!("{what}: {rule}")));
+                        break;
+                    }
+                }
+                Err(e) => {
+                    verdict = Err(DeployError::Verify(e));
+                    break;
+                }
+            }
+        }
+        let ns = ns_since(t);
+        delta.check_ns += ns;
+        delta.stage_placement_ns += ns;
+        verdict
+    }
+}

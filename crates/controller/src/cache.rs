@@ -45,17 +45,20 @@
 //! already relies on for snapshot verification: addresses within one
 //! platform pool are interchangeable, and committing more modules never
 //! makes a previously verified placement unsound — except by exhausting
-//! platform capacity, which the hit path re-checks with
-//! [`crate::Controller::platform_has_room`] before committing (falling
-//! back to full verification when the platform filled up). Anything else
+//! platform capacity, which the hit path re-checks against the request's
+//! occupancy map before committing (re-placing a placement-independent
+//! verdict, falling back to full verification otherwise, when the
+//! platform filled up). Anything else
 //! that can flip a verdict — policy, hardening, module removal — bumps
-//! the epoch, which discards every entry.
+//! the epoch of the [`innet_symnet::Memo`] the verdicts live in, which
+//! discards every entry and refuses any verdict still being computed
+//! under the old one.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use crate::controller::{ClientAccount, DeployError};
+use crate::controller::{ClientAccount, DeployError, DeployResponse};
 use crate::hardening::HardeningPolicy;
+use crate::placement::RejectReason;
 use crate::request::{ClientRequest, ModuleConfig};
 
 /// The outcome memoized for one canonical request.
@@ -82,46 +85,32 @@ pub(crate) struct CachedVerdict {
     pub check_ns: u64,
 }
 
-/// The cache proper: an epoch counter plus the verdict map. Shared across
-/// `deploy_batch` verification shards behind `parking_lot::RwLock`.
-#[derive(Debug, Default)]
-pub(crate) struct VerdictCache {
-    epoch: u64,
-    entries: HashMap<String, CachedVerdict>,
-}
-
-impl VerdictCache {
-    /// The current invalidation epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Looks up a verdict by its full canonical key.
-    pub fn get(&self, key: &str) -> Option<CachedVerdict> {
-        self.entries.get(key).cloned()
-    }
-
-    /// Inserts a verdict computed under `key_epoch`. Dropped silently if
-    /// the epoch moved on while the verdict was being computed — a stale
-    /// verdict must never land in a fresh epoch.
-    pub fn insert(&mut self, key_epoch: u64, key: String, verdict: CachedVerdict) {
-        if key_epoch == self.epoch {
-            self.entries.insert(key, verdict);
+impl CachedOutcome {
+    /// What the verdict memo should remember of a full evaluation's
+    /// result, if anything.
+    pub fn of(result: &Result<DeployResponse, DeployError>) -> Option<CachedOutcome> {
+        match result {
+            Ok(resp) => Some(CachedOutcome::Accept {
+                platform: resp.platform.clone(),
+                sandboxed: resp.sandboxed,
+            }),
+            // Not verdicts about the request itself — never memoized.
+            Err(DeployError::UnknownClient(_)) | Err(DeployError::NoSuchModule(_)) => None,
+            // A placement that failed purely on capacity (platform full,
+            // no address pool) is a property of current occupancy, not of
+            // the request — occupancy changes on every commit and `kill`
+            // without an epoch bump, so memoizing it would keep replaying
+            // the reject after space frees up. Verdict-class rejects
+            // (security, lint, policy, requirements) stay memoized.
+            Err(DeployError::NoFeasiblePlacement { reasons })
+                if reasons
+                    .iter()
+                    .all(|(_, why)| RejectReason::classify(why).is_capacity()) =>
+            {
+                None
+            }
+            Err(e) => Some(CachedOutcome::Reject(e.clone())),
         }
-    }
-
-    /// Starts a new epoch, discarding every entry; returns how many
-    /// verdicts were invalidated.
-    pub fn bump_epoch(&mut self) -> u64 {
-        self.epoch += 1;
-        let discarded = self.entries.len() as u64;
-        self.entries.clear();
-        discarded
     }
 }
 
@@ -348,35 +337,5 @@ mod tests {
             verdict_key(0, &request(REQ), &a, HardeningPolicy::default(), true, true),
             verdict_key(0, &request(REQ), &b, HardeningPolicy::default(), true, true)
         );
-    }
-
-    #[test]
-    fn bump_discards_and_counts() {
-        let mut cache = VerdictCache::default();
-        cache.insert(
-            0,
-            "k".to_string(),
-            CachedVerdict {
-                outcome: CachedOutcome::Accept {
-                    platform: "p".into(),
-                    sandboxed: false,
-                },
-                check_ns: 1,
-            },
-        );
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.bump_epoch(), 1);
-        assert_eq!(cache.len(), 0);
-        assert_eq!(cache.epoch(), 1);
-        // Stale inserts (computed under epoch 0) are refused.
-        cache.insert(
-            0,
-            "k".to_string(),
-            CachedVerdict {
-                outcome: CachedOutcome::Reject(DeployError::NoSuchModule(7)),
-                check_ns: 1,
-            },
-        );
-        assert_eq!(cache.len(), 0);
     }
 }

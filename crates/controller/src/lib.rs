@@ -57,6 +57,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod admission;
 mod cache;
 mod consolidate;
 mod controller;
@@ -67,8 +68,8 @@ mod parallel;
 mod placement;
 mod request;
 mod sandbox;
+mod stats;
 mod stock;
-mod summaries;
 mod verdicts;
 mod verify;
 
@@ -76,15 +77,14 @@ pub use consolidate::{
     consolidated_vm_config, is_stateful, plan, plan_fleet, ConsolidationPlan,
     FleetConsolidationPlan,
 };
-pub use controller::{
-    ClientAccount, Controller, ControllerStats, DeployError, DeployResponse, FlowRule, ModuleId,
-};
+pub use controller::{ClientAccount, Controller, DeployError, DeployResponse, FlowRule, ModuleId};
 pub use fleet_hooks::ControllerHooks;
 pub use hardening::{apply_udp_reflection_ban, internal_prefixes, HardeningPolicy};
 pub use netmodel::{compile, InstalledModule, NetworkModel};
 pub use placement::{PlacementContext, RejectReason};
 pub use request::{ClientRequest, ModuleConfig, RequestParseError, StockModule};
 pub use sandbox::wrap_with_enforcer;
+pub use stats::ControllerStats;
 pub use stock::stock_config;
 pub use verdicts::{table1_catalog, table1_matrix, Table1Row};
 pub use verify::{check_requirement, VerifyError};

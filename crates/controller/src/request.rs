@@ -1,8 +1,13 @@
 //! Client processing requests (paper §4.1, Figure 4).
 
+use std::borrow::Cow;
+use std::net::Ipv4Addr;
+
 use innet_click::ClickConfig;
 use innet_policy::Requirement;
 use serde::{Deserialize, Serialize};
+
+use crate::stock::stock_config;
 
 /// A pre-defined stock processing module offered by the controller
 /// (paper §4.1: "a reverse-HTTP proxy appliance, an explicit proxy …, a
@@ -42,6 +47,31 @@ pub enum ModuleConfig {
     Stock(StockModule),
 }
 
+impl ModuleConfig {
+    /// The configuration for a concrete assigned address: binds `$SELF`
+    /// placeholders in Click configurations and instantiates stock
+    /// templates. Configurations without `$SELF` are address-independent
+    /// and borrowed as-is — the common case on the admission hot path,
+    /// where the clone would be pure overhead.
+    pub(crate) fn materialize(&self, addr: Ipv4Addr) -> Cow<'_, ClickConfig> {
+        let c = match self {
+            ModuleConfig::Click(c) => c,
+            ModuleConfig::Stock(kind) => return Cow::Owned(stock_config(*kind, addr)),
+        };
+        let has_self = |a: &String| a.contains("$SELF");
+        if !c.elements.iter().any(|e| e.args.iter().any(has_self)) {
+            return Cow::Borrowed(c);
+        }
+        let mut c = c.clone();
+        for a in c.elements.iter_mut().flat_map(|e| &mut e.args) {
+            if has_self(a) {
+                *a = a.replace("$SELF", &addr.to_string());
+            }
+        }
+        Cow::Owned(c)
+    }
+}
+
 /// A full client request: one processing module plus the requirements
 /// that must hold after installation.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,23 +100,6 @@ impl std::fmt::Display for RequestParseError {
 impl std::error::Error for RequestParseError {}
 
 impl ClientRequest {
-    /// Builds a request programmatically.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use ClientRequest::click or ClientRequest::stock with .require()/.requires_str()"
-    )]
-    pub fn new(
-        module_name: impl Into<String>,
-        config: ModuleConfig,
-        requirements: Vec<Requirement>,
-    ) -> ClientRequest {
-        ClientRequest {
-            module_name: module_name.into(),
-            config,
-            requirements,
-        }
-    }
-
     /// A request for a Click configuration, with no requirements yet.
     /// Chain [`ClientRequest::require`] or [`ClientRequest::requires_str`]
     /// to add them:

@@ -244,7 +244,7 @@ pub fn check_requirement(model: &NetworkModel, req: &Requirement) -> Result<bool
 /// cross-request cache on — memoization here is per call (one summary
 /// serving all of `pattern::satisfy`'s branches), unlike the admission
 /// security check, which shares the controller's fleet-wide
-/// `SummaryCache`.
+/// chain-summary memo ([`innet_symnet::ModelCache`]).
 ///
 /// The walk is only taken when the chain contains **no observed
 /// way-point node**: summary replay records the chain's arrivals before

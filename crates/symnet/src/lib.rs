@@ -55,6 +55,7 @@
 #![warn(missing_docs)]
 
 mod field;
+mod memo;
 mod model;
 mod models;
 mod packet;
@@ -65,6 +66,7 @@ pub mod summary;
 mod value;
 
 pub use field::{Field, FieldMap, ALL_FIELDS};
+pub use memo::Memo;
 pub use model::{ExecOptions, ExecResult, Observe, SymElement, SymError, SymGraph, SymOut};
 pub use models::{
     build_sym_graph, build_sym_graph_cached, model_for, AnyOutputModel, ChangeEnforcerModel,
@@ -76,7 +78,7 @@ pub use models::{
 pub use packet::{Hop, SymPacket, WriteRec};
 pub use security::{
     check_module, check_module_summarized, check_module_with_stats, CheckStats, RequesterClass,
-    SecurityContext, SecurityReport, SummarySource, Tri, Verdict,
+    SecurityContext, SecurityReport, Tri, Verdict,
 };
 pub use summary::{
     compose, entry_chain, summarize_chain, summarize_element, BranchOutcome, EntryChain,

@@ -20,9 +20,11 @@ use innet_packet::{pattern::PatternExpr, Cidr, IpProto};
 
 use crate::{
     field::Field,
+    memo::Memo,
     model::{SymElement, SymError, SymGraph, SymOut},
     packet::SymPacket,
     pattern::{refute, satisfy},
+    summary::{compose, summarize_element, SymSummary},
     value::{Origin, RangeSet, SymValue},
 };
 
@@ -938,58 +940,49 @@ pub fn model_for(
     }
 }
 
-/// A fleet-wide memo of symbolic element models, keyed by element class
-/// and argument list.
+/// The fleet-wide memos of the compositional checker: four [`Memo`]s,
+/// each a pure function of its key, shared (`Arc`) across every request
+/// and verification worker.
 ///
-/// A model is a *pure function* of `(class, args)` — building one merely
-/// re-parses the concrete element's arguments — so a single instance can
-/// be shared (`Arc`) across every graph, request, and verification
-/// worker. The memo exists because that argument re-parsing dominates
-/// graph construction on the controller's admission path: with models
-/// memoized, building a graph for a stock chain is just node wiring —
-/// and a second, graph-level memo skips even that for configurations
-/// seen before (see [`ModelCache::graph`]).
+/// * **models** — `class '\0' args…` → the element's symbolic model.
+///   Building one re-parses the concrete element's arguments, which
+///   dominates graph construction on the admission path.
+/// * **graphs** — the configuration's canonical text (names included:
+///   callers address nodes by name) → the wired, immutable [`SymGraph`].
+/// * **element summaries** — keyed like models → the element's chain
+///   summary, or `None` when it is not summarizable (itself a pure fact
+///   worth memoizing: the chain extractor asks again for every
+///   configuration the element appears in).
+/// * **chain summaries** — the chain's *canonical slice text*
+///   ([`ClickConfig::canonical_slice_text`]: classes, ordered arguments
+///   and order only, no element names) → the composed summary, so a
+///   stock chain shared across tenants — even alpha-renamed, even
+///   embedded in different surrounding graphs — is summarized once.
 ///
-/// Entries never become stale (nothing outside the key influences a
-/// model), so [`ModelCache::clear`] is a memory-hygiene knob, not an
-/// invalidation requirement.
-#[derive(Default)]
+/// Nothing outside the key influences a value, so entries never go
+/// stale; [`ModelCache::bump_epoch`] exists so the controller can flush
+/// all verification memoisation under one rule (see [`Memo`]).
+#[derive(Debug, Default)]
 pub struct ModelCache {
-    entries: std::sync::RwLock<std::collections::HashMap<String, Arc<dyn SymElement>>>,
-    /// Whole wired graphs, keyed by the configuration's canonical text
-    /// (names included — callers address nodes by name). A [`SymGraph`]
-    /// is immutable after construction and a pure function of
-    /// `(configuration, registry)`, so sharing one `Arc` across requests
-    /// skips even the node-wiring cost for stock configurations.
-    graphs: std::sync::RwLock<std::collections::HashMap<String, Arc<SymGraph>>>,
-    /// Per-element chain summaries, keyed like `entries`. `None` records
-    /// that the element is not summarizable — itself a pure fact of
-    /// `(class, args)` worth memoizing, since the chain extractor asks
-    /// again for every configuration the element appears in.
-    summaries: std::sync::RwLock<std::collections::HashMap<String, Option<Arc<crate::SymSummary>>>>,
+    models: Memo<Arc<dyn SymElement>>,
+    graphs: Memo<Arc<SymGraph>>,
+    element_summaries: Memo<Option<Arc<SymSummary>>>,
+    chain_summaries: Memo<Arc<SymSummary>>,
 }
 
 impl ModelCache {
-    /// Number of memoized models.
-    pub fn len(&self) -> usize {
-        self.entries.read().expect("not poisoned").len()
+    /// Number of memoized chain summaries.
+    pub fn chain_summaries_len(&self) -> usize {
+        self.chain_summaries.len()
     }
 
-    /// Whether the memo is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of memoized wired graphs.
-    pub fn graphs_len(&self) -> usize {
-        self.graphs.read().expect("not poisoned").len()
-    }
-
-    /// Discards every memoized model, graph, and element summary.
-    pub fn clear(&self) {
-        self.entries.write().expect("not poisoned").clear();
-        self.graphs.write().expect("not poisoned").clear();
-        self.summaries.write().expect("not poisoned").clear();
+    /// Starts a new epoch in all four memos; returns how many chain
+    /// summaries were discarded.
+    pub fn bump_epoch(&self) -> u64 {
+        self.models.bump_epoch();
+        self.graphs.bump_epoch();
+        self.element_summaries.bump_epoch();
+        self.chain_summaries.bump_epoch()
     }
 
     /// `'\0'` cannot appear in parsed class names or arguments, so the
@@ -1004,67 +997,57 @@ impl ModelCache {
         k
     }
 
-    /// The memoized model for `(class, args)`, building and storing it on
-    /// first sight. Build errors are not cached (they are rare and the
-    /// caller rejects the whole configuration anyway).
+    /// The memoized model for `(class, args)`.
     pub fn model(
         &self,
         class: &str,
         args: &[String],
         registry: &Registry,
     ) -> Result<Arc<dyn SymElement>, SymError> {
-        let key = ModelCache::key(class, args);
-        if let Some(m) = self.entries.read().expect("not poisoned").get(&key) {
-            return Ok(Arc::clone(m));
-        }
-        let model: Arc<dyn SymElement> = Arc::from(model_for(class, args, registry)?);
-        self.entries
-            .write()
-            .expect("not poisoned")
-            .insert(key, Arc::clone(&model));
-        Ok(model)
+        self.models
+            .get_or_try_insert_with(ModelCache::key(class, args), || {
+                model_for(class, args, registry).map(Arc::from)
+            })
     }
 
-    /// The memoized chain summary for a single element, computing and
-    /// storing it (including the "not summarizable" outcome) on first
-    /// sight. [`crate::summarize_element`] replays the model over a
+    /// The memoized chain summary for a single element (`None`: not
+    /// summarizable). [`summarize_element`] replays the model over a
     /// capture probe — deterministic in the model, which is itself a pure
-    /// function of `(class, args)` — so the memo can never go stale.
+    /// function of `(class, args)`.
     pub fn element_summary(
         &self,
         class: &str,
         args: &[String],
         registry: &Registry,
-    ) -> Result<Option<Arc<crate::SymSummary>>, SymError> {
-        let key = ModelCache::key(class, args);
-        if let Some(s) = self.summaries.read().expect("not poisoned").get(&key) {
-            return Ok(s.clone());
-        }
-        let model = self.model(class, args, registry)?;
-        let summary = crate::summarize_element(model.as_ref()).map(Arc::new);
-        self.summaries
-            .write()
-            .expect("not poisoned")
-            .insert(key, summary.clone());
-        Ok(summary)
+    ) -> Result<Option<Arc<SymSummary>>, SymError> {
+        self.element_summaries
+            .get_or_try_insert_with(ModelCache::key(class, args), || {
+                let model = self.model(class, args, registry)?;
+                Ok(summarize_element(model.as_ref()).map(Arc::new))
+            })
     }
 
-    /// Summarizes the chain of configuration elements at `nodes`
-    /// (declaration-order indices, as produced by [`crate::entry_chain`]
-    /// on a graph built from `cfg`) by folding memoized per-element
-    /// summaries with [`crate::compose`]. Equivalent to
-    /// [`crate::summarize_chain`] on the built graph — node indices follow
-    /// declaration order — but only the compose fold runs per miss; the
-    /// per-element probe replay is shared fleet-wide through the memo.
-    /// `Ok(None)` mirrors `summarize_chain`'s `None`: some element resists
-    /// summarization or the branch partition explodes.
+    /// The memoized summary of the chain of configuration elements at
+    /// `nodes` (declaration-order indices, as produced by
+    /// [`crate::entry_chain`] on a graph built from `cfg`), and whether it
+    /// was a memo hit. A miss folds memoized per-element summaries with
+    /// [`compose`] — equivalent to [`crate::summarize_chain`] on the built
+    /// graph, whose node indices follow declaration order, but only the
+    /// fold runs per miss. `Ok(None)` mirrors `summarize_chain`'s `None`
+    /// (some element resists summarization or the branch partition
+    /// explodes) and is not memoized.
     pub fn chain_summary(
         &self,
         cfg: &ClickConfig,
         nodes: &[usize],
         registry: &Registry,
-    ) -> Result<Option<crate::SymSummary>, SymError> {
-        let mut acc = crate::SymSummary::identity();
+    ) -> Result<Option<(Arc<SymSummary>, bool)>, SymError> {
+        let key = cfg.canonical_slice_text(nodes);
+        let epoch = self.chain_summaries.epoch();
+        if let Some(hit) = self.chain_summaries.get(&key) {
+            return Ok(Some((hit, true)));
+        }
+        let mut acc = SymSummary::identity();
         for &n in nodes {
             let Some(decl) = cfg.elements.get(n) else {
                 return Ok(None);
@@ -1072,35 +1055,23 @@ impl ModelCache {
             let Some(s) = self.element_summary(&decl.class, &decl.args, registry)? else {
                 return Ok(None);
             };
-            let Some(next) = crate::compose(&acc, &s) else {
+            let Some(next) = compose(&acc, &s) else {
                 return Ok(None);
             };
             acc = next;
         }
-        Ok(Some(acc))
+        let summary = Arc::new(acc);
+        self.chain_summaries
+            .insert(epoch, key, Arc::clone(&summary));
+        Ok(Some((summary, false)))
     }
 
-    /// The memoized wired graph for `cfg`, building it (through the model
-    /// memo) and storing it on first sight. Build errors are not cached.
+    /// The memoized wired graph for `cfg`, built through the model memo.
     pub fn graph(&self, cfg: &ClickConfig, registry: &Registry) -> Result<Arc<SymGraph>, SymError> {
-        let key = cfg.canonical_text();
-        if let Some(g) = self.graphs.read().expect("not poisoned").get(&key) {
-            return Ok(Arc::clone(g));
-        }
-        let graph = Arc::new(build_sym_graph_cached(cfg, registry, Some(self))?);
         self.graphs
-            .write()
-            .expect("not poisoned")
-            .insert(key, Arc::clone(&graph));
-        Ok(graph)
-    }
-}
-
-impl std::fmt::Debug for ModelCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ModelCache")
-            .field("len", &self.len())
-            .finish()
+            .get_or_try_insert_with(cfg.canonical_text(), || {
+                build_sym_graph_cached(cfg, registry, Some(self)).map(Arc::new)
+            })
     }
 }
 
@@ -1304,6 +1275,30 @@ mod tests {
         let res = g.run(vm, 0, SymPacket::unconstrained(), &ExecOptions::default());
         let flow = &res.egress[0].1;
         assert_eq!(flow.origin_of(flow.get(Field::IpSrc)), Some(Origin::Opaque));
+    }
+
+    #[test]
+    fn alpha_renamed_chains_share_a_chain_summary() {
+        let cache = ModelCache::default();
+        let registry = Registry::standard();
+        let a = ClickConfig::parse("f :: IPFilter(allow udp); d :: DecIPTTL(); f -> d;").unwrap();
+        let b =
+            ClickConfig::parse("x9 :: IPFilter(allow   udp); y :: DecIPTTL(); x9 -> y;").unwrap();
+        let hit = |cfg: &ClickConfig, chain: &[usize]| {
+            cache
+                .chain_summary(cfg, chain, &registry)
+                .unwrap()
+                .expect("summarizable")
+                .1
+        };
+        assert!(!hit(&a, &[0, 1]));
+        assert!(hit(&b, &[0, 1]), "slice keys are name-independent");
+        assert!(!hit(&a, &[0]), "a different slice is a different entry");
+        assert_eq!(cache.chain_summaries_len(), 2);
+        // One flush covers all four memos and reports the chain summaries.
+        assert_eq!(cache.bump_epoch(), 2);
+        assert_eq!(cache.chain_summaries_len(), 0);
+        assert!(!hit(&b, &[0, 1]));
     }
 
     #[test]

@@ -120,25 +120,6 @@ pub struct SecurityReport {
     pub egress_flows: Vec<SymPacket>,
 }
 
-/// A memoization backend for chain summaries, implemented by the
-/// controller's epoch-invalidated `SummaryCache`. `chain` is the ordered
-/// list of configuration element indices the summary covers (node indices
-/// in the [`crate::SymGraph`] built from `cfg`, which follow declaration
-/// order).
-pub trait SummarySource {
-    /// A previously stored summary for this chain slice, if any.
-    fn lookup(&self, cfg: &ClickConfig, chain: &[usize]) -> Option<Arc<SymSummary>>;
-    /// Stores a freshly computed summary for this chain slice.
-    fn store(&self, cfg: &ClickConfig, chain: &[usize], summary: Arc<SymSummary>);
-    /// A shared [`ModelCache`] the checker may build graphs from. The
-    /// default (`None`) rebuilds every element model per check — the
-    /// whole-graph oracle stays that way so differential comparisons
-    /// measure the memoized pipeline against an unaided baseline.
-    fn models(&self) -> Option<&ModelCache> {
-        None
-    }
-}
-
 /// Execution-cost and memoization counters from one module check.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CheckStats {
@@ -149,7 +130,7 @@ pub struct CheckStats {
     /// Chain elements covered by summary replay instead of per-element
     /// execution.
     pub summary_chain_nodes: u64,
-    /// Summaries served from the [`SummarySource`].
+    /// Chain summaries served from the [`ModelCache`].
     pub summary_cache_hits: u64,
     /// Summaries that had to be computed (and were stored back).
     pub summary_cache_misses: u64,
@@ -282,23 +263,23 @@ pub fn check_module_with_stats(
 /// chain and falls back to per-element execution at the chain boundary —
 /// stateful elements, multi-port fan-out/fan-in, or unsummarizable
 /// models. Verdicts are identical to [`check_module`] (the differential
-/// suite holds the two together); only the work done differs. `source`
+/// suite holds the two together); only the work done differs. `memos`
 /// supplies cross-request memoization; `None` still composes summaries
-/// but recomputes them per call.
+/// but rebuilds every model, graph and summary per call.
 pub fn check_module_summarized(
     cfg: &ClickConfig,
     ctx: &SecurityContext,
     registry: &Registry,
-    source: Option<&dyn SummarySource>,
+    memos: Option<&ModelCache>,
 ) -> Result<(SecurityReport, CheckStats), SymError> {
-    check_inner(cfg, ctx, registry, source, true)
+    check_inner(cfg, ctx, registry, memos, true)
 }
 
 fn check_inner(
     cfg: &ClickConfig,
     ctx: &SecurityContext,
     registry: &Registry,
-    source: Option<&dyn SummarySource>,
+    memos: Option<&ModelCache>,
     use_summaries: bool,
 ) -> Result<(SecurityReport, CheckStats), SymError> {
     let mut stats = CheckStats::default();
@@ -316,11 +297,13 @@ fn check_inner(
         ));
     }
 
-    // With a model memo available (compositional mode), the whole wired
-    // graph is shared across requests; the oracle rebuilds from scratch.
-    let graph: std::sync::Arc<crate::SymGraph> = match source.and_then(|s| s.models()) {
+    // With the memos available (compositional mode), the whole wired
+    // graph is shared across requests; the whole-graph oracle rebuilds
+    // from scratch, so differential comparisons measure the memoized
+    // pipeline against an unaided baseline.
+    let graph = match memos {
         Some(cache) => cache.graph(cfg, registry)?,
-        None => std::sync::Arc::new(build_sym_graph_cached(cfg, registry, None)?),
+        None => Arc::new(build_sym_graph_cached(cfg, registry, None)?),
     };
     let mut report = SecurityReport {
         verdict: Verdict::Safe,
@@ -359,30 +342,19 @@ fn check_inner(
         if use_summaries {
             let chain = entry_chain(&graph, entry_idx);
             if chain.nodes.len() >= 2 {
-                let summary: Option<Arc<SymSummary>> = match source {
-                    Some(src) => match src.lookup(cfg, &chain.nodes) {
-                        Some(s) => {
-                            stats.summary_cache_hits += 1;
-                            Some(s)
-                        }
-                        None => {
-                            // Prefer the fleet-wide per-element summary
-                            // memo when the source exposes one: only the
-                            // compose fold runs per miss. Equivalent to
-                            // summarize_chain on the built graph (node
-                            // indices follow declaration order).
-                            let computed = match src.models() {
-                                Some(cache) => cache.chain_summary(cfg, &chain.nodes, registry)?,
-                                None => summarize_chain(&graph, &chain.nodes),
-                            };
-                            computed.map(|s| {
-                                stats.summary_cache_misses += 1;
-                                let s = Arc::new(s);
-                                src.store(cfg, &chain.nodes, Arc::clone(&s));
+                let summary: Option<Arc<SymSummary>> = match memos {
+                    Some(cache) => {
+                        cache
+                            .chain_summary(cfg, &chain.nodes, registry)?
+                            .map(|(s, hit)| {
+                                if hit {
+                                    stats.summary_cache_hits += 1;
+                                } else {
+                                    stats.summary_cache_misses += 1;
+                                }
                                 s
                             })
-                        }
-                    },
+                    }
                     None => summarize_chain(&graph, &chain.nodes).map(Arc::new),
                 };
                 if let Some(s) = summary {

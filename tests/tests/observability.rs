@@ -168,7 +168,10 @@ fn reclaimed_flows_do_not_leak_bookkeeping() {
 
 /// `deploy_batch` must report the same statistics as deploying the same
 /// requests serially — the original fold dropped everything except
-/// three cache counters.
+/// three cache counters. And the metric mirror must agree with the
+/// statistics it mirrors: after a mixed batch + serial run, every
+/// `innet_ctl_*_total` counter equals the `ControllerStats` field it is
+/// tabled against.
 #[test]
 fn batch_and_serial_statistics_agree() {
     const FIG4: &str = r#"
@@ -213,7 +216,9 @@ fn batch_and_serial_statistics_agree() {
     for (client, req) in batch.clone() {
         serial.deploy(&client, req).expect("deployable");
     }
+    let reg = obs::Registry::new();
     let mut parallel = controller();
+    parallel.attach_metrics(&reg);
     let results = parallel.deploy_batch(batch, 3);
     assert!(results.iter().all(|r| r.is_ok()));
 
@@ -230,6 +235,47 @@ fn batch_and_serial_statistics_agree() {
     // Timing totals are wall-clock and cannot be compared exactly, but
     // a batch that did the same verification work must have spent time.
     assert!(p.compile_ns > 0 && p.check_ns > 0, "timing folded: {p:?}");
+
+    // A serial tail over the other ledger paths: a verdict-cache hit, a
+    // security reject, an unknown client, and a kill (invalidation).
+    parallel.deploy("client0", request(0)).expect("replayed");
+    let spoof = "module evil:\nFromNetfront() -> SetIPSrc(8.8.8.8) -> ToNetfront();";
+    let spoof = ClientRequest::parse(spoof).unwrap();
+    assert!(parallel.deploy("client1", spoof).is_err());
+    assert!(parallel.deploy("stranger", request(6)).is_err());
+    let victim = parallel.modules()[0].id;
+    parallel.kill(victim).unwrap();
+
+    let p = parallel.stats();
+    assert!(p.cache_hits > 0 && p.rejected > 0 && p.cache_invalidations > 0);
+    assert_eq!(p.requests, p.accepted + p.rejected + 1, "{p:?}");
+    let mirrored: Vec<&str> = p.counters().map(|(name, _)| name).collect();
+    assert_eq!(
+        mirrored,
+        [
+            "innet_ctl_requests_total",
+            "innet_ctl_accepted_total",
+            "innet_ctl_rejected_total",
+            "innet_ctl_cache_hits_total",
+            "innet_ctl_cache_misses_total",
+            "innet_ctl_cache_invalidations_total",
+            "innet_ctl_check_ns_saved_total",
+            "innet_ctl_compile_ns_total",
+            "innet_ctl_check_ns_total",
+            "innet_ctl_fastpath_hits_total",
+            "innet_ctl_fastpath_fallbacks_total",
+            "innet_ctl_lint_rejects_total",
+            "innet_ctl_lint_cache_hits_total",
+            "innet_ctl_analysis_ns_total",
+            "innet_ctl_summary_cache_hits_total",
+            "innet_ctl_summary_cache_misses_total",
+            "innet_ctl_summary_chain_nodes_total",
+            "innet_ctl_summary_invalidations_total",
+        ]
+    );
+    for (name, value) in p.counters() {
+        assert_eq!(reg.counter(name).get(), value, "{name} drifted: {p:?}");
+    }
 }
 
 /// The zero-silent-drops invariant, checked against the live registry

@@ -10,9 +10,7 @@ use innet::analysis::{abstract_verdict, lint};
 use innet::click::{ClickConfig, Registry};
 use innet::controller::HardeningPolicy;
 use innet::prelude::*;
-use innet::symnet::{
-    check_module, check_module_summarized, SecurityContext, SummarySource, SymSummary,
-};
+use innet::symnet::{check_module, check_module_summarized, ModelCache, SecurityContext};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::net::Ipv4Addr;
 
@@ -131,34 +129,6 @@ fn fast_path_agrees_with_symnet_on_generated_configs() {
     );
 }
 
-/// In-test [`SummarySource`]: a plain map keyed by the canonical slice
-/// text, mirroring the controller's fleet-wide cache (minus locking).
-#[derive(Default)]
-struct MapSource {
-    entries: std::cell::RefCell<std::collections::HashMap<String, std::sync::Arc<SymSummary>>>,
-    hits: std::cell::Cell<usize>,
-}
-
-impl SummarySource for MapSource {
-    fn lookup(&self, cfg: &ClickConfig, chain: &[usize]) -> Option<std::sync::Arc<SymSummary>> {
-        let hit = self
-            .entries
-            .borrow()
-            .get(&cfg.canonical_slice_text(chain))
-            .cloned();
-        if hit.is_some() {
-            self.hits.set(self.hits.get() + 1);
-        }
-        hit
-    }
-
-    fn store(&self, cfg: &ClickConfig, chain: &[usize], summary: std::sync::Arc<SymSummary>) {
-        self.entries
-            .borrow_mut()
-            .insert(cfg.canonical_slice_text(chain), summary);
-    }
-}
-
 /// ≥1000 generated configurations × every requester class: the
 /// compositional checker (summary replay over the entry chain, cold and
 /// cache-warm) must return the same verdict as whole-graph symbolic
@@ -168,8 +138,8 @@ impl SummarySource for MapSource {
 fn compositional_verdict_agrees_with_whole_graph() {
     let registry = Registry::standard();
     let mut rng = StdRng::seed_from_u64(0xc0_2015);
-    let warm = MapSource::default();
-    let mut chain_nodes = 0u64;
+    let warm = ModelCache::default();
+    let (mut chain_nodes, mut warm_hits) = (0u64, 0u64);
     for case in 0..1000 {
         let cfg = random_config(&mut rng);
         for class in [
@@ -180,7 +150,7 @@ fn compositional_verdict_agrees_with_whole_graph() {
             let ctx = ctx(class);
             let oracle = check_module(&cfg, &ctx, &registry);
             // Cold: every summary computed in-call; warm: replayed from
-            // the shared map that persists across all 1000 cases.
+            // the shared memos that persist across all 1000 cases.
             let cold = check_module_summarized(&cfg, &ctx, &registry, None);
             let warmed = check_module_summarized(&cfg, &ctx, &registry, Some(&warm));
             for (mode, got) in [("cold", cold), ("warm", warmed)] {
@@ -196,6 +166,7 @@ fn compositional_verdict_agrees_with_whole_graph() {
                             cfg.canonical_text()
                         );
                         chain_nodes += stats.summary_chain_nodes;
+                        warm_hits += stats.summary_cache_hits;
                     }
                     (Err(_), Err(_)) => {}
                     (want, got) => panic!(
@@ -208,10 +179,10 @@ fn compositional_verdict_agrees_with_whole_graph() {
         }
     }
     // The summary path must actually engage (chains of >= 2 safe
-    // elements exist in the pool) and the shared map must get replay
+    // elements exist in the pool) and the shared memos must get replay
     // traffic across alpha-equivalent chains.
     assert!(chain_nodes > 0, "summary replay never engaged");
-    assert!(warm.hits.get() > 0, "warm source never served a summary");
+    assert!(warm_hits > 0, "warm memos never served a summary");
 }
 
 // --- Seeded malformed configurations: each must trip its lint rule. ---

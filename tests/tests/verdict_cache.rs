@@ -9,7 +9,6 @@
 
 use innet::controller::HardeningPolicy;
 use innet::prelude::*;
-use std::time::{Duration, Instant};
 
 /// The paper's Figure 4 request: a UDP batcher for a mobile client.
 const FIG4: &str = r#"
@@ -176,36 +175,30 @@ fn rejects_replay_from_the_cache() {
     assert_eq!(c.stats().accepted, 0);
 }
 
-/// The headline number: on 100 identical requests, a cache hit costs at
-/// least 5× less wall-clock than the initial full verification (in
-/// practice orders of magnitude — hits skip compilation and checking
-/// entirely).
+/// Why hits are cheap, as operation counts rather than a wall-clock
+/// ratio: on 100 identical requests only the first compiles a model or
+/// runs a check — every hit's response reports zero time in both phases
+/// and the controller's phase totals stop moving after the single miss.
 #[test]
-fn hits_are_at_least_5x_cheaper_than_misses() {
+fn hits_skip_compilation_and_checking() {
     let mut c = fresh();
 
-    let t0 = Instant::now();
     c.deploy("mobile-7", req(FIG4)).unwrap();
-    let miss = t0.elapsed();
+    let after_miss = c.stats();
 
-    let mut hits: Vec<Duration> = Vec::with_capacity(99);
     for _ in 0..99 {
-        let t = Instant::now();
-        c.deploy("mobile-7", req(FIG4)).unwrap();
-        hits.push(t.elapsed());
+        let hit = c.deploy("mobile-7", req(FIG4)).unwrap();
+        assert_eq!((hit.compile_ns, hit.check_ns), (0, 0));
     }
-    assert_eq!(c.stats().cache_hits, 99);
-    assert_eq!(c.stats().cache_misses, 1);
-    assert_eq!(c.stats().accepted, 100);
+    let s = c.stats();
+    assert_eq!(s.cache_hits, 99);
+    assert_eq!(s.cache_misses, 1);
+    assert_eq!(s.accepted, 100);
+    assert_eq!(s.compile_ns, after_miss.compile_ns);
+    assert_eq!(s.check_ns, after_miss.check_ns);
+    assert_eq!(s.analysis_ns, after_miss.analysis_ns);
     // Exactly one miss populated check_ns; every hit credits that cost.
-    assert_eq!(c.stats().check_ns_saved, 99 * c.stats().check_ns);
-
-    hits.sort_unstable();
-    let median = hits[hits.len() / 2];
-    assert!(
-        miss >= median * 5,
-        "verification {miss:?} not ≥5× median hit {median:?}"
-    );
+    assert_eq!(s.check_ns_saved, 99 * s.check_ns);
 }
 
 /// `deploy_batch` shards verify against snapshots that share the live
