@@ -2,25 +2,38 @@
 # Tier-1 gate: formatting, lints, build, and the full test suite.
 # Everything here must pass before a change lands.
 #
-#   ./ci.sh [--fence <rev>]
+#   ./ci.sh [--fence <rev> [path…]]
 #
-# --fence <rev> is for control-plane-only changes: it additionally fails
-# if any file the packet and fleet data paths, or the benchmark itself,
-# are built from differs from <rev> (the change's merge-base) — so a
-# pkt-* or fleet-* movement in the benchmark cannot come from the change.
+# --fence <rev> additionally fails if any fenced file differs from <rev>
+# (the change's merge-base) — so a benchmark movement on the paths those
+# files build cannot come from the change. With paths given they are the
+# fenced set; without, it is the control-plane-only set: everything the
+# packet and fleet data paths, and the benchmark itself, are built from.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 if [ "${1:-}" = --fence ]; then
   base="${2:?--fence needs the merge-base revision}"
-  echo "==> data-plane fence vs $base"
-  fenced="$(git diff --name-only "$base" -- crates/packet crates/click crates/obs \
-    crates/sim crates/topology crates/platform crates/policy benchmark BENCHMARK.json)"
+  shift 2
+  if [ $# -eq 0 ]; then
+    set -- crates/packet crates/click crates/obs crates/sim crates/topology \
+      crates/platform crates/policy benchmark BENCHMARK.json
+  fi
+  echo "==> fence vs $base: $*"
+  fenced="$(git diff --name-only "$base" -- "$@")"
   if [ -n "$fenced" ]; then
     echo "fenced files changed since $base:" >&2
     echo "$fenced" >&2
     exit 1
   fi
+fi
+
+echo "==> one of each (no deprecated shims)"
+# A deprecated item is a second spelling kept for history's sake; the
+# benchmark workspace denies the lint, so nothing may lean on one.
+if grep -rnE '#\[deprecated|allow\(deprecated\)' crates tests examples; then
+  echo "deprecated shims are not kept: delete the old spelling" >&2
+  exit 1
 fi
 
 echo "==> cargo fmt --check"

@@ -1,6 +1,7 @@
 //! Flow-sharded scaling: `ParallelRunner` throughput across worker and
-//! batch sweeps, against the single-threaded `NativeRunner` baseline —
-//! on both engines (interpreted element graph vs compiled flat plan).
+//! batch sweeps — one worker is the in-thread baseline, with no
+//! dispatcher or ring in the measurement — on both engines (interpreted
+//! element graph vs compiled flat plan).
 //!
 //! Three corpora: the stock consolidated firewall (the paper's
 //! §5/Figure 8 multi-tenant configuration — stateless, so it shards
@@ -69,20 +70,6 @@ fn bench_consolidated_sweep(c: &mut Criterion) {
                     b.iter(|| black_box(runner.run(&pkts, 1)));
                 });
             }
-        }
-        // The single-threaded engine at the same batch sizes, for the
-        // sharding-overhead comparison (w1 vs native isolates
-        // dispatcher + ring cost).
-        for batch in [1usize, 32, 256] {
-            let name = format!("native_consolidated16_{engine}_b{batch}");
-            c.bench_function(&name, |b| {
-                let mut runner = RunnerConfig::new()
-                    .batch(batch)
-                    .compiled(compiled)
-                    .native(&cfg)
-                    .unwrap();
-                b.iter(|| black_box(runner.run(&pkts, 1)));
-            });
         }
     }
 }
@@ -198,8 +185,12 @@ fn bench_stateful_corpus(c: &mut Criterion) {
 }
 
 /// Measured pps/gbps for one corpus on one engine at one worker count.
-/// `workers == 1` uses the native single-threaded runner (no dispatcher
-/// in the measurement); more workers use the sharded parallel runner.
+/// One worker runs in the calling thread (no dispatcher in the
+/// measurement); more workers run the sharded path.
+///
+/// Every corpus here forwards every packet, so the delivered rate read
+/// below equals the offered rate the one-worker rows have always
+/// recorded.
 ///
 /// Each point is the best of `reps` timed repetitions: ambient load on a
 /// shared machine only ever slows a run, so the max is the noise-robust
@@ -213,32 +204,18 @@ fn measure(
     reps: usize,
 ) -> (f64, f64) {
     let mut best = (0.0f64, 0.0f64);
-    if workers == 1 {
-        let mut runner = RunnerConfig::new()
-            .batch(32)
-            .compiled(compiled)
-            .native(cfg)
-            .unwrap();
-        runner.run(pkts, 1); // warm-up
-        for _ in 0..reps {
-            let stats = runner.run(pkts, rounds);
-            if stats.pps() > best.0 {
-                best = (stats.pps(), stats.gbps(FRAME));
-            }
-        }
-    } else {
-        let mut runner = RunnerConfig::new()
-            .workers(workers)
-            .batch(32)
-            .compiled(compiled)
-            .parallel(cfg)
-            .unwrap();
-        runner.run(pkts, 1); // warm-up
-        for _ in 0..reps {
-            let stats = runner.run(pkts, rounds);
-            if stats.pps() > best.0 {
-                best = (stats.pps(), stats.gbps(FRAME));
-            }
+    let mut runner = RunnerConfig::new()
+        .workers(workers)
+        .batch(32)
+        .compiled(compiled)
+        .parallel(cfg)
+        .unwrap();
+    runner.run(pkts, 1); // warm-up
+    for _ in 0..reps {
+        let stats = runner.run(pkts, rounds);
+        assert_eq!(stats.transmitted, stats.packets, "corpus forwards all");
+        if stats.pps() > best.0 {
+            best = (stats.pps(), stats.gbps(FRAME));
         }
     }
     best

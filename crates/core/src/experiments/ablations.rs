@@ -8,7 +8,7 @@ use innet_controller::{table1_catalog, ClientRequest, Controller};
 use innet_packet::{Packet, PacketBuilder};
 use innet_platform::{
     calib::{boot_latency_ns, vm_mem_mb, VmTimingKind},
-    consolidated_config, plain_firewall, sandboxed_firewall, NativeRunner,
+    consolidated_config, plain_firewall, sandboxed_firewall, ParallelRunner, RunnerConfig,
 };
 use innet_symnet::{RequesterClass, Verdict};
 use std::net::Ipv4Addr;
@@ -54,13 +54,15 @@ pub fn consolidation_ablation(tenants: usize, rounds: usize) -> ConsolidationAbl
     let pkts = tenant_traffic(tenants, 512);
 
     // Consolidated: one VM, demux + per-tenant firewalls.
-    let mut consolidated = NativeRunner::new(&consolidated_config(&addrs)).expect("valid");
+    let mut consolidated = RunnerConfig::new()
+        .parallel(&consolidated_config(&addrs))
+        .expect("valid");
     consolidated.run(&pkts, 1);
     let c_stats = consolidated.run(&pkts, rounds);
 
     // Per-tenant: one tiny VM each; the vswitch steers by address, so each
     // VM only sees (and pays for) its own packets.
-    let mut per_vm: Vec<NativeRunner> = addrs
+    let mut per_vm: Vec<ParallelRunner> = addrs
         .iter()
         .map(|a| {
             let cfg = ClickConfig::parse(&format!(
@@ -68,7 +70,7 @@ pub fn consolidation_ablation(tenants: usize, rounds: usize) -> ConsolidationAbl
                  -> ToNetfront();"
             ))
             .expect("valid");
-            NativeRunner::new(&cfg).expect("instantiates")
+            RunnerConfig::new().parallel(&cfg).expect("instantiates")
         })
         .collect();
     // Pre-split traffic per tenant (the vswitch demux, charged to the host).
@@ -96,7 +98,7 @@ pub fn consolidation_ablation(tenants: usize, rounds: usize) -> ConsolidationAbl
 
     ConsolidationAblation {
         tenants,
-        consolidated_pps: c_stats.pps(),
+        consolidated_pps: c_stats.offered_pps(),
         per_vm_pps: packets as f64 / (elapsed / 1e9),
         consolidated_mem_mb: vm_mem_mb(VmTimingKind::ClickOs),
         per_vm_mem_mb: tenants as u64 * vm_mem_mb(VmTimingKind::ClickOs),
@@ -206,8 +208,9 @@ pub fn sandbox_ablation(rounds: usize) -> SandboxAblation {
                 .build()
         })
         .collect();
-    let mut plain = NativeRunner::new(&plain_firewall()).expect("valid");
-    let mut boxed = NativeRunner::new(&sandboxed_firewall(module, white)).expect("valid");
+    let runner = |cfg: &_| RunnerConfig::new().parallel(cfg).expect("valid");
+    let mut plain = runner(&plain_firewall());
+    let mut boxed = runner(&sandboxed_firewall(module, white));
     plain.run(&pkts, 2);
     boxed.run(&pkts, 2);
     let p = plain.run(&pkts, rounds);
@@ -217,7 +220,7 @@ pub fn sandbox_ablation(rounds: usize) -> SandboxAblation {
         catalog: 12,
         deployable,
         need_sandbox,
-        sandbox_throughput_ratio: b.pps() / p.pps(),
+        sandbox_throughput_ratio: b.offered_pps() / p.offered_pps(),
     }
 }
 

@@ -7,7 +7,7 @@
 //! netfront ring's fixed per-packet cost is why it stays flat at first.
 
 use innet_packet::{Packet, PacketBuilder};
-use innet_platform::{consolidated_config, NativeRunner};
+use innet_platform::{consolidated_config, RunnerConfig};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::net::Ipv4Addr;
 
@@ -56,15 +56,15 @@ pub fn consolidation_sweep(
         .map(|&n| {
             let clients = client_addrs(n);
             let cfg = consolidated_config(&clients);
-            let mut runner = NativeRunner::new(&cfg).expect("valid config");
+            let mut runner = RunnerConfig::new().parallel(&cfg).expect("valid config");
             let pkts = traffic(&clients, frame, n as u64);
             // Warm-up round.
             runner.run(&pkts, 1);
             let stats = runner.run(&pkts, rounds);
             ConsolidationPoint {
                 configs: n,
-                pps: stats.pps(),
-                gbps: stats.gbps(frame),
+                pps: stats.offered_pps(),
+                gbps: stats.offered_gbps(frame),
                 delivery: stats.transmitted as f64 / stats.packets as f64,
             }
         })
@@ -77,31 +77,15 @@ mod tests {
 
     #[test]
     fn all_traffic_delivered() {
-        let pts = consolidation_sweep(&[8, 32], 512, 3);
+        // From a handful of tenants to the paper's 252 per VM. How the
+        // *rate* droops across that range is wall-clock, so the fig08
+        // bench reports it instead of this test asserting it.
+        let pts = consolidation_sweep(&[4, 8, 32, 252], 512, 3);
         for p in &pts {
             assert!(
                 (p.delivery - 1.0).abs() < 1e-9,
                 "every packet targets a tenant: {p:?}"
             );
         }
-    }
-
-    #[test]
-    fn throughput_flat_then_bounded_droop() {
-        // The compiled demux keeps the plateau flat; many tenants may
-        // cost some throughput but never an order of magnitude (and never
-        // a gain beyond noise).
-        let lo: f64 = (0..3)
-            .map(|_| consolidation_sweep(&[4], 512, 5)[0].pps)
-            .sum::<f64>()
-            / 3.0;
-        let hi: f64 = (0..3)
-            .map(|_| consolidation_sweep(&[252], 512, 5)[0].pps)
-            .sum::<f64>()
-            / 3.0;
-        assert!(
-            hi > lo * 0.3 && hi < lo * 1.3,
-            "252 tenants vs 4 tenants: {hi} vs {lo}"
-        );
     }
 }

@@ -11,7 +11,7 @@
 use innet_packet::PacketBuilder;
 use innet_platform::{
     calib::{vm_mem_mb, VmTimingKind},
-    consolidated_config, NativeRunner,
+    consolidated_config, RunnerConfig,
 };
 use std::net::Ipv4Addr;
 
@@ -59,14 +59,14 @@ pub fn measure_core_pps(per_vm: usize, frame: usize) -> f64 {
         .map(|i| Ipv4Addr::new(10, 60, (i / 250) as u8, (1 + i % 250) as u8))
         .collect();
     let cfg = consolidated_config(&clients);
-    let mut runner = NativeRunner::new(&cfg).expect("valid config");
+    let mut runner = RunnerConfig::new().parallel(&cfg).expect("valid config");
     let pkts: Vec<_> = clients
         .iter()
         .take(64)
         .map(|&c| PacketBuilder::tcp().dst(c, 80).pad_to(frame).build())
         .collect();
     runner.run(&pkts, 2);
-    runner.run(&pkts, 20).pps()
+    runner.run(&pkts, 20).offered_pps()
 }
 
 /// Sweeps client counts up to 1,000.

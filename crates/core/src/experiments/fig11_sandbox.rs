@@ -8,7 +8,7 @@
 //! 128 B, unmeasurable above).
 
 use innet_packet::{Packet, PacketBuilder};
-use innet_platform::{plain_firewall, sandboxed_firewall, NativeRunner};
+use innet_platform::{plain_firewall, sandboxed_firewall, ParallelRunner, RunnerConfig};
 use std::net::Ipv4Addr;
 
 /// One packet-size point.
@@ -46,16 +46,20 @@ fn traffic(frame: usize) -> Vec<Packet> {
         .collect()
 }
 
+/// The plain firewall and its sandboxed variant, one runner each.
+fn runners() -> (ParallelRunner, ParallelRunner) {
+    let boxed = sandboxed_firewall(MODULE, Ipv4Addr::new(198, 51, 100, 1));
+    let build = |cfg| RunnerConfig::new().parallel(cfg).expect("valid config");
+    (build(&plain_firewall()), build(&boxed))
+}
+
 /// Measures both variants across frame sizes (the paper sweeps 64–1472).
 pub fn sandbox_cost(frames: &[usize], rounds: usize) -> Vec<SandboxPoint> {
     frames
         .iter()
         .map(|&frame| {
             let pkts = traffic(frame);
-            let mut plain = NativeRunner::new(&plain_firewall()).expect("valid config");
-            let mut boxed =
-                NativeRunner::new(&sandboxed_firewall(MODULE, Ipv4Addr::new(198, 51, 100, 1)))
-                    .expect("valid config");
+            let (mut plain, mut boxed) = runners();
             plain.run(&pkts, 2);
             boxed.run(&pkts, 2);
             // Interleave measurement halves to cancel drift.
@@ -63,8 +67,8 @@ pub fn sandbox_cost(frames: &[usize], rounds: usize) -> Vec<SandboxPoint> {
             let b1 = boxed.run(&pkts, rounds / 2);
             let b2 = boxed.run(&pkts, rounds / 2);
             let p2 = plain.run(&pkts, rounds / 2);
-            let plain_pps = (p1.pps() + p2.pps()) / 2.0;
-            let boxed_pps = (b1.pps() + b2.pps()) / 2.0;
+            let plain_pps = (p1.offered_pps() + p2.offered_pps()) / 2.0;
+            let boxed_pps = (b1.offered_pps() + b2.offered_pps()) / 2.0;
             SandboxPoint {
                 frame,
                 plain_mpps: plain_pps / 1e6,
@@ -81,9 +85,7 @@ mod tests {
     #[test]
     fn both_variants_forward_everything() {
         let pkts = traffic(64);
-        let mut plain = NativeRunner::new(&plain_firewall()).unwrap();
-        let mut boxed =
-            NativeRunner::new(&sandboxed_firewall(MODULE, Ipv4Addr::new(198, 51, 100, 1))).unwrap();
+        let (mut plain, mut boxed) = runners();
         let p = plain.run(&pkts, 3);
         let b = boxed.run(&pkts, 3);
         assert_eq!(p.transmitted, p.packets);

@@ -7,7 +7,7 @@
 //! regardless of middlebox count and type.
 
 use innet_packet::{Packet, PacketBuilder};
-use innet_platform::{middlebox_config, NativeRunner, RunnerConfig};
+use innet_platform::{middlebox_config, ParallelRunner, RunnerConfig};
 use std::net::Ipv4Addr;
 use std::time::Instant;
 
@@ -55,12 +55,12 @@ pub fn middlebox_sweep_with(
     vm_counts
         .iter()
         .map(|&n| {
-            let mut runners: Vec<NativeRunner> = (0..n)
+            let mut runners: Vec<ParallelRunner> = (0..n)
                 .map(|_| {
                     let cfg = middlebox_config(kind).expect("known middlebox kind");
                     RunnerConfig::new()
                         .compiled(compiled)
-                        .native(&cfg)
+                        .parallel(&cfg)
                         .expect("valid config")
                 })
                 .collect();

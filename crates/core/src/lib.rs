@@ -69,10 +69,10 @@ pub mod experiments;
 /// The most commonly used types, re-exported flat: the one-stop client
 /// surface. A tenant builds a [`prelude::ClientRequest`], an operator
 /// deploys it through a [`prelude::Controller`], and the resulting
-/// configuration executes on a [`prelude::NativeRunner`] or — flow-
-/// sharded across cores via a [`prelude::RunnerConfig`] — on a
-/// [`prelude::ParallelRunner`], all observable through a
-/// [`prelude::MetricsRegistry`]. A multi-host [`prelude::Fleet`] is
+/// configuration executes on a [`prelude::ParallelRunner`] built by a
+/// [`prelude::RunnerConfig`] — in the calling thread, or flow-sharded
+/// across cores when more workers are asked for — all observable through
+/// a [`prelude::MetricsRegistry`]. A multi-host [`prelude::Fleet`] is
 /// driven through a [`prelude::FleetDriver`] timeline — traffic from a
 /// [`prelude::TrafficMatrix`], incidents from a [`prelude::Scenario`].
 pub mod prelude {
@@ -85,8 +85,8 @@ pub mod prelude {
     pub use innet_packet::{Cidr, FlowKey, IpProto, Packet, PacketBuilder};
     pub use innet_platform::{
         nat_gateway_config, stateful_firewall_config, ClientEntry, Fleet, FleetDriver, Host,
-        NativeRunner, NativeStats, ParallelRunner, ParallelStats, RunnerConfig, Scenario,
-        ScenarioEvent, SwitchController, TrafficMatrix, TrafficParams,
+        ParallelRunner, ParallelStats, RunnerConfig, Scenario, ScenarioEvent, SwitchController,
+        TrafficMatrix, TrafficParams,
     };
     pub use innet_policy::Requirement;
     pub use innet_symnet::{RequesterClass, SymPacket, Verdict};

@@ -26,8 +26,9 @@
 //! records.
 //!
 //! A zero-event run is byte- and order-identical to the hand-rolled
-//! inject/advance pattern it replaces (pinned by a differential test),
-//! so the old surface could be deprecated rather than re-specified.
+//! inject/advance loop over the fleet's crate-private primitives (pinned
+//! by the differential tests below), which is why the driver is the only
+//! public way to move fleet time.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -43,9 +44,9 @@ use crate::scenario::{
 };
 use crate::traffic::TrafficMatrix;
 
-/// Default failover detection delay before stranded tenants re-home:
-/// 50 ms, a conservative health-check timeout.
-const DEFAULT_DETECTION_NS: SimTime = 50_000_000;
+/// Failover detection delay before stranded tenants re-home: 50 ms, a
+/// conservative health-check timeout.
+const DETECTION_NS: SimTime = 50_000_000;
 
 /// One timeline item. Processing order is `(at, seq)` — insertion
 /// order breaks simultaneity ties, so runs are fully deterministic.
@@ -60,7 +61,7 @@ enum Work {
     Migrate { addr: Ipv4Addr, to: NodeId },
     /// Apply scenario event `idx` of the attached scenario.
     Event { idx: usize },
-    /// Re-home a stranded tenant (scheduled `detection_ns` after its
+    /// Re-home a stranded tenant (scheduled [`DETECTION_NS`] after its
     /// platform died).
     Rehome {
         addr: Ipv4Addr,
@@ -129,7 +130,6 @@ pub struct DriverRun {
 pub struct FleetDriver<'h> {
     fleet: Fleet,
     horizon: SimTime,
-    detection_ns: SimTime,
     seq: u64,
     items: BinaryHeap<Reverse<Item>>,
     scenario: Option<Scenario>,
@@ -147,7 +147,6 @@ impl<'h> FleetDriver<'h> {
         FleetDriver {
             fleet,
             horizon: 0,
-            detection_ns: DEFAULT_DETECTION_NS,
             seq: 0,
             items: BinaryHeap::new(),
             scenario: None,
@@ -174,13 +173,6 @@ impl<'h> FleetDriver<'h> {
     /// silently drops off the end.
     pub fn until(mut self, horizon: SimTime) -> Self {
         self.horizon = self.horizon.max(horizon);
-        self
-    }
-
-    /// Failover detection delay between a platform dying and its
-    /// tenants re-homing (default 50 ms).
-    pub fn failover_detection(mut self, ns: SimTime) -> Self {
-        self.detection_ns = ns;
         self
     }
 
@@ -268,7 +260,6 @@ impl<'h> FleetDriver<'h> {
         let FleetDriver {
             mut fleet,
             horizon,
-            detection_ns,
             mut seq,
             mut items,
             scenario,
@@ -372,7 +363,7 @@ impl<'h> FleetDriver<'h> {
             // packets keep the inject-then-advance order of the
             // hand-rolled loop, which the differential pin freezes.
             if !matches!(item.work, Work::Packet { .. }) {
-                out.extend(fleet.advance_impl(at));
+                out.extend(fleet.advance(at));
             }
             match item.work {
                 Work::Packet {
@@ -384,8 +375,8 @@ impl<'h> FleetDriver<'h> {
                         traffic_injected += 1;
                     }
                     match ingress {
-                        None => out.extend(fleet.inject_impl(pkt, at)),
-                        Some(node) => match fleet.inject_at_impl(node, pkt, at) {
+                        None => out.extend(fleet.inject(pkt, at)),
+                        Some(node) => match fleet.inject_at(node, pkt, at) {
                             Ok(tx) => out.extend(tx),
                             Err(_) => errors += 1,
                         },
@@ -410,14 +401,14 @@ impl<'h> FleetDriver<'h> {
                         push(
                             &mut items,
                             &mut seq,
-                            at + detection_ns,
+                            at + DETECTION_NS,
                             Work::Rehome {
                                 addr,
                                 dead,
                                 killed_at: at,
                             },
                         );
-                        horizon = horizon.max(at + detection_ns);
+                        horizon = horizon.max(at + DETECTION_NS);
                     }
                     if outcome.demand_changed {
                         if let Some(m) = traffic.as_ref() {
@@ -460,16 +451,19 @@ impl<'h> FleetDriver<'h> {
                     rehomes.push(rehome_tenant(&mut fleet, h, addr, dead, killed_at, at));
                 }
                 Work::Rebalance { threshold } => {
-                    rebalance_moves.extend(fleet.rebalance_impl(at, threshold));
+                    rebalance_moves.extend(fleet.rebalance(at, threshold));
                 }
-                Work::Reclaim { idle_ns } => fleet.reclaim_idle_impl(at, idle_ns),
+                Work::Reclaim { idle_ns } => fleet.reclaim_idle(at, idle_ns),
                 Work::Tick { idx } => (ticks[idx].1)(&mut fleet, at),
             }
-            out.extend(fleet.advance_impl(at));
+            out.extend(fleet.advance(at));
         }
-        out.extend(fleet.advance_impl(horizon));
+        out.extend(fleet.advance(horizon));
 
         let stats = fleet.stats();
+        // Conservation holds wherever the horizon cuts the run: a packet
+        // is counted under exactly one outcome or is still in flight.
+        debug_assert_eq!(stats.injected, accounted(&fleet), "packet conservation");
         DriverRun {
             fleet,
             out,
@@ -482,6 +476,16 @@ impl<'h> FleetDriver<'h> {
             errors,
         }
     }
+}
+
+/// The right-hand side of the fleet conservation law: every packet
+/// handed to a switch (delivered, buffered for a starting VM, or
+/// dropped), dropped by the fleet under a counted reason, or still held
+/// by it ([`Fleet::in_flight`]).
+fn accounted(fleet: &Fleet) -> u64 {
+    let (s, sw) = (fleet.stats(), fleet.aggregate_switch_stats());
+    let fleet_drops = s.link_drops + s.no_path_drops + s.dead_drops + s.host_errors;
+    sw.delivered + sw.buffered + sw.dropped + fleet_drops + fleet.in_flight()
 }
 
 #[cfg(test)]
@@ -526,7 +530,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn driver_matches_manual_inject_advance_loop() {
         // The API-redesign pin: a zero-event driver run is byte- and
         // order-identical to the hand-rolled loop it replaces.
@@ -559,6 +562,54 @@ mod tests {
 
         assert_eq!(run.out, manual_out, "byte- and order-identical");
         assert_eq!(run.stats, manual.stats());
+    }
+
+    #[test]
+    fn zero_event_scenario_is_identical_to_plain_injection() {
+        // Mixed home-delivery and fabric-ingress schedule on two PoPs,
+        // driven once through a FleetDriver carrying an (empty) scenario
+        // and once through the hand-rolled loop.
+        let build = || {
+            let mut f = small_fleet();
+            let ps = f.platforms();
+            f.register(ps[0], filter_entry(TENANT, true)).unwrap();
+            (f, ps)
+        };
+        let (mut manual, ps) = build();
+        let (driven, _) = build();
+        let remote = ps[1];
+        let schedule: Vec<(SimTime, Option<NodeId>, Packet)> = (0..10u64)
+            .map(|i| {
+                let ingress = (i % 3 == 2).then_some(remote);
+                (i * 120_000_000, ingress, udp_to(TENANT, i as u16 + 1))
+            })
+            .collect();
+
+        let mut manual_out = Vec::new();
+        for (at, ingress, pkt) in &schedule {
+            match ingress {
+                None => manual_out.extend(manual.inject(pkt.clone(), *at)),
+                Some(node) => manual_out.extend(manual.inject_at(*node, pkt.clone(), *at).unwrap()),
+            }
+            manual_out.extend(manual.advance(*at));
+        }
+        manual_out.extend(manual.advance(4_000_000_000));
+
+        let mut driver = FleetDriver::new(driven)
+            .until(4_000_000_000)
+            .events(Scenario::new("noop"));
+        for (at, ingress, pkt) in schedule {
+            driver = match ingress {
+                None => driver.inject(at, pkt),
+                Some(node) => driver.inject_at(at, node, pkt),
+            };
+        }
+        let run = driver.run();
+
+        assert!(!manual_out.is_empty(), "the schedule produces output");
+        assert_eq!(run.out, manual_out, "byte- and order-identical");
+        assert_eq!(run.stats, manual.stats(), "stats-identical");
+        assert!(run.rehomes.is_empty() && run.consolidation_moves.is_empty());
     }
 
     #[test]

@@ -31,9 +31,17 @@ use innet_sim::link::Link as SimLink;
 use innet_topology::{NodeId, NodeKind, PathAttrs, PlatformSpec, Topology};
 use rand::{rngs::StdRng, SeedableRng};
 
-use crate::calib::vm_mem_mb;
 use crate::switch::{ClientEntry, SwitchController, SwitchStats};
-use crate::vm::{Host, HostError, Vm, VmState};
+use crate::vm::{Host, HostError};
+
+mod failover;
+mod links;
+mod migration;
+mod rebalance;
+
+pub use links::{LinkReport, LinkUsage};
+use migration::Migration;
+pub use migration::MigrationRecord;
 
 /// Errors from fleet operations.
 #[derive(Debug)]
@@ -79,24 +87,6 @@ impl From<HostError> for FleetError {
     }
 }
 
-/// A completed live migration, for downtime accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MigrationRecord {
-    /// The migrated tenant.
-    pub addr: Ipv4Addr,
-    /// Source platform.
-    pub from: NodeId,
-    /// Destination platform.
-    pub to: NodeId,
-    /// When the migration was triggered.
-    pub started_at: SimTime,
-    /// When the tenant's VM was runnable on the destination.
-    pub completed_at: SimTime,
-    /// `completed_at - started_at`: the window during which arriving
-    /// packets were buffered rather than processed.
-    pub downtime_ns: SimTime,
-}
-
 /// Fleet-level counters (per-host counters live in each host's and
 /// switch controller's own instruments).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -111,11 +101,17 @@ pub struct FleetStats {
     pub migrations_started: u64,
     /// Migrations completed.
     pub migrations_completed: u64,
+    /// Migrations whose destination filled up during the transfer: the
+    /// VM is lost. Counts VMs, not packets — the window's buffered
+    /// packets replay at the tenant's home.
+    pub migrations_failed: u64,
     /// Packets abandoned because a host operation failed mid-delivery
     /// (e.g. a boot hit the memory ceiling).
     pub host_errors: u64,
     /// Packets tail-dropped at a fabric link whose queue exceeded the cap.
     pub link_drops: u64,
+    /// Packets injected at an alive ingress that no fabric path serves.
+    pub no_path_drops: u64,
     /// In-flight fabric packets re-forwarded because their destination
     /// died or their tenant moved while they were on the wire.
     pub reroutes: u64,
@@ -124,34 +120,6 @@ pub struct FleetStats {
     pub dead_drops: u64,
     /// Tenants re-homed off a dead platform (cold moves, not migrations).
     pub rehomes: u64,
-}
-
-/// Per-link fabric accounting: what crossed, what was refused.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LinkUsage {
-    /// Packets accepted onto the link.
-    pub packets: u64,
-    /// Bytes accepted onto the link.
-    pub bytes: u64,
-    /// Packets tail-dropped because the queue exceeded the cap.
-    pub drops: u64,
-    /// Bytes of those dropped packets.
-    pub dropped_bytes: u64,
-}
-
-/// One fabric link's capacity and accounting, for bandwidth audits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkReport {
-    /// Sending platform.
-    pub from: NodeId,
-    /// Receiving platform.
-    pub to: NodeId,
-    /// The path's bottleneck capacity the link serializes at.
-    pub bandwidth_bps: u64,
-    /// When the link's FIFO queue drains (last accepted bit leaves).
-    pub busy_until_ns: SimTime,
-    /// Accepted/dropped packet and byte counts.
-    pub usage: LinkUsage,
 }
 
 /// A fabric link: the FIFO sim link plus its capacity and usage ledger.
@@ -196,30 +164,6 @@ impl PartialOrd for FabricEvent {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
-}
-
-/// Where a migration currently is in the protocol.
-enum MigrationStage {
-    /// Waiting for the source host's suspend to complete.
-    Suspending { done_at: SimTime },
-    /// State in flight over the fabric.
-    Transferring {
-        arrive_at: SimTime,
-        vm: Box<Vm>,
-        entry: Box<ClientEntry>,
-    },
-    /// Resuming on the destination host.
-    Resuming { ready_at: SimTime },
-}
-
-struct Migration {
-    from: NodeId,
-    to: NodeId,
-    started_at: SimTime,
-    stage: MigrationStage,
-    /// Packets that arrived for the tenant during the window, flushed in
-    /// arrival order at completion.
-    buffered: Vec<Packet>,
 }
 
 /// One platform's host, switch controller, and shared registry.
@@ -331,27 +275,15 @@ impl Fleet {
         self.stats
     }
 
-    /// Completed migrations, in completion order.
-    pub fn migrations(&self) -> &[MigrationRecord] {
-        &self.records
-    }
-
-    /// Per-link capacity and usage, ascending by `(from, to)`. Only links
-    /// that have carried (or refused) at least one packet appear.
-    pub fn link_report(&self) -> Vec<LinkReport> {
-        let mut out: Vec<LinkReport> = self
-            .fabric
-            .iter()
-            .map(|(&(from, to), l)| LinkReport {
-                from,
-                to,
-                bandwidth_bps: l.bandwidth_bps,
-                busy_until_ns: l.link.busy_until(),
-                usage: l.usage,
-            })
-            .collect();
-        out.sort_unstable_by_key(|r| (r.from, r.to));
-        out
+    /// Packets the fleet holds but has not yet handed to a switch:
+    /// fabric packets still on the wire plus packets parked in the
+    /// buffers of in-progress migrations. Together with the counted
+    /// outcomes this closes the conservation law at any instant:
+    /// `injected == Σ switch (delivered + buffered + dropped) +
+    /// link_drops + no_path_drops + dead_drops + host_errors + in_flight`.
+    pub fn in_flight(&self) -> u64 {
+        let parked: usize = self.migrating.values().map(|m| m.buffered.len()).sum();
+        (self.events.len() + parked) as u64
     }
 
     /// Sets the fabric tail-drop cap: packets that would queue longer
@@ -435,11 +367,6 @@ impl Fleet {
     /// `rebalance` then balances offered load instead of live-VM counts.
     pub fn attach_demand(&mut self, demand: HashMap<Ipv4Addr, u64>) {
         self.demand = Some(demand);
-    }
-
-    /// Detaches the demand weights; `rebalance` falls back to VM counts.
-    pub fn clear_demand(&mut self) {
-        self.demand = None;
     }
 
     /// Whether a traffic matrix's demand weights are attached.
@@ -636,13 +563,7 @@ impl Fleet {
     /// tenant's home platform with no fabric cost (the single-host
     /// oracle path). Returns synchronous transmissions as
     /// `(platform, iface, packet)`.
-    #[deprecated(note = "drive the fleet through `FleetDriver` (schedule with \
-                         `FleetDriver::inject`); direct calls remain for oracles")]
-    pub fn inject(&mut self, pkt: Packet, now: SimTime) -> Vec<(NodeId, u16, Packet)> {
-        self.inject_impl(pkt, now)
-    }
-
-    pub(crate) fn inject_impl(&mut self, pkt: Packet, now: SimTime) -> Vec<(NodeId, u16, Packet)> {
+    pub(crate) fn inject(&mut self, pkt: Packet, now: SimTime) -> Vec<(NodeId, u16, Packet)> {
         self.stats.injected += 1;
         let primary = self.dest_platform(&pkt);
         let dst = self.resolve_dest(primary, &pkt);
@@ -656,18 +577,7 @@ impl Fleet {
     /// packet crosses the fabric — paying the path's serialization and
     /// propagation delay on a FIFO link, subject to the queue cap — and
     /// is delivered by the next [`Fleet::advance`] past its arrival.
-    #[deprecated(note = "drive the fleet through `FleetDriver` (schedule with \
-                         `FleetDriver::inject_at`); direct calls remain for oracles")]
-    pub fn inject_at(
-        &mut self,
-        ingress: NodeId,
-        pkt: Packet,
-        now: SimTime,
-    ) -> Result<Vec<(NodeId, u16, Packet)>, FleetError> {
-        self.inject_at_impl(ingress, pkt, now)
-    }
-
-    pub(crate) fn inject_at_impl(
+    pub(crate) fn inject_at(
         &mut self,
         ingress: NodeId,
         pkt: Packet,
@@ -686,214 +596,11 @@ impl Fleet {
             self.deliver_local(dst, pkt, now, &mut out);
             return Ok(out);
         }
-        self.fabric_send(ingress, dst, pkt, now, 1)?;
+        if let Err(e) = self.fabric_send(ingress, dst, pkt, now, 1) {
+            self.stats.no_path_drops += 1;
+            return Err(e);
+        }
         Ok(Vec::new())
-    }
-
-    /// Starts a live migration of `addr`'s VM to platform `to`.
-    ///
-    /// The tenant's traffic is buffered at the fleet layer from this
-    /// instant until the VM is runnable on `to`; [`Fleet::advance`]
-    /// drives the protocol through its stages. A tenant with no bound VM
-    /// (never active, or reclaimed) moves instantly with zero downtime —
-    /// there is no state to transfer.
-    pub fn migrate(&mut self, addr: Ipv4Addr, to: NodeId, now: SimTime) -> Result<(), FleetError> {
-        if self.migrating.contains_key(&addr) {
-            return Err(FleetError::MigrationInProgress(addr));
-        }
-        if !self.sites.contains_key(&to) {
-            return Err(FleetError::UnknownPlatform(to));
-        }
-        if self.dead.contains(&to) {
-            return Err(FleetError::DeadPlatform(to));
-        }
-        let from = self
-            .locations
-            .get(&addr)
-            .copied()
-            .ok_or(FleetError::UnknownTenant(addr))?;
-        if self.dead.contains(&from) {
-            // Nothing live to migrate; failover uses `rehome` instead.
-            return Err(FleetError::DeadPlatform(from));
-        }
-        if from == to {
-            return Ok(());
-        }
-        // The path must exist before we take the VM down.
-        self.path(from, to).ok_or(FleetError::NoPath(from, to))?;
-        let src = self.sites.get_mut(&from).expect("location is a platform");
-        let Some(vm) = src.switch.binding(addr) else {
-            // No VM: move the registration, done.
-            let entry = src
-                .switch
-                .unregister(addr)
-                .ok_or(FleetError::UnknownTenant(addr))?;
-            let dst = self.sites.get_mut(&to).expect("checked above");
-            dst.switch.register(entry);
-            self.locations.insert(addr, to);
-            self.stats.migrations_started += 1;
-            self.stats.migrations_completed += 1;
-            self.records.push(MigrationRecord {
-                addr,
-                from,
-                to,
-                started_at: now,
-                completed_at: now,
-                downtime_ns: 0,
-            });
-            return Ok(());
-        };
-        let state = src.host.vm(vm)?.state;
-        let stage = match state {
-            VmState::Running => {
-                let done_at = src.host.suspend(vm, now)?;
-                MigrationStage::Suspending { done_at }
-            }
-            // Already parked: skip straight past the suspend.
-            VmState::Suspended => MigrationStage::Suspending { done_at: now },
-            _ => return Err(FleetError::Host(HostError::BadState(vm, "migrate"))),
-        };
-        self.stats.migrations_started += 1;
-        self.migrating.insert(
-            addr,
-            Migration {
-                from,
-                to,
-                started_at: now,
-                stage,
-                buffered: Vec::new(),
-            },
-        );
-        Ok(())
-    }
-
-    /// Advances every migration whose current stage deadline has passed,
-    /// repeating until a fixed point — a single `advance` far enough
-    /// into the future carries a migration all the way to completion.
-    fn advance_migrations(&mut self, now: SimTime, out: &mut Vec<(NodeId, u16, Packet)>) {
-        loop {
-            let mut changed = false;
-            let addrs: Vec<Ipv4Addr> = self.migrating.keys().copied().collect();
-            for addr in addrs {
-                let m = self.migrating.get_mut(&addr).expect("just listed");
-                match &mut m.stage {
-                    MigrationStage::Suspending { done_at } if now >= *done_at => {
-                        let done_at = *done_at;
-                        let (from, to) = (m.from, m.to);
-                        let attrs = self.path(from, to).expect("checked at migrate()");
-                        let src = self.sites.get_mut(&from).expect("platform");
-                        // Let the suspend complete, then lift the VM out.
-                        out.extend(
-                            src.host
-                                .advance(done_at)
-                                .into_iter()
-                                .map(|(_, iface, p)| (from, iface, p)),
-                        );
-                        let vm_id = src.switch.binding(addr).expect("bound at migrate()");
-                        let vm = match src.host.extract(vm_id) {
-                            Ok(vm) => vm,
-                            Err(_) => {
-                                // The VM vanished mid-protocol (e.g. an
-                                // idle reclaim destroyed it). Abort the
-                                // migration; buffered packets replay at
-                                // the original home.
-                                self.abort_migration(addr, now, out);
-                                changed = true;
-                                continue;
-                            }
-                        };
-                        let entry = src.switch.unregister(addr).expect("registered");
-                        let link = SimLink::new(attrs.bandwidth_bps as f64, attrs.latency_ns, 0.0);
-                        let bytes = vm_mem_mb(vm.kind) * 1024 * 1024;
-                        let arrive_at = done_at + link.bulk_transfer_ns(bytes);
-                        let m = self.migrating.get_mut(&addr).expect("still migrating");
-                        m.stage = MigrationStage::Transferring {
-                            arrive_at,
-                            vm: Box::new(vm),
-                            entry: Box::new(entry),
-                        };
-                        changed = true;
-                    }
-                    MigrationStage::Transferring { arrive_at, .. } if now >= *arrive_at => {
-                        let arrive_at = *arrive_at;
-                        let to = m.to;
-                        let stage = std::mem::replace(
-                            &mut m.stage,
-                            MigrationStage::Resuming { ready_at: 0 },
-                        );
-                        let MigrationStage::Transferring { vm, entry, .. } = stage else {
-                            unreachable!("matched above");
-                        };
-                        let dst = self.sites.get_mut(&to).expect("platform");
-                        match dst.host.implant(*vm, arrive_at) {
-                            Ok((id, ready_at)) => {
-                                dst.switch.adopt(*entry, id, arrive_at);
-                                self.locations.insert(addr, to);
-                                let m = self.migrating.get_mut(&addr).expect("migrating");
-                                m.stage = MigrationStage::Resuming { ready_at };
-                            }
-                            Err(_) => {
-                                // Destination filled up during the
-                                // transfer: the VM's state is lost (as a
-                                // destroy would lose it); surface via
-                                // host_errors and drop the migration.
-                                self.stats.host_errors += 1;
-                                self.abort_migration(addr, now, out);
-                            }
-                        }
-                        changed = true;
-                    }
-                    MigrationStage::Resuming { ready_at } if now >= *ready_at => {
-                        let ready_at = *ready_at;
-                        let (from, to, started_at) = (m.from, m.to, m.started_at);
-                        let buffered = std::mem::take(&mut m.buffered);
-                        self.migrating.remove(&addr);
-                        let dst = self.sites.get_mut(&to).expect("platform");
-                        // Complete the resume, then flush the window's
-                        // packets in arrival order.
-                        out.extend(
-                            dst.host
-                                .advance(ready_at)
-                                .into_iter()
-                                .map(|(_, iface, p)| (to, iface, p)),
-                        );
-                        for pkt in buffered {
-                            self.deliver_local(to, pkt, ready_at, out);
-                        }
-                        self.stats.migrations_completed += 1;
-                        self.records.push(MigrationRecord {
-                            addr,
-                            from,
-                            to,
-                            started_at,
-                            completed_at: ready_at,
-                            downtime_ns: ready_at.saturating_sub(started_at),
-                        });
-                        changed = true;
-                    }
-                    _ => {}
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-    }
-
-    /// Abandons a migration, replaying its buffered packets at the
-    /// tenant's current home.
-    fn abort_migration(
-        &mut self,
-        addr: Ipv4Addr,
-        now: SimTime,
-        out: &mut Vec<(NodeId, u16, Packet)>,
-    ) {
-        if let Some(m) = self.migrating.remove(&addr) {
-            let home = self.locations.get(&addr).copied().unwrap_or(m.from);
-            for pkt in m.buffered {
-                self.deliver_local(home, pkt, now, out);
-            }
-        }
     }
 
     /// Whether `platform` still serves `pkt`: it is the tenant's current
@@ -926,13 +633,7 @@ impl Fleet {
     /// destination stopped serving), drives in-flight migrations through
     /// their stages, and advances every host. Returns all transmissions
     /// as `(platform, iface, packet)`.
-    #[deprecated(note = "drive the fleet through `FleetDriver::run`, which \
-                         advances time for you; direct calls remain for oracles")]
-    pub fn advance(&mut self, now: SimTime) -> Vec<(NodeId, u16, Packet)> {
-        self.advance_impl(now)
-    }
-
-    pub(crate) fn advance_impl(&mut self, now: SimTime) -> Vec<(NodeId, u16, Packet)> {
+    pub(crate) fn advance(&mut self, now: SimTime) -> Vec<(NodeId, u16, Packet)> {
         let mut out = Vec::new();
         while let Some(Reverse(ev)) = self.events.peek() {
             if ev.at > now {
@@ -987,290 +688,17 @@ impl Fleet {
         out
     }
 
-    /// Kills a platform: its host stops advancing, packets for it are
-    /// re-routed or counted as [`FleetStats::dead_drops`], and any
-    /// migration whose VM state was on the dead machine is lost.
-    /// Returns the tenants left homed on the dead platform, ascending —
-    /// the set a failover pass must re-home.
-    pub fn kill_platform(
-        &mut self,
-        platform: NodeId,
-        _now: SimTime,
-    ) -> Result<Vec<Ipv4Addr>, FleetError> {
-        if !self.sites.contains_key(&platform) {
-            return Err(FleetError::UnknownPlatform(platform));
-        }
-        if !self.dead.insert(platform) {
-            return Ok(Vec::new());
-        }
-        // Resolve migrations touching the dead platform.
-        let addrs: Vec<Ipv4Addr> = self.migrating.keys().copied().collect();
-        for addr in addrs {
-            let m = self.migrating.get(&addr).expect("just listed");
-            let lost = match &m.stage {
-                // VM still parked on the dead source: lost with it.
-                MigrationStage::Suspending { .. } => m.from == platform,
-                // State headed to (or resuming on) the dead destination.
-                MigrationStage::Transferring { .. } | MigrationStage::Resuming { .. } => {
-                    m.to == platform
-                }
-            };
-            if lost {
-                let m = self.migrating.remove(&addr).expect("present");
-                self.stats.dead_drops += m.buffered.len() as u64;
-                // Land the tenant's registration on the dead platform so
-                // the failover pass sees it and re-homes it. Suspending:
-                // it is still registered at `from` (dead). Later stages:
-                // the entry travels with the migration — re-register it.
-                if let MigrationStage::Transferring { entry, .. } = m.stage {
-                    let site = self.sites.get_mut(&platform).expect("exists");
-                    site.switch.register(*entry);
-                    self.locations.insert(addr, platform);
-                }
-            }
-        }
-        // Dead platforms stop being CDN edges.
-        for edges in self.replicas.values_mut() {
-            edges.retain(|&e| e != platform);
-        }
-        self.replicas.retain(|_, e| !e.is_empty());
-        let mut affected: Vec<Ipv4Addr> = self
-            .locations
-            .iter()
-            .filter(|&(addr, &home)| home == platform && !self.migrating.contains_key(addr))
-            .map(|(&addr, _)| addr)
-            .collect();
-        affected.sort_unstable();
-        Ok(affected)
-    }
-
-    /// Re-homes a tenant onto `to` as a cold move: the old VM (if any,
-    /// typically on a dead platform) is discarded, the registration
-    /// moves, and the next packet boots a fresh VM at the new home. Use
-    /// [`Fleet::migrate`] for live moves that carry VM state.
-    pub fn rehome(&mut self, addr: Ipv4Addr, to: NodeId) -> Result<(), FleetError> {
-        if !self.sites.contains_key(&to) {
-            return Err(FleetError::UnknownPlatform(to));
-        }
-        if self.dead.contains(&to) {
-            return Err(FleetError::DeadPlatform(to));
-        }
-        if self.migrating.contains_key(&addr) {
-            return Err(FleetError::MigrationInProgress(addr));
-        }
-        let from = self
-            .locations
-            .get(&addr)
-            .copied()
-            .ok_or(FleetError::UnknownTenant(addr))?;
-        if from == to {
-            return Ok(());
-        }
-        let src = self.sites.get_mut(&from).expect("location is a platform");
-        if let Some(vm) = src.switch.binding(addr) {
-            let _ = src.host.destroy(vm);
-        }
-        let entry = src
-            .switch
-            .unregister(addr)
-            .ok_or(FleetError::UnknownTenant(addr))?;
-        let dst = self.sites.get_mut(&to).expect("checked above");
-        dst.switch.register(entry);
-        self.locations.insert(addr, to);
-        self.stats.rehomes += 1;
-        Ok(())
-    }
-
     /// Reclaims idle VMs on every host (see
     /// [`SwitchController::reclaim_idle`]). Tenants mid-migration are
     /// not affected: their VM is already suspended or in flight.
-    #[deprecated(note = "drive the fleet through `FleetDriver` (schedule with \
-                         `FleetDriver::reclaim_every`); direct calls remain for oracles")]
-    pub fn reclaim_idle(&mut self, now: SimTime, idle_ns: SimTime) {
-        self.reclaim_idle_impl(now, idle_ns)
-    }
-
-    pub(crate) fn reclaim_idle_impl(&mut self, now: SimTime, idle_ns: SimTime) {
+    pub(crate) fn reclaim_idle(&mut self, now: SimTime, idle_ns: SimTime) {
         for site in self.sites.values_mut() {
             site.switch.reclaim_idle(&mut site.host, now, idle_ns);
         }
     }
-
-    /// Live VMs per platform, ascending by platform id.
-    pub fn load(&self) -> Vec<(NodeId, usize)> {
-        self.sites
-            .iter()
-            .map(|(&id, s)| (id, s.host.live_vms()))
-            .collect()
-    }
-
-    /// Rebalances the fleet and returns the moves started as
-    /// `(addr, from, to)`.
-    ///
-    /// With a traffic matrix attached ([`Fleet::attach_demand`]), load is
-    /// offered demand: while the spread between the hottest and coldest
-    /// alive hosts is at least `threshold` average-tenant-demands, the
-    /// heaviest movable tenant on the hottest host (whose move strictly
-    /// narrows the spread) migrates to the coldest. Without one, load is
-    /// live-VM counts — the original behavior — and the lowest-addressed
-    /// migratable tenant moves.
-    ///
-    /// Both modes are fully deterministic: hottest/coldest break ties on
-    /// the lower platform id; tenant ties break on address order.
-    #[deprecated(note = "drive the fleet through `FleetDriver` (schedule with \
-                         `FleetDriver::rebalance_every`); direct calls remain for oracles")]
-    pub fn rebalance(&mut self, now: SimTime, threshold: usize) -> Vec<(Ipv4Addr, NodeId, NodeId)> {
-        self.rebalance_impl(now, threshold)
-    }
-
-    pub(crate) fn rebalance_impl(
-        &mut self,
-        now: SimTime,
-        threshold: usize,
-    ) -> Vec<(Ipv4Addr, NodeId, NodeId)> {
-        if self.demand.is_some() {
-            self.rebalance_by_demand(now, threshold)
-        } else {
-            self.rebalance_by_count(now, threshold)
-        }
-    }
-
-    /// Original count-based rebalance: the fallback when no traffic
-    /// matrix is attached.
-    fn rebalance_by_count(
-        &mut self,
-        now: SimTime,
-        threshold: usize,
-    ) -> Vec<(Ipv4Addr, NodeId, NodeId)> {
-        let threshold = threshold.max(1);
-        let mut projected: BTreeMap<NodeId, usize> = self
-            .sites
-            .iter()
-            .filter(|(id, _)| !self.dead.contains(id))
-            .map(|(&id, s)| (id, s.host.live_vms()))
-            .collect();
-        let mut moves = Vec::new();
-        while let Some((&hot, &hot_n)) = projected.iter().max_by_key(|&(&id, &n)| (n, Reverse(id)))
-        {
-            let Some((&cold, &cold_n)) = projected.iter().min_by_key(|&(&id, &n)| (n, id)) else {
-                break;
-            };
-            if hot == cold || hot_n - cold_n < threshold {
-                break;
-            }
-            // The lowest-addressed tenant homed on `hot` whose VM can be
-            // migrated (Running or Suspended) and is not already moving.
-            let mut candidates: Vec<Ipv4Addr> = self
-                .locations
-                .iter()
-                .filter(|&(addr, &home)| home == hot && !self.migrating.contains_key(addr))
-                .map(|(&addr, _)| addr)
-                .collect();
-            candidates.sort_unstable();
-            let site = self.sites.get(&hot).expect("platform");
-            let chosen = candidates.into_iter().find(|&addr| {
-                site.switch.binding(addr).is_some_and(|vm| {
-                    site.host
-                        .vm(vm)
-                        .map(|v| matches!(v.state, VmState::Running | VmState::Suspended))
-                        .unwrap_or(false)
-                })
-            });
-            let Some(addr) = chosen else {
-                break;
-            };
-            if self.migrate(addr, cold, now).is_err() {
-                break;
-            }
-            *projected.get_mut(&hot).expect("present") -= 1;
-            *projected.get_mut(&cold).expect("present") += 1;
-            moves.push((addr, hot, cold));
-        }
-        moves
-    }
-
-    /// Demand-weighted rebalance: balances offered load from the
-    /// attached traffic matrix. `threshold` is in units of the average
-    /// per-tenant demand, so `rebalance(now, 2)` means "act when the
-    /// hot–cold spread exceeds two average tenants' worth of load" —
-    /// the same intuition as the count mode.
-    fn rebalance_by_demand(
-        &mut self,
-        now: SimTime,
-        threshold: usize,
-    ) -> Vec<(Ipv4Addr, NodeId, NodeId)> {
-        let demand = self.demand.clone().expect("checked by caller");
-        let weight = |addr: &Ipv4Addr| demand.get(addr).copied().unwrap_or(0);
-        let mut projected: BTreeMap<NodeId, u64> = self
-            .sites
-            .keys()
-            .filter(|id| !self.dead.contains(id))
-            .map(|&id| (id, 0))
-            .collect();
-        let mut tenants = 0u64;
-        let mut total = 0u64;
-        for (addr, home) in &self.locations {
-            if let Some(load) = projected.get_mut(home) {
-                *load += weight(addr);
-                total += weight(addr);
-                tenants += 1;
-            }
-        }
-        let unit = (total / tenants.max(1)).max(1);
-        let threshold_w = threshold.max(1) as u64 * unit;
-        let mut moves = Vec::new();
-        // Each move strictly narrows the spread, so this terminates; the
-        // cap is belt-and-braces against pathological weight sets.
-        while moves.len() <= self.locations.len() {
-            let Some((&hot, &hot_w)) = projected.iter().max_by_key(|&(&id, &w)| (w, Reverse(id)))
-            else {
-                break;
-            };
-            let Some((&cold, &cold_w)) = projected.iter().min_by_key(|&(&id, &w)| (w, id)) else {
-                break;
-            };
-            let spread = hot_w - cold_w;
-            if hot == cold || spread < threshold_w {
-                break;
-            }
-            // The heaviest movable tenant whose move strictly narrows
-            // the spread (0 < w < spread); address order breaks ties.
-            let mut candidates: Vec<(u64, Ipv4Addr)> = self
-                .locations
-                .iter()
-                .filter(|&(addr, &home)| home == hot && !self.migrating.contains_key(addr))
-                .map(|(&addr, _)| (weight(&addr), addr))
-                .filter(|&(w, _)| w > 0 && w < spread)
-                .collect();
-            candidates.sort_unstable_by_key(|&(w, addr)| (Reverse(w), addr));
-            let site = self.sites.get(&hot).expect("platform");
-            let chosen = candidates.into_iter().find(|&(_, addr)| {
-                // Movable: no VM (instant move) or a Running/Suspended one.
-                match site.switch.binding(addr) {
-                    None => true,
-                    Some(vm) => site
-                        .host
-                        .vm(vm)
-                        .map(|v| matches!(v.state, VmState::Running | VmState::Suspended))
-                        .unwrap_or(false),
-                }
-            });
-            let Some((w, addr)) = chosen else {
-                break;
-            };
-            if self.migrate(addr, cold, now).is_err() {
-                break;
-            }
-            *projected.get_mut(&hot).expect("present") -= w;
-            *projected.get_mut(&cold).expect("present") += w;
-            moves.push((addr, hot, cold));
-        }
-        moves
-    }
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // The oracle tests pin the raw inject/advance surface.
 mod tests {
     use super::*;
     use innet_click::ClickConfig;
@@ -1416,24 +844,96 @@ mod tests {
         assert_eq!(rec.downtime_ns, rec.completed_at - rec.started_at);
     }
 
-    #[test]
-    fn rebalance_triggers_on_imbalance() {
+    /// A two-platform fleet holding `hot` and `cold` live stateful
+    /// tenants, warmed up to t = 2 s.
+    fn split_fleet(hot: u8, cold: u8) -> (Fleet, NodeId, NodeId) {
         let (mut fleet, a, b) = two_pop_fleet();
-        for i in 0..4u8 {
+        for i in 0..hot + cold {
             let addr = Ipv4Addr::new(203, 0, 113, 10 + i);
-            fleet.register(a, filter_entry(addr, true)).unwrap();
+            let home = if i < hot { a } else { b };
+            fleet.register(home, filter_entry(addr, true)).unwrap();
             fleet.inject(udp_to(addr, 1), 0);
         }
         fleet.advance(2_000_000_000);
-        assert_eq!(fleet.host(a).unwrap().live_vms(), 4);
+        assert_eq!(fleet.host(a).unwrap().live_vms(), hot as usize);
+        assert_eq!(fleet.host(b).unwrap().live_vms(), cold as usize);
+        (fleet, a, b)
+    }
 
+    fn live_spread(fleet: &Fleet, a: NodeId, b: NodeId) -> usize {
+        let (a, b) = (fleet.host(a).unwrap(), fleet.host(b).unwrap());
+        a.live_vms().abs_diff(b.live_vms())
+    }
+
+    #[test]
+    fn rebalance_triggers_on_imbalance() {
+        let (mut fleet, a, b) = split_fleet(4, 0);
         let moves = fleet.rebalance(2_000_000_000, 2);
         assert_eq!(moves.len(), 2, "4-0 rebalances to 2-2 at threshold 2");
         fleet.advance(120_000_000_000);
-        let spread =
-            fleet.host(a).unwrap().live_vms() as i64 - fleet.host(b).unwrap().live_vms() as i64;
-        assert!(spread.abs() < 2);
+        assert!(live_spread(&fleet, a, b) < 2);
         assert_eq!(moves[0].1, a);
         assert_eq!(moves[0].2, b);
+
+        let (mut fleet, a, b) = split_fleet(5, 0);
+        let moves = fleet.rebalance(2_000_000_000, 1);
+        assert!(moves.len() <= 3, "5-0 settles in {} moves", moves.len());
+        fleet.advance(120_000_000_000);
+        assert!(live_spread(&fleet, a, b) <= 1);
+    }
+
+    #[test]
+    fn rebalance_moves_only_when_the_spread_narrows() {
+        // Regression: without a traffic matrix, a 3-2 split at threshold
+        // 1 used to ping-pong every tenant in the fleet (five live
+        // migrations, each a downtime window) and end at 2-3. Moving one
+        // of five equal tenants cannot narrow a spread of one.
+        for threshold in [1, 2] {
+            let (mut fleet, a, b) = split_fleet(3, 2);
+            let moves = fleet.rebalance(2_000_000_000, threshold);
+            assert!(moves.is_empty(), "threshold {threshold}: {moves:?}");
+            fleet.advance(120_000_000_000);
+            assert_eq!(fleet.stats().migrations_started, 0);
+            assert_eq!(live_spread(&fleet, a, b), 1);
+        }
+    }
+
+    #[test]
+    fn rebalance_counts_in_flight_migrations_at_their_destination() {
+        // 4-0 at threshold 2 starts two moves. A tick inside their
+        // downtime window — movers suspending, then on the wire, then
+        // resuming — must see 2-2, not 4-0 again.
+        let t0 = 2_000_000_000;
+        let (mut fleet, a, b) = split_fleet(4, 0);
+        assert_eq!(fleet.rebalance(t0, 2).len(), 2);
+        for dt in [1_000_000, 10_000_000, 30_000_000, 60_000_000] {
+            fleet.advance(t0 + dt);
+            assert!(fleet.migrations().is_empty(), "+{dt} ns is mid-window");
+            assert_eq!(fleet.rebalance(t0 + dt, 2), vec![], "tick at +{dt} ns");
+        }
+        fleet.advance(120_000_000_000);
+        assert_eq!(fleet.stats().migrations_started, 2);
+        assert_eq!(live_spread(&fleet, a, b), 0);
+    }
+
+    #[test]
+    fn refused_injection_is_a_named_drop() {
+        // Two platforms with no link between them: the fabric has no
+        // path, the packet is refused under its own counter, and
+        // conservation still closes.
+        let mut t = Topology::new();
+        let a = t
+            .add("a", NodeKind::Platform(PlatformSpec::default()))
+            .unwrap();
+        let b = t
+            .add("b", NodeKind::Platform(PlatformSpec::default()))
+            .unwrap();
+        let mut fleet = Fleet::new(&t);
+        fleet.register(b, filter_entry(TENANT, false)).unwrap();
+        let refused = fleet.inject_at(a, udp_to(TENANT, 1), 0);
+        assert!(matches!(refused, Err(FleetError::NoPath(..))));
+        assert_eq!(fleet.stats().injected, 1);
+        assert_eq!(fleet.stats().no_path_drops, 1);
+        assert_eq!(fleet.in_flight(), 0);
     }
 }

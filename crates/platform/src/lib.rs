@@ -16,27 +16,33 @@
 //! Control-plane latencies (boot/suspend/resume) and memory are *modelled*
 //! from the paper's own measurements — [`calib`] is the single source of
 //! truth and cites each constant. Data-plane processing is *executed*: a
-//! VM's interior is a real `innet_click::Router`, and the [`NativeRunner`]
-//! measures real throughput for the evaluation figures.
+//! VM's interior is a real `innet_click::Router`, and the
+//! [`ParallelRunner`] measures real throughput for the evaluation figures.
 //!
-//! Runners are configured through one builder, [`RunnerConfig`], which
-//! finishes as either engine:
+//! There is one runner, configured through one builder, [`RunnerConfig`]:
 //!
 //! ```
 //! use innet_platform::{plain_firewall, RunnerConfig};
 //!
 //! let cfg = plain_firewall();
-//! let single = RunnerConfig::new().batch(64).native(&cfg).unwrap();
+//! let single = RunnerConfig::new().batch(64).parallel(&cfg).unwrap();
 //! let sharded = RunnerConfig::new().workers(4).parallel(&cfg).unwrap();
-//! # let _ = (single, sharded);
+//! assert_eq!(single.effective_workers(), 1);
+//! # let _ = sharded;
 //! ```
 //!
-//! The [`ParallelRunner`] scales a configuration across flow-sharded
-//! router replicas according to its shardability verdict: stateless
-//! configurations shard under the directed flow hash, per-connection
-//! stateful ones (NAT, stateful firewall) shard under the symmetric
-//! connection-pinning hash, and globally stateful ones degrade to one
-//! worker (see [`ParallelRunner::shardability`]).
+//! With one effective worker the [`ParallelRunner`] executes in the
+//! calling thread — one ClickOS VM is one Click thread on one vCPU. From
+//! two up it scales a configuration across flow-sharded router replicas
+//! according to its shardability verdict: stateless configurations shard
+//! under the directed flow hash, per-connection stateful ones (NAT,
+//! stateful firewall) shard under the symmetric connection-pinning hash,
+//! and globally stateful ones degrade to one worker (see
+//! [`ParallelRunner::shardability`]).
+//!
+//! Fleet time has one clock: a [`Fleet`] is built, populated and
+//! inspected directly, but packets enter it and time advances only
+//! through a [`FleetDriver`] run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -60,10 +66,10 @@ pub use engine::Engine;
 pub use fleet::{Fleet, FleetError, FleetStats, LinkReport, LinkUsage, MigrationRecord};
 pub use native::{
     consolidated_config, middlebox_config, nat_gateway_config, plain_firewall, sandboxed_firewall,
-    stateful_firewall_config, NativeRunner, NativeStats,
+    stateful_firewall_config,
 };
 pub use parallel::{ParallelRunner, ParallelStats};
-pub use runner::{RunnerConfig, DEFAULT_BATCH, DEFAULT_RING_CAPACITY};
+pub use runner::{RunnerConfig, DEFAULT_BATCH};
 pub use scenario::{RehomeRecord, Scenario, ScenarioEvent, ScenarioHooks, TopoHooks};
 pub use switch::{ClientEntry, SwitchController, SwitchStats, Usage};
 pub use traffic::{Demand, TrafficMatrix, TrafficParams};

@@ -1,9 +1,11 @@
 //! The unified runner configuration builder.
 //!
-//! One builder configures both execution engines — the single-threaded
-//! [`NativeRunner`](crate::NativeRunner) and the flow-sharded
-//! [`ParallelRunner`](crate::ParallelRunner) — so callers pick the engine
-//! last, after describing *how* to run:
+//! One builder describes *how* to run — workers, batch, metrics, engine —
+//! and finishes as the one runner, [`ParallelRunner`]. How it executes
+//! follows from what it can observe: with one effective worker (one
+//! requested, or a globally stateful configuration degraded to one) it
+//! runs in the calling thread; from two up it shards flows across
+//! worker threads.
 //!
 //! ```
 //! use innet_platform::{plain_firewall, RunnerConfig};
@@ -22,27 +24,20 @@
 
 use innet_click::{ClickConfig, RouterError};
 
-use crate::native::NativeRunner;
 use crate::parallel::ParallelRunner;
 
 /// Default dispatch batch size: large enough to amortize ring hand-off,
 /// small enough not to distort latency in the simulated workloads.
 pub const DEFAULT_BATCH: usize = 32;
 
-/// Default per-worker ring capacity, counted in *batches*.
-pub const DEFAULT_RING_CAPACITY: usize = 1024;
-
 /// Builder describing how a runner should execute a configuration:
-/// worker count, dispatch batch size, metrics registry, and ring
-/// behavior under overload. Finish with [`RunnerConfig::native`] or
-/// [`RunnerConfig::parallel`].
+/// worker count, dispatch batch size, metrics registry, and engine.
+/// Finish with [`RunnerConfig::parallel`].
 #[derive(Debug, Clone)]
 pub struct RunnerConfig {
     pub(crate) workers: usize,
     pub(crate) batch: usize,
     pub(crate) metrics: Option<innet_obs::Registry>,
-    pub(crate) lossy_rings: bool,
-    pub(crate) ring_capacity: usize,
     pub(crate) compiled: bool,
 }
 
@@ -54,14 +49,12 @@ impl Default for RunnerConfig {
 
 impl RunnerConfig {
     /// The default execution profile: one worker, batch of
-    /// [`DEFAULT_BATCH`], no metrics, lossless rings.
+    /// [`DEFAULT_BATCH`], no metrics, interpreted engine.
     pub fn new() -> RunnerConfig {
         RunnerConfig {
             workers: 1,
             batch: DEFAULT_BATCH,
             metrics: None,
-            lossy_rings: false,
-            ring_capacity: DEFAULT_RING_CAPACITY,
             compiled: false,
         }
     }
@@ -72,18 +65,16 @@ impl RunnerConfig {
     /// being interpreted element by element. Semantics are identical —
     /// the plan is differentially tested against the interpreter — but
     /// runners lose `element_as`-style counter inspection, so
-    /// [`NativeRunner::router`](crate::NativeRunner::router) returns
-    /// `None` in this mode.
+    /// [`ParallelRunner::router`] returns `None` in this mode.
     pub fn compiled(mut self, compiled: bool) -> RunnerConfig {
         self.compiled = compiled;
         self
     }
 
     /// Requests `n` flow-sharded workers (clamped to at least 1). The
-    /// parallel runner may still degrade to 1 if the configuration
-    /// keeps global (cross-flow) state; per-connection state shards
-    /// fine under the symmetric dispatch hash. `NativeRunner` ignores
-    /// this knob.
+    /// runner still degrades to 1 if the configuration keeps global
+    /// (cross-flow) state; per-connection state shards fine under the
+    /// symmetric dispatch hash.
     pub fn workers(mut self, n: usize) -> RunnerConfig {
         self.workers = n.max(1);
         self
@@ -98,37 +89,13 @@ impl RunnerConfig {
     }
 
     /// Publishes the runner's instruments into `registry`
-    /// (`innet_native_*` / `innet_parallel_*`, plus the inner routers'
-    /// `innet_click_*`).
+    /// (`innet_parallel_*`, plus the inner routers' `innet_click_*`).
     pub fn metrics(mut self, registry: &innet_obs::Registry) -> RunnerConfig {
         self.metrics = Some(registry.clone());
         self
     }
 
-    /// Switches worker rings from lossless backpressure (the default:
-    /// the dispatcher blocks when a worker falls behind) to lossy
-    /// drop-on-full, counted under
-    /// `innet_parallel_drops_total{reason="ring_full"}`.
-    pub fn lossy_rings(mut self, lossy: bool) -> RunnerConfig {
-        self.lossy_rings = lossy;
-        self
-    }
-
-    /// Sets each worker ring's capacity in batches (clamped to at
-    /// least 1).
-    pub fn ring_capacity(mut self, batches: usize) -> RunnerConfig {
-        self.ring_capacity = batches.max(1);
-        self
-    }
-
-    /// Builds a single-threaded [`NativeRunner`] for `cfg` with this
-    /// profile.
-    pub fn native(self, cfg: &ClickConfig) -> Result<NativeRunner, RouterError> {
-        NativeRunner::with_config(cfg, self)
-    }
-
-    /// Builds a flow-sharded [`ParallelRunner`] for `cfg` with this
-    /// profile.
+    /// Builds the [`ParallelRunner`] for `cfg` with this profile.
     pub fn parallel(self, cfg: &ClickConfig) -> Result<ParallelRunner, RouterError> {
         ParallelRunner::with_config(cfg, self)
     }
@@ -140,18 +107,17 @@ mod tests {
 
     #[test]
     fn builder_clamps_degenerate_values() {
-        let c = RunnerConfig::new().workers(0).batch(0).ring_capacity(0);
+        let c = RunnerConfig::new().workers(0).batch(0);
         assert_eq!(c.workers, 1);
         assert_eq!(c.batch, 1);
-        assert_eq!(c.ring_capacity, 1);
     }
 
     #[test]
-    fn defaults_are_single_threaded_and_lossless() {
+    fn defaults_are_single_threaded_and_interpreted() {
         let c = RunnerConfig::new();
         assert_eq!(c.workers, 1);
         assert_eq!(c.batch, DEFAULT_BATCH);
-        assert!(!c.lossy_rings);
+        assert!(!c.compiled);
         assert!(c.metrics.is_none());
     }
 }

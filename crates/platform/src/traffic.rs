@@ -11,8 +11,9 @@
 //!
 //! Flash crowds are multiplicative: scaling a PoP multiplies the rate
 //! of every demand originating there. [`TrafficMatrix::demand_by_tenant`]
-//! exports the per-tenant offered load that [`crate::Fleet::rebalance`]
-//! consumes instead of raw VM counts.
+//! exports the per-tenant offered load that the fleet's rebalancer
+//! ([`crate::FleetDriver::rebalance_every`]) consumes instead of raw VM
+//! counts.
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -145,19 +146,6 @@ impl TrafficMatrix {
     /// The matrix's demands.
     pub fn demands(&self) -> &[Demand] {
         &self.demands
-    }
-
-    /// Sets the flash-crowd multiplier for every demand originating at
-    /// `subnet`. Returns the number of demands affected.
-    pub fn scale_subnet(&mut self, subnet: NodeId, multiplier: u32) -> usize {
-        let mut n = 0;
-        for (i, d) in self.demands.iter().enumerate() {
-            if d.subnet == subnet {
-                self.multiplier[i] = multiplier.max(1);
-                n += 1;
-            }
-        }
-        n
     }
 
     /// Sets the flash-crowd multiplier for every demand originating in

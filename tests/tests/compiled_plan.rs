@@ -73,12 +73,12 @@ fn by_flow(out: &[(u16, Packet)]) -> BTreeMap<String, Vec<(u16, Vec<u8>)>> {
     groups
 }
 
-/// Single-threaded contract: the compiled native runner's output must be
-/// identical to the interpreted native runner's — same egress, same
-/// bytes, same total order, same packet accounting.
-fn assert_native_identical(label: &str, cfg: &ClickConfig, trace: &[Packet]) {
-    let mut interp = RunnerConfig::new().native(cfg).unwrap();
-    let mut compiled = RunnerConfig::new().compiled(true).native(cfg).unwrap();
+/// Single-threaded contract: the compiled one-worker runner's output
+/// must be identical to the interpreted one's — same egress, same bytes,
+/// same total order, same packet accounting.
+fn assert_one_worker_identical(label: &str, cfg: &ClickConfig, trace: &[Packet]) {
+    let mut interp = RunnerConfig::new().parallel(cfg).unwrap();
+    let mut compiled = RunnerConfig::new().compiled(true).parallel(cfg).unwrap();
     assert!(compiled.is_compiled(), "{label}: compiled engine selected");
     let (istats, iout) = interp.run_collect(trace, 1);
     let (cstats, cout) = compiled.run_collect(trace, 1);
@@ -135,7 +135,7 @@ fn consolidated_corpus_identical() {
     let clients: Vec<Ipv4Addr> = (0..16).map(|i| Ipv4Addr::new(203, 0, 113, 1 + i)).collect();
     let cfg = consolidated_config(&clients);
     let trace = mixed_trace(4096, &clients);
-    assert_native_identical("consolidated", &cfg, &trace);
+    assert_one_worker_identical("consolidated", &cfg, &trace);
     assert_parallel_identical("consolidated", &cfg, &trace, &[1, 2, 4, 8]);
 }
 
@@ -145,7 +145,7 @@ fn fig12_middlebox_kinds_identical() {
     let trace = mixed_trace(2048, &clients);
     for kind in ["nat", "iprouter", "firewall", "flowmeter"] {
         let cfg = middlebox_config(kind).expect("known kind");
-        assert_native_identical(kind, &cfg, &trace);
+        assert_one_worker_identical(kind, &cfg, &trace);
         assert_parallel_identical(kind, &cfg, &trace, &[1, 2, 4]);
     }
 }
@@ -212,7 +212,7 @@ fn stateful_bidirectional_corpora_identical() {
         ("statefulfw-bidir", stateful_firewall_config(), false),
     ] {
         let trace = bidirectional_trace(nat);
-        assert_native_identical(label, &cfg, &trace);
+        assert_one_worker_identical(label, &cfg, &trace);
         assert_parallel_identical(label, &cfg, &trace, &[1, 2, 4, 8]);
     }
 }

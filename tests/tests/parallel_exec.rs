@@ -1,7 +1,8 @@
-//! Differential tests for flow-sharded parallel execution: for every
-//! worker count, the `ParallelRunner` must produce, per flow, exactly the
-//! byte sequence the single-threaded `NativeRunner` produces — sharding
-//! is an implementation detail, not a semantic change.
+//! Differential tests for flow-sharded parallel execution: at every
+//! worker count from two up, on either engine, the `ParallelRunner` must
+//! produce, per flow, exactly the byte sequence its one-worker in-thread
+//! path produces on the interpreter — sharding is an implementation
+//! detail, not a semantic change.
 //!
 //! That contract now covers *stateful* (flow-partitionable)
 //! configurations too: a NAT gateway and a stateful firewall are driven
@@ -57,36 +58,54 @@ fn by_flow(out: &[(u16, Packet)]) -> BTreeMap<String, Vec<(u16, Vec<u8>)>> {
     groups
 }
 
+/// The differential contract: the runner must report `verdict`, fan
+/// out to the requested worker count, and — at 2/4/8 workers on both
+/// engines — produce per-flow byte- and order-identical output to the
+/// one-worker reference, which runs the interpreter in the calling
+/// thread with no dispatcher in the way.
+fn assert_sharded_matches_one_worker(
+    cfg: &ClickConfig,
+    trace: &[Packet],
+    batch: usize,
+    verdict: Shardability,
+) {
+    let mut one = RunnerConfig::new().parallel(cfg).unwrap();
+    assert_eq!(one.effective_workers(), 1);
+    let (one_stats, one_out) = one.run_collect(trace, 1);
+    assert_eq!(
+        one_stats.transmitted,
+        trace.len() as u64,
+        "reference forwards the whole trace"
+    );
+    let reference = by_flow(&one_out);
+
+    for compiled in [false, true] {
+        for workers in [2usize, 4, 8] {
+            let mut sharded = RunnerConfig::new()
+                .workers(workers)
+                .batch(batch)
+                .compiled(compiled)
+                .parallel(cfg)
+                .unwrap();
+            let what = format!("{workers} workers, compiled {compiled}");
+            assert_eq!(sharded.shardability(), verdict, "{what}");
+            assert_eq!(sharded.effective_workers(), workers, "{what}");
+            let (stats, out) = sharded.run_collect(trace, 1);
+            assert_eq!(stats.transmitted, one_stats.transmitted, "{what}");
+            assert_eq!(stats.dropped, 0, "{what}");
+            // Per flow: byte-identical packets, in identical order, out
+            // the identical egress ports.
+            assert_eq!(by_flow(&out), reference, "{what}");
+        }
+    }
+}
+
 #[test]
-fn parallel_output_matches_native_per_flow() {
+fn sharded_output_matches_one_worker_per_flow() {
     let clients: Vec<Ipv4Addr> = (0..16).map(|i| Ipv4Addr::new(203, 0, 113, 1 + i)).collect();
     let cfg = consolidated_config(&clients);
     let trace = multi_flow_trace(10_000, 64, &clients);
-
-    // The single-threaded reference output.
-    let mut native = RunnerConfig::new().native(&cfg).unwrap();
-    let (native_stats, native_out) = native.run_collect(&trace, 1);
-    assert_eq!(native_stats.transmitted, trace.len() as u64);
-    let reference = by_flow(&native_out);
-
-    for workers in [1usize, 2, 4, 8] {
-        let mut parallel = RunnerConfig::new()
-            .workers(workers)
-            .batch(32)
-            .parallel(&cfg)
-            .unwrap();
-        assert_eq!(parallel.effective_workers(), workers);
-        let (stats, out) = parallel.run_collect(&trace, 1);
-        assert_eq!(
-            stats.transmitted, native_stats.transmitted,
-            "{workers} workers"
-        );
-        assert_eq!(stats.dropped, 0, "{workers} workers");
-        let sharded = by_flow(&out);
-        // Per flow: byte-identical packets, in identical order, out the
-        // identical egress ports.
-        assert_eq!(sharded, reference, "{workers} workers");
-    }
+    assert_sharded_matches_one_worker(&cfg, &trace, 32, Shardability::Stateless);
 }
 
 /// The public address the NAT gateway hides the inside network behind.
@@ -115,8 +134,8 @@ fn forward_key(conn: &Conn) -> FlowKey {
 /// Generates `n` distinct connections whose NAT preferred ports do not
 /// collide. The NAT allocates public ports as a pure hash of the flow
 /// key, so a collision-free corpus gets identical allocations from the
-/// one shared NAT (native reference) and from the per-replica NATs
-/// (parallel run) — which is what makes byte-level comparison valid.
+/// one NAT (one-worker reference) and from the per-replica NATs
+/// (sharded run) — which is what makes byte-level comparison valid.
 fn connections(n: usize) -> Vec<Conn> {
     let mut conns: Vec<Conn> = Vec::new();
     let mut used_ports = std::collections::BTreeSet::new();
@@ -175,57 +194,27 @@ fn stateful_trace(conns: &[Conn], rounds: usize, nat: bool) -> Vec<Packet> {
     trace
 }
 
-/// The stateful differential contract: the sharded runner must report a
-/// `FlowPartitionable` verdict, actually fan out to the requested worker
-/// count, and produce per-flow byte- and order-identical output to the
-/// single-threaded reference at every worker count.
-fn assert_stateful_parallel_matches_native(cfg: &ClickConfig, trace: &[Packet]) {
-    let mut native = RunnerConfig::new().native(cfg).unwrap();
-    let (native_stats, native_out) = native.run_collect(trace, 1);
-    assert_eq!(
-        native_stats.transmitted,
-        trace.len() as u64,
-        "reference forwards the whole trace"
-    );
-    let reference = by_flow(&native_out);
-
-    for workers in [1usize, 2, 4, 8] {
-        let mut parallel = RunnerConfig::new()
-            .workers(workers)
-            .batch(16)
-            .parallel(cfg)
-            .unwrap();
-        assert_eq!(parallel.shardability(), Shardability::FlowPartitionable);
-        assert_eq!(parallel.effective_workers(), workers);
-        let (stats, out) = parallel.run_collect(trace, 1);
-        assert_eq!(
-            stats.transmitted, native_stats.transmitted,
-            "{workers} workers"
-        );
-        assert_eq!(stats.dropped, 0, "{workers} workers");
-        assert_eq!(by_flow(&out), reference, "{workers} workers");
-    }
-}
-
 #[test]
-fn sharded_nat_matches_native_per_flow() {
+fn sharded_nat_matches_one_worker_per_flow() {
     // Replies enter on the outside interface addressed to the public IP;
     // only the symmetric hash lands them on the replica holding the
     // mapping. Output keys are the *rewritten* flows, identical on both
     // sides because port allocation is a pure function of the flow key.
     let conns = connections(48);
     let trace = stateful_trace(&conns, 8, true);
-    assert_stateful_parallel_matches_native(&nat_gateway_config(PUBLIC), &trace);
+    let cfg = nat_gateway_config(PUBLIC);
+    assert_sharded_matches_one_worker(&cfg, &trace, 16, Shardability::FlowPartitionable);
 }
 
 #[test]
-fn sharded_stateful_firewall_matches_native_per_flow() {
+fn sharded_stateful_firewall_matches_one_worker_per_flow() {
     // Unrelated inbound drops and related inbound passes — both facts
     // must survive sharding, which they only do when each connection's
     // conntrack entry lives on the replica its replies hash to.
     let conns = connections(48);
     let trace = stateful_trace(&conns, 8, false);
-    assert_stateful_parallel_matches_native(&stateful_firewall_config(), &trace);
+    let cfg = stateful_firewall_config();
+    assert_sharded_matches_one_worker(&cfg, &trace, 16, Shardability::FlowPartitionable);
 }
 
 #[test]
@@ -258,9 +247,19 @@ fn global_config_runs_single_worker() {
                 .build()
         })
         .collect();
-    let stats = runner.run(&pkts, 1);
+    let (stats, out) = runner.run_collect(&pkts, 1);
     assert_eq!(stats.workers, 1);
     assert_eq!(stats.transmitted, 100);
+
+    // Degrading to one worker means *being* the one-worker runner: no
+    // dispatcher re-batches the trace per shard, so the output is
+    // byte- and order-identical, not merely per flow.
+    let mut one = RunnerConfig::new().parallel(&rr).unwrap();
+    let (_, want) = one.run_collect(&pkts, 1);
+    let bytes = |out: &[(u16, Packet)]| -> Vec<(u16, Vec<u8>)> {
+        out.iter().map(|(e, p)| (*e, p.bytes().to_vec())).collect()
+    };
+    assert_eq!(bytes(&out), bytes(&want));
 }
 
 #[test]
@@ -268,9 +267,9 @@ fn batch_size_does_not_change_results() {
     let clients: Vec<Ipv4Addr> = (0..4).map(|i| Ipv4Addr::new(203, 0, 113, 1 + i)).collect();
     let cfg = consolidated_config(&clients);
     let trace = multi_flow_trace(1_000, 17, &clients);
-    let mut reference = RunnerConfig::new().native(&cfg).unwrap();
-    let (_, native_out) = reference.run_collect(&trace, 1);
-    let want = by_flow(&native_out);
+    let mut reference = RunnerConfig::new().parallel(&cfg).unwrap();
+    let (_, one_out) = reference.run_collect(&trace, 1);
+    let want = by_flow(&one_out);
     for batch in [1usize, 32, 256] {
         let mut runner = RunnerConfig::new()
             .workers(4)

@@ -3,7 +3,7 @@
 //! guarantees.
 
 use innet::click::elements::IPFilter;
-use innet::platform::{consolidated_config, ClientEntry, Host, NativeRunner, SwitchController};
+use innet::platform::{consolidated_config, ClientEntry, Host, RunnerConfig, SwitchController};
 use innet::prelude::*;
 use std::net::Ipv4Addr;
 
@@ -101,14 +101,14 @@ fn conntrack_survives_suspend_resume() {
 fn consolidation_isolates_tenants() {
     let tenants: Vec<Ipv4Addr> = (1..=20).map(addr).collect();
     let cfg = consolidated_config(&tenants);
-    let mut runner = NativeRunner::new(&cfg).unwrap();
+    let mut runner = RunnerConfig::new().parallel(&cfg).unwrap();
 
     // Traffic addressed to tenant 7 passes exactly one filter: fw6.
     let pkt = PacketBuilder::udp().dst(tenants[6], 80).build();
     let stats = runner.run(&[pkt], 1);
     assert_eq!(stats.transmitted, 1);
     let router = runner
-        .router()
+        .router(0)
         .expect("interpreted runner exposes its router");
     for (i, _) in tenants.iter().enumerate() {
         let fw = router

@@ -1,6 +1,6 @@
 //! Integration tests for the fleet scenario engine.
 //!
-//! Five contracts:
+//! Six contracts:
 //!
 //! 1. **Bandwidth is priced, not just latency.** Property: for every
 //!    fabric link, the bytes accepted onto it always fit its
@@ -9,7 +9,9 @@
 //!    offered packet is accounted as either accepted or tail-dropped.
 //! 2. **The driver adds scheduling, not semantics.** A zero-event
 //!    scenario run is byte- and order-identical to the hand-rolled
-//!    inject/advance loop the `FleetDriver` replaces.
+//!    inject/advance loop the `FleetDriver` replaces — pinned in
+//!    `innet-platform`'s `driver.rs` unit tests, next to the
+//!    crate-private primitives the loop calls.
 //! 3. **Regional failover completes at fleet scale.** Killing a PoP on
 //!    the full 1,001-node generated fleet re-homes *every* affected
 //!    tenant, each with a recorded per-tenant downtime.
@@ -20,14 +22,17 @@
 //!    platform, an attached traffic-demand map still triggers a
 //!    rebalance off the hot platform; without demand the count-based
 //!    fallback correctly sees balance and does nothing.
+//! 6. **Packets are conserved at any horizon.** Wherever a run is cut —
+//!    packets on the wire, a migration half done, a PoP freshly dead —
+//!    `injected` equals the counted outcomes plus `Fleet::in_flight`.
 
 use std::net::Ipv4Addr;
 
 use innet::controller::InstalledModule;
-use innet::platform::{RehomeRecord, ScenarioHooks as _};
+use innet::platform::{DriverRun, RehomeRecord, ScenarioHooks as _};
 use innet::prelude::*;
 use innet::sim::des::SECOND;
-use innet::topology::{generate_fleet, FleetParams, NodeId};
+use innet::topology::{generate_fleet, FleetParams, NodeId, NodeKind, PlatformSpec};
 use proptest::prelude::*;
 
 const SEC: u64 = 1_000_000_000;
@@ -153,54 +158,136 @@ fn saturated_link_tail_drops_and_accounts() {
     assert!(reports.iter().any(|r| r.usage.dropped_bytes > 0));
 }
 
-#[test]
-#[allow(deprecated)]
-fn zero_event_scenario_is_identical_to_plain_injection() {
-    // Mixed home-delivery and fabric-ingress schedule, driven once
-    // through a FleetDriver carrying an (empty) scenario and once
-    // through the hand-rolled loop. Byte- and order-identical.
-    let build = || {
-        let mut f = two_pop_fleet();
-        let ps = f.platforms();
-        f.register(ps[0], filter_entry(TENANT, true)).unwrap();
-        (f, ps)
-    };
-    let (manual_fleet, ps) = build();
-    let (driven_fleet, _) = build();
-    let remote = ps[1];
-    let schedule: Vec<(u64, Option<NodeId>, Packet)> = (0..10u64)
-        .map(|i| {
-            let ingress = if i % 3 == 2 { Some(remote) } else { None };
-            (i * 120_000_000, ingress, udp_to(TENANT, i as u16 + 1, 64))
+/// One scenario — a PoP dies, a stateful tenant live-migrates under
+/// traffic, a burst saturates a fabric link — cut at `horizon`. Only
+/// work due by then is scheduled, since the driver always runs out to
+/// its latest item.
+fn incident_run(horizon: u64) -> DriverRun {
+    const DOOMED: Ipv4Addr = Ipv4Addr::new(198, 18, 0, 1);
+    const MOVER: Ipv4Addr = Ipv4Addr::new(198, 18, 0, 2);
+    const BURSTY: Ipv4Addr = Ipv4Addr::new(198, 18, 0, 3);
+    let topo = generate_fleet(&FleetParams {
+        pops: 3,
+        platforms_per_pop: 1,
+        clients_per_pop: 1,
+        seed: 5,
+    });
+    let mut fleet = Fleet::new(&topo);
+    let ps = fleet.platforms();
+    fleet.register(ps[0], filter_entry(DOOMED, false)).unwrap();
+    fleet.register(ps[1], filter_entry(MOVER, true)).unwrap();
+    fleet.register(ps[2], filter_entry(BURSTY, false)).unwrap();
+    // A tight queue: the burst below overruns it.
+    fleet.set_fabric_queue_ns(10_000);
+
+    let mut work: Vec<(u64, NodeId, Packet)> = Vec::new();
+    // Steady cross-fabric traffic to the doomed and the moving tenant,
+    // one packet each per 5 ms for 2.5 s.
+    for i in 0..500u64 {
+        work.push((i * 5_000_000, ps[2], udp_to(DOOMED, i as u16, 200)));
+        work.push((i * 5_000_000, ps[2], udp_to(MOVER, i as u16, 200)));
+    }
+    // 64 back-to-back full frames into one link at t = 0.5 s.
+    for i in 0..64u16 {
+        work.push((SEC / 2, ps[1], udp_to(BURSTY, i, 1400)));
+    }
+    let mut scenario = Scenario::new("incident");
+    if horizon >= SEC {
+        scenario = scenario.at(SEC, ScenarioEvent::KillPop { pop: 0 });
+    }
+    let mut driver = FleetDriver::new(fleet).until(horizon).events(scenario);
+    if horizon >= 3 * SEC / 2 {
+        driver = driver.migrate(3 * SEC / 2, MOVER, ps[2]);
+    }
+    for (at, ingress, pkt) in work.into_iter().filter(|w| w.0 <= horizon) {
+        driver = driver.inject_at(at, ingress, pkt);
+    }
+    driver.run()
+}
+
+/// A live migration into a platform with room for one ClickOS VM that
+/// already holds one: the implant fails when the mover's state arrives
+/// and the VM is lost, with traffic to the mover arriving throughout.
+fn full_destination_run(horizon: u64) -> DriverRun {
+    let (mover, sitter) = (Ipv4Addr::new(198, 18, 0, 1), Ipv4Addr::new(198, 18, 0, 2));
+    let spec = |mem_mb| {
+        NodeKind::Platform(PlatformSpec {
+            mem_mb,
+            ..PlatformSpec::default()
         })
-        .collect();
-
-    let mut manual = manual_fleet;
-    let mut manual_out = Vec::new();
-    for (at, ingress, pkt) in &schedule {
-        match ingress {
-            None => manual_out.extend(manual.inject(pkt.clone(), *at)),
-            Some(node) => manual_out.extend(manual.inject_at(*node, pkt.clone(), *at).unwrap()),
-        }
-        manual_out.extend(manual.advance(*at));
+    };
+    let mut topo = Topology::new();
+    let roomy = topo.add("roomy", spec(16 * 1024)).unwrap();
+    let full = topo.add("full", spec(13)).unwrap();
+    topo.link_bidir(roomy, 0, full, 0);
+    let mut fleet = Fleet::new(&topo);
+    fleet.register(roomy, filter_entry(mover, true)).unwrap();
+    fleet.register(full, filter_entry(sitter, false)).unwrap();
+    let mut driver = FleetDriver::new(fleet)
+        .until(horizon)
+        .inject_at(0, full, udp_to(sitter, 1, 200))
+        .migrate(2 * SEC, mover, full);
+    // One packet per 5 ms to the mover, from its boot through the window.
+    for i in 0..=horizon.min(5 * SEC / 2) / 5_000_000 {
+        driver = driver.inject_at(i * 5_000_000, roomy, udp_to(mover, i as u16, 200));
     }
-    manual_out.extend(manual.advance(4 * SEC));
+    driver.run()
+}
 
-    let mut driver = FleetDriver::new(driven_fleet)
-        .until(4 * SEC)
-        .events(Scenario::new("noop"));
-    for (at, ingress, pkt) in schedule {
-        driver = match ingress {
-            None => driver.inject(at, pkt),
-            Some(node) => driver.inject_at(at, node, pkt),
-        };
+#[test]
+fn packets_are_conserved_at_any_horizon() {
+    let accounted = |run: &DriverRun| {
+        let sw = run.fleet.aggregate_switch_stats();
+        let s = run.stats;
+        let fleet_drops = s.link_drops + s.no_path_drops + s.dead_drops + s.host_errors;
+        sw.delivered + sw.buffered + sw.dropped + fleet_drops
+    };
+    let cuts = [
+        0,       // the first packets are still on the wire
+        SEC / 2, // the burst has just hit the link
+        // The PoP dies; the driver runs on to the re-home it schedules,
+        // with packets to the dead platform still arriving.
+        SEC,
+        SEC + 200_000_000,       // re-homed, traffic flowing again
+        3 * SEC / 2 + 5_000_000, // the migration is mid-protocol
+        10 * SEC,                // everything has landed
+    ];
+    let runs: Vec<DriverRun> = cuts.iter().map(|&h| incident_run(h)).collect();
+    for (h, run) in cuts.iter().zip(&runs) {
+        assert_eq!(
+            run.stats.injected,
+            accounted(run) + run.fleet.in_flight(),
+            "cut at {h} ns: {:?}",
+            run.stats
+        );
+        assert_eq!(run.errors, 0, "cut at {h} ns");
     }
-    let run = driver.run();
+    // The cuts really are where the comments say.
+    let (mid_flight, mid_migration, settled) = (&runs[0], &runs[4], &runs[5]);
+    assert_eq!(mid_flight.fleet.in_flight(), 2, "both first packets");
+    assert_eq!(mid_migration.stats.migrations_started, 1);
+    assert_eq!(mid_migration.stats.migrations_completed, 0);
+    assert!(mid_migration.stats.migration_buffered > 0);
+    assert!(mid_migration.fleet.in_flight() > 0);
+    assert_eq!(runs[1].rehomes.len(), 0);
+    assert_eq!(runs[2].rehomes.len(), 1);
+    assert_eq!(settled.fleet.in_flight(), 0);
+    assert_eq!(settled.stats.migrations_completed, 1);
+    assert!(settled.stats.link_drops > 0, "the burst overran the queue");
+    assert!(settled.stats.dead_drops + settled.stats.reroutes > 0);
+    assert_eq!(settled.stats.injected, 1064);
 
-    assert!(!manual_out.is_empty(), "the schedule produces output");
-    assert_eq!(run.out, manual_out, "byte- and order-identical");
-    assert_eq!(run.stats, manual.stats(), "stats-identical");
-    assert!(run.rehomes.is_empty() && run.consolidation_moves.is_empty());
+    // A migration that fails at a full destination loses a VM, not a
+    // packet: the law closes inside the window and after the failure.
+    for (h, failed) in [(2 * SEC + 5_000_000, 0), (10 * SEC, 1)] {
+        let run = full_destination_run(h);
+        let held = run.fleet.in_flight();
+        assert_eq!(run.stats.injected, accounted(&run) + held, "cut at {h} ns");
+        assert_eq!(run.stats.migrations_failed, failed);
+        assert_eq!(run.stats.migrations_completed, 0);
+        assert_eq!(run.stats.host_errors, 0, "no packet hit a host error");
+        assert_eq!(held == 0, failed == 1, "the window's packets park");
+    }
 }
 
 #[test]
