@@ -9,6 +9,18 @@
 # files build cannot come from the change. With paths given they are the
 # fenced set; without, it is the control-plane-only set: everything the
 # packet and fleet data paths, and the benchmark itself, are built from.
+#
+# PR 16 (fleet wake index, parent a039dca) changes only the fleet path of
+# innet-platform (fleet.rs, fleet/*.rs, vm.rs, switch.rs), so its fence
+# is every other source the six benchmark workloads are built from —
+# the five that construct no Fleet, Host or SwitchController then run
+# byte-identical code:
+#
+#   ./ci.sh --fence a039dca \
+#     crates/{packet,click,obs,sim,topology,policy,symnet,analysis,controller} \
+#     crates/platform/src/{engine,parallel,spsc,runner,native}.rs \
+#     benchmark BENCHMARK.json BENCH_admission.json BENCH_fig12_middlebox.json \
+#     BENCH_fleet.json BENCH_parallel_scaling.json BENCH_scenarios.json
 set -euo pipefail
 cd "$(dirname "$0")"
 

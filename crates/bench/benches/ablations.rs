@@ -49,6 +49,9 @@ fn main() {
         a.sandbox_throughput_ratio,
         a.deployable - a.need_sandbox
     ));
+    // A sandbox costs throughput but not an order of magnitude of it;
+    // checked here, in an optimised build, not under `cargo test`.
+    assert!((0.2..=1.3).contains(&a.sandbox_throughput_ratio), "{a:?}");
     r.blank();
     r.line("== §4.3 controller scaling: serial vs 4-way sharded verification ==");
     let (serial_ms, parallel_ms) = deploy_timing();

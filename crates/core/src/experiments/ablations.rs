@@ -281,9 +281,8 @@ mod tests {
         // x86 VM need runtime enforcement.
         assert_eq!(a.need_sandbox, 2, "{a:?}");
         assert_eq!(a.deployable, 8, "12 minus the 4 rejected transit boxes");
-        // The ratio itself is measured by the bench; in a debug test we
-        // only require it to be a sane fraction.
-        assert!((0.2..=1.3).contains(&a.sandbox_throughput_ratio), "{a:?}");
+        // The throughput ratio is wall clock: `benches/ablations.rs`
+        // measures it and checks its band.
     }
 
     #[test]

@@ -38,10 +38,12 @@ mod failover;
 mod links;
 mod migration;
 mod rebalance;
+mod sites;
 
 pub use links::{LinkReport, LinkUsage};
 use migration::Migration;
 pub use migration::MigrationRecord;
+use sites::{Site, Sites};
 
 /// Errors from fleet operations.
 #[derive(Debug)]
@@ -120,6 +122,9 @@ pub struct FleetStats {
     pub dead_drops: u64,
     /// Tenants re-homed off a dead platform (cold moves, not migrations).
     pub rehomes: u64,
+    /// [`Host::advance`] calls made: grows with VM transitions coming
+    /// due, not with the number of platforms.
+    pub site_advances: u64,
 }
 
 /// A fabric link: the FIFO sim link plus its capacity and usage ledger.
@@ -166,18 +171,11 @@ impl PartialOrd for FabricEvent {
     }
 }
 
-/// One platform's host, switch controller, and shared registry.
-struct Site {
-    host: Host,
-    switch: SwitchController,
-    obs: innet_obs::Registry,
-}
-
 /// N hosts keyed by topology [`NodeId`], wired by a latency/bandwidth
 /// fabric. See the module docs for the model.
 pub struct Fleet {
     topo: Topology,
-    sites: BTreeMap<NodeId, Site>,
+    sites: Sites,
     /// Tenant address -> home platform.
     locations: HashMap<Ipv4Addr, NodeId>,
     /// Shortest-path attributes from each platform, computed on demand.
@@ -225,7 +223,7 @@ impl Fleet {
         }
         Fleet {
             topo: topo.clone(),
-            sites,
+            sites: Sites::new(sites),
             locations: HashMap::new(),
             path_cache: HashMap::new(),
             fabric: HashMap::new(),
@@ -449,14 +447,11 @@ impl Fleet {
     /// the drop is charged where it happens.
     fn resolve_dest(&mut self, vantage: NodeId, pkt: &Packet) -> NodeId {
         let primary = self.dest_platform(pkt);
-        let reps: Vec<NodeId> = pkt
-            .ipv4()
-            .ok()
-            .and_then(|ip| self.replicas.get(&ip.dst()).cloned())
-            .unwrap_or_default();
-        if reps.is_empty() && !self.dead.contains(&primary) {
+        let reps = pkt.ipv4().ok().and_then(|ip| self.replicas.get(&ip.dst()));
+        if reps.is_none_or(|r| r.is_empty()) && !self.dead.contains(&primary) {
             return primary;
         }
+        let reps = reps.cloned().unwrap_or_default();
         let mut best: Option<(SimTime, NodeId)> = None;
         for cand in std::iter::once(primary).chain(reps) {
             if !self.is_alive(cand) {
@@ -631,8 +626,9 @@ impl Fleet {
     /// Advances virtual time fleet-wide: delivers fabric packets whose
     /// arrival has passed (in arrival order, re-routing ones whose
     /// destination stopped serving), drives in-flight migrations through
-    /// their stages, and advances every host. Returns all transmissions
-    /// as `(platform, iface, packet)`.
+    /// their stages, and advances the woken hosts that have a VM
+    /// transition due, in ascending id. Returns all transmissions as
+    /// `(platform, iface, packet)`.
     pub(crate) fn advance(&mut self, now: SimTime) -> Vec<(NodeId, u16, Packet)> {
         let mut out = Vec::new();
         while let Some(Reverse(ev)) = self.events.peek() {
@@ -673,26 +669,31 @@ impl Fleet {
             }
         }
         self.advance_migrations(now, &mut out);
-        let dead = self.dead.clone();
-        for (&id, site) in self.sites.iter_mut() {
-            if dead.contains(&id) {
-                continue;
+        // Same output as advancing every alive host: one with no VM
+        // transition due returns nothing from `Host::advance` and changes
+        // no state (its gauges were refreshed when it last changed), and
+        // no host outside the wake index has a VM in transition.
+        debug_assert!(self.sites.iter().all(|(id, s)| {
+            self.sites.is_woken(id) || self.dead.contains(id) || s.host.next_due().is_none()
+        }));
+        let (dead, stats) = (&self.dead, &mut self.stats);
+        self.sites.retain_woken(|id, site| {
+            let alive = !dead.contains(&id);
+            if alive && site.host.next_due().is_some_and(|due| due <= now) {
+                site.advance(id, now, stats, &mut out);
             }
-            out.extend(
-                site.host
-                    .advance(now)
-                    .into_iter()
-                    .map(|(_, iface, p)| (id, iface, p)),
-            );
-        }
+            alive && site.host.next_due().is_some()
+        });
         out
     }
 
     /// Reclaims idle VMs on every host (see
-    /// [`SwitchController::reclaim_idle`]). Tenants mid-migration are
-    /// not affected: their VM is already suspended or in flight.
+    /// [`SwitchController::reclaim_idle`]), waking them all. Tenants
+    /// mid-migration are not affected: their VM is already suspended or
+    /// in flight.
     pub(crate) fn reclaim_idle(&mut self, now: SimTime, idle_ns: SimTime) {
-        for site in self.sites.values_mut() {
+        for id in self.platforms() {
+            let site = self.sites.get_mut(&id).expect("just listed");
             site.switch.reclaim_idle(&mut site.host, now, idle_ns);
         }
     }
@@ -701,6 +702,7 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vm::VmState;
     use innet_click::ClickConfig;
     use innet_packet::PacketBuilder;
 
@@ -914,6 +916,64 @@ mod tests {
         fleet.advance(120_000_000_000);
         assert_eq!(fleet.stats().migrations_started, 2);
         assert_eq!(live_spread(&fleet, a, b), 0);
+    }
+
+    #[test]
+    fn reclaim_suspends_are_seen_by_the_wake_index() {
+        // `reclaim_idle` starts suspends behind the fleet's back. A quiet
+        // tenant's must still complete, and a packet landing in a busy
+        // tenant's suspend window must still auto-resume and flush.
+        let quiet = Ipv4Addr::new(203, 0, 113, 11);
+        let (mut fleet, a, b) = two_pop_fleet();
+        fleet.register(a, filter_entry(quiet, true)).unwrap();
+        fleet.register(b, filter_entry(TENANT, true)).unwrap();
+        fleet.inject(udp_to(quiet, 1), 0);
+        fleet.inject(udp_to(TENANT, 1), 0);
+        assert_eq!(fleet.advance(1_000_000_000).len(), 2);
+
+        fleet.reclaim_idle(2_000_000_000, 500_000_000);
+        assert!(fleet.advance(2_000_000_000).is_empty());
+        let vm_state = |f: &Fleet, p, addr| {
+            let vm = f.switch(p).unwrap().binding(addr).unwrap();
+            f.host(p).unwrap().vm(vm).unwrap().state
+        };
+        assert!(matches!(
+            vm_state(&fleet, b, TENANT),
+            VmState::Suspending { .. }
+        ));
+        assert!(fleet.inject(udp_to(TENANT, 2), 2_010_000_000).is_empty());
+        assert!(fleet.advance(2_010_000_000).is_empty());
+
+        let out = fleet.advance(3_000_000_000);
+        assert_eq!(out.len(), 1, "the window's packet flushed");
+        assert_eq!(out[0].0, b);
+        assert_eq!(vm_state(&fleet, b, TENANT), VmState::Running);
+        assert_eq!(fleet.switch(b).unwrap().stats().resumes, 1);
+        assert_eq!(vm_state(&fleet, a, quiet), VmState::Suspended);
+        // Two boots, then one advance per site carries `a` to suspended
+        // and `b` through suspended and resuming back to running.
+        assert_eq!(fleet.stats().site_advances, 2 + 2);
+    }
+
+    #[test]
+    fn rehomed_tenant_boots_at_its_new_home_on_first_packet() {
+        let (mut fleet, a, b) = two_pop_fleet();
+        fleet.register(a, filter_entry(TENANT, false)).unwrap();
+        // The platform dies with the tenant's VM still booting.
+        fleet.inject(udp_to(TENANT, 1), 0);
+        assert_eq!(fleet.kill_platform(a, 1_000).unwrap(), vec![TENANT]);
+        fleet.rehome(TENANT, b).unwrap();
+        assert!(fleet.advance(50_000_000).is_empty());
+        assert!(!fleet.sites.is_woken(&a), "dead sites leave the index");
+
+        assert!(fleet.inject(udp_to(TENANT, 2), 60_000_000).is_empty());
+        assert!(fleet.advance(60_000_000).is_empty(), "still booting");
+        let out = fleet.advance(1_000_000_000);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].0, b, "served by a fresh VM at the new home");
+        assert_eq!(fleet.switch(b).unwrap().stats().boots, 1);
+        assert_eq!(fleet.host(b).unwrap().running_vms(), 1);
+        assert_eq!(fleet.stats().site_advances, 1, "the dead host never ran");
     }
 
     #[test]

@@ -149,7 +149,7 @@ impl Fleet {
         now: SimTime,
         out: &mut Vec<(NodeId, u16, Packet)>,
     ) {
-        loop {
+        while !self.migrating.is_empty() {
             let mut changed = false;
             let addrs: Vec<Ipv4Addr> = self.migrating.keys().copied().collect();
             for addr in addrs {
@@ -161,12 +161,7 @@ impl Fleet {
                         let attrs = self.path(from, to).expect("checked at migrate()");
                         let src = self.sites.get_mut(&from).expect("platform");
                         // Let the suspend complete, then lift the VM out.
-                        out.extend(
-                            src.host
-                                .advance(done_at)
-                                .into_iter()
-                                .map(|(_, iface, p)| (from, iface, p)),
-                        );
+                        src.advance(from, done_at, &mut self.stats, out);
                         let vm_id = src.switch.binding(addr).expect("bound at migrate()");
                         let vm = match src.host.extract(vm_id) {
                             Ok(vm) => vm,
@@ -229,12 +224,7 @@ impl Fleet {
                         let dst = self.sites.get_mut(&to).expect("platform");
                         // Complete the resume, then flush the window's
                         // packets in arrival order.
-                        out.extend(
-                            dst.host
-                                .advance(ready_at)
-                                .into_iter()
-                                .map(|(_, iface, p)| (to, iface, p)),
-                        );
+                        dst.advance(to, ready_at, &mut self.stats, out);
                         for pkt in buffered {
                             self.deliver_local(to, pkt, ready_at, out);
                         }

@@ -188,10 +188,10 @@ impl SwitchController {
             return Ok(Vec::new());
         };
         let dst = ip.dst();
-        let Some(entry) = self.clients.get(&dst).cloned() else {
+        if !self.clients.contains_key(&dst) {
             self.record_drop(DropReason::UnknownDst);
             return Ok(Vec::new());
-        };
+        }
 
         let vm = match self.bindings.get(&dst).copied() {
             Some(vm) => {
@@ -227,7 +227,7 @@ impl SwitchController {
                     self.record_drop(DropReason::MidFlowNoVm);
                     return Ok(Vec::new());
                 }
-                let vm = host.boot_clickos(&entry.config, now_ns)?;
+                let vm = host.boot_clickos(&self.clients[&dst].config, now_ns)?;
                 self.stats.boots += 1;
                 if let Some(m) = &self.metrics {
                     m.boots.inc();

@@ -249,6 +249,18 @@ impl Host {
             .count()
     }
 
+    /// The earliest deadline among VMs in a timed transition (`Booting`,
+    /// `Resuming`, `Suspending`), if any. Before that instant
+    /// [`Host::advance`] returns nothing and changes nothing.
+    pub fn next_due(&self) -> Option<u64> {
+        let due = |&id: &VmId| match self.vms[id].state {
+            VmState::Booting { ready_at } | VmState::Resuming { ready_at } => Some(ready_at),
+            VmState::Suspending { done_at } => Some(done_at),
+            _ => None,
+        };
+        self.active.iter().filter_map(due).min()
+    }
+
     /// Refreshes the level gauges after a lifecycle change.
     fn refresh_gauges(&self) {
         self.metrics.mem_used_mb.set(self.mem_used_mb as i64);
