@@ -10,15 +10,14 @@
 # fenced set; without, it is the control-plane-only set: everything the
 # packet and fleet data paths, and the benchmark itself, are built from.
 #
-# PR 16 (fleet wake index, parent a039dca) changes only the fleet path of
-# innet-platform (fleet.rs, fleet/*.rs, vm.rs, switch.rs), so its fence
-# is every other source the six benchmark workloads are built from —
-# the five that construct no Fleet, Host or SwitchController then run
-# byte-identical code:
+# PR 17 (module table, parent 638fbf2) changes only crates/controller —
+# placement reads a live index (modules.rs) instead of recounting the
+# module list per request — so its fence is every other crate plus the
+# benchmark and the committed snapshots: the packet and fleet workloads
+# then run byte-identical data-plane code.
 #
-#   ./ci.sh --fence a039dca \
-#     crates/{packet,click,obs,sim,topology,policy,symnet,analysis,controller} \
-#     crates/platform/src/{engine,parallel,spsc,runner,native}.rs \
+#   ./ci.sh --fence 638fbf2 \
+#     crates/{analysis,bench,click,core,obs,packet,platform,policy,sim,symnet,topology} \
 #     benchmark BENCHMARK.json BENCH_admission.json BENCH_fig12_middlebox.json \
 #     BENCH_fleet.json BENCH_parallel_scaling.json BENCH_scenarios.json
 set -euo pipefail
@@ -45,6 +44,15 @@ echo "==> one of each (no deprecated shims)"
 # benchmark workspace denies the lint, so nothing may lean on one.
 if grep -rnE '#\[deprecated|allow\(deprecated\)' crates tests examples; then
   echo "deprecated shims are not kept: delete the old spelling" >&2
+  exit 1
+fi
+
+echo "==> one owner of installed-module state"
+# Placement reads the module table's live views; a per-request recount
+# (`fn occupancy`) or a hand-synchronised rule list (`flow_rules.retain`)
+# would be a second owner.
+if grep -rnE 'fn occupancy\(|flow_rules\.retain' crates/controller/src; then
+  echo "derive it from ModuleTable (crates/controller/src/modules.rs)" >&2
   exit 1
 fi
 

@@ -7,7 +7,6 @@
 //! [`Controller::finish`] stamps the outcome on it and hands it to the
 //! ledger, the only place statistics are written.
 
-use std::collections::HashMap;
 use std::convert::Infallible;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -20,7 +19,6 @@ use innet_symnet::{
     check_module_summarized, check_module_with_stats, SecurityContext, SecurityReport, SymError,
     Verdict,
 };
-use innet_topology::NodeId;
 
 use crate::{
     cache::{verdict_key, CachedOutcome, CachedVerdict},
@@ -83,10 +81,6 @@ impl Controller {
             self.analysis_enabled,
             self.summaries_enabled,
         );
-        // One occupancy map per request, built by whichever path first
-        // places something: a replayed accept's capacity re-check, the
-        // ranking, and every candidate's capacity check read the same map.
-        let mut occupancy = None;
         if let Some(hit) = self.verdicts.get(&key) {
             let replay = match hit.outcome {
                 CachedOutcome::Reject(e) => Some(Err(e)),
@@ -94,9 +88,8 @@ impl Controller {
                     platform,
                     sandboxed,
                 } => {
-                    let occupancy = occupancy.insert(self.occupancy());
                     let cached = self.topology.index_of(&platform);
-                    if cached.is_some_and(|p| self.has_room(occupancy, p)) {
+                    if cached.is_some_and(|p| self.table.has_room(p)) {
                         Some(Ok((platform, sandboxed)))
                     } else if request.requirements.is_empty() && self.operator_policy.is_empty() {
                         // The cached placement filled up since it was
@@ -112,7 +105,7 @@ impl Controller {
                         // platform full, fall through to the full
                         // pipeline (counted as a miss), which reports the
                         // per-platform reasons.
-                        self.best_platform_with_room(occupancy).map(|alt| {
+                        self.best_platform_with_room().map(|alt| {
                             let alt = self.topology.node(alt).name.clone();
                             self.verdicts.insert(
                                 epoch,
@@ -149,8 +142,7 @@ impl Controller {
         }
 
         delta.cache_misses += 1;
-        let occupancy = occupancy.unwrap_or_else(|| self.occupancy());
-        let (result, work) = self.deploy_uncached(client_id, &account, request, &occupancy);
+        let (result, work) = self.deploy_uncached(client_id, &account, request);
         delta += &work;
         if let Some(outcome) = CachedOutcome::of(&result) {
             let check_ns = work.check_ns;
@@ -189,7 +181,6 @@ impl Controller {
         client_id: &str,
         account: &ClientAccount,
         request: ClientRequest,
-        occupancy: &HashMap<NodeId, usize>,
     ) -> (Result<DeployResponse, DeployError>, ControllerStats) {
         let mut delta = ControllerStats::default();
 
@@ -209,18 +200,20 @@ impl Controller {
             && !self.hardening.ban_udp_reflection;
 
         let mut reasons: Vec<(String, String)> = Vec::new();
-        let result = 'search: {
+        let found = 'search: {
             // Candidates in placement-preference order: client latency,
-            // residual capacity, link headroom (see `PlacementContext`).
+            // residual capacity, link headroom (see `PlacementContext`),
+            // read lazily off the table's live order — the common
+            // first-candidate accept never looks at a second platform.
             // On figure-3-scale topologies with uniform links this
             // degenerates to the paper's declaration-order iteration.
-            for platform in self.placement.rank(&self.topology, occupancy) {
+            for platform in self.table.ranked() {
                 // Placement: capacity check and tentative address
                 // assignment on this platform, then the configuration
                 // materialized for that address (stock modules need it;
                 // Click configurations may reference it as `$SELF`).
                 let t_place = Instant::now();
-                let slot = if self.has_room(occupancy, platform) {
+                let slot = if self.table.has_room(platform) {
                     self.free_addr(platform)
                 } else {
                     Err("platform full")
@@ -270,7 +263,7 @@ impl Controller {
                 };
                 // A fast-path verdict only fires when the requirement and
                 // policy sets are empty, so the network model would have
-                // nothing to check — skip compiling it.
+                // nothing to check — skip the stage.
                 if !fast_path {
                     match self.placement_stage(&candidate, &request.requirements, &mut delta) {
                         Ok(None) => {}
@@ -281,14 +274,17 @@ impl Controller {
                         Err(e) => break 'search Err(e),
                     }
                 }
-
-                let mut resp = self.commit(candidate, next_addr);
-                resp.compile_ns = delta.compile_ns;
-                resp.check_ns = delta.check_ns;
-                break 'search Ok(resp);
+                break 'search Ok((candidate, next_addr));
             }
             Err(DeployError::NoFeasiblePlacement { reasons })
         };
+        // The search only reads the table; the one write comes after it.
+        let result = found.map(|(candidate, next_addr)| {
+            let mut resp = self.commit(candidate, next_addr);
+            resp.compile_ns = delta.compile_ns;
+            resp.check_ns = delta.check_ns;
+            resp
+        });
         (result, delta)
     }
 
@@ -375,19 +371,23 @@ impl Controller {
     /// Stage 4: placement verification — compile the network model with
     /// the candidate installed and check operator policy, then client
     /// requirements, against it (summary-walked where the entry chains
-    /// allow). `Ok(Some(why))` is this platform's reject reason.
+    /// allow). `Ok(Some(why))` is this platform's reject reason. With no
+    /// policy and no requirements there is nothing to check, and no model
+    /// is built.
     fn placement_stage(
         &self,
         candidate: &InstalledModule,
         requirements: &[Requirement],
         delta: &mut ControllerStats,
     ) -> Result<Option<String>, DeployError> {
-        let mut world = self.modules.clone();
-        world.push(candidate.clone());
+        if self.operator_policy.is_empty() && requirements.is_empty() {
+            return Ok(None);
+        }
 
         let t = Instant::now();
+        let world = self.table.modules().iter().chain([candidate]);
         let mut model =
-            compile(&self.topology, &world, &self.registry).map_err(DeployError::BadConfig)?;
+            compile(&self.topology, world, &self.registry).map_err(DeployError::BadConfig)?;
         model.ingress_filtering = self.hardening.ingress_filtering;
         let ns = ns_since(t);
         delta.compile_ns += ns;

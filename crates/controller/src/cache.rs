@@ -45,10 +45,10 @@
 //! already relies on for snapshot verification: addresses within one
 //! platform pool are interchangeable, and committing more modules never
 //! makes a previously verified placement unsound — except by exhausting
-//! platform capacity, which the hit path re-checks against the request's
-//! occupancy map before committing (re-placing a placement-independent
-//! verdict, falling back to full verification otherwise, when the
-//! platform filled up). Anything else
+//! platform capacity, which the hit path re-checks against the module
+//! table's used-slot count before committing (re-placing a
+//! placement-independent verdict, falling back to full verification
+//! otherwise, when the platform filled up). Anything else
 //! that can flip a verdict — policy, hardening, module removal — bumps
 //! the epoch of the [`innet_symnet::Memo`] the verdicts live in, which
 //! discards every entry and refuses any verdict still being computed

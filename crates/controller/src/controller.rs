@@ -1,7 +1,7 @@
-//! The controller's state: client accounts, installed modules and flow
-//! rules, the verification memos and their invalidation, commit and
-//! `kill`. Admission itself lives in `admission.rs`, statistics in
-//! `stats.rs`.
+//! The controller's state: client accounts, the installed-module table,
+//! the verification memos and their invalidation, commit and `kill`.
+//! Admission itself lives in `admission.rs`, the table and its placement
+//! views in `modules.rs`, statistics in `stats.rs`.
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -16,6 +16,7 @@ use innet_topology::{NodeId, NodeKind, Topology};
 use crate::{
     cache::CachedVerdict,
     hardening::HardeningPolicy,
+    modules::ModuleTable,
     netmodel::{compile, InstalledModule, NetworkModel},
     placement::PlacementContext,
     request::ClientRequest,
@@ -133,13 +134,14 @@ pub struct Controller {
     pub(crate) registry: Registry,
     pub(crate) operator_policy: Vec<Requirement>,
     pub(crate) clients: HashMap<String, ClientAccount>,
-    pub(crate) modules: Vec<InstalledModule>,
-    flow_rules: Vec<FlowRule>,
+    /// The installed modules and the placement views kept over them
+    /// (used slots, live addresses, preference order). The flow rules are
+    /// derived from it: one per module.
+    pub(crate) table: ModuleTable,
     pub(crate) next_id: ModuleId,
-    /// Per platform, the next pool offset to try (monotone from
-    /// [`FIRST_HOST`], reduced modulo the pool size); see
-    /// [`Controller::free_addr`].
-    addr_cursor: HashMap<NodeId, u64>,
+    /// Per topology node, where on its address pool the search for a free
+    /// address starts; see [`Controller::free_addr`].
+    addr_cursor: Vec<u64>,
     pub(crate) hardening: HardeningPolicy,
     /// Whether the abstract-interpretation fast path may decide verdicts
     /// (the lint pass always runs). On by default; the analyzer bench
@@ -161,10 +163,6 @@ pub struct Controller {
     pub(crate) verdicts: Arc<Memo<CachedVerdict>>,
     pub(crate) models: Arc<ModelCache>,
     pub(crate) lint: Arc<Memo<LintReport>>,
-    /// Precomputed placement-scoring context (client-vantage shortest
-    /// paths). Immutable after construction — the topology is fixed for
-    /// the controller's lifetime — and shared with verification shards.
-    pub(crate) placement: Arc<PlacementContext>,
     /// Cumulative statistics and their metric mirror.
     pub(crate) ledger: Ledger,
 }
@@ -172,23 +170,24 @@ pub struct Controller {
 impl Controller {
     /// Creates a controller for the given operator topology.
     pub fn new(topology: Topology) -> Controller {
+        // The scoring context (client-vantage shortest paths) is immutable
+        // — the topology is fixed for the controller's lifetime — and
+        // shared with verification shards through the table.
         let placement = Arc::new(PlacementContext::new(&topology));
         Controller {
+            table: ModuleTable::new(&topology, placement),
+            addr_cursor: vec![FIRST_HOST; topology.nodes.len()],
             topology,
             registry: Registry::standard(),
             operator_policy: Vec::new(),
             clients: HashMap::new(),
-            modules: Vec::new(),
-            flow_rules: Vec::new(),
             next_id: 1,
-            addr_cursor: HashMap::new(),
             hardening: HardeningPolicy::default(),
             analysis_enabled: true,
             summaries_enabled: true,
             verdicts: Arc::default(),
             models: Arc::default(),
             lint: Arc::default(),
-            placement,
             ledger: Ledger::default(),
         }
     }
@@ -296,14 +295,20 @@ impl Controller {
             .insert(id.into(), ClientAccount { class, registered });
     }
 
-    /// The currently installed modules.
+    /// The currently installed modules, in commit order.
     pub fn modules(&self) -> &[InstalledModule] {
-        &self.modules
+        self.table.modules()
     }
 
-    /// The installed vswitch flow rules.
-    pub fn flow_rules(&self) -> &[FlowRule] {
-        &self.flow_rules
+    /// The installed vswitch flow rules: one per installed module,
+    /// steering its address to it.
+    pub fn flow_rules(&self) -> Vec<FlowRule> {
+        let rule = |m: &InstalledModule| FlowRule {
+            platform: self.topology.node(m.platform).name.clone(),
+            dst: m.addr,
+            module: m.id,
+        };
+        self.modules().iter().map(rule).collect()
     }
 
     /// The operator policy rules.
@@ -317,69 +322,35 @@ impl Controller {
     }
 
     /// Installs an already-verified module set verbatim (used when
-    /// building verification snapshots for parallel shards).
+    /// building verification snapshots for parallel shards). Every
+    /// module's platform must be a node of the controller's topology.
     pub fn adopt_modules(&mut self, modules: Vec<InstalledModule>) {
-        self.next_id = modules
-            .iter()
-            .map(|m| m.id + 1)
-            .max()
-            .unwrap_or(self.next_id);
-        self.modules = modules;
-    }
-
-    /// Installed-module count per platform. `deploy` builds it once per
-    /// request; the ranking and every capacity check of that request
-    /// read the same map.
-    pub(crate) fn occupancy(&self) -> HashMap<NodeId, usize> {
-        let mut occ: HashMap<NodeId, usize> = HashMap::new();
-        for m in &self.modules {
-            *occ.entry(m.platform).or_insert(0) += 1;
-        }
-        occ
-    }
-
-    /// Module slots on `platform` (0 for a node that is not a platform).
-    fn capacity(&self, platform: NodeId) -> usize {
-        match &self.topology.node(platform).kind {
-            NodeKind::Platform(spec) => spec.capacity,
-            _ => 0,
-        }
-    }
-
-    /// Whether `platform` has a free module slot under `occupancy` — the
-    /// one definition of "room" every placement decision goes through.
-    pub(crate) fn has_room(&self, occupancy: &HashMap<NodeId, usize>, platform: NodeId) -> bool {
-        occupancy.get(&platform).copied().unwrap_or(0) < self.capacity(platform)
+        self.next_id = next_id_after(&modules).unwrap_or(self.next_id);
+        self.table.replace_all(&self.topology, modules);
     }
 
     /// Whether the named platform still has capacity for one more module.
     pub fn platform_has_room(&self, platform_name: &str) -> bool {
         self.topology
             .index_of(platform_name)
-            .is_some_and(|id| self.has_room(&self.occupancy(), id))
+            .is_some_and(|id| self.table.has_room(id))
     }
 
     /// The topology's platforms in placement-preference order (client
     /// latency, residual capacity, link headroom — see
     /// [`PlacementContext::score`]) under current occupancy.
     pub fn ranked_platforms(&self) -> Vec<NodeId> {
-        self.placement.rank(&self.topology, &self.occupancy())
+        self.table.ranked().collect()
     }
 
     /// The best-ranked platform that still has module capacity, if any.
-    pub(crate) fn best_platform_with_room(
-        &self,
-        occupancy: &HashMap<NodeId, usize>,
-    ) -> Option<NodeId> {
-        self.placement
-            .rank(&self.topology, occupancy)
-            .into_iter()
-            .find(|p| self.has_room(occupancy, *p))
+    pub(crate) fn best_platform_with_room(&self) -> Option<NodeId> {
+        self.table.ranked().find(|p| self.table.has_room(*p))
     }
 
     /// Compiles the current network state into a verification model.
     pub fn network_model(&self) -> Result<NetworkModel, SymError> {
-        let mut m = compile(&self.topology, &self.modules, &self.registry)?;
+        let mut m = compile(&self.topology, self.modules(), &self.registry)?;
         m.ingress_filtering = self.hardening.ingress_filtering;
         Ok(m)
     }
@@ -394,60 +365,44 @@ impl Controller {
     /// per-platform reject reason. Nothing is reserved: a candidate that
     /// fails verification costs no address.
     ///
-    /// The cursor walks the pool once without any bookkeeping (every
-    /// address ahead of it is unissued); after it wraps, addresses held
-    /// by live modules on the platform are skipped, and a pool with no
-    /// free address is reported as exhausted.
+    /// The cursor is a position on the pool seen as a ring: the offset
+    /// just past the address most recently committed on the platform
+    /// ([`FIRST_HOST`] before the first). The search starts there and goes
+    /// once round, stepping over every address a live module on the
+    /// platform holds — one probe of the table's address set per step —
+    /// so a freed address comes back into use when the ring reaches it
+    /// again, and `no address pool` means every address of the pool is
+    /// held.
     pub(crate) fn free_addr(&self, platform: NodeId) -> Result<(Ipv4Addr, u64), &'static str> {
         let NodeKind::Platform(spec) = &self.topology.node(platform).kind else {
             return Err("not a platform");
         };
         let pool = spec.addr_pool;
         let span = u64::from(pool.last_u32() - pool.first_u32()) + 1;
-        let cursor = self
-            .addr_cursor
-            .get(&platform)
-            .copied()
-            .unwrap_or(FIRST_HOST);
-        let nth = |c: u64| pool.nth_host((c % span) as u32);
-        if cursor < span {
-            return Ok((nth(cursor), cursor + 1));
-        }
-        let live: Vec<Ipv4Addr> = self
-            .modules
-            .iter()
-            .filter(|m| m.platform == platform)
-            .map(|m| m.addr)
-            .collect();
-        (cursor..cursor + span)
-            .map(|c| (nth(c), c + 1))
-            .find(|(addr, _)| !live.contains(addr))
+        let start = self.addr_cursor[platform] % span;
+        (start..start + span)
+            .map(|c| (pool.nth_host((c % span) as u32), (c + 1) % span))
+            .find(|(addr, _)| !self.table.holds(platform, *addr))
             .ok_or("no address pool")
     }
 
-    /// Installs a verified module: its flow rule, the module itself, and
-    /// the address cursor [`Controller::free_addr`] proposed with its
-    /// address. The response's timings are the caller's to fill in.
+    /// Installs a verified module and stores the address cursor
+    /// [`Controller::free_addr`] proposed with its address. The
+    /// response's timings are the caller's to fill in.
     pub(crate) fn commit(&mut self, module: InstalledModule, next_addr: u64) -> DeployResponse {
         debug_assert_eq!(module.id, self.next_id);
         self.next_id += 1;
-        self.addr_cursor.insert(module.platform, next_addr);
-        let platform = self.topology.node(module.platform).name.clone();
-        self.flow_rules.push(FlowRule {
-            platform: platform.clone(),
-            dst: module.addr,
-            module: module.id,
-        });
+        self.addr_cursor[module.platform] = next_addr;
         let resp = DeployResponse {
             module_id: module.id,
             module_name: module.name.clone(),
             public_addr: module.addr,
-            platform,
+            platform: self.topology.node(module.platform).name.clone(),
             sandboxed: module.sandboxed,
             compile_ns: 0,
             check_ns: 0,
         };
-        self.modules.push(module);
+        self.table.insert(module);
         resp
     }
 
@@ -528,22 +483,15 @@ impl Controller {
             registry: Registry::standard(),
             operator_policy: self.operator_policy.clone(),
             clients: self.clients.clone(),
-            modules: self.modules.clone(),
-            flow_rules: Vec::new(),
-            next_id: self
-                .modules
-                .iter()
-                .map(|m| m.id + 1)
-                .max()
-                .unwrap_or(self.next_id),
-            addr_cursor: HashMap::new(),
+            table: self.table.clone(),
+            next_id: next_id_after(self.modules()).unwrap_or(self.next_id),
+            addr_cursor: vec![FIRST_HOST; self.topology.nodes.len()],
             hardening: self.hardening,
             analysis_enabled: self.analysis_enabled,
             summaries_enabled: self.summaries_enabled,
             verdicts: Arc::clone(&self.verdicts),
             models: Arc::clone(&self.models),
             lint: Arc::clone(&self.lint),
-            placement: Arc::clone(&self.placement),
             ledger: Ledger::default(),
         }
     }
@@ -570,15 +518,15 @@ impl Controller {
     /// ("platform full") or a requirement that failed against the old
     /// module set may now succeed.
     pub fn kill(&mut self, id: ModuleId) -> Result<(), DeployError> {
-        let before = self.modules.len();
-        self.modules.retain(|m| m.id != id);
-        if self.modules.len() == before {
-            return Err(DeployError::NoSuchModule(id));
-        }
-        self.flow_rules.retain(|r| r.module != id);
+        self.table.remove(id).ok_or(DeployError::NoSuchModule(id))?;
         self.invalidate_verdicts();
         Ok(())
     }
+}
+
+/// The id after the largest in `modules` (`None` for an empty set).
+fn next_id_after(modules: &[InstalledModule]) -> Option<ModuleId> {
+    modules.iter().map(|m| m.id + 1).max()
 }
 
 #[cfg(test)]
@@ -834,24 +782,57 @@ mod tests {
         ClientRequest::parse(&FIG4.replace("batcher", name)).unwrap()
     }
 
+    /// A requirement-free chain, so nothing but the allocator decides
+    /// where it lands.
+    fn churn_named(name: &str) -> ClientRequest {
+        ClientRequest::parse(&format!(
+            "module {name}:\nFromNetfront() -> IPFilter(allow udp dst port 1500) \
+             -> IPRewriter(pattern - - 172.16.15.133 - 0 0) -> ToNetfront();"
+        ))
+        .unwrap()
+    }
+
     #[test]
     fn churn_never_reuses_a_live_address() {
-        // The address cursor wraps modulo the /24 pool after 246 commits;
-        // it must then step over the standing module's address instead
-        // of handing it out a second time.
-        let mut c = controller();
-        let standing = c.deploy("mobile-7", fig4_named("standing")).unwrap();
-        assert_eq!(standing.public_addr, Ipv4Addr::new(203, 0, 113, 10));
-        for i in 0..600 {
-            // Requirement-free, so nothing but the allocator stands
-            // between the churned module and the standing one's address.
-            let churned = ClientRequest::parse(&format!(
-                "module churn{i}:\nFromNetfront() -> IPFilter(allow udp dst port 1500) \
-                 -> IPRewriter(pattern - - 172.16.15.133 - 0 0) -> ToNetfront();"
-            ))
+        // One platform with a /24 pool, a standing module on its first
+        // address, and deploy/kill churn for more than three times round
+        // the pool: the address ring must step over the standing module's
+        // address every time it comes back to it.
+        let mut topo = Topology::new();
+        let clients = topo
+            .add(
+                "clients",
+                NodeKind::ClientSubnet("172.16.0.0/16".parse().unwrap()),
+            )
             .unwrap();
-            let resp = c.deploy("mobile-7", churned).unwrap();
-            assert_eq!(resp.platform, standing.platform);
+        let internet = topo.add("internet", NodeKind::Internet).unwrap();
+        let spec = innet_topology::PlatformSpec::default();
+        let pool = spec.addr_pool;
+        let platform = topo.add("only", NodeKind::Platform(spec)).unwrap();
+        topo.link_bidir(clients, 0, platform, 0);
+        topo.link_bidir(internet, 0, platform, 1);
+        let mut c = Controller::new(topo);
+        c.register_client(
+            "mobile-7",
+            RequesterClass::Client,
+            vec![Ipv4Addr::new(172, 16, 15, 133)],
+        );
+
+        let standing = c.deploy("mobile-7", churn_named("standing")).unwrap();
+        assert_eq!(standing.public_addr, pool.nth_host(10));
+        // What the ring hands out beside a module on offset 10: offsets
+        // 11, 12, … modulo the pool, never 10 — the same sequence the
+        // cursor produced before the table existed.
+        let mut expected = (11u32..).map(|c| c % 256).filter(|&off| off != 10);
+        for i in 0..800 {
+            let resp = c
+                .deploy("mobile-7", churn_named(&format!("churn{i}")))
+                .unwrap();
+            assert_eq!(
+                resp.public_addr,
+                pool.nth_host(expected.next().unwrap()),
+                "cycle {i}"
+            );
             let mut addrs: Vec<_> = c.modules().iter().map(|m| (m.platform, m.addr)).collect();
             addrs.sort_unstable();
             addrs.dedup();
@@ -862,14 +843,73 @@ mod tests {
             );
             let mut dsts: Vec<_> = c
                 .flow_rules()
-                .iter()
-                .map(|r| (&r.platform, r.dst))
+                .into_iter()
+                .map(|r| (r.platform, r.dst))
                 .collect();
             dsts.sort_unstable();
             dsts.dedup();
             assert_eq!(dsts.len(), 2, "cycle {i}: two flow rules steer one address");
             c.kill(resp.module_id).unwrap();
         }
+    }
+
+    #[test]
+    fn pool_is_exhausted_only_when_every_address_is_held() {
+        // Sixteen addresses and room for a thousand modules. Walk the
+        // ring past its wrap with churn first, then fill the pool: every
+        // one of the sixteen is handed out exactly once before `no
+        // address pool` is reported, and one `kill` makes room again.
+        let mut topo = Topology::figure3();
+        let p3 = topo.index_of("platform3").unwrap();
+        if let NodeKind::Platform(spec) = &mut topo.nodes[p3].kind {
+            spec.addr_pool = "203.0.113.0/28".parse().unwrap();
+        }
+        let mut c = Controller::new(topo);
+        c.register_client(
+            "mobile-7",
+            RequesterClass::Client,
+            vec![Ipv4Addr::new(172, 16, 15, 133)],
+        );
+        for i in 0..40 {
+            let resp = c.deploy("mobile-7", fig4_named(&format!("c{i}"))).unwrap();
+            c.kill(resp.module_id).unwrap();
+        }
+        let mut held = std::collections::HashSet::new();
+        for i in 0..16 {
+            let resp = c.deploy("mobile-7", fig4_named(&format!("m{i}"))).unwrap();
+            assert!(held.insert(resp.public_addr), "{} twice", resp.public_addr);
+        }
+        let Err(DeployError::NoFeasiblePlacement { reasons }) =
+            c.deploy("mobile-7", fig4_named("m16"))
+        else {
+            panic!("a seventeenth module cannot have an address");
+        };
+        assert!(reasons.contains(&("platform3".to_string(), "no address pool".to_string())));
+        let victim = c.modules()[5].clone();
+        c.kill(victim.id).unwrap();
+        let resp = c.deploy("mobile-7", fig4_named("m16")).unwrap();
+        assert_eq!(resp.public_addr, victim.addr, "the one free address");
+    }
+
+    #[test]
+    fn nothing_to_check_compiles_no_model() {
+        // With the fast path off, a requirement-free request under no
+        // operator policy reaches the placement stage with nothing to
+        // verify there: it must not pay for a network model.
+        let mut c = controller();
+        c.set_analysis_enabled(false);
+        let resp = c.deploy("mobile-7", churn_named("plain")).unwrap();
+        assert_eq!(
+            (resp.platform.as_str(), resp.public_addr, resp.sandboxed),
+            ("platform3", Ipv4Addr::new(203, 0, 113, 10), false)
+        );
+        let s = c.stats();
+        assert_eq!((s.accepted, s.fastpath_hits), (1, 0));
+        assert!(s.stage_symbolic_ns > 0, "the security check still ran");
+        assert_eq!((s.compile_ns, resp.compile_ns), (0, 0));
+        // A requirement brings the model back.
+        c.deploy("mobile-7", fig4_named("needy")).unwrap();
+        assert!(c.stats().compile_ns > 0);
     }
 
     #[test]

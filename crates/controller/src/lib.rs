@@ -63,6 +63,7 @@ mod consolidate;
 mod controller;
 mod fleet_hooks;
 mod hardening;
+mod modules;
 mod netmodel;
 mod parallel;
 mod placement;

@@ -118,11 +118,23 @@ fn flatten_config(
 }
 
 /// Compiles the topology and installed modules into a [`NetworkModel`].
-pub fn compile(
+/// `modules` is anything that yields them by reference, in installation
+/// order — a slice, or the installed set chained with a candidate the
+/// placement stage pretends is there, without copying either.
+pub fn compile<'a>(
     topo: &Topology,
-    modules: &[InstalledModule],
+    modules: impl IntoIterator<Item = &'a InstalledModule>,
     registry: &Registry,
 ) -> Result<NetworkModel, SymError> {
+    // Each platform's modules (a module on a node the topology does not
+    // have is on no platform).
+    let mut hosted: Vec<Vec<&InstalledModule>> = vec![Vec::new(); topo.nodes.len()];
+    for m in modules {
+        if let Some(local) = hosted.get_mut(m.platform) {
+            local.push(m);
+        }
+    }
+
     let mut graph = SymGraph::new();
     // (topo node, port) → (sym node, sym out port) and (sym node, in port).
     let mut out_map: HashMap<(NodeId, usize), (usize, usize)> = HashMap::new();
@@ -213,8 +225,7 @@ pub fn compile(
             }
             NodeKind::Platform(spec) => {
                 internal_prefixes.push(spec.addr_pool);
-                let local: Vec<&InstalledModule> =
-                    modules.iter().filter(|m| m.platform == id).collect();
+                let local = &hosted[id];
                 // The vswitch demux: one `dst host <addr>` rule per module
                 // (mirroring the installed OpenFlow rules).
                 let switch = if local.is_empty() {

@@ -157,21 +157,32 @@ impl PlacementContext {
             .saturating_add(1_000 / (1 + bandwidth_gbps))
     }
 
+    /// Every platform of `topo` with its [`PlacementContext::score`] when
+    /// `used(platform)` of its slots are taken, in node order: what
+    /// [`PlacementContext::rank`] sorts, and the keys the controller's
+    /// live placement order is built from.
+    pub(crate) fn scored<'a>(
+        &'a self,
+        topo: &'a Topology,
+        used: impl Fn(NodeId) -> usize + 'a,
+    ) -> impl Iterator<Item = (u64, NodeId)> + 'a {
+        topo.platforms().into_iter().map(move |p| {
+            let capacity = match &topo.node(p).kind {
+                NodeKind::Platform(spec) => spec.capacity,
+                _ => 0,
+            };
+            (self.score(p, used(p), capacity), p)
+        })
+    }
+
     /// The topology's platforms in placement-preference order: ascending
     /// [`PlacementContext::score`] under the given per-platform module
-    /// occupancy, ties broken by ascending node id.
+    /// occupancy, ties broken by ascending node id. This is the
+    /// from-scratch definition; the controller keeps the same order live
+    /// (`modules.rs`) and re-scores one entry per commit and `kill`.
     pub fn rank(&self, topo: &Topology, occupancy: &HashMap<NodeId, usize>) -> Vec<NodeId> {
-        let mut ranked: Vec<(u64, NodeId)> = topo
-            .platforms()
-            .into_iter()
-            .map(|p| {
-                let capacity = match &topo.node(p).kind {
-                    NodeKind::Platform(spec) => spec.capacity,
-                    _ => 0,
-                };
-                let used = occupancy.get(&p).copied().unwrap_or(0);
-                (self.score(p, used, capacity), p)
-            })
+        let mut ranked: Vec<(u64, NodeId)> = self
+            .scored(topo, |p| occupancy.get(&p).copied().unwrap_or(0))
             .collect();
         ranked.sort_unstable();
         ranked.into_iter().map(|(_, p)| p).collect()
