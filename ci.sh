@@ -10,14 +10,18 @@
 # fenced set; without, it is the control-plane-only set: everything the
 # packet and fleet data paths, and the benchmark itself, are built from.
 #
-# PR 17 (module table, parent 638fbf2) changes only crates/controller —
-# placement reads a live index (modules.rs) instead of recounting the
-# module list per request — so its fence is every other crate plus the
-# benchmark and the committed snapshots: the packet and fleet workloads
-# then run byte-identical data-plane code.
+# PR 20 (NAT port bitmap, parent c79ea1e) changes two data-plane files:
+# crates/click/src/elements/nat.rs (IPNAT finds a free port in a bitmap
+# instead of probing its map) and crates/packet/src/flow.rs (one branch of
+# symmetric_hash, for ICMP). Its fence is every other crate, every other
+# file of those two, the benchmark and the committed snapshots — so only
+# a configuration that contains an IPNAT can run different code.
 #
-#   ./ci.sh --fence 638fbf2 \
-#     crates/{analysis,bench,click,core,obs,packet,platform,policy,sim,symnet,topology} \
+#   ./ci.sh --fence c79ea1e \
+#     crates/{analysis,bench,controller,core,obs,platform,policy,sim,symnet,topology} \
+#     crates/click/src/{args,canonical,compile,config,element,graph,lib,netfront,registry,summary}.rs \
+#     crates/click/src/elements ':!crates/click/src/elements/nat.rs' \
+#     crates/packet/src ':!crates/packet/src/flow.rs' \
 #     benchmark BENCHMARK.json BENCH_admission.json BENCH_fig12_middlebox.json \
 #     BENCH_fleet.json BENCH_parallel_scaling.json BENCH_scenarios.json
 set -euo pipefail
@@ -53,6 +57,19 @@ echo "==> one owner of installed-module state"
 # would be a second owner.
 if grep -rnE 'fn occupancy\(|flow_rules\.retain' crates/controller/src; then
   echo "derive it from ModuleTable (crates/controller/src/modules.rs)" >&2
+  exit 1
+fi
+
+echo "==> IPNAT finds free ports in its bitmap"
+# A probe loop over the port map is what the bitmap replaced; outside the
+# debug-profile oracle (the `cfg(any(test, debug_assertions))` impl block)
+# and the unit tests, nat.rs must not ask the map whether a port is taken.
+if awk '/^#\[cfg\(test\)\]/ { exit }
+        /^#\[cfg\(any\(test, debug_assertions\)\)\]/ { oracle = 1 }
+        oracle && /^}/ { oracle = 0 }
+        !oracle && /contains_key/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+        END { exit !hit }' crates/click/src/elements/nat.rs; then
+  echo "read the port bitmap (IpNat::used), not the map" >&2
   exit 1
 fi
 

@@ -22,6 +22,10 @@ const PORT_RANGE: u32 = u16::MAX as u32 - PORT_BASE as u32 + 1;
 /// flow's preferred port before reclaiming the preferred port itself.
 const PROBE_LIMIT: u16 = 64;
 
+/// Words in the port-occupancy bitmap; a probe window spans two of them.
+const WORDS: usize = (PORT_RANGE / 64) as usize;
+const _: () = assert!(WORDS as u32 * 64 == PORT_RANGE && PROBE_LIMIT == 64);
+
 /// Default idle timeout for translation entries (5 minutes, matching
 /// [`StatefulFirewall`](crate::elements::StatefulFirewall)).
 pub const DEFAULT_NAT_TIMEOUT_S: f64 = 300.0;
@@ -37,8 +41,8 @@ struct Mapping {
 /// `IPNAT(PUBLIC_ADDR [, timeout SECS])` — source NAT with deterministic
 /// per-flow port allocation and idle expiry.
 ///
-/// * Input 0 / output 0: inside → outside. The source address is rewritten
-///   to `PUBLIC_ADDR` and the source port to an allocated external port.
+/// * Input 0 / output 0: inside → outside. The source address becomes
+///   `PUBLIC_ADDR`, the source port (an echo's ident) an allocated port.
 /// * Input 1 / output 1: outside → inside. Packets addressed to
 ///   `PUBLIC_ADDR` on an allocated port *from the mapped remote endpoint*
 ///   are rewritten back to the internal endpoint; everything else is
@@ -64,6 +68,9 @@ pub struct IpNat {
     /// external port -> internal flow. Entry lifetime mirrors `forward`
     /// exactly: every insert/remove updates both tables.
     reverse: HashMap<u16, FlowKey>,
+    /// Bit `p - PORT_BASE` is set iff `reverse` holds `p`. 8 KB, allocated by
+    /// the first mapping: models build a NAT just to read `public_addr()`.
+    used: Vec<u64>,
     timeout_ns: u64,
     translated_out: u64,
     translated_in: u64,
@@ -78,6 +85,7 @@ impl IpNat {
             public,
             forward: HashMap::new(),
             reverse: HashMap::new(),
+            used: Vec::new(),
             timeout_ns: timeout_ns.max(1),
             translated_out: 0,
             translated_in: 0,
@@ -146,16 +154,6 @@ impl IpNat {
         PORT_BASE + (fnv1a_64(&bytes) % PORT_RANGE as u64) as u16
     }
 
-    /// The next candidate after `p`, wrapping from `u16::MAX` back to
-    /// `PORT_BASE`.
-    fn next_candidate(p: u16) -> u16 {
-        if p == u16::MAX {
-            PORT_BASE
-        } else {
-            p + 1
-        }
-    }
-
     /// Allocates an external port for `key`: the preferred port when
     /// free, else the first free port within [`PROBE_LIMIT`] candidates
     /// (wrapping). If the whole probe window is occupied, the *preferred*
@@ -165,20 +163,45 @@ impl IpNat {
     /// deterministic function of the table contents.
     fn alloc_port(&mut self, key: &FlowKey) -> u16 {
         let preferred = IpNat::preferred_port(key);
-        let mut p = preferred;
-        for _ in 0..PROBE_LIMIT {
-            if !self.reverse.contains_key(&p) {
-                return p;
+        self.used.resize(WORDS, 0); // allocates once, then a no-op
+        let at = u32::from(preferred - PORT_BASE);
+        let word = (at / 64) as usize;
+        // The 64 candidates as one word, bit 0 the preferred port: its
+        // word and the next (word 0 after the last *is* the port wrap).
+        let pair = u128::from(self.used[word]) | u128::from(self.used[(word + 1) % WORDS]) << 64;
+        let free = (!((pair >> (at % 64)) as u64)).trailing_zeros();
+        let port = PORT_BASE + ((at + free % 64) % PORT_RANGE) as u16; // none free: preferred
+        #[cfg(debug_assertions)]
+        assert_eq!(self.probe_alloc(preferred), (port, free == 64));
+        if free == 64 {
+            // Probe window exhausted: reclaim the preferred port, evicting
+            // its owner from both tables so no stale forward entry leaks.
+            if let Some(victim) = self.release(port) {
+                self.forward.remove(&victim);
+                self.evicted += 1;
             }
-            p = IpNat::next_candidate(p);
         }
-        // Probe window exhausted: reclaim the preferred port, evicting
-        // its owner from both tables so no stale forward entry leaks.
-        if let Some(victim) = self.reverse.remove(&preferred) {
-            self.forward.remove(&victim);
-            self.evicted += 1;
-        }
-        preferred
+        port
+    }
+
+    /// Gives `port` to `flow`. Only this and `release` write `reverse`
+    /// and the bitmap, so the two cannot drift.
+    fn bind(&mut self, port: u16, flow: FlowKey) {
+        let bit = usize::from(port - PORT_BASE);
+        self.used[bit / 64] |= 1 << (bit % 64);
+        self.reverse.insert(port, flow);
+        #[cfg(debug_assertions)]
+        assert!(self.bit_is_owner(port));
+    }
+
+    /// Frees `port`, returning the flow that held it.
+    fn release(&mut self, port: u16) -> Option<FlowKey> {
+        let bit = usize::from(port - PORT_BASE);
+        self.used[bit / 64] &= !(1 << (bit % 64));
+        let flow = self.reverse.remove(&port);
+        #[cfg(debug_assertions)]
+        assert!(self.bit_is_owner(port));
+        flow
     }
 
     fn set_l4_ports(pkt: &mut Packet, src: Option<u16>, dst: Option<u16>) {
@@ -203,8 +226,44 @@ impl IpNat {
                     }
                 }
             }
+            Ok(IpProto::Icmp) => {
+                if let (Ok(mut i), Some(ident)) = (pkt.icmp_mut(), src.or(dst)) {
+                    i.set_ident(ident);
+                }
+            }
             _ => {}
         }
+    }
+}
+
+/// The probe loop the bitmap replaced: its oracle in every debug build.
+#[cfg(any(test, debug_assertions))]
+impl IpNat {
+    /// The next candidate after `p`, wrapping from `u16::MAX` back to
+    /// `PORT_BASE`.
+    fn next_candidate(p: u16) -> u16 {
+        if p == u16::MAX {
+            PORT_BASE
+        } else {
+            p + 1
+        }
+    }
+
+    /// The port the probe loop hands out, and whether by evicting its owner.
+    fn probe_alloc(&self, preferred: u16) -> (u16, bool) {
+        let mut p = preferred;
+        for _ in 0..PROBE_LIMIT {
+            if !self.reverse.contains_key(&p) {
+                return (p, false);
+            }
+            p = IpNat::next_candidate(p);
+        }
+        (preferred, true)
+    }
+
+    fn bit_is_owner(&self, port: u16) -> bool {
+        let bit = usize::from(port - PORT_BASE);
+        (self.used[bit / 64] >> (bit % 64) & 1 == 1) == self.reverse.contains_key(&port)
     }
 }
 
@@ -238,7 +297,7 @@ impl Element for IpNat {
                                 last_ns: ctx.now_ns,
                             },
                         );
-                        self.reverse.insert(p, key);
+                        self.bind(p, key);
                         p
                     }
                 };
@@ -262,8 +321,10 @@ impl Element for IpNat {
                 // The mapping only matches traffic from the remote
                 // endpoint the inside host contacted (symmetric-NAT
                 // filtering, same policy as the old remote-keyed table).
+                // An echo's one "port" is its ident, the external one here.
                 let internal = self.reverse.get(&key.dst_port).copied().filter(|flow| {
-                    flow.dst == key.src && flow.dst_port == key.src_port && flow.proto == key.proto
+                    (flow.dst, flow.proto) == (key.src, key.proto)
+                        && (flow.dst_port == key.src_port || key.proto == IpProto::Icmp)
                 });
                 match internal {
                     Some(internal) => {
@@ -285,20 +346,19 @@ impl Element for IpNat {
     }
 
     fn tick(&mut self, ctx: &Context, _out: &mut dyn Sink) {
-        let timeout = self.timeout_ns;
-        let now = ctx.now_ns;
-        let reverse = &mut self.reverse;
+        let (timeout, now) = (self.timeout_ns, ctx.now_ns);
         // Both directions of an expired mapping go together, so a reaped
         // port is immediately reusable and no table entry outlives the
-        // other.
-        self.forward.retain(|_, m| {
-            if now.saturating_sub(m.last_ns) <= timeout {
-                true
-            } else {
-                reverse.remove(&m.port);
-                false
+        // other. (`forward` steps aside so the closure can borrow `self`.)
+        let mut forward = std::mem::take(&mut self.forward);
+        forward.retain(|_, m| {
+            let live = now.saturating_sub(m.last_ns) <= timeout;
+            if !live {
+                self.release(m.port);
             }
+            live
         });
+        self.forward = forward;
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -332,6 +392,50 @@ mod tests {
             src_port: sport,
             dst_port: 53,
         }
+    }
+
+    /// Seeds a live mapping by hand: `forward` directly, `reverse` and
+    /// the bitmap through `bind`, as the datapath does.
+    fn occupy(n: &mut IpNat, port: u16, flow: FlowKey) {
+        n.used.resize(WORDS, 0);
+        n.forward.insert(flow, Mapping { port, last_ns: 0 });
+        n.bind(port, flow);
+    }
+
+    /// Seeds occupants on `count` consecutive candidates from `first`.
+    fn occupy_run(n: &mut IpNat, first: u16, count: u16, sport_base: u16) {
+        let mut p = first;
+        for i in 0..count {
+            occupy(n, p, out_key(sport_base + i));
+            p = IpNat::next_candidate(p);
+        }
+    }
+
+    /// How many ports the bitmap holds taken.
+    fn population(n: &IpNat) -> usize {
+        n.used.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// The three tables describe the same set of mappings.
+    fn assert_in_lockstep(n: &IpNat) {
+        assert_eq!(population(n), n.mappings());
+        assert_eq!(n.reverse.len(), n.mappings());
+        for (flow, m) in &n.forward {
+            assert!(n.bit_is_owner(m.port));
+            assert_eq!(n.reverse.get(&m.port), Some(flow));
+        }
+    }
+
+    /// A flow whose preferred port sits at `bit` of its bitmap word,
+    /// away from the ends of the port space.
+    fn key_at_bit(bit: u16) -> FlowKey {
+        (1..=u16::MAX)
+            .map(out_key)
+            .find(|k| {
+                let at = IpNat::preferred_port(k) - PORT_BASE;
+                at % 64 == bit && (64..PORT_RANGE as u16 - 128).contains(&at)
+            })
+            .expect("some flow prefers that bit")
     }
 
     #[test]
@@ -592,31 +696,12 @@ mod tests {
         // Pin synthetic occupants onto every port from `preferred` up to
         // and including u16::MAX, plus PORT_BASE, leaving PORT_BASE + 1
         // as the first free candidate (all within the probe window).
-        let mut occupant = |p: u16, i: u16| {
-            let k = out_key(60_000u16.wrapping_add(i));
-            n.forward.insert(
-                k,
-                Mapping {
-                    port: p,
-                    last_ns: 0,
-                },
-            );
-            n.reverse.insert(p, k);
-        };
-        let mut i = 0;
-        let mut p = preferred;
-        loop {
-            occupant(p, i);
-            i += 1;
-            if p == u16::MAX {
-                break;
-            }
-            p += 1;
-        }
-        occupant(PORT_BASE, i);
+        occupy_run(&mut n, preferred, u16::MAX - preferred + 2, 60_000);
+        assert!(n.reverse.contains_key(&u16::MAX) && n.reverse.contains_key(&PORT_BASE));
         let got = n.alloc_port(&key);
         assert_eq!(got, PORT_BASE + 1, "probe must wrap past u16::MAX");
         assert_eq!(n.evictions(), 0);
+        assert_in_lockstep(&n);
     }
 
     #[test]
@@ -625,19 +710,7 @@ mod tests {
         let key = out_key(9999);
         let preferred = IpNat::preferred_port(&key);
         // Fill the entire probe window with live occupants.
-        let mut p = preferred;
-        for i in 0..PROBE_LIMIT {
-            let k = out_key(40_000 + i);
-            n.forward.insert(
-                k,
-                Mapping {
-                    port: p,
-                    last_ns: 0,
-                },
-            );
-            n.reverse.insert(p, k);
-            p = IpNat::next_candidate(p);
-        }
+        occupy_run(&mut n, preferred, PROBE_LIMIT, 40_000);
         let victim = n.reverse[&preferred];
         let got = n.alloc_port(&key);
         assert_eq!(got, preferred, "eviction reclaims the preferred port");
@@ -646,6 +719,57 @@ mod tests {
         assert!(!n.forward.contains_key(&victim));
         assert_eq!(n.forward.len(), PROBE_LIMIT as usize - 1);
         assert_eq!(n.reverse.len(), PROBE_LIMIT as usize - 1);
+        assert_in_lockstep(&n);
+    }
+
+    #[test]
+    fn window_starting_at_bit_0_is_one_word() {
+        // Preferred port at bit 0: the 64 candidates are exactly one
+        // bitmap word, and the next word's first port is candidate 65.
+        let key = key_at_bit(0);
+        let preferred = IpNat::preferred_port(&key);
+        let mut n = nat();
+        occupy_run(&mut n, preferred, PROBE_LIMIT - 1, 40_000);
+        assert_eq!(n.alloc_port(&key), preferred + 63, "last bit of the word");
+        assert_eq!(n.evictions(), 0);
+        // With that one taken too the word is full: the free port just
+        // past it is out of reach and the preferred port's owner goes.
+        occupy(&mut n, preferred + 63, out_key(39_999));
+        assert!(!n.reverse.contains_key(&(preferred + 64)));
+        let victim = n.reverse[&preferred];
+        assert_eq!(n.alloc_port(&key), preferred);
+        assert_eq!(n.evictions(), 1);
+        assert!(!n.forward.contains_key(&victim));
+        assert_in_lockstep(&n);
+    }
+
+    #[test]
+    fn window_starting_at_bit_63_continues_in_the_next_word() {
+        // Preferred port at bit 63: one candidate in its own word, the
+        // other 63 in the neighbour.
+        let key = key_at_bit(63);
+        let preferred = IpNat::preferred_port(&key);
+        let mut n = nat();
+        // Everything *below* the preferred port in its word is taken and
+        // must not matter; nor must bit 63 of the next word (candidate 65).
+        occupy_run(&mut n, preferred - 63, 63, 30_000);
+        assert_eq!(n.alloc_port(&key), preferred);
+        occupy(&mut n, preferred, out_key(39_998));
+        assert_eq!(n.alloc_port(&key), preferred + 1, "bit 0 of the next word");
+        occupy_run(&mut n, preferred + 1, PROBE_LIMIT - 2, 40_000);
+        assert_eq!(
+            n.alloc_port(&key),
+            preferred + 63,
+            "bit 62 of the next word"
+        );
+        occupy(&mut n, preferred + 63, out_key(39_999));
+        assert!(!n.reverse.contains_key(&(preferred + 64)));
+        assert_eq!(n.evictions(), 0);
+        let victim = n.reverse[&preferred];
+        assert_eq!(n.alloc_port(&key), preferred);
+        assert_eq!(n.evictions(), 1);
+        assert!(!n.forward.contains_key(&victim));
+        assert_in_lockstep(&n);
     }
 
     #[test]
@@ -658,19 +782,7 @@ mod tests {
         let key = out_key(9_123);
         let preferred = IpNat::preferred_port(&key);
         let mut n = nat();
-        let mut p = preferred;
-        for i in 0..PROBE_LIMIT {
-            let k = out_key(50_000 + i);
-            n.forward.insert(
-                k,
-                Mapping {
-                    port: p,
-                    last_ns: 0,
-                },
-            );
-            n.reverse.insert(p, k);
-            p = IpNat::next_candidate(p);
-        }
+        occupy_run(&mut n, preferred, PROBE_LIMIT, 50_000);
         let victim = n.reverse[&preferred];
         let mut s = VecSink::new();
         n.push(
@@ -699,6 +811,109 @@ mod tests {
         for (&port, flow) in &n.reverse {
             assert_eq!(n.forward[flow].port, port);
         }
+        assert_in_lockstep(&n);
+    }
+
+    #[test]
+    fn tables_stay_in_lockstep_through_fill_eviction_and_expiry() {
+        // 72,000 distinct flows in 36 virtual seconds overflow the 64,512
+        // ports; the bitmap's population must track both maps at every
+        // step (tests/tests/nat_alloc.rs pins what this run emits).
+        let mut n =
+            IpNat::from_args(&ConfigArgs::parse("IPNAT", "203.0.113.1, timeout 60")).unwrap();
+        let mut s = VecSink::new();
+        for i in 0..72_000u32 {
+            let pkt = PacketBuilder::udp()
+                .src(Ipv4Addr::from(0x0a00_0000 | i), 1024 + (i % 60_000) as u16)
+                .dst(SERVER, 53)
+                .build();
+            n.push(0, pkt, &Context::at(u64::from(i) * 500_000), &mut s);
+            s.pushed.clear();
+            assert_eq!(population(&n), n.forward.len());
+            assert_eq!(population(&n), n.reverse.len());
+            if i % 8_192 == 0 {
+                assert_in_lockstep(&n);
+            }
+        }
+        assert!(n.evictions() > 1_000 && n.mappings() > 64_000);
+        assert_eq!(n.mappings() as u64 + n.evictions(), 72_000);
+        assert_in_lockstep(&n);
+        // Reap at t = 70 s: what was opened in the first 10 s goes.
+        n.tick(&Context::at(70_000_000_000), &mut s);
+        assert!(n.mappings() < 50_000, "{}", n.mappings());
+        assert_in_lockstep(&n);
+    }
+
+    #[test]
+    fn idle_nat_allocates_no_bitmap() {
+        // Models and summaries build a NAT only to read its address, and
+        // a gateway that sees no inside host has nothing to track.
+        let mut n = nat();
+        let mut s = VecSink::new();
+        for dport in [PORT_BASE, 2000, u16::MAX] {
+            let pkt = PacketBuilder::udp().src(SERVER, 53).dst(PUB, dport).build();
+            n.push(1, pkt, &Context::default(), &mut s);
+        }
+        n.tick(&Context::at(1_000_000_000_000), &mut s);
+        assert_eq!(n.counters(), (0, 0, 3));
+        assert_eq!(
+            n.used.capacity(),
+            0,
+            "inbound-only traffic allocates nothing"
+        );
+        // The first mapping pays for the whole bitmap, once: 1,008 words.
+        let pkt = PacketBuilder::udp()
+            .src(INSIDE, 5555)
+            .dst(SERVER, 53)
+            .build();
+        n.push(0, pkt, &Context::default(), &mut s);
+        assert_eq!((n.used.len(), n.used.capacity()), (1_008, 1_008));
+        assert_in_lockstep(&n);
+    }
+
+    #[test]
+    fn ping_through_nat_comes_back() {
+        // An echo's only "port" is its identifier: outbound it becomes
+        // the external port, and the reply — which carries that external
+        // ident, not the original — is matched on it and restored.
+        let mut n = nat();
+        let mut s = VecSink::new();
+        let ping = PacketBuilder::icmp_echo_request(7, 1)
+            .src_addr(INSIDE)
+            .dst_addr(SERVER)
+            .build();
+        let ext = IpNat::preferred_port(&FlowKey::of(&ping).unwrap());
+        n.push(0, ping, &Context::default(), &mut s);
+        let out = &s.pushed[0].1;
+        assert_eq!(out.ipv4().unwrap().src(), PUB);
+        assert_eq!(out.icmp().unwrap().ident(), ext);
+        assert_eq!(out.icmp().unwrap().seq(), 1);
+
+        let pong = |from: Ipv4Addr| {
+            PacketBuilder::icmp_echo_reply(ext, 1)
+                .src_addr(from)
+                .dst_addr(PUB)
+                .build()
+        };
+        n.push(1, pong(SERVER), &Context::default(), &mut s);
+        let back = &s.pushed[1];
+        assert_eq!(back.0, 1);
+        assert_eq!(back.1.ipv4().unwrap().dst(), INSIDE);
+        assert_eq!(back.1.icmp().unwrap().ident(), 7);
+        assert_eq!(n.counters(), (1, 1, 0));
+        assert_eq!(n.mappings(), 1);
+
+        // Still only the pinged host may answer, and only with an echo.
+        n.push(
+            1,
+            pong(Ipv4Addr::new(6, 6, 6, 6)),
+            &Context::default(),
+            &mut s,
+        );
+        let udp = PacketBuilder::udp().src(SERVER, ext).dst(PUB, ext).build();
+        n.push(1, udp, &Context::default(), &mut s);
+        assert_eq!(s.pushed.len(), 2);
+        assert_eq!(n.counters().2, 2);
     }
 
     #[test]
@@ -722,6 +937,7 @@ mod tests {
         n.tick(&Context::at(61_000_000_000), &mut s);
         assert_eq!(n.mappings(), 0);
         assert!(n.reverse.is_empty(), "port must be freed with the mapping");
+        assert_in_lockstep(&n);
 
         // The stale reply no longer routes inside.
         let reply = PacketBuilder::udp()

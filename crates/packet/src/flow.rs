@@ -117,6 +117,11 @@ impl FlowKey {
     /// which a NAT'd connection's forward packets, replies, and the
     /// translator's own state all land on one worker.
     ///
+    /// For ICMP the "port" is the echo identifier, which is the one port a
+    /// NAT *does* rewrite (it is the flow's external port on the way out
+    /// and back), so echoes hash port 0: the remote address and protocol
+    /// alone.
+    ///
     /// `inbound` says which side the packet was seen on: `false` for
     /// inside → outside traffic (remote = destination), `true` for
     /// outside → inside (remote = source). Like [`FlowKey::shard_hash`],
@@ -130,6 +135,7 @@ impl FlowKey {
         } else {
             (self.dst, self.dst_port)
         };
+        let port = if self.proto == IpProto::Icmp { 0 } else { port };
         let mut h = OFFSET;
         let mut eat = |bytes: &[u8]| {
             for &b in bytes {
@@ -329,6 +335,29 @@ mod tests {
             dst_port: 61234, // whatever external port the NAT allocated
         };
         assert_eq!(inside.symmetric_hash(false), reply.symmetric_hash(true));
+    }
+
+    #[test]
+    fn symmetric_hash_ignores_the_echo_ident_a_nat_rewrites() {
+        // A ping leaves with ident 7 and comes back carrying whatever
+        // external ident the NAT gave it: both must reach one worker.
+        let ping = PacketBuilder::icmp_echo_request(7, 1)
+            .src_addr(Ipv4Addr::new(10, 0, 0, 1))
+            .dst_addr(Ipv4Addr::new(198, 51, 100, 7))
+            .build();
+        let pong = PacketBuilder::icmp_echo_reply(61_234, 1)
+            .src_addr(Ipv4Addr::new(198, 51, 100, 7))
+            .dst_addr(Ipv4Addr::new(203, 0, 113, 1))
+            .build();
+        let (out, back) = (FlowKey::of(&ping).unwrap(), FlowKey::of(&pong).unwrap());
+        assert_eq!(out.symmetric_hash(false), back.symmetric_hash(true));
+        // Ports still count for everything else.
+        let udp = |port| FlowKey {
+            proto: IpProto::Udp,
+            dst_port: port,
+            ..out
+        };
+        assert_ne!(udp(7).symmetric_hash(false), udp(8).symmetric_hash(false));
     }
 
     #[test]

@@ -207,6 +207,62 @@ fn sharded_nat_matches_one_worker_per_flow() {
 }
 
 #[test]
+fn sharded_nat_pings_match_one_worker_per_flow() {
+    // An echo's identifier is the "port" the NAT rewrites, both ways:
+    // the ping leaves with the external ident and the reply carries it
+    // back, so the dispatcher must pin the pair by remote address alone.
+    // The reference forwarding the whole trace is the proof that every
+    // reply found its mapping.
+    let mut used_idents = std::collections::BTreeSet::new();
+    let pings: Vec<(Ipv4Addr, u16, Ipv4Addr)> = (0..200usize)
+        .map(|c| {
+            let inside = Ipv4Addr::new(10, 0, 1, c as u8 + 1);
+            let remote = Ipv4Addr::new(198, 51, 100, (c % 250) as u8 + 1);
+            (inside, 7 + c as u16, remote)
+        })
+        .filter(|&(inside, ident, remote)| used_idents.insert(ext_ident(inside, ident, remote)))
+        .take(48)
+        .collect();
+    let mut trace = Vec::new();
+    for seq in 0..6u16 {
+        for (c, &(inside, ident, remote)) in pings.iter().enumerate() {
+            let pad = 64 + ((seq as usize + c) % 5) * 16;
+            if seq > 0 && (seq as usize + c) % 2 == 1 {
+                let mut pong =
+                    PacketBuilder::icmp_echo_reply(ext_ident(inside, ident, remote), seq)
+                        .src_addr(remote)
+                        .dst_addr(PUBLIC)
+                        .pad_to(pad)
+                        .build();
+                pong.meta.ingress = 1;
+                trace.push(pong);
+            } else {
+                trace.push(
+                    PacketBuilder::icmp_echo_request(ident, seq)
+                        .src_addr(inside)
+                        .dst_addr(remote)
+                        .pad_to(pad)
+                        .build(),
+                );
+            }
+        }
+    }
+    let cfg = nat_gateway_config(PUBLIC);
+    assert_sharded_matches_one_worker(&cfg, &trace, 16, Shardability::FlowPartitionable);
+}
+
+/// The external identifier the NAT gives the echo flow `inside → remote`.
+fn ext_ident(inside: Ipv4Addr, ident: u16, remote: Ipv4Addr) -> u16 {
+    IpNat::preferred_port(&FlowKey {
+        src: inside,
+        dst: remote,
+        proto: IpProto::Icmp,
+        src_port: ident,
+        dst_port: ident,
+    })
+}
+
+#[test]
 fn sharded_stateful_firewall_matches_one_worker_per_flow() {
     // Unrelated inbound drops and related inbound passes — both facts
     // must survive sharding, which they only do when each connection's
@@ -364,5 +420,21 @@ proptest! {
             natted.meta.ingress = 1;
             prop_assert_eq!(FlowKey::symmetric_shard_of(&natted, workers), fwd);
         }
+        // A ping's "port" is its identifier, which the NAT *does*
+        // rewrite: the reply carries the external ident, and must still
+        // land where the request did.
+        let ping = PacketBuilder::icmp_echo_request(key.src_port, 1)
+            .src_addr(key.src)
+            .dst_addr(key.dst)
+            .build();
+        let mut pong = PacketBuilder::icmp_echo_reply(nat_port, 1)
+            .src_addr(key.dst)
+            .dst_addr(Ipv4Addr::from(nat_addr))
+            .build();
+        pong.meta.ingress = 1;
+        prop_assert_eq!(
+            FlowKey::symmetric_shard_of(&pong, workers),
+            FlowKey::symmetric_shard_of(&ping, workers)
+        );
     }
 }
