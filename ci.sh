@@ -10,20 +10,19 @@
 # fenced set; without, it is the control-plane-only set: everything the
 # packet and fleet data paths, and the benchmark itself, are built from.
 #
-# PR 20 (NAT port bitmap, parent c79ea1e) changes two data-plane files:
-# crates/click/src/elements/nat.rs (IPNAT finds a free port in a bitmap
-# instead of probing its map) and crates/packet/src/flow.rs (one branch of
-# symmetric_hash, for ICMP). Its fence is every other crate, every other
-# file of those two, the benchmark and the committed snapshots — so only
-# a configuration that contains an IPNAT can run different code.
+# Example — PR 24 (admission loses its abstract fast-path stage, parent
+# 9f4a545) fences the data plane, the analyzer, the verifier but for
+# security.rs (the truncation rule), the controller files off the
+# admission path, the golden decisions, the benchmark and the snapshots:
 #
-#   ./ci.sh --fence c79ea1e \
-#     crates/{analysis,bench,controller,core,obs,platform,policy,sim,symnet,topology} \
-#     crates/click/src/{args,canonical,compile,config,element,graph,lib,netfront,registry,summary}.rs \
-#     crates/click/src/elements ':!crates/click/src/elements/nat.rs' \
-#     crates/packet/src ':!crates/packet/src/flow.rs' \
-#     benchmark BENCHMARK.json BENCH_admission.json BENCH_fig12_middlebox.json \
-#     BENCH_fleet.json BENCH_parallel_scaling.json BENCH_scenarios.json
+#   ./ci.sh --fence 9f4a545 \
+#     crates/{packet,click,obs,sim,topology,platform,policy} \
+#     crates/analysis/src/{absint,lint}.rs \
+#     crates/symnet/src ':!crates/symnet/src/security.rs' \
+#     crates/controller/src/{consolidate,fleet_hooks,hardening,modules,netmodel,parallel,placement,request,sandbox,stock,verdicts,verify}.rs \
+#     tests/tests/golden benchmark BENCHMARK.json BENCH_admission.json \
+#     BENCH_fig12_middlebox.json BENCH_fleet.json BENCH_parallel_scaling.json \
+#     BENCH_scenarios.json Cargo.lock
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -57,6 +56,14 @@ echo "==> one owner of installed-module state"
 # would be a second owner.
 if grep -rnE 'fn occupancy\(|flow_rules\.retain' crates/controller/src; then
   echo "derive it from ModuleTable (crates/controller/src/modules.rs)" >&2
+  exit 1
+fi
+
+echo "==> admission calls one verifier"
+# Every admission verdict comes from SymNet; the advisory abstract
+# interpreter (innet-analysis) must not be consulted, behind a knob or not.
+if grep -rnE 'abstract_verdict|analysis_enabled|fastpath_eligible' crates/controller/src; then
+  echo "the controller decides safety with the symbolic stage only" >&2
   exit 1
 fi
 

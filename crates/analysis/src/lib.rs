@@ -1,6 +1,6 @@
 //! Static analysis for Click configurations (the tier *before* SymNet).
 //!
-//! Two stages, both cheap and both conservative:
+//! Two passes, both cheap; only the first is on the admission path:
 //!
 //! 1. **Lint pass** ([`lint`]): structural rules over the element graph —
 //!    arity and wiring mistakes, unreachable elements, dead outputs,
@@ -9,21 +9,20 @@
 //!    controller reject a malformed configuration with a precise message
 //!    instead of an opaque symbolic-execution failure.
 //!
-//! 2. **Field-effect abstract interpretation** ([`abstract_verdict`]):
-//!    composes the per-element summaries registered in
-//!    [`innet_click::Registry`] along every graph path with a worklist
-//!    algorithm, tracking for each header field whether it still carries
-//!    its ingress value, a known constant, or a runtime-chosen value.
-//!    When the resulting abstract egress flows decide every security
-//!    rule, the controller takes a **fast path** that skips symbolic
-//!    execution entirely; whenever anything is uncertain the function
-//!    returns `None` and the controller falls back to SymNet.
+//! 2. **Field-effect abstract interpretation** ([`flow_effects`],
+//!    [`abstract_verdict`]): composes the per-element summaries
+//!    registered in [`innet_click::Registry`] along every graph path with
+//!    a worklist algorithm, tracking for each header field whether it
+//!    still carries its ingress value, a known constant, or a
+//!    runtime-chosen value. **Advisory only**: the table it prints tells
+//!    an author what a configuration does to each header field, and
+//!    `abstract_verdict` says what those effects imply for the security
+//!    rules (or `None` when anything is uncertain), but the controller
+//!    trusts neither — every admission verdict comes from SymNet.
 //!
-//! The soundness contract of the fast path — it may only fire when it
-//! agrees with what SymNet would conclude — is enforced by construction
-//! (summaries mirror the symbolic models, and every approximation is
-//! forced toward "inconclusive") and checked end-to-end by a
-//! differential property test over generated configurations.
+//! The summaries mirror the symbolic models by hand, so the advisory
+//! verdict is kept honest by a differential property test over generated
+//! configurations: wherever it is conclusive it must agree with SymNet.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -4,11 +4,10 @@
 //! The storm drives one controller with a large corpus of *uncached*
 //! requests — every request gets a fresh module name, so the verdict
 //! cache never replays and each admission pays the full pipeline
-//! (lint → symbolic check; the analyzer fast path is disabled so the
-//! symbolic stage always runs). The corpus mixes **stock** chains (a
-//! handful of templates fleets of tenants share, alpha-renamed per
-//! tenant) with **novel** one-off chains (randomized arguments, so
-//! their canonical slices are unique).
+//! (lint → symbolic check). The corpus mixes **stock** chains (a handful
+//! of templates fleets of tenants share, alpha-renamed per tenant) with
+//! **novel** one-off chains (randomized arguments, so their canonical
+//! slices are unique).
 //!
 //! Every config ends by writing an unregistered source address, so the
 //! security check rejects it after doing all the verification work:
@@ -117,10 +116,6 @@ fn controller() -> Controller {
             vec!["172.16.15.133".parse().unwrap()],
         );
     }
-    // Force the symbolic stage: the abstract-interpretation fast path
-    // would decide these verdicts without ever touching the engines
-    // under comparison.
-    c.set_analysis_enabled(false);
     c
 }
 

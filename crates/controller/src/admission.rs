@@ -1,7 +1,7 @@
 //! The admission pipeline (§4.3, §4.5): verdict-memo replay, then the
-//! full evaluation as four stages — lint → abstract fast path →
-//! compositional symbolic → placement — and the commit of whichever
-//! candidate platform verifies first.
+//! full evaluation as three stages — lint → compositional symbolic →
+//! placement — and the commit of whichever candidate platform verifies
+//! first.
 //!
 //! Each path describes the work it did as a [`ControllerStats`] delta;
 //! [`Controller::finish`] stamps the outcome on it and hands it to the
@@ -78,7 +78,6 @@ impl Controller {
             &request,
             &account,
             self.hardening,
-            self.analysis_enabled,
             self.summaries_enabled,
         );
         if let Some(hit) = self.verdicts.get(&key) {
@@ -171,9 +170,9 @@ impl Controller {
         result
     }
 
-    /// The full (uncached) admission pipeline, run as four explicit
-    /// stages — lint → abstract fast path → compositional symbolic →
-    /// placement. Returns the outcome and the delta of the work done:
+    /// The full (uncached) admission pipeline, run as three explicit
+    /// stages — lint → compositional symbolic → placement. Returns the
+    /// outcome and the delta of the work done:
     /// per-phase and per-stage wall time plus the analysis and memo
     /// counters. A committed module is the only state change.
     fn deploy_uncached(
@@ -189,15 +188,6 @@ impl Controller {
             delta.lint_rejects += 1;
             return (Err(DeployError::Lint(lint_report)), delta);
         }
-
-        // Stage 2 is only sound when nothing the analyzer cannot see
-        // influences the outcome: requirements and operator policy need a
-        // compiled network model, and the UDP-reflection ban inspects
-        // symbolic egress flows.
-        let fastpath_eligible = self.analysis_enabled
-            && request.requirements.is_empty()
-            && self.operator_policy.is_empty()
-            && !self.hardening.ban_udp_reflection;
 
         let mut reasons: Vec<(String, String)> = Vec::new();
         let found = 'search: {
@@ -235,11 +225,10 @@ impl Controller {
                     registered: account.registered.clone(),
                     class: account.class,
                 };
-                let (report, fast_path) =
-                    match self.security_stages(&raw_cfg, &ctx, fastpath_eligible, &mut delta) {
-                        Ok(decided) => decided,
-                        Err(e) => break 'search Err(DeployError::BadConfig(e)),
-                    };
+                let report = match self.security_stage(&raw_cfg, &ctx, &mut delta) {
+                    Ok(report) => report,
+                    Err(e) => break 'search Err(DeployError::BadConfig(e)),
+                };
                 let (config, sandboxed) = match report.verdict {
                     Verdict::Reject => {
                         break 'search Err(DeployError::SecurityReject(Arc::new(report)));
@@ -261,18 +250,13 @@ impl Controller {
                     sandboxed,
                     owner: client_id.to_string(),
                 };
-                // A fast-path verdict only fires when the requirement and
-                // policy sets are empty, so the network model would have
-                // nothing to check — skip the stage.
-                if !fast_path {
-                    match self.placement_stage(&candidate, &request.requirements, &mut delta) {
-                        Ok(None) => {}
-                        Ok(Some(why)) => {
-                            reasons.push((self.topology.node(platform).name.clone(), why));
-                            continue;
-                        }
-                        Err(e) => break 'search Err(e),
+                match self.placement_stage(&candidate, &request.requirements, &mut delta) {
+                    Ok(None) => {}
+                    Ok(Some(why)) => {
+                        reasons.push((self.topology.node(platform).name.clone(), why));
+                        continue;
                     }
+                    Err(e) => break 'search Err(e),
                 }
                 break 'search Ok((candidate, next_addr));
             }
@@ -309,42 +293,16 @@ impl Controller {
         report
     }
 
-    /// Stages 2 and 3: the security verdict for `cfg` at its candidate
-    /// address, and whether the abstract fast path produced it.
-    fn security_stages(
+    /// Stage 2: the compositional symbolic security check of `cfg` at
+    /// its candidate address (per requester class). The summary walk
+    /// replays memoized chain summaries from the fleet-wide memos;
+    /// disabled, the whole-graph oracle runs.
+    fn security_stage(
         &self,
         cfg: &ClickConfig,
         ctx: &SecurityContext,
-        fastpath_eligible: bool,
         delta: &mut ControllerStats,
-    ) -> Result<(SecurityReport, bool), SymError> {
-        // Stage 2: field-effect abstract interpretation. A conclusive
-        // answer provably agrees with what symbolic execution would
-        // decide (see innet-analysis), so both the security check and the
-        // model compile are skipped.
-        if fastpath_eligible {
-            let t = Instant::now();
-            let fast = innet_analysis::abstract_verdict(cfg, ctx, &self.registry);
-            let ns = ns_since(t);
-            delta.analysis_ns += ns;
-            delta.stage_fastpath_ns += ns;
-            if let Some(a) = fast {
-                delta.fastpath_hits += 1;
-                let report = SecurityReport {
-                    verdict: a.verdict,
-                    flows_checked: a.flows_checked,
-                    violations: a.violations,
-                    unknowns: a.unknowns,
-                    egress_flows: Vec::new(),
-                };
-                return Ok((report, true));
-            }
-            delta.fastpath_fallbacks += 1;
-        }
-
-        // Stage 3: compositional symbolic security check (per requester
-        // class). The summary walk replays memoized chain summaries from
-        // the fleet-wide memos; disabled, the whole-graph oracle runs.
+    ) -> Result<SecurityReport, SymError> {
         let t = Instant::now();
         let checked = if self.summaries_enabled {
             check_module_summarized(cfg, ctx, &self.registry, Some(&self.models))
@@ -357,18 +315,17 @@ impl Controller {
         delta.check_ns += ns;
         delta.stage_symbolic_ns += ns;
 
-        // §7 hardening: the UDP-reflection (amplification) ban
-        // (fast-path-ineligible, so only seen here).
+        // §7 hardening: the UDP-reflection (amplification) ban.
         if self.hardening.ban_udp_reflection {
             let (hardened, offenders) =
                 apply_udp_reflection_ban(ctx.class, &report.egress_flows, &report);
             report.verdict = hardened;
             report.violations.extend(offenders);
         }
-        Ok((report, false))
+        Ok(report)
     }
 
-    /// Stage 4: placement verification — compile the network model with
+    /// Stage 3: placement verification — compile the network model with
     /// the candidate installed and check operator policy, then client
     /// requirements, against it (summary-walked where the entry chains
     /// allow). `Ok(Some(why))` is this platform's reject reason. With no

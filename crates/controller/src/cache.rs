@@ -16,13 +16,10 @@
 //!   hardening level, or the installed topology changes in a way that can
 //!   alter verdicts (`add_operator_policy`, an effective `set_hardening`,
 //!   `kill`, or an explicit `invalidate_verdicts`);
-//! * whether the static-analysis **fast path** is enabled — fast-path and
-//!   symbolic verdicts always agree, but the reports they attach to a
-//!   rejection differ in detail (the analyzer carries no symbolic egress
-//!   flows), so verdicts never replay across a toggle;
-//! * whether **compositional summaries** are enabled — same reasoning:
-//!   verdicts agree with the whole-graph oracle, report details (egress
-//!   flow ordering) may not;
+//! * whether **compositional summaries** are enabled — verdicts agree
+//!   with the whole-graph oracle, but the reports attached to an outcome
+//!   may differ in detail (egress flow ordering), so verdicts never
+//!   replay across a toggle;
 //! * the tenant's **requester class** and sorted **registered addresses**
 //!   (both drive the security rules);
 //! * the **hardening policy** bits;
@@ -121,22 +118,21 @@ fn push_field(key: &mut String, tag: &str, value: &str) {
 }
 
 /// Builds the canonical cache key for one request. `epoch` must be read
-/// from the same cache the key will be used against. Like the analyzer
-/// fast-path flag, the compositional-summaries toggle joins the key:
-/// verdicts agree across the toggle, but the attached reports may differ
-/// in detail (flow ordering), so they never replay across it.
+/// from the same cache the key will be used against. The
+/// compositional-summaries toggle joins the key: verdicts agree across
+/// the toggle, but the attached reports may differ in detail (flow
+/// ordering), so they never replay across it.
 pub(crate) fn verdict_key(
     epoch: u64,
     request: &ClientRequest,
     account: &ClientAccount,
     hardening: HardeningPolicy,
-    analysis: bool,
     summaries: bool,
 ) -> String {
     let mut key = String::with_capacity(256);
     let _ = write!(
         key,
-        "epoch={epoch};analysis={analysis};summaries={summaries};class={:?};",
+        "epoch={epoch};summaries={summaries};class={:?};",
         account.class
     );
     let mut registered = account.registered.clone();
@@ -188,14 +184,12 @@ mod tests {
             &account(),
             HardeningPolicy::default(),
             true,
-            true,
         );
         let k2 = verdict_key(
             0,
             &request(REQ),
             &account(),
             HardeningPolicy::default(),
-            true,
             true,
         );
         assert_eq!(k1, k2);
@@ -209,7 +203,6 @@ mod tests {
             &account(),
             HardeningPolicy::default(),
             true,
-            true,
         );
         // Epoch.
         assert_ne!(
@@ -219,7 +212,6 @@ mod tests {
                 &request(REQ),
                 &account(),
                 HardeningPolicy::default(),
-                true,
                 true
             )
         );
@@ -230,28 +222,14 @@ mod tests {
         );
         assert_ne!(
             base,
-            verdict_key(
-                0,
-                &other,
-                &account(),
-                HardeningPolicy::default(),
-                true,
-                true
-            )
+            verdict_key(0, &other, &account(), HardeningPolicy::default(), true)
         );
         // Requirements.
         let mut fewer = request(REQ);
         fewer.requirements.clear();
         assert_ne!(
             base,
-            verdict_key(
-                0,
-                &fewer,
-                &account(),
-                HardeningPolicy::default(),
-                true,
-                true
-            )
+            verdict_key(0, &fewer, &account(), HardeningPolicy::default(), true)
         );
         // Class.
         let third_party = ClientAccount {
@@ -265,7 +243,6 @@ mod tests {
                 &request(REQ),
                 &third_party,
                 HardeningPolicy::default(),
-                true,
                 true
             )
         );
@@ -284,7 +261,6 @@ mod tests {
                 &request(REQ),
                 &more_addrs,
                 HardeningPolicy::default(),
-                true,
                 true
             )
         );
@@ -295,19 +271,7 @@ mod tests {
         };
         assert_ne!(
             base,
-            verdict_key(0, &request(REQ), &account(), hardened, true, true)
-        );
-        // Analyzer fast-path toggle.
-        assert_ne!(
-            base,
-            verdict_key(
-                0,
-                &request(REQ),
-                &account(),
-                HardeningPolicy::default(),
-                false,
-                true
-            )
+            verdict_key(0, &request(REQ), &account(), hardened, true)
         );
         // Compositional-summaries toggle.
         assert_ne!(
@@ -317,7 +281,6 @@ mod tests {
                 &request(REQ),
                 &account(),
                 HardeningPolicy::default(),
-                true,
                 false
             )
         );
@@ -334,8 +297,8 @@ mod tests {
             registered: vec!["10.0.0.2".parse().unwrap(), "10.0.0.1".parse().unwrap()],
         };
         assert_eq!(
-            verdict_key(0, &request(REQ), &a, HardeningPolicy::default(), true, true),
-            verdict_key(0, &request(REQ), &b, HardeningPolicy::default(), true, true)
+            verdict_key(0, &request(REQ), &a, HardeningPolicy::default(), true),
+            verdict_key(0, &request(REQ), &b, HardeningPolicy::default(), true)
         );
     }
 }

@@ -143,10 +143,6 @@ pub struct Controller {
     /// address starts; see [`Controller::free_addr`].
     addr_cursor: Vec<u64>,
     pub(crate) hardening: HardeningPolicy,
-    /// Whether the abstract-interpretation fast path may decide verdicts
-    /// (the lint pass always runs). On by default; the analyzer bench
-    /// turns it off for its baseline.
-    pub(crate) analysis_enabled: bool,
     /// Whether the security check may walk memoized chain summaries
     /// (`check_module_summarized`) instead of whole-graph symbolic
     /// execution. On by default; the admission bench turns it off for its
@@ -183,26 +179,12 @@ impl Controller {
             clients: HashMap::new(),
             next_id: 1,
             hardening: HardeningPolicy::default(),
-            analysis_enabled: true,
             summaries_enabled: true,
             verdicts: Arc::default(),
             models: Arc::default(),
             lint: Arc::default(),
             ledger: Ledger::default(),
         }
-    }
-
-    /// Enables or disables the abstract-interpretation fast path (the
-    /// lint pass always runs). The flag participates in the verdict-cache
-    /// key, so toggling it never replays a verdict computed the other
-    /// way.
-    pub fn set_analysis_enabled(&mut self, enabled: bool) {
-        self.analysis_enabled = enabled;
-    }
-
-    /// Whether the fast path is enabled.
-    pub fn analysis_enabled(&self) -> bool {
-        self.analysis_enabled
     }
 
     /// Enables or disables the compositional summary walk in the security
@@ -487,7 +469,6 @@ impl Controller {
             next_id: next_id_after(self.modules()).unwrap_or(self.next_id),
             addr_cursor: vec![FIRST_HOST; self.topology.nodes.len()],
             hardening: self.hardening,
-            analysis_enabled: self.analysis_enabled,
             summaries_enabled: self.summaries_enabled,
             verdicts: Arc::clone(&self.verdicts),
             models: Arc::clone(&self.models),
@@ -675,24 +656,25 @@ mod tests {
         let _ = c.deploy("mobile-7", ClientRequest::parse(FIG4).unwrap());
         let s = c.stats();
         assert_eq!((s.requests, s.accepted, s.cache_misses), (1, 1, 1));
-        // Which stages ran, by their counters: FIG4 carries requirements,
-        // so the fast path is never consulted and the symbolic stage
+        // Which stages ran, by their counters: the symbolic stage
         // summarizes the entry chain; the lint report was computed, not
         // replayed.
-        assert_eq!((s.fastpath_hits, s.fastpath_fallbacks), (0, 0));
-        assert_eq!(s.stage_fastpath_ns, 0);
         assert!(s.summary_cache_misses > 0 && s.summary_chain_nodes > 0);
         assert_eq!(s.lint_cache_hits, 0);
-        // A requirement-free stock request rides the fast path instead:
-        // one candidate decided there, no further symbolic work.
+        // A requirement-free stock request takes the same symbolic stage
+        // and, with nothing for placement to verify, compiles no model.
         let _ = c.deploy(
             "mobile-7",
             ClientRequest::parse("stock dns: geo-dns").unwrap(),
         );
         let t = c.stats();
-        assert_eq!((t.fastpath_hits, t.fastpath_fallbacks), (1, 0));
-        assert_eq!(t.summary_cache_misses, s.summary_cache_misses);
-        assert_eq!((t.compile_ns, t.check_ns), (s.compile_ns, s.check_ns));
+        assert!(t.summary_chain_nodes > s.summary_chain_nodes);
+        assert!(t.check_ns > s.check_ns);
+        assert_eq!(t.compile_ns, s.compile_ns);
+        assert_eq!(
+            (t.fastpath_hits, t.fastpath_fallbacks, t.stage_fastpath_ns),
+            (0, 0, 0)
+        );
     }
 
     #[test]
@@ -893,19 +875,18 @@ mod tests {
 
     #[test]
     fn nothing_to_check_compiles_no_model() {
-        // With the fast path off, a requirement-free request under no
-        // operator policy reaches the placement stage with nothing to
-        // verify there: it must not pay for a network model.
+        // A requirement-free request under no operator policy reaches the
+        // placement stage with nothing to verify there: it must not pay
+        // for a network model.
         let mut c = controller();
-        c.set_analysis_enabled(false);
         let resp = c.deploy("mobile-7", churn_named("plain")).unwrap();
         assert_eq!(
             (resp.platform.as_str(), resp.public_addr, resp.sandboxed),
             ("platform3", Ipv4Addr::new(203, 0, 113, 10), false)
         );
         let s = c.stats();
-        assert_eq!((s.accepted, s.fastpath_hits), (1, 0));
-        assert!(s.stage_symbolic_ns > 0, "the security check still ran");
+        assert_eq!(s.accepted, 1);
+        assert!(s.stage_symbolic_ns > 0, "the security check ran");
         assert_eq!((s.compile_ns, resp.compile_ns), (0, 0));
         // A requirement brings the model back.
         c.deploy("mobile-7", fig4_named("needy")).unwrap();

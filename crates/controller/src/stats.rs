@@ -38,11 +38,12 @@ pub struct ControllerStats {
     /// Checking nanoseconds avoided by cache hits: each hit credits the
     /// `check_ns` the original full evaluation of that request spent.
     pub check_ns_saved: u64,
-    /// Platform candidates decided by the static analyzer's fast path
-    /// (symbolic execution skipped entirely).
+    /// Always zero: admission has no abstract fast-path stage. Kept, with
+    /// [`ControllerStats::fastpath_fallbacks`] and
+    /// [`ControllerStats::stage_fastpath_ns`], only because the frozen
+    /// `benchmark/` reads them; they go when its three rungs retire.
     pub fastpath_hits: u64,
-    /// Platform candidates where the analyzer was consulted but came back
-    /// inconclusive, falling back to full symbolic execution.
+    /// Always zero; see [`ControllerStats::fastpath_hits`].
     pub fastpath_fallbacks: u64,
     /// Requests refused by the lint pass before any verification.
     pub lint_rejects: u64,
@@ -50,8 +51,7 @@ pub struct ControllerStats {
     /// re-running the lint pass (lint is a pure function of the
     /// materialized configuration and the element registry).
     pub lint_cache_hits: u64,
-    /// Nanoseconds spent in static analysis (lint + abstract
-    /// interpretation).
+    /// Nanoseconds spent in static analysis (the lint pass).
     pub analysis_ns: u64,
     /// Symbolic runs stopped by the global hop (state) bound.
     pub hop_cap_bailouts: u64,
@@ -68,7 +68,7 @@ pub struct ControllerStats {
     pub summary_invalidations: u64,
     /// Nanoseconds spent in the admission pipeline's lint stage.
     pub stage_lint_ns: u64,
-    /// Nanoseconds spent in the abstract-interpretation fast-path stage.
+    /// Always zero; see [`ControllerStats::fastpath_hits`].
     pub stage_fastpath_ns: u64,
     /// Nanoseconds spent in the compositional symbolic stage (security
     /// check, summary replay included).
@@ -133,8 +133,6 @@ const COUNTERS: &[(&str, Field)] = &[
     ("innet_ctl_check_ns_saved_total", |s| s.check_ns_saved),
     ("innet_ctl_compile_ns_total", |s| s.compile_ns),
     ("innet_ctl_check_ns_total", |s| s.check_ns),
-    ("innet_ctl_fastpath_hits_total", |s| s.fastpath_hits),
-    ("innet_ctl_fastpath_fallbacks_total", |s| s.fastpath_fallbacks),
     ("innet_ctl_lint_rejects_total", |s| s.lint_rejects),
     ("innet_ctl_lint_cache_hits_total", |s| s.lint_cache_hits),
     ("innet_ctl_analysis_ns_total", |s| s.analysis_ns),
@@ -152,23 +150,11 @@ const HISTOGRAMS: &[(&str, Field)] = &[
     ("innet_ctl_check_ns", |s| s.check_ns),
     ("innet_ctl_analysis_ns", |s| s.analysis_ns),
     ("innet_ctl_stage_lint_ns", |s| s.stage_lint_ns),
-    ("innet_ctl_stage_fastpath_ns", |s| s.stage_fastpath_ns),
     ("innet_ctl_stage_symbolic_ns", |s| s.stage_symbolic_ns),
     ("innet_ctl_stage_placement_ns", |s| s.stage_placement_ns),
 ];
 
 impl ControllerStats {
-    /// Fraction of analyzer consultations that produced a fast-path
-    /// verdict (0.0 when the analyzer was never consulted).
-    pub fn fastpath_hit_rate(&self) -> f64 {
-        let consulted = self.fastpath_hits + self.fastpath_fallbacks;
-        if consulted == 0 {
-            0.0
-        } else {
-            self.fastpath_hits as f64 / consulted as f64
-        }
-    }
-
     /// Total symbolic bailouts: runs stopped by the state (hop) cap plus
     /// branches cut by the depth (per-node visit) cap. The split is
     /// exported as `innet_ctl_symbolic_bailouts_total{reason=…}`.

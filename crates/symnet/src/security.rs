@@ -412,6 +412,14 @@ fn check_inner(
         report.egress_flows.extend(flows.drain(..).map(|(_, f)| f));
     }
 
+    // A truncated exploration is not a proof: flows the run never reached
+    // are processing the checker could not decide, so the module is at
+    // best sandboxed (§2.1), exactly as an opaque x86 image is.
+    if stats.hop_cap_bailouts > 0 {
+        let why = "exploration truncated at the hop cap: not every flow was examined";
+        report.unknowns.push(why.to_string());
+    }
+
     report.verdict = if !report.violations.is_empty() {
         Verdict::Reject
     } else if !report.unknowns.is_empty() {
@@ -438,8 +446,11 @@ mod tests {
     }
 
     fn verdict(cfg: &str, class: RequesterClass) -> Verdict {
-        let cfg = ClickConfig::parse(cfg).unwrap();
-        check_module(&cfg, &ctx(class), &Registry::standard())
+        verdict_of(&ClickConfig::parse(cfg).unwrap(), class)
+    }
+
+    fn verdict_of(cfg: &ClickConfig, class: RequesterClass) -> Verdict {
+        check_module(cfg, &ctx(class), &Registry::standard())
             .unwrap()
             .verdict
     }
@@ -527,5 +538,60 @@ mod tests {
     fn black_hole_is_safe() {
         let cfg = "FromNetfront() -> Discard();";
         assert_eq!(verdict(cfg, RequesterClass::ThirdParty), Verdict::Safe);
+    }
+
+    /// `depth` two-way `Tee`s whose outputs both feed the next one, then
+    /// a spoofed source: `2^depth` identical violating flows.
+    fn tee_lattice(depth: usize) -> ClickConfig {
+        let mut cfg = ClickConfig::new();
+        cfg.add_element("in", "FromNetfront", &[]);
+        let mut prev = "in".to_string();
+        for i in 0..depth {
+            let tee = format!("t{i}");
+            cfg.add_element(&tee, "Tee", &["2"]);
+            cfg.connect(&prev, 0, &tee, 0);
+            if i > 0 {
+                cfg.connect(&prev, 1, &tee, 0);
+            }
+            prev = tee;
+        }
+        cfg.add_element("spoof", "SetIPSrc", &["6.6.6.6"]);
+        cfg.add_element("out", "ToNetfront", &[]);
+        cfg.connect(&prev, 0, "spoof", 0);
+        cfg.connect(&prev, 1, "spoof", 0);
+        cfg.connect("spoof", 0, "out", 0);
+        cfg
+    }
+
+    /// A run that hit the hop cap examined only some flows: whatever it
+    /// found still rejects, but finding nothing is not `Safe`.
+    #[test]
+    fn truncated_exploration_is_not_safe() {
+        let registry = Registry::standard();
+        for class in [RequesterClass::ThirdParty, RequesterClass::Client] {
+            let (small, stats) =
+                check_module_with_stats(&tee_lattice(4), &ctx(class), &registry).unwrap();
+            assert_eq!(
+                (small.verdict, stats.hop_cap_bailouts),
+                (Verdict::Reject, 0)
+            );
+            assert_eq!(small.flows_checked, 16);
+
+            let (deep, stats) =
+                check_module_with_stats(&tee_lattice(15), &ctx(class), &registry).unwrap();
+            assert_eq!(stats.hop_cap_bailouts, 1);
+            assert_eq!(
+                deep.verdict,
+                Verdict::SafeWithSandbox,
+                "{:?}",
+                deep.unknowns
+            );
+            assert!(deep.unknowns.iter().any(|u| u.contains("hop cap")));
+        }
+        // The operator is trusted: no exploration, so nothing truncates.
+        assert_eq!(
+            verdict_of(&tee_lattice(15), RequesterClass::Operator),
+            Verdict::Safe
+        );
     }
 }

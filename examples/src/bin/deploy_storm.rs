@@ -33,9 +33,6 @@ fn controller() -> Controller {
             vec!["172.16.15.133".parse().unwrap()],
         );
     }
-    // Force the symbolic stage: the abstract-interpretation fast path
-    // would admit these configs without touching the engines compared.
-    ctl.set_analysis_enabled(false);
     ctl
 }
 
@@ -76,9 +73,8 @@ fn main() {
         s.summary_cache_hits, s.summary_cache_misses, s.summary_chain_nodes
     );
     println!(
-        "stage means:   lint {:.1} µs | fast path {:.1} µs | symbolic {:.1} µs | placement {:.1} µs",
+        "stage means:   lint {:.1} µs | symbolic {:.1} µs | placement {:.1} µs",
         s.stage_lint_ns as f64 / n as f64 / 1e3,
-        s.stage_fastpath_ns as f64 / n as f64 / 1e3,
         s.stage_symbolic_ns as f64 / n as f64 / 1e3,
         s.stage_placement_ns as f64 / n as f64 / 1e3,
     );

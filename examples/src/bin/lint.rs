@@ -1,9 +1,9 @@
 //! The Click static analyzer end to end: lint a configuration with a
 //! seeded wiring mistake, print the structured diagnostics, then fix it
 //! and print the field-effect summary table the abstract interpreter
-//! derives for each egress flow — the same machinery the controller uses
-//! to refuse malformed configurations with precise messages and to skip
-//! symbolic execution on its fast path.
+//! derives for each egress flow. The lint pass is what the controller
+//! uses to refuse malformed configurations with precise messages; the
+//! table is advisory, for the configuration's author.
 //!
 //! Run with: `cargo run -p innet-examples --bin lint`
 

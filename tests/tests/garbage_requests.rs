@@ -133,6 +133,50 @@ fn garbage_requirements_are_typed_errors() {
     );
 }
 
+/// `FromNetfront → depth × Tee(2) → SetIPSrc(6.6.6.6) → ToNetfront` with
+/// both outputs of each `Tee` feeding the next: `2^depth` identical flows
+/// from `depth + 3` elements, every one a source-spoofer.
+fn tee_lattice(depth: usize) -> ClickConfig {
+    let mut cfg = ClickConfig::new();
+    cfg.add_element("in", "FromNetfront", &[]);
+    let mut prev = "in".to_string();
+    for i in 0..depth {
+        let tee = format!("t{i}");
+        cfg.add_element(&tee, "Tee", &["2"]);
+        cfg.connect(&prev, 0, &tee, 0);
+        if i > 0 {
+            cfg.connect(&prev, 1, &tee, 0);
+        }
+        prev = tee;
+    }
+    cfg.add_element("spoof", "SetIPSrc", &["6.6.6.6"]);
+    cfg.add_element("out", "ToNetfront", &[]);
+    cfg.connect(&prev, 0, "spoof", 0);
+    cfg.connect(&prev, 1, "spoof", 0);
+    cfg.connect("spoof", 0, "out", 0);
+    cfg
+}
+
+#[test]
+fn truncated_exploration_is_never_admitted_unsandboxed() {
+    // Below the symbolic executor's hop cap every flow is examined and
+    // the spoofed source is a reject; past it (2^15 flows and up) the run
+    // stops before any flow reaches egress, and a run that stopped
+    // looking proves nothing: sandboxed at best, never plain `Safe`.
+    for depth in [2, 8, 15, 18] {
+        let mut c = fresh();
+        c.register_client("stranger", RequesterClass::ThirdParty, Vec::new());
+        let outcome = c.deploy("stranger", ClientRequest::click("m", tee_lattice(depth)));
+        let truncated = c.stats().hop_cap_bailouts > 0;
+        assert_eq!(truncated, depth >= 15, "depth {depth}: {:?}", c.stats());
+        match outcome {
+            Err(DeployError::SecurityReject(_)) => {}
+            Ok(resp) if truncated && resp.sandboxed => {}
+            other => panic!("depth {depth} (truncated: {truncated}): {other:?}"),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Hostile classifier patterns: parse AND push, on both engines.
 // ---------------------------------------------------------------------------

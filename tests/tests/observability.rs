@@ -262,8 +262,6 @@ fn batch_and_serial_statistics_agree() {
             "innet_ctl_check_ns_saved_total",
             "innet_ctl_compile_ns_total",
             "innet_ctl_check_ns_total",
-            "innet_ctl_fastpath_hits_total",
-            "innet_ctl_fastpath_fallbacks_total",
             "innet_ctl_lint_rejects_total",
             "innet_ctl_lint_cache_hits_total",
             "innet_ctl_analysis_ns_total",

@@ -11,7 +11,10 @@
 //! `(verdict class, platform, public_addr, sandboxed)` sequence with
 //! `golden/placement_decisions.txt` and the final counters with the values
 //! below. Both were recorded from the commit before the module table
-//! existed (PR 16, `638fbf2`).
+//! existed (PR 16, `638fbf2`); the six analysis counters were recorded
+//! again when admission lost its abstract fast-path stage (the 194
+//! candidates it used to see all go to the symbolic stage), with the
+//! decisions unmoved.
 
 use std::net::Ipv4Addr;
 
@@ -186,16 +189,16 @@ fn adm_stock_shape_decides_exactly_as_recorded() {
             ("cache_hits", 46),
             ("cache_misses", 194),
             ("cache_invalidations", 194),
-            ("fastpath_hits", 172),
-            ("fastpath_fallbacks", 22),
+            ("fastpath_hits", 0),
+            ("fastpath_fallbacks", 0),
             ("lint_rejects", 0),
             ("lint_cache_hits", 144),
             ("hop_cap_bailouts", 0),
             ("visit_cap_bailouts", 0),
-            ("summary_cache_hits", 0),
-            ("summary_cache_misses", 22),
-            ("summary_chain_nodes", 88),
-            ("summary_invalidations", 22),
+            ("summary_cache_hits", 144),
+            ("summary_cache_misses", 50),
+            ("summary_chain_nodes", 862),
+            ("summary_invalidations", 50),
             ("placement_rejects", 0),
         ]
     );
