@@ -10,19 +10,18 @@
 # fenced set; without, it is the control-plane-only set: everything the
 # packet and fleet data paths, and the benchmark itself, are built from.
 #
-# Example — PR 24 (admission loses its abstract fast-path stage, parent
-# 9f4a545) fences the data plane, the analyzer, the verifier but for
-# security.rs (the truncation rule), the controller files off the
-# admission path, the golden decisions, the benchmark and the snapshots:
+# Example — PR 25 (placement extends one kept topology model, parent
+# 98dcd8d) fences everything but netmodel.rs, admission.rs and
+# controller.rs, symnet's model.rs (`SymGraph::set_model`), the new tests
+# and the docs:
 #
-#   ./ci.sh --fence 9f4a545 \
-#     crates/{packet,click,obs,sim,topology,platform,policy} \
-#     crates/analysis/src/{absint,lint}.rs \
-#     crates/symnet/src ':!crates/symnet/src/security.rs' \
-#     crates/controller/src/{consolidate,fleet_hooks,hardening,modules,netmodel,parallel,placement,request,sandbox,stock,verdicts,verify}.rs \
-#     tests/tests/golden benchmark BENCHMARK.json BENCH_admission.json \
-#     BENCH_fig12_middlebox.json BENCH_fleet.json BENCH_parallel_scaling.json \
-#     BENCH_scenarios.json Cargo.lock
+#   ./ci.sh --fence 98dcd8d \
+#     crates/{packet,click,obs,sim,topology,platform,policy,analysis,bench,core} \
+#     crates/symnet/src ':!crates/symnet/src/model.rs' \
+#     crates/controller/src/{cache,consolidate,fleet_hooks,hardening,modules,parallel,placement,request,sandbox,stats,stock,verdicts,verify}.rs \
+#     tests/tests/golden/placement_decisions.txt benchmark BENCHMARK.json \
+#     BENCH_admission.json BENCH_fig12_middlebox.json BENCH_fleet.json \
+#     BENCH_parallel_scaling.json BENCH_scenarios.json Cargo.lock
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -64,6 +63,15 @@ echo "==> admission calls one verifier"
 # interpreter (innet-analysis) must not be consulted, behind a knob or not.
 if grep -rnE 'abstract_verdict|analysis_enabled|fastpath_eligible' crates/controller/src; then
   echo "the controller decides safety with the symbolic stage only" >&2
+  exit 1
+fi
+
+echo "==> placement extends one topology model"
+# The topology model is built once per controller and candidates are
+# added to it (`Controller::model_with`); admission must not compile the
+# whole network per candidate again.
+if grep -nE '\bcompile\(' crates/controller/src/admission.rs; then
+  echo "extend the kept topology model (Controller::model_with)" >&2
   exit 1
 fi
 

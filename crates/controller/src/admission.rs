@@ -24,7 +24,7 @@ use crate::{
     cache::{verdict_key, CachedOutcome, CachedVerdict},
     controller::{ClientAccount, Controller, DeployError, DeployResponse},
     hardening::apply_udp_reflection_ban,
-    netmodel::{compile, InstalledModule},
+    netmodel::InstalledModule,
     request::{ClientRequest, ModuleConfig},
     sandbox::wrap_with_enforcer,
     stats::ControllerStats,
@@ -325,12 +325,17 @@ impl Controller {
         Ok(report)
     }
 
-    /// Stage 3: placement verification — compile the network model with
-    /// the candidate installed and check operator policy, then client
-    /// requirements, against it (summary-walked where the entry chains
-    /// allow). `Ok(Some(why))` is this platform's reject reason. With no
-    /// policy and no requirements there is nothing to check, and no model
-    /// is built.
+    /// Stage 3: placement verification — the kept topology model with the
+    /// installed modules and the candidate added, then operator policy and
+    /// client requirements checked against it (summary-walked where the
+    /// entry chains allow). `Ok(Some(why))` is this platform's reject
+    /// reason. With no policy and no requirements there is nothing to
+    /// check, and no model is built.
+    ///
+    /// A `reach` rule holds only on a conforming flow the exploration
+    /// found, so a run cut at the hop cap can turn "holds" into "does not
+    /// hold" but never the reverse: refusing the platform is safe, but the
+    /// reason says the rule is undecided, not that it fails.
     fn placement_stage(
         &self,
         candidate: &InstalledModule,
@@ -343,25 +348,28 @@ impl Controller {
 
         let t = Instant::now();
         let world = self.table.modules().iter().chain([candidate]);
-        let mut model =
-            compile(&self.topology, world, &self.registry).map_err(DeployError::BadConfig)?;
-        model.ingress_filtering = self.hardening.ingress_filtering;
+        let model = self.model_with(world).map_err(DeployError::BadConfig)?;
         let ns = ns_since(t);
         delta.compile_ns += ns;
         delta.stage_placement_ns += ns;
 
         let t = Instant::now();
         let policy = self.operator_policy.iter();
-        let policy = policy.map(|rule| (rule, "operator policy violated"));
+        let policy = policy.map(|rule| (rule, "operator policy", "violated"));
         let wanted = requirements.iter();
-        let wanted = wanted.map(|rule| (rule, "client requirement unsatisfied"));
+        let wanted = wanted.map(|rule| (rule, "client requirement", "unsatisfied"));
         let mut verdict = Ok(None);
-        for (rule, what) in policy.chain(wanted) {
+        for (rule, what, failed) in policy.chain(wanted) {
             match check_requirement_summarized(&model, rule, self.summaries_enabled) {
                 Ok((holds, check)) => {
+                    let outcome = if check.hop_cap_bailouts > 0 {
+                        "undecided: exploration truncated at the hop cap"
+                    } else {
+                        failed
+                    };
                     delta.absorb(check);
                     if !holds {
-                        verdict = Ok(Some(format!("{what}: {rule}")));
+                        verdict = Ok(Some(format!("{what} {outcome}: {rule}")));
                         break;
                     }
                 }

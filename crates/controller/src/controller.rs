@@ -5,7 +5,7 @@
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use innet_analysis::LintReport;
 use innet_click::Registry;
@@ -17,7 +17,7 @@ use crate::{
     cache::CachedVerdict,
     hardening::HardeningPolicy,
     modules::ModuleTable,
-    netmodel::{compile, InstalledModule, NetworkModel},
+    netmodel::{InstalledModule, NetworkModel},
     placement::PlacementContext,
     request::ClientRequest,
     sandbox::wrap_with_enforcer,
@@ -159,6 +159,14 @@ pub struct Controller {
     pub(crate) verdicts: Arc<Memo<CachedVerdict>>,
     pub(crate) models: Arc<ModelCache>,
     pub(crate) lint: Arc<Memo<LintReport>>,
+    /// The topology's network model with no module installed, built by
+    /// the first request that has a requirement or operator policy to
+    /// check, and kept: it is a pure function of the topology, which is
+    /// fixed for the controller's lifetime, so no invalidation touches
+    /// it. A build error (a middlebox with no symbolic model) is kept
+    /// too, and every checked request reports it. Shared with the
+    /// verification snapshots.
+    pub(crate) topology_model: Arc<OnceLock<Result<NetworkModel, SymError>>>,
     /// Cumulative statistics and their metric mirror.
     pub(crate) ledger: Ledger,
 }
@@ -183,6 +191,7 @@ impl Controller {
             verdicts: Arc::default(),
             models: Arc::default(),
             lint: Arc::default(),
+            topology_model: Arc::default(),
             ledger: Ledger::default(),
         }
     }
@@ -330,11 +339,27 @@ impl Controller {
         self.table.ranked().find(|p| self.table.has_room(*p))
     }
 
-    /// Compiles the current network state into a verification model.
+    /// The current network state as a verification model: the kept
+    /// topology model (built on first use) with the installed modules
+    /// added, under the current hardening policy.
     pub fn network_model(&self) -> Result<NetworkModel, SymError> {
-        let mut m = compile(&self.topology, self.modules(), &self.registry)?;
-        m.ingress_filtering = self.hardening.ingress_filtering;
-        Ok(m)
+        self.model_with(self.modules())
+    }
+
+    /// The kept topology model with `modules` added — the one way the
+    /// controller builds a network model.
+    pub(crate) fn model_with<'a>(
+        &self,
+        modules: impl IntoIterator<Item = &'a InstalledModule>,
+    ) -> Result<NetworkModel, SymError> {
+        let topology = self
+            .topology_model
+            .get_or_init(|| NetworkModel::topology(&self.topology, &self.registry))
+            .as_ref()
+            .map_err(SymError::clone)?;
+        let mut model = topology.with_modules(&self.topology, modules, &self.registry)?;
+        model.ingress_filtering = self.hardening.ingress_filtering;
+        Ok(model)
     }
 
     /// The underlying topology.
@@ -458,7 +483,7 @@ impl Controller {
     /// accounts, installed modules, and hardening — with independent
     /// statistics and allocators, and the *shared* verification memos
     /// (built by direct field access so construction never bumps their
-    /// epoch).
+    /// epoch) and topology model.
     pub(crate) fn verification_clone(&self) -> Controller {
         Controller {
             topology: self.topology.clone(),
@@ -473,6 +498,7 @@ impl Controller {
             verdicts: Arc::clone(&self.verdicts),
             models: Arc::clone(&self.models),
             lint: Arc::clone(&self.lint),
+            topology_model: Arc::clone(&self.topology_model),
             ledger: Ledger::default(),
         }
     }
@@ -891,6 +917,66 @@ mod tests {
         // A requirement brings the model back.
         c.deploy("mobile-7", fig4_named("needy")).unwrap();
         assert!(c.stats().compile_ns > 0);
+    }
+
+    #[test]
+    fn verification_clone_shares_the_topology_model() {
+        let mut c = controller();
+        let shard = c.verification_clone();
+        assert!(Arc::ptr_eq(&c.topology_model, &shard.topology_model));
+        // Whichever side checks first builds it for both.
+        c.deploy("mobile-7", fig4_named("first")).unwrap();
+        assert!(matches!(shard.topology_model.get(), Some(Ok(_))));
+    }
+
+    #[test]
+    fn requests_with_nothing_to_check_never_build_the_topology_model() {
+        // `adm-stock`'s shape: stock and requirement-free Click requests
+        // under no operator policy, and kills between them.
+        let mut c = controller();
+        for i in 0..100 {
+            let req = if i % 2 == 0 {
+                churn_named(&format!("chain{i}"))
+            } else {
+                ClientRequest::parse(&format!("stock dns{i}: geo-dns")).unwrap()
+            };
+            c.deploy("mobile-7", req).unwrap();
+        }
+        c.kill(c.modules()[7].id).unwrap();
+        assert!(c.topology_model.get().is_none());
+        assert_eq!(c.stats().compile_ns, 0);
+    }
+
+    #[test]
+    fn unmodellable_middlebox_fails_every_checked_request_alike() {
+        // A middlebox the verifier has no model for: every request with
+        // something to check reports the same build error, read from the
+        // kept `Err`; requests with nothing to check never look.
+        let mut topo = Topology::figure3();
+        let opt = topo.index_of("HTTPOptimizer").unwrap();
+        topo.nodes[opt].kind = NodeKind::Middlebox(
+            innet_click::ClickConfig::parse(
+                "in :: FromNetfront(0); x :: Frobnicator(); out :: ToNetfront(1); in -> x -> out;",
+            )
+            .unwrap(),
+        );
+        let mut c = Controller::new(topo);
+        c.register_client(
+            "mobile-7",
+            RequesterClass::Client,
+            vec![Ipv4Addr::new(172, 16, 15, 133)],
+        );
+        let errors: Vec<SymError> = ["a", "b", "c"]
+            .into_iter()
+            .map(|name| match c.deploy("mobile-7", fig4_named(name)) {
+                Err(DeployError::BadConfig(e)) => e,
+                other => panic!("{name}: {other:?}"),
+            })
+            .collect();
+        assert!(errors.iter().all(|e| *e == errors[0]), "{errors:?}");
+        assert!(matches!(c.topology_model.get(), Some(Err(_))));
+        assert!(c.network_model().is_err());
+        c.deploy("mobile-7", churn_named("plain")).unwrap();
     }
 
     #[test]

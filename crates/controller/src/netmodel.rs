@@ -1,19 +1,32 @@
-//! Compiling a topology snapshot plus installed processing modules into
-//! one flat symbolic graph.
+//! Compiling a topology plus installed processing modules into one flat
+//! symbolic graph.
 //!
 //! This is the "compile" phase of the controller (Figure 10 reports its
-//! cost separately from the checking phase): every router becomes an LPM
-//! branching model, every operator middlebox and every installed module is
-//! flattened element-by-element, and every platform gets a vswitch demux
-//! node that steers traffic by module address — mirroring the OpenFlow
-//! rules the controller installs at runtime.
+//! cost separately from the checking phase), in two parts:
+//!
+//! * **The topology model** (`NetworkModel::topology`): every router
+//!   becomes an LPM branching model, every operator middlebox is flattened
+//!   element by element, and every platform gets an empty vswitch demux
+//!   node and an uplink. It depends on nothing but the topology and the
+//!   element registry, and a controller's topology is fixed for its
+//!   lifetime, so the controller builds it once and keeps it.
+//! * **The modules on it** (`NetworkModel::with_modules`): a copy of the
+//!   topology model — its node models are shared (`Arc`), so the copy
+//!   costs names and edges — with every installed module flattened onto
+//!   its platform and the platform's demux steering traffic by module
+//!   address, mirroring the OpenFlow rules the controller installs at
+//!   runtime.
+//!
+//! [`compile`] is the two in sequence.
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use innet_click::{ClickConfig, Registry};
 use innet_packet::Cidr;
-use innet_symnet::{model_for, AnyOutputModel, EgressModel, IdentityModel, SymError, SymGraph};
+use innet_symnet::{
+    model_for, AnyOutputModel, DropModel, EgressModel, IdentityModel, SymError, SymGraph,
+};
 use innet_topology::{NodeId, NodeKind, Topology};
 
 /// A processing module the controller has committed to a platform.
@@ -38,6 +51,7 @@ pub struct InstalledModule {
 
 /// The compiled network model plus the name maps requirement verification
 /// needs.
+#[derive(Clone)]
 pub struct NetworkModel {
     /// The flat symbolic graph.
     pub graph: SymGraph,
@@ -60,6 +74,9 @@ pub struct NetworkModel {
     /// When set, Internet-sourced symbolic traffic is constrained to
     /// sources *outside* the internal prefixes (§7 ingress filtering).
     pub ingress_filtering: bool,
+    /// Per platform, in topology order: (topology node, demux node,
+    /// uplink node) — where `with_modules` attaches modules.
+    platforms: Vec<(NodeId, usize, usize)>,
 }
 
 fn iface_of(args: &[String]) -> u16 {
@@ -91,20 +108,19 @@ fn flatten_config(
     };
     for decl in &cfg.elements {
         let name = format!("{prefix}/{}", decl.name);
-        let idx = match decl.class.as_str() {
+        match decl.class.as_str() {
             "FromNetfront" | "FromDevice" => {
                 let idx = graph.add_node(&name, Box::new(IdentityModel("FromNetfront")))?;
                 flat.entries.insert(iface_of(&decl.args), idx);
-                idx
             }
             "ToNetfront" | "ToDevice" => {
                 let idx = graph.add_node(&name, Box::new(IdentityModel("ToNetfront")))?;
                 flat.exits.insert(iface_of(&decl.args), idx);
-                idx
             }
-            other => graph.add_node(&name, model_for(other, &decl.args, registry)?)?,
-        };
-        let _ = idx;
+            other => {
+                graph.add_node(&name, model_for(other, &decl.args, registry)?)?;
+            }
+        }
     }
     for c in &cfg.connections {
         graph.connect_names(
@@ -117,201 +133,224 @@ fn flatten_config(
     Ok(flat)
 }
 
-/// Compiles the topology and installed modules into a [`NetworkModel`].
-/// `modules` is anything that yields them by reference, in installation
-/// order — a slice, or the installed set chained with a candidate the
-/// placement stage pretends is there, without copying either.
+/// Compiles the topology and installed modules into a [`NetworkModel`]:
+/// the topology model, then the modules on it. `modules` is anything that
+/// yields them by reference, in installation order — a slice, or the
+/// installed set chained with a candidate the placement stage pretends
+/// is there, without copying either.
 pub fn compile<'a>(
     topo: &Topology,
     modules: impl IntoIterator<Item = &'a InstalledModule>,
     registry: &Registry,
 ) -> Result<NetworkModel, SymError> {
-    // Each platform's modules (a module on a node the topology does not
-    // have is on no platform).
-    let mut hosted: Vec<Vec<&InstalledModule>> = vec![Vec::new(); topo.nodes.len()];
-    for m in modules {
-        if let Some(local) = hosted.get_mut(m.platform) {
-            local.push(m);
+    NetworkModel::topology(topo, registry)?.with_modules(topo, modules, registry)
+}
+
+impl NetworkModel {
+    /// The model of `topo` with no module installed: edges, routers,
+    /// flattened middleboxes, and per platform an empty demux (all
+    /// traffic entering it drops) and an uplink. A pure function of its
+    /// arguments.
+    pub(crate) fn topology(topo: &Topology, registry: &Registry) -> Result<NetworkModel, SymError> {
+        // Every node's link ports, in one pass over the links.
+        let mut ports: Vec<Vec<usize>> = vec![Vec::new(); topo.nodes.len()];
+        for l in &topo.links {
+            for (node, port) in [(l.from, l.from_port), (l.to, l.to_port)] {
+                if let Some(used) = ports.get_mut(node) {
+                    used.push(port);
+                }
+            }
         }
-    }
+        for used in &mut ports {
+            used.sort_unstable();
+            used.dedup();
+        }
 
-    let mut graph = SymGraph::new();
-    // (topo node, port) → (sym node, sym out port) and (sym node, in port).
-    let mut out_map: HashMap<(NodeId, usize), (usize, usize)> = HashMap::new();
-    let mut in_map: HashMap<(NodeId, usize), (usize, usize)> = HashMap::new();
+        let mut graph = SymGraph::new();
+        // (topo node, port) → (sym node, sym out port) and (sym node, in port).
+        let mut out_map: HashMap<(NodeId, usize), (usize, usize)> = HashMap::new();
+        let mut in_map: HashMap<(NodeId, usize), (usize, usize)> = HashMap::new();
 
-    let mut internet_src = None;
-    let mut internet_dst = None;
-    let mut client_edges = Vec::new();
-    let mut internal_prefixes = Vec::new();
-    let mut module_elements = HashMap::new();
-    let mut middlebox_entries = HashMap::new();
-    let mut platform_switches = HashMap::new();
-    let mut module_ingress = HashMap::new();
+        let mut internet_src = None;
+        let mut internet_dst = None;
+        let mut client_edges = Vec::new();
+        let mut internal_prefixes = Vec::new();
+        let mut middlebox_entries = HashMap::new();
+        let mut platform_switches = HashMap::new();
+        let mut platforms = Vec::new();
 
-    let ports_used = |topo: &Topology, id: NodeId| -> Vec<usize> {
-        let mut ports: Vec<usize> = topo
-            .links
-            .iter()
-            .flat_map(|l| {
-                let mut v = Vec::new();
-                if l.from == id {
-                    v.push(l.from_port);
-                }
-                if l.to == id {
-                    v.push(l.to_port);
-                }
-                v
-            })
-            .collect();
-        ports.sort_unstable();
-        ports.dedup();
-        ports
-    };
-
-    for (id, node) in topo.nodes.iter().enumerate() {
-        match &node.kind {
-            NodeKind::Internet => {
-                let src = graph.add_node(
-                    format!("{}.src", node.name),
-                    Box::new(IdentityModel("Edge")),
-                )?;
-                let dst = graph.add_node(
-                    format!("{}.dst", node.name),
-                    Box::new(EgressModel(id as u16)),
-                )?;
-                internet_src = Some(src);
-                internet_dst = Some(dst);
-                for p in ports_used(topo, id) {
-                    out_map.insert((id, p), (src, 0));
-                    in_map.insert((id, p), (dst, 0));
-                }
-            }
-            NodeKind::ClientSubnet(cidr) => {
-                internal_prefixes.push(*cidr);
-                let src = graph.add_node(
-                    format!("{}.src", node.name),
-                    Box::new(IdentityModel("Edge")),
-                )?;
-                let dst = graph.add_node(
-                    format!("{}.dst", node.name),
-                    Box::new(EgressModel(id as u16)),
-                )?;
-                client_edges.push((*cidr, src, dst));
-                for p in ports_used(topo, id) {
-                    out_map.insert((id, p), (src, 0));
-                    in_map.insert((id, p), (dst, 0));
-                }
-            }
-            NodeKind::Router(routes) => {
-                let args: Vec<String> = routes.iter().map(|(c, p)| format!("{c} {p}")).collect();
-                let idx =
-                    graph.add_node(&node.name, model_for("StaticIPLookup", &args, registry)?)?;
-                for p in ports_used(topo, id) {
-                    out_map.insert((id, p), (idx, p));
-                    in_map.insert((id, p), (idx, 0));
-                }
-            }
-            NodeKind::Middlebox(cfg) => {
-                let flat = flatten_config(&mut graph, &node.name, cfg, registry)?;
-                middlebox_entries
-                    .insert(node.name.clone(), flat.entries.values().copied().collect());
-                for (&iface, &entry) in &flat.entries {
-                    in_map.insert((id, iface as usize), (entry, 0));
-                }
-                for (&iface, &exit) in &flat.exits {
-                    out_map.insert((id, iface as usize), (exit, 0));
-                }
-            }
-            NodeKind::Platform(spec) => {
-                internal_prefixes.push(spec.addr_pool);
-                let local = &hosted[id];
-                // The vswitch demux: one `dst host <addr>` rule per module
-                // (mirroring the installed OpenFlow rules).
-                let switch = if local.is_empty() {
-                    // No tenants: all traffic entering the platform drops.
-                    graph.add_node(
-                        format!("{}/switch", node.name),
-                        Box::new(innet_symnet::DropModel("EmptyPlatform")),
-                    )?
-                } else {
-                    let rules: Vec<String> = local
-                        .iter()
-                        .map(|m| format!("dst host {}", m.addr))
-                        .collect();
-                    graph.add_node(
-                        format!("{}/switch", node.name),
-                        model_for("IPClassifier", &rules, registry)?,
-                    )?
-                };
-                let out = graph.add_node(
-                    format!("{}/out", node.name),
-                    Box::new(IdentityModel("PlatformUplink")),
-                )?;
-                platform_switches.insert(node.name.clone(), switch);
-                for p in ports_used(topo, id) {
-                    in_map.insert((id, p), (switch, 0));
-                    out_map.insert((id, p), (out, 0));
-                }
-
-                for (mi, module) in local.iter().enumerate() {
-                    // Graph node names must be unique, but module names may
-                    // repeat across deployments — the id disambiguates.
-                    // Way-point lookups still go through the name-keyed
-                    // maps below (later instances win on a name clash).
-                    let prefix = format!("{}/{}#{}", node.name, module.name, module.id);
-                    let flat = flatten_config(&mut graph, &prefix, &module.config, registry)?;
-                    for decl in &module.config.elements {
-                        let idx = graph.node_index(&format!("{prefix}/{}", decl.name))?;
-                        module_elements.insert((module.name.clone(), decl.name.clone()), idx);
-                    }
-                    // Fan external deliveries to every module interface.
-                    let ingress = graph.add_node(
-                        format!("{prefix}/__ingress"),
-                        Box::new(AnyOutputModel {
-                            name: "ModuleIngress",
-                            n: flat.entries.len().max(1),
-                        }),
+        for (id, node) in topo.nodes.iter().enumerate() {
+            match &node.kind {
+                NodeKind::Internet => {
+                    let src = graph.add_node(
+                        format!("{}.src", node.name),
+                        Box::new(IdentityModel("Edge")),
                     )?;
-                    module_ingress.insert(module.name.clone(), ingress);
-                    graph.connect(switch, mi, ingress, 0);
-                    for (fan, (_iface, entry)) in flat.entries.iter().enumerate() {
-                        graph.connect(ingress, fan, *entry, 0);
+                    let dst = graph.add_node(
+                        format!("{}.dst", node.name),
+                        Box::new(EgressModel(id as u16)),
+                    )?;
+                    internet_src = Some(src);
+                    internet_dst = Some(dst);
+                    for &p in &ports[id] {
+                        out_map.insert((id, p), (src, 0));
+                        in_map.insert((id, p), (dst, 0));
                     }
-                    // Every module exit feeds the platform uplink.
-                    for (_iface, exit) in flat.exits {
-                        graph.connect(exit, 0, out, 0);
+                }
+                NodeKind::ClientSubnet(cidr) => {
+                    internal_prefixes.push(*cidr);
+                    let src = graph.add_node(
+                        format!("{}.src", node.name),
+                        Box::new(IdentityModel("Edge")),
+                    )?;
+                    let dst = graph.add_node(
+                        format!("{}.dst", node.name),
+                        Box::new(EgressModel(id as u16)),
+                    )?;
+                    client_edges.push((*cidr, src, dst));
+                    for &p in &ports[id] {
+                        out_map.insert((id, p), (src, 0));
+                        in_map.insert((id, p), (dst, 0));
+                    }
+                }
+                NodeKind::Router(routes) => {
+                    let args: Vec<String> =
+                        routes.iter().map(|(c, p)| format!("{c} {p}")).collect();
+                    let idx = graph
+                        .add_node(&node.name, model_for("StaticIPLookup", &args, registry)?)?;
+                    for &p in &ports[id] {
+                        out_map.insert((id, p), (idx, p));
+                        in_map.insert((id, p), (idx, 0));
+                    }
+                }
+                NodeKind::Middlebox(cfg) => {
+                    let flat = flatten_config(&mut graph, &node.name, cfg, registry)?;
+                    middlebox_entries
+                        .insert(node.name.clone(), flat.entries.values().copied().collect());
+                    for (&iface, &entry) in &flat.entries {
+                        in_map.insert((id, iface as usize), (entry, 0));
+                    }
+                    for (&iface, &exit) in &flat.exits {
+                        out_map.insert((id, iface as usize), (exit, 0));
+                    }
+                }
+                NodeKind::Platform(spec) => {
+                    internal_prefixes.push(spec.addr_pool);
+                    // The vswitch demux; `with_modules` gives it one rule
+                    // per module.
+                    let switch = graph.add_node(
+                        format!("{}/switch", node.name),
+                        Box::new(DropModel("EmptyPlatform")),
+                    )?;
+                    let out = graph.add_node(
+                        format!("{}/out", node.name),
+                        Box::new(IdentityModel("PlatformUplink")),
+                    )?;
+                    platform_switches.insert(node.name.clone(), switch);
+                    platforms.push((id, switch, out));
+                    for &p in &ports[id] {
+                        in_map.insert((id, p), (switch, 0));
+                        out_map.insert((id, p), (out, 0));
                     }
                 }
             }
         }
+
+        // Wire topology links.
+        for l in &topo.links {
+            let Some(&(sn, sp)) = out_map.get(&(l.from, l.from_port)) else {
+                continue;
+            };
+            let Some(&(tn, tp)) = in_map.get(&(l.to, l.to_port)) else {
+                continue;
+            };
+            graph.connect(sn, sp, tn, tp);
+        }
+
+        Ok(NetworkModel {
+            graph,
+            internet_src: internet_src
+                .ok_or_else(|| SymError::Config("topology has no internet edge".to_string()))?,
+            internet_dst: internet_dst
+                .ok_or_else(|| SymError::Config("topology has no internet edge".to_string()))?,
+            client_edges,
+            module_elements: HashMap::new(),
+            middlebox_entries,
+            platform_switches,
+            module_ingress: HashMap::new(),
+            internal_prefixes,
+            ingress_filtering: false,
+            platforms,
+        })
     }
 
-    // Wire topology links.
-    for l in &topo.links {
-        let Some(&(sn, sp)) = out_map.get(&(l.from, l.from_port)) else {
-            continue;
-        };
-        let Some(&(tn, tp)) = in_map.get(&(l.to, l.to_port)) else {
-            continue;
-        };
-        graph.connect(sn, sp, tn, tp);
-    }
+    /// A copy of this topology model (built from `topo` by
+    /// [`NetworkModel::topology`]) with `modules` installed: on each
+    /// hosting platform the demux becomes one `dst host <addr>` rule per
+    /// module — mirroring the installed OpenFlow rules — and each module
+    /// is flattened behind it, its exits feeding the platform uplink. A
+    /// module on a node that is no platform is on no platform, and left
+    /// out.
+    pub(crate) fn with_modules<'a>(
+        &self,
+        topo: &Topology,
+        modules: impl IntoIterator<Item = &'a InstalledModule>,
+        registry: &Registry,
+    ) -> Result<NetworkModel, SymError> {
+        let mut hosted: Vec<Vec<&InstalledModule>> = vec![Vec::new(); topo.nodes.len()];
+        for m in modules {
+            if let Some(local) = hosted.get_mut(m.platform) {
+                local.push(m);
+            }
+        }
 
-    Ok(NetworkModel {
-        graph,
-        internet_src: internet_src
-            .ok_or_else(|| SymError::Config("topology has no internet edge".to_string()))?,
-        internet_dst: internet_dst
-            .ok_or_else(|| SymError::Config("topology has no internet edge".to_string()))?,
-        client_edges,
-        module_elements,
-        middlebox_entries,
-        platform_switches,
-        module_ingress,
-        internal_prefixes,
-        ingress_filtering: false,
-    })
+        let mut model = self.clone();
+        let graph = &mut model.graph;
+        for &(id, switch, out) in &self.platforms {
+            let local = &hosted[id];
+            if local.is_empty() {
+                continue;
+            }
+            let rules: Vec<String> = local
+                .iter()
+                .map(|m| format!("dst host {}", m.addr))
+                .collect();
+            graph.set_model(switch, model_for("IPClassifier", &rules, registry)?);
+
+            for (mi, module) in local.iter().enumerate() {
+                // Graph node names must be unique, but module names may
+                // repeat across deployments — the id disambiguates.
+                // Way-point lookups still go through the name-keyed maps
+                // below (later instances win on a name clash).
+                let prefix = format!("{}/{}#{}", topo.node(id).name, module.name, module.id);
+                let flat = flatten_config(graph, &prefix, &module.config, registry)?;
+                for decl in &module.config.elements {
+                    let idx = graph.node_index(&format!("{prefix}/{}", decl.name))?;
+                    model
+                        .module_elements
+                        .insert((module.name.clone(), decl.name.clone()), idx);
+                }
+                // Fan external deliveries to every module interface.
+                let ingress = graph.add_node(
+                    format!("{prefix}/__ingress"),
+                    Box::new(AnyOutputModel {
+                        name: "ModuleIngress",
+                        n: flat.entries.len().max(1),
+                    }),
+                )?;
+                model.module_ingress.insert(module.name.clone(), ingress);
+                graph.connect(switch, mi, ingress, 0);
+                for (fan, (_iface, entry)) in flat.entries.iter().enumerate() {
+                    graph.connect(ingress, fan, *entry, 0);
+                }
+                // Every module exit feeds the platform uplink.
+                for (_iface, exit) in flat.exits {
+                    graph.connect(exit, 0, out, 0);
+                }
+            }
+        }
+        Ok(model)
+    }
 }
 
 #[cfg(test)]

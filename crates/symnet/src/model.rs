@@ -125,7 +125,9 @@ pub struct ExecResult {
     pub visit_cap_hits: u64,
 }
 
-/// A graph of symbolic models.
+/// A graph of symbolic models. Nodes hold their models by `Arc`, so a
+/// clone shares them and copies only names and edges.
+#[derive(Clone)]
 pub struct SymGraph {
     nodes: Vec<Arc<dyn SymElement>>,
     names: Vec<String>,
@@ -171,6 +173,11 @@ impl SymGraph {
         self.names.push(name);
         self.nodes.push(model);
         Ok(idx)
+    }
+
+    /// Replaces the model of node `idx`, keeping its name and edges.
+    pub fn set_model(&mut self, idx: usize, model: Box<dyn SymElement>) {
+        self.nodes[idx] = Arc::from(model);
     }
 
     /// Connects `[from_port]from -> [to_port]to` by node index.

@@ -177,6 +177,46 @@ fn truncated_exploration_is_never_admitted_unsandboxed() {
     }
 }
 
+#[test]
+fn truncated_requirement_check_is_undecided_not_unsatisfied() {
+    // The lattice again, now with a `reach` requirement through its exit.
+    // Its security check truncates from depth 15 on, so it is sandboxed
+    // and reaches placement; from depth 17 on (2^17 flows) the
+    // requirement check on platform3 — the one platform the Internet
+    // reaches — stops at its hop cap too. `reach` holds only on a
+    // conforming flow found, so a cut run may miss one: the platform is
+    // refused, and the reason says undecided, not unsatisfied.
+    let rule = "reach from internet -> m:out:0";
+    for depth in [16, 17] {
+        let mut c = fresh();
+        c.register_client("stranger", RequesterClass::ThirdParty, Vec::new());
+        let req = ClientRequest::click("m", tee_lattice(depth))
+            .require(Requirement::parse(rule).unwrap());
+        let Err(DeployError::NoFeasiblePlacement { reasons }) = c.deploy("stranger", req) else {
+            panic!("depth {depth}: no platform can hold the requirement");
+        };
+        // One security-check cut per candidate platform, plus platform3's
+        // requirement check from depth 17 on.
+        let cut = depth >= 17;
+        assert_eq!(
+            c.stats().hop_cap_bailouts,
+            3 + u64::from(cut),
+            "depth {depth}"
+        );
+        for (platform, why) in &reasons {
+            let want = if cut && platform == "platform3" {
+                format!(
+                    "client requirement undecided: exploration truncated at the hop cap: {rule}"
+                )
+            } else {
+                format!("client requirement unsatisfied: {rule}")
+            };
+            assert_eq!(why, &want, "depth {depth}, {platform}");
+        }
+        assert_eq!(reasons.len(), 3);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Hostile classifier patterns: parse AND push, on both engines.
 // ---------------------------------------------------------------------------
