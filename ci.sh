@@ -10,18 +10,20 @@
 # fenced set; without, it is the control-plane-only set: everything the
 # packet and fleet data paths, and the benchmark itself, are built from.
 #
-# Example — PR 25 (placement extends one kept topology model, parent
-# 98dcd8d) fences everything but netmodel.rs, admission.rs and
-# controller.rs, symnet's model.rs (`SymGraph::set_model`), the new tests
-# and the docs:
+# Example — the symbolic packet's dense copy-on-write store (parent
+# 3d1e801) fences everything but symnet's packet.rs, value.rs and
+# models.rs, the netfront argument parser (source_sink.rs, its re-export
+# in mod.rs, and summary.rs), the new tests and the docs:
 #
-#   ./ci.sh --fence 98dcd8d \
-#     crates/{packet,click,obs,sim,topology,platform,policy,analysis,bench,core} \
-#     crates/symnet/src ':!crates/symnet/src/model.rs' \
-#     crates/controller/src/{cache,consolidate,fleet_hooks,hardening,modules,parallel,placement,request,sandbox,stats,stock,verdicts,verify}.rs \
-#     tests/tests/golden/placement_decisions.txt benchmark BENCHMARK.json \
-#     BENCH_admission.json BENCH_fig12_middlebox.json BENCH_fleet.json \
-#     BENCH_parallel_scaling.json BENCH_scenarios.json Cargo.lock
+#   ./ci.sh --fence 3d1e801 \
+#     crates/{packet,obs,sim,topology,platform,policy,analysis,controller,bench,core} \
+#     crates/click ':!crates/click/src/elements/source_sink.rs' \
+#     ':!crates/click/src/elements/mod.rs' ':!crates/click/src/summary.rs' \
+#     crates/symnet ':!crates/symnet/src/packet.rs' ':!crates/symnet/src/value.rs' \
+#     ':!crates/symnet/src/models.rs' ':!crates/symnet/tests' \
+#     tests/tests/golden benchmark BENCHMARK.json BENCH_admission.json \
+#     BENCH_fig12_middlebox.json BENCH_fleet.json BENCH_parallel_scaling.json \
+#     BENCH_scenarios.json Cargo.lock
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -72,6 +74,23 @@ echo "==> placement extends one topology model"
 # whole network per candidate again.
 if grep -nE '\bcompile\(' crates/controller/src/admission.rs; then
   echo "extend the kept topology model (Controller::model_with)" >&2
+  exit 1
+fi
+
+echo "==> a symbolic packet forks without copying"
+# The constraint store is a dense copy-on-write Vec indexed by variable
+# id, and the current header is held inline; a hash map or a layer
+# vector would make every fork allocate again.
+if grep -nE 'HashMap|layers:' crates/symnet/src/packet.rs; then
+  echo "keep SymPacket's store dense and its top layer inline" >&2
+  exit 1
+fi
+
+echo "==> validating netfront arguments builds no ring"
+# Building FromNetfront/ToNetfront zero-fills a 128 KB ring; summaries
+# validate their arguments with netfront_iface instead.
+if grep -nE '(From|To)Netfront::(from_args|new)' crates/click/src/summary.rs; then
+  echo "parse netfront arguments with elements::netfront_iface" >&2
   exit 1
 fi
 

@@ -42,6 +42,6 @@ pub use rewrite::{FieldSpec, IPRewriter, RewritePattern};
 pub use route::StaticIPLookup;
 pub use sched::{CheckPaint, Meter, Paint, RandomSwitch, RoundRobinSwitch, PAINT_ANNO};
 pub use shape::{BandwidthShaper, RateLimiter, TokenBucket};
-pub use source_sink::{Discard, FromNetfront, Idle, ToNetfront};
+pub use source_sink::{netfront_iface, Discard, FromNetfront, Idle, ToNetfront};
 pub use tee::{IpMulticast, Tee};
 pub use tunnel::{IpDecap, IpEncap, UdpTunnelDecap, UdpTunnelEncap};

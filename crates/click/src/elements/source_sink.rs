@@ -11,6 +11,17 @@ use crate::{
     netfront::NetfrontRing,
 };
 
+/// Parses the arguments of `FromNetfront([IFACE])` and `ToNetfront([IFACE])`:
+/// one optional interface number, 0 when absent.
+///
+/// The constructors, the field-effect summaries and the symbolic models all
+/// validate through this one parser. Validation therefore never builds the
+/// element, whose constructor zero-fills a 128 KB [`NetfrontRing`].
+pub fn netfront_iface(args: &ConfigArgs) -> Result<u16, ElementError> {
+    args.expect_len_range(0, 1)?;
+    args.parse_or(0, 0u16)
+}
+
 /// `FromNetfront([IFACE])` — receives packets from a numbered interface.
 ///
 /// The router delivers external packets to input port 0; the element moves
@@ -34,8 +45,7 @@ impl FromNetfront {
 
     /// Parses `FromNetfront([IFACE])`.
     pub fn from_args(args: &ConfigArgs) -> Result<FromNetfront, ElementError> {
-        args.expect_len_range(0, 1)?;
-        Ok(FromNetfront::new(args.parse_or(0, 0u16)?))
+        Ok(FromNetfront::new(netfront_iface(args)?))
     }
 
     /// The interface this element receives from.
@@ -99,8 +109,7 @@ impl ToNetfront {
 
     /// Parses `ToNetfront([IFACE])`.
     pub fn from_args(args: &ConfigArgs) -> Result<ToNetfront, ElementError> {
-        args.expect_len_range(0, 1)?;
-        Ok(ToNetfront::new(args.parse_or(0, 0u16)?))
+        Ok(ToNetfront::new(netfront_iface(args)?))
     }
 
     /// Packets transmitted so far.

@@ -345,14 +345,14 @@ fn any_output(outputs: usize) -> ElementSummary {
 }
 
 fn from_netfront(args: &[String]) -> Result<ElementSummary, ElementError> {
-    el::FromNetfront::from_args(&ConfigArgs::new("FromNetfront", args))?;
+    el::netfront_iface(&ConfigArgs::new("FromNetfront", args))?;
     Ok(ElementSummary::identity())
 }
 
 fn to_netfront(args: &[String]) -> Result<ElementSummary, ElementError> {
-    let t = el::ToNetfront::from_args(&ConfigArgs::new("ToNetfront", args))?;
+    el::netfront_iface(&ConfigArgs::new("ToNetfront", args))?;
     Ok(ElementSummary {
-        ports: Element::ports(&t),
+        ports: PortCount::new(1, 0),
         kind: SummaryKind::Egress,
         queue_like: false,
         shardability: Shardability::Stateless,
@@ -1052,6 +1052,15 @@ mod tests {
         // Bad args fail the summary the same way they fail instantiation.
         assert!(r.summary("SetIPSrc", &["not-an-ip".into()]).is_err());
         assert!(r.instantiate("SetIPSrc", &["not-an-ip".into()]).is_err());
+        for class in ["FromNetfront", "FromDevice", "ToNetfront", "ToDevice"] {
+            for args in [&[][..], &["3"], &["65536"], &["x"], &["1", "2"]] {
+                let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+                match (r.summary(class, &args), r.instantiate(class, &args)) {
+                    (Ok(s), Ok(e)) => assert_eq!(s.ports, e.ports(), "{class}{args:?}"),
+                    (s, e) => assert_eq!(s.is_ok(), e.is_ok(), "{class}{args:?}"),
+                }
+            }
+        }
         let ok = r.summary("SetIPSrc", &["10.0.0.1".into()]).unwrap();
         match ok.kind {
             SummaryKind::Flows(f) => {

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use innet_click::{
     elements as el,
     elements::{FieldSpec, FilterAction},
-    ClickConfig, Registry,
+    ClickConfig, ConfigArgs, Registry,
 };
 use innet_packet::{pattern::PatternExpr, Cidr, IpProto};
 
@@ -722,6 +722,25 @@ fn downcast_model(
     args: &[String],
     registry: &Registry,
 ) -> Result<Box<dyn SymElement>, SymError> {
+    // A netfront endpoint's model needs only its interface number. Parse
+    // it with the constructors' own parser rather than build the element
+    // (whose constructor zero-fills a 128 KB ring).
+    let netfront = match class {
+        "FromNetfront" => Some(("FromNetfront", false)),
+        "FromDevice" => Some(("FromDevice", false)),
+        "ToNetfront" => Some(("ToNetfront", true)),
+        "ToDevice" => Some(("ToDevice", true)),
+        _ => None,
+    };
+    if let Some((name, egress)) = netfront {
+        let iface = el::netfront_iface(&ConfigArgs::new(name, args))
+            .map_err(|e| SymError::Config(e.to_string()))?;
+        return Ok(if egress {
+            Box::new(EgressModel(iface))
+        } else {
+            Box::new(IdentityModel("FromNetfront"))
+        });
+    }
     // Instantiate the concrete element so argument parsing (and its error
     // reporting) is shared with the runtime, then read its configuration.
     let concrete = registry
@@ -729,11 +748,6 @@ fn downcast_model(
         .map_err(|e| SymError::Config(e.to_string()))?;
     let any = concrete.as_any();
     let model: Box<dyn SymElement> = match class {
-        "FromNetfront" | "FromDevice" => Box::new(IdentityModel("FromNetfront")),
-        "ToNetfront" | "ToDevice" => {
-            let t = any.downcast_ref::<el::ToNetfront>().expect("class matches");
-            Box::new(EgressModel(t.iface()))
-        }
         "Discard" => Box::new(DropModel("Discard")),
         "Idle" => Box::new(DropModel("Idle")),
         "Classifier" => {
@@ -914,8 +928,9 @@ fn downcast_model(
 /// Builds the abstract model for one element class.
 ///
 /// Click classes are parsed through the concrete element implementation
-/// (shared argument validation); the `Stock*` pseudo-classes used by the
-/// controller's stock modules are handled directly.
+/// (shared argument validation), netfront endpoints through its argument
+/// parser alone; the `Stock*` pseudo-classes used by the controller's
+/// stock modules are handled directly.
 pub fn model_for(
     class: &str,
     args: &[String],
@@ -1326,6 +1341,35 @@ mod tests {
             match iface {
                 0 => assert!(flow.possible(Field::IpDst).contains(ten)),
                 _ => assert!(!flow.possible(Field::IpDst).contains(ten)),
+            }
+        }
+    }
+
+    #[test]
+    fn netfront_models_parse_without_building_the_element() {
+        let registry = Registry::standard();
+        let model = model_for("ToDevice", &["3".to_string()], &registry).unwrap();
+        let outs = model.exec(0, SymPacket::unconstrained());
+        assert!(
+            matches!(outs.as_slice(), [SymOut::Egress(3, _)]),
+            "ToDevice(3) egresses on interface 3"
+        );
+        let model = model_for("FromDevice", &["7".to_string()], &registry).unwrap();
+        assert!(matches!(
+            model.exec(0, SymPacket::unconstrained()).as_slice(),
+            [SymOut::Port(0, _)]
+        ));
+        // Bad arguments fail with the runtime constructor's own message.
+        for class in ["FromNetfront", "ToNetfront", "FromDevice", "ToDevice"] {
+            for args in [&["65536"][..], &["x"], &["1", "2"]] {
+                let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+                let Err(SymError::Config(got)) = model_for(class, &args, &registry) else {
+                    panic!("{class}{args:?} must be a configuration error");
+                };
+                let Err(want) = registry.instantiate(class, &args) else {
+                    panic!("{class}{args:?} must not instantiate");
+                };
+                assert_eq!(got, want.to_string(), "{class}{args:?}");
             }
         }
     }

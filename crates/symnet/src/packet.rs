@@ -1,7 +1,30 @@
 //! The symbolic packet: field layers, constraint store, trace, and write
 //! history.
+//!
+//! Symbolic execution forks a packet at every branch, so a fork must cost
+//! next to nothing, and one that only reads must cost nothing more. Every
+//! part of a [`SymPacket`] is laid out for that:
+//!
+//! * **Trace and write history** are persistent lists ([`PList`]): a fork
+//!   shares the path travelled so far, however long it is.
+//! * **Constraint store.** Variable ids are dense: [`SymPacket::fresh`]
+//!   hands out the next index, and no variable is ever removed. So the
+//!   store is a `Vec` indexed by id, and the next id is its length. It sits
+//!   behind an `Arc` and is copied on the first write after a fork
+//!   (`Arc::make_mut`). A constraint that leaves a variable's set
+//!   unchanged writes nothing. So a fork that only observes (a security
+//!   check, a requirement way-point, an egress flow) shares its parent's
+//!   store.
+//! * **Header layers.** The current header is held inline. The inner
+//!   headers under it are in a `Vec` that stays empty, and so unallocated,
+//!   unless a modeled tunnel encapsulated the packet.
+//!
+//! Cloning a packet therefore allocates nothing. A fork's first write
+//! copies the store in two allocations (the `Arc` and its `Vec`): a
+//! [`RangeSet`] holds its ranges inline, so the copy allocates nothing
+//! per variable.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::{
     field::{Field, FieldMap, ALL_FIELDS},
@@ -35,10 +58,14 @@ pub struct WriteRec {
 /// (paper §3).
 #[derive(Debug, Clone)]
 pub struct SymPacket {
-    /// Header layers; the last entry is the current (outermost) header.
-    layers: Vec<FieldMap>,
-    store: HashMap<VarId, VarInfo>,
-    next_var: VarId,
+    /// The current (outermost) header.
+    top: FieldMap,
+    /// The headers under `top`, innermost first (empty unless
+    /// encapsulated by a modeled tunnel).
+    below: Vec<FieldMap>,
+    /// Constraint store, indexed by [`VarId`]; shared between forks until
+    /// one of them writes.
+    store: Arc<Vec<VarInfo>>,
     feasible: bool,
     /// Arrival history (persistent: branches share their common prefix,
     /// so cloning a packet is O(1) regardless of path length).
@@ -50,38 +77,41 @@ pub struct SymPacket {
 }
 
 impl SymPacket {
+    /// A freshly injected packet: each header field is a new
+    /// [`Origin::Free`] variable ranging over `ranges(field)`, or
+    /// `Const(0)` where that is `None`.
+    fn injected(ranges: impl Fn(Field) -> Option<RangeSet>) -> SymPacket {
+        let mut top = FieldMap::zeroed();
+        let mut store = Vec::with_capacity(ALL_FIELDS.len());
+        for f in ALL_FIELDS {
+            if let Some(ranges) = ranges(f) {
+                top.set(f, SymValue::Var(store.len() as VarId));
+                store.push(VarInfo {
+                    ranges,
+                    origin: Origin::Free,
+                });
+            }
+        }
+        SymPacket {
+            top,
+            below: Vec::new(),
+            store: Arc::new(store),
+            feasible: true,
+            trace: PList::new(),
+            writes: PList::new(),
+            ingress: top,
+        }
+    }
+
     /// A fully unconstrained packet: every header field is a fresh free
     /// variable (except `FwTag`, which starts at `Const(0)`, and `TcpSyn`,
     /// constrained to {0,1}).
     pub fn unconstrained() -> SymPacket {
-        let mut p = SymPacket {
-            layers: vec![FieldMap::zeroed()],
-            store: HashMap::new(),
-            next_var: 0,
-            feasible: true,
-            trace: PList::new(),
-            writes: PList::new(),
-            ingress: FieldMap::zeroed(),
-        };
-        for f in ALL_FIELDS {
-            match f {
-                Field::FwTag => p.top_mut().set(f, SymValue::Const(0)),
-                Field::TcpSyn => {
-                    let v = p.fresh(Origin::Free);
-                    if let SymValue::Var(id) = v {
-                        p.store.get_mut(&id).expect("just allocated").ranges =
-                            RangeSet::range(0, 1);
-                    }
-                    p.top_mut().set(f, v);
-                }
-                _ => {
-                    let v = p.fresh(Origin::Free);
-                    p.top_mut().set(f, v);
-                }
-            }
-        }
-        p.ingress = *p.top();
-        p
+        SymPacket::injected(|f| match f {
+            Field::FwTag => None,
+            Field::TcpSyn => Some(RangeSet::range(0, 1)),
+            _ => Some(RangeSet::full()),
+        })
     }
 
     /// A summarization capture probe: *every* field — including `FwTag`
@@ -91,48 +121,40 @@ impl SymPacket {
     /// constraint a chain applies is captured as a pure intersection set
     /// that replays exactly onto *any* entry value.
     pub(crate) fn capture_probe() -> SymPacket {
-        let mut p = SymPacket {
-            layers: vec![FieldMap::zeroed()],
-            store: HashMap::new(),
-            next_var: 0,
-            feasible: true,
-            trace: PList::new(),
-            writes: PList::new(),
-            ingress: FieldMap::zeroed(),
-        };
-        for f in ALL_FIELDS {
-            let v = p.fresh(Origin::Free);
-            p.top_mut().set(f, v);
-        }
-        p.ingress = *p.top();
-        p
+        SymPacket::injected(|_| Some(RangeSet::full()))
     }
 
     /// Allocates a fresh variable of the given origin.
     pub fn fresh(&mut self, origin: Origin) -> SymValue {
-        let id = self.next_var;
-        self.next_var += 1;
-        self.store.insert(id, VarInfo::free(origin));
+        self.fresh_ranged(origin, RangeSet::full())
+    }
+
+    /// Allocates a fresh variable of the given origin pre-constrained to
+    /// `ranges` (summary replay materializing a recorded fresh slot).
+    pub fn fresh_ranged(&mut self, origin: Origin, ranges: RangeSet) -> SymValue {
+        let id = self.store.len() as VarId;
+        Arc::make_mut(&mut self.store).push(VarInfo { ranges, origin });
         SymValue::Var(id)
+    }
+
+    /// The constraint entry of a variable.
+    fn info(&self, id: VarId) -> Option<&VarInfo> {
+        self.store.get(id as usize)
     }
 
     /// The current (outermost) header layer.
     pub fn top(&self) -> &FieldMap {
-        self.layers.last().expect("at least one layer")
-    }
-
-    fn top_mut(&mut self) -> &mut FieldMap {
-        self.layers.last_mut().expect("at least one layer")
+        &self.top
     }
 
     /// Number of header layers (1 = not encapsulated by a modeled tunnel).
     pub fn depth(&self) -> usize {
-        self.layers.len()
+        self.below.len() + 1
     }
 
     /// Reads a field of the current layer.
     pub fn get(&self, f: Field) -> SymValue {
-        self.top().get(f)
+        self.top.get(f)
     }
 
     /// Overwrites a field, recording the write against the current hop.
@@ -144,7 +166,7 @@ impl SymPacket {
             at_hop
         };
         self.writes.push(WriteRec { field: f, at_hop });
-        self.top_mut().set(f, v);
+        self.top.set(f, v);
     }
 
     /// Whether the packet's constraints are still satisfiable.
@@ -155,24 +177,7 @@ impl SymPacket {
     /// Restricts a field to the given value set. Returns the packet's
     /// resulting feasibility (and latches infeasibility).
     pub fn constrain(&mut self, f: Field, allowed: &RangeSet) -> bool {
-        if !self.feasible {
-            return false;
-        }
-        match self.get(f) {
-            SymValue::Const(c) => {
-                if !allowed.contains(c) {
-                    self.feasible = false;
-                }
-            }
-            SymValue::Var(id) => {
-                let info = self.store.get_mut(&id).expect("store entry for var");
-                info.ranges = info.ranges.intersect(allowed);
-                if info.ranges.is_empty() {
-                    self.feasible = false;
-                }
-            }
-        }
-        self.feasible
+        self.constrain_value(self.get(f), allowed)
     }
 
     /// Restricts a field to exactly `v`.
@@ -197,8 +202,7 @@ impl SymPacket {
         match v {
             SymValue::Const(c) => RangeSet::single(c),
             SymValue::Var(id) => self
-                .store
-                .get(&id)
+                .info(id)
                 .map(|i| i.ranges.clone())
                 .unwrap_or_else(RangeSet::full),
         }
@@ -208,6 +212,9 @@ impl SymPacket {
     /// given set. Needed by summary replay: a chain's constraints apply to
     /// the values a field held at chain entry, which copies may since have
     /// moved into other fields. Returns (and latches) feasibility.
+    ///
+    /// The store is written (and so unshared from other forks) only when
+    /// the variable's set actually shrinks.
     pub fn constrain_value(&mut self, v: SymValue, allowed: &RangeSet) -> bool {
         if !self.feasible {
             return false;
@@ -219,31 +226,23 @@ impl SymPacket {
                 }
             }
             SymValue::Var(id) => {
-                let info = self.store.get_mut(&id).expect("store entry for var");
-                info.ranges = info.ranges.intersect(allowed);
-                if info.ranges.is_empty() {
-                    self.feasible = false;
+                let cur = &self.info(id).expect("store entry for var").ranges;
+                let next = cur.intersect(allowed);
+                let narrowed = next != *cur;
+                self.feasible = !next.is_empty();
+                if narrowed {
+                    Arc::make_mut(&mut self.store)[id as usize].ranges = next;
                 }
             }
         }
         self.feasible
     }
 
-    /// Allocates a fresh variable of the given origin pre-constrained to
-    /// `ranges` (summary replay materializing a recorded fresh slot).
-    pub fn fresh_ranged(&mut self, origin: Origin, ranges: RangeSet) -> SymValue {
-        let v = self.fresh(origin);
-        if let SymValue::Var(id) = v {
-            self.store.get_mut(&id).expect("just allocated").ranges = ranges;
-        }
-        v
-    }
-
     /// The origin of a value (constants have no origin).
     pub fn origin_of(&self, v: SymValue) -> Option<Origin> {
         match v {
             SymValue::Const(_) => None,
-            SymValue::Var(id) => self.store.get(&id).map(|i| i.origin),
+            SymValue::Var(id) => self.info(id).map(|i| i.origin),
         }
     }
 
@@ -260,10 +259,8 @@ impl SymPacket {
             (SymValue::Const(x), SymValue::Const(y)) => x == y,
             (SymValue::Var(x), SymValue::Var(y)) => x == y,
             (SymValue::Const(c), SymValue::Var(v)) | (SymValue::Var(v), SymValue::Const(c)) => self
-                .store
-                .get(&v)
-                .map(|i| i.ranges.as_single() == Some(c))
-                .unwrap_or(false),
+                .info(v)
+                .is_some_and(|i| i.ranges.as_single() == Some(c)),
         }
     }
 
@@ -323,7 +320,7 @@ impl SymPacket {
         self.trace.push(Hop {
             node,
             in_port,
-            fields: *self.top(),
+            fields: self.top,
         });
     }
 
@@ -337,7 +334,7 @@ impl SymPacket {
         let payload = self.get(Field::Payload);
         let mut outer = FieldMap::zeroed();
         outer.set(Field::Payload, payload);
-        self.layers.push(outer);
+        self.below.push(std::mem::replace(&mut self.top, outer));
     }
 
     /// Pops the outer header layer, restoring the inner one. Returns
@@ -345,11 +342,12 @@ impl SymPacket {
     /// encapsulated by a modeled element) — the caller should then
     /// replace the fields with fresh [`Origin::Decap`] variables instead.
     pub fn pop_layer(&mut self) -> bool {
-        if self.layers.len() > 1 {
-            self.layers.pop();
-            true
-        } else {
-            false
+        match self.below.pop() {
+            Some(inner) => {
+                self.top = inner;
+                true
+            }
+            None => false,
         }
     }
 
@@ -367,9 +365,9 @@ impl SymPacket {
     /// the same constraint store, with the header fields replaced by the
     /// snapshot. Used to evaluate flow specifications "at the time of
     /// visit" of a requirement way-point.
-    pub fn at_snapshot(&self, fields: crate::field::FieldMap) -> SymPacket {
+    pub fn at_snapshot(&self, fields: FieldMap) -> SymPacket {
         let mut p = self.clone();
-        *p.layers.last_mut().expect("at least one layer") = fields;
+        p.top = fields;
         p
     }
 
@@ -479,5 +477,133 @@ mod tests {
         let p = SymPacket::unconstrained();
         let set = p.possible(Field::TcpSyn);
         assert!(set.contains(0) && set.contains(1) && !set.contains(2));
+    }
+
+    /// A packet's fields, depth, feasibility, and per-variable set and
+    /// origin.
+    type Observed = (Vec<SymValue>, usize, bool, Vec<(RangeSet, Option<Origin>)>);
+
+    /// Everything a caller can observe of a packet: its fields, depth and
+    /// feasibility, the set and origin of every variable, and the id the
+    /// next fresh variable gets.
+    fn observe(p: &SymPacket) -> Observed {
+        let fields = ALL_FIELDS.iter().map(|&f| p.get(f)).collect();
+        let next = p.clone().fresh(Origin::Computed);
+        let vars = (0..next.as_var().unwrap())
+            .map(|id| {
+                (
+                    p.possible_of(SymValue::Var(id)),
+                    p.origin_of(SymValue::Var(id)),
+                )
+            })
+            .chain([(p.possible_of(next), None)])
+            .collect();
+        (fields, p.depth(), p.feasible(), vars)
+    }
+
+    #[test]
+    fn forks_are_isolated_in_both_directions() {
+        let plain = SymPacket::unconstrained();
+        let mut encapsulated = SymPacket::unconstrained();
+        encapsulated.record_arrival(0, 0);
+        encapsulated.constrain_eq(Field::Proto, 17);
+        encapsulated.push_layer();
+        encapsulated.write(Field::IpDst, SymValue::Const(7));
+        type Mutation = (&'static str, fn(&mut SymPacket));
+        let mutations: [Mutation; 8] = [
+            ("constrain", |p| {
+                p.constrain(Field::IpSrc, &RangeSet::range(10, 20));
+            }),
+            ("constrain_not", |p| {
+                p.constrain_not(Field::Payload, &RangeSet::single(80));
+            }),
+            ("infeasible", |p| {
+                p.constrain_eq(Field::TcpSyn, 2);
+            }),
+            ("fresh", |p| {
+                p.fresh(Origin::Opaque);
+            }),
+            ("write", |p| p.write(Field::IpSrc, SymValue::Const(9))),
+            ("push_layer", |p| {
+                p.push_layer();
+                p.write(Field::IpSrc, SymValue::Const(1));
+            }),
+            ("pop_layer", |p| {
+                if !p.pop_layer() {
+                    p.havoc_all(Origin::Decap);
+                }
+            }),
+            ("havoc_all", |p| p.havoc_all(Origin::Opaque)),
+        ];
+        for base in [&plain, &encapsulated] {
+            for (name, mutate) in mutations {
+                let p = base.clone();
+                let before = observe(&p);
+                let mut q = p.clone();
+                mutate(&mut q);
+                assert_ne!(observe(&q), before, "{name} changed nothing");
+                assert_eq!(
+                    observe(&p),
+                    before,
+                    "{name} on the fork leaked into the original"
+                );
+
+                let mut p = base.clone();
+                let q = p.clone();
+                mutate(&mut p);
+                assert_eq!(
+                    observe(&q),
+                    before,
+                    "{name} on the original leaked into the fork"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn read_only_forks_share_the_store() {
+        let mut p = SymPacket::unconstrained();
+        p.constrain(Field::DstPort, &RangeSet::range(0, 1023));
+        let mut q = p.clone();
+        assert!(q.constrain(Field::DstPort, &RangeSet::range(0, 65535)));
+        assert!(q.constrain(Field::FwTag, &RangeSet::single(0)));
+        assert!(
+            Arc::ptr_eq(&p.store, &q.store),
+            "a no-op constraint copies nothing"
+        );
+        let s = p.at_snapshot(p.ingress);
+        assert!(
+            Arc::ptr_eq(&p.store, &s.store),
+            "a snapshot view copies nothing"
+        );
+        q.constrain(Field::DstPort, &RangeSet::single(22));
+        assert!(
+            !Arc::ptr_eq(&p.store, &q.store),
+            "a narrowing write unshares"
+        );
+        assert_eq!(p.possible(Field::DstPort), RangeSet::range(0, 1023));
+    }
+
+    #[test]
+    fn snapshot_replaces_only_the_top_layer() {
+        let mut p = SymPacket::unconstrained();
+        let inner = *p.top();
+        p.push_layer();
+        p.write(Field::IpSrc, SymValue::Const(1));
+        let outer = *p.top();
+        let mut s = p.at_snapshot(inner);
+        assert_eq!(s.depth(), 2);
+        assert_eq!(*s.top(), inner);
+        assert!(s.pop_layer());
+        assert_eq!(
+            *s.top(),
+            inner,
+            "the layer below the snapshot is the packet's own"
+        );
+        assert_eq!(
+            (*p.top(), p.depth()),
+            (outer, 2),
+            "the original is untouched"
+        );
     }
 }

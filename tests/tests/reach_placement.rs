@@ -232,3 +232,44 @@ fn reach_checked_placement_decides_exactly_as_recorded() {
     }
     assert_eq!(got.lines().count(), want.lines().count(), "line count");
 }
+
+/// `adm-reach` checks one candidate per request, not two. On Figure 3 the
+/// ranking puts platform3 first, and a module killed right after its
+/// deploy leaves platform3 room for the next one, so every accepted
+/// request is placed on the first platform it is checked against.
+#[test]
+fn adm_reach_requests_are_checked_on_one_candidate() {
+    let mut ctl = Controller::new(Topology::figure3());
+    for i in 0..CLIENTS {
+        ctl.register_client(
+            format!("tenant{i}"),
+            RequesterClass::Client,
+            vec![CLIENT_ADDR],
+        );
+    }
+    let ranked: Vec<&str> = ctl
+        .ranked_platforms()
+        .into_iter()
+        .map(|id| ctl.topology().nodes[id].name.as_str())
+        .collect();
+    assert_eq!(ranked, ["platform3", "platform1", "platform2"]);
+
+    let before = ctl.stats().placement_rejects;
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let mut accepted = 0;
+    for i in 0..40 {
+        let text = reach_request(&mut rng, i, false);
+        let client = format!("tenant{}", rng.gen_range(0..CLIENTS));
+        match ctl.deploy(&client, ClientRequest::parse(&text).unwrap()) {
+            Ok(r) => {
+                assert_eq!(r.platform, "platform3", "request {i}");
+                ctl.kill(r.module_id).unwrap();
+                accepted += 1;
+            }
+            Err(DeployError::SecurityReject(_)) => {}
+            Err(e) => panic!("request {i}: {e}"),
+        }
+    }
+    assert!(accepted >= 30, "only {accepted} of 40 accepted");
+    assert_eq!(ctl.stats().placement_rejects - before, 0);
+}
