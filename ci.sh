@@ -10,20 +10,18 @@
 # fenced set; without, it is the control-plane-only set: everything the
 # packet and fleet data paths, and the benchmark itself, are built from.
 #
-# Example — the symbolic packet's dense copy-on-write store (parent
-# 3d1e801) fences everything but symnet's packet.rs, value.rs and
-# models.rs, the netfront argument parser (source_sink.rs, its re-export
-# in mod.rs, and summary.rs), the new tests and the docs:
+# Example — admission checks security once per request, bound to a
+# sentinel no request can name, and deploy_batch is deleted (parent
+# c855d8b): the change touches controller, analysis, symnet's security.rs
+# messages, the bench, the tests and the docs, and fences the rest.
+# The two summary counters of tests/tests/golden/reach_placement.txt
+# count per-candidate security checks, so that one file moved:
 #
-#   ./ci.sh --fence 3d1e801 \
-#     crates/{packet,obs,sim,topology,platform,policy,analysis,controller,bench,core} \
-#     crates/click ':!crates/click/src/elements/source_sink.rs' \
-#     ':!crates/click/src/elements/mod.rs' ':!crates/click/src/summary.rs' \
-#     crates/symnet ':!crates/symnet/src/packet.rs' ':!crates/symnet/src/value.rs' \
-#     ':!crates/symnet/src/models.rs' ':!crates/symnet/tests' \
-#     tests/tests/golden benchmark BENCHMARK.json BENCH_admission.json \
-#     BENCH_fig12_middlebox.json BENCH_fleet.json BENCH_parallel_scaling.json \
-#     BENCH_scenarios.json Cargo.lock
+#   ./ci.sh --fence c855d8b \
+#     crates/{packet,click,obs,sim,topology,platform,policy,core} \
+#     benchmark BENCHMARK.json BENCH_admission.json BENCH_fig12_middlebox.json \
+#     BENCH_fleet.json BENCH_parallel_scaling.json BENCH_scenarios.json \
+#     Cargo.lock tests/tests/golden ':!tests/tests/golden/reach_placement.txt'
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -57,6 +55,15 @@ echo "==> one owner of installed-module state"
 # would be a second owner.
 if grep -rnE 'fn occupancy\(|flow_rules\.retain' crates/controller/src; then
   echo "derive it from ModuleTable (crates/controller/src/modules.rs)" >&2
+  exit 1
+fi
+
+echo "==> one admission path"
+# Every request is admitted by Controller::deploy, which checks security
+# once per request; the sharded batch path and its snapshot commit were a
+# second one, resting on addresses being interchangeable.
+if grep -rnE 'deploy_batch|commit_verified|verification_clone' crates tests examples; then
+  echo "admit through Controller::deploy" >&2
   exit 1
 fi
 

@@ -31,4 +31,4 @@ mod absint;
 mod lint;
 
 pub use absint::{abstract_verdict, flow_effects, AnalysisReport, FlowEffect};
-pub use lint::{lint, Diagnostic, LintReport, Severity};
+pub use lint::{bind_self, lint, Diagnostic, LintReport, Severity, SELF_SENTINEL};

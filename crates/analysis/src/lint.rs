@@ -15,11 +15,18 @@
 //! | IN-L009 | error    | combinational cycle containing no queue        |
 //! | IN-L010 | warning  | wire into a source element (push/pull mismatch)|
 //! | IN-L011 | warning  | dead classifier/filter rule (fully shadowed)   |
+//! | IN-L012 | error    | argument names an address in 240.0.0.0/4       |
+//!
+//! A configuration may name the module's own address as `$SELF`. IN-L012
+//! reads the arguments as written; every other rule reads them with
+//! `$SELF` bound to [`SELF_SENTINEL`], so that they parse.
 //!
 //! Unwired *input* ports are deliberately not linted: elements such as
 //! `IPRewriter` legitimately leave their reverse direction unused.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use std::net::Ipv4Addr;
 
 use innet_click::elements::{IPClassifier, IPFilter};
 use innet_click::{ClickConfig, ElementSummary, PortCount, Registry, SummaryKind};
@@ -112,6 +119,69 @@ impl std::fmt::Display for LintReport {
     }
 }
 
+/// The address `$SELF` is bound to while a request is linted and
+/// security-checked (DESIGN.md §5). It lies in 240.0.0.0/4, a block
+/// reserved for future use that no platform pool is drawn from and that
+/// no request may name (IN-L012). A module's own address is therefore
+/// expressible only as `$SELF`, so a check that passes here cannot pass
+/// because a literal happens to equal the address the module is later
+/// given.
+pub const SELF_SENTINEL: Ipv4Addr = Ipv4Addr::new(240, 0, 0, 1);
+
+/// `cfg` with every `$SELF` in its arguments replaced by `addr`. A
+/// configuration that names no `$SELF` is borrowed as-is, since the
+/// clone would be pure overhead.
+pub fn bind_self(cfg: &ClickConfig, addr: Ipv4Addr) -> Cow<'_, ClickConfig> {
+    let names_self = |a: &String| a.contains("$SELF");
+    if !cfg.elements.iter().any(|e| e.args.iter().any(names_self)) {
+        return Cow::Borrowed(cfg);
+    }
+    let mut cfg = cfg.clone();
+    for a in cfg.elements.iter_mut().flat_map(|e| &mut e.args) {
+        if names_self(a) {
+            *a = a.replace("$SELF", &addr.to_string());
+        }
+    }
+    Cow::Owned(cfg)
+}
+
+/// IN-L012: every element whose arguments, as written, name an address
+/// in 240.0.0.0/4, the block [`SELF_SENTINEL`] is drawn from. `$SELF` is
+/// not an address, so it never trips the rule.
+///
+/// The whole block is refused, not just the sentinel: a filter that may
+/// name prefixes could otherwise narrow a field to exactly the sentinel
+/// without naming it, by excluding its neighbours. Any prefix that
+/// separates the sentinel from its neighbour 240.0.0.0 is a /32 at one
+/// of the two, and both lie in the block.
+fn reserved_addresses(cfg: &ClickConfig) -> Vec<Diagnostic> {
+    let reserved = |token: &str| {
+        let addr = token.parse::<Ipv4Addr>().ok()?;
+        (addr.octets()[0] >= 240).then_some(addr)
+    };
+    cfg.elements
+        .iter()
+        .filter_map(|e| {
+            let tokens = e
+                .args
+                .iter()
+                .flat_map(|a| a.split(|c: char| !c.is_ascii_digit() && c != '.'));
+            let named = tokens.filter_map(reserved).next()?;
+            Some(Diagnostic {
+                rule: "IN-L012",
+                severity: Severity::Error,
+                element: Some(e.name.clone()),
+                port: None,
+                message: format!(
+                    "`{}` names {named}, inside 240.0.0.0/4, which stands for `$SELF` \
+                     while a request is checked: write `$SELF` for the module's own address",
+                    e.class
+                ),
+            })
+        })
+        .collect()
+}
+
 /// Per-element facts resolved once and shared by several rules.
 pub(crate) struct Resolved {
     /// Field-effect summary, if the class has one and the args parse.
@@ -125,8 +195,12 @@ pub(crate) struct Resolved {
 /// Works on arbitrary configurations, including ones
 /// [`ClickConfig::validate`] would reject — lint is the friendlier
 /// diagnostic layer in front of validation, so builder-constructed
-/// configurations get precise findings too.
+/// configurations get precise findings too. `$SELF` may stand for the
+/// module's own address; see the module docs.
 pub fn lint(cfg: &ClickConfig, registry: &Registry) -> LintReport {
+    let reserved = reserved_addresses(cfg);
+    let bound = bind_self(cfg, SELF_SENTINEL);
+    let cfg: &ClickConfig = &bound;
     let mut report = LintReport::default();
     let mut push = |rule: &'static str,
                     severity: Severity,
@@ -462,6 +536,7 @@ pub fn lint(cfg: &ClickConfig, registry: &Registry) -> LintReport {
         }
     }
 
+    report.diagnostics.extend(reserved);
     report
 }
 

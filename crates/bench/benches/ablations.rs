@@ -2,10 +2,7 @@
 //! on-the-fly instantiation, statically-gated sandboxing).
 
 use innet::experiments::ablations::{consolidation_ablation, onthefly_ablation, sandbox_ablation};
-use innet::prelude::*;
-use innet::symnet::RequesterClass;
 use innet_bench::{quick_mode, Report};
-use std::time::Instant;
 
 fn main() {
     let rounds = if quick_mode() { 10 } else { 100 };
@@ -52,54 +49,5 @@ fn main() {
     // A sandbox costs throughput but not an order of magnitude of it;
     // checked here, in an optimised build, not under `cargo test`.
     assert!((0.2..=1.3).contains(&a.sandbox_throughput_ratio), "{a:?}");
-    r.blank();
-    r.line("== §4.3 controller scaling: serial vs 4-way sharded verification ==");
-    let (serial_ms, parallel_ms) = deploy_timing();
-    r.line(&format!(
-        "16 deployments: serial {serial_ms:.0} ms, deploy_batch(4 shards) {parallel_ms:.0} ms \
-         ({:.1}x)",
-        serial_ms / parallel_ms
-    ));
     r.finish();
-}
-
-/// Times 16 independent deployments serially vs through the sharded
-/// batch path.
-fn deploy_timing() -> (f64, f64) {
-    let fresh = || {
-        let mut c = Controller::new(Topology::figure3());
-        for i in 0..16 {
-            c.register_client(
-                format!("client{i}"),
-                RequesterClass::Client,
-                vec!["172.16.15.133".parse().unwrap()],
-            );
-        }
-        c
-    };
-    let request = |i: usize| {
-        let text = format!(
-            "module m{i}:\nFromNetfront() -> IPFilter(allow udp dst port 1500) \
-             -> IPRewriter(pattern - - 172.16.15.133 - 0 0) -> dst :: ToNetfront();\n\
-             reach from internet udp -> m{i}:dst:0 -> client dst port 1500"
-        );
-        ClientRequest::parse(&text).expect("parses")
-    };
-    let batch: Vec<(String, ClientRequest)> = (0..16)
-        .map(|i| (format!("client{i}"), request(i)))
-        .collect();
-
-    let mut serial = fresh();
-    let t0 = Instant::now();
-    for (client, req) in batch.clone() {
-        serial.deploy(&client, req).expect("deployable");
-    }
-    let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    let mut parallel = fresh();
-    let t1 = Instant::now();
-    let results = parallel.deploy_batch(batch, 4);
-    let parallel_ms = t1.elapsed().as_secs_f64() * 1e3;
-    assert!(results.iter().all(|r| r.is_ok()));
-    (serial_ms, parallel_ms)
 }

@@ -1,24 +1,21 @@
 //! The admission pipeline (§4.3, §4.5): verdict-memo replay, then the
-//! full evaluation as three stages — lint → compositional symbolic →
-//! placement — and the commit of whichever candidate platform verifies
-//! first.
+//! full evaluation as three stages — lint and the compositional symbolic
+//! check once per request, then placement per candidate platform — and
+//! the commit of whichever candidate verifies first.
 //!
 //! Each path describes the work it did as a [`ControllerStats`] delta;
 //! [`Controller::finish`] stamps the outcome on it and hands it to the
 //! ledger, the only place statistics are written.
 
 use std::convert::Infallible;
-use std::net::Ipv4Addr;
 use std::sync::Arc;
 use std::time::Instant;
 
-use innet_analysis::LintReport;
+use innet_analysis::{LintReport, SELF_SENTINEL};
 use innet_click::ClickConfig;
 use innet_policy::Requirement;
-use innet_symnet::{
-    check_module_summarized, check_module_with_stats, SecurityContext, SecurityReport, SymError,
-    Verdict,
-};
+use innet_symnet::{check_module_summarized, check_module_with_stats, SecurityContext, Verdict};
+use innet_topology::NodeId;
 
 use crate::{
     cache::{verdict_key, CachedOutcome, CachedVerdict},
@@ -26,7 +23,6 @@ use crate::{
     hardening::apply_udp_reflection_ban,
     netmodel::InstalledModule,
     request::{ClientRequest, ModuleConfig},
-    sandbox::wrap_with_enforcer,
     stats::ControllerStats,
     verify::check_requirement_summarized,
 };
@@ -49,21 +45,8 @@ impl Controller {
         client_id: &str,
         request: ClientRequest,
     ) -> Result<DeployResponse, DeployError> {
-        self.deploy_counted(client_id, request, true)
-    }
-
-    /// [`Controller::deploy`] with explicit control over the `requests`
-    /// statistic. `deploy_batch`'s conflict path re-verifies a request
-    /// that a shard already counted, so it passes `count_request: false`
-    /// to keep batch and serial statistics identical.
-    pub(crate) fn deploy_counted(
-        &mut self,
-        client_id: &str,
-        request: ClientRequest,
-        count_request: bool,
-    ) -> Result<DeployResponse, DeployError> {
         let mut delta = ControllerStats {
-            requests: u64::from(count_request),
+            requests: 1,
             ..ControllerStats::default()
         };
         let Some(account) = self.clients.get(client_id).cloned() else {
@@ -87,36 +70,27 @@ impl Controller {
                     platform,
                     sandboxed,
                 } => {
-                    let cached = self.topology.index_of(&platform);
-                    if cached.is_some_and(|p| self.table.has_room(p)) {
+                    if self.table.has_room(platform) {
                         Some(Ok((platform, sandboxed)))
                     } else if request.requirements.is_empty() && self.operator_policy.is_empty() {
                         // The cached placement filled up since it was
                         // verified, but with no requirements and no
-                        // operator policy the verdict is
-                        // placement-independent (the same argument
-                        // `commit_unchecked` already relies on) — only
-                        // the placement step needs redoing. Commit on the
-                        // best-ranked platform with room, still as a
-                        // cache hit: no model is compiled and no check
-                        // re-runs. The refreshed entry points the next
-                        // hit straight at the new platform. With every
-                        // platform full, fall through to the full
-                        // pipeline (counted as a miss), which reports the
-                        // per-platform reasons.
+                        // operator policy nothing placement checks can
+                        // differ between platforms — only the placement
+                        // step needs redoing. Commit on the best-ranked
+                        // platform with room, still as a cache hit: no
+                        // model is compiled and no check re-runs. The
+                        // refreshed entry points the next hit straight at
+                        // the new platform. With every platform full,
+                        // fall through to the full pipeline (counted as a
+                        // miss), which reports the per-platform reasons.
                         self.best_platform_with_room().map(|alt| {
-                            let alt = self.topology.node(alt).name.clone();
-                            self.verdicts.insert(
-                                epoch,
-                                key.clone(),
-                                CachedVerdict {
-                                    outcome: CachedOutcome::Accept {
-                                        platform: alt.clone(),
-                                        sandboxed,
-                                    },
-                                    check_ns: hit.check_ns,
-                                },
-                            );
+                            let outcome = CachedOutcome::Accept {
+                                platform: alt,
+                                sandboxed,
+                            };
+                            let refreshed = CachedVerdict { outcome, ..hit };
+                            self.verdicts.insert(epoch, key.clone(), refreshed);
                             Ok((alt, sandboxed))
                         })
                     } else {
@@ -134,25 +108,25 @@ impl Controller {
                 delta.cache_hits += 1;
                 delta.check_ns_saved += hit.check_ns;
                 let result = replay.and_then(|(platform, sandboxed)| {
-                    self.commit_unchecked(client_id, &account, request, &platform, sandboxed)
+                    self.commit_unchecked(client_id, &account, &request, platform, sandboxed)
                 });
                 return self.finish(delta, result);
             }
         }
 
         delta.cache_misses += 1;
-        let (result, work) = self.deploy_uncached(client_id, &account, request);
+        let (result, work) = self.deploy_uncached(client_id, &account, &request);
         delta += &work;
-        if let Some(outcome) = CachedOutcome::of(&result) {
+        if let Some(outcome) = CachedOutcome::of(&request, &result) {
             let check_ns = work.check_ns;
             self.verdicts
                 .insert(epoch, key, CachedVerdict { outcome, check_ns });
         }
-        self.finish(delta, result)
+        self.finish(delta, result.map(|(_, resp)| resp))
     }
 
     /// Stamps a request's outcome on its delta and records it.
-    pub(crate) fn finish(
+    fn finish(
         &mut self,
         mut delta: ControllerStats,
         result: Result<DeployResponse, DeployError>,
@@ -171,16 +145,24 @@ impl Controller {
     }
 
     /// The full (uncached) admission pipeline, run as three explicit
-    /// stages — lint → compositional symbolic → placement. Returns the
-    /// outcome and the delta of the work done:
+    /// stages — lint → compositional symbolic → placement. Lint and the
+    /// security check run once per request, with `$SELF` bound to
+    /// [`SELF_SENTINEL`]; placement runs per candidate platform, on the
+    /// request bound to that candidate's address. A configuration that
+    /// names `$SELF` is security-checked at that address too (see
+    /// [`ModuleConfig::names_self`]). Returns the outcome, with the
+    /// platform an accept committed to, and the delta of the work done:
     /// per-phase and per-stage wall time plus the analysis and memo
     /// counters. A committed module is the only state change.
     fn deploy_uncached(
         &mut self,
         client_id: &str,
         account: &ClientAccount,
-        request: ClientRequest,
-    ) -> (Result<DeployResponse, DeployError>, ControllerStats) {
+        request: &ClientRequest,
+    ) -> (
+        Result<(NodeId, DeployResponse), DeployError>,
+        ControllerStats,
+    ) {
         let mut delta = ControllerStats::default();
 
         let lint_report = self.lint_stage(&request.config, &mut delta);
@@ -188,6 +170,17 @@ impl Controller {
             delta.lint_rejects += 1;
             return (Err(DeployError::Lint(lint_report)), delta);
         }
+
+        let ctx = SecurityContext {
+            assigned_addr: SELF_SENTINEL,
+            registered: account.registered.clone(),
+            class: account.class,
+        };
+        let checked = request.config.materialize(SELF_SENTINEL);
+        let sandboxed = match self.security_stage(&checked, &ctx, &mut delta) {
+            Ok(sandboxed) => sandboxed,
+            Err(e) => return (Err(e), delta),
+        };
 
         let mut reasons: Vec<(String, String)> = Vec::new();
         let found = 'search: {
@@ -198,94 +191,81 @@ impl Controller {
             // On figure-3-scale topologies with uniform links this
             // degenerates to the paper's declaration-order iteration.
             for platform in self.table.ranked() {
-                // Placement: capacity check and tentative address
-                // assignment on this platform, then the configuration
-                // materialized for that address (stock modules need it;
-                // Click configurations may reference it as `$SELF`).
+                // Capacity check and tentative address assignment on
+                // this platform.
                 let t_place = Instant::now();
                 let slot = if self.table.has_room(platform) {
                     self.free_addr(platform)
                 } else {
                     Err("platform full")
                 };
+                delta.stage_placement_ns += ns_since(t_place);
                 let (addr, next_addr) = match slot {
                     Ok(slot) => slot,
                     Err(why) => {
-                        delta.stage_placement_ns += ns_since(t_place);
                         let name = self.topology.node(platform).name.clone();
                         reasons.push((name, why.to_string()));
                         continue;
                     }
                 };
-                let raw_cfg = request.config.materialize(addr);
-                delta.stage_placement_ns += ns_since(t_place);
-
-                let ctx = SecurityContext {
-                    assigned_addr: addr,
-                    registered: account.registered.clone(),
-                    class: account.class,
-                };
-                let report = match self.security_stage(&raw_cfg, &ctx, &mut delta) {
-                    Ok(report) => report,
-                    Err(e) => break 'search Err(DeployError::BadConfig(e)),
-                };
-                let (config, sandboxed) = match report.verdict {
-                    Verdict::Reject => {
-                        break 'search Err(DeployError::SecurityReject(Arc::new(report)));
+                // The sentinel never equals a literal the configuration
+                // compares `$SELF` with; this address may. Check it here.
+                let sandboxed = if request.config.names_self() {
+                    let here = SecurityContext {
+                        assigned_addr: addr,
+                        ..ctx.clone()
+                    };
+                    let bound = request.config.materialize(addr);
+                    match self.security_stage(&bound, &here, &mut delta) {
+                        Ok(wrap) => sandboxed || wrap,
+                        Err(e) => break 'search Err(e),
                     }
-                    Verdict::SafeWithSandbox => (
-                        wrap_with_enforcer(&raw_cfg, addr, &account.registered),
-                        true,
-                    ),
-                    Verdict::Safe => (raw_cfg.into_owned(), false),
+                } else {
+                    sandboxed
                 };
-
-                // Pretend the module is installed here.
-                let candidate = InstalledModule {
-                    id: self.next_id,
-                    name: request.module_name.clone(),
-                    platform,
-                    addr,
-                    config,
-                    sandboxed,
-                    owner: client_id.to_string(),
-                };
+                // The module as it would be installed there: bound to
+                // that address (stock modules need it; Click
+                // configurations may reference it as `$SELF`).
+                let t_place = Instant::now();
+                let candidate =
+                    self.module_at(client_id, account, request, platform, addr, sandboxed);
+                delta.stage_placement_ns += ns_since(t_place);
                 match self.placement_stage(&candidate, &request.requirements, &mut delta) {
-                    Ok(None) => {}
+                    Ok(None) => break 'search Ok((candidate, next_addr)),
                     Ok(Some(why)) => {
                         reasons.push((self.topology.node(platform).name.clone(), why));
-                        continue;
                     }
                     Err(e) => break 'search Err(e),
                 }
-                break 'search Ok((candidate, next_addr));
             }
             Err(DeployError::NoFeasiblePlacement { reasons })
         };
         // The search only reads the table; the one write comes after it.
         let result = found.map(|(candidate, next_addr)| {
+            let platform = candidate.platform;
             let mut resp = self.commit(candidate, next_addr);
             resp.compile_ns = delta.compile_ns;
             resp.check_ns = delta.check_ns;
-            resp
+            (platform, resp)
         });
         (result, delta)
     }
 
-    /// Stage 1: lint. Structural rules are address-independent, so one
-    /// pass covers every candidate platform; `$SELF` is bound to a
-    /// documentation address purely so argument parsing succeeds. Lint is
-    /// a pure function of (configuration, registry), so a report memoized
-    /// under the configuration's canonical text is an exact replay — the
-    /// stock chains a fleet redeploys under fresh module names lint once.
+    /// Stage 1: lint, of the request as a client would write it (`lint`
+    /// reads `$SELF` itself). Lint is a pure function of (configuration,
+    /// registry), so a report memoized under the configuration's
+    /// canonical text is an exact replay — the stock chains a fleet
+    /// redeploys under fresh module names lint once.
     fn lint_stage(&self, config: &ModuleConfig, delta: &mut ControllerStats) -> LintReport {
         let t = Instant::now();
-        let cfg = config.materialize(Ipv4Addr::new(192, 0, 2, 1));
+        let template = config.template();
         let mut hit = true;
-        let Ok(report) = self.lint.get_or_try_insert_with(cfg.canonical_text(), || {
-            hit = false;
-            Ok::<_, Infallible>(innet_analysis::lint(&cfg, &self.registry))
-        });
+        let Ok(report) = self
+            .lint
+            .get_or_try_insert_with(template.canonical_text(), || {
+                hit = false;
+                Ok::<_, Infallible>(innet_analysis::lint(&template, &self.registry))
+            });
         delta.lint_cache_hits += u64::from(hit);
         let ns = ns_since(t);
         delta.analysis_ns += ns;
@@ -293,8 +273,9 @@ impl Controller {
         report
     }
 
-    /// Stage 2: the compositional symbolic security check of `cfg` at
-    /// its candidate address (per requester class). The summary walk
+    /// Stage 2: the compositional symbolic security check of `cfg` in
+    /// `ctx` (per requester class), as a decision: whether the module
+    /// must run sandboxed, or the error that refuses it. The summary walk
     /// replays memoized chain summaries from the fleet-wide memos;
     /// disabled, the whole-graph oracle runs.
     fn security_stage(
@@ -302,14 +283,14 @@ impl Controller {
         cfg: &ClickConfig,
         ctx: &SecurityContext,
         delta: &mut ControllerStats,
-    ) -> Result<SecurityReport, SymError> {
+    ) -> Result<bool, DeployError> {
         let t = Instant::now();
         let checked = if self.summaries_enabled {
             check_module_summarized(cfg, ctx, &self.registry, Some(&self.models))
         } else {
             check_module_with_stats(cfg, ctx, &self.registry)
         };
-        let (mut report, check) = checked?;
+        let (mut report, check) = checked.map_err(DeployError::BadConfig)?;
         delta.absorb(check);
         let ns = ns_since(t);
         delta.check_ns += ns;
@@ -322,7 +303,11 @@ impl Controller {
             report.verdict = hardened;
             report.violations.extend(offenders);
         }
-        Ok(report)
+        match report.verdict {
+            Verdict::Reject => Err(DeployError::SecurityReject(Arc::new(report))),
+            Verdict::SafeWithSandbox => Ok(true),
+            Verdict::Safe => Ok(false),
+        }
     }
 
     /// Stage 3: placement verification — the kept topology model with the

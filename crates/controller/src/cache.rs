@@ -26,8 +26,7 @@
 //! * the **module name** (requirements reference it in way-points);
 //! * the **configuration** in canonical form — for Click configurations,
 //!   [`innet_click::ClickConfig::canonical_text`] *before* `$SELF`
-//!   binding, so the key does not depend on the address the controller
-//!   will pick; for stock modules, the kind;
+//!   binding; for stock modules, the kind;
 //! * the **requirement set**, one canonical rendering per requirement.
 //!
 //! Every variable-length field is length-prefixed, making the encoding
@@ -36,22 +35,36 @@
 //! a crafted hash collision cannot smuggle an unverified configuration in
 //! behind a cached accept.
 //!
-//! # Soundness across commits
+//! # What a replayed accept rests on
 //!
-//! A cached accept is reused under the same argument `deploy_batch`
-//! already relies on for snapshot verification: addresses within one
-//! platform pool are interchangeable, and committing more modules never
-//! makes a previously verified placement unsound — except by exhausting
-//! platform capacity, which the hit path re-checks against the module
-//! table's used-slot count before committing (re-placing a
-//! placement-independent verdict, falling back to full verification
-//! otherwise, when the platform filled up). Anything else
-//! that can flip a verdict — policy, hardening, module removal — bumps
-//! the epoch of the [`innet_symnet::Memo`] the verdicts live in, which
-//! discards every entry and refuses any verdict still being computed
-//! under the old one.
+//! The key holds no address, and neither does a memoized accept's
+//! security verdict: it was reached once per request with `$SELF` bound
+//! to [`innet_analysis::SELF_SENTINEL`], and is never more permissive
+//! than the check at any address the module could be given (see
+//! [`ModuleConfig::materialize`]). A hit commits the request bound to
+//! whatever address `free_addr` hands out, as the miss did. The one
+//! exception is never memoized: a configuration that names `$SELF` can
+//! be safe at one address and spoof at the next
+//! ([`ModuleConfig::names_self`]), so each of its accepts is checked at
+//! its own address on a miss. Its rejects are memoized like any other:
+//! replaying a reject is never less cautious than checking again.
+//!
+//! The placement verdict has no such argument. Operator policy and
+//! requirements were checked with the module at the miss's concrete
+//! address and next to the modules installed then; a hit replays the
+//! platform at a new address without re-checking them (DESIGN.md §7
+//! keeps this open). Capacity is re-checked on every hit against the
+//! module table's used-slot count: if the cached platform filled up, a
+//! request with neither requirements nor operator policy moves to the
+//! best-ranked platform with room, and anything else re-verifies.
+//! Everything else that can flip a verdict — policy, hardening, module
+//! removal — bumps the epoch of the [`innet_symnet::Memo`] the verdicts
+//! live in, which discards every entry and refuses any verdict still
+//! being computed under the old one.
 
 use std::fmt::Write as _;
+
+use innet_topology::NodeId;
 
 use crate::controller::{ClientAccount, DeployError, DeployResponse};
 use crate::hardening::HardeningPolicy;
@@ -63,8 +76,8 @@ use crate::request::{ClientRequest, ModuleConfig};
 pub(crate) enum CachedOutcome {
     /// The request verified end-to-end and was placed on `platform`.
     Accept {
-        /// Name of the platform the verified placement chose.
-        platform: String,
+        /// The platform the verified placement chose.
+        platform: NodeId,
         /// Whether the sandbox wrapper was required.
         sandboxed: bool,
     },
@@ -83,12 +96,19 @@ pub(crate) struct CachedVerdict {
 }
 
 impl CachedOutcome {
-    /// What the verdict memo should remember of a full evaluation's
-    /// result, if anything.
-    pub fn of(result: &Result<DeployResponse, DeployError>) -> Option<CachedOutcome> {
+    /// What the verdict memo should remember of `request`'s full
+    /// evaluation (an accept with the platform it committed to), if
+    /// anything.
+    pub fn of(
+        request: &ClientRequest,
+        result: &Result<(NodeId, DeployResponse), DeployError>,
+    ) -> Option<CachedOutcome> {
         match result {
-            Ok(resp) => Some(CachedOutcome::Accept {
-                platform: resp.platform.clone(),
+            // Checked at the one address it was installed at: the accept
+            // holds there, not at the next address a hit would hand out.
+            Ok(_) if request.config.names_self() => None,
+            Ok((platform, resp)) => Some(CachedOutcome::Accept {
+                platform: *platform,
                 sandboxed: resp.sandboxed,
             }),
             // Not verdicts about the request itself — never memoized.

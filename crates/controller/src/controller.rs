@@ -148,25 +148,22 @@ pub struct Controller {
     /// execution. On by default; the admission bench turns it off for its
     /// whole-graph baseline. Participates in the verdict-cache key.
     pub(crate) summaries_enabled: bool,
-    /// The three verification memos, shared with the verification
-    /// snapshots `deploy_batch` spawns so shard misses warm them for
-    /// everyone, and flushed together by
+    /// The three verification memos, flushed together by
     /// [`Controller::invalidate_verdicts`]. Only `verdicts` is
     /// verdict-bearing; `models` (element models, wired graphs, element
     /// and chain summaries — the whole-graph oracle deliberately uses
-    /// none of them) and `lint` (reports keyed by the materialized
+    /// none of them) and `lint` (reports keyed by the sentinel-bound
     /// configuration's canonical text) hold pure functions of their keys.
-    pub(crate) verdicts: Arc<Memo<CachedVerdict>>,
-    pub(crate) models: Arc<ModelCache>,
-    pub(crate) lint: Arc<Memo<LintReport>>,
+    pub(crate) verdicts: Memo<CachedVerdict>,
+    pub(crate) models: ModelCache,
+    pub(crate) lint: Memo<LintReport>,
     /// The topology's network model with no module installed, built by
     /// the first request that has a requirement or operator policy to
     /// check, and kept: it is a pure function of the topology, which is
     /// fixed for the controller's lifetime, so no invalidation touches
     /// it. A build error (a middlebox with no symbolic model) is kept
-    /// too, and every checked request reports it. Shared with the
-    /// verification snapshots.
-    pub(crate) topology_model: Arc<OnceLock<Result<NetworkModel, SymError>>>,
+    /// too, and every checked request reports it.
+    pub(crate) topology_model: OnceLock<Result<NetworkModel, SymError>>,
     /// Cumulative statistics and their metric mirror.
     pub(crate) ledger: Ledger,
 }
@@ -174,12 +171,8 @@ pub struct Controller {
 impl Controller {
     /// Creates a controller for the given operator topology.
     pub fn new(topology: Topology) -> Controller {
-        // The scoring context (client-vantage shortest paths) is immutable
-        // — the topology is fixed for the controller's lifetime — and
-        // shared with verification shards through the table.
-        let placement = Arc::new(PlacementContext::new(&topology));
         Controller {
-            table: ModuleTable::new(&topology, placement),
+            table: ModuleTable::new(&topology, PlacementContext::new(&topology)),
             addr_cursor: vec![FIRST_HOST; topology.nodes.len()],
             topology,
             registry: Registry::standard(),
@@ -188,10 +181,10 @@ impl Controller {
             next_id: 1,
             hardening: HardeningPolicy::default(),
             summaries_enabled: true,
-            verdicts: Arc::default(),
-            models: Arc::default(),
-            lint: Arc::default(),
-            topology_model: Arc::default(),
+            verdicts: Memo::default(),
+            models: ModelCache::default(),
+            lint: Memo::default(),
+            topology_model: OnceLock::new(),
             ledger: Ledger::default(),
         }
     }
@@ -312,9 +305,10 @@ impl Controller {
         self.clients.iter()
     }
 
-    /// Installs an already-verified module set verbatim (used when
-    /// building verification snapshots for parallel shards). Every
-    /// module's platform must be a node of the controller's topology.
+    /// Installs an already-verified module set verbatim, replacing the
+    /// current one (a fleet's placement mirrored into its controller).
+    /// Every module's platform must be a node of the controller's
+    /// topology.
     pub fn adopt_modules(&mut self, modules: Vec<InstalledModule>) {
         self.next_id = next_id_after(&modules).unwrap_or(self.next_id);
         self.table.replace_all(&self.topology, modules);
@@ -413,109 +407,54 @@ impl Controller {
         resp
     }
 
-    /// Installs a request whose verdict was already established — either
-    /// by a `deploy_batch` shard against an equivalent snapshot, or by a
-    /// verdict-cache hit: allocates a fresh address, materializes the
-    /// configuration, and commits without re-running the symbolic checks.
-    /// The caller must have established that `platform_name` still has
-    /// room.
-    pub(crate) fn commit_unchecked(
-        &mut self,
+    /// `request` bound to `addr` on `platform`, behind the
+    /// `ChangeEnforcer` sandbox if its verdict asked for one: the module
+    /// the next commit would install.
+    pub(crate) fn module_at(
+        &self,
         client_id: &str,
         account: &ClientAccount,
-        request: ClientRequest,
-        platform_name: &str,
+        request: &ClientRequest,
+        platform: NodeId,
+        addr: Ipv4Addr,
         sandboxed: bool,
-    ) -> Result<DeployResponse, DeployError> {
-        let slot = match self.topology.index_of(platform_name) {
-            Some(platform) => self
-                .free_addr(platform)
-                .map(|(addr, next_addr)| (platform, addr, next_addr)),
-            None => Err("unknown platform"),
-        };
-        let (platform, addr, next_addr) = slot.map_err(|why| DeployError::NoFeasiblePlacement {
-            reasons: vec![(platform_name.to_string(), why.to_string())],
-        })?;
+    ) -> InstalledModule {
         let raw_cfg = request.config.materialize(addr);
         let config = if sandboxed {
             wrap_with_enforcer(&raw_cfg, addr, &account.registered)
         } else {
             raw_cfg.into_owned()
         };
-        let module = InstalledModule {
+        InstalledModule {
             id: self.next_id,
-            name: request.module_name,
+            name: request.module_name.clone(),
             platform,
             addr,
             config,
             sandboxed,
             owner: client_id.to_string(),
-        };
-        Ok(self.commit(module, next_addr))
-    }
-
-    /// Commits a deployment that a shard already verified against an
-    /// equivalent snapshot (same topology, same modules, an address from
-    /// the same pool). Only `deploy_batch` may call this, and only when no
-    /// conflicting commit landed in between.
-    pub(crate) fn commit_verified(
-        &mut self,
-        client_id: &str,
-        request: ClientRequest,
-        platform_name: &str,
-        sandboxed: bool,
-    ) -> Result<DeployResponse, DeployError> {
-        // No `requests` in this delta: the shard that verified the
-        // proposal already counted the request, and its statistics are
-        // folded into this controller's by `fold_shard_stats` — counting
-        // again would make batch deployments report more requests than
-        // they served.
-        let account = self
-            .clients
-            .get(client_id)
-            .cloned()
-            .ok_or_else(|| DeployError::UnknownClient(client_id.to_string()))?;
-        let result = self.commit_unchecked(client_id, &account, request, platform_name, sandboxed);
-        self.finish(ControllerStats::default(), result)
-    }
-
-    /// A verification-only copy of this controller: same topology, policy,
-    /// accounts, installed modules, and hardening — with independent
-    /// statistics and allocators, and the *shared* verification memos
-    /// (built by direct field access so construction never bumps their
-    /// epoch) and topology model.
-    pub(crate) fn verification_clone(&self) -> Controller {
-        Controller {
-            topology: self.topology.clone(),
-            registry: Registry::standard(),
-            operator_policy: self.operator_policy.clone(),
-            clients: self.clients.clone(),
-            table: self.table.clone(),
-            next_id: next_id_after(self.modules()).unwrap_or(self.next_id),
-            addr_cursor: vec![FIRST_HOST; self.topology.nodes.len()],
-            hardening: self.hardening,
-            summaries_enabled: self.summaries_enabled,
-            verdicts: Arc::clone(&self.verdicts),
-            models: Arc::clone(&self.models),
-            lint: Arc::clone(&self.lint),
-            topology_model: Arc::clone(&self.topology_model),
-            ledger: Ledger::default(),
         }
     }
 
-    /// Folds a verification shard's statistics into this controller's.
-    /// A shard counts a proposal it verified as `accepted`, but
-    /// acceptance is only real once the serial commit phase lands it (or
-    /// re-verifies it on conflict) — the live controller counts it
-    /// there, so the shard's figure is dropped. Shards have no metrics
-    /// attached, so their per-reason placement-reject split is not
-    /// recoverable here — the total still folds.
-    pub(crate) fn fold_shard_stats(&mut self, shard: ControllerStats) {
-        let folded = ControllerStats {
-            accepted: 0,
-            ..shard
-        };
-        self.ledger.record(&folded, None);
+    /// Installs a request whose verdict a verdict-memo hit replays: a
+    /// fresh address on `platform`, and a commit without re-running any
+    /// check. The caller must have established that `platform` still has
+    /// room.
+    pub(crate) fn commit_unchecked(
+        &mut self,
+        client_id: &str,
+        account: &ClientAccount,
+        request: &ClientRequest,
+        platform: NodeId,
+        sandboxed: bool,
+    ) -> Result<DeployResponse, DeployError> {
+        let (addr, next_addr) =
+            self.free_addr(platform)
+                .map_err(|why| DeployError::NoFeasiblePlacement {
+                    reasons: vec![(self.topology.node(platform).name.clone(), why.to_string())],
+                })?;
+        let module = self.module_at(client_id, account, request, platform, addr, sandboxed);
+        Ok(self.commit(module, next_addr))
     }
 
     /// Stops a module and removes its flow rules (§4.3 `kill`).
@@ -917,16 +856,6 @@ mod tests {
         // A requirement brings the model back.
         c.deploy("mobile-7", fig4_named("needy")).unwrap();
         assert!(c.stats().compile_ns > 0);
-    }
-
-    #[test]
-    fn verification_clone_shares_the_topology_model() {
-        let mut c = controller();
-        let shard = c.verification_clone();
-        assert!(Arc::ptr_eq(&c.topology_model, &shard.topology_model));
-        // Whichever side checks first builds it for both.
-        c.deploy("mobile-7", fig4_named("first")).unwrap();
-        assert!(matches!(shard.topology_model.get(), Some(Ok(_))));
     }
 
     #[test]

@@ -15,9 +15,13 @@
 //! 3. **Client requirements** — the client's `reach` statements must hold
 //!    with the module placed on the candidate platform.
 //!
-//! The controller iterates over the platforms, *pretends* the module is
-//! installed on each, and commits to the first placement where everything
-//! verifies (§4.5's unifying example walks through exactly this flow).
+//! The security rules are checked once per request, with the module's own
+//! address (`$SELF`) bound to a sentinel no request may name. The
+//! controller then iterates over the platforms, *pretends* the module is
+//! installed on each, and commits to the first placement where policy and
+//! requirements verify (§4.5's unifying example walks through exactly
+//! this flow). A configuration that names `$SELF` is security-checked at
+//! each candidate's address as well.
 //!
 //! ## Example
 //!
@@ -65,7 +69,6 @@ mod fleet_hooks;
 mod hardening;
 mod modules;
 mod netmodel;
-mod parallel;
 mod placement;
 mod request;
 mod sandbox;

@@ -21,14 +21,12 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
 use innet_topology::{NodeId, NodeKind, Topology};
 
 use crate::{netmodel::InstalledModule, placement::PlacementContext};
 
 /// Installed modules in commit order, indexed for placement.
-#[derive(Clone)]
 pub(crate) struct ModuleTable {
     modules: Vec<InstalledModule>,
     /// Module slots per topology node (0 for a node that is not a
@@ -43,12 +41,12 @@ pub(crate) struct ModuleTable {
     /// Every platform under its current [`PlacementContext::score`]; ties
     /// order by ascending node id, as `rank`'s sort does.
     ranked: BTreeSet<(u64, NodeId)>,
-    placement: Arc<PlacementContext>,
+    placement: PlacementContext,
 }
 
 impl ModuleTable {
     /// An empty table over `topo`'s platforms.
-    pub(crate) fn new(topo: &Topology, placement: Arc<PlacementContext>) -> ModuleTable {
+    pub(crate) fn new(topo: &Topology, placement: PlacementContext) -> ModuleTable {
         let capacity = topo.nodes.iter().map(|n| match &n.kind {
             NodeKind::Platform(spec) => spec.capacity,
             _ => 0,
@@ -181,8 +179,8 @@ mod tests {
     #[test]
     fn writes_move_one_platform_and_keep_rank_order() {
         let topo = Topology::figure3();
-        let ctx = Arc::new(PlacementContext::new(&topo));
-        let mut table = ModuleTable::new(&topo, Arc::clone(&ctx));
+        let ctx = PlacementContext::new(&topo);
+        let mut table = ModuleTable::new(&topo, PlacementContext::new(&topo));
         let order = |t: &ModuleTable| t.ranked().collect::<Vec<_>>();
         assert_eq!(order(&table), ctx.rank(&topo, &HashMap::new()));
 
@@ -205,8 +203,7 @@ mod tests {
         // `adopt_modules` installs whatever it is given, repeated
         // addresses and modules on nodes that are not platforms included.
         let topo = Topology::figure3();
-        let ctx = Arc::new(PlacementContext::new(&topo));
-        let mut table = ModuleTable::new(&topo, ctx);
+        let mut table = ModuleTable::new(&topo, PlacementContext::new(&topo));
         let p3 = topo.index_of("platform3").unwrap();
         let border = topo.index_of("border").unwrap();
         let a = Ipv4Addr::new(203, 0, 113, 10);

@@ -37,9 +37,6 @@ pub enum RejectReason {
     PolicyViolation,
     /// A client `reach` requirement fails with the module there.
     RequirementUnsatisfied,
-    /// The named platform does not exist (cache replay after a topology
-    /// change).
-    UnknownPlatform,
     /// The named node is not a platform.
     NotAPlatform,
     /// An unrecognized reason string.
@@ -54,7 +51,6 @@ impl RejectReason {
             RejectReason::NoAddressPool => "no_address_pool",
             RejectReason::PolicyViolation => "policy_violation",
             RejectReason::RequirementUnsatisfied => "requirement_unsatisfied",
-            RejectReason::UnknownPlatform => "unknown_platform",
             RejectReason::NotAPlatform => "not_a_platform",
             RejectReason::Other => "other",
         }
@@ -71,8 +67,6 @@ impl RejectReason {
             RejectReason::PolicyViolation
         } else if reason.starts_with("client requirement unsatisfied") {
             RejectReason::RequirementUnsatisfied
-        } else if reason == "unknown platform" {
-            RejectReason::UnknownPlatform
         } else if reason == "not a platform" {
             RejectReason::NotAPlatform
         } else {
@@ -101,9 +95,8 @@ impl RejectReason {
 const UNREACHABLE_LATENCY_US: u64 = 10_000_000;
 
 /// Precomputed placement-scoring context: minimum-latency paths from the
-/// operator's client edge to every node. Built once per topology (it is
-/// immutable after construction) and shared across `deploy_batch`
-/// verification shards behind an `Arc`.
+/// operator's client edge to every node. Built once per controller: the
+/// topology is fixed for its lifetime.
 #[derive(Debug, Default)]
 pub struct PlacementContext {
     /// `client_paths[n]` is the best path from the vantage to node `n`.
@@ -213,10 +206,6 @@ mod tests {
                 "client requirement unsatisfied: reach from internet udp -> client"
             ),
             RejectReason::RequirementUnsatisfied
-        );
-        assert_eq!(
-            RejectReason::classify("unknown platform"),
-            RejectReason::UnknownPlatform
         );
         assert_eq!(
             RejectReason::classify("not a platform"),

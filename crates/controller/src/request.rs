@@ -3,11 +3,12 @@
 use std::borrow::Cow;
 use std::net::Ipv4Addr;
 
+use innet_analysis::bind_self;
 use innet_click::ClickConfig;
 use innet_policy::Requirement;
 use serde::{Deserialize, Serialize};
 
-use crate::stock::stock_config;
+use crate::stock::{stock_config, stock_with};
 
 /// A pre-defined stock processing module offered by the controller
 /// (paper §4.1: "a reverse-HTTP proxy appliance, an explicit proxy …, a
@@ -48,27 +49,49 @@ pub enum ModuleConfig {
 }
 
 impl ModuleConfig {
-    /// The configuration for a concrete assigned address: binds `$SELF`
-    /// placeholders in Click configurations and instantiates stock
-    /// templates. Configurations without `$SELF` are address-independent
-    /// and borrowed as-is — the common case on the admission hot path,
-    /// where the clone would be pure overhead.
+    /// The configuration with `$SELF` bound to `addr`: placeholders in
+    /// Click configurations are substituted ([`bind_self`]) and stock
+    /// templates instantiated.
+    ///
+    /// Admission binds twice. The security check reads the request bound
+    /// to [`innet_analysis::SELF_SENTINEL`], an address no request may
+    /// name (IN-L012), so a literal can never pass as the module's own
+    /// address. Where the configuration cannot compare anything with its
+    /// own address, that check is never more permissive than the check at
+    /// any address the module could be given, which is the one property a
+    /// replayed accept rests on. [`ModuleConfig::names_self`] says where
+    /// it can. Each placement candidate then binds its own address for
+    /// what is installed.
     pub(crate) fn materialize(&self, addr: Ipv4Addr) -> Cow<'_, ClickConfig> {
-        let c = match self {
-            ModuleConfig::Click(c) => c,
-            ModuleConfig::Stock(kind) => return Cow::Owned(stock_config(*kind, addr)),
+        match self {
+            ModuleConfig::Click(c) => bind_self(c, addr),
+            ModuleConfig::Stock(kind) => Cow::Owned(stock_config(*kind, addr)),
+        }
+    }
+
+    /// The configuration as a client would write it, `$SELF` unbound.
+    pub(crate) fn template(&self) -> Cow<'_, ClickConfig> {
+        match self {
+            ModuleConfig::Click(c) => Cow::Borrowed(c),
+            ModuleConfig::Stock(kind) => Cow::Owned(stock_with(*kind, "$SELF")),
+        }
+    }
+
+    /// Whether the security verdict can depend on the address `$SELF` is
+    /// bound to: a Click configuration that names `$SELF`. Its filters
+    /// may compare a field with `$SELF` and with a literal, and the two
+    /// meet at a pool address but never at the sentinel. So a
+    /// flow that is cut at the sentinel may leave the module at the
+    /// address it is installed at (DESIGN.md §5). A stock template only
+    /// writes its own address as the source of its answers, after every
+    /// comparison it makes, so its verdict is the same at every address.
+    pub(crate) fn names_self(&self) -> bool {
+        let ModuleConfig::Click(c) = self else {
+            return false;
         };
-        let has_self = |a: &String| a.contains("$SELF");
-        if !c.elements.iter().any(|e| e.args.iter().any(has_self)) {
-            return Cow::Borrowed(c);
-        }
-        let mut c = c.clone();
-        for a in c.elements.iter_mut().flat_map(|e| &mut e.args) {
-            if has_self(a) {
-                *a = a.replace("$SELF", &addr.to_string());
-            }
-        }
-        Cow::Owned(c)
+        c.elements
+            .iter()
+            .any(|e| e.args.iter().any(|a| a.contains("$SELF")))
     }
 }
 

@@ -74,7 +74,8 @@ pub struct ControllerStats {
     /// check, summary replay included).
     pub stage_symbolic_ns: u64,
     /// Nanoseconds spent in the placement stage (capacity + address
-    /// assignment, model compilation, policy and requirement checks).
+    /// assignment, building each candidate module, model compilation,
+    /// policy and requirement checks).
     pub stage_placement_ns: u64,
     /// Per-platform placement rejections accumulated across
     /// `NoFeasiblePlacement` outcomes (one per `(platform, reason)`
@@ -234,8 +235,8 @@ impl Ledger {
     /// when it describes one: it feeds the labeled series a sum cannot
     /// carry (per-reason placement rejects and, for a request that ran
     /// the full pipeline, the verdict label and the per-request
-    /// histograms). Aggregates — a shard's totals, an invalidation —
-    /// pass `None`.
+    /// histograms). An invalidation, or an unknown client's request,
+    /// passes `None`.
     pub fn record(
         &mut self,
         delta: &ControllerStats,

@@ -15,11 +15,16 @@ use crate::request::StockModule;
 /// by the address the controller assigned to it. Built with the
 /// programmatic builder, so it is infallible — no parse step, no panic.
 pub fn stock_config(kind: StockModule, assigned: Ipv4Addr) -> ClickConfig {
-    let addr = assigned.to_string();
+    stock_with(kind, &assigned.to_string())
+}
+
+/// [`stock_config`] with its own address written as `own`: an address,
+/// or `$SELF` for the module as a client would have written it.
+pub(crate) fn stock_with(kind: StockModule, own: &str) -> ClickConfig {
     let (name, class, args): (&str, &str, Vec<&str>) = match kind {
-        StockModule::ReverseHttpProxy => ("srv", "StockReverseProxy", vec![addr.as_str()]),
-        StockModule::ExplicitProxy => ("srv", "StockExplicitProxy", vec![addr.as_str()]),
-        StockModule::GeoDns => ("srv", "StockDNSServer", vec![addr.as_str()]),
+        StockModule::ReverseHttpProxy => ("srv", "StockReverseProxy", vec![own]),
+        StockModule::ExplicitProxy => ("srv", "StockExplicitProxy", vec![own]),
+        StockModule::GeoDns => ("srv", "StockDNSServer", vec![own]),
         StockModule::X86Vm => ("vm", "StockX86VM", Vec::new()),
     };
     let mut cfg = ClickConfig::new();

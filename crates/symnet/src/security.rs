@@ -169,9 +169,8 @@ fn anti_spoof(flow: &SymPacket, ctx: &SecurityContext) -> Tri {
     match flow.origin_of(src) {
         Some(o @ (Origin::Decap | Origin::Opaque | Origin::Computed)) => Tri::Unknown(o),
         _ => Tri::Violated(format!(
-            "egress source {} is neither the assigned address {} nor invariant",
-            flow.render_fields(),
-            ctx.assigned_addr
+            "egress source {} is neither the module's own address ($SELF) nor invariant",
+            flow.render_fields()
         )),
     }
 }

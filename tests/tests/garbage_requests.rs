@@ -195,12 +195,13 @@ fn truncated_requirement_check_is_undecided_not_unsatisfied() {
         let Err(DeployError::NoFeasiblePlacement { reasons }) = c.deploy("stranger", req) else {
             panic!("depth {depth}: no platform can hold the requirement");
         };
-        // One security-check cut per candidate platform, plus platform3's
+        // One security-check cut for the request (it is checked once,
+        // whichever platforms placement then tries), plus platform3's
         // requirement check from depth 17 on.
         let cut = depth >= 17;
         assert_eq!(
             c.stats().hop_cap_bailouts,
-            3 + u64::from(cut),
+            1 + u64::from(cut),
             "depth {depth}"
         );
         for (platform, why) in &reasons {

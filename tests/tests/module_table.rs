@@ -7,7 +7,7 @@
 //! installed modules. This test drives seeded random interleavings of
 //! every operation that writes the module list — `deploy` (accepts,
 //! rejects, verdict-cache hits, hits re-placed because the cached
-//! platform filled up), `kill`, `adopt_modules` and `deploy_batch` — on
+//! platform filled up), `kill` and `adopt_modules` — on
 //! Figure 3 and on a small generated fleet, both with a handful of slots
 //! per platform so platforms fill, and after every step compares what the
 //! controller reports with a recount over `modules()`:
@@ -77,7 +77,6 @@ struct Seen {
     replaced_hits: u64,
     kills: u64,
     adoptions: u64,
-    batches: u64,
     full_platforms: u64,
 }
 
@@ -137,7 +136,7 @@ fn sequence(topo: Topology, rng: &mut StdRng, seen: &mut Seen) {
     // Where each request last landed, to recognise a re-placed hit.
     let mut landed: HashMap<String, String> = HashMap::new();
     for step in 0..STEPS {
-        let what = match rng.gen_range(0..10) {
+        let what = match rng.gen_range(0..9) {
             0..=5 => {
                 let (client, req) = request(rng);
                 let key = format!("{client}/{req:?}");
@@ -167,7 +166,7 @@ fn sequence(topo: Topology, rng: &mut StdRng, seen: &mut Seen) {
                 seen.kills += u64::from(ctl.kill(id).is_ok());
                 "kill"
             }
-            8 => {
+            _ => {
                 // Adopt the current set back, reversed and with some
                 // modules dropped.
                 let mut kept: Vec<_> = ctl.modules().to_vec();
@@ -176,13 +175,6 @@ fn sequence(topo: Topology, rng: &mut StdRng, seen: &mut Seen) {
                 ctl.adopt_modules(kept);
                 seen.adoptions += 1;
                 "adopt_modules"
-            }
-            _ => {
-                let batch: Vec<_> = (0..rng.gen_range(2..5)).map(|_| request(rng)).collect();
-                let results = ctl.deploy_batch(batch, 2);
-                seen.accepts += results.iter().filter(|r| r.is_ok()).count() as u64;
-                seen.batches += 1;
-                "deploy_batch"
             }
         };
         check(&ctl, &oracle, seen, &format!("step {step} ({what})"));
@@ -222,6 +214,5 @@ fn assert_all_paths_taken(seen: &Seen) {
     assert!(seen.replaced_hits > 10, "re-placed: {}", seen.replaced_hits);
     assert!(seen.kills > 100, "kills: {}", seen.kills);
     assert!(seen.adoptions > 50, "adoptions: {}", seen.adoptions);
-    assert!(seen.batches > 50, "batches: {}", seen.batches);
     assert!(seen.full_platforms > 100, "full: {}", seen.full_platforms);
 }

@@ -10,8 +10,11 @@
 //! The controller must pick the policy-compliant platform even when a
 //! non-compliant one comes first in iteration order.
 
+use innet::analysis::SELF_SENTINEL;
+use innet::click::Registry;
+use innet::controller::{ControllerStats, ModuleConfig};
 use innet::prelude::*;
-use innet::symnet::RequesterClass;
+use innet::symnet::{check_module_summarized, ModelCache, RequesterClass, SecurityContext};
 use innet::topology::{NodeKind, PlatformSpec};
 
 /// A §2.2-shaped operator network: two directly reachable platforms, one
@@ -174,4 +177,53 @@ fn non_http_module_unconstrained_by_http_policy() {
     .unwrap();
     let resp = ctl.deploy("websurfer", udp).unwrap();
     assert_eq!(resp.platform, "platform1");
+}
+
+/// The security check runs once per request, before the candidate loop,
+/// however many platforms placement tries. Here placement refuses
+/// platform1, the first-ranked candidate, on operator policy and accepts
+/// platform2, and the request's summary counters move exactly as one
+/// check of its configuration moves them on a fresh memo: one chain
+/// lookup (a miss) and one chain's worth of replayed elements. (The
+/// policy and requirement walks on this network summarize nothing: every
+/// entry chain they start on holds a way-point.)
+#[test]
+fn security_is_checked_once_however_many_candidates_placement_tries() {
+    let mut ctl = Controller::new(section22_topology());
+    ctl.register_client(
+        "websurfer",
+        RequesterClass::Client,
+        vec!["172.16.15.133".parse().unwrap()],
+    );
+    ctl.add_operator_policy(
+        Requirement::parse("reach from internet tcp src port 80 -> HTTPOptimizer -> client")
+            .unwrap(),
+    );
+    let first = ctl.ranked_platforms()[0];
+    assert_eq!(ctl.topology().node(first).name, "platform1");
+
+    let request = http_module_request();
+    let ModuleConfig::Click(cfg) = &request.config else {
+        unreachable!("a Click request")
+    };
+    let ctx = SecurityContext {
+        assigned_addr: SELF_SENTINEL,
+        registered: vec!["172.16.15.133".parse().unwrap()],
+        class: RequesterClass::Client,
+    };
+    let memo = ModelCache::default();
+    let (_, one) = check_module_summarized(cfg, &ctx, &Registry::standard(), Some(&memo)).unwrap();
+    assert_eq!((one.summary_cache_misses, one.summary_cache_hits), (1, 0));
+
+    let before = ctl.stats();
+    let resp = ctl.deploy("websurfer", request).unwrap();
+    let after = ctl.stats();
+    assert_eq!(resp.platform, "platform2");
+    let lookups = |s: &ControllerStats| s.summary_cache_hits + s.summary_cache_misses;
+    assert_eq!(lookups(&after) - lookups(&before), 1, "{after:?}");
+    assert_eq!(
+        after.summary_chain_nodes - before.summary_chain_nodes,
+        one.summary_chain_nodes,
+        "{after:?}"
+    );
 }

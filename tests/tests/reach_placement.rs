@@ -18,7 +18,12 @@
 //! graph nodes may be numbered in any order, so only names, counts and
 //! verdicts are pinned, never raw indices. The golden file was recorded
 //! on `98dcd8d`, the commit before the network model was split into a
-//! per-controller topology model plus the installed modules.
+//! per-controller topology model plus the installed modules. Its
+//! `summary_cache_hits` and `summary_chain_nodes` lines were re-recorded
+//! when the security check left the candidate loop (once per request,
+//! where `c855d8b` checked once per candidate platform tried): those
+//! counters count security checks, and every other line, each decision
+//! included, stayed put.
 
 use std::net::Ipv4Addr;
 

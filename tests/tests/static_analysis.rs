@@ -7,7 +7,7 @@
 //! must agree with the whole-graph oracle, and `Controller::deploy` must
 //! land every request in the class that oracle names.
 
-use innet::analysis::{abstract_verdict, lint};
+use innet::analysis::{abstract_verdict, lint, SELF_SENTINEL};
 use innet::click::{ClickConfig, Registry};
 use innet::controller::HardeningPolicy;
 use innet::prelude::*;
@@ -54,16 +54,43 @@ const POOL: &[(&str, &[&str])] = &[
     ("ServerS", &[]),
 ];
 
-/// A random linear chain `FromNetfront -> middle* -> terminal`. Linear
-/// chains over the full pool already exercise every abstract transfer
-/// function (constants, copies, runtime values, filters, tunnels, havoc).
+/// Elements that name the first three addresses Figure 3's preferred
+/// platform hands out, or its whole pool, so a chain can name the address
+/// its module is about to be given. The filters on 192.0.2.10
+/// ([`ASSIGNED`], rebound to `$SELF`) let a chain compare a field with
+/// its own address and with one of those literals.
+const POOL_LITERALS: &[(&str, &[&str])] = &[
+    ("SetIPSrc", &["203.0.113.10"]),
+    ("SetIPSrc", &["203.0.113.11"]),
+    ("SetIPDst", &["203.0.113.10"]),
+    ("SetIPDst", &["203.0.113.12"]),
+    ("IPFilter", &["allow dst host 192.0.2.10"]),
+    ("IPFilter", &["allow src host 192.0.2.10"]),
+    ("IPFilter", &["allow dst host 203.0.113.10"]),
+    ("IPFilter", &["allow dst host 203.0.113.11"]),
+    ("IPFilter", &["allow dst net 203.0.113.0/24"]),
+    ("IPFilter", &["allow src host 203.0.113.12"]),
+    ("IPClassifier", &["dst host 192.0.2.10"]),
+    ("IPClassifier", &["dst host 203.0.113.11"]),
+];
+
+/// A random linear chain `FromNetfront -> middle* -> terminal` over
+/// [`POOL`]. Linear chains over the full pool already exercise every
+/// abstract transfer function (constants, copies, runtime values,
+/// filters, tunnels, havoc).
 fn random_config(rng: &mut StdRng) -> ClickConfig {
+    random_chain(rng, &[POOL])
+}
+
+/// [`random_config`] with its middle elements drawn from `pools` joined.
+fn random_chain(rng: &mut StdRng, pools: &[&[(&str, &[&str])]]) -> ClickConfig {
+    let drawable: Vec<_> = pools.iter().copied().flatten().collect();
     let mut cfg = ClickConfig::new();
     cfg.add_element("in", "FromNetfront", &[]);
     let mut prev = "in".to_string();
     let middles = rng.gen_range(0usize..5);
     for i in 0..middles {
-        let (class, args) = POOL[rng.gen_range(0..POOL.len())];
+        let (class, args) = *drawable[rng.gen_range(0..drawable.len())];
         let name = format!("e{i}");
         cfg.add_element(name.clone(), class, args);
         cfg.connect(prev, 0, name.clone(), 0);
@@ -567,6 +594,102 @@ fn admission_agrees_with_the_whole_graph_oracle_on_generated_configs() {
         "tenant outcomes: {plain} plain, {sandboxed} sandboxed, {rejected} rejected, \
          {linted} lint refusals"
     );
+}
+
+/// `Reject` < `SafeWithSandbox` < `Safe`.
+fn permissiveness(verdict: Verdict) -> u8 {
+    match verdict {
+        Verdict::Reject => 0,
+        Verdict::SafeWithSandbox => 1,
+        Verdict::Safe => 2,
+    }
+}
+
+/// 1000 generated configurations that may also name the addresses the
+/// controller hands out next, and compare them with `$SELF`, × every
+/// requester class, each deployed three times: no module is installed
+/// with a verdict more permissive than `check_module` of the request
+/// bound to the address it landed at. A configuration that does not name
+/// `$SELF` has one verdict for every address, so for it the bound holds
+/// at each of the three pool addresses. That is what lets a memo hit
+/// replay the verdict wherever the copy lands.
+#[test]
+fn admission_is_never_more_permissive_than_the_check_where_the_module_lands() {
+    const SEED: u64 = 0x5e1f_2015;
+    println!("seed {SEED:#x}");
+    let pool = [10, 11, 12].map(|host| Ipv4Addr::new(203, 0, 113, host));
+    let registry = Registry::standard();
+    let check_at = |cfg: &ClickConfig, class, addr: Ipv4Addr| {
+        let bound = rebind_assigned(cfg, &addr.to_string());
+        let at = SecurityContext {
+            assigned_addr: addr,
+            ..ctx(class)
+        };
+        let verdict = check_module(&bound, &at, &registry).ok()?.verdict;
+        Some((verdict, bound))
+    };
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let (mut stricter, mut met) = (0u32, 0u32);
+    for case in 0..1000 {
+        let cfg = random_chain(&mut rng, &[POOL, POOL_LITERALS]);
+        let template = rebind_assigned(&cfg, "$SELF");
+        let names_self = template != cfg;
+        for class in [
+            RequesterClass::ThirdParty,
+            RequesterClass::Client,
+            RequesterClass::Operator,
+        ] {
+            let mut c = Controller::new(Topology::figure3());
+            let who = format!("{class:?}");
+            c.register_client(&who, class, vec![REGISTERED.parse().unwrap()]);
+            for attempt in 0..3 {
+                let tag = format!("seed {SEED:#x} case {case} ({class:?}) attempt {attempt}");
+                let (admitted, landed) =
+                    match c.deploy(&who, ClientRequest::click("m", template.clone())) {
+                        Ok(resp) if resp.sandboxed => {
+                            (Verdict::SafeWithSandbox, Some(resp.public_addr))
+                        }
+                        Ok(resp) => (Verdict::Safe, Some(resp.public_addr)),
+                        Err(
+                            DeployError::SecurityReject(_)
+                            | DeployError::Lint(_)
+                            | DeployError::BadConfig(_),
+                        ) => (Verdict::Reject, None),
+                        Err(e) => panic!("{tag}: {e}"),
+                    };
+                let mut at: Vec<Ipv4Addr> = landed.into_iter().collect();
+                if !names_self {
+                    at.extend(pool);
+                }
+                for addr in at {
+                    let Some((verdict, bound)) = check_at(&cfg, class, addr) else {
+                        continue;
+                    };
+                    assert!(
+                        permissiveness(admitted) <= permissiveness(verdict),
+                        "{tag}: admission said {admitted:?}, the check at {addr} \
+                         {verdict:?}\noffending config:\n{}",
+                        bound.canonical_text()
+                    );
+                    stricter += u32::from(permissiveness(admitted) < permissiveness(verdict));
+                }
+            }
+            // A chain the check at the sentinel alone would let in where
+            // some pool address stops it: `$SELF` meets a literal there.
+            if let Some((at_sentinel, _)) = check_at(&cfg, class, SELF_SENTINEL) {
+                met += u32::from(pool.iter().any(|&addr| {
+                    check_at(&cfg, class, addr).is_some_and(|(verdict, _)| {
+                        permissiveness(verdict) < permissiveness(at_sentinel)
+                    })
+                }));
+            }
+        }
+    }
+    // The literals must actually produce the cases the property is
+    // about: a chain some pool address passes and admission does not, and
+    // one that only the check where it lands can stop.
+    assert!(stricter > 0, "seed {SEED:#x}: no literal ever matched");
+    assert!(met > 0, "seed {SEED:#x}: `$SELF` never met a literal");
 }
 
 /// A spoofing config is rejected with a security report, not a lint

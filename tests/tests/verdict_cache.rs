@@ -49,10 +49,9 @@ fn req(text: &str) -> ClientRequest {
 }
 
 /// Renders a deploy outcome to the byte string the differential test
-/// compares. Addresses are excluded deliberately: within one platform
-/// pool they are interchangeable (the same argument `deploy_batch`
-/// relies on), so the verdict is platform + sandbox decision, or the
-/// full error rendering.
+/// compares. Addresses are excluded deliberately: a hit commits at the
+/// next free address, so the verdict is platform + sandbox decision, or
+/// the full error rendering.
 fn verdict_sig(outcome: &Result<DeployResponse, DeployError>) -> String {
     match outcome {
         Ok(r) => format!("accept platform={} sandboxed={}", r.platform, r.sandboxed),
@@ -201,27 +200,132 @@ fn hits_skip_compilation_and_checking() {
     assert_eq!(s.check_ns_saved, 99 * s.check_ns);
 }
 
-/// `deploy_batch` shards verify against snapshots that share the live
-/// cache: a warm entry turns the whole batch into hits, and the shard
-/// counters fold back into the controller's statistics.
+/// A request that names the next pool address as its source is a
+/// spoofer at every address. The literal below is the address Figure 3's preferred platform hands out
+/// first: checked there, it would pass anti-spoofing as the module's own
+/// source, and two memo hits would install copies at the next two
+/// addresses that stamp it on transit traffic. Checked once against an
+/// address no request can name, the request is a spoofer wherever it
+/// lands — the miss and both hits reject, and nothing is installed.
 #[test]
-fn batch_shards_share_the_cache() {
+fn a_literal_that_matches_the_next_address_is_still_spoofing() {
     let mut c = fresh();
-    c.deploy("mobile-7", req(FIG4)).unwrap();
-    assert_eq!(c.stats().cache_misses, 1);
-
-    let batch: Vec<(String, ClientRequest)> = (0..8)
-        .map(|_| ("mobile-7".to_string(), req(FIG4)))
-        .collect();
-    let results = c.deploy_batch(batch, 4);
-    assert_eq!(results.len(), 8);
-    for r in &results {
-        assert!(r.is_ok(), "batch deploy failed: {r:?}");
+    let text = "module copycat:\nFromNetfront() -> SetIPSrc(203.0.113.10) -> ToNetfront();";
+    for attempt in 0..3 {
+        match c.deploy("mobile-7", req(text)) {
+            Err(DeployError::SecurityReject(report)) => {
+                let why = format!("{:?}", report.violations);
+                assert!(why.contains("$SELF"), "attempt {attempt}: {why}");
+                assert!(!why.contains("240.0.0.1"), "attempt {attempt}: {why}");
+            }
+            other => panic!("attempt {attempt}: expected a security reject, got {other:?}"),
+        }
     }
-    assert!(
-        c.stats().cache_hits >= 8,
-        "shards did not hit the shared cache: {:?}",
-        c.stats()
+    let s = c.stats();
+    assert_eq!((s.cache_misses, s.cache_hits, s.rejected), (1, 2, 3));
+    assert!(c.modules().is_empty(), "{:?}", c.modules());
+}
+
+/// The sentinel `$SELF` stands for while a request is checked cannot be
+/// named: a request that writes it (or anything in its reserved block)
+/// is refused by lint, while the same request written with `$SELF`
+/// deploys and gets a real address.
+#[test]
+fn the_checking_sentinel_cannot_be_named() {
+    let mut c = fresh();
+    let named = |addr: &str| {
+        req(&format!(
+            "module tun:\nFromNetfront() -> UDPTunnelEncap({addr}, 7000, 172.16.15.133, 7001) \
+             -> ToNetfront();"
+        ))
+    };
+    for addr in ["240.0.0.1", "255.255.255.254"] {
+        match c.deploy("mobile-7", named(addr)) {
+            Err(DeployError::Lint(report)) => assert!(report.has_rule("IN-L012"), "{report}"),
+            other => panic!("{addr}: expected IN-L012, got {other:?}"),
+        }
+    }
+    let resp = c.deploy("mobile-7", named("$SELF")).unwrap();
+    assert_eq!(
+        resp.public_addr,
+        "203.0.113.10".parse::<std::net::Ipv4Addr>().unwrap()
     );
-    assert_eq!(c.stats().cache_misses, 1);
+    assert_eq!(c.stats().lint_rejects, 2);
+}
+
+/// `$SELF` compared with a literal. The sentinel equals no literal, so
+/// checked there the two filters below pass nothing and the spoofing
+/// rewrite after them never runs. At the address the module is installed
+/// at they may pass a flow, so a request that names `$SELF` is checked at
+/// that address too, and none of its accepts is replayed at another.
+#[test]
+fn a_self_filter_that_meets_a_pool_literal_is_checked_where_it_lands() {
+    let meet = |literal: &str| {
+        req(&format!(
+            "module meet:\nFromNetfront() -> IPFilter(allow dst host $SELF) \
+             -> IPFilter(allow dst {literal}) -> SetIPSrc(8.8.8.8) -> ToNetfront();"
+        ))
+    };
+    // Both filters pass traffic to 203.0.113.10, the first address
+    // Figure 3's preferred platform hands out.
+    for literal in ["host 203.0.113.10", "net 203.0.113.0/24"] {
+        let mut c = fresh();
+        let outcome = c.deploy("mobile-7", meet(literal));
+        assert!(
+            matches!(outcome, Err(DeployError::SecurityReject(_))),
+            "{literal}: {outcome:?}"
+        );
+        assert!(c.modules().is_empty(), "{literal}: {:?}", c.modules());
+    }
+    // Harmless at .10, where no packet passes both filters; a spoofer at
+    // .11, where the second copy would land.
+    let mut c = fresh();
+    let first = c.deploy("mobile-7", meet("host 203.0.113.11")).unwrap();
+    assert_eq!(
+        first.public_addr,
+        "203.0.113.10".parse::<std::net::Ipv4Addr>().unwrap()
+    );
+    let second = c.deploy("mobile-7", meet("host 203.0.113.11"));
+    assert!(
+        matches!(second, Err(DeployError::SecurityReject(_))),
+        "{second:?}"
+    );
+    let s = c.stats();
+    assert_eq!((s.cache_misses, s.cache_hits), (2, 0));
+    assert_eq!(c.modules().len(), 1);
+}
+
+/// The one behaviour the once-per-request check changes: the security
+/// check no longer waits for a platform with room. With every platform
+/// full a spoofer is refused as a spoofer, and that reject is memoised;
+/// an acceptable request still gets the unmemoised capacity reject.
+#[test]
+fn a_spoofer_is_a_spoofer_even_when_every_platform_is_full() {
+    let mut topo = Topology::figure3();
+    for node in &mut topo.nodes {
+        if let innet::topology::NodeKind::Platform(spec) = &mut node.kind {
+            spec.capacity = 0;
+        }
+    }
+    let mut c = Controller::new(topo);
+    c.register_client("cdn-corp", RequesterClass::ThirdParty, Vec::new());
+    c.register_client(
+        "mobile-7",
+        RequesterClass::Client,
+        vec!["172.16.15.133".parse().unwrap()],
+    );
+    for _ in 0..2 {
+        let outcome = c.deploy("cdn-corp", req(TRANSIT));
+        assert!(
+            matches!(outcome, Err(DeployError::SecurityReject(_))),
+            "{outcome:?}"
+        );
+    }
+    assert_eq!((c.stats().cache_misses, c.stats().cache_hits), (1, 1));
+    let outcome = c.deploy("mobile-7", req(FIG4));
+    assert!(
+        matches!(outcome, Err(DeployError::NoFeasiblePlacement { .. })),
+        "{outcome:?}"
+    );
+    assert_eq!(c.cached_verdicts(), 1, "capacity rejects are not memoised");
 }
