@@ -10,18 +10,15 @@
 # fenced set; without, it is the control-plane-only set: everything the
 # packet and fleet data paths, and the benchmark itself, are built from.
 #
-# Example — admission checks security once per request, bound to a
-# sentinel no request can name, and deploy_batch is deleted (parent
-# c855d8b): the change touches controller, analysis, symnet's security.rs
-# messages, the bench, the tests and the docs, and fences the rest.
-# The two summary counters of tests/tests/golden/reach_placement.txt
-# count per-candidate security checks, so that one file moved:
+# Example — the five BENCH_*.json snapshots share one schema with a host
+# block, and the controller's summaries toggle is deleted (parent
+# c7da601): the change touches controller, symnet's security.rs, the
+# bench crate, the deploy_storm example, the snapshots and the docs, and
+# fences the rest:
 #
-#   ./ci.sh --fence c855d8b \
-#     crates/{packet,click,obs,sim,topology,platform,policy,core} \
-#     benchmark BENCHMARK.json BENCH_admission.json BENCH_fig12_middlebox.json \
-#     BENCH_fleet.json BENCH_parallel_scaling.json BENCH_scenarios.json \
-#     Cargo.lock tests/tests/golden ':!tests/tests/golden/reach_placement.txt'
+#   ./ci.sh --fence c7da601 \
+#     crates/{packet,click,obs,sim,topology,platform,policy,analysis,core} \
+#     benchmark BENCHMARK.json Cargo.lock tests/tests/golden
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -64,6 +61,16 @@ echo "==> one admission path"
 # second one, resting on addresses being interchangeable.
 if grep -rnE 'deploy_batch|commit_verified|verification_clone' crates tests examples; then
   echo "admit through Controller::deploy" >&2
+  exit 1
+fi
+
+echo "==> one snapshot shape, one admission mode"
+# Every BENCH_*.json is an innet_bench::Snapshot; the per-bench snapshot
+# types are gone, and so is the summaries toggle, whose A/B the
+# deploy_storm bench now runs at library level.
+if grep -rnE 'AdmissionSnapshot|FleetSnapshot|ScenarioSnapshot|set_summaries_enabled' \
+  crates tests examples; then
+  echo "write one innet_bench::Snapshot; A/B the checker, not the controller" >&2
   exit 1
 fi
 
@@ -189,28 +196,18 @@ grep -q "== verdict:" <<<"$parallel_out"
 
 echo "==> bench snapshot smoke"
 # Quick-mode snapshot emission into a scratch dir, then schema
-# validation: proves the perf-trajectory machinery (BENCH_*.json
-# writer + validator) stays wired without paying full bench time. The
-# committed snapshots at the repo root are refreshed manually by full
-# `cargo bench` runs, not by CI.
+# validation of each, and of the committed snapshots: proves the
+# writer and the validator stay wired without paying full bench time.
+# The committed snapshots at the repo root are refreshed manually by
+# full `cargo bench` runs, not by CI.
 snapdir="$(mktemp -d)"
 trap 'rm -rf "$snapdir"' EXIT
-INNET_BENCH_QUICK=1 INNET_BENCH_SNAPSHOT_DIR="$snapdir" \
-  cargo bench --quiet --bench parallel_scaling >/dev/null
-cargo run --release -q -p innet-bench --bin validate_snapshot \
-  "$snapdir/BENCH_parallel_scaling.json"
-INNET_BENCH_QUICK=1 INNET_BENCH_SNAPSHOT_DIR="$snapdir" \
-  cargo bench --quiet --bench deploy_storm >/dev/null
-cargo run --release -q -p innet-bench --bin validate_snapshot \
-  "$snapdir/BENCH_admission.json"
-INNET_BENCH_QUICK=1 INNET_BENCH_SNAPSHOT_DIR="$snapdir" \
-  cargo bench --quiet --bench fleet >/dev/null
-cargo run --release -q -p innet-bench --bin validate_snapshot \
-  "$snapdir/BENCH_fleet.json"
-INNET_BENCH_QUICK=1 INNET_BENCH_SNAPSHOT_DIR="$snapdir" \
-  cargo bench --quiet --bench scenarios >/dev/null
-cargo run --release -q -p innet-bench --bin validate_snapshot \
-  "$snapdir/BENCH_scenarios.json"
+for bench in parallel_scaling fig12_middlebox_throughput deploy_storm fleet scenarios; do
+  INNET_BENCH_QUICK=1 INNET_BENCH_SNAPSHOT_DIR="$snapdir" \
+    cargo bench --quiet --bench "$bench" >/dev/null
+done
+cargo run --release -q -p innet-bench --bin validate_snapshot "$snapdir"/BENCH_*.json BENCH_*.json
+test "$(ls "$snapdir"/BENCH_*.json | wc -l)" -eq 5
 
 echo "==> benchmark workspace"
 # benchmark/ is a Cargo workspace of its own, so the root build and test

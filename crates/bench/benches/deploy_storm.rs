@@ -1,43 +1,36 @@
-//! Deploy storm: admission latency of the staged verification pipeline,
-//! compositional chain summaries versus the whole-graph oracle.
+//! Deploy storm: the admission security check, compositional chain
+//! summaries versus the whole-graph oracle, timed at library level.
 //!
-//! The storm drives one controller with a large corpus of *uncached*
-//! requests — every request gets a fresh module name, so the verdict
-//! cache never replays and each admission pays the full pipeline
-//! (lint → symbolic check). The corpus mixes **stock** chains (a handful
-//! of templates fleets of tenants share, alpha-renamed per tenant) with
-//! **novel** one-off chains (randomized arguments, so their canonical
-//! slices are unique).
+//! The corpus mixes **stock** chains (a handful of templates fleets of
+//! tenants share) with **novel** one-off chains (randomized arguments,
+//! so their canonical slices are unique). Each configuration is bound at
+//! [`SELF_SENTINEL`] and checked in the [`SecurityContext`] the
+//! controller builds for a client, which is exactly what admission's
+//! symbolic stage runs on a verdict-memo miss.
 //!
-//! Every config ends by writing an unregistered source address, so the
-//! security check rejects it after doing all the verification work:
-//! rejections never commit, which keeps the module table, the address
-//! pools, and the per-request cost constant across a 100k-request storm.
+//! Every config ends by writing an unregistered source address, so each
+//! check rejects after doing all the verification work, in both modes.
+//! Both run the same corpus:
 //!
-//! Run twice from identical cold controllers:
-//!
-//! * `whole-graph` — summaries disabled, every element symbolically
-//!   re-executed per request (the differential oracle);
-//! * `compositional` — chain summaries replayed from the fleet-wide
-//!   cache keyed by canonical slice text.
+//! * `whole-graph` — [`check_module`]: every element symbolically
+//!   re-executed and every model rebuilt per request (the oracle);
+//! * `compositional` — [`check_module_summarized`] with one
+//!   [`ModelCache`] shared across the storm, as the controller shares its
+//!   fleet-wide memo, so chain summaries are replayed by canonical slice.
 //!
 //! The per-request latency distribution of both modes is recorded to
 //! `BENCH_admission.json`.
 
 use std::time::Instant;
 
-use innet::controller::{ClientRequest, Controller};
+use innet::analysis::{bind_self, SELF_SENTINEL};
 use innet::prelude::*;
-use innet::topology::Topology;
-use innet_bench::{quick_mode, AdmissionSnapshot, Report};
+use innet::symnet::{check_module, check_module_summarized, ModelCache, SecurityContext};
+use innet_bench::{quick_mode, Report, Snapshot};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-const CLIENTS: usize = 16;
-
 /// Stock templates: shared chain-safe pipelines a fleet deploys over and
-/// over (each tenant's copy is alpha-renamed by the module name, which
-/// the canonical slice key ignores). All end with a spoofed source so
-/// admission rejects without committing.
+/// over. All end with a spoofed source, so every check rejects.
 const STOCK: &[&str] = &[
     "FromNetfront() -> CheckIPHeader() -> DecIPTTL() -> IPFilter(allow udp dst port 1500) \
      -> SetTOS(12) -> Counter() -> IPFilter(allow udp) -> Paint(1) -> DecIPTTL() \
@@ -95,61 +88,55 @@ fn novel_config(rng: &mut StdRng) -> String {
     )
 }
 
-/// Builds request `i` of the corpus: 80% stock, 20% novel, all with a
-/// unique module name so the verdict cache never short-circuits the
-/// pipeline.
-fn request(i: usize, rng: &mut StdRng) -> ClientRequest {
-    let config = if rng.gen_range(0u32..5) < 4 {
+/// The next configuration of the corpus: 80% stock, 20% novel.
+fn config(rng: &mut StdRng) -> ClickConfig {
+    let text = if rng.gen_range(0u32..5) < 4 {
         STOCK[rng.gen_range(0..STOCK.len())].to_string()
     } else {
         novel_config(rng)
     };
-    ClientRequest::parse(&format!("module m{i}:\n{config}")).expect("corpus configs parse")
-}
-
-fn controller() -> Controller {
-    let mut c = Controller::new(Topology::figure3());
-    for i in 0..CLIENTS {
-        c.register_client(
-            format!("tenant{i}"),
-            RequesterClass::Client,
-            vec!["172.16.15.133".parse().unwrap()],
-        );
-    }
-    c
+    ClickConfig::parse(&text).expect("corpus configs parse")
 }
 
 struct Run {
     latencies_ns: Vec<u64>,
     summary_hits: u64,
-    chain_nodes: u64,
 }
 
-/// Drives the full corpus through one cold controller and records every
-/// per-request admission latency.
+/// Checks the whole corpus in one mode, timing each check alone.
 fn storm(summaries: bool, requests: usize, seed: u64) -> Run {
-    let mut c = controller();
-    c.set_summaries_enabled(summaries);
+    let registry = Registry::standard();
+    let ctx = SecurityContext {
+        assigned_addr: SELF_SENTINEL,
+        registered: vec!["172.16.15.133".parse().unwrap()],
+        class: RequesterClass::Client,
+    };
+    let memos = ModelCache::default();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut latencies_ns = Vec::with_capacity(requests);
-    for i in 0..requests {
-        let req = request(i, &mut rng);
-        let client = format!("tenant{}", i % CLIENTS);
+    let mut run = Run {
+        latencies_ns: Vec::with_capacity(requests),
+        summary_hits: 0,
+    };
+    for _ in 0..requests {
+        let cfg = config(&mut rng);
+        let cfg = bind_self(&cfg, SELF_SENTINEL);
         let t = Instant::now();
-        let outcome = c.deploy(&client, req);
-        latencies_ns.push(t.elapsed().as_nanos() as u64);
-        assert!(
-            outcome.is_err(),
+        let report = if summaries {
+            let (report, stats) = check_module_summarized(&cfg, &ctx, &registry, Some(&memos))
+                .expect("corpus configs check");
+            run.summary_hits += stats.summary_cache_hits;
+            report
+        } else {
+            check_module(&cfg, &ctx, &registry).expect("corpus configs check")
+        };
+        run.latencies_ns.push(t.elapsed().as_nanos() as u64);
+        assert_eq!(
+            report.verdict,
+            Verdict::Reject,
             "storm configs spoof their source and must be rejected"
         );
     }
-    let stats = c.stats();
-    assert_eq!(stats.cache_hits, 0, "unique module names defeat replay");
-    Run {
-        latencies_ns,
-        summary_hits: stats.summary_cache_hits,
-        chain_nodes: stats.summary_chain_nodes,
-    }
+    run
 }
 
 fn percentile(sorted: &[u64], p: f64) -> u64 {
@@ -161,10 +148,10 @@ fn main() {
     let requests: usize = if quick_mode() { 2_000 } else { 100_000 };
     let mut r = Report::new(
         "deploy_storm",
-        "Deploy storm: admission latency, compositional summaries vs whole-graph",
+        "Deploy storm: symbolic security check, compositional summaries vs whole-graph",
     );
     r.line(&format!(
-        "{requests} uncached requests per mode, {} stock templates + randomized novel chains",
+        "{requests} checks per mode, {} stock templates + randomized novel chains",
         STOCK.len()
     ));
     r.blank();
@@ -173,7 +160,7 @@ fn main() {
         "mode", "mean (us)", "p50 (us)", "p99 (us)", "summary hits"
     ));
 
-    let mut snap = AdmissionSnapshot::new("admission");
+    let mut snap = Snapshot::new("admission");
     let mut means = Vec::new();
     for (mode, summaries) in [("whole-graph", false), ("compositional", true)] {
         let mut run = storm(summaries, requests, 0x5702_2015);
@@ -189,30 +176,27 @@ fn main() {
             p99 as f64 / 1e3,
             run.summary_hits
         ));
-        if summaries {
-            assert!(
-                run.summary_hits > 0 && run.chain_nodes > 0,
-                "compositional mode must replay summaries"
-            );
-        } else {
-            assert_eq!(run.summary_hits, 0, "oracle mode must not touch the cache");
-        }
-        snap.row(
-            "mixed-stock-novel",
-            mode,
-            requests as u64,
-            mean,
-            p50 as f64,
-            p99 as f64,
-            run.summary_hits,
+        assert_eq!(
+            run.summary_hits > 0,
+            summaries,
+            "only the compositional mode replays summaries"
         );
+        snap.row([
+            ("corpus", "mixed-stock-novel".into()),
+            ("mode", mode.into()),
+            ("requests", (requests as u64).into()),
+            ("mean_ns", mean.into()),
+            ("p50_ns", p50.into()),
+            ("p99_ns", p99.into()),
+            ("summary_hits", run.summary_hits.into()),
+        ]);
         means.push(mean);
     }
 
     r.blank();
     let speedup = means[0] / means[1];
     r.line(&format!(
-        "mean uncached admission latency: {speedup:.2}x lower with compositional summaries"
+        "mean symbolic check latency: {speedup:.2}x lower with compositional summaries"
     ));
     r.finish();
     snap.write();

@@ -5,7 +5,7 @@
 //! trajectory).
 
 use innet::experiments::fig12_middleboxes::{middlebox_sweep_with, KINDS};
-use innet_bench::{quick_mode, BenchSnapshot, Report};
+use innet_bench::{quick_mode, Report, Snapshot};
 
 fn main() {
     let quick = quick_mode();
@@ -19,7 +19,7 @@ fn main() {
         "fig12_middlebox_throughput",
         "Figure 12: aggregate throughput (Gbit/s) vs VM count, one core",
     );
-    let mut snap = BenchSnapshot::new("fig12_middlebox");
+    let mut snap = Snapshot::new("fig12_middlebox");
     for (compiled, mode) in [(false, "interpreted"), (true, "compiled")] {
         r.line(&format!("engine: {mode}"));
         let header = format!(
@@ -60,12 +60,24 @@ fn main() {
                 .max_by(|a, b| a.mpps.total_cmp(&b.mpps))
                 .expect("reps >= 1");
             let pps = p.mpps * 1e6;
-            snap.row(&format!("fig12-{kind}"), mode, 1, pps, p.gbps);
+            snap.row([
+                ("corpus", format!("fig12-{kind}").as_str().into()),
+                ("mode", mode.into()),
+                ("workers", 1u64.into()),
+                ("pps", pps.into()),
+                ("gbps", p.gbps.into()),
+            ]);
             agg_pps += pps;
             agg_gbps += p.gbps;
         }
         let n = KINDS.len() as f64;
-        snap.row("fig12-aggregate", mode, 1, agg_pps / n, agg_gbps / n);
+        snap.row([
+            ("corpus", "fig12-aggregate".into()),
+            ("mode", mode.into()),
+            ("workers", 1u64.into()),
+            ("pps", (agg_pps / n).into()),
+            ("gbps", (agg_gbps / n).into()),
+        ]);
     }
     println!();
     println!(
@@ -80,8 +92,8 @@ fn main() {
         let find = |mode: &str| {
             snap.rows
                 .iter()
-                .find(|r| r.corpus == kind && r.mode == mode)
-                .map(|r| r.pps)
+                .find(|r| r.text("corpus") == Some(&kind) && r.text("mode") == Some(mode))
+                .and_then(|r| r.num("pps"))
                 .unwrap_or(0.0)
         };
         let (i, c) = (find("interpreted"), find("compiled"));

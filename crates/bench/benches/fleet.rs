@@ -24,7 +24,7 @@ use innet::controller::{ClientRequest, Controller};
 use innet::packet::PacketBuilder;
 use innet::prelude::*;
 use innet::topology::{generate_fleet, FleetParams, Topology};
-use innet_bench::{quick_mode, FleetSnapshot, Report};
+use innet_bench::{quick_mode, Report, Snapshot};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Stock templates: accepted pipelines a fleet deploys over and over
@@ -177,7 +177,7 @@ fn main() {
         "scenario", "deploys", "place p50 (us)", "place p99 (us)"
     ));
 
-    let mut snap = FleetSnapshot::new("fleet");
+    let mut snap = Snapshot::new("fleet");
     for scenario in ["stock", "novel", "mixed-stock-novel"] {
         let lat = placement_storm(&topo, scenario, deploys, 0x5702_2015);
         let p50 = percentile(&lat, 0.50);
@@ -199,17 +199,17 @@ fn main() {
         } else {
             (0, 0, 0)
         };
-        snap.row(
-            scenario,
-            nodes,
-            platforms,
-            deploys as u64,
-            percentile(&lat, 0.50) as f64,
-            percentile(&lat, 0.99) as f64,
-            migrations,
-            d50 as f64,
-            d99 as f64,
-        );
+        snap.row([
+            ("scenario", scenario.into()),
+            ("nodes", nodes.into()),
+            ("platforms", platforms.into()),
+            ("placements", (deploys as u64).into()),
+            ("placement_p50_ns", p50.into()),
+            ("placement_p99_ns", p99.into()),
+            ("migrations", migrations.into()),
+            ("downtime_p50_ns", d50.into()),
+            ("downtime_p99_ns", d99.into()),
+        ]);
         if migrations > 0 {
             r.blank();
             r.line(&format!(

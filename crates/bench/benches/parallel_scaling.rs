@@ -23,7 +23,7 @@ use innet::platform::{
     RunnerConfig,
 };
 use innet::prelude::*;
-use innet_bench::{quick_mode, BenchSnapshot};
+use innet_bench::{quick_mode, Snapshot};
 use std::net::Ipv4Addr;
 
 const TRACE_LEN: usize = 2048;
@@ -229,7 +229,7 @@ fn emit_snapshot(quick: bool) {
     } else {
         (150, 5, &[1, 2, 4, 8])
     };
-    let mut snap = BenchSnapshot::new("parallel_scaling");
+    let mut snap = Snapshot::new("parallel_scaling");
 
     // Two tenant counts: the growth from 16 to 64 is where the compiled
     // host-table dispatch pulls away — the interpreter's classifier
@@ -243,7 +243,13 @@ fn emit_snapshot(quick: bool) {
                 let (pps, gbps) =
                     measure(&consolidated, &cons_pkts, workers, compiled, rounds, reps);
                 let mode = if compiled { "compiled" } else { "interpreted" };
-                snap.row(label, mode, workers as u64, pps, gbps);
+                snap.row([
+                    ("corpus", label.into()),
+                    ("mode", mode.into()),
+                    ("workers", (workers as u64).into()),
+                    ("pps", pps.into()),
+                    ("gbps", gbps.into()),
+                ]);
             }
         }
     }
@@ -258,7 +264,13 @@ fn emit_snapshot(quick: bool) {
             for compiled in [false, true] {
                 let (pps, gbps) = measure(&cfg, &pkts, workers, compiled, rounds, reps);
                 let mode = if compiled { "compiled" } else { "interpreted" };
-                snap.row(kind, mode, workers as u64, pps, gbps);
+                snap.row([
+                    ("corpus", kind.into()),
+                    ("mode", mode.into()),
+                    ("workers", (workers as u64).into()),
+                    ("pps", pps.into()),
+                    ("gbps", gbps.into()),
+                ]);
             }
         }
     }
@@ -278,8 +290,12 @@ fn emit_snapshot(quick: bool) {
             let find = |mode: &str| {
                 snap.rows
                     .iter()
-                    .find(|r| r.corpus == corpus && r.mode == mode && r.workers == workers as u64)
-                    .map(|r| r.pps)
+                    .find(|r| {
+                        r.text("corpus") == Some(corpus)
+                            && r.text("mode") == Some(mode)
+                            && r.num("workers") == Some(workers as f64)
+                    })
+                    .and_then(|r| r.num("pps"))
                     .unwrap_or(0.0)
             };
             let (i, c) = (find("interpreted"), find("compiled"));

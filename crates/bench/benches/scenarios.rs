@@ -22,7 +22,7 @@ use innet::controller::InstalledModule;
 use innet::platform::ScenarioHooks as _;
 use innet::prelude::*;
 use innet::topology::{generate_fleet, FleetParams, NodeId, Topology};
-use innet_bench::{quick_mode, Report, ScenarioSnapshot};
+use innet_bench::{quick_mode, Report, Snapshot};
 
 const SEC: u64 = 1_000_000_000;
 
@@ -144,7 +144,7 @@ fn main() {
         "{:>12} {:>8} {:>8} {:>16} {:>16} {:>11}",
         "scenario", "tenants", "rehomed", "rehome p50 (ms)", "rehome p99 (ms)", "link drops"
     ));
-    let mut snap = ScenarioSnapshot::new("scenarios");
+    let mut snap = Snapshot::new("scenarios");
 
     // -- kill-pop: regional failover under live traffic -------------------
     {
@@ -199,14 +199,17 @@ fn main() {
             run.stats.reroutes,
             run.stats.dead_drops
         ));
-        snap.row(
-            "kill-pop",
-            tenants.len() as u64,
-            run.rehomes.iter().filter(|rec| rec.to.is_some()).count() as u64,
-            p50 as f64,
-            p99 as f64,
-            run.stats.link_drops,
-        );
+        snap.row([
+            ("scenario", "kill-pop".into()),
+            ("tenants", (tenants.len() as u64).into()),
+            (
+                "rehomed",
+                (run.rehomes.iter().filter(|rec| rec.to.is_some()).count() as u64).into(),
+            ),
+            ("rehome_p50_ns", p50.into()),
+            ("rehome_p99_ns", p99.into()),
+            ("link_drops", run.stats.link_drops.into()),
+        ]);
     }
 
     // -- flash-crowd: one PoP surges 8x, bandwidth is priced --------------
@@ -242,14 +245,14 @@ fn main() {
             run.traffic_injected,
             run.rebalance_moves.len()
         ));
-        snap.row(
-            "flash-crowd",
-            tenants.len() as u64,
-            0,
-            0.0,
-            0.0,
-            run.stats.link_drops,
-        );
+        snap.row([
+            ("scenario", "flash-crowd".into()),
+            ("tenants", (tenants.len() as u64).into()),
+            ("rehomed", 0u64.into()),
+            ("rehome_p50_ns", 0u64.into()),
+            ("rehome_p99_ns", 0u64.into()),
+            ("link_drops", run.stats.link_drops.into()),
+        ]);
     }
 
     // -- consolidate: plan_fleet's moves executed on the data plane -------
@@ -286,14 +289,14 @@ fn main() {
             "",
             run.consolidation_moves.len()
         ));
-        snap.row(
-            "consolidate",
-            tenants.len() as u64,
-            0,
-            0.0,
-            0.0,
-            run.stats.link_drops,
-        );
+        snap.row([
+            ("scenario", "consolidate".into()),
+            ("tenants", (tenants.len() as u64).into()),
+            ("rehomed", 0u64.into()),
+            ("rehome_p50_ns", 0u64.into()),
+            ("rehome_p99_ns", 0u64.into()),
+            ("link_drops", run.stats.link_drops.into()),
+        ]);
     }
 
     // -- cdn-tier: edge replicas absorb edge-ingress traffic --------------
@@ -351,7 +354,14 @@ fn main() {
             "{:>12} {} edge replicas, fabric crossings {} -> 0 after tiering",
             "", run.cdn_edges, run.stats.fabric_forwards
         ));
-        snap.row("cdn-tier", 1, 0, 0.0, 0.0, run.stats.link_drops);
+        snap.row([
+            ("scenario", "cdn-tier".into()),
+            ("tenants", 1u64.into()),
+            ("rehomed", 0u64.into()),
+            ("rehome_p50_ns", 0u64.into()),
+            ("rehome_p99_ns", 0u64.into()),
+            ("link_drops", run.stats.link_drops.into()),
+        ]);
     }
 
     r.finish();

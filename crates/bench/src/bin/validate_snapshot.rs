@@ -2,14 +2,10 @@
 //! smoke step). Exits non-zero with a diagnostic on the first invalid
 //! file.
 //!
-//! Four snapshot schemas exist: throughput rows ([`BenchSnapshot`]),
-//! admission-latency rows ([`AdmissionSnapshot`]), fleet
-//! placement/migration rows ([`FleetSnapshot`]), and scenario-engine
-//! failover rows ([`ScenarioSnapshot`]). The validator tries each in
-//! turn and accepts a file that satisfies any; a file that satisfies
-//! none reports every diagnostic.
+//! Every snapshot has one shape, [`Snapshot`]; its `bench` name selects
+//! the row invariants [`Snapshot::parse`] checks.
 
-use innet_bench::{AdmissionSnapshot, BenchSnapshot, FleetSnapshot, ScenarioSnapshot};
+use innet_bench::Snapshot;
 
 fn main() {
     let paths: Vec<String> = std::env::args().skip(1).collect();
@@ -18,77 +14,17 @@ fn main() {
         std::process::exit(2);
     }
     for path in paths {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
+        let checked = std::fs::read_to_string(&path)
+            .map_err(|e| format!("unreadable: {e}"))
+            .and_then(|text| Snapshot::parse(&text));
+        match checked {
+            Ok(snap) => println!(
+                "{path}: ok ({} rows, bench '{}')",
+                snap.rows.len(),
+                snap.bench
+            ),
             Err(e) => {
-                eprintln!("{path}: unreadable: {e}");
-                std::process::exit(1);
-            }
-        };
-        let bench_err = match BenchSnapshot::parse(&text) {
-            Ok(snap) => {
-                if snap.rows.is_empty() {
-                    eprintln!("{path}: valid but has no rows");
-                    std::process::exit(1);
-                }
-                println!(
-                    "{path}: ok ({} rows, bench '{}')",
-                    snap.rows.len(),
-                    snap.bench
-                );
-                continue;
-            }
-            Err(e) => e,
-        };
-        let adm_err = match AdmissionSnapshot::parse(&text) {
-            Ok(snap) => {
-                if snap.rows.is_empty() {
-                    eprintln!("{path}: valid but has no rows");
-                    std::process::exit(1);
-                }
-                println!(
-                    "{path}: ok ({} admission rows, bench '{}')",
-                    snap.rows.len(),
-                    snap.bench
-                );
-                continue;
-            }
-            Err(e) => e,
-        };
-        let fleet_err = match FleetSnapshot::parse(&text) {
-            Ok(snap) => {
-                if snap.rows.is_empty() {
-                    eprintln!("{path}: valid but has no rows");
-                    std::process::exit(1);
-                }
-                println!(
-                    "{path}: ok ({} fleet rows, bench '{}')",
-                    snap.rows.len(),
-                    snap.bench
-                );
-                continue;
-            }
-            Err(e) => e,
-        };
-        match ScenarioSnapshot::parse(&text) {
-            Ok(snap) => {
-                if snap.rows.is_empty() {
-                    eprintln!("{path}: valid but has no rows");
-                    std::process::exit(1);
-                }
-                println!(
-                    "{path}: ok ({} scenario rows, bench '{}')",
-                    snap.rows.len(),
-                    snap.bench
-                );
-            }
-            Err(scn_err) => {
-                eprintln!(
-                    "{path}: schema violation: not a throughput snapshot \
-                     ({bench_err}), not an admission snapshot ({adm_err}), \
-                     not a fleet snapshot ({fleet_err}), and not a \
-                     scenario snapshot ({scn_err})"
-                );
+                eprintln!("{path}: {e}");
                 std::process::exit(1);
             }
         }

@@ -2,13 +2,16 @@
 //!
 //! Every bench prints its series to stdout in the paper's row format and
 //! mirrors it to `target/innet-reports/<name>.txt`, so a full
-//! `cargo bench` leaves a directory of reproduced tables behind.
+//! `cargo bench` leaves a directory of reproduced tables behind. Five
+//! benches also leave a [`Snapshot`] at the repo root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
+
+mod json;
 
 /// A tiny line-oriented report that tees to stdout and a file.
 pub struct Report {
@@ -40,19 +43,20 @@ impl Report {
 
     /// Writes the report file under `target/innet-reports/`.
     pub fn finish(self) {
-        let dir = match std::env::var("CARGO_TARGET_DIR") {
-            Ok(t) => PathBuf::from(t),
-            // Anchor at the workspace target dir regardless of bench CWD.
-            Err(_) => PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target"),
-        }
-        .join("innet-reports");
-        if std::fs::create_dir_all(&dir).is_ok() {
-            let path = dir.join(format!("{}.txt", self.name));
-            if std::fs::write(&path, self.body).is_ok() {
-                eprintln!("[report written to {}]", path.display());
-            }
+        // Anchor at the workspace target dir regardless of bench CWD.
+        let target = std::env::var("CARGO_TARGET_DIR").map(PathBuf::from);
+        let dir = target
+            .unwrap_or(workspace().join("target"))
+            .join("innet-reports");
+        let path = dir.join(format!("{}.txt", self.name));
+        if std::fs::create_dir_all(&dir).is_ok() && std::fs::write(&path, self.body).is_ok() {
+            eprintln!("[report written to {}]", path.display());
         }
     }
+}
+
+fn workspace() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 /// True when the harness was invoked by `cargo bench` in quick mode
@@ -62,1245 +66,629 @@ pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick") || std::env::var("INNET_BENCH_QUICK").is_ok()
 }
 
-// ---------------------------------------------------------------------------
-// Benchmark snapshots: the recorded perf trajectory.
-// ---------------------------------------------------------------------------
-
 /// Version stamp of the snapshot schema; bump on breaking changes.
-pub const SNAPSHOT_SCHEMA_VERSION: u64 = 1;
+pub const SNAPSHOT_SCHEMA_VERSION: u64 = 2;
 
-/// One measured point: a corpus, an engine mode, a worker count, and the
-/// observed rates.
+/// The fields of a snapshot's `host` block, named as the `benchmark/`
+/// harness names them.
+pub const HOST_FIELDS: [&str; 4] = ["nproc", "rustc", "commit", "profile"];
+
+/// One value in a snapshot row.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BenchRow {
-    /// Workload name (e.g. `"consolidated"`, `"fig12-firewall"`).
-    pub corpus: String,
-    /// `"interpreted"` or `"compiled"`.
-    pub mode: String,
-    /// Worker threads the corpus ran on (1 for the native runner).
-    pub workers: u64,
-    /// Measured packets per second.
-    pub pps: f64,
-    /// Measured throughput in Gbit/s at the corpus frame size.
-    pub gbps: f64,
+pub enum Cell {
+    /// A label: a corpus, an engine mode, a scenario name.
+    Str(String),
+    /// A measurement or a count.
+    Num(f64),
 }
 
-/// A benchmark snapshot: the machine-readable record a bench run leaves
-/// behind (`BENCH_<name>.json`), committed to the repository so the perf
-/// trajectory across changes stays in history.
-///
-/// The container has no `serde_json`, so the format is hand-rolled here:
-/// [`BenchSnapshot::to_json`] emits it and [`BenchSnapshot::parse`]
-/// validates it (CI round-trips a freshly emitted file through the
-/// parser).
+impl From<&str> for Cell {
+    fn from(s: &str) -> Cell {
+        Cell::Str(s.to_string())
+    }
+}
+
+impl From<f64> for Cell {
+    fn from(x: f64) -> Cell {
+        Cell::Num(x)
+    }
+}
+
+impl From<u64> for Cell {
+    fn from(x: u64) -> Cell {
+        Cell::Num(x as f64)
+    }
+}
+
+/// An ordered list of named cells: one measured point, or the host block.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BenchSnapshot {
+pub struct Row(pub Vec<(String, Cell)>);
+
+impl Row {
+    /// The cell named `name`.
+    pub fn get(&self, name: &str) -> Option<&Cell> {
+        self.0.iter().find(|(k, _)| k == name).map(|(_, v)| v)
+    }
+
+    /// The number named `name`, if the row has one.
+    pub fn num(&self, name: &str) -> Option<f64> {
+        match self.get(name)? {
+            Cell::Num(x) => Some(*x),
+            Cell::Str(_) => None,
+        }
+    }
+
+    /// The label named `name`, if the row has one.
+    pub fn text(&self, name: &str) -> Option<&str> {
+        match self.get(name)? {
+            Cell::Str(s) => Some(s),
+            Cell::Num(_) => None,
+        }
+    }
+}
+
+/// A benchmark snapshot, `BENCH_<bench>.json`: the record a bench run
+/// leaves behind and the repository keeps, with the machine that made it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Snapshot {
     /// Which bench produced this snapshot.
     pub bench: String,
+    /// The machine: [`HOST_FIELDS`], probed when the snapshot is created.
+    pub host: Row,
     /// The measured points.
-    pub rows: Vec<BenchRow>,
+    pub rows: Vec<Row>,
 }
 
-impl BenchSnapshot {
-    /// An empty snapshot for bench `name`.
-    pub fn new(name: &str) -> BenchSnapshot {
-        BenchSnapshot {
+impl Snapshot {
+    /// An empty snapshot for bench `name`, stamped with this host.
+    pub fn new(name: &str) -> Snapshot {
+        Snapshot {
             bench: name.to_string(),
+            host: probe_host(),
             rows: Vec::new(),
         }
     }
 
     /// Appends one measured row.
-    pub fn row(&mut self, corpus: &str, mode: &str, workers: u64, pps: f64, gbps: f64) {
-        self.rows.push(BenchRow {
-            corpus: corpus.to_string(),
-            mode: mode.to_string(),
-            workers,
-            pps,
-            gbps,
-        });
+    pub fn row<'a>(&mut self, cells: impl IntoIterator<Item = (&'a str, Cell)>) {
+        let cells = cells.into_iter().map(|(k, v)| (k.to_string(), v));
+        self.rows.push(Row(cells.collect()));
     }
 
-    /// Serializes to the snapshot JSON schema.
+    /// The snapshot as JSON. Panics on a non-finite number, naming the
+    /// bench and the column: a rate divided by zero is not a measurement.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.chars()
-                .flat_map(|c| match c {
-                    '"' => "\\\"".chars().collect::<Vec<_>>(),
-                    '\\' => "\\\\".chars().collect(),
-                    '\n' => "\\n".chars().collect(),
-                    c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-                    c => vec![c],
-                })
-                .collect()
-        }
-        fn num(x: f64) -> String {
-            if x.is_finite() {
-                format!("{x:.3}")
-            } else {
-                "0.000".to_string()
-            }
-        }
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\n  \"schema_version\": {SNAPSHOT_SCHEMA_VERSION},\n  \"bench\": \"{}\",\n  \"rows\": [",
-            esc(&self.bench)
-        );
-        for (i, r) in self.rows.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\n    {{\"corpus\": \"{}\", \"mode\": \"{}\", \"workers\": {}, \"pps\": {}, \"gbps\": {}}}",
-                if i == 0 { "" } else { "," },
-                esc(&r.corpus),
-                esc(&r.mode),
-                r.workers,
-                num(r.pps),
-                num(r.gbps)
-            );
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-
-    /// Parses and schema-validates snapshot JSON: required fields, known
-    /// `mode` values, positive worker counts, finite non-negative rates.
-    pub fn parse(text: &str) -> Result<BenchSnapshot, String> {
-        let v = json::parse(text)?;
-        let obj = v.as_obj().ok_or("top level must be an object")?;
-        let version = json::field(obj, "schema_version")?
-            .as_num()
-            .ok_or("schema_version must be a number")?;
-        if version != SNAPSHOT_SCHEMA_VERSION as f64 {
-            return Err(format!("unsupported schema_version {version}"));
-        }
-        let bench = json::field(obj, "bench")?
-            .as_str()
-            .ok_or("bench must be a string")?
-            .to_string();
-        if bench.is_empty() {
-            return Err("bench must be non-empty".to_string());
-        }
-        let rows_v = json::field(obj, "rows")?
-            .as_arr()
-            .ok_or("rows must be an array")?;
-        let mut rows = Vec::new();
-        for (i, rv) in rows_v.iter().enumerate() {
-            let ro = rv.as_obj().ok_or(format!("row {i} must be an object"))?;
-            let corpus = json::field(ro, "corpus")?
-                .as_str()
-                .ok_or(format!("row {i}: corpus must be a string"))?
-                .to_string();
-            let mode = json::field(ro, "mode")?
-                .as_str()
-                .ok_or(format!("row {i}: mode must be a string"))?
-                .to_string();
-            if mode != "interpreted" && mode != "compiled" {
-                return Err(format!("row {i}: unknown mode '{mode}'"));
-            }
-            let workers = json::field(ro, "workers")?
-                .as_num()
-                .ok_or(format!("row {i}: workers must be a number"))?;
-            if workers < 1.0 || workers.fract() != 0.0 {
-                return Err(format!("row {i}: workers must be a positive integer"));
-            }
-            let pps = json::field(ro, "pps")?
-                .as_num()
-                .ok_or(format!("row {i}: pps must be a number"))?;
-            let gbps = json::field(ro, "gbps")?
-                .as_num()
-                .ok_or(format!("row {i}: gbps must be a number"))?;
-            if !(pps.is_finite() && pps >= 0.0 && gbps.is_finite() && gbps >= 0.0) {
-                return Err(format!("row {i}: rates must be finite and non-negative"));
-            }
-            rows.push(BenchRow {
-                corpus,
-                mode,
-                workers: workers as u64,
-                pps,
-                gbps,
+        let object = |row: &Row| {
+            let cells = row.0.iter().map(|(k, v)| {
+                let v = match v {
+                    Cell::Str(s) => quote(s),
+                    Cell::Num(x) if !x.is_finite() => {
+                        panic!("bench {}: column {k} is not finite ({x})", self.bench)
+                    }
+                    Cell::Num(x) if x.fract() == 0.0 && x.abs() < 1e15 => format!("{x:.0}"),
+                    Cell::Num(x) => format!("{x:.3}"),
+                };
+                format!("{}: {v}", quote(k))
             });
-        }
-        Ok(BenchSnapshot { bench, rows })
+            format!("{{{}}}", cells.collect::<Vec<_>>().join(", "))
+        };
+        let rows: Vec<String> = self.rows.iter().map(object).collect();
+        format!(
+            "{{\n  \"schema_version\": {SNAPSHOT_SCHEMA_VERSION},\n  \"bench\": {},\n  \
+             \"host\": {},\n  \"rows\": [\n    {}\n  ]\n}}\n",
+            quote(&self.bench),
+            object(&self.host),
+            rows.join(",\n    ")
+        )
     }
 
-    /// Writes `BENCH_<bench>.json` into the snapshot directory
-    /// (`INNET_BENCH_SNAPSHOT_DIR`, or the workspace root so committed
-    /// snapshots live beside the code they measure). Returns the path on
-    /// success.
+    /// Parses snapshot JSON and checks every invariant (see `check`).
+    pub fn parse(text: &str) -> Result<Snapshot, String> {
+        let top = json::parse(text)?;
+        let field = |name: &str| top.field(name).ok_or(format!("missing field '{name}'"));
+        let version = field("schema_version")?.leaf();
+        if version != Some(&Cell::from(SNAPSHOT_SCHEMA_VERSION)) {
+            return Err(format!("unsupported schema_version {version:?}"));
+        }
+        let Some(Cell::Str(bench)) = field("bench")?.leaf() else {
+            return Err("bench must be a string".to_string());
+        };
+        let json::Value::Arr(rows) = field("rows")? else {
+            return Err("rows must be an array".to_string());
+        };
+        let rows = rows
+            .iter()
+            .map(|r| r.row().ok_or("rows must be flat objects"));
+        let snap = Snapshot {
+            bench: bench.clone(),
+            host: field("host")?.row().ok_or("host must be a flat object")?,
+            rows: rows.collect::<Result<_, _>>()?,
+        };
+        snap.check()?;
+        Ok(snap)
+    }
+
+    /// Writes `BENCH_<bench>.json` into `INNET_BENCH_SNAPSHOT_DIR`, or the
+    /// workspace root so committed snapshots live beside the code they
+    /// measure. Returns the path on success.
     pub fn write(&self) -> Option<PathBuf> {
-        write_snapshot(&self.bench, &self.to_json())
-    }
-}
-
-/// Resolves the snapshot directory and writes `BENCH_<bench>.json`.
-fn write_snapshot(bench: &str, json: &str) -> Option<PathBuf> {
-    let dir = match std::env::var("INNET_BENCH_SNAPSHOT_DIR") {
-        Ok(d) => PathBuf::from(d),
-        Err(_) => PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."),
-    };
-    let path = dir.join(format!("BENCH_{bench}.json"));
-    match std::fs::write(&path, json) {
-        Ok(()) => {
-            eprintln!("[snapshot written to {}]", path.display());
-            Some(path)
-        }
-        Err(e) => {
+        let dir = std::env::var("INNET_BENCH_SNAPSHOT_DIR").map(PathBuf::from);
+        let path = dir
+            .unwrap_or(workspace())
+            .join(format!("BENCH_{}.json", self.bench));
+        if let Err(e) = std::fs::write(&path, self.to_json()) {
             eprintln!("[snapshot write failed: {e}]");
-            None
+            return None;
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Admission-latency snapshots (the deploy-storm bench).
-// ---------------------------------------------------------------------------
-
-/// One admission-latency row: a verification engine mode driven over a
-/// request corpus, with the observed per-request latency distribution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdmissionRow {
-    /// Corpus name (e.g. `"mixed-stock-novel"`).
-    pub corpus: String,
-    /// `"whole-graph"` or `"compositional"`.
-    pub mode: String,
-    /// Uncached admission requests measured.
-    pub requests: u64,
-    /// Mean admission latency in nanoseconds.
-    pub mean_ns: f64,
-    /// Median admission latency in nanoseconds.
-    pub p50_ns: f64,
-    /// 99th-percentile admission latency in nanoseconds.
-    pub p99_ns: f64,
-    /// Chain summaries served from the fleet-wide cache during the run
-    /// (zero in whole-graph mode by construction).
-    pub summary_hits: u64,
-}
-
-/// The machine-readable record the deploy-storm bench leaves behind
-/// (`BENCH_admission.json`): per-mode admission latency percentiles, so
-/// the compositional-vs-whole-graph trajectory stays in history alongside
-/// the throughput snapshots.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdmissionSnapshot {
-    /// Which bench produced this snapshot (`"admission"`).
-    pub bench: String,
-    /// The measured rows.
-    pub rows: Vec<AdmissionRow>,
-}
-
-impl AdmissionSnapshot {
-    /// An empty snapshot for bench `name`.
-    pub fn new(name: &str) -> AdmissionSnapshot {
-        AdmissionSnapshot {
-            bench: name.to_string(),
-            rows: Vec::new(),
-        }
+        eprintln!("[snapshot written to {}]", path.display());
+        Some(path)
     }
 
-    /// Appends one measured row.
-    #[allow(clippy::too_many_arguments)]
-    pub fn row(
-        &mut self,
-        corpus: &str,
-        mode: &str,
-        requests: u64,
-        mean_ns: f64,
-        p50_ns: f64,
-        p99_ns: f64,
-        summary_hits: u64,
-    ) {
-        self.rows.push(AdmissionRow {
-            corpus: corpus.to_string(),
-            mode: mode.to_string(),
-            requests,
-            mean_ns,
-            p50_ns,
-            p99_ns,
-            summary_hits,
-        });
-    }
-
-    /// Serializes to the snapshot JSON schema.
-    pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.chars()
-                .flat_map(|c| match c {
-                    '"' => "\\\"".chars().collect::<Vec<_>>(),
-                    '\\' => "\\\\".chars().collect(),
-                    '\n' => "\\n".chars().collect(),
-                    c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-                    c => vec![c],
-                })
-                .collect()
+    /// The schema version, a full `host` block, at least one row, the
+    /// generic rules on every number, and the bench's row invariants.
+    fn check(&self) -> Result<(), String> {
+        if let Some(f) = HOST_FIELDS.iter().find(|f| self.host.get(f).is_none()) {
+            return Err(format!("host: missing '{f}'"));
         }
-        fn num(x: f64) -> String {
-            if x.is_finite() {
-                format!("{x:.3}")
-            } else {
-                "0.000".to_string()
-            }
+        let schema = SCHEMAS.iter().find(|s| s.bench == self.bench);
+        let schema = schema.ok_or(format!("unknown bench '{}'", self.bench))?;
+        if self.rows.is_empty() {
+            return Err("no rows".to_string());
         }
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\n  \"schema_version\": {SNAPSHOT_SCHEMA_VERSION},\n  \"bench\": \"{}\",\n  \"rows\": [",
-            esc(&self.bench)
-        );
-        for (i, r) in self.rows.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\n    {{\"corpus\": \"{}\", \"mode\": \"{}\", \"requests\": {}, \
-                 \"mean_ns\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"summary_hits\": {}}}",
-                if i == 0 { "" } else { "," },
-                esc(&r.corpus),
-                esc(&r.mode),
-                r.requests,
-                num(r.mean_ns),
-                num(r.p50_ns),
-                num(r.p99_ns),
-                r.summary_hits
-            );
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-
-    /// Parses and schema-validates admission snapshot JSON: required
-    /// fields, the closed `mode` set, positive request counts, finite
-    /// non-negative latencies with `p50 <= p99`.
-    pub fn parse(text: &str) -> Result<AdmissionSnapshot, String> {
-        let v = json::parse(text)?;
-        let obj = v.as_obj().ok_or("top level must be an object")?;
-        let version = json::field(obj, "schema_version")?
-            .as_num()
-            .ok_or("schema_version must be a number")?;
-        if version != SNAPSHOT_SCHEMA_VERSION as f64 {
-            return Err(format!("unsupported schema_version {version}"));
-        }
-        let bench = json::field(obj, "bench")?
-            .as_str()
-            .ok_or("bench must be a string")?
-            .to_string();
-        if bench.is_empty() {
-            return Err("bench must be non-empty".to_string());
-        }
-        let rows_v = json::field(obj, "rows")?
-            .as_arr()
-            .ok_or("rows must be an array")?;
-        let mut rows = Vec::new();
-        for (i, rv) in rows_v.iter().enumerate() {
-            let ro = rv.as_obj().ok_or(format!("row {i} must be an object"))?;
-            let corpus = json::field(ro, "corpus")?
-                .as_str()
-                .ok_or(format!("row {i}: corpus must be a string"))?
-                .to_string();
-            let mode = json::field(ro, "mode")?
-                .as_str()
-                .ok_or(format!("row {i}: mode must be a string"))?
-                .to_string();
-            if mode != "whole-graph" && mode != "compositional" {
-                return Err(format!("row {i}: unknown mode '{mode}'"));
-            }
-            let requests = json::field(ro, "requests")?
-                .as_num()
-                .ok_or(format!("row {i}: requests must be a number"))?;
-            if requests < 1.0 || requests.fract() != 0.0 {
-                return Err(format!("row {i}: requests must be a positive integer"));
-            }
-            let lat = |name: &str| -> Result<f64, String> {
-                let x = json::field(ro, name)?
-                    .as_num()
-                    .ok_or(format!("row {i}: {name} must be a number"))?;
+        for (i, row) in self.rows.iter().enumerate() {
+            let num = |k: &str| row.num(k).unwrap_or(0.0);
+            for (k, cell) in &row.0 {
+                let Cell::Num(x) = *cell else { continue };
                 if !(x.is_finite() && x >= 0.0) {
-                    return Err(format!("row {i}: {name} must be finite and non-negative"));
+                    return Err(format!("row {i}: {k} must be finite and non-negative"));
                 }
-                Ok(x)
-            };
-            let mean_ns = lat("mean_ns")?;
-            let p50_ns = lat("p50_ns")?;
-            let p99_ns = lat("p99_ns")?;
-            if p50_ns > p99_ns {
-                return Err(format!("row {i}: p50_ns exceeds p99_ns"));
+                let twin = k.replace("p50", "p99");
+                if twin != *k && !row.num(&twin).is_some_and(|hi| x <= hi) {
+                    return Err(format!("row {i}: {k} is not at most its twin {twin}"));
+                }
             }
-            let summary_hits = json::field(ro, "summary_hits")?
-                .as_num()
-                .ok_or(format!("row {i}: summary_hits must be a number"))?;
-            if summary_hits < 0.0 || summary_hits.fract() != 0.0 {
-                return Err(format!(
-                    "row {i}: summary_hits must be a non-negative integer"
-                ));
+            for &(k, col) in schema.columns {
+                let ok = match (col, row.get(k)) {
+                    (Text, Some(Cell::Str(s))) => !s.is_empty(),
+                    (Mode(set), Some(Cell::Str(s))) => set.contains(&s.as_str()),
+                    (Count(min), Some(&Cell::Num(x))) => x >= min && x.fract() == 0.0,
+                    (Real, Some(Cell::Num(_))) => true,
+                    _ => false,
+                };
+                if !ok {
+                    return Err(format!("row {i}: {k} missing or not {col:?}"));
+                }
             }
-            rows.push(AdmissionRow {
-                corpus,
-                mode,
-                requests: requests as u64,
-                mean_ns,
-                p50_ns,
-                p99_ns,
-                summary_hits: summary_hits as u64,
-            });
+            if let Some((lo, hi)) = schema.at_most.iter().find(|(lo, hi)| num(lo) > num(hi)) {
+                return Err(format!("row {i}: {lo} exceeds {hi}"));
+            }
+            let idle = |(x, n): &&(&str, &str)| num(n) == 0.0 && num(x) != 0.0;
+            if let Some((x, n)) = schema.zero_without.iter().find(idle) {
+                return Err(format!("row {i}: {x} reported without {n}"));
+            }
         }
-        Ok(AdmissionSnapshot { bench, rows })
-    }
-
-    /// Writes `BENCH_<bench>.json` (same directory resolution as
-    /// [`BenchSnapshot::write`]). Returns the path on success.
-    pub fn write(&self) -> Option<PathBuf> {
-        write_snapshot(&self.bench, &self.to_json())
+        Ok(())
     }
 }
 
-// ---------------------------------------------------------------------------
-// Fleet snapshots (the fleet placement + migration bench).
-// ---------------------------------------------------------------------------
+/// What one column of a bench's rows must hold: a non-empty label, one
+/// of a closed set of labels, an integer at least this large, or any
+/// number.
+#[derive(Debug, Clone, Copy)]
+enum Col {
+    Text,
+    Mode(&'static [&'static str]),
+    Count(f64),
+    Real,
+}
+use Col::{Count, Mode, Real, Text};
 
-/// One fleet-bench row: a tenant scenario driven over a generated
-/// capacitated topology, with the observed placement-latency and
-/// migration-downtime distributions.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetRow {
-    /// Tenant-mix scenario (e.g. `"stock"`, `"novel"`, `"mixed-stock-novel"`).
-    pub scenario: String,
-    /// Nodes in the generated topology.
-    pub nodes: u64,
-    /// Platforms among those nodes.
-    pub platforms: u64,
-    /// Placements (deploys) measured.
-    pub placements: u64,
-    /// Median controller placement latency in nanoseconds.
-    pub placement_p50_ns: f64,
-    /// 99th-percentile controller placement latency in nanoseconds.
-    pub placement_p99_ns: f64,
-    /// Live migrations completed during the run.
-    pub migrations: u64,
-    /// Median migration downtime (suspend → resume-complete) in
-    /// nanoseconds; zero when no migrations ran.
-    pub downtime_p50_ns: f64,
-    /// 99th-percentile migration downtime in nanoseconds.
-    pub downtime_p99_ns: f64,
+/// One bench's row invariants beyond the generic rules (finite
+/// non-negative numbers, each `*p50*` at most its `*p99*` twin, at least
+/// one row): the columns every row carries, pairs `(lo, hi)` with
+/// `lo <= hi`, and pairs `(x, n)` where `x` is zero when the count `n` is.
+struct Schema {
+    bench: &'static str,
+    columns: &'static [(&'static str, Col)],
+    at_most: &'static [(&'static str, &'static str)],
+    zero_without: &'static [(&'static str, &'static str)],
 }
 
-/// The machine-readable record the fleet bench leaves behind
-/// (`BENCH_fleet.json`): placement latency and live-migration downtime
-/// over a seeded thousand-node topology, committed so the fleet-fabric
-/// perf trajectory stays in history.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetSnapshot {
-    /// Which bench produced this snapshot (`"fleet"`).
-    pub bench: String,
-    /// The measured rows.
-    pub rows: Vec<FleetRow>,
+#[rustfmt::skip]
+const THROUGHPUT: &[(&str, Col)] = &[
+    ("corpus", Text), ("mode", Mode(&["interpreted", "compiled"])), ("workers", Count(1.0)),
+    ("pps", Real), ("gbps", Real),
+];
+
+#[rustfmt::skip]
+const SCHEMAS: &[Schema] = &[
+    Schema { bench: "parallel_scaling", columns: THROUGHPUT, at_most: &[], zero_without: &[] },
+    Schema { bench: "fig12_middlebox", columns: THROUGHPUT, at_most: &[], zero_without: &[] },
+    Schema { bench: "admission", at_most: &[], zero_without: &[], columns: &[
+        ("corpus", Text), ("mode", Mode(&["whole-graph", "compositional"])),
+        ("requests", Count(1.0)), ("mean_ns", Real), ("p50_ns", Real), ("p99_ns", Real),
+        ("summary_hits", Count(0.0)),
+    ] },
+    Schema { bench: "fleet", at_most: &[("platforms", "nodes")],
+        zero_without: &[("downtime_p99_ns", "migrations")], columns: &[
+        ("scenario", Text), ("nodes", Count(1.0)), ("platforms", Count(1.0)),
+        ("placements", Count(1.0)), ("placement_p50_ns", Real), ("placement_p99_ns", Real),
+        ("migrations", Count(0.0)), ("downtime_p50_ns", Real), ("downtime_p99_ns", Real),
+    ] },
+    Schema { bench: "scenarios", at_most: &[("rehomed", "tenants")],
+        zero_without: &[("rehome_p99_ns", "rehomed")], columns: &[
+        ("scenario", Text), ("tenants", Count(1.0)), ("rehomed", Count(0.0)),
+        ("rehome_p50_ns", Real), ("rehome_p99_ns", Real), ("link_drops", Count(0.0)),
+    ] },
+];
+
+/// This machine as a `host` block; a probe that fails reads `"unknown"`.
+fn probe_host() -> Row {
+    let run = |cmd: &str, args: &[&str]| {
+        let mut cmd = std::process::Command::new(cmd);
+        let out = cmd.args(args).current_dir(workspace()).output().ok();
+        let out = out.filter(|o| o.status.success()).map(|o| o.stdout);
+        let text = String::from_utf8(out.unwrap_or_default()).unwrap_or_default();
+        let text = text.trim();
+        Cell::from(if text.is_empty() { "unknown" } else { text })
+    };
+    let nproc = std::thread::available_parallelism().map(|n| n.get() as u64);
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    let cells = [
+        nproc.map_or_else(|_| "unknown".into(), Cell::from),
+        run("rustc", &["-V"]),
+        run("git", &["rev-parse", "--short", "HEAD"]),
+        profile.into(),
+    ];
+    Row(HOST_FIELDS
+        .map(String::from)
+        .into_iter()
+        .zip(cells)
+        .collect())
 }
 
-impl FleetSnapshot {
-    /// An empty snapshot for bench `name`.
-    pub fn new(name: &str) -> FleetSnapshot {
-        FleetSnapshot {
-            bench: name.to_string(),
-            rows: Vec::new(),
+/// `s` as a JSON string literal.
+fn quote(s: &str) -> String {
+    let mut out = String::from('"');
+    for c in s.chars() {
+        match c {
+            '"' | '\\' => out.extend(['\\', c]),
+            c if c < ' ' => out += &format!("\\u{:04x}", c as u32),
+            c => out.push(c),
         }
     }
-
-    /// Appends one measured row.
-    #[allow(clippy::too_many_arguments)]
-    pub fn row(
-        &mut self,
-        scenario: &str,
-        nodes: u64,
-        platforms: u64,
-        placements: u64,
-        placement_p50_ns: f64,
-        placement_p99_ns: f64,
-        migrations: u64,
-        downtime_p50_ns: f64,
-        downtime_p99_ns: f64,
-    ) {
-        self.rows.push(FleetRow {
-            scenario: scenario.to_string(),
-            nodes,
-            platforms,
-            placements,
-            placement_p50_ns,
-            placement_p99_ns,
-            migrations,
-            downtime_p50_ns,
-            downtime_p99_ns,
-        });
-    }
-
-    /// Serializes to the snapshot JSON schema.
-    pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.chars()
-                .flat_map(|c| match c {
-                    '"' => "\\\"".chars().collect::<Vec<_>>(),
-                    '\\' => "\\\\".chars().collect(),
-                    '\n' => "\\n".chars().collect(),
-                    c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-                    c => vec![c],
-                })
-                .collect()
-        }
-        fn num(x: f64) -> String {
-            if x.is_finite() {
-                format!("{x:.3}")
-            } else {
-                "0.000".to_string()
-            }
-        }
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\n  \"schema_version\": {SNAPSHOT_SCHEMA_VERSION},\n  \"bench\": \"{}\",\n  \"rows\": [",
-            esc(&self.bench)
-        );
-        for (i, r) in self.rows.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\n    {{\"scenario\": \"{}\", \"nodes\": {}, \"platforms\": {}, \
-                 \"placements\": {}, \"placement_p50_ns\": {}, \"placement_p99_ns\": {}, \
-                 \"migrations\": {}, \"downtime_p50_ns\": {}, \"downtime_p99_ns\": {}}}",
-                if i == 0 { "" } else { "," },
-                esc(&r.scenario),
-                r.nodes,
-                r.platforms,
-                r.placements,
-                num(r.placement_p50_ns),
-                num(r.placement_p99_ns),
-                r.migrations,
-                num(r.downtime_p50_ns),
-                num(r.downtime_p99_ns)
-            );
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-
-    /// Parses and schema-validates fleet snapshot JSON: required fields,
-    /// positive node/platform/placement counts with `platforms <= nodes`,
-    /// finite non-negative latencies with `p50 <= p99` for both the
-    /// placement and downtime distributions, and zero downtime required
-    /// when no migrations ran.
-    pub fn parse(text: &str) -> Result<FleetSnapshot, String> {
-        let v = json::parse(text)?;
-        let obj = v.as_obj().ok_or("top level must be an object")?;
-        let version = json::field(obj, "schema_version")?
-            .as_num()
-            .ok_or("schema_version must be a number")?;
-        if version != SNAPSHOT_SCHEMA_VERSION as f64 {
-            return Err(format!("unsupported schema_version {version}"));
-        }
-        let bench = json::field(obj, "bench")?
-            .as_str()
-            .ok_or("bench must be a string")?
-            .to_string();
-        if bench.is_empty() {
-            return Err("bench must be non-empty".to_string());
-        }
-        let rows_v = json::field(obj, "rows")?
-            .as_arr()
-            .ok_or("rows must be an array")?;
-        let mut rows = Vec::new();
-        for (i, rv) in rows_v.iter().enumerate() {
-            let ro = rv.as_obj().ok_or(format!("row {i} must be an object"))?;
-            let scenario = json::field(ro, "scenario")?
-                .as_str()
-                .ok_or(format!("row {i}: scenario must be a string"))?
-                .to_string();
-            if scenario.is_empty() {
-                return Err(format!("row {i}: scenario must be non-empty"));
-            }
-            let count = |name: &str, min: f64| -> Result<u64, String> {
-                let x = json::field(ro, name)?
-                    .as_num()
-                    .ok_or(format!("row {i}: {name} must be a number"))?;
-                if x < min || x.fract() != 0.0 {
-                    return Err(format!("row {i}: {name} must be an integer >= {min}"));
-                }
-                Ok(x as u64)
-            };
-            let lat = |name: &str| -> Result<f64, String> {
-                let x = json::field(ro, name)?
-                    .as_num()
-                    .ok_or(format!("row {i}: {name} must be a number"))?;
-                if !(x.is_finite() && x >= 0.0) {
-                    return Err(format!("row {i}: {name} must be finite and non-negative"));
-                }
-                Ok(x)
-            };
-            let nodes = count("nodes", 1.0)?;
-            let platforms = count("platforms", 1.0)?;
-            if platforms > nodes {
-                return Err(format!("row {i}: platforms exceed nodes"));
-            }
-            let placements = count("placements", 1.0)?;
-            let placement_p50_ns = lat("placement_p50_ns")?;
-            let placement_p99_ns = lat("placement_p99_ns")?;
-            if placement_p50_ns > placement_p99_ns {
-                return Err(format!(
-                    "row {i}: placement_p50_ns exceeds placement_p99_ns"
-                ));
-            }
-            let migrations = count("migrations", 0.0)?;
-            let downtime_p50_ns = lat("downtime_p50_ns")?;
-            let downtime_p99_ns = lat("downtime_p99_ns")?;
-            if downtime_p50_ns > downtime_p99_ns {
-                return Err(format!("row {i}: downtime_p50_ns exceeds downtime_p99_ns"));
-            }
-            if migrations == 0 && downtime_p99_ns != 0.0 {
-                return Err(format!("row {i}: downtime reported without migrations"));
-            }
-            rows.push(FleetRow {
-                scenario,
-                nodes,
-                platforms,
-                placements,
-                placement_p50_ns,
-                placement_p99_ns,
-                migrations,
-                downtime_p50_ns,
-                downtime_p99_ns,
-            });
-        }
-        Ok(FleetSnapshot { bench, rows })
-    }
-
-    /// Writes `BENCH_<bench>.json` (same directory resolution as
-    /// [`BenchSnapshot::write`]). Returns the path on success.
-    pub fn write(&self) -> Option<PathBuf> {
-        write_snapshot(&self.bench, &self.to_json())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Scenario snapshots (the fleet scenario-engine bench).
-// ---------------------------------------------------------------------------
-
-/// One scenario-bench row: a scripted fleet incident (PoP kill, flash
-/// crowd, consolidation, CDN tiering) driven through the `FleetDriver`,
-/// with the observed failover and bandwidth-pricing outcomes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioRow {
-    /// Scenario name (e.g. `"kill-pop"`, `"flash-crowd"`).
-    pub scenario: String,
-    /// Tenants registered on the fleet during the run.
-    pub tenants: u64,
-    /// Tenants successfully re-homed by regional failover.
-    pub rehomed: u64,
-    /// Median per-tenant re-home downtime in nanoseconds (zero when
-    /// nothing re-homed).
-    pub rehome_p50_ns: f64,
-    /// 99th-percentile per-tenant re-home downtime in nanoseconds.
-    pub rehome_p99_ns: f64,
-    /// Packets tail-dropped at saturated fabric links during the run.
-    pub link_drops: u64,
-}
-
-/// The machine-readable record the scenario bench leaves behind
-/// (`BENCH_scenarios.json`): per-scenario failover downtime percentiles
-/// and link-drop counts over the generated fleet, committed so the
-/// scenario-engine trajectory stays in history.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioSnapshot {
-    /// Which bench produced this snapshot (`"scenarios"`).
-    pub bench: String,
-    /// The measured rows.
-    pub rows: Vec<ScenarioRow>,
-}
-
-impl ScenarioSnapshot {
-    /// An empty snapshot for bench `name`.
-    pub fn new(name: &str) -> ScenarioSnapshot {
-        ScenarioSnapshot {
-            bench: name.to_string(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends one measured row.
-    pub fn row(
-        &mut self,
-        scenario: &str,
-        tenants: u64,
-        rehomed: u64,
-        rehome_p50_ns: f64,
-        rehome_p99_ns: f64,
-        link_drops: u64,
-    ) {
-        self.rows.push(ScenarioRow {
-            scenario: scenario.to_string(),
-            tenants,
-            rehomed,
-            rehome_p50_ns,
-            rehome_p99_ns,
-            link_drops,
-        });
-    }
-
-    /// Serializes to the snapshot JSON schema.
-    pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.chars()
-                .flat_map(|c| match c {
-                    '"' => "\\\"".chars().collect::<Vec<_>>(),
-                    '\\' => "\\\\".chars().collect(),
-                    '\n' => "\\n".chars().collect(),
-                    c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-                    c => vec![c],
-                })
-                .collect()
-        }
-        fn num(x: f64) -> String {
-            if x.is_finite() {
-                format!("{x:.3}")
-            } else {
-                "0.000".to_string()
-            }
-        }
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\n  \"schema_version\": {SNAPSHOT_SCHEMA_VERSION},\n  \"bench\": \"{}\",\n  \"rows\": [",
-            esc(&self.bench)
-        );
-        for (i, r) in self.rows.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\n    {{\"scenario\": \"{}\", \"tenants\": {}, \"rehomed\": {}, \
-                 \"rehome_p50_ns\": {}, \"rehome_p99_ns\": {}, \"link_drops\": {}}}",
-                if i == 0 { "" } else { "," },
-                esc(&r.scenario),
-                r.tenants,
-                r.rehomed,
-                num(r.rehome_p50_ns),
-                num(r.rehome_p99_ns),
-                r.link_drops
-            );
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-
-    /// Parses and schema-validates scenario snapshot JSON: required
-    /// fields, at least one tenant per row, `rehomed <= tenants`, finite
-    /// non-negative downtimes with `p50 <= p99`, and zero downtime
-    /// required when nothing re-homed.
-    pub fn parse(text: &str) -> Result<ScenarioSnapshot, String> {
-        let v = json::parse(text)?;
-        let obj = v.as_obj().ok_or("top level must be an object")?;
-        let version = json::field(obj, "schema_version")?
-            .as_num()
-            .ok_or("schema_version must be a number")?;
-        if version != SNAPSHOT_SCHEMA_VERSION as f64 {
-            return Err(format!("unsupported schema_version {version}"));
-        }
-        let bench = json::field(obj, "bench")?
-            .as_str()
-            .ok_or("bench must be a string")?
-            .to_string();
-        if bench.is_empty() {
-            return Err("bench must be non-empty".to_string());
-        }
-        let rows_v = json::field(obj, "rows")?
-            .as_arr()
-            .ok_or("rows must be an array")?;
-        let mut rows = Vec::new();
-        for (i, rv) in rows_v.iter().enumerate() {
-            let ro = rv.as_obj().ok_or(format!("row {i} must be an object"))?;
-            let scenario = json::field(ro, "scenario")?
-                .as_str()
-                .ok_or(format!("row {i}: scenario must be a string"))?
-                .to_string();
-            if scenario.is_empty() {
-                return Err(format!("row {i}: scenario must be non-empty"));
-            }
-            let count = |name: &str, min: f64| -> Result<u64, String> {
-                let x = json::field(ro, name)?
-                    .as_num()
-                    .ok_or(format!("row {i}: {name} must be a number"))?;
-                if x < min || x.fract() != 0.0 {
-                    return Err(format!("row {i}: {name} must be an integer >= {min}"));
-                }
-                Ok(x as u64)
-            };
-            let lat = |name: &str| -> Result<f64, String> {
-                let x = json::field(ro, name)?
-                    .as_num()
-                    .ok_or(format!("row {i}: {name} must be a number"))?;
-                if !(x.is_finite() && x >= 0.0) {
-                    return Err(format!("row {i}: {name} must be finite and non-negative"));
-                }
-                Ok(x)
-            };
-            let tenants = count("tenants", 1.0)?;
-            let rehomed = count("rehomed", 0.0)?;
-            if rehomed > tenants {
-                return Err(format!("row {i}: rehomed exceeds tenants"));
-            }
-            let rehome_p50_ns = lat("rehome_p50_ns")?;
-            let rehome_p99_ns = lat("rehome_p99_ns")?;
-            if rehome_p50_ns > rehome_p99_ns {
-                return Err(format!("row {i}: rehome_p50_ns exceeds rehome_p99_ns"));
-            }
-            if rehomed == 0 && rehome_p99_ns != 0.0 {
-                return Err(format!("row {i}: downtime reported without re-homes"));
-            }
-            let link_drops = count("link_drops", 0.0)?;
-            rows.push(ScenarioRow {
-                scenario,
-                tenants,
-                rehomed,
-                rehome_p50_ns,
-                rehome_p99_ns,
-                link_drops,
-            });
-        }
-        Ok(ScenarioSnapshot { bench, rows })
-    }
-
-    /// Writes `BENCH_<bench>.json` (same directory resolution as
-    /// [`BenchSnapshot::write`]). Returns the path on success.
-    pub fn write(&self) -> Option<PathBuf> {
-        write_snapshot(&self.bench, &self.to_json())
-    }
-}
-
-/// A minimal JSON reader — just enough structure to validate snapshots
-/// without `serde_json` (the container is offline; see the vendor note in
-/// the workspace manifest).
-mod json {
-    #![allow(dead_code)] // general-purpose reader; snapshots use a subset
-
-    /// A parsed JSON value.
-    #[derive(Debug)]
-    pub enum Value {
-        Null,
-        Bool(bool),
-        Num(f64),
-        Str(String),
-        Arr(Vec<Value>),
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub fn as_bool(&self) -> Option<bool> {
-            match self {
-                Value::Bool(b) => Some(*b),
-                _ => None,
-            }
-        }
-        pub fn as_num(&self) -> Option<f64> {
-            match self {
-                Value::Num(x) => Some(*x),
-                _ => None,
-            }
-        }
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-        pub fn as_arr(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(a) => Some(a),
-                _ => None,
-            }
-        }
-        pub fn as_obj(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Obj(o) => Some(o),
-                _ => None,
-            }
-        }
-    }
-
-    /// Looks up a required object field.
-    pub fn field<'a>(obj: &'a [(String, Value)], name: &str) -> Result<&'a Value, String> {
-        obj.iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
-            .ok_or(format!("missing field '{name}'"))
-    }
-
-    /// Parses one JSON document (trailing garbage is an error).
-    pub fn parse(s: &str) -> Result<Value, String> {
-        let b = s.as_bytes();
-        let mut pos = 0usize;
-        let v = value(b, &mut pos)?;
-        skip_ws(b, &mut pos);
-        if pos != b.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&c) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {pos}", c as char))
-        }
-    }
-
-    fn value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => {
-                *pos += 1;
-                let mut obj = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Value::Obj(obj));
-                }
-                loop {
-                    skip_ws(b, pos);
-                    let key = string(b, pos)?;
-                    expect(b, pos, b':')?;
-                    obj.push((key, value(b, pos)?));
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Value::Obj(obj));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                let mut arr = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Value::Arr(arr));
-                }
-                loop {
-                    arr.push(value(b, pos)?);
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Value::Arr(arr));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'"') => Ok(Value::Str(string(b, pos)?)),
-            Some(b't') if b[*pos..].starts_with(b"true") => {
-                *pos += 4;
-                Ok(Value::Bool(true))
-            }
-            Some(b'f') if b[*pos..].starts_with(b"false") => {
-                *pos += 5;
-                Ok(Value::Bool(false))
-            }
-            Some(b'n') if b[*pos..].starts_with(b"null") => {
-                *pos += 4;
-                Ok(Value::Null)
-            }
-            Some(_) => number(b, pos),
-            None => Err("unexpected end of input".to_string()),
-        }
-    }
-
-    fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected string at byte {pos}"));
-        }
-        *pos += 1;
-        let mut out = String::new();
-        while let Some(&c) = b.get(*pos) {
-            *pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *b.get(*pos).ok_or("unterminated escape")?;
-                    *pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = b
-                                .get(*pos..*pos + 4)
-                                .ok_or("truncated \\u escape")
-                                .and_then(|h| {
-                                    std::str::from_utf8(h).map_err(|_| "bad \\u escape")
-                                })?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape '{hex}'"))?;
-                            *pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        other => return Err(format!("unknown escape '\\{}'", other as char)),
-                    }
-                }
-                c => {
-                    // Re-decode multi-byte UTF-8 sequences from the raw bytes.
-                    if c < 0x80 {
-                        out.push(c as char);
-                    } else {
-                        let start = *pos - 1;
-                        let mut end = *pos;
-                        while end < b.len() && (b[end] & 0xC0) == 0x80 {
-                            end += 1;
-                        }
-                        let s = std::str::from_utf8(&b[start..end])
-                            .map_err(|_| "invalid UTF-8 in string")?;
-                        out.push_str(s);
-                        *pos = end;
-                    }
-                }
-            }
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-            *pos += 1;
-        }
-        let s = std::str::from_utf8(&b[start..*pos]).map_err(|_| "bad number")?;
-        s.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| format!("bad number '{s}' at byte {start}"))
-    }
+    out + "\""
 }
 
 #[cfg(test)]
 mod snapshot_tests {
     use super::*;
 
-    fn sample() -> BenchSnapshot {
-        let mut s = BenchSnapshot::new("parallel_scaling");
-        s.row("consolidated", "interpreted", 1, 1_234_567.891, 0.632);
-        s.row("consolidated", "compiled", 1, 2_500_000.0, 1.28);
-        s.row("fig12-firewall", "compiled", 4, 9_000_000.5, 105.984);
+    /// One valid snapshot per bench, two rows each.
+    fn sample(bench: &str) -> Snapshot {
+        let mut s = Snapshot::new(bench);
+        match bench {
+            "parallel_scaling" | "fig12_middlebox" => {
+                for (mode, workers, pps, gbps) in [
+                    ("interpreted", 1u64, 1_234_567.891, 0.632),
+                    ("compiled", 4, 9e6, 4.608),
+                ] {
+                    s.row([
+                        ("corpus", "consolidated".into()),
+                        ("mode", mode.into()),
+                        ("workers", workers.into()),
+                        ("pps", pps.into()),
+                        ("gbps", gbps.into()),
+                    ]);
+                }
+            }
+            "admission" => {
+                for (mode, mean, p50, p99, hits) in [
+                    ("whole-graph", 81_234.5, 74_000.0, 190_000.0, 0u64),
+                    ("compositional", 31_234.5, 28_000.0, 90_000.0, 99_000),
+                ] {
+                    s.row([
+                        ("corpus", "mixed-stock-novel".into()),
+                        ("mode", mode.into()),
+                        ("requests", 100_000u64.into()),
+                        ("mean_ns", mean.into()),
+                        ("p50_ns", p50.into()),
+                        ("p99_ns", p99.into()),
+                        ("summary_hits", hits.into()),
+                    ]);
+                }
+            }
+            "fleet" => {
+                for (scenario, migrations, d50, d99) in [
+                    ("mixed-stock-novel", 8u64, 70_000_000.0, 75_000_000.0),
+                    ("stock", 0, 0.0, 0.0),
+                ] {
+                    s.row([
+                        ("scenario", scenario.into()),
+                        ("nodes", 1_001u64.into()),
+                        ("platforms", 400u64.into()),
+                        ("placements", 64u64.into()),
+                        ("placement_p50_ns", 45_000.0.into()),
+                        ("placement_p99_ns", 210_000.0.into()),
+                        ("migrations", migrations.into()),
+                        ("downtime_p50_ns", d50.into()),
+                        ("downtime_p99_ns", d99.into()),
+                    ]);
+                }
+            }
+            "scenarios" => {
+                for (scenario, rehomed, r50, r99, drops) in [
+                    ("kill-pop", 38u64, 50_000_000.0, 52_000_000.0, 120u64),
+                    ("flash-crowd", 0, 0.0, 0.0, 4_096),
+                ] {
+                    s.row([
+                        ("scenario", scenario.into()),
+                        ("tenants", 40u64.into()),
+                        ("rehomed", rehomed.into()),
+                        ("rehome_p50_ns", r50.into()),
+                        ("rehome_p99_ns", r99.into()),
+                        ("link_drops", drops.into()),
+                    ]);
+                }
+            }
+            other => panic!("no sample for {other}"),
+        }
         s
+    }
+
+    const BENCHES: [&str; 5] = [
+        "parallel_scaling",
+        "fig12_middlebox",
+        "admission",
+        "fleet",
+        "scenarios",
+    ];
+
+    #[test]
+    fn every_bench_has_a_schema() {
+        let mut names: Vec<&str> = SCHEMAS.iter().map(|s| s.bench).collect();
+        names.sort_unstable();
+        let mut want = BENCHES.to_vec();
+        want.sort_unstable();
+        assert_eq!(names, want);
     }
 
     #[test]
     fn snapshot_roundtrips_through_parser() {
-        let s = sample();
-        let parsed = BenchSnapshot::parse(&s.to_json()).unwrap();
-        assert_eq!(parsed.bench, "parallel_scaling");
-        assert_eq!(parsed.rows.len(), 3);
-        assert_eq!(parsed.rows[1].mode, "compiled");
-        assert_eq!(parsed.rows[2].workers, 4);
-        assert!((parsed.rows[0].pps - 1_234_567.891).abs() < 0.01);
+        let s = sample("parallel_scaling");
+        let parsed = Snapshot::parse(&s.to_json()).unwrap();
+        assert_eq!(parsed, s);
+        assert_eq!(parsed.rows[1].num("workers"), Some(4.0));
     }
 
     #[test]
-    fn parser_rejects_schema_violations() {
-        // Unknown mode.
-        let bad = sample().to_json().replace("interpreted", "jit");
-        assert!(BenchSnapshot::parse(&bad).is_err());
-        // Missing field.
-        let bad = sample().to_json().replace("\"workers\": 1,", "");
-        assert!(BenchSnapshot::parse(&bad).is_err());
-        // Wrong version.
-        let bad = sample()
-            .to_json()
-            .replace("\"schema_version\": 1", "\"schema_version\": 99");
-        assert!(BenchSnapshot::parse(&bad).is_err());
-        // Not JSON at all.
-        assert!(BenchSnapshot::parse("pps go brr").is_err());
-        // Negative rate.
-        let mut s = BenchSnapshot::new("x");
-        s.row("c", "compiled", 1, -5.0, 0.0);
-        assert!(BenchSnapshot::parse(&s.to_json()).is_err());
-    }
-
-    #[test]
-    fn json_reader_handles_scalars() {
-        let v = super::json::parse(r#"{"a": true, "b": false, "c": null, "d": [1, "x"]}"#).unwrap();
-        let obj = v.as_obj().unwrap();
-        assert_eq!(super::json::field(obj, "a").unwrap().as_bool(), Some(true));
-        assert_eq!(super::json::field(obj, "b").unwrap().as_bool(), Some(false));
-        assert!(super::json::field(obj, "d").unwrap().as_arr().unwrap()[1]
-            .as_str()
-            .is_some());
-        assert!(super::json::field(obj, "e").is_err());
-    }
-
-    fn admission_sample() -> AdmissionSnapshot {
-        let mut s = AdmissionSnapshot::new("admission");
-        s.row(
-            "mixed-stock-novel",
-            "whole-graph",
-            100_000,
-            81_234.5,
-            74_000.0,
-            190_000.0,
-            0,
-        );
-        s.row(
-            "mixed-stock-novel",
-            "compositional",
-            100_000,
-            31_234.5,
-            28_000.0,
-            90_000.0,
-            99_000,
-        );
-        s
+    fn fig12_snapshot_roundtrips_through_parser() {
+        let s = sample("fig12_middlebox");
+        let parsed = Snapshot::parse(&s.to_json()).unwrap();
+        // Rates keep three decimals.
+        assert!((parsed.rows[0].num("pps").unwrap() - 1_234_567.891).abs() < 1e-6);
+        assert_eq!(parsed.rows[1].text("mode"), Some("compiled"));
     }
 
     #[test]
     fn admission_snapshot_roundtrips_through_parser() {
-        let s = admission_sample();
-        let parsed = AdmissionSnapshot::parse(&s.to_json()).unwrap();
-        assert_eq!(parsed.bench, "admission");
-        assert_eq!(parsed.rows.len(), 2);
-        assert_eq!(parsed.rows[0].mode, "whole-graph");
-        assert_eq!(parsed.rows[1].summary_hits, 99_000);
-        assert!((parsed.rows[1].mean_ns - 31_234.5).abs() < 0.01);
-    }
-
-    #[test]
-    fn admission_parser_rejects_schema_violations() {
-        // Unknown mode.
-        let bad = admission_sample().to_json().replace("whole-graph", "vibes");
-        assert!(AdmissionSnapshot::parse(&bad).is_err());
-        // Missing field.
-        let bad = admission_sample()
-            .to_json()
-            .replace("\"requests\": 100000, ", "");
-        assert!(AdmissionSnapshot::parse(&bad).is_err());
-        // Inverted percentiles.
-        let mut s = AdmissionSnapshot::new("admission");
-        s.row("c", "compositional", 1, 5.0, 9.0, 4.0, 0);
-        assert!(AdmissionSnapshot::parse(&s.to_json()).is_err());
-        // The throughput parser must not accept the admission schema
-        // (and vice versa): the validator dispatches on whichever fits.
-        assert!(BenchSnapshot::parse(&admission_sample().to_json()).is_err());
-        assert!(AdmissionSnapshot::parse(&sample().to_json()).is_err());
-    }
-
-    fn fleet_sample() -> FleetSnapshot {
-        let mut s = FleetSnapshot::new("fleet");
-        s.row(
-            "mixed-stock-novel",
-            1_001,
-            400,
-            64,
-            45_000.0,
-            210_000.0,
-            8,
-            70_000_000.0,
-            75_000_000.0,
-        );
-        s.row("stock", 1_001, 400, 32, 20_000.0, 90_000.0, 0, 0.0, 0.0);
-        s
+        let s = sample("admission");
+        assert_eq!(Snapshot::parse(&s.to_json()).unwrap(), s);
     }
 
     #[test]
     fn fleet_snapshot_roundtrips_through_parser() {
-        let s = fleet_sample();
-        let parsed = FleetSnapshot::parse(&s.to_json()).unwrap();
-        assert_eq!(parsed.bench, "fleet");
-        assert_eq!(parsed.rows.len(), 2);
-        assert_eq!(parsed.rows[0].nodes, 1_001);
-        assert_eq!(parsed.rows[0].migrations, 8);
-        assert!((parsed.rows[0].downtime_p50_ns - 70_000_000.0).abs() < 0.01);
-        assert_eq!(parsed.rows[1].migrations, 0);
-    }
-
-    #[test]
-    fn fleet_parser_rejects_schema_violations() {
-        // Missing field.
-        let bad = fleet_sample().to_json().replace("\"nodes\": 1001, ", "");
-        assert!(FleetSnapshot::parse(&bad).is_err());
-        // More platforms than nodes.
-        let mut s = FleetSnapshot::new("fleet");
-        s.row("x", 10, 11, 1, 1.0, 2.0, 0, 0.0, 0.0);
-        assert!(FleetSnapshot::parse(&s.to_json()).is_err());
-        // Inverted placement percentiles.
-        let mut s = FleetSnapshot::new("fleet");
-        s.row("x", 10, 4, 1, 9.0, 4.0, 0, 0.0, 0.0);
-        assert!(FleetSnapshot::parse(&s.to_json()).is_err());
-        // Downtime without migrations.
-        let mut s = FleetSnapshot::new("fleet");
-        s.row("x", 10, 4, 1, 1.0, 2.0, 0, 3.0, 4.0);
-        assert!(FleetSnapshot::parse(&s.to_json()).is_err());
-        // The three schemas stay mutually exclusive: the validator
-        // dispatches on whichever parser accepts.
-        assert!(BenchSnapshot::parse(&fleet_sample().to_json()).is_err());
-        assert!(AdmissionSnapshot::parse(&fleet_sample().to_json()).is_err());
-        assert!(FleetSnapshot::parse(&sample().to_json()).is_err());
-        assert!(FleetSnapshot::parse(&admission_sample().to_json()).is_err());
-    }
-
-    fn scenario_sample() -> ScenarioSnapshot {
-        let mut s = ScenarioSnapshot::new("scenarios");
-        s.row("kill-pop", 40, 38, 50_000_000.0, 52_000_000.0, 120);
-        s.row("flash-crowd", 40, 0, 0.0, 0.0, 4_096);
-        s
+        let s = sample("fleet");
+        assert_eq!(Snapshot::parse(&s.to_json()).unwrap(), s);
     }
 
     #[test]
     fn scenario_snapshot_roundtrips_through_parser() {
-        let s = scenario_sample();
-        let parsed = ScenarioSnapshot::parse(&s.to_json()).unwrap();
-        assert_eq!(parsed.bench, "scenarios");
-        assert_eq!(parsed.rows.len(), 2);
-        assert_eq!(parsed.rows[0].rehomed, 38);
-        assert!((parsed.rows[0].rehome_p50_ns - 50_000_000.0).abs() < 0.01);
-        assert_eq!(parsed.rows[1].link_drops, 4_096);
+        let s = sample("scenarios");
+        let parsed = Snapshot::parse(&s.to_json()).unwrap();
+        assert_eq!(parsed, s);
+        assert_eq!(parsed.host.0.len(), HOST_FIELDS.len());
+    }
+
+    /// `bench`'s sample JSON with the first `from` replaced by `to`.
+    fn edit(bench: &str, from: &str, to: &str) -> String {
+        let json = sample(bench).to_json();
+        assert!(json.contains(from), "{bench}: sample lacks {from:?}");
+        json.replacen(from, to, 1)
+    }
+
+    /// `bench`'s sample JSON with cell `col` of row `row` set to `v`.
+    fn set(bench: &str, row: usize, col: &str, v: Cell) -> String {
+        let mut s = sample(bench);
+        let cell = s.rows[row].0.iter_mut().find(|(k, _)| k == col);
+        cell.unwrap_or_else(|| panic!("{bench} has no {col}")).1 = v;
+        s.to_json()
+    }
+
+    /// Each case is a schema violation, named with the reason it must be
+    /// refused.
+    fn assert_rejected(cases: Vec<(&str, String)>) {
+        for (why, json) in cases {
+            assert!(Snapshot::parse(&json).is_err(), "accepted ({why}):\n{json}");
+        }
+    }
+
+    /// The generic rules, the throughput columns and the `host` block.
+    #[test]
+    fn parser_rejects_schema_violations() {
+        assert_rejected(vec![
+            (
+                "unknown mode",
+                edit("parallel_scaling", "interpreted", "jit"),
+            ),
+            (
+                "missing field",
+                edit("parallel_scaling", "\"workers\": 1, ", ""),
+            ),
+            (
+                "wrong version",
+                edit("fleet", "\"schema_version\": 2", "\"schema_version\": 1"),
+            ),
+            ("not JSON", "pps go brr".to_string()),
+            ("trailing data", sample("fleet").to_json() + "}"),
+            (
+                "unknown bench",
+                edit("fleet", "\"bench\": \"fleet\"", "\"bench\": \"fleat\""),
+            ),
+            (
+                "another bench's rows",
+                edit("fleet", "\"bench\": \"fleet\"", "\"bench\": \"scenarios\""),
+            ),
+            ("no rows", {
+                let mut s = sample("fleet");
+                s.rows.clear();
+                s.to_json()
+            }),
+            (
+                "negative rate",
+                set("parallel_scaling", 0, "pps", Cell::Num(-5.0)),
+            ),
+            (
+                "zero workers",
+                set("fig12_middlebox", 0, "workers", Cell::Num(0.0)),
+            ),
+            ("missing host", edit("admission", "\"host\"", "\"hast\"")),
+            ("partial host", edit("admission", "\"commit\"", "\"comet\"")),
+            ("host not flat", {
+                let mut s = sample("admission");
+                s.host = Row(Vec::new());
+                s.to_json()
+                    .replace("\"host\": {}", "\"host\": {\"nproc\": [2]}")
+            }),
+        ]);
+    }
+
+    #[test]
+    fn admission_parser_rejects_schema_violations() {
+        assert_rejected(vec![
+            (
+                "unknown admission mode",
+                edit("admission", "whole-graph", "vibes"),
+            ),
+            (
+                "missing admission field",
+                edit("admission", "\"requests\": 100000, ", ""),
+            ),
+            (
+                "inverted latency",
+                set("admission", 1, "p50_ns", Cell::Num(1e9)),
+            ),
+        ]);
+    }
+
+    #[test]
+    fn fleet_parser_rejects_schema_violations() {
+        assert_rejected(vec![
+            (
+                "missing fleet field",
+                edit("fleet", "\"nodes\": 1001, ", ""),
+            ),
+            (
+                "number as label",
+                set("fleet", 0, "scenario", Cell::Num(3.0)),
+            ),
+            (
+                "inverted placement",
+                set("fleet", 0, "placement_p50_ns", Cell::Num(1e9)),
+            ),
+            (
+                "inverted downtime",
+                set("fleet", 0, "downtime_p50_ns", Cell::Num(1e9)),
+            ),
+            (
+                "platforms > nodes",
+                set("fleet", 0, "platforms", Cell::Num(2_000.0)),
+            ),
+            (
+                "downtime, no migrations",
+                set("fleet", 1, "downtime_p99_ns", Cell::Num(4.0)),
+            ),
+        ]);
     }
 
     #[test]
     fn scenario_parser_rejects_schema_violations() {
-        // Missing field.
-        let bad = scenario_sample().to_json().replace("\"tenants\": 40, ", "");
-        assert!(ScenarioSnapshot::parse(&bad).is_err());
-        // More re-homes than tenants.
-        let mut s = ScenarioSnapshot::new("scenarios");
-        s.row("x", 4, 5, 1.0, 2.0, 0);
-        assert!(ScenarioSnapshot::parse(&s.to_json()).is_err());
-        // Inverted percentiles.
-        let mut s = ScenarioSnapshot::new("scenarios");
-        s.row("x", 4, 2, 9.0, 4.0, 0);
-        assert!(ScenarioSnapshot::parse(&s.to_json()).is_err());
-        // Downtime without re-homes.
-        let mut s = ScenarioSnapshot::new("scenarios");
-        s.row("x", 4, 0, 1.0, 2.0, 0);
-        assert!(ScenarioSnapshot::parse(&s.to_json()).is_err());
-        // The four schemas stay mutually exclusive: the validator
-        // dispatches on whichever parser accepts.
-        assert!(BenchSnapshot::parse(&scenario_sample().to_json()).is_err());
-        assert!(AdmissionSnapshot::parse(&scenario_sample().to_json()).is_err());
-        assert!(FleetSnapshot::parse(&scenario_sample().to_json()).is_err());
-        assert!(ScenarioSnapshot::parse(&sample().to_json()).is_err());
-        assert!(ScenarioSnapshot::parse(&admission_sample().to_json()).is_err());
-        assert!(ScenarioSnapshot::parse(&fleet_sample().to_json()).is_err());
+        assert_rejected(vec![
+            (
+                "missing scenario field",
+                edit("scenarios", "\"tenants\": 40, ", ""),
+            ),
+            (
+                "fractional count",
+                set("scenarios", 0, "link_drops", Cell::Num(1.5)),
+            ),
+            ("empty label", set("scenarios", 0, "scenario", "".into())),
+            (
+                "inverted rehome",
+                set("scenarios", 0, "rehome_p50_ns", Cell::Num(1e9)),
+            ),
+            (
+                "rehomed > tenants",
+                set("scenarios", 0, "rehomed", Cell::Num(41.0)),
+            ),
+            (
+                "downtime, no re-homes",
+                set("scenarios", 1, "rehome_p99_ns", Cell::Num(4.0)),
+            ),
+        ]);
+    }
+
+    /// A rate divided by zero is refused, naming the bench and the column.
+    #[test]
+    fn writer_refuses_a_non_finite_cell() {
+        let mut s = sample("parallel_scaling");
+        s.row([("pps", f64::NAN.into())]);
+        let err = std::panic::catch_unwind(|| s.to_json()).unwrap_err();
+        let msg = err.downcast_ref::<String>().expect("a formatted panic");
+        assert!(
+            msg.contains("bench parallel_scaling: column pps is not finite"),
+            "{msg}"
+        );
     }
 
     #[test]
-    fn non_finite_rates_serialize_as_zero() {
-        let mut s = BenchSnapshot::new("x");
-        s.row("c", "compiled", 1, f64::NAN, f64::INFINITY);
-        let parsed = BenchSnapshot::parse(&s.to_json()).unwrap();
-        assert_eq!(parsed.rows[0].pps, 0.0);
-        assert_eq!(parsed.rows[0].gbps, 0.0);
+    fn json_reader_decodes_escapes() {
+        let v = json::parse(r#"{"a": "x\"y\\zé/é", "b": [1, -2.5e3]}"#).unwrap();
+        assert_eq!(
+            v.field("a").and_then(|a| a.leaf()),
+            Some(&"x\"y\\zé/é".into())
+        );
+        assert!(matches!(v.field("b"), Some(json::Value::Arr(b)) if b.len() == 2));
+        assert_eq!(quote("a\"b\\c\n"), r#""a\"b\\c\u000a""#);
+        assert!(json::parse(r#"{"a": "\q"}"#).is_err());
+        assert!(json::parse(r#"{"a": true}"#).is_err());
+    }
+
+    /// The snapshots committed at the repo root, as CI would validate them.
+    #[test]
+    fn committed_snapshots_validate() {
+        let committed = [
+            ("admission", include_str!("../../../BENCH_admission.json")),
+            (
+                "fig12_middlebox",
+                include_str!("../../../BENCH_fig12_middlebox.json"),
+            ),
+            ("fleet", include_str!("../../../BENCH_fleet.json")),
+            (
+                "parallel_scaling",
+                include_str!("../../../BENCH_parallel_scaling.json"),
+            ),
+            ("scenarios", include_str!("../../../BENCH_scenarios.json")),
+        ];
+        for (bench, text) in committed {
+            let snap = Snapshot::parse(text).unwrap_or_else(|e| panic!("BENCH_{bench}.json: {e}"));
+            assert_eq!(snap.bench, bench);
+            assert!(!snap.rows.is_empty());
+            assert_eq!(snap.host.0.len(), HOST_FIELDS.len());
+        }
     }
 }

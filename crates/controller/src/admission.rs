@@ -14,7 +14,7 @@ use std::time::Instant;
 use innet_analysis::{LintReport, SELF_SENTINEL};
 use innet_click::ClickConfig;
 use innet_policy::Requirement;
-use innet_symnet::{check_module_summarized, check_module_with_stats, SecurityContext, Verdict};
+use innet_symnet::{check_module_summarized, SecurityContext, Verdict};
 use innet_topology::NodeId;
 
 use crate::{
@@ -56,13 +56,7 @@ impl Controller {
         };
 
         let epoch = self.verdicts.epoch();
-        let key = verdict_key(
-            epoch,
-            &request,
-            &account,
-            self.hardening,
-            self.summaries_enabled,
-        );
+        let key = verdict_key(epoch, &request, &account, self.hardening);
         if let Some(hit) = self.verdicts.get(&key) {
             let replay = match hit.outcome {
                 CachedOutcome::Reject(e) => Some(Err(e)),
@@ -276,8 +270,7 @@ impl Controller {
     /// Stage 2: the compositional symbolic security check of `cfg` in
     /// `ctx` (per requester class), as a decision: whether the module
     /// must run sandboxed, or the error that refuses it. The summary walk
-    /// replays memoized chain summaries from the fleet-wide memos;
-    /// disabled, the whole-graph oracle runs.
+    /// replays memoized chain summaries from the fleet-wide memos.
     fn security_stage(
         &self,
         cfg: &ClickConfig,
@@ -285,12 +278,9 @@ impl Controller {
         delta: &mut ControllerStats,
     ) -> Result<bool, DeployError> {
         let t = Instant::now();
-        let checked = if self.summaries_enabled {
+        let (mut report, check) =
             check_module_summarized(cfg, ctx, &self.registry, Some(&self.models))
-        } else {
-            check_module_with_stats(cfg, ctx, &self.registry)
-        };
-        let (mut report, check) = checked.map_err(DeployError::BadConfig)?;
+                .map_err(DeployError::BadConfig)?;
         delta.absorb(check);
         let ns = ns_since(t);
         delta.check_ns += ns;
@@ -345,7 +335,7 @@ impl Controller {
         let wanted = wanted.map(|rule| (rule, "client requirement", "unsatisfied"));
         let mut verdict = Ok(None);
         for (rule, what, failed) in policy.chain(wanted) {
-            match check_requirement_summarized(&model, rule, self.summaries_enabled) {
+            match check_requirement_summarized(&model, rule, true) {
                 Ok((holds, check)) => {
                     let outcome = if check.hop_cap_bailouts > 0 {
                         "undecided: exploration truncated at the hop cap"

@@ -16,10 +16,6 @@
 //!   hardening level, or the installed topology changes in a way that can
 //!   alter verdicts (`add_operator_policy`, an effective `set_hardening`,
 //!   `kill`, or an explicit `invalidate_verdicts`);
-//! * whether **compositional summaries** are enabled — verdicts agree
-//!   with the whole-graph oracle, but the reports attached to an outcome
-//!   may differ in detail (egress flow ordering), so verdicts never
-//!   replay across a toggle;
 //! * the tenant's **requester class** and sorted **registered addresses**
 //!   (both drive the security rules);
 //! * the **hardening policy** bits;
@@ -138,23 +134,15 @@ fn push_field(key: &mut String, tag: &str, value: &str) {
 }
 
 /// Builds the canonical cache key for one request. `epoch` must be read
-/// from the same cache the key will be used against. The
-/// compositional-summaries toggle joins the key: verdicts agree across
-/// the toggle, but the attached reports may differ in detail (flow
-/// ordering), so they never replay across it.
+/// from the same cache the key will be used against.
 pub(crate) fn verdict_key(
     epoch: u64,
     request: &ClientRequest,
     account: &ClientAccount,
     hardening: HardeningPolicy,
-    summaries: bool,
 ) -> String {
     let mut key = String::with_capacity(256);
-    let _ = write!(
-        key,
-        "epoch={epoch};summaries={summaries};class={:?};",
-        account.class
-    );
+    let _ = write!(key, "epoch={epoch};class={:?};", account.class);
     let mut registered = account.registered.clone();
     registered.sort_unstable();
     let _ = write!(key, "registered=");
@@ -198,42 +186,18 @@ mod tests {
 
     #[test]
     fn identical_requests_share_a_key() {
-        let k1 = verdict_key(
-            0,
-            &request(REQ),
-            &account(),
-            HardeningPolicy::default(),
-            true,
-        );
-        let k2 = verdict_key(
-            0,
-            &request(REQ),
-            &account(),
-            HardeningPolicy::default(),
-            true,
-        );
+        let k1 = verdict_key(0, &request(REQ), &account(), HardeningPolicy::default());
+        let k2 = verdict_key(0, &request(REQ), &account(), HardeningPolicy::default());
         assert_eq!(k1, k2);
     }
 
     #[test]
     fn every_component_separates_keys() {
-        let base = verdict_key(
-            0,
-            &request(REQ),
-            &account(),
-            HardeningPolicy::default(),
-            true,
-        );
+        let base = verdict_key(0, &request(REQ), &account(), HardeningPolicy::default());
         // Epoch.
         assert_ne!(
             base,
-            verdict_key(
-                1,
-                &request(REQ),
-                &account(),
-                HardeningPolicy::default(),
-                true
-            )
+            verdict_key(1, &request(REQ), &account(), HardeningPolicy::default())
         );
         // Configuration.
         let other = request(
@@ -242,14 +206,14 @@ mod tests {
         );
         assert_ne!(
             base,
-            verdict_key(0, &other, &account(), HardeningPolicy::default(), true)
+            verdict_key(0, &other, &account(), HardeningPolicy::default())
         );
         // Requirements.
         let mut fewer = request(REQ);
         fewer.requirements.clear();
         assert_ne!(
             base,
-            verdict_key(0, &fewer, &account(), HardeningPolicy::default(), true)
+            verdict_key(0, &fewer, &account(), HardeningPolicy::default())
         );
         // Class.
         let third_party = ClientAccount {
@@ -258,13 +222,7 @@ mod tests {
         };
         assert_ne!(
             base,
-            verdict_key(
-                0,
-                &request(REQ),
-                &third_party,
-                HardeningPolicy::default(),
-                true
-            )
+            verdict_key(0, &request(REQ), &third_party, HardeningPolicy::default())
         );
         // Registered addresses.
         let more_addrs = ClientAccount {
@@ -276,34 +234,14 @@ mod tests {
         };
         assert_ne!(
             base,
-            verdict_key(
-                0,
-                &request(REQ),
-                &more_addrs,
-                HardeningPolicy::default(),
-                true
-            )
+            verdict_key(0, &request(REQ), &more_addrs, HardeningPolicy::default())
         );
         // Hardening.
         let hardened = HardeningPolicy {
             ingress_filtering: true,
             ban_udp_reflection: true,
         };
-        assert_ne!(
-            base,
-            verdict_key(0, &request(REQ), &account(), hardened, true)
-        );
-        // Compositional-summaries toggle.
-        assert_ne!(
-            base,
-            verdict_key(
-                0,
-                &request(REQ),
-                &account(),
-                HardeningPolicy::default(),
-                false
-            )
-        );
+        assert_ne!(base, verdict_key(0, &request(REQ), &account(), hardened));
     }
 
     #[test]
@@ -317,8 +255,8 @@ mod tests {
             registered: vec!["10.0.0.2".parse().unwrap(), "10.0.0.1".parse().unwrap()],
         };
         assert_eq!(
-            verdict_key(0, &request(REQ), &a, HardeningPolicy::default(), true),
-            verdict_key(0, &request(REQ), &b, HardeningPolicy::default(), true)
+            verdict_key(0, &request(REQ), &a, HardeningPolicy::default()),
+            verdict_key(0, &request(REQ), &b, HardeningPolicy::default())
         );
     }
 }

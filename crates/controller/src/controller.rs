@@ -143,11 +143,6 @@ pub struct Controller {
     /// address starts; see [`Controller::free_addr`].
     addr_cursor: Vec<u64>,
     pub(crate) hardening: HardeningPolicy,
-    /// Whether the security check may walk memoized chain summaries
-    /// (`check_module_summarized`) instead of whole-graph symbolic
-    /// execution. On by default; the admission bench turns it off for its
-    /// whole-graph baseline. Participates in the verdict-cache key.
-    pub(crate) summaries_enabled: bool,
     /// The three verification memos, flushed together by
     /// [`Controller::invalidate_verdicts`]. Only `verdicts` is
     /// verdict-bearing; `models` (element models, wired graphs, element
@@ -180,27 +175,12 @@ impl Controller {
             clients: HashMap::new(),
             next_id: 1,
             hardening: HardeningPolicy::default(),
-            summaries_enabled: true,
             verdicts: Memo::default(),
             models: ModelCache::default(),
             lint: Memo::default(),
             topology_model: OnceLock::new(),
             ledger: Ledger::default(),
         }
-    }
-
-    /// Enables or disables the compositional summary walk in the security
-    /// check (whole-graph symbolic execution — the differential oracle —
-    /// runs when disabled). Verdicts are identical either way; the flag
-    /// still participates in the verdict-cache key because the reports
-    /// attached to an outcome may order their details differently.
-    pub fn set_summaries_enabled(&mut self, enabled: bool) {
-        self.summaries_enabled = enabled;
-    }
-
-    /// Whether the compositional summary walk is enabled.
-    pub fn summaries_enabled(&self) -> bool {
-        self.summaries_enabled
     }
 
     /// Number of chain summaries currently cached.
@@ -684,31 +664,6 @@ mod tests {
         assert!(c.cached_summaries() > 0);
         c.add_operator_policy(Requirement::parse("reach from client -> internet").unwrap());
         assert_eq!(c.cached_summaries(), 0);
-    }
-
-    #[test]
-    fn summaries_toggle_agrees_with_whole_graph_oracle() {
-        let accept = ClientRequest::parse(FIG4).unwrap();
-        let reject = ClientRequest::parse(
-            "module evil:\nFromNetfront() -> SetIPSrc(8.8.8.8) -> ToNetfront();\n\
-             reach from internet -> client",
-        )
-        .unwrap();
-        let mut with = controller();
-        let mut without = controller();
-        without.set_summaries_enabled(false);
-        assert!(!without.summaries_enabled());
-        for req in [accept, reject] {
-            let a = with.deploy("mobile-7", req.clone());
-            let b = without.deploy("mobile-7", req);
-            assert_eq!(a.is_ok(), b.is_ok(), "compositional verdict diverged");
-        }
-        assert_eq!(
-            without.stats().summary_chain_nodes,
-            0,
-            "oracle mode replays nothing"
-        );
-        assert!(with.stats().summary_chain_nodes > 0);
     }
 
     #[test]

@@ -77,8 +77,8 @@ pub use models::{
 };
 pub use packet::{Hop, SymPacket, WriteRec};
 pub use security::{
-    check_module, check_module_summarized, check_module_with_stats, CheckStats, RequesterClass,
-    SecurityContext, SecurityReport, Tri, Verdict,
+    check_module, check_module_summarized, CheckStats, RequesterClass, SecurityContext,
+    SecurityReport, Tri, Verdict,
 };
 pub use summary::{
     compose, entry_chain, summarize_chain, summarize_element, BranchOutcome, EntryChain,

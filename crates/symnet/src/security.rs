@@ -247,16 +247,6 @@ pub fn check_module(
     Ok(check_inner(cfg, ctx, registry, None, false)?.0)
 }
 
-/// [`check_module`] plus its [`CheckStats`] (bailout counters), still on
-/// the whole-graph path — the controller's differential-oracle mode.
-pub fn check_module_with_stats(
-    cfg: &ClickConfig,
-    ctx: &SecurityContext,
-    registry: &Registry,
-) -> Result<(SecurityReport, CheckStats), SymError> {
-    check_inner(cfg, ctx, registry, None, false)
-}
-
 /// Compositional variant of [`check_module`]: walks a memoized (or
 /// freshly composed) [`SymSummary`] over the maximal chain-safe entry
 /// chain and falls back to per-element execution at the chain boundary —
@@ -569,7 +559,7 @@ mod tests {
         let registry = Registry::standard();
         for class in [RequesterClass::ThirdParty, RequesterClass::Client] {
             let (small, stats) =
-                check_module_with_stats(&tee_lattice(4), &ctx(class), &registry).unwrap();
+                check_inner(&tee_lattice(4), &ctx(class), &registry, None, false).unwrap();
             assert_eq!(
                 (small.verdict, stats.hop_cap_bailouts),
                 (Verdict::Reject, 0)
@@ -577,7 +567,7 @@ mod tests {
             assert_eq!(small.flows_checked, 16);
 
             let (deep, stats) =
-                check_module_with_stats(&tee_lattice(15), &ctx(class), &registry).unwrap();
+                check_inner(&tee_lattice(15), &ctx(class), &registry, None, false).unwrap();
             assert_eq!(stats.hop_cap_bailouts, 1);
             assert_eq!(
                 deep.verdict,
