@@ -10,14 +10,14 @@
 # fenced set; without, it is the control-plane-only set: everything the
 # packet and fleet data paths, and the benchmark itself, are built from.
 #
-# Example — the five BENCH_*.json snapshots share one schema with a host
-# block, and the controller's summaries toggle is deleted (parent
-# c7da601): the change touches controller, symnet's security.rs, the
-# bench crate, the deploy_storm example, the snapshots and the docs, and
-# fences the rest:
+# Example — a placement candidate's network model is the kept topology
+# part plus the module graphs admission already built, with no
+# per-candidate flatten (parent 564efda): the change touches controller,
+# symnet's engine, one integration test and the docs, and fences the
+# rest:
 #
-#   ./ci.sh --fence c7da601 \
-#     crates/{packet,click,obs,sim,topology,platform,policy,analysis,core} \
+#   ./ci.sh --fence 564efda \
+#     crates/{packet,click,obs,sim,topology,platform,policy,analysis,bench,core} \
 #     benchmark BENCHMARK.json Cargo.lock tests/tests/golden
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -88,6 +88,21 @@ echo "==> placement extends one topology model"
 # whole network per candidate again.
 if grep -nE '\bcompile\(' crates/controller/src/admission.rs; then
   echo "extend the kept topology model (Controller::model_with)" >&2
+  exit 1
+fi
+
+echo "==> a candidate's model flattens nothing"
+# A placement candidate's model shares the topology part and each
+# module's memoized graph; flattening a module or building element models
+# per candidate is what it replaced. Only the body of `with_modules` and
+# admission are searched: `flatten_config` still builds operator
+# middleboxes, once per controller.
+if awk '/fn with_modules/ { body = 1 }
+        body && /(flatten_config|model_for)\(/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+        body && /^    }$/ { body = 0 }
+        END { exit !hit }' crates/controller/src/netmodel.rs ||
+  grep -nE '(flatten_config|model_for)\(' crates/controller/src/admission.rs; then
+  echo "add modules by reference (NetworkModel::with_modules)" >&2
   exit 1
 fi
 

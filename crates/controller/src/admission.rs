@@ -24,7 +24,7 @@ use crate::{
     netmodel::InstalledModule,
     request::{ClientRequest, ModuleConfig},
     stats::ControllerStats,
-    verify::check_requirement_summarized,
+    verify::check_requirement_counted,
 };
 
 fn ns_since(t: Instant) -> u64 {
@@ -301,11 +301,13 @@ impl Controller {
     }
 
     /// Stage 3: placement verification — the kept topology model with the
-    /// installed modules and the candidate added, then operator policy and
-    /// client requirements checked against it (summary-walked where the
-    /// entry chains allow). `Ok(Some(why))` is this platform's reject
-    /// reason. With no policy and no requirements there is nothing to
-    /// check, and no model is built.
+    /// installed modules and the candidate added (each by its memoized
+    /// graph; an unsandboxed Click candidate's is the one the security
+    /// stage just walked), then operator policy and client requirements
+    /// checked against it.
+    /// `Ok(Some(why))` is this platform's reject reason. With no policy
+    /// and no requirements there is nothing to check, and no model is
+    /// built.
     ///
     /// A `reach` rule holds only on a conforming flow the exploration
     /// found, so a run cut at the hop cap can turn "holds" into "does not
@@ -335,7 +337,7 @@ impl Controller {
         let wanted = wanted.map(|rule| (rule, "client requirement", "unsatisfied"));
         let mut verdict = Ok(None);
         for (rule, what, failed) in policy.chain(wanted) {
-            match check_requirement_summarized(&model, rule, true) {
+            match check_requirement_counted(&model, rule) {
                 Ok((holds, check)) => {
                     let outcome = if check.hop_cap_bailouts > 0 {
                         "undecided: exploration truncated at the hop cap"

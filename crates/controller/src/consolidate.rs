@@ -11,6 +11,7 @@
 use std::collections::HashMap;
 
 use innet_click::ClickConfig;
+use innet_symnet::{netfront_role, Netfront};
 use innet_topology::{NodeId, NodeKind, Topology};
 
 use crate::netmodel::InstalledModule;
@@ -79,20 +80,15 @@ pub fn consolidated_vm_config(modules: &[&InstalledModule]) -> ClickConfig {
         // shared VM: the demux replaces the sources (they would otherwise
         // collide on the VM's interface numbers) and the shared egress
         // replaces the sinks.
-        let source_names: Vec<String> = m
-            .config
-            .elements
-            .iter()
-            .filter(|e| e.class == "FromNetfront" || e.class == "FromDevice")
-            .map(|e| format!("{}/{}", m.name, e.name))
-            .collect();
-        let sink_names: Vec<String> = m
-            .config
-            .elements
-            .iter()
-            .filter(|e| e.class == "ToNetfront" || e.class == "ToDevice")
-            .map(|e| format!("{}/{}", m.name, e.name))
-            .collect();
+        let netfronts = |role| -> Vec<String> {
+            let decls = m.config.elements.iter();
+            decls
+                .filter(|e| netfront_role(&e.class) == Some(role))
+                .map(|e| format!("{}/{}", m.name, e.name))
+                .collect()
+        };
+        let source_names = netfronts(Netfront::Entry);
+        let sink_names = netfronts(Netfront::Exit);
         let mut demux_wired = false;
         for c in &mut cfg.connections {
             if source_names.contains(&c.from.element) {

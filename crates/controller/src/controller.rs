@@ -8,7 +8,7 @@ use std::net::Ipv4Addr;
 use std::sync::{Arc, OnceLock};
 
 use innet_analysis::LintReport;
-use innet_click::Registry;
+use innet_click::{ClickConfig, Registry};
 use innet_policy::Requirement;
 use innet_symnet::{Memo, ModelCache, RequesterClass, SecurityReport, SymError};
 use innet_topology::{NodeId, NodeKind, Topology};
@@ -321,7 +321,10 @@ impl Controller {
     }
 
     /// The kept topology model with `modules` added — the one way the
-    /// controller builds a network model.
+    /// controller builds a network model. Each module's graph comes from
+    /// the graph memo, where the security stage left an unsandboxed Click
+    /// candidate's; a graph the memo lacks (a stock or sandboxed module's,
+    /// whose configuration carries its address) is built and not kept.
     pub(crate) fn model_with<'a>(
         &self,
         modules: impl IntoIterator<Item = &'a InstalledModule>,
@@ -331,7 +334,8 @@ impl Controller {
             .get_or_init(|| NetworkModel::topology(&self.topology, &self.registry))
             .as_ref()
             .map_err(SymError::clone)?;
-        let mut model = topology.with_modules(&self.topology, modules, &self.registry)?;
+        let graph_of = |cfg: &ClickConfig| self.models.graph_or_build(cfg, &self.registry);
+        let mut model = topology.with_modules(modules, graph_of)?;
         model.ingress_filtering = self.hardening.ingress_filtering;
         Ok(model)
     }
@@ -829,6 +833,84 @@ mod tests {
         c.kill(c.modules()[7].id).unwrap();
         assert!(c.topology_model.get().is_none());
         assert_eq!(c.stats().compile_ns, 0);
+    }
+
+    #[test]
+    fn candidates_share_the_topology_part_and_the_checked_graph() {
+        let c = controller();
+        let p3 = c.topology.index_of("platform3").unwrap();
+        let p1 = c.topology.index_of("platform1").unwrap();
+        let account = c.clients["mobile-7"].clone();
+        let req = ClientRequest::parse(FIG4).unwrap();
+        // What the security stage walks: the request at the sentinel.
+        let checked = req.config.materialize(innet_analysis::SELF_SENTINEL);
+        let walked = c.models.graph(&checked, &c.registry).unwrap();
+
+        let (addr3, _) = c.free_addr(p3).unwrap();
+        let (addr1, _) = c.free_addr(p1).unwrap();
+        let on3 = c.module_at("mobile-7", &account, &req, p3, addr3, false);
+        let on1 = c.module_at("mobile-7", &account, &req, p1, addr1, false);
+        let a = c.model_with([&on3]).unwrap();
+        let b = c.model_with([&on1]).unwrap();
+        assert!(Arc::ptr_eq(&a.topology, &b.topology));
+        for model in [&a, &b] {
+            assert!(Arc::ptr_eq(&model.segments[0].graph, &walked));
+        }
+
+        // A `$SELF` configuration is walked where it lands, bound there.
+        let tun = ClientRequest::parse(
+            "module tun:\n\
+             FromNetfront(0) -> UDPTunnelEncap($SELF, 7000, 172.16.15.133, 7001) \
+             -> ToNetfront(1);\n\
+             FromNetfront(1) -> UDPTunnelDecap() -> ToNetfront(0);",
+        )
+        .unwrap();
+        let bound = tun.config.materialize(addr3);
+        let walked_there = c.models.graph(&bound, &c.registry).unwrap();
+        let candidate = c.module_at("mobile-7", &account, &tun, p3, addr3, false);
+        let model = c.model_with([&candidate]).unwrap();
+        assert!(Arc::ptr_eq(&model.segments[0].graph, &walked_there));
+        assert!(Arc::ptr_eq(&model.topology, &a.topology));
+
+        // Stock and sandboxed configurations carry the address they are
+        // tried at: their graphs are built for the model, not memoized.
+        let memoized = c.models.graphs_len();
+        let dns = ClientRequest::stock("dns", StockModule::GeoDns);
+        for (p, addr) in [(p3, addr3), (p1, addr1)] {
+            let stock = c.module_at("mobile-7", &account, &dns, p, addr, false);
+            let wrapped = c.module_at("mobile-7", &account, &req, p, addr, true);
+            let model = c.model_with([&stock, &wrapped]).unwrap();
+            assert_eq!(model.segments.len(), 2);
+        }
+        assert_eq!(c.models.graphs_len(), memoized);
+    }
+
+    #[test]
+    fn every_exit_of_a_module_carries_its_traffic() {
+        // Two `ToNetfront(0)`s. The requirement names the first; a model
+        // keeping one exit per interface kept the last, and the traffic
+        // through the first vanished from the check.
+        let mut c = controller();
+        let req = ClientRequest::parse(
+            "module m:\n\
+             src :: FromNetfront(0); c :: IPClassifier(udp dst port 9, -); \
+             a :: ToNetfront(0); b :: ToNetfront(0); src -> c; \
+             c[0] -> IPRewriter(pattern - - 172.16.15.133 - 0 0) -> a; \
+             c[1] -> IPRewriter(pattern - - 172.16.15.133 - 0 0) -> b;\n\
+             reach from internet udp -> m:a:0 -> client dst port 9",
+        )
+        .unwrap();
+        // The security check sees flows leave through both exits.
+        let ctx = innet_symnet::SecurityContext {
+            assigned_addr: innet_analysis::SELF_SENTINEL,
+            registered: c.clients["mobile-7"].registered.clone(),
+            class: RequesterClass::Client,
+        };
+        let cfg = req.config.materialize(innet_analysis::SELF_SENTINEL);
+        let report = innet_symnet::check_module(&cfg, &ctx, &c.registry).unwrap();
+        assert_eq!(report.flows_checked, 3);
+        let resp = c.deploy("mobile-7", req).unwrap();
+        assert_eq!(resp.platform, "platform3");
     }
 
     #[test]

@@ -11,6 +11,7 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use innet_click::{ClickConfig, Connection, PortRef};
+use innet_symnet::{netfront_role, Netfront};
 
 fn iface_of(args: &[String]) -> u16 {
     args.first()
@@ -47,14 +48,14 @@ pub fn wrap_with_enforcer(
     let mut from_ifaces: HashMap<&str, u16> = HashMap::new();
     let mut to_ifaces: HashMap<&str, u16> = HashMap::new();
     for e in &cfg.elements {
-        match e.class.as_str() {
-            "FromNetfront" | "FromDevice" => {
+        match netfront_role(&e.class) {
+            Some(Netfront::Entry) => {
                 from_ifaces.insert(e.name.as_str(), iface_of(&e.args));
             }
-            "ToNetfront" | "ToDevice" => {
+            Some(Netfront::Exit) => {
                 to_ifaces.insert(e.name.as_str(), iface_of(&e.args));
             }
-            _ => {}
+            None => {}
         }
     }
 

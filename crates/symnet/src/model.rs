@@ -125,6 +125,82 @@ pub struct ExecResult {
     pub visit_cap_hits: u64,
 }
 
+/// How a symbolic run moves through a network of models: what a node does
+/// to a packet, and where each of its outputs leads. [`SymGraph`] is the
+/// plain wiring. A composite network — several shared graphs numbered
+/// side by side, glued by a few edges — implements it by dispatching on
+/// the node number, so it is walked without being copied into one graph.
+pub trait Wiring {
+    /// Executes `node`'s model on `pkt` arriving at input `port`.
+    fn exec(&self, node: usize, port: usize, pkt: SymPacket) -> Vec<SymOut>;
+
+    /// The input `(node, in_port)` that output `out_port` of `node` feeds,
+    /// or `None` when the output is unconnected (the branch drops, as in
+    /// the runtime).
+    fn next(&self, node: usize, out_port: usize) -> Option<(usize, usize)>;
+}
+
+/// Runs the engine over `net`: injects `pkt` into `entry`'s input
+/// `in_port` and pushes every branch until it is dropped, leaves via
+/// egress, or the hop bound is exhausted.
+pub fn explore<W: Wiring>(
+    net: &W,
+    entry: usize,
+    in_port: usize,
+    pkt: SymPacket,
+    opts: &ExecOptions,
+) -> ExecResult {
+    let mut result = ExecResult::default();
+    let mut queue: VecDeque<(usize, usize, SymPacket)> = VecDeque::new();
+    queue.push_back((entry, in_port, pkt));
+    while let Some((node, port, mut p)) = queue.pop_front() {
+        if result.hops as usize >= opts.max_hops {
+            result.truncated = true;
+            result.hop_cap_hits += 1;
+            break;
+        }
+        // Cut circulating branches: more than `max_node_visits`
+        // recent arrivals at the same node means a forwarding loop.
+        // (Bounded lookback keeps per-hop cost constant; loops with
+        // longer periods than the window are still terminated by
+        // `max_hops`.)
+        if p.visits_recent(node, 512) >= opts.max_node_visits {
+            result.truncated = true;
+            result.visit_cap_hits += 1;
+            continue;
+        }
+        result.hops += 1;
+        p.record_arrival(node, port);
+        let watch = match &opts.observe {
+            Observe::EgressOnly => false,
+            Observe::Nodes(set) => set.contains(&node),
+            Observe::All => true,
+        };
+        if watch {
+            result.observations.push((node, p.clone()));
+        }
+        for out in net.exec(node, port, p) {
+            match out {
+                SymOut::Port(out_port, branch) => {
+                    if !branch.feasible() {
+                        continue;
+                    }
+                    if let Some((n, np)) = net.next(node, out_port) {
+                        queue.push_back((n, np, branch));
+                    }
+                    // Unconnected outputs drop, as in the runtime.
+                }
+                SymOut::Egress(iface, branch) => {
+                    if branch.feasible() {
+                        result.egress.push((iface, branch));
+                    }
+                }
+            }
+        }
+    }
+    result
+}
+
 /// A graph of symbolic models. Nodes hold their models by `Arc`, so a
 /// clone shares them and copies only names and edges.
 #[derive(Clone)]
@@ -256,9 +332,7 @@ impl SymGraph {
         v
     }
 
-    /// Runs the engine: injects `pkt` into `entry`'s input `in_port` and
-    /// pushes every branch until it is dropped, leaves via egress, or the
-    /// hop bound is exhausted.
+    /// Runs the engine over this graph ([`explore`]).
     pub fn run(
         &self,
         entry: usize,
@@ -266,55 +340,7 @@ impl SymGraph {
         pkt: SymPacket,
         opts: &ExecOptions,
     ) -> ExecResult {
-        let mut result = ExecResult::default();
-        let mut queue: VecDeque<(usize, usize, SymPacket)> = VecDeque::new();
-        queue.push_back((entry, in_port, pkt));
-        while let Some((node, port, mut p)) = queue.pop_front() {
-            if result.hops as usize >= opts.max_hops {
-                result.truncated = true;
-                result.hop_cap_hits += 1;
-                break;
-            }
-            // Cut circulating branches: more than `max_node_visits`
-            // recent arrivals at the same node means a forwarding loop.
-            // (Bounded lookback keeps per-hop cost constant; loops with
-            // longer periods than the window are still terminated by
-            // `max_hops`.)
-            if p.visits_recent(node, 512) >= opts.max_node_visits {
-                result.truncated = true;
-                result.visit_cap_hits += 1;
-                continue;
-            }
-            result.hops += 1;
-            p.record_arrival(node, port);
-            let watch = match &opts.observe {
-                Observe::EgressOnly => false,
-                Observe::Nodes(set) => set.contains(&node),
-                Observe::All => true,
-            };
-            if watch {
-                result.observations.push((node, p.clone()));
-            }
-            for out in self.nodes[node].exec(port, p) {
-                match out {
-                    SymOut::Port(out_port, branch) => {
-                        if !branch.feasible() {
-                            continue;
-                        }
-                        if let Some(&(n, np)) = self.edges.get(&(node, out_port)) {
-                            queue.push_back((n, np, branch));
-                        }
-                        // Unconnected outputs drop, as in the runtime.
-                    }
-                    SymOut::Egress(iface, branch) => {
-                        if branch.feasible() {
-                            result.egress.push((iface, branch));
-                        }
-                    }
-                }
-            }
-        }
-        result
+        explore(self, entry, in_port, pkt, opts)
     }
 
     /// Convenience: run by entry node name.
@@ -326,6 +352,16 @@ impl SymGraph {
         opts: &ExecOptions,
     ) -> Result<ExecResult, SymError> {
         Ok(self.run(self.node_index(entry)?, in_port, pkt, opts))
+    }
+}
+
+impl Wiring for SymGraph {
+    fn exec(&self, node: usize, port: usize, pkt: SymPacket) -> Vec<SymOut> {
+        self.nodes[node].exec(port, pkt)
+    }
+
+    fn next(&self, node: usize, out_port: usize) -> Option<(usize, usize)> {
+        self.edge_target(node, out_port)
     }
 }
 

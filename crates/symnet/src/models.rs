@@ -111,6 +111,13 @@ pub struct IpClassifierModel {
     rules: Vec<PatternExpr>,
 }
 
+impl IpClassifierModel {
+    /// The model of an `IPClassifier` with `rules`, in match order.
+    pub fn new(rules: Vec<PatternExpr>) -> IpClassifierModel {
+        IpClassifierModel { rules }
+    }
+}
+
 impl SymElement for IpClassifierModel {
     fn model_name(&self) -> &'static str {
         "IPClassifier"
@@ -717,6 +724,33 @@ impl TurnaroundServerModel {
 // Builder
 // ---------------------------------------------------------------------------
 
+/// Which side of a module's boundary a netfront endpoint is on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Netfront {
+    /// It receives from outside the module (`FromNetfront`, `FromDevice`).
+    Entry,
+    /// It transmits outside the module (`ToNetfront`, `ToDevice`).
+    Exit,
+}
+
+/// The netfront endpoint classes, and the side each is on.
+const NETFRONTS: [(&str, Netfront); 4] = [
+    ("FromNetfront", Netfront::Entry),
+    ("FromDevice", Netfront::Entry),
+    ("ToNetfront", Netfront::Exit),
+    ("ToDevice", Netfront::Exit),
+];
+
+fn netfront(class: &str) -> Option<(&'static str, Netfront)> {
+    NETFRONTS.iter().find(|(c, _)| *c == class).copied()
+}
+
+/// The boundary side of an element of `class`, or `None` when it is no
+/// netfront endpoint.
+pub fn netfront_role(class: &str) -> Option<Netfront> {
+    netfront(class).map(|(_, role)| role)
+}
+
 fn downcast_model(
     class: &str,
     args: &[String],
@@ -725,20 +759,12 @@ fn downcast_model(
     // A netfront endpoint's model needs only its interface number. Parse
     // it with the constructors' own parser rather than build the element
     // (whose constructor zero-fills a 128 KB ring).
-    let netfront = match class {
-        "FromNetfront" => Some(("FromNetfront", false)),
-        "FromDevice" => Some(("FromDevice", false)),
-        "ToNetfront" => Some(("ToNetfront", true)),
-        "ToDevice" => Some(("ToDevice", true)),
-        _ => None,
-    };
-    if let Some((name, egress)) = netfront {
+    if let Some((name, role)) = netfront(class) {
         let iface = el::netfront_iface(&ConfigArgs::new(name, args))
             .map_err(|e| SymError::Config(e.to_string()))?;
-        return Ok(if egress {
-            Box::new(EgressModel(iface))
-        } else {
-            Box::new(IdentityModel("FromNetfront"))
+        return Ok(match role {
+            Netfront::Exit => Box::new(EgressModel(iface)),
+            Netfront::Entry => Box::new(IdentityModel("FromNetfront")),
         });
     }
     // Instantiate the concrete element so argument parsing (and its error
@@ -761,9 +787,7 @@ fn downcast_model(
             let c = any
                 .downcast_ref::<el::IPClassifier>()
                 .expect("class matches");
-            Box::new(IpClassifierModel {
-                rules: c.rules().to_vec(),
-            })
+            Box::new(IpClassifierModel::new(c.rules().to_vec()))
         }
         "IPFilter" => {
             let f = any.downcast_ref::<el::IPFilter>().expect("class matches");
@@ -1043,14 +1067,15 @@ impl ModelCache {
     }
 
     /// The memoized summary of the chain of configuration elements at
-    /// `nodes` (declaration-order indices, as produced by
-    /// [`crate::entry_chain`] on a graph built from `cfg`), and whether it
-    /// was a memo hit. A miss folds memoized per-element summaries with
-    /// [`compose`] — equivalent to [`crate::summarize_chain`] on the built
-    /// graph, whose node indices follow declaration order, but only the
-    /// fold runs per miss. `Ok(None)` mirrors `summarize_chain`'s `None`
-    /// (some element resists summarization or the branch partition
-    /// explodes) and is not memoized.
+    /// `nodes` (indices into `cfg.elements`, in chain order), and whether
+    /// it was a memo hit. A miss folds memoized per-element summaries with
+    /// [`compose`] — equivalent to [`crate::summarize_chain`] on the same
+    /// chain of a graph built from `cfg`, but only the fold runs per miss.
+    /// A chain [`crate::entry_chain`] found on a memoized graph is in that
+    /// graph's numbering, which may follow another declaration order:
+    /// map it to `cfg` by name first. `Ok(None)` mirrors
+    /// `summarize_chain`'s `None` (some element resists summarization or
+    /// the branch partition explodes) and is not memoized.
     pub fn chain_summary(
         &self,
         cfg: &ClickConfig,
@@ -1082,11 +1107,37 @@ impl ModelCache {
     }
 
     /// The memoized wired graph for `cfg`, built through the model memo.
+    /// Its nodes are numbered in the declaration order of the first
+    /// configuration memoized with `cfg`'s canonical text, which sorts
+    /// declarations: address them by name.
     pub fn graph(&self, cfg: &ClickConfig, registry: &Registry) -> Result<Arc<SymGraph>, SymError> {
         self.graphs
             .get_or_try_insert_with(cfg.canonical_text(), || {
                 build_sym_graph_cached(cfg, registry, Some(self)).map(Arc::new)
             })
+    }
+
+    /// The memoized wired graph for `cfg` when there is one, else one
+    /// built through the model memo and not memoized: for callers whose
+    /// configurations must not grow the graph memo.
+    ///
+    /// Either way the graph numbers its nodes in the declaration order of
+    /// *some* configuration with `cfg`'s canonical text, not necessarily
+    /// `cfg`'s own: address its nodes by name.
+    pub fn graph_or_build(
+        &self,
+        cfg: &ClickConfig,
+        registry: &Registry,
+    ) -> Result<Arc<SymGraph>, SymError> {
+        match self.graphs.get(&cfg.canonical_text()) {
+            Some(graph) => Ok(graph),
+            None => build_sym_graph_cached(cfg, registry, Some(self)).map(Arc::new),
+        }
+    }
+
+    /// Number of memoized graphs.
+    pub fn graphs_len(&self) -> usize {
+        self.graphs.len()
     }
 }
 

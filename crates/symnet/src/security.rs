@@ -42,8 +42,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::{
     field::Field,
-    model::{ExecOptions, Observe, SymError},
-    models::{build_sym_graph_cached, ModelCache},
+    model::{ExecOptions, Observe, SymError, SymGraph},
+    models::{build_sym_graph_cached, netfront_role, ModelCache, Netfront},
     packet::SymPacket,
     summary::{entry_chain, summarize_chain, BranchOutcome, SymSummary},
     value::Origin,
@@ -264,6 +264,17 @@ pub fn check_module_summarized(
     check_inner(cfg, ctx, registry, memos, true)
 }
 
+/// The position in `cfg.elements` of graph node `node`, found by name:
+/// first at `node` itself, where a graph built from `cfg` has it.
+fn decl_index(cfg: &ClickConfig, graph: &SymGraph, node: usize) -> Result<usize, SymError> {
+    let name = graph.node_name(node);
+    if cfg.elements.get(node).is_some_and(|e| e.name == name) {
+        return Ok(node);
+    }
+    let found = cfg.elements.iter().position(|e| e.name == name);
+    found.ok_or_else(|| SymError::Config(format!("no element '{name}'")))
+}
+
 fn check_inner(
     cfg: &ClickConfig,
     ctx: &SecurityContext,
@@ -310,7 +321,7 @@ fn check_inner(
     let entries: Vec<String> = cfg
         .elements
         .iter()
-        .filter(|e| e.class == "FromNetfront" || e.class == "FromDevice")
+        .filter(|e| netfront_role(&e.class) == Some(Netfront::Entry))
         .map(|e| e.name.clone())
         .collect();
     // A module with no netfront ingress (e.g. a pure stock model) is
@@ -333,16 +344,21 @@ fn check_inner(
             if chain.nodes.len() >= 2 {
                 let summary: Option<Arc<SymSummary>> = match memos {
                     Some(cache) => {
-                        cache
-                            .chain_summary(cfg, &chain.nodes, registry)?
-                            .map(|(s, hit)| {
-                                if hit {
-                                    stats.summary_cache_hits += 1;
-                                } else {
-                                    stats.summary_cache_misses += 1;
-                                }
-                                s
-                            })
+                        // The memoized graph may number the elements in
+                        // another configuration's declaration order.
+                        let decls: Vec<usize> = chain
+                            .nodes
+                            .iter()
+                            .map(|&n| decl_index(cfg, &graph, n))
+                            .collect::<Result<_, _>>()?;
+                        cache.chain_summary(cfg, &decls, registry)?.map(|(s, hit)| {
+                            if hit {
+                                stats.summary_cache_hits += 1;
+                            } else {
+                                stats.summary_cache_misses += 1;
+                            }
+                            s
+                        })
                     }
                     None => summarize_chain(&graph, &chain.nodes).map(Arc::new),
                 };
@@ -582,5 +598,46 @@ mod tests {
             verdict_of(&tee_lattice(15), RequesterClass::Operator),
             Verdict::Safe
         );
+    }
+
+    /// The graph memo serves a configuration the graph of the first one
+    /// with its canonical text, numbered in that one's declaration order.
+    /// A summarized check must still compose its own elements' chains.
+    #[test]
+    fn a_memoized_graph_declared_in_another_order_checks_the_same() {
+        let registry = Registry::standard();
+        let decls = [
+            "src :: FromNetfront(0);",
+            "s :: SetIPSrc(8.8.8.8);",
+            "p :: Paint(1);",
+            "dst :: ToNetfront(0);",
+            "x :: FromNetfront(1);",
+            "o :: SetIPDst(172.16.15.133);",
+        ];
+        let config = |order: [usize; 6]| {
+            let text: Vec<&str> = order.iter().map(|&i| decls[i]).collect();
+            let text = text.join(" ") + " src -> s -> p -> dst; x -> o -> dst;";
+            ClickConfig::parse(&text).unwrap()
+        };
+        let first = config([0, 1, 2, 3, 4, 5]);
+        // The spoofer sits where the first order has the shared exit,
+        // which no entry chain holds.
+        let reordered = config([4, 5, 2, 1, 0, 3]);
+        assert_eq!(first.canonical_text(), reordered.canonical_text());
+        let memos = ModelCache::default();
+        memos.graph(&first, &registry).unwrap();
+        for class in [RequesterClass::Client, RequesterClass::ThirdParty] {
+            let check = |memos: &ModelCache| {
+                let summarized =
+                    check_module_summarized(&reordered, &ctx(class), &registry, Some(memos));
+                let (report, stats) = summarized.unwrap();
+                assert!(stats.summary_chain_nodes > 0, "the chains are summarized");
+                (report.verdict, report.flows_checked, report.violations)
+            };
+            let shared = check(&memos);
+            assert_eq!(shared, check(&ModelCache::default()), "{class:?}");
+            assert_eq!(shared.0, verdict_of(&reordered, class));
+            assert_eq!(shared.0, Verdict::Reject);
+        }
     }
 }

@@ -98,14 +98,13 @@ fn model_digest(ctl: &Controller) -> String {
         Ok(m) => m,
         Err(e) => return format!("model error {e}"),
     };
-    let g = &model.graph;
-    let mut names: Vec<&str> = (0..g.len()).map(|n| g.node_name(n)).collect();
+    let mut names: Vec<_> = (0..model.len()).map(|n| model.node_name(n)).collect();
     names.sort_unstable();
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in names.join("\n").bytes() {
         h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
     }
-    let edges: usize = (0..g.len()).map(|n| g.out_edges(n).len()).sum();
+    let edges: usize = (0..model.len()).map(|n| model.out_edges(n).len()).sum();
     let verdicts: String = POOL
         .iter()
         .map(
@@ -118,7 +117,7 @@ fn model_digest(ctl: &Controller) -> String {
         .collect();
     format!(
         "model nodes={} edges={edges} names={h:016x} pool={verdicts}",
-        g.len()
+        model.len()
     )
 }
 
