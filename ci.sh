@@ -10,15 +10,15 @@
 # fenced set; without, it is the control-plane-only set: everything the
 # packet and fleet data paths, and the benchmark itself, are built from.
 #
-# Example — a placement candidate's network model is the kept topology
-# part plus the module graphs admission already built, with no
-# per-candidate flatten (parent 564efda): the change touches controller,
-# symnet's engine, one integration test and the docs, and fences the
-# rest:
+# Example — chain summaries go, and the security check runs the memoized
+# graph (parent 4facd17): the change touches symnet, controller, two
+# click files, the deploy_storm bench and example, the tests and the
+# docs, and fences the rest, the decision golden included:
 #
-#   ./ci.sh --fence 564efda \
-#     crates/{packet,click,obs,sim,topology,platform,policy,analysis,bench,core} \
-#     benchmark BENCHMARK.json Cargo.lock tests/tests/golden
+#   ./ci.sh --fence 4facd17 \
+#     crates/{packet,obs,sim,topology,platform,policy,analysis,core} \
+#     crates/click ':!crates/click/src/canonical.rs' ':!crates/click/src/summary.rs' \
+#     benchmark BENCHMARK.json Cargo.lock tests/tests/golden/placement_decisions.txt
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -66,11 +66,21 @@ fi
 
 echo "==> one snapshot shape, one admission mode"
 # Every BENCH_*.json is an innet_bench::Snapshot; the per-bench snapshot
-# types are gone, and so is the summaries toggle, whose A/B the
-# deploy_storm bench now runs at library level.
+# types are gone, and so is the controller's verification toggle: the
+# deploy_storm bench A/Bs the checker at library level instead.
 if grep -rnE 'AdmissionSnapshot|FleetSnapshot|ScenarioSnapshot|set_summaries_enabled' \
   crates tests examples; then
   echo "write one innet_bench::Snapshot; A/B the checker, not the controller" >&2
+  exit 1
+fi
+
+echo "==> the security check has one executor"
+# It runs the wired graph from the model memo; the chain-summary domain
+# (a second executor with its own memos and slice keys) was deleted
+# because it bought nothing measurable over the memoized graph.
+if grep -rnE 'SymSummary|chain_summar|chain_safe|entry_chain|canonical_slice|decl_index|use_summaries' \
+  crates tests examples; then
+  echo "run SymGraph::run on the memoized graph (check_module_memoized)" >&2
   exit 1
 fi
 
@@ -166,12 +176,12 @@ cargo run --release -q -p innet-examples --bin metrics \
   | grep -q "invariant holds: no silent packet loss"
 
 echo "==> deploy_storm example smoke-run"
-# A fleet of alpha-renamed tenants deploys one stock chain: every
-# admission after the first must replay the memoized chain summary
-# (the marker line proves the compositional path actually ran).
+# A fleet of tenants deploys one stock chain under fresh module names;
+# the memoized check must agree with the whole-graph oracle on every
+# report (the marker line counts agreements out of checks).
 # (capture first: grep -q would close the pipe mid-print)
 storm_out="$(cargo run --release -q -p innet-examples --bin deploy_storm)"
-grep -qE "summary cache: [1-9][0-9]* hits" <<<"$storm_out"
+grep -qE "verdicts agree with the whole-graph oracle: ([1-9][0-9]*)/\1$" <<<"$storm_out"
 grep -q "speedup:" <<<"$storm_out"
 
 echo "==> fleet example smoke-run"

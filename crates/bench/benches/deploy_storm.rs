@@ -1,9 +1,9 @@
-//! Deploy storm: the admission security check, compositional chain
-//! summaries versus the whole-graph oracle, timed at library level.
+//! Deploy storm: the admission security check on memoized graphs versus
+//! the no-memo whole-graph oracle, timed at library level.
 //!
 //! The corpus mixes **stock** chains (a handful of templates fleets of
 //! tenants share) with **novel** one-off chains (randomized arguments,
-//! so their canonical slices are unique). Each configuration is bound at
+//! so their canonical texts are unique). Each configuration is bound at
 //! [`SELF_SENTINEL`] and checked in the [`SecurityContext`] the
 //! controller builds for a client, which is exactly what admission's
 //! symbolic stage runs on a verdict-memo miss.
@@ -14,9 +14,10 @@
 //!
 //! * `whole-graph` — [`check_module`]: every element symbolically
 //!   re-executed and every model rebuilt per request (the oracle);
-//! * `compositional` — [`check_module_summarized`] with one
-//!   [`ModelCache`] shared across the storm, as the controller shares its
-//!   fleet-wide memo, so chain summaries are replayed by canonical slice.
+//! * `memoized` — [`check_module_memoized`] with one [`ModelCache`]
+//!   shared across the storm, as the controller shares its fleet-wide
+//!   memo: a stock chain's wired graph is built once, and a novel chain's
+//!   graph is built from memoized element models.
 //!
 //! The per-request latency distribution of both modes is recorded to
 //! `BENCH_admission.json`.
@@ -25,12 +26,12 @@ use std::time::Instant;
 
 use innet::analysis::{bind_self, SELF_SENTINEL};
 use innet::prelude::*;
-use innet::symnet::{check_module, check_module_summarized, ModelCache, SecurityContext};
+use innet::symnet::{check_module, check_module_memoized, ModelCache, SecurityContext};
 use innet_bench::{quick_mode, Report, Snapshot};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-/// Stock templates: shared chain-safe pipelines a fleet deploys over and
-/// over. All end with a spoofed source, so every check rejects.
+/// Stock templates: shared pipelines a fleet deploys over and over. All
+/// end with a spoofed source, so every check rejects.
 const STOCK: &[&str] = &[
     "FromNetfront() -> CheckIPHeader() -> DecIPTTL() -> IPFilter(allow udp dst port 1500) \
      -> SetTOS(12) -> Counter() -> IPFilter(allow udp) -> Paint(1) -> DecIPTTL() \
@@ -76,8 +77,8 @@ const STOCK: &[&str] = &[
      -> SetIPSrc(8.8.8.8) -> ToNetfront();",
 ];
 
-/// A novel one-off chain: randomized arguments make its canonical slice
-/// unique, so its summary is computed (and cached) on first sight.
+/// A novel one-off chain: randomized arguments make its canonical text
+/// unique, so its graph is wired (and cached) on first sight.
 fn novel_config(rng: &mut StdRng) -> String {
     let tos = rng.gen_range(0u32..64);
     let paint = rng.gen_range(0u32..256);
@@ -98,13 +99,9 @@ fn config(rng: &mut StdRng) -> ClickConfig {
     ClickConfig::parse(&text).expect("corpus configs parse")
 }
 
-struct Run {
-    latencies_ns: Vec<u64>,
-    summary_hits: u64,
-}
-
-/// Checks the whole corpus in one mode, timing each check alone.
-fn storm(summaries: bool, requests: usize, seed: u64) -> Run {
+/// Checks the whole corpus in one mode, timing each check alone; returns
+/// the per-check latencies.
+fn storm(memoized: bool, requests: usize, seed: u64) -> Vec<u64> {
     let registry = Registry::standard();
     let ctx = SecurityContext {
         assigned_addr: SELF_SENTINEL,
@@ -113,30 +110,25 @@ fn storm(summaries: bool, requests: usize, seed: u64) -> Run {
     };
     let memos = ModelCache::default();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut run = Run {
-        latencies_ns: Vec::with_capacity(requests),
-        summary_hits: 0,
-    };
+    let mut latencies_ns = Vec::with_capacity(requests);
     for _ in 0..requests {
         let cfg = config(&mut rng);
         let cfg = bind_self(&cfg, SELF_SENTINEL);
         let t = Instant::now();
-        let report = if summaries {
-            let (report, stats) = check_module_summarized(&cfg, &ctx, &registry, Some(&memos))
-                .expect("corpus configs check");
-            run.summary_hits += stats.summary_cache_hits;
-            report
+        let report = if memoized {
+            check_module_memoized(&cfg, &ctx, &registry, &memos).map(|(report, _)| report)
         } else {
-            check_module(&cfg, &ctx, &registry).expect("corpus configs check")
+            check_module(&cfg, &ctx, &registry)
         };
-        run.latencies_ns.push(t.elapsed().as_nanos() as u64);
+        latencies_ns.push(t.elapsed().as_nanos() as u64);
+        let report = report.expect("corpus configs check");
         assert_eq!(
             report.verdict,
             Verdict::Reject,
             "storm configs spoof their source and must be rejected"
         );
     }
-    run
+    latencies_ns
 }
 
 fn percentile(sorted: &[u64], p: f64) -> u64 {
@@ -148,7 +140,7 @@ fn main() {
     let requests: usize = if quick_mode() { 2_000 } else { 100_000 };
     let mut r = Report::new(
         "deploy_storm",
-        "Deploy storm: symbolic security check, compositional summaries vs whole-graph",
+        "Deploy storm: symbolic security check, memoized graphs vs whole-graph",
     );
     r.line(&format!(
         "{requests} checks per mode, {} stock templates + randomized novel chains",
@@ -156,31 +148,25 @@ fn main() {
     ));
     r.blank();
     r.line(&format!(
-        "{:>15} {:>12} {:>12} {:>12} {:>14}",
-        "mode", "mean (us)", "p50 (us)", "p99 (us)", "summary hits"
+        "{:>15} {:>12} {:>12} {:>12}",
+        "mode", "mean (us)", "p50 (us)", "p99 (us)"
     ));
 
     let mut snap = Snapshot::new("admission");
     let mut means = Vec::new();
-    for (mode, summaries) in [("whole-graph", false), ("compositional", true)] {
-        let mut run = storm(summaries, requests, 0x5702_2015);
-        run.latencies_ns.sort_unstable();
-        let mean = run.latencies_ns.iter().sum::<u64>() as f64 / run.latencies_ns.len() as f64;
-        let p50 = percentile(&run.latencies_ns, 0.50);
-        let p99 = percentile(&run.latencies_ns, 0.99);
+    for (mode, memoized) in [("whole-graph", false), ("memoized", true)] {
+        let mut latencies_ns = storm(memoized, requests, 0x5702_2015);
+        latencies_ns.sort_unstable();
+        let mean = latencies_ns.iter().sum::<u64>() as f64 / latencies_ns.len() as f64;
+        let p50 = percentile(&latencies_ns, 0.50);
+        let p99 = percentile(&latencies_ns, 0.99);
         r.line(&format!(
-            "{:>15} {:>12.1} {:>12.1} {:>12.1} {:>14}",
+            "{:>15} {:>12.1} {:>12.1} {:>12.1}",
             mode,
             mean / 1e3,
             p50 as f64 / 1e3,
-            p99 as f64 / 1e3,
-            run.summary_hits
+            p99 as f64 / 1e3
         ));
-        assert_eq!(
-            run.summary_hits > 0,
-            summaries,
-            "only the compositional mode replays summaries"
-        );
         snap.row([
             ("corpus", "mixed-stock-novel".into()),
             ("mode", mode.into()),
@@ -188,7 +174,6 @@ fn main() {
             ("mean_ns", mean.into()),
             ("p50_ns", p50.into()),
             ("p99_ns", p99.into()),
-            ("summary_hits", run.summary_hits.into()),
         ]);
         means.push(mean);
     }
@@ -196,7 +181,7 @@ fn main() {
     r.blank();
     let speedup = means[0] / means[1];
     r.line(&format!(
-        "mean symbolic check latency: {speedup:.2}x lower with compositional summaries"
+        "mean symbolic check latency: {speedup:.2}x lower with memoized graphs"
     ));
     r.finish();
     snap.write();

@@ -305,9 +305,8 @@ const SCHEMAS: &[Schema] = &[
     Schema { bench: "parallel_scaling", columns: THROUGHPUT, at_most: &[], zero_without: &[] },
     Schema { bench: "fig12_middlebox", columns: THROUGHPUT, at_most: &[], zero_without: &[] },
     Schema { bench: "admission", at_most: &[], zero_without: &[], columns: &[
-        ("corpus", Text), ("mode", Mode(&["whole-graph", "compositional"])),
+        ("corpus", Text), ("mode", Mode(&["whole-graph", "memoized"])),
         ("requests", Count(1.0)), ("mean_ns", Real), ("p50_ns", Real), ("p99_ns", Real),
-        ("summary_hits", Count(0.0)),
     ] },
     Schema { bench: "fleet", at_most: &[("platforms", "nodes")],
         zero_without: &[("downtime_p99_ns", "migrations")], columns: &[
@@ -387,9 +386,9 @@ mod snapshot_tests {
                 }
             }
             "admission" => {
-                for (mode, mean, p50, p99, hits) in [
-                    ("whole-graph", 81_234.5, 74_000.0, 190_000.0, 0u64),
-                    ("compositional", 31_234.5, 28_000.0, 90_000.0, 99_000),
+                for (mode, mean, p50, p99) in [
+                    ("whole-graph", 81_234.5, 74_000.0, 190_000.0),
+                    ("memoized", 31_234.5, 28_000.0, 90_000.0),
                 ] {
                     s.row([
                         ("corpus", "mixed-stock-novel".into()),
@@ -398,7 +397,6 @@ mod snapshot_tests {
                         ("mean_ns", mean.into()),
                         ("p50_ns", p50.into()),
                         ("p99_ns", p99.into()),
-                        ("summary_hits", hits.into()),
                     ]);
                 }
             }

@@ -105,43 +105,6 @@ impl ClickConfig {
     pub fn canonical_hash(&self) -> u64 {
         fnv1a_64(self.canonical_text().as_bytes())
     }
-
-    /// Canonical form of an ordered *slice* of this configuration's
-    /// elements (by index into `self.elements`): one positional line per
-    /// element — class and whitespace-normalized arguments only, **no
-    /// element names** — in slice order.
-    ///
-    /// This keys the controller's chain-summary cache: a linear
-    /// single-in/single-out chain's symbolic transfer function depends
-    /// only on the element classes, their arguments, and their order, so
-    /// alpha-renamed tenant configurations (and the same stock chain
-    /// embedded in different surrounding graphs) share one cache entry —
-    /// deliberately unlike [`canonical_text`](Self::canonical_text),
-    /// where names are part of the graph's identity. The implied wiring
-    /// (`[0] -> [0]` between successive lines) is part of the form by
-    /// construction and needs no encoding.
-    ///
-    /// Out-of-range indices are skipped (callers derive indices from the
-    /// same config, so this is defensive only).
-    pub fn canonical_slice_text(&self, indices: &[usize]) -> String {
-        let mut s = String::new();
-        for &i in indices {
-            if let Some(e) = self.elements.get(i) {
-                let args: Vec<String> = e.args.iter().map(|a| normalize_arg(a)).collect();
-                let _ = writeln!(s, "{}({});", e.class, args.join(", "));
-            }
-        }
-        s
-    }
-
-    /// Stable 64-bit fingerprint of
-    /// [`canonical_slice_text`](Self::canonical_slice_text). Like
-    /// [`canonical_hash`](Self::canonical_hash), FNV-1a is a fingerprint,
-    /// not a collision-resistant digest — security-relevant caches must
-    /// key on the full slice text.
-    pub fn canonical_slice_hash(&self, indices: &[usize]) -> u64 {
-        fnv1a_64(self.canonical_slice_text(indices).as_bytes())
-    }
 }
 
 #[cfg(test)]
@@ -206,58 +169,6 @@ mod tests {
         assert_eq!(again.canonical_text(), cfg.canonical_text());
         assert_eq!(again.elements.len(), cfg.elements.len());
         assert_eq!(again.connections.len(), cfg.connections.len());
-    }
-
-    #[test]
-    fn slice_is_name_independent() {
-        let a = ClickConfig::parse(
-            "src :: FromNetfront(); f :: IPFilter(allow udp); snk :: ToNetfront(); \
-             src -> f -> snk;",
-        )
-        .unwrap();
-        let b = ClickConfig::parse(
-            "in0 :: FromNetfront(); flt9 :: IPFilter(allow   udp); out7 :: ToNetfront(); \
-             in0 -> flt9 -> out7;",
-        )
-        .unwrap();
-        assert_eq!(
-            a.canonical_slice_text(&[0, 1, 2]),
-            b.canonical_slice_text(&[0, 1, 2]),
-            "alpha-renamed chains share a slice key"
-        );
-        assert_eq!(
-            a.canonical_slice_hash(&[0, 1, 2]),
-            b.canonical_slice_hash(&[0, 1, 2])
-        );
-    }
-
-    #[test]
-    fn slice_order_and_content_matter() {
-        let a = ClickConfig::parse("f :: IPFilter(allow udp); d :: DecIPTTL();").unwrap();
-        assert_ne!(
-            a.canonical_slice_text(&[0, 1]),
-            a.canonical_slice_text(&[1, 0]),
-            "chain order is the chain's identity"
-        );
-        let b = ClickConfig::parse("f :: IPFilter(allow tcp); d :: DecIPTTL();").unwrap();
-        assert_ne!(
-            a.canonical_slice_hash(&[0, 1]),
-            b.canonical_slice_hash(&[0, 1])
-        );
-        assert_ne!(
-            a.canonical_slice_hash(&[0]),
-            a.canonical_slice_hash(&[0, 1]),
-            "prefixes differ from the full chain"
-        );
-    }
-
-    #[test]
-    fn slice_skips_out_of_range() {
-        let a = ClickConfig::parse("f :: IPFilter(allow udp);").unwrap();
-        assert_eq!(
-            a.canonical_slice_text(&[0, 99]),
-            a.canonical_slice_text(&[0])
-        );
     }
 
     #[test]

@@ -2,14 +2,16 @@
 //!
 //! Each summary describes, per input port, the set of flows an element can
 //! emit: which header fields it constrains, which it overwrites (and with
-//! what kind of value), and whether it pushes or pops a tunnel layer. The
+//! what kind of value), and whether it pushes or pops a tunnel layer, plus
+//! the element's [`Shardability`], which the parallel runner reads. The
 //! `innet-analysis` crate composes summaries along every graph path with a
-//! worklist abstract interpretation, yielding a config-level verdict
-//! without running symbolic execution.
+//! worklist abstract interpretation, yielding an advisory config-level
+//! verdict and a field-effect table; admission never consults it, and
+//! decides safety with SymNet alone.
 //!
 //! **Soundness contract.** A summary mirrors the element's *symbolic
 //! model* in `innet-symnet::models` — not its concrete packet-processing
-//! behavior — because the fast-path verdict must agree with what SymNet
+//! behavior — because the advisory verdict must agree with what SymNet
 //! would conclude. A flow whose constraint list contains an inexact
 //! constraint ([`Constraint::Narrow`] or [`Constraint::Opaque`]) *may* be
 //! unsatisfiable (the flow may not exist); a flow with only exact

@@ -1,5 +1,5 @@
 //! The admission pipeline (§4.3, §4.5): verdict-memo replay, then the
-//! full evaluation as three stages — lint and the compositional symbolic
+//! full evaluation as three stages — lint and the symbolic security
 //! check once per request, then placement per candidate platform — and
 //! the commit of whichever candidate verifies first.
 //!
@@ -14,7 +14,7 @@ use std::time::Instant;
 use innet_analysis::{LintReport, SELF_SENTINEL};
 use innet_click::ClickConfig;
 use innet_policy::Requirement;
-use innet_symnet::{check_module_summarized, SecurityContext, Verdict};
+use innet_symnet::{check_module_memoized, SecurityContext, Verdict};
 use innet_topology::NodeId;
 
 use crate::{
@@ -139,10 +139,10 @@ impl Controller {
     }
 
     /// The full (uncached) admission pipeline, run as three explicit
-    /// stages — lint → compositional symbolic → placement. Lint and the
-    /// security check run once per request, with `$SELF` bound to
-    /// [`SELF_SENTINEL`]; placement runs per candidate platform, on the
-    /// request bound to that candidate's address. A configuration that
+    /// stages — lint → symbolic → placement. Lint and the security check
+    /// run once per request, with `$SELF` bound to [`SELF_SENTINEL`];
+    /// placement runs per candidate platform, on the request bound to
+    /// that candidate's address. A configuration that
     /// names `$SELF` is security-checked at that address too (see
     /// [`ModuleConfig::names_self`]). Returns the outcome, with the
     /// platform an accept committed to, and the delta of the work done:
@@ -267,10 +267,10 @@ impl Controller {
         report
     }
 
-    /// Stage 2: the compositional symbolic security check of `cfg` in
-    /// `ctx` (per requester class), as a decision: whether the module
-    /// must run sandboxed, or the error that refuses it. The summary walk
-    /// replays memoized chain summaries from the fleet-wide memos.
+    /// Stage 2: the symbolic security check of `cfg` in `ctx` (per
+    /// requester class), as a decision: whether the module must run
+    /// sandboxed, or the error that refuses it. The check runs the wired
+    /// graph from the fleet-wide memos.
     fn security_stage(
         &self,
         cfg: &ClickConfig,
@@ -278,9 +278,9 @@ impl Controller {
         delta: &mut ControllerStats,
     ) -> Result<bool, DeployError> {
         let t = Instant::now();
-        let (mut report, check) =
-            check_module_summarized(cfg, ctx, &self.registry, Some(&self.models))
-                .map_err(DeployError::BadConfig)?;
+        delta.security_checks += 1;
+        let (mut report, check) = check_module_memoized(cfg, ctx, &self.registry, &self.models)
+            .map_err(DeployError::BadConfig)?;
         delta.absorb(check);
         let ns = ns_since(t);
         delta.check_ns += ns;

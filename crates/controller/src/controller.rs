@@ -145,10 +145,10 @@ pub struct Controller {
     pub(crate) hardening: HardeningPolicy,
     /// The three verification memos, flushed together by
     /// [`Controller::invalidate_verdicts`]. Only `verdicts` is
-    /// verdict-bearing; `models` (element models, wired graphs, element
-    /// and chain summaries — the whole-graph oracle deliberately uses
-    /// none of them) and `lint` (reports keyed by the sentinel-bound
-    /// configuration's canonical text) hold pure functions of their keys.
+    /// verdict-bearing; `models` (element models and wired graphs — the
+    /// no-memo oracle `check_module` deliberately uses neither) and `lint`
+    /// (reports keyed by the sentinel-bound configuration's canonical
+    /// text) hold pure functions of their keys.
     pub(crate) verdicts: Memo<CachedVerdict>,
     pub(crate) models: ModelCache,
     pub(crate) lint: Memo<LintReport>,
@@ -183,9 +183,9 @@ impl Controller {
         }
     }
 
-    /// Number of chain summaries currently cached.
+    /// Always zero; see [`ControllerStats::summary_cache_hits`].
     pub fn cached_summaries(&self) -> usize {
-        self.models.chain_summaries_len()
+        0
     }
 
     /// Publishes this controller's counters into `registry` (Prometheus
@@ -214,7 +214,7 @@ impl Controller {
     }
 
     /// Discards every cached verification verdict by starting a new memo
-    /// epoch — and the pure memos (models, graphs, summaries, lint) with
+    /// epoch — and the pure memos (models, graphs, lint) with
     /// it, so all verification memoization shares one invalidation rule.
     /// Called automatically on operator policy, hardening, and
     /// module-removal changes; operators can call it directly after
@@ -222,9 +222,9 @@ impl Controller {
     pub fn invalidate_verdicts(&mut self) {
         let flushed = ControllerStats {
             cache_invalidations: self.verdicts.bump_epoch(),
-            summary_invalidations: self.models.bump_epoch(),
             ..ControllerStats::default()
         };
+        self.models.bump_epoch();
         self.lint.bump_epoch();
         self.ledger.record(&flushed, None);
     }
@@ -605,10 +605,9 @@ mod tests {
         let _ = c.deploy("mobile-7", ClientRequest::parse(FIG4).unwrap());
         let s = c.stats();
         assert_eq!((s.requests, s.accepted, s.cache_misses), (1, 1, 1));
-        // Which stages ran, by their counters: the symbolic stage
-        // summarizes the entry chain; the lint report was computed, not
-        // replayed.
-        assert!(s.summary_cache_misses > 0 && s.summary_chain_nodes > 0);
+        // Which stages ran, by their counters: one security check; the
+        // lint report was computed, not replayed.
+        assert_eq!(s.security_checks, 1);
         assert_eq!(s.lint_cache_hits, 0);
         // A requirement-free stock request takes the same symbolic stage
         // and, with nothing for placement to verify, compiles no model.
@@ -617,57 +616,46 @@ mod tests {
             ClientRequest::parse("stock dns: geo-dns").unwrap(),
         );
         let t = c.stats();
-        assert!(t.summary_chain_nodes > s.summary_chain_nodes);
+        assert_eq!(t.security_checks, 2);
         assert!(t.check_ns > s.check_ns);
         assert_eq!(t.compile_ns, s.compile_ns);
         assert_eq!(
             (t.fastpath_hits, t.fastpath_fallbacks, t.stage_fastpath_ns),
             (0, 0, 0)
         );
+        assert_eq!((t.summary_cache_hits, t.summary_cache_misses), (0, 0));
+        assert_eq!(c.cached_summaries(), 0);
     }
 
+    /// Each verdict-changing event starts one new verdict epoch and
+    /// empties the pure memos with it (`verdict_cache.rs` pins the
+    /// emptied verdict memo from outside).
     #[test]
-    fn summary_cache_warms_across_requests() {
+    fn every_invalidating_change_flushes_every_memo() {
         let mut c = controller();
-        c.deploy("mobile-7", ClientRequest::parse(FIG4).unwrap())
-            .unwrap();
-        let s1 = c.stats();
-        assert!(
-            s1.summary_cache_misses > 0,
-            "first check computes summaries"
-        );
-        assert!(s1.summary_chain_nodes > 0, "chain elements were replayed");
-        assert!(c.cached_summaries() > 0);
-        // A renamed module with the same chain is a verdict-cache miss
-        // (the module name is part of the verdict key) but a summary hit.
-        let mut req2 = ClientRequest::parse(FIG4).unwrap();
-        req2.module_name = "batcher2".to_string();
-        c.deploy("mobile-7", req2).unwrap();
-        let s2 = c.stats();
-        assert!(s2.summary_cache_hits > s1.summary_cache_hits);
-        assert_eq!(s2.summary_cache_misses, s1.summary_cache_misses);
-    }
-
-    #[test]
-    fn invalidation_flushes_summary_cache() {
-        let mut c = controller();
-        let resp = c
-            .deploy("mobile-7", ClientRequest::parse(FIG4).unwrap())
-            .unwrap();
-        assert!(c.cached_summaries() > 0);
-        // `kill` bumps the shared epoch: verdicts and summaries flush
-        // together.
-        c.kill(resp.module_id).unwrap();
-        assert_eq!(c.cached_summaries(), 0);
-        assert_eq!(c.cached_verdicts(), 0);
-        assert!(c.stats().summary_invalidations > 0);
-
-        // The policy and hardening paths flush too.
-        c.deploy("mobile-7", ClientRequest::parse(FIG4).unwrap())
-            .unwrap();
-        assert!(c.cached_summaries() > 0);
-        c.add_operator_policy(Requirement::parse("reach from client -> internet").unwrap());
-        assert_eq!(c.cached_summaries(), 0);
+        let changes: [fn(&mut Controller, ModuleId); 3] = [
+            |c, id| c.kill(id).unwrap(),
+            |c, _| {
+                c.add_operator_policy(Requirement::parse("reach from client -> internet").unwrap())
+            },
+            |c, _| {
+                c.set_hardening(HardeningPolicy {
+                    ingress_filtering: !c.hardening().ingress_filtering,
+                    ban_udp_reflection: false,
+                })
+            },
+        ];
+        for change in changes {
+            let resp = c
+                .deploy("mobile-7", ClientRequest::parse(FIG4).unwrap())
+                .unwrap();
+            let memos = |c: &Controller| (c.cached_verdicts(), c.models.graphs_len(), c.lint.len());
+            assert_eq!(memos(&c), (1, 1, 1));
+            let epoch = c.verdicts.epoch();
+            change(&mut c, resp.module_id);
+            assert_eq!(c.verdicts.epoch(), epoch + 1);
+            assert_eq!(memos(&c), (0, 0, 0));
+        }
     }
 
     #[test]

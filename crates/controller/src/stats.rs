@@ -57,21 +57,22 @@ pub struct ControllerStats {
     pub hop_cap_bailouts: u64,
     /// Symbolic branches cut by the per-node visit (depth) bound.
     pub visit_cap_bailouts: u64,
-    /// Chain summaries served from the fleet-wide summary cache.
+    /// Always zero: the security check replays no chain summaries. Kept,
+    /// with [`ControllerStats::summary_cache_misses`] and
+    /// [`crate::Controller::cached_summaries`], only because the frozen
+    /// `benchmark/` reads them; they go when its summary rung retires.
     pub summary_cache_hits: u64,
-    /// Chain summaries computed fresh (and stored for the fleet).
+    /// Always zero; see [`ControllerStats::summary_cache_hits`].
     pub summary_cache_misses: u64,
-    /// Chain elements covered by summary replay instead of per-element
-    /// symbolic execution.
-    pub summary_chain_nodes: u64,
-    /// Cached chain summaries discarded by epoch bumps.
-    pub summary_invalidations: u64,
+    /// Symbolic security checks admission ran: one per request that
+    /// passed lint, plus one per candidate platform tried for a
+    /// configuration that names `$SELF`.
+    pub security_checks: u64,
     /// Nanoseconds spent in the admission pipeline's lint stage.
     pub stage_lint_ns: u64,
     /// Always zero; see [`ControllerStats::fastpath_hits`].
     pub stage_fastpath_ns: u64,
-    /// Nanoseconds spent in the compositional symbolic stage (security
-    /// check, summary replay included).
+    /// Nanoseconds spent in the symbolic stage (the security check).
     pub stage_symbolic_ns: u64,
     /// Nanoseconds spent in the placement stage (capacity + address
     /// assignment, building each candidate module, model compilation,
@@ -108,8 +109,7 @@ impl std::ops::AddAssign<&ControllerStats> for ControllerStats {
             visit_cap_bailouts: self.visit_cap_bailouts + d.visit_cap_bailouts,
             summary_cache_hits: self.summary_cache_hits + d.summary_cache_hits,
             summary_cache_misses: self.summary_cache_misses + d.summary_cache_misses,
-            summary_chain_nodes: self.summary_chain_nodes + d.summary_chain_nodes,
-            summary_invalidations: self.summary_invalidations + d.summary_invalidations,
+            security_checks: self.security_checks + d.security_checks,
             stage_lint_ns: self.stage_lint_ns + d.stage_lint_ns,
             stage_fastpath_ns: self.stage_fastpath_ns + d.stage_fastpath_ns,
             stage_symbolic_ns: self.stage_symbolic_ns + d.stage_symbolic_ns,
@@ -137,10 +137,7 @@ const COUNTERS: &[(&str, Field)] = &[
     ("innet_ctl_lint_rejects_total", |s| s.lint_rejects),
     ("innet_ctl_lint_cache_hits_total", |s| s.lint_cache_hits),
     ("innet_ctl_analysis_ns_total", |s| s.analysis_ns),
-    ("innet_ctl_summary_cache_hits_total", |s| s.summary_cache_hits),
-    ("innet_ctl_summary_cache_misses_total", |s| s.summary_cache_misses),
-    ("innet_ctl_summary_chain_nodes_total", |s| s.summary_chain_nodes),
-    ("innet_ctl_summary_invalidations_total", |s| s.summary_invalidations),
+    ("innet_ctl_security_checks_total", |s| s.security_checks),
 ];
 
 /// Per-request distributions, observed once for every request that ran
@@ -176,9 +173,6 @@ impl ControllerStats {
     pub(crate) fn absorb(&mut self, check: CheckStats) {
         self.hop_cap_bailouts += check.hop_cap_bailouts;
         self.visit_cap_bailouts += check.visit_cap_bailouts;
-        self.summary_cache_hits += check.summary_cache_hits;
-        self.summary_cache_misses += check.summary_cache_misses;
-        self.summary_chain_nodes += check.summary_chain_nodes;
     }
 }
 

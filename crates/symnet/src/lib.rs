@@ -62,7 +62,6 @@ mod packet;
 pub mod pattern;
 pub mod plist;
 pub mod security;
-pub mod summary;
 mod value;
 
 pub use field::{Field, FieldMap, ALL_FIELDS};
@@ -79,11 +78,7 @@ pub use models::{
 };
 pub use packet::{Hop, SymPacket, WriteRec};
 pub use security::{
-    check_module, check_module_summarized, CheckStats, RequesterClass, SecurityContext,
+    check_module, check_module_memoized, CheckStats, RequesterClass, SecurityContext,
     SecurityReport, Tri, Verdict,
-};
-pub use summary::{
-    compose, entry_chain, summarize_chain, summarize_element, BranchOutcome, EntryChain,
-    SummaryBranch, SummaryVal, SymSummary,
 };
 pub use value::{Origin, RangeSet, SymValue, VarId, VarInfo};

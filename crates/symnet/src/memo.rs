@@ -1,10 +1,10 @@
 //! The one memoisation primitive of the verification path.
 //!
 //! A [`Memo`] is an epoch counter plus a string-keyed map behind a single
-//! lock. Every verification memo — element models, wired graphs, element
-//! and chain summaries ([`crate::ModelCache`]), and the controller's
-//! verdict and lint memos — is an instance of it, so there is exactly one
-//! invalidation rule to audit:
+//! lock. Every verification memo — element models and wired graphs
+//! ([`crate::ModelCache`]), and the controller's verdict and lint memos —
+//! is an instance of it, so there is exactly one invalidation rule to
+//! audit:
 //!
 //! > [`Memo::bump_epoch`] discards every entry, and a value computed under
 //! > an older epoch is refused by [`Memo::insert`].

@@ -29,20 +29,6 @@ pub trait SymElement: Send + Sync {
     /// Executes the model on one symbolic packet, producing zero or more
     /// branch continuations. Implementations must not loop internally.
     fn exec(&self, in_port: usize, pkt: SymPacket) -> Vec<SymOut>;
-
-    /// Whether this model is *chain-safe*: stateless in the symbolic
-    /// sense, single-input (reads only port 0), emits only on port 0 or
-    /// egress, never manipulates header layers, and is substitution-exact
-    /// — its behaviour on any constrain-only restriction of the
-    /// unconstrained packet equals the restriction of its behaviour on
-    /// the unconstrained packet. Chain-safe models may be summarized by
-    /// [`crate::summary::summarize_element`] and replayed from a memoized
-    /// [`crate::summary::SymSummary`] instead of being re-executed.
-    /// Defaults to `false`; only models audited for the above contract
-    /// opt in.
-    fn chain_safe(&self) -> bool {
-        false
-    }
 }
 
 /// Errors produced while building or executing a symbolic graph.

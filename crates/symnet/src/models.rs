@@ -24,7 +24,6 @@ use crate::{
     model::{SymElement, SymError, SymGraph, SymOut},
     packet::SymPacket,
     pattern::{refute, satisfy},
-    summary::{compose, summarize_element, SymSummary},
     value::{Origin, RangeSet, SymValue},
 };
 
@@ -44,9 +43,6 @@ impl SymElement for IdentityModel {
     fn model_name(&self) -> &'static str {
         self.0
     }
-    fn chain_safe(&self) -> bool {
-        true
-    }
     fn exec(&self, _p: usize, pkt: SymPacket) -> Vec<SymOut> {
         vec![SymOut::Port(0, pkt)]
     }
@@ -59,9 +55,6 @@ impl SymElement for EgressModel {
     fn model_name(&self) -> &'static str {
         "ToNetfront"
     }
-    fn chain_safe(&self) -> bool {
-        true
-    }
     fn exec(&self, _p: usize, pkt: SymPacket) -> Vec<SymOut> {
         vec![SymOut::Egress(self.0, pkt)]
     }
@@ -73,9 +66,6 @@ pub struct DropModel(pub &'static str);
 impl SymElement for DropModel {
     fn model_name(&self) -> &'static str {
         self.0
-    }
-    fn chain_safe(&self) -> bool {
-        true
     }
     fn exec(&self, _p: usize, _pkt: SymPacket) -> Vec<SymOut> {
         vec![]
@@ -146,9 +136,6 @@ pub struct IpFilterModel {
 impl SymElement for IpFilterModel {
     fn model_name(&self) -> &'static str {
         "IPFilter"
-    }
-    fn chain_safe(&self) -> bool {
-        true
     }
     fn exec(&self, _p: usize, pkt: SymPacket) -> Vec<SymOut> {
         let mut out = Vec::new();
@@ -223,9 +210,6 @@ impl SymElement for SetFieldModel {
     fn model_name(&self) -> &'static str {
         self.name
     }
-    fn chain_safe(&self) -> bool {
-        true
-    }
     fn exec(&self, _p: usize, mut pkt: SymPacket) -> Vec<SymOut> {
         pkt.write(self.field, SymValue::Const(self.value));
         vec![SymOut::Port(0, pkt)]
@@ -239,9 +223,6 @@ pub struct DecTtlModel;
 impl SymElement for DecTtlModel {
     fn model_name(&self) -> &'static str {
         "DecIPTTL"
-    }
-    fn chain_safe(&self) -> bool {
-        true
     }
     fn exec(&self, _p: usize, pkt: SymPacket) -> Vec<SymOut> {
         match pkt.get(Field::Ttl) {
@@ -514,9 +495,6 @@ impl SymElement for MulticastModel {
     fn model_name(&self) -> &'static str {
         "IPMulticast"
     }
-    fn chain_safe(&self) -> bool {
-        true
-    }
     fn exec(&self, _p: usize, pkt: SymPacket) -> Vec<SymOut> {
         self.dsts
             .iter()
@@ -536,9 +514,6 @@ pub struct PingResponderModel;
 impl SymElement for PingResponderModel {
     fn model_name(&self) -> &'static str {
         "ICMPPingResponder"
-    }
-    fn chain_safe(&self) -> bool {
-        true
     }
     fn exec(&self, _p: usize, mut pkt: SymPacket) -> Vec<SymOut> {
         if !pkt.constrain_eq(Field::Proto, IpProto::Icmp.number() as u64) {
@@ -593,9 +568,6 @@ impl SymElement for ExplicitProxyModel {
     fn model_name(&self) -> &'static str {
         "StockExplicitProxy"
     }
-    fn chain_safe(&self) -> bool {
-        true
-    }
     fn exec(&self, _p: usize, mut pkt: SymPacket) -> Vec<SymOut> {
         pkt.write(Field::IpSrc, SymValue::Const(self.own));
         let d = pkt.fresh(Origin::Computed);
@@ -617,9 +589,6 @@ pub struct OpaqueVmModel;
 impl SymElement for OpaqueVmModel {
     fn model_name(&self) -> &'static str {
         "StockX86VM"
-    }
-    fn chain_safe(&self) -> bool {
-        true
     }
     fn exec(&self, _p: usize, mut pkt: SymPacket) -> Vec<SymOut> {
         pkt.havoc_all(Origin::Opaque);
@@ -651,9 +620,6 @@ pub struct TurnaroundServerModel {
 impl SymElement for TurnaroundServerModel {
     fn model_name(&self) -> &'static str {
         self.name
-    }
-    fn chain_safe(&self) -> bool {
-        true
     }
     fn exec(&self, _p: usize, mut pkt: SymPacket) -> Vec<SymOut> {
         if let Some(proto) = self.proto {
@@ -979,24 +945,15 @@ pub fn model_for(
     }
 }
 
-/// The fleet-wide memos of the compositional checker: four [`Memo`]s,
-/// each a pure function of its key, shared (`Arc`) across every request
-/// and verification worker.
+/// The fleet-wide memos of the security check: two [`Memo`]s, each a
+/// pure function of its key, shared (`Arc`) across every request and
+/// verification worker.
 ///
 /// * **models** — `class '\0' args…` → the element's symbolic model.
 ///   Building one re-parses the concrete element's arguments, which
 ///   dominates graph construction on the admission path.
 /// * **graphs** — the configuration's canonical text (names included:
 ///   callers address nodes by name) → the wired, immutable [`SymGraph`].
-/// * **element summaries** — keyed like models → the element's chain
-///   summary, or `None` when it is not summarizable (itself a pure fact
-///   worth memoizing: the chain extractor asks again for every
-///   configuration the element appears in).
-/// * **chain summaries** — the chain's *canonical slice text*
-///   ([`ClickConfig::canonical_slice_text`]: classes, ordered arguments
-///   and order only, no element names) → the composed summary, so a
-///   stock chain shared across tenants — even alpha-renamed, even
-///   embedded in different surrounding graphs — is summarized once.
 ///
 /// Nothing outside the key influences a value, so entries never go
 /// stale; [`ModelCache::bump_epoch`] exists so the controller can flush
@@ -1005,23 +962,13 @@ pub fn model_for(
 pub struct ModelCache {
     models: Memo<Arc<dyn SymElement>>,
     graphs: Memo<Arc<SymGraph>>,
-    element_summaries: Memo<Option<Arc<SymSummary>>>,
-    chain_summaries: Memo<Arc<SymSummary>>,
 }
 
 impl ModelCache {
-    /// Number of memoized chain summaries.
-    pub fn chain_summaries_len(&self) -> usize {
-        self.chain_summaries.len()
-    }
-
-    /// Starts a new epoch in all four memos; returns how many chain
-    /// summaries were discarded.
-    pub fn bump_epoch(&self) -> u64 {
+    /// Starts a new epoch in both memos.
+    pub fn bump_epoch(&self) {
         self.models.bump_epoch();
         self.graphs.bump_epoch();
-        self.element_summaries.bump_epoch();
-        self.chain_summaries.bump_epoch()
     }
 
     /// `'\0'` cannot appear in parsed class names or arguments, so the
@@ -1047,63 +994,6 @@ impl ModelCache {
             .get_or_try_insert_with(ModelCache::key(class, args), || {
                 model_for(class, args, registry).map(Arc::from)
             })
-    }
-
-    /// The memoized chain summary for a single element (`None`: not
-    /// summarizable). [`summarize_element`] replays the model over a
-    /// capture probe — deterministic in the model, which is itself a pure
-    /// function of `(class, args)`.
-    pub fn element_summary(
-        &self,
-        class: &str,
-        args: &[String],
-        registry: &Registry,
-    ) -> Result<Option<Arc<SymSummary>>, SymError> {
-        self.element_summaries
-            .get_or_try_insert_with(ModelCache::key(class, args), || {
-                let model = self.model(class, args, registry)?;
-                Ok(summarize_element(model.as_ref()).map(Arc::new))
-            })
-    }
-
-    /// The memoized summary of the chain of configuration elements at
-    /// `nodes` (indices into `cfg.elements`, in chain order), and whether
-    /// it was a memo hit. A miss folds memoized per-element summaries with
-    /// [`compose`] — equivalent to [`crate::summarize_chain`] on the same
-    /// chain of a graph built from `cfg`, but only the fold runs per miss.
-    /// A chain [`crate::entry_chain`] found on a memoized graph is in that
-    /// graph's numbering, which may follow another declaration order:
-    /// map it to `cfg` by name first. `Ok(None)` mirrors
-    /// `summarize_chain`'s `None` (some element resists summarization or
-    /// the branch partition explodes) and is not memoized.
-    pub fn chain_summary(
-        &self,
-        cfg: &ClickConfig,
-        nodes: &[usize],
-        registry: &Registry,
-    ) -> Result<Option<(Arc<SymSummary>, bool)>, SymError> {
-        let key = cfg.canonical_slice_text(nodes);
-        let epoch = self.chain_summaries.epoch();
-        if let Some(hit) = self.chain_summaries.get(&key) {
-            return Ok(Some((hit, true)));
-        }
-        let mut acc = SymSummary::identity();
-        for &n in nodes {
-            let Some(decl) = cfg.elements.get(n) else {
-                return Ok(None);
-            };
-            let Some(s) = self.element_summary(&decl.class, &decl.args, registry)? else {
-                return Ok(None);
-            };
-            let Some(next) = compose(&acc, &s) else {
-                return Ok(None);
-            };
-            acc = next;
-        }
-        let summary = Arc::new(acc);
-        self.chain_summaries
-            .insert(epoch, key, Arc::clone(&summary));
-        Ok(Some((summary, false)))
     }
 
     /// The memoized wired graph for `cfg`, built through the model memo.
@@ -1341,30 +1231,6 @@ mod tests {
         let res = g.run(vm, 0, SymPacket::unconstrained(), &ExecOptions::default());
         let flow = &res.egress[0].1;
         assert_eq!(flow.origin_of(flow.get(Field::IpSrc)), Some(Origin::Opaque));
-    }
-
-    #[test]
-    fn alpha_renamed_chains_share_a_chain_summary() {
-        let cache = ModelCache::default();
-        let registry = Registry::standard();
-        let a = ClickConfig::parse("f :: IPFilter(allow udp); d :: DecIPTTL(); f -> d;").unwrap();
-        let b =
-            ClickConfig::parse("x9 :: IPFilter(allow   udp); y :: DecIPTTL(); x9 -> y;").unwrap();
-        let hit = |cfg: &ClickConfig, chain: &[usize]| {
-            cache
-                .chain_summary(cfg, chain, &registry)
-                .unwrap()
-                .expect("summarizable")
-                .1
-        };
-        assert!(!hit(&a, &[0, 1]));
-        assert!(hit(&b, &[0, 1]), "slice keys are name-independent");
-        assert!(!hit(&a, &[0]), "a different slice is a different entry");
-        assert_eq!(cache.chain_summaries_len(), 2);
-        // One flush covers all four memos and reports the chain summaries.
-        assert_eq!(cache.bump_epoch(), 2);
-        assert_eq!(cache.chain_summaries_len(), 0);
-        assert!(!hit(&b, &[0, 1]));
     }
 
     #[test]

@@ -77,20 +77,23 @@ pub struct SymPacket {
 }
 
 impl SymPacket {
-    /// A freshly injected packet: each header field is a new
-    /// [`Origin::Free`] variable ranging over `ranges(field)`, or
-    /// `Const(0)` where that is `None`.
-    fn injected(ranges: impl Fn(Field) -> Option<RangeSet>) -> SymPacket {
+    /// A fully unconstrained packet: every header field is a fresh free
+    /// variable (except `FwTag`, which starts at `Const(0)`, and `TcpSyn`,
+    /// constrained to {0,1}).
+    pub fn unconstrained() -> SymPacket {
         let mut top = FieldMap::zeroed();
         let mut store = Vec::with_capacity(ALL_FIELDS.len());
         for f in ALL_FIELDS {
-            if let Some(ranges) = ranges(f) {
-                top.set(f, SymValue::Var(store.len() as VarId));
-                store.push(VarInfo {
-                    ranges,
-                    origin: Origin::Free,
-                });
-            }
+            let ranges = match f {
+                Field::FwTag => continue,
+                Field::TcpSyn => RangeSet::range(0, 1),
+                _ => RangeSet::full(),
+            };
+            top.set(f, SymValue::Var(store.len() as VarId));
+            store.push(VarInfo {
+                ranges,
+                origin: Origin::Free,
+            });
         }
         SymPacket {
             top,
@@ -103,36 +106,10 @@ impl SymPacket {
         }
     }
 
-    /// A fully unconstrained packet: every header field is a fresh free
-    /// variable (except `FwTag`, which starts at `Const(0)`, and `TcpSyn`,
-    /// constrained to {0,1}).
-    pub fn unconstrained() -> SymPacket {
-        SymPacket::injected(|f| match f {
-            Field::FwTag => None,
-            Field::TcpSyn => Some(RangeSet::range(0, 1)),
-            _ => Some(RangeSet::full()),
-        })
-    }
-
-    /// A summarization capture probe: *every* field — including `FwTag`
-    /// and `TcpSyn` — is a fresh, fully unconstrained [`Origin::Free`]
-    /// variable. Unlike [`SymPacket::unconstrained`] (which models real
-    /// platform ingress), the probe carries no initial narrowing, so every
-    /// constraint a chain applies is captured as a pure intersection set
-    /// that replays exactly onto *any* entry value.
-    pub(crate) fn capture_probe() -> SymPacket {
-        SymPacket::injected(|_| Some(RangeSet::full()))
-    }
-
-    /// Allocates a fresh variable of the given origin.
+    /// Allocates a fresh, unconstrained variable of the given origin.
     pub fn fresh(&mut self, origin: Origin) -> SymValue {
-        self.fresh_ranged(origin, RangeSet::full())
-    }
-
-    /// Allocates a fresh variable of the given origin pre-constrained to
-    /// `ranges` (summary replay materializing a recorded fresh slot).
-    pub fn fresh_ranged(&mut self, origin: Origin, ranges: RangeSet) -> SymValue {
         let id = self.store.len() as VarId;
+        let ranges = RangeSet::full();
         Arc::make_mut(&mut self.store).push(VarInfo { ranges, origin });
         SymValue::Var(id)
     }
@@ -209,9 +186,8 @@ impl SymPacket {
     }
 
     /// Restricts a symbolic *value* (rather than a field slot) to the
-    /// given set. Needed by summary replay: a chain's constraints apply to
-    /// the values a field held at chain entry, which copies may since have
-    /// moved into other fields. Returns (and latches) feasibility.
+    /// given set: every field holding the same variable is narrowed with
+    /// it. Returns (and latches) feasibility.
     ///
     /// The store is written (and so unshared from other forks) only when
     /// the variable's set actually shrinks.

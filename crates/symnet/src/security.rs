@@ -42,10 +42,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::{
     field::Field,
-    model::{ExecOptions, Observe, SymError, SymGraph},
+    model::{ExecOptions, Observe, SymError},
     models::{build_sym_graph_cached, netfront_role, ModelCache, Netfront},
     packet::SymPacket,
-    summary::{entry_chain, summarize_chain, BranchOutcome, SymSummary},
     value::Origin,
 };
 
@@ -120,20 +119,13 @@ pub struct SecurityReport {
     pub egress_flows: Vec<SymPacket>,
 }
 
-/// Execution-cost and memoization counters from one module check.
+/// Execution-cost counters from one module check.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CheckStats {
     /// Symbolic runs stopped by the global hop bound.
     pub hop_cap_bailouts: u64,
     /// Symbolic branches cut by the per-node visit bound.
     pub visit_cap_bailouts: u64,
-    /// Chain elements covered by summary replay instead of per-element
-    /// execution.
-    pub summary_chain_nodes: u64,
-    /// Chain summaries served from the [`ModelCache`].
-    pub summary_cache_hits: u64,
-    /// Summaries that had to be computed (and were stored back).
-    pub summary_cache_misses: u64,
 }
 
 impl CheckStats {
@@ -141,9 +133,6 @@ impl CheckStats {
     pub fn absorb(&mut self, other: CheckStats) {
         self.hop_cap_bailouts += other.hop_cap_bailouts;
         self.visit_cap_bailouts += other.visit_cap_bailouts;
-        self.summary_chain_nodes += other.summary_chain_nodes;
-        self.summary_cache_hits += other.summary_cache_hits;
-        self.summary_cache_misses += other.summary_cache_misses;
     }
 }
 
@@ -238,41 +227,28 @@ fn default_off(flow: &SymPacket, ctx: &SecurityContext) -> Tri {
 ///
 /// Builds the abstract model graph, injects an unconstrained symbolic
 /// packet at every `FromNetfront` ingress, and combines per-flow
-/// predicate results into a [`Verdict`].
+/// predicate results into a [`Verdict`]. Every model and the wired graph
+/// are rebuilt per call: this is the no-memo oracle.
 pub fn check_module(
     cfg: &ClickConfig,
     ctx: &SecurityContext,
     registry: &Registry,
 ) -> Result<SecurityReport, SymError> {
-    Ok(check_inner(cfg, ctx, registry, None, false)?.0)
+    Ok(check_inner(cfg, ctx, registry, None)?.0)
 }
 
-/// Compositional variant of [`check_module`]: walks a memoized (or
-/// freshly composed) [`SymSummary`] over the maximal chain-safe entry
-/// chain and falls back to per-element execution at the chain boundary —
-/// stateful elements, multi-port fan-out/fan-in, or unsummarizable
-/// models. Verdicts are identical to [`check_module`] (the differential
-/// suite holds the two together); only the work done differs. `memos`
-/// supplies cross-request memoization; `None` still composes summaries
-/// but rebuilds every model, graph and summary per call.
-pub fn check_module_summarized(
+/// [`check_module`] on the wired graph `memos` holds for `cfg` (built
+/// through its model memo on a miss), with the run's cost counters.
+/// Verdicts are identical to [`check_module`]; only the work done
+/// differs. The memoized graph may number its nodes in another
+/// configuration's declaration order, so entries are found by name.
+pub fn check_module_memoized(
     cfg: &ClickConfig,
     ctx: &SecurityContext,
     registry: &Registry,
-    memos: Option<&ModelCache>,
+    memos: &ModelCache,
 ) -> Result<(SecurityReport, CheckStats), SymError> {
-    check_inner(cfg, ctx, registry, memos, true)
-}
-
-/// The position in `cfg.elements` of graph node `node`, found by name:
-/// first at `node` itself, where a graph built from `cfg` has it.
-fn decl_index(cfg: &ClickConfig, graph: &SymGraph, node: usize) -> Result<usize, SymError> {
-    let name = graph.node_name(node);
-    if cfg.elements.get(node).is_some_and(|e| e.name == name) {
-        return Ok(node);
-    }
-    let found = cfg.elements.iter().position(|e| e.name == name);
-    found.ok_or_else(|| SymError::Config(format!("no element '{name}'")))
+    check_inner(cfg, ctx, registry, Some(memos))
 }
 
 fn check_inner(
@@ -280,7 +256,6 @@ fn check_inner(
     ctx: &SecurityContext,
     registry: &Registry,
     memos: Option<&ModelCache>,
-    use_summaries: bool,
 ) -> Result<(SecurityReport, CheckStats), SymError> {
     let mut stats = CheckStats::default();
     if ctx.class == RequesterClass::Operator {
@@ -297,10 +272,10 @@ fn check_inner(
         ));
     }
 
-    // With the memos available (compositional mode), the whole wired
-    // graph is shared across requests; the whole-graph oracle rebuilds
-    // from scratch, so differential comparisons measure the memoized
-    // pipeline against an unaided baseline.
+    // With the memos available the wired graph is shared across
+    // requests; the oracle rebuilds it from scratch, so differential
+    // comparisons measure the memoized pipeline against an unaided
+    // baseline.
     let graph = match memos {
         Some(cache) => cache.graph(cfg, registry)?,
         None => Arc::new(build_sym_graph_cached(cfg, registry, None)?),
@@ -337,65 +312,14 @@ fn check_inner(
 
     for entry in entries {
         let entry_idx = graph.node_index(&entry)?;
-        let mut flows: Vec<(u16, SymPacket)> = Vec::new();
-        let mut summarized = false;
-        if use_summaries {
-            let chain = entry_chain(&graph, entry_idx);
-            if chain.nodes.len() >= 2 {
-                let summary: Option<Arc<SymSummary>> = match memos {
-                    Some(cache) => {
-                        // The memoized graph may number the elements in
-                        // another configuration's declaration order.
-                        let decls: Vec<usize> = chain
-                            .nodes
-                            .iter()
-                            .map(|&n| decl_index(cfg, &graph, n))
-                            .collect::<Result<_, _>>()?;
-                        cache.chain_summary(cfg, &decls, registry)?.map(|(s, hit)| {
-                            if hit {
-                                stats.summary_cache_hits += 1;
-                            } else {
-                                stats.summary_cache_misses += 1;
-                            }
-                            s
-                        })
-                    }
-                    None => summarize_chain(&graph, &chain.nodes).map(Arc::new),
-                };
-                if let Some(s) = summary {
-                    summarized = true;
-                    stats.summary_chain_nodes += chain.nodes.len() as u64;
-                    for (outcome, pkt) in s.apply(&SymPacket::unconstrained(), &chain.nodes) {
-                        match outcome {
-                            BranchOutcome::Egress(iface) => flows.push((iface, pkt)),
-                            BranchOutcome::Continue => {
-                                // Resume per-element execution at the
-                                // chain boundary; a chain with no
-                                // continuation edge drops continues, as
-                                // the runtime would.
-                                if let Some((n, p)) = chain.cont {
-                                    let res = graph.run(n, p, pkt, &opts);
-                                    stats.hop_cap_bailouts += res.hop_cap_hits;
-                                    stats.visit_cap_bailouts += res.visit_cap_hits;
-                                    flows.extend(res.egress);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if !summarized {
-            let res = graph.run(entry_idx, 0, SymPacket::unconstrained(), &opts);
-            stats.hop_cap_bailouts += res.hop_cap_hits;
-            stats.visit_cap_bailouts += res.visit_cap_hits;
-            flows.extend(res.egress);
-        }
-        for (_iface, flow) in &flows {
+        let res = graph.run(entry_idx, 0, SymPacket::unconstrained(), &opts);
+        stats.hop_cap_bailouts += res.hop_cap_hits;
+        stats.visit_cap_bailouts += res.visit_cap_hits;
+        for (_iface, flow) in res.egress {
             report.flows_checked += 1;
-            let mut tris = vec![anti_spoof(flow, ctx), ownership(flow, ctx)];
+            let mut tris = vec![anti_spoof(&flow, ctx), ownership(&flow, ctx)];
             if ctx.class == RequesterClass::ThirdParty {
-                tris.push(default_off(flow, ctx));
+                tris.push(default_off(&flow, ctx));
             }
             for t in tris {
                 match t {
@@ -413,8 +337,8 @@ fn check_inner(
                     Tri::Violated(why) => report.violations.push(why),
                 }
             }
+            report.egress_flows.push(flow);
         }
-        report.egress_flows.extend(flows.drain(..).map(|(_, f)| f));
     }
 
     // A truncated exploration is not a proof: flows the run never reached
@@ -575,7 +499,7 @@ mod tests {
         let registry = Registry::standard();
         for class in [RequesterClass::ThirdParty, RequesterClass::Client] {
             let (small, stats) =
-                check_inner(&tee_lattice(4), &ctx(class), &registry, None, false).unwrap();
+                check_inner(&tee_lattice(4), &ctx(class), &registry, None).unwrap();
             assert_eq!(
                 (small.verdict, stats.hop_cap_bailouts),
                 (Verdict::Reject, 0)
@@ -583,7 +507,7 @@ mod tests {
             assert_eq!(small.flows_checked, 16);
 
             let (deep, stats) =
-                check_inner(&tee_lattice(15), &ctx(class), &registry, None, false).unwrap();
+                check_inner(&tee_lattice(15), &ctx(class), &registry, None).unwrap();
             assert_eq!(stats.hop_cap_bailouts, 1);
             assert_eq!(
                 deep.verdict,
@@ -602,7 +526,7 @@ mod tests {
 
     /// The graph memo serves a configuration the graph of the first one
     /// with its canonical text, numbered in that one's declaration order.
-    /// A summarized check must still compose its own elements' chains.
+    /// A memoized check must still find its own entries, by name.
     #[test]
     fn a_memoized_graph_declared_in_another_order_checks_the_same() {
         let registry = Registry::standard();
@@ -620,18 +544,15 @@ mod tests {
             ClickConfig::parse(&text).unwrap()
         };
         let first = config([0, 1, 2, 3, 4, 5]);
-        // The spoofer sits where the first order has the shared exit,
-        // which no entry chain holds.
+        // The spoofer sits where the first order has the shared exit.
         let reordered = config([4, 5, 2, 1, 0, 3]);
         assert_eq!(first.canonical_text(), reordered.canonical_text());
         let memos = ModelCache::default();
         memos.graph(&first, &registry).unwrap();
         for class in [RequesterClass::Client, RequesterClass::ThirdParty] {
             let check = |memos: &ModelCache| {
-                let summarized =
-                    check_module_summarized(&reordered, &ctx(class), &registry, Some(memos));
-                let (report, stats) = summarized.unwrap();
-                assert!(stats.summary_chain_nodes > 0, "the chains are summarized");
+                let memoized = check_module_memoized(&reordered, &ctx(class), &registry, memos);
+                let (report, _) = memoized.unwrap();
                 (report.verdict, report.flows_checked, report.violations)
             };
             let shared = check(&memos);

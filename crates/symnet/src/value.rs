@@ -236,16 +236,6 @@ pub struct VarInfo {
     pub origin: Origin,
 }
 
-impl VarInfo {
-    /// A fully unconstrained variable of the given origin.
-    pub fn free(origin: Origin) -> VarInfo {
-        VarInfo {
-            ranges: RangeSet::full(),
-            origin,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,30 +1,26 @@
 //! A deploy storm through the staged admission pipeline: a fleet of
-//! tenants installs alpha-renamed copies of one stock chain, and
-//! compositional chain summaries make every admission after the first
-//! replay a memoized transfer function instead of re-executing the
-//! whole graph symbolically.
+//! tenants installs copies of one stock chain under fresh module names.
 //!
 //! The verdict cache never helps here — every module name is unique, so
 //! each request is a fresh verification. What *does* repeat is the
-//! chain itself: the summary cache keys on the name-free canonical
-//! slice, which all alpha-renamed copies share.
+//! configuration itself: every security check after the first runs the
+//! wired graph the fleet-wide memo built for the first copy.
 //!
 //! The example then times the same security check at library level,
-//! the whole-graph oracle against the compositional walk, to show what
-//! the summaries buy.
+//! the no-memo whole-graph oracle against the memoized graph, and checks
+//! that the two agree on every report.
 //!
 //! Run with: `cargo run -p innet-examples --bin deploy_storm`
 
 use innet::analysis::{bind_self, SELF_SENTINEL};
 use innet::prelude::*;
-use innet::symnet::{check_module, check_module_summarized, ModelCache, SecurityContext};
+use innet::symnet::{check_module, check_module_memoized, ModelCache, SecurityContext};
 use std::time::Instant;
 
 const TENANTS: usize = 16;
 
-/// One stock chain, deployed over and over under different module (and
-/// thus element) names. Chain-safe end to end, so a single summary
-/// covers it.
+/// One stock chain, deployed over and over under different module
+/// names.
 const STOCK: &str = "FromNetfront() -> CheckIPHeader() -> DecIPTTL() \
      -> IPFilter(allow udp dst port 1500) -> SetTOS(12) -> Counter() \
      -> Paint(7) -> DecIPTTL() -> Counter() -> SetTOS(30) \
@@ -46,7 +42,7 @@ fn main() {
             .expect("stock chain is deployable");
     }
     // These deploys all commit, so total admission time is dominated by
-    // placement; the stage the summaries accelerate is the symbolic
+    // placement; the stage the graph memo accelerates is the symbolic
     // check. (The deploy_storm *bench* times that check over 100k
     // requests instead.)
     let s = ctl.stats();
@@ -55,9 +51,9 @@ fn main() {
         "admission:     {n} uncached deploys, symbolic stage {:.1} µs each",
         s.stage_symbolic_ns as f64 / n as f64 / 1e3
     );
-    println!(
-        "summary cache: {} hits, {} misses ({} chain elements replayed instead of re-executed)",
-        s.summary_cache_hits, s.summary_cache_misses, s.summary_chain_nodes
+    assert_eq!(
+        s.security_checks, n as u64,
+        "one security check per request"
     );
     println!(
         "stage means:   lint {:.1} µs | symbolic {:.1} µs | placement {:.1} µs",
@@ -65,13 +61,7 @@ fn main() {
         s.stage_symbolic_ns as f64 / n as f64 / 1e3,
         s.stage_placement_ns as f64 / n as f64 / 1e3,
     );
-    // The fleet-wide caches that did the work: one summary per distinct
-    // slice (every alpha-renamed copy shares it), plus the lint memo.
-    println!(
-        "memo sizes:    {} chain summaries | {} lint memo hits",
-        ctl.cached_summaries(),
-        s.lint_cache_hits,
-    );
+    println!("lint memo:     {} hits", s.lint_cache_hits);
 
     // The same check the symbolic stage runs, in the context admission
     // builds for these tenants, once per mode over the same n requests.
@@ -83,23 +73,28 @@ fn main() {
         class: RequesterClass::Client,
     };
     let registry = Registry::standard();
-    let t = Instant::now();
-    for _ in 0..n {
-        let report = check_module(&cfg, &ctx, &registry).unwrap();
-        assert_eq!(report.verdict, Verdict::Safe);
-    }
-    let whole = t.elapsed().as_secs_f64() / n as f64 * 1e6;
     let memos = ModelCache::default();
-    let t = Instant::now();
+    let (mut whole_ns, mut memo_ns, mut agree) = (0, 0, 0);
     for _ in 0..n {
-        let (report, _) = check_module_summarized(&cfg, &ctx, &registry, Some(&memos)).unwrap();
-        assert_eq!(report.verdict, Verdict::Safe);
+        let t = Instant::now();
+        let whole = check_module(&cfg, &ctx, &registry).unwrap();
+        whole_ns += t.elapsed().as_nanos();
+        let t = Instant::now();
+        let (memo, _) = check_module_memoized(&cfg, &ctx, &registry, &memos).unwrap();
+        memo_ns += t.elapsed().as_nanos();
+        assert_eq!(whole.verdict, Verdict::Safe);
+        let same = (whole.verdict, whole.flows_checked, &whole.violations)
+            == (memo.verdict, memo.flows_checked, &memo.violations);
+        agree += usize::from(same);
     }
-    let comp = t.elapsed().as_secs_f64() / n as f64 * 1e6;
+    let whole = whole_ns as f64 / n as f64 / 1e3;
+    let memo = memo_ns as f64 / n as f64 / 1e3;
     println!("whole-graph:   {n} checks, {whole:.1} µs each");
-    println!("compositional: {n} checks, {comp:.1} µs each");
+    println!("memoized:      {n} checks, {memo:.1} µs each");
     println!(
-        "speedup:       {:.2}x lower symbolic-check latency with summaries",
-        whole / comp
+        "speedup:       {:.2}x lower symbolic-check latency with memoized graphs",
+        whole / memo
     );
+    println!("verdicts agree with the whole-graph oracle: {agree}/{n}");
+    assert_eq!(agree, n, "the memoized check must match the oracle");
 }

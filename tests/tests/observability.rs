@@ -255,10 +255,7 @@ fn controller_statistics_and_their_metric_mirror_agree() {
             "innet_ctl_lint_rejects_total",
             "innet_ctl_lint_cache_hits_total",
             "innet_ctl_analysis_ns_total",
-            "innet_ctl_summary_cache_hits_total",
-            "innet_ctl_summary_cache_misses_total",
-            "innet_ctl_summary_chain_nodes_total",
-            "innet_ctl_summary_invalidations_total",
+            "innet_ctl_security_checks_total",
         ]
     );
     for (name, value) in p.counters() {

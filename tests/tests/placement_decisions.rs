@@ -108,7 +108,7 @@ fn decision(outcome: &Result<DeployResponse, DeployError>) -> String {
 
 /// Every counter of the ledger; the `*_ns` fields are wall time and are
 /// left out.
-fn counters(s: &ControllerStats) -> [(&'static str, u64); 17] {
+fn counters(s: &ControllerStats) -> [(&'static str, u64); 14] {
     [
         ("requests", s.requests),
         ("accepted", s.accepted),
@@ -122,10 +122,7 @@ fn counters(s: &ControllerStats) -> [(&'static str, u64); 17] {
         ("lint_cache_hits", s.lint_cache_hits),
         ("hop_cap_bailouts", s.hop_cap_bailouts),
         ("visit_cap_bailouts", s.visit_cap_bailouts),
-        ("summary_cache_hits", s.summary_cache_hits),
-        ("summary_cache_misses", s.summary_cache_misses),
-        ("summary_chain_nodes", s.summary_chain_nodes),
-        ("summary_invalidations", s.summary_invalidations),
+        ("security_checks", s.security_checks),
         ("placement_rejects", s.placement_rejects),
     ]
 }
@@ -195,10 +192,7 @@ fn adm_stock_shape_decides_exactly_as_recorded() {
             ("lint_cache_hits", 144),
             ("hop_cap_bailouts", 0),
             ("visit_cap_bailouts", 0),
-            ("summary_cache_hits", 144),
-            ("summary_cache_misses", 50),
-            ("summary_chain_nodes", 862),
-            ("summary_invalidations", 50),
+            ("security_checks", 194),
             ("placement_rejects", 0),
         ]
     );

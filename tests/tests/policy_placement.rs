@@ -10,11 +10,8 @@
 //! The controller must pick the policy-compliant platform even when a
 //! non-compliant one comes first in iteration order.
 
-use innet::analysis::SELF_SENTINEL;
-use innet::click::Registry;
-use innet::controller::{ControllerStats, ModuleConfig};
 use innet::prelude::*;
-use innet::symnet::{check_module_summarized, ModelCache, RequesterClass, SecurityContext};
+use innet::symnet::RequesterClass;
 use innet::topology::{NodeKind, PlatformSpec};
 
 /// A §2.2-shaped operator network: two directly reachable platforms, one
@@ -94,22 +91,48 @@ fn section22_topology() -> Topology {
 }
 
 fn http_module_request() -> ClientRequest {
+    http_module_request_with("")
+}
+
+/// [`http_module_request`] with `extra` (elements ending in `->`) spliced
+/// in after its filter.
+fn http_module_request_with(extra: &str) -> ClientRequest {
     // A module that receives web traffic and delivers it to the client —
     // "a client's VM [that] talks HTTP".
-    ClientRequest::parse(
+    ClientRequest::parse(&format!(
         r#"
         module webmod:
         FromNetfront()
-          -> IPFilter(allow tcp src port 80)
-          -> IPRewriter(pattern - - 172.16.15.133 - 0 0)
+          -> IPFilter(allow tcp src port 80) -> {extra}
+          IPRewriter(pattern - - 172.16.15.133 - 0 0)
           -> dst :: ToNetfront();
 
         reach from internet tcp src port 80
           -> webmod:dst:0
           -> client
         "#,
-    )
+    ))
     .unwrap()
+}
+
+/// A §2.2 controller with the HTTP policy, and the security checks
+/// `request` cost it and the platform it landed on.
+fn security_checks_of(request: ClientRequest) -> (u64, String) {
+    let mut ctl = Controller::new(section22_topology());
+    ctl.register_client(
+        "websurfer",
+        RequesterClass::Client,
+        vec!["172.16.15.133".parse().unwrap()],
+    );
+    ctl.add_operator_policy(
+        Requirement::parse("reach from internet tcp src port 80 -> HTTPOptimizer -> client")
+            .unwrap(),
+    );
+    let first = ctl.ranked_platforms()[0];
+    assert_eq!(ctl.topology().node(first).name, "platform1");
+    let before = ctl.stats().security_checks;
+    let resp = ctl.deploy("websurfer", request).unwrap();
+    (ctl.stats().security_checks - before, resp.platform)
 }
 
 #[test]
@@ -182,48 +205,20 @@ fn non_http_module_unconstrained_by_http_policy() {
 /// The security check runs once per request, before the candidate loop,
 /// however many platforms placement tries. Here placement refuses
 /// platform1, the first-ranked candidate, on operator policy and accepts
-/// platform2, and the request's summary counters move exactly as one
-/// check of its configuration moves them on a fresh memo: one chain
-/// lookup (a miss) and one chain's worth of replayed elements. (The
-/// policy and requirement walks on this network summarize nothing: every
-/// entry chain they start on holds a way-point.)
+/// platform2: two candidates, one check.
 #[test]
 fn security_is_checked_once_however_many_candidates_placement_tries() {
-    let mut ctl = Controller::new(section22_topology());
-    ctl.register_client(
-        "websurfer",
-        RequesterClass::Client,
-        vec!["172.16.15.133".parse().unwrap()],
-    );
-    ctl.add_operator_policy(
-        Requirement::parse("reach from internet tcp src port 80 -> HTTPOptimizer -> client")
-            .unwrap(),
-    );
-    let first = ctl.ranked_platforms()[0];
-    assert_eq!(ctl.topology().node(first).name, "platform1");
+    let (checks, platform) = security_checks_of(http_module_request());
+    assert_eq!((checks, platform.as_str()), (1, "platform2"));
+}
 
-    let request = http_module_request();
-    let ModuleConfig::Click(cfg) = &request.config else {
-        unreachable!("a Click request")
-    };
-    let ctx = SecurityContext {
-        assigned_addr: SELF_SENTINEL,
-        registered: vec!["172.16.15.133".parse().unwrap()],
-        class: RequesterClass::Client,
-    };
-    let memo = ModelCache::default();
-    let (_, one) = check_module_summarized(cfg, &ctx, &Registry::standard(), Some(&memo)).unwrap();
-    assert_eq!((one.summary_cache_misses, one.summary_cache_hits), (1, 0));
-
-    let before = ctl.stats();
-    let resp = ctl.deploy("websurfer", request).unwrap();
-    let after = ctl.stats();
-    assert_eq!(resp.platform, "platform2");
-    let lookups = |s: &ControllerStats| s.summary_cache_hits + s.summary_cache_misses;
-    assert_eq!(lookups(&after) - lookups(&before), 1, "{after:?}");
-    assert_eq!(
-        after.summary_chain_nodes - before.summary_chain_nodes,
-        one.summary_chain_nodes,
-        "{after:?}"
-    );
+/// A configuration that names `$SELF` is also checked at each candidate's
+/// own address, which may equal a literal it compares `$SELF` with: one
+/// check at the sentinel plus one per candidate tried (platform1,
+/// refused on policy, and platform2).
+#[test]
+fn a_self_naming_request_is_checked_once_more_per_candidate_tried() {
+    let request = http_module_request_with("IPFilter(allow dst host $SELF) ->");
+    let (checks, platform) = security_checks_of(request);
+    assert_eq!((checks, platform.as_str()), (1 + 2, "platform2"));
 }

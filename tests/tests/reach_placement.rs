@@ -19,11 +19,11 @@
 //! verdicts are pinned, never raw indices. The golden file was recorded
 //! on `98dcd8d`, the commit before the network model was split into a
 //! per-controller topology model plus the installed modules. Its
-//! `summary_cache_hits` and `summary_chain_nodes` lines were re-recorded
-//! when the security check left the candidate loop (once per request,
-//! where `c855d8b` checked once per candidate platform tried): those
-//! counters count security checks, and every other line, each decision
-//! included, stayed put.
+//! `summary_*` ledger lines were re-recorded when the security check left
+//! the candidate loop (once per request, where `c855d8b` checked once per
+//! candidate platform tried), and deleted with the chain summaries they
+//! counted (after `4facd17`); every other line, each decision included,
+//! stayed put.
 
 use std::net::Ipv4Addr;
 
@@ -137,10 +137,6 @@ fn counters(s: &ControllerStats) -> Vec<String> {
         ("lint_cache_hits", s.lint_cache_hits),
         ("hop_cap_bailouts", s.hop_cap_bailouts),
         ("visit_cap_bailouts", s.visit_cap_bailouts),
-        ("summary_cache_hits", s.summary_cache_hits),
-        ("summary_cache_misses", s.summary_cache_misses),
-        ("summary_chain_nodes", s.summary_chain_nodes),
-        ("summary_invalidations", s.summary_invalidations),
         ("placement_rejects", s.placement_rejects),
     ]
     .iter()

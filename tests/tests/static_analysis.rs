@@ -3,15 +3,17 @@
 //! The load-bearing ones are differential, over one generator: wherever
 //! the abstract interpreter claims a verdict it must agree with full
 //! symbolic execution (which keeps the advisory field-effect table
-//! honest — admission no longer consults it), the compositional checker
-//! must agree with the whole-graph oracle, and `Controller::deploy` must
+//! honest — admission no longer consults it), the memoized checker must
+//! agree with the whole-graph oracle, and `Controller::deploy` must
 //! land every request in the class that oracle names.
 
 use innet::analysis::{abstract_verdict, lint, SELF_SENTINEL};
 use innet::click::{ClickConfig, Registry};
 use innet::controller::HardeningPolicy;
 use innet::prelude::*;
-use innet::symnet::{check_module, check_module_summarized, ModelCache, SecurityContext};
+use innet::symnet::{
+    check_module, check_module_memoized, ModelCache, SecurityContext, SecurityReport,
+};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::net::Ipv4Addr;
 
@@ -157,60 +159,107 @@ fn fast_path_agrees_with_symnet_on_generated_configs() {
     );
 }
 
-/// ≥1000 generated configurations × every requester class: the
-/// compositional checker (summary replay over the entry chain, cold and
-/// cache-warm) must return the same verdict as whole-graph symbolic
-/// execution. This is the soundness contract of the summary path — the
-/// whole-graph executor stays the differential oracle.
+/// `cfg` declared in a random order and, with `rename`, alpha-renamed:
+/// every element gets a fresh name, handed out in a random order so the
+/// sorted names no longer follow the declarations.
+fn redeclared(cfg: &ClickConfig, rng: &mut StdRng, rename: bool) -> ClickConfig {
+    let shuffled = |rng: &mut StdRng| {
+        let mut v: Vec<usize> = (0..cfg.elements.len()).collect();
+        for i in (1..v.len()).rev() {
+            v.swap(i, rng.gen_range(0..=i));
+        }
+        v
+    };
+    let labels = shuffled(rng);
+    let name = |n: &str| match cfg.elements.iter().position(|e| e.name == n) {
+        Some(i) if rename => format!("x{}", labels[i]),
+        _ => n.to_string(),
+    };
+    let mut out = ClickConfig::new();
+    for i in shuffled(rng) {
+        let decl = &cfg.elements[i];
+        let args: Vec<&str> = decl.args.iter().map(String::as_str).collect();
+        out.add_element(name(&decl.name), &decl.class, &args);
+    }
+    for c in &cfg.connections {
+        out.connect(
+            name(&c.from.element),
+            c.from.port,
+            name(&c.to.element),
+            c.to.port,
+        );
+    }
+    out
+}
+
+/// ≥1000 generated configurations × every requester class: the check on
+/// a shared, warm [`ModelCache`] must give the report the no-memo
+/// whole-graph oracle gives — the same verdict, flow count and
+/// violations. After each configuration warms the memo, two variants of
+/// it go through the same memo: one declared in another order and
+/// alpha-renamed, which is wired from memoized models, and that one
+/// declared in yet another order, which the graph memo serves with the
+/// first variant's node numbering (the ordering bug class of a memo
+/// keyed on canonical text).
 #[test]
-fn compositional_verdict_agrees_with_whole_graph() {
+fn memoized_verdict_agrees_with_whole_graph() {
     let registry = Registry::standard();
-    let mut rng = StdRng::seed_from_u64(0xc0_2015);
+    let seed = 0xc0_2015;
+    println!("seed {seed:#x}");
+    let mut rng = StdRng::seed_from_u64(seed);
     let warm = ModelCache::default();
-    let (mut chain_nodes, mut warm_hits) = (0u64, 0u64);
+    let mut checked = 0;
+    let report = |r: SecurityReport| {
+        let mut violations = r.violations;
+        violations.sort();
+        (r.verdict, r.flows_checked, violations)
+    };
     for case in 0..1000 {
         let cfg = random_config(&mut rng);
-        for class in [
-            RequesterClass::ThirdParty,
-            RequesterClass::Client,
-            RequesterClass::Operator,
+        let renamed = redeclared(&cfg, &mut rng, true);
+        let reordered = redeclared(&renamed, &mut rng, false);
+        assert_eq!(renamed.canonical_text(), reordered.canonical_text());
+        for (label, cfg) in [
+            ("as generated", &cfg),
+            ("renamed", &renamed),
+            ("reordered", &reordered),
         ] {
-            let ctx = ctx(class);
-            let oracle = check_module(&cfg, &ctx, &registry);
-            // Cold: every summary computed in-call; warm: replayed from
-            // the shared memos that persist across all 1000 cases.
-            let cold = check_module_summarized(&cfg, &ctx, &registry, None);
-            let warmed = check_module_summarized(&cfg, &ctx, &registry, Some(&warm));
-            for (mode, got) in [("cold", cold), ("warm", warmed)] {
-                match (&oracle, got) {
-                    (Ok(want), Ok((report, stats))) => {
-                        assert_eq!(
-                            want.verdict,
-                            report.verdict,
-                            "case {case} ({class:?}, {mode}): whole-graph said {:?}, \
-                             compositional said {:?}\noffending config:\n{}",
-                            want.verdict,
-                            report.verdict,
-                            cfg.canonical_text()
-                        );
-                        chain_nodes += stats.summary_chain_nodes;
-                        warm_hits += stats.summary_cache_hits;
-                    }
-                    (Err(_), Err(_)) => {}
-                    (want, got) => panic!(
-                        "case {case} ({class:?}, {mode}): whole-graph {want:?} but \
-                         compositional {got:?}\noffending config:\n{}",
-                        cfg.canonical_text()
-                    ),
-                }
+            checked += 1;
+            let memoized_before = warm.graphs_len();
+            for class in [
+                RequesterClass::ThirdParty,
+                RequesterClass::Client,
+                RequesterClass::Operator,
+            ] {
+                let ctx = ctx(class);
+                let oracle = check_module(cfg, &ctx, &registry).map(report);
+                let got =
+                    check_module_memoized(cfg, &ctx, &registry, &warm).map(|(r, _)| report(r));
+                assert_eq!(
+                    got,
+                    oracle,
+                    "seed {seed:#x} case {case} ({class:?}, {label}): memoized vs \
+                     whole-graph\noffending config:\n{}",
+                    cfg.canonical_text()
+                );
+            }
+            if label == "reordered" {
+                assert_eq!(
+                    warm.graphs_len(),
+                    memoized_before,
+                    "seed {seed:#x} case {case}: the graph memo served the reordered variant"
+                );
             }
         }
     }
-    // The summary path must actually engage (chains of >= 2 safe
-    // elements exist in the pool) and the shared memos must get replay
-    // traffic across alpha-equivalent chains.
-    assert!(chain_nodes > 0, "summary replay never engaged");
-    assert!(warm_hits > 0, "warm memos never served a summary");
+    // The warm graph memo served every reordered variant (and the
+    // generator's repeats): it holds fewer graphs than configurations
+    // went through it.
+    assert!(
+        warm.graphs_len() < checked,
+        "{} graphs for {checked} configs",
+        warm.graphs_len()
+    );
 }
 
 // --- Seeded malformed configurations: each must trip its lint rule. ---
@@ -424,8 +473,8 @@ fn controller_rejects_lint_errors_with_the_diagnostic() {
 }
 
 /// The stock corpus (no requirements) is admitted by the symbolic stage:
-/// every verdict comes from the compositional check, and with nothing
-/// for placement to verify no network model is compiled.
+/// every verdict comes from one security check per request, and with
+/// nothing for placement to verify no network model is compiled.
 #[test]
 fn stock_corpus_is_admitted_by_the_symbolic_stage() {
     let mut c = controller();
@@ -441,10 +490,7 @@ fn stock_corpus_is_admitted_by_the_symbolic_stage() {
     let stats = c.stats();
     assert_eq!(stats.accepted, 4, "{stats:?}");
     assert!(stats.check_ns > 0, "the symbolic stage decided: {stats:?}");
-    assert!(
-        stats.summary_chain_nodes > 0,
-        "summaries engaged: {stats:?}"
-    );
+    assert_eq!(stats.security_checks, 4, "{stats:?}");
     assert_eq!(stats.hop_cap_bailouts, 0, "{stats:?}");
     assert_eq!(stats.compile_ns, 0, "nothing for placement to verify");
     assert!(stats.analysis_ns > 0);
@@ -455,8 +501,8 @@ fn stock_corpus_is_admitted_by_the_symbolic_stage() {
 }
 
 /// A deploy exports the admission-pipeline
-/// instrumentation: the reason-labeled bailout counter, the summary
-/// cache counters, and the per-stage latency histograms.
+/// instrumentation: the reason-labeled bailout counter, the security
+/// check counter, and the per-stage latency histograms.
 #[test]
 fn symbolic_pipeline_metrics_are_exported() {
     let mut c = controller();
@@ -478,10 +524,7 @@ fn symbolic_pipeline_metrics_are_exported() {
     c.deploy("mobile-7", req).unwrap();
 
     let stats = c.stats();
-    assert!(
-        stats.summary_chain_nodes > 0,
-        "summaries engaged: {stats:?}"
-    );
+    assert_eq!(stats.security_checks, 1, "{stats:?}");
     assert_eq!(
         stats.symbolic_bailouts(),
         stats.hop_cap_bailouts + stats.visit_cap_bailouts
@@ -490,8 +533,7 @@ fn symbolic_pipeline_metrics_are_exported() {
     let text = obs.snapshot().to_prometheus();
     for metric in [
         "innet_ctl_symbolic_bailouts_total",
-        "innet_ctl_summary_cache_hits_total",
-        "innet_ctl_summary_cache_misses_total",
+        "innet_ctl_security_checks_total",
         "innet_ctl_stage_lint_ns",
         "innet_ctl_stage_symbolic_ns",
         "innet_ctl_stage_placement_ns",
@@ -512,7 +554,7 @@ fn rebind_assigned(cfg: &ClickConfig, to: &str) -> ClickConfig {
 }
 
 /// ≥1000 generated configurations × every requester class: the admission
-/// pipeline (verdict memo, lint, memoized compositional check, placement)
+/// pipeline (verdict memo, lint, memoized security check, placement)
 /// must put each request in the class the whole-graph oracle
 /// `check_module` names — `Safe` installs plain, `SafeWithSandbox`
 /// installs sandboxed, `Reject` is a `SecurityReject` — with a lint
