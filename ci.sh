@@ -10,15 +10,14 @@
 # fenced set; without, it is the control-plane-only set: everything the
 # packet and fleet data paths, and the benchmark itself, are built from.
 #
-# Example — chain summaries go, and the security check runs the memoized
-# graph (parent 4facd17): the change touches symnet, controller, two
-# click files, the deploy_storm bench and example, the tests and the
-# docs, and fences the rest, the decision golden included:
+# Example — shortest-path trees run on an adjacency built once (parent
+# 1671dc4): the change touches the topology and platform crates, one
+# integration test and the docs, and fences the rest, the goldens
+# included:
 #
-#   ./ci.sh --fence 4facd17 \
-#     crates/{packet,obs,sim,topology,platform,policy,analysis,core} \
-#     crates/click ':!crates/click/src/canonical.rs' ':!crates/click/src/summary.rs' \
-#     benchmark BENCHMARK.json Cargo.lock tests/tests/golden/placement_decisions.txt
+#   ./ci.sh --fence 1671dc4 \
+#     crates/{packet,click,obs,sim,symnet,policy,analysis,controller,core,bench} \
+#     examples benchmark BENCHMARK.json 'BENCH_*.json' Cargo.lock tests/tests/golden
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -143,6 +142,19 @@ if awk '/^#\[cfg\(test\)\]/ { exit }
         !oracle && /contains_key/ { print FILENAME ":" FNR ": " $0; hit = 1 }
         END { exit !hit }' crates/click/src/elements/nat.rs; then
   echo "read the port bitmap (IpNat::used), not the map" >&2
+  exit 1
+fi
+
+echo "==> a shortest-path tree reuses one adjacency"
+# Topology::adjacency compresses the links once; the fleet, the traffic
+# matrix and failover query that. A one-shot Topology::paths_from in the
+# platform crate, or per-node link vectors rebuilt inside graph.rs
+# (outside its test oracle), would bring back a link pass per tree.
+if grep -rnE '(topo|topology\(\))\.paths_from\(' crates/platform/src ||
+  awk '/^#\[cfg\(test\)\]/ { exit }
+        /vec!\[Vec::new\(\); n\]/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+        END { exit !hit }' crates/topology/src/graph.rs; then
+  echo "build Topology::adjacency once and call Adjacency::paths_from" >&2
   exit 1
 fi
 

@@ -28,7 +28,7 @@ use std::net::Ipv4Addr;
 use innet_packet::Packet;
 use innet_sim::des::SimTime;
 use innet_sim::link::Link as SimLink;
-use innet_topology::{NodeId, NodeKind, PathAttrs, PlatformSpec, Topology};
+use innet_topology::{Adjacency, NodeId, NodeKind, PathAttrs, PlatformSpec, Topology};
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::switch::{ClientEntry, SwitchController, SwitchStats};
@@ -125,6 +125,9 @@ pub struct FleetStats {
     /// [`Host::advance`] calls made: grows with VM transitions coming
     /// due, not with the number of platforms.
     pub site_advances: u64,
+    /// Shortest-path trees computed: one per source the fabric first
+    /// routes from, whatever the number of packets it then sends.
+    pub path_trees: u64,
 }
 
 /// A fabric link: the FIFO sim link plus its capacity and usage ledger.
@@ -178,8 +181,11 @@ pub struct Fleet {
     sites: Sites,
     /// Tenant address -> home platform.
     locations: HashMap<Ipv4Addr, NodeId>,
-    /// Shortest-path attributes from each platform, computed on demand.
-    path_cache: HashMap<NodeId, Vec<Option<PathAttrs>>>,
+    /// The topology's links, compressed once for every tree below.
+    adjacency: Adjacency,
+    /// Shortest-path rows indexed by source node, each computed on the
+    /// first route from that source.
+    paths: Vec<Option<Vec<Option<PathAttrs>>>>,
     /// One FIFO sim link per ordered platform pair, built on first use
     /// from the path's bottleneck bandwidth and end-to-end latency.
     fabric: HashMap<(NodeId, NodeId), FabricLink>,
@@ -223,9 +229,10 @@ impl Fleet {
         }
         Fleet {
             topo: topo.clone(),
+            adjacency: topo.adjacency(),
+            paths: vec![None; topo.nodes.len()],
             sites: Sites::new(sites),
             locations: HashMap::new(),
-            path_cache: HashMap::new(),
             fabric: HashMap::new(),
             max_queue_ns: DEFAULT_MAX_QUEUE_NS,
             events: BinaryHeap::new(),
@@ -266,6 +273,12 @@ impl Fleet {
     /// The topology the fleet was built over.
     pub fn topology(&self) -> &Topology {
         &self.topo
+    }
+
+    /// The topology's adjacency, built once with the fleet: query it for
+    /// shortest-path trees instead of [`Topology::paths_from`].
+    pub(crate) fn adjacency(&self) -> &Adjacency {
+        &self.adjacency
     }
 
     /// Fleet-level counters.
@@ -420,13 +433,11 @@ impl Fleet {
     }
 
     fn path(&mut self, from: NodeId, to: NodeId) -> Option<PathAttrs> {
-        if !self.path_cache.contains_key(&from) {
-            let paths = self.topo.paths_from(from);
-            self.path_cache.insert(from, paths);
-        }
-        self.path_cache
-            .get(&from)
-            .and_then(|paths| paths.get(to).copied().flatten())
+        let row = self.paths.get_mut(from)?.get_or_insert_with(|| {
+            self.stats.path_trees += 1;
+            self.adjacency.paths_from(from)
+        });
+        row.get(to).copied().flatten()
     }
 
     /// Where a packet should be processed: its tenant's home platform,
@@ -974,6 +985,93 @@ mod tests {
         assert_eq!(fleet.switch(b).unwrap().stats().boots, 1);
         assert_eq!(fleet.host(b).unwrap().running_vms(), 1);
         assert_eq!(fleet.stats().site_advances, 1, "the dead host never ran");
+    }
+
+    #[test]
+    fn a_source_costs_one_tree_whatever_it_sends() {
+        let t = innet_topology::generate_fleet(&innet_topology::FleetParams {
+            pops: 3,
+            platforms_per_pop: 1,
+            clients_per_pop: 1,
+            seed: 3,
+        });
+        let mut fleet = Fleet::new(&t);
+        let [a, b, c] = fleet.platforms()[..] else {
+            panic!("three platforms")
+        };
+        fleet.register(b, filter_entry(TENANT, false)).unwrap();
+        for seq in 0..50 {
+            let out = fleet.inject_at(a, udp_to(TENANT, seq), u64::from(seq) * 1_000);
+            assert!(out.unwrap().is_empty(), "on the wire");
+        }
+        assert_eq!(fleet.stats().fabric_forwards, 50);
+        assert_eq!(fleet.stats().path_trees, 1, "fifty packets, one source");
+        // The tenant moves while the packets are on the wire: each one
+        // re-routes at `b`, a vantage no tree was built from yet.
+        fleet.rehome(TENANT, c).unwrap();
+        fleet.advance(10_000_000_000);
+        assert_eq!(fleet.stats().reroutes, 50);
+        assert_eq!(fleet.stats().path_trees, 2, "one more, for `b`");
+    }
+
+    #[test]
+    fn cached_rows_match_one_shot_trees_after_a_pop_kill() {
+        use crate::driver::FleetDriver;
+        use crate::scenario::{Scenario, ScenarioEvent};
+        use crate::traffic::{TrafficMatrix, TrafficParams};
+        use rand::Rng;
+
+        for seed in 0..4 {
+            println!("seed {seed}");
+            let mut rng = StdRng::seed_from_u64(seed);
+            let t = innet_topology::generate_fleet(&innet_topology::FleetParams {
+                pops: rng.gen_range(3u32..=5),
+                platforms_per_pop: rng.gen_range(1u32..=3),
+                clients_per_pop: 1,
+                seed,
+            });
+            let mut fleet = Fleet::new(&t);
+            let platforms = fleet.platforms();
+            let tenants: Vec<Ipv4Addr> = (0..6).map(|i| Ipv4Addr::new(198, 18, 0, i + 1)).collect();
+            for &addr in &tenants {
+                let home = platforms[rng.gen_range(0..platforms.len())];
+                fleet
+                    .register(home, filter_entry(addr, rng.gen_bool(0.5)))
+                    .unwrap();
+            }
+            let params = TrafficParams {
+                seed,
+                total_pps: 400,
+                frame_len: 128,
+                ..TrafficParams::default()
+            };
+            // Kill the PoP of a random tenant's home, so someone strands.
+            let victim = tenants[rng.gen_range(0..tenants.len())];
+            let kill = ScenarioEvent::KillPop {
+                pop: t.pop_of(fleet.location(victim).unwrap()).unwrap(),
+            };
+            let run = FleetDriver::new(fleet)
+                .until(3_000_000_000)
+                .traffic(TrafficMatrix::gravity(&t, &tenants, &params))
+                .events(Scenario::new("kill").at(1_000_000_000, kill))
+                .run();
+            assert!(
+                run.stats.rehomes > 0,
+                "seed {seed}: the kill stranded tenants"
+            );
+            let cached: Vec<(NodeId, &Vec<Option<PathAttrs>>)> = (0..t.nodes.len())
+                .filter_map(|src| Some((src, run.fleet.paths[src].as_ref()?)))
+                .collect();
+            assert!(cached.len() > 1, "seed {seed}: trees from several sources");
+            assert_eq!(run.stats.path_trees, cached.len() as u64, "seed {seed}");
+            for (src, row) in cached {
+                assert_eq!(
+                    *row,
+                    Topology::paths_from(&t, src),
+                    "seed {seed}: row from {src}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -137,8 +137,7 @@ pub struct TopoHooks;
 
 impl ScenarioHooks for TopoHooks {
     fn rank_rehome(&mut self, fleet: &Fleet, _addr: Ipv4Addr, dead: NodeId) -> Vec<NodeId> {
-        let topo = fleet.topology();
-        let paths = topo.paths_from(dead);
+        let paths = fleet.adjacency().paths_from(dead);
         let mut scored: Vec<(u64, NodeId)> = fleet
             .alive_platforms()
             .into_iter()

@@ -95,12 +95,13 @@ impl TrafficMatrix {
             .map(|m| m * tenant_mass.iter().sum::<u64>())
             .sum();
 
+        let adjacency = topo.adjacency();
         let mut demands = Vec::new();
         let mut interval_ns = Vec::new();
         let mut next_at = Vec::new();
         for (i, &(subnet, cidr)) in subnets.iter().enumerate() {
             let sm = subnet_mass[i];
-            let paths = topo.paths_from(subnet);
+            let paths = adjacency.paths_from(subnet);
             // Nearest platform by path latency, ties to the lower id.
             let ingress = platforms
                 .iter()
@@ -166,6 +167,7 @@ impl TrafficMatrix {
     /// nearest platform in `alive` (by path latency from the demand's
     /// subnet, ties to the lower id). Returns the demands re-pointed.
     pub fn reingress(&mut self, topo: &Topology, dead: NodeId, alive: &[NodeId]) -> usize {
+        let adjacency = topo.adjacency();
         let mut cache: HashMap<NodeId, Option<NodeId>> = HashMap::new();
         let mut n = 0;
         for d in self.demands.iter_mut() {
@@ -173,7 +175,7 @@ impl TrafficMatrix {
                 continue;
             }
             let best = *cache.entry(d.subnet).or_insert_with(|| {
-                let paths = topo.paths_from(d.subnet);
+                let paths = adjacency.paths_from(d.subnet);
                 alive
                     .iter()
                     .filter(|&&pl| pl != dead)

@@ -104,6 +104,74 @@ pub struct PathAttrs {
     pub hops: u32,
 }
 
+/// One outgoing link as the shortest-path search reads it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Edge {
+    to: NodeId,
+    latency_ns: u64,
+    bandwidth_bps: u64,
+}
+
+/// A topology's links in compressed sparse-row form, built once by
+/// [`Topology::adjacency`] and queried for any number of shortest-path
+/// trees: node `n`'s outgoing edges are `edges[offsets[n]..offsets[n +
+/// 1]]`, in the order their links appear in [`Topology::links`].
+#[derive(Debug, Clone)]
+pub struct Adjacency {
+    offsets: Vec<usize>,
+    edges: Vec<Edge>,
+}
+
+impl Adjacency {
+    /// Minimum-latency paths from `src` to every node (Dijkstra over
+    /// [`Link::latency_ns`], deterministic: ties break on the smaller
+    /// node id). `result[n]` is `None` when `n` is unreachable; the
+    /// source itself gets a zero-latency, infinite-bandwidth path. An
+    /// out-of-range `src` reaches nothing.
+    pub fn paths_from(&self, src: NodeId) -> Vec<Option<PathAttrs>> {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        let n = self.offsets.len() - 1;
+        let mut out: Vec<Option<PathAttrs>> = vec![None; n];
+        if src >= n {
+            return out;
+        }
+        let mut heap: BinaryHeap<Reverse<(u64, NodeId)>> = BinaryHeap::new();
+        out[src] = Some(PathAttrs {
+            latency_ns: 0,
+            bandwidth_bps: u64::MAX,
+            hops: 0,
+        });
+        heap.push(Reverse((0, src)));
+        while let Some(Reverse((dist, node))) = heap.pop() {
+            let Some(cur) = out[node] else { continue };
+            if dist > cur.latency_ns {
+                continue; // Stale heap entry.
+            }
+            for e in &self.edges[self.offsets[node]..self.offsets[node + 1]] {
+                let cand = PathAttrs {
+                    latency_ns: cur.latency_ns.saturating_add(e.latency_ns),
+                    bandwidth_bps: cur.bandwidth_bps.min(e.bandwidth_bps),
+                    hops: cur.hops.saturating_add(1),
+                };
+                let better = match out[e.to] {
+                    None => true,
+                    // Strict improvement only: equal-latency alternatives
+                    // keep the first (lowest-id-reached) path, so the
+                    // result is independent of heap internals.
+                    Some(p) => cand.latency_ns < p.latency_ns,
+                };
+                if better {
+                    out[e.to] = Some(cand);
+                    heap.push(Reverse((cand.latency_ns, e.to)));
+                }
+            }
+        }
+        out
+    }
+}
+
 /// Errors raised while building a topology.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TopoError {
@@ -261,63 +329,44 @@ impl Topology {
             .collect()
     }
 
-    /// Minimum-latency paths from `src` to every node (Dijkstra over
-    /// [`Link::latency_ns`], deterministic: ties break on the smaller
-    /// node id). `result[n]` is `None` when `n` is unreachable; the
-    /// source itself gets a zero-latency, infinite-bandwidth path.
+    /// Minimum-latency paths from `src` to every node: a one-shot
+    /// [`Adjacency::paths_from`]. Callers that ask for more than one tree
+    /// build the [`Topology::adjacency`] once and query it instead.
     ///
     /// The controller's placement scoring and the fleet fabric both
-    /// lean on this: latency drives candidate ranking and cross-host
-    /// delivery times, bottleneck bandwidth drives link headroom and
-    /// migration transfer cost.
+    /// lean on these trees: latency drives candidate ranking and
+    /// cross-host delivery times, bottleneck bandwidth drives link
+    /// headroom and migration transfer cost.
     pub fn paths_from(&self, src: NodeId) -> Vec<Option<PathAttrs>> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
+        self.adjacency().paths_from(src)
+    }
 
+    /// The links as a compressed adjacency (see [`Adjacency`]). Links
+    /// with an endpoint outside the node list are left out.
+    pub fn adjacency(&self) -> Adjacency {
         let n = self.nodes.len();
-        let mut out: Vec<Option<PathAttrs>> = vec![None; n];
-        if src >= n {
-            return out;
+        let valid = |l: &&Link| l.from < n && l.to < n;
+        // Counting pass: offsets[i + 1] holds node i's out-degree, then
+        // the prefix sum turns it into the end of i's edge run.
+        let mut offsets = vec![0usize; n + 1];
+        for l in self.links.iter().filter(valid) {
+            offsets[l.from + 1] += 1;
         }
-        // Adjacency: per-node outgoing (to, latency, bandwidth).
-        let mut adj: Vec<Vec<(NodeId, u64, u64)>> = vec![Vec::new(); n];
-        for l in &self.links {
-            if l.from < n && l.to < n {
-                adj[l.from].push((l.to, l.latency_ns, l.bandwidth_bps));
-            }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
         }
-        let mut heap: BinaryHeap<Reverse<(u64, NodeId)>> = BinaryHeap::new();
-        out[src] = Some(PathAttrs {
-            latency_ns: 0,
-            bandwidth_bps: u64::MAX,
-            hops: 0,
-        });
-        heap.push(Reverse((0, src)));
-        while let Some(Reverse((dist, node))) = heap.pop() {
-            let Some(cur) = out[node] else { continue };
-            if dist > cur.latency_ns {
-                continue; // Stale heap entry.
-            }
-            for &(next, lat, bw) in &adj[node] {
-                let cand = PathAttrs {
-                    latency_ns: cur.latency_ns.saturating_add(lat),
-                    bandwidth_bps: cur.bandwidth_bps.min(bw),
-                    hops: cur.hops.saturating_add(1),
-                };
-                let better = match out[next] {
-                    None => true,
-                    // Strict improvement only: equal-latency alternatives
-                    // keep the first (lowest-id-reached) path, so the
-                    // result is independent of heap internals.
-                    Some(p) => cand.latency_ns < p.latency_ns,
-                };
-                if better {
-                    out[next] = Some(cand);
-                    heap.push(Reverse((cand.latency_ns, next)));
-                }
-            }
+        // Fill pass, in link order: `next[i]` is node i's next free slot.
+        let mut next = offsets[..n].to_vec();
+        let mut edges = vec![Edge::default(); offsets[n]];
+        for l in self.links.iter().filter(valid) {
+            edges[next[l.from]] = Edge {
+                to: l.to,
+                latency_ns: l.latency_ns,
+                bandwidth_bps: l.bandwidth_bps,
+            };
+            next[l.from] += 1;
         }
-        out
+        Adjacency { offsets, edges }
     }
 
     /// Count of middlebox nodes (the x-axis of Figure 10).
@@ -449,6 +498,145 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{generate, generate_fleet, FleetParams, GenerateParams};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// The Dijkstra `Adjacency::paths_from` replaced, kept as its
+    /// oracle: it rebuilds per-node link lists on every call.
+    fn reference_paths_from(t: &Topology, src: NodeId) -> Vec<Option<PathAttrs>> {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        let n = t.nodes.len();
+        let mut out: Vec<Option<PathAttrs>> = vec![None; n];
+        if src >= n {
+            return out;
+        }
+        let mut adj: Vec<Vec<(NodeId, u64, u64)>> = vec![Vec::new(); n];
+        for l in &t.links {
+            if l.from < n && l.to < n {
+                adj[l.from].push((l.to, l.latency_ns, l.bandwidth_bps));
+            }
+        }
+        let mut heap: BinaryHeap<Reverse<(u64, NodeId)>> = BinaryHeap::new();
+        out[src] = Some(PathAttrs {
+            latency_ns: 0,
+            bandwidth_bps: u64::MAX,
+            hops: 0,
+        });
+        heap.push(Reverse((0, src)));
+        while let Some(Reverse((dist, node))) = heap.pop() {
+            let Some(cur) = out[node] else { continue };
+            if dist > cur.latency_ns {
+                continue;
+            }
+            for &(next, lat, bw) in &adj[node] {
+                let cand = PathAttrs {
+                    latency_ns: cur.latency_ns.saturating_add(lat),
+                    bandwidth_bps: cur.bandwidth_bps.min(bw),
+                    hops: cur.hops.saturating_add(1),
+                };
+                let better = match out[next] {
+                    None => true,
+                    Some(p) => cand.latency_ns < p.latency_ns,
+                };
+                if better {
+                    out[next] = Some(cand);
+                    heap.push(Reverse((cand.latency_ns, next)));
+                }
+            }
+        }
+        out
+    }
+
+    /// Whole rows from one adjacency against the oracle, for every
+    /// source and two past the last node.
+    fn assert_rows_match(t: &Topology, what: &str) {
+        let adj = t.adjacency();
+        for src in 0..t.nodes.len() + 2 {
+            assert_eq!(
+                adj.paths_from(src),
+                reference_paths_from(t, src),
+                "{what}: row from source {src}"
+            );
+        }
+    }
+
+    /// A multigraph built to hit the tie rule: few distinct latencies
+    /// (zero included), parallel links, self-loops, links to and from
+    /// nodes that do not exist, and nodes no link reaches.
+    fn random_multigraph(rng: &mut StdRng) -> Topology {
+        let mut t = Topology::new();
+        let n = rng.gen_range(0..=12usize);
+        for i in 0..n {
+            t.add(format!("n{i}"), NodeKind::Internet).unwrap();
+        }
+        for _ in 0..rng.gen_range(0..=4 * n + 2) {
+            let from = rng.gen_range(0..n + 2);
+            let to = match rng.gen_range(0..6u32) {
+                0 => from,
+                _ => rng.gen_range(0..n + 2),
+            };
+            let latency = [0, 1, 1, 2, 3, 5][rng.gen_range(0..6usize)];
+            let bandwidth = [1, 10, 100, u64::MAX][rng.gen_range(0..4usize)];
+            t.link_with(from, 0, to, 0, bandwidth, latency);
+            if rng.gen_bool(0.2) {
+                // A parallel link with its own attributes.
+                t.link_with(from, 1, to, 1, bandwidth / 2 + 1, latency);
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn adjacency_rows_match_the_reference_dijkstra() {
+        assert_rows_match(&Topology::figure3(), "figure3");
+        for seed in [1, 7, 42] {
+            println!("generate seed {seed}");
+            for middleboxes in [0, 15, 60] {
+                let t = generate(&GenerateParams {
+                    middleboxes,
+                    platform_every: 4,
+                    seed,
+                });
+                assert_rows_match(&t, &format!("generate({middleboxes}) seed {seed}"));
+            }
+        }
+        for seed in [3, 20150421] {
+            println!("generate_fleet seed {seed}");
+            for (pops, platforms_per_pop) in [(2, 1), (8, 3), (200, 2)] {
+                let t = generate_fleet(&FleetParams {
+                    pops,
+                    platforms_per_pop,
+                    clients_per_pop: 1,
+                    seed,
+                });
+                assert_rows_match(&t, &format!("fleet {pops}x{platforms_per_pop} seed {seed}"));
+            }
+        }
+        for seed in 0..300u64 {
+            println!("multigraph seed {seed}");
+            let t = random_multigraph(&mut StdRng::seed_from_u64(seed));
+            assert_rows_match(&t, &format!("multigraph seed {seed}"));
+        }
+    }
+
+    #[test]
+    fn adjacency_keeps_link_order_and_skips_dangling_links() {
+        let mut t = Topology::new();
+        let a = t.add("a", NodeKind::Internet).unwrap();
+        let b = t.add("b", NodeKind::Internet).unwrap();
+        t.link_with(a, 0, b, 0, 7, 5);
+        t.link_with(a, 1, 9, 0, 1, 1);
+        t.link_with(a, 2, b, 2, 3, 5);
+        t.link_with(b, 0, a, 0, 1, 5);
+        let adj = t.adjacency();
+        assert_eq!(adj.offsets, vec![0, 2, 3]);
+        let bandwidths: Vec<u64> = adj.edges.iter().map(|e| e.bandwidth_bps).collect();
+        assert_eq!(bandwidths, vec![7, 3, 1], "link order, dangling link gone");
+        // Equal-latency parallel links: the first one's bandwidth wins.
+        assert_eq!(adj.paths_from(a)[b].unwrap().bandwidth_bps, 7);
+    }
 
     #[test]
     fn figure3_shape() {

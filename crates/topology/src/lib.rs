@@ -22,6 +22,6 @@ mod graph;
 
 pub use generate::{generate, generate_fleet, FleetParams, GenerateParams};
 pub use graph::{
-    Link, NodeId, NodeKind, PathAttrs, PlatformSpec, TopoError, TopoNode, Topology,
+    Adjacency, Link, NodeId, NodeKind, PathAttrs, PlatformSpec, TopoError, TopoNode, Topology,
     DEFAULT_LINK_BANDWIDTH_BPS, DEFAULT_LINK_LATENCY_NS,
 };
