@@ -10,14 +10,16 @@
 # fenced set; without, it is the control-plane-only set: everything the
 # packet and fleet data paths, and the benchmark itself, are built from.
 #
-# Example — shortest-path trees run on an adjacency built once (parent
-# 1671dc4): the change touches the topology and platform crates, one
-# integration test and the docs, and fences the rest, the goldens
-# included:
+# Example — one table of class facts (parent 0de02a4): the change
+# touches the click registry and summaries, symnet, analysis, the
+# controller, one integration test and the docs, and fences the rest,
+# the data plane and the goldens included:
 #
-#   ./ci.sh --fence 1671dc4 \
-#     crates/{packet,click,obs,sim,symnet,policy,analysis,controller,core,bench} \
-#     examples benchmark BENCHMARK.json 'BENCH_*.json' Cargo.lock tests/tests/golden
+#   ./ci.sh --fence 0de02a4 \
+#     crates/{packet,obs,sim,topology,platform,policy,core,bench} crates/click \
+#     ':!crates/click/src/registry.rs' ':!crates/click/src/summary.rs' \
+#     ':!crates/click/src/lib.rs' examples benchmark BENCHMARK.json \
+#     'BENCH_*.json' Cargo.lock tests/tests/golden
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -155,6 +157,27 @@ if grep -rnE '(topo|topology\(\))\.paths_from\(' crates/platform/src ||
         /vec!\[Vec::new\(\); n\]/ { print FILENAME ":" FNR ": " $0; hit = 1 }
         END { exit !hit }' crates/topology/src/graph.rs; then
   echo "build Topology::adjacency once and call Adjacency::paths_from" >&2
+  exit 1
+fi
+
+echo "==> class facts live in one table"
+# Whether a class is a netfront entry or exit, keeps per-flow or
+# cross-flow state, or is queue-like is written once, in
+# innet_click::class_info. A hand-kept class list or a netfront class-name
+# comparison outside the unit tests of symnet, analysis and the
+# controller, or a state field back on ElementSummary, is a second copy
+# that can disagree with it.
+if awk 'FNR == 1 { tests = 0 }
+        /^#\[cfg\(test\)\]/ { tests = 1 }
+        !tests && (/const [A-Za-z_]+ *: *\[\(?&(.static )?str[;,]/ ||
+                   /(==|!=) *"(From|To)(Netfront|Device)"/ ||
+                   /"(From|To)(Netfront|Device)" *(==|!=)/) {
+          print FILENAME ":" FNR ": " $0; hit = 1
+        }
+        END { exit !hit }' crates/symnet/src/*.rs crates/analysis/src/*.rs \
+  crates/controller/src/*.rs ||
+  grep -nE '\b(queue_like|shardability)\b' crates/click/src/summary.rs; then
+  echo "read innet_click::class_info (crates/click/src/registry.rs)" >&2
   exit 1
 fi
 

@@ -24,7 +24,7 @@ use innet_click::{
 };
 use innet_symnet::{RequesterClass, SecurityContext, Verdict};
 
-use crate::lint::{find_cycle, flow_pair_adjacency, Resolved};
+use crate::lint::{find_cycle, flow_pair_adjacency, is_entry, Resolved};
 
 const N: usize = AbsField::COUNT;
 /// Worklist budget: configurations needing more abstract states than
@@ -420,7 +420,7 @@ fn egress_states(cfg: &ClickConfig, registry: &Registry) -> Result<Vec<AbsState>
         .elements
         .iter()
         .enumerate()
-        .filter(|(_, e)| e.class == "FromNetfront" || e.class == "FromDevice")
+        .filter(|(_, e)| is_entry(&e.class))
         .map(|(i, _)| i)
         .collect();
     if entries.is_empty() && !cfg.elements.is_empty() {

@@ -29,7 +29,9 @@ use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 
 use innet_click::elements::{IPClassifier, IPFilter};
-use innet_click::{ClickConfig, ElementSummary, PortCount, Registry, SummaryKind};
+use innet_click::{
+    class_info, ClickConfig, ElementSummary, Netfront, PortCount, Registry, SummaryKind,
+};
 use innet_symnet::{pattern, SymPacket};
 
 /// How severe a diagnostic is.
@@ -373,14 +375,13 @@ pub fn lint(cfg: &ClickConfig, registry: &Registry) -> LintReport {
     }
 
     // IN-L008: reachability from the ingress set (mirrors the verifier's
-    // entry selection: every FromNetfront/FromDevice, else the first
-    // element).
+    // entry selection: every netfront entry, else the first element).
     if !cfg.elements.is_empty() {
         let mut entries: Vec<usize> = cfg
             .elements
             .iter()
             .enumerate()
-            .filter(|(_, e)| e.class == "FromNetfront" || e.class == "FromDevice")
+            .filter(|(_, e)| is_entry(&e.class))
             .map(|(i, _)| i)
             .collect();
         if entries.is_empty() {
@@ -437,8 +438,7 @@ pub fn lint(cfg: &ClickConfig, registry: &Registry) -> LintReport {
     // IN-L010: wiring into a source element's input.
     for c in &cfg.connections {
         if let Some(&t) = index.get(c.to.element.as_str()) {
-            let class = cfg.elements[t].class.as_str();
-            if class == "FromNetfront" || class == "FromDevice" {
+            if is_entry(&cfg.elements[t].class) {
                 push(
                     "IN-L010",
                     Severity::Warning,
@@ -540,6 +540,11 @@ pub fn lint(cfg: &ClickConfig, registry: &Registry) -> LintReport {
     report
 }
 
+/// Whether `class` receives from outside the module (a netfront entry).
+pub(crate) fn is_entry(class: &str) -> bool {
+    class_info(class).and_then(|c| c.netfront) == Some(Netfront::Entry)
+}
+
 /// Adjacency of the flow-pair graph: node `(element, in_port)` has an
 /// edge to `(target, target_in_port)` when some flow of the element
 /// forwards from `in_port` to an output wired to the target.
@@ -564,20 +569,21 @@ pub(crate) fn flow_pair_adjacency(
             wires.insert((f, c.from.port), (t, c.to.port));
         }
     }
+    let skipped = |i: usize| {
+        skip_queue_like && class_info(&cfg.elements[i].class).is_some_and(|c| c.queue_like)
+    };
     let mut adj: HashMap<(usize, usize), Vec<(usize, usize)>> = HashMap::new();
     for (i, r) in resolved.iter().enumerate() {
+        if skipped(i) {
+            continue;
+        }
         let pairs: Vec<(usize, usize)> = match &r.summary {
-            Some(s) => {
-                if skip_queue_like && s.queue_like {
-                    continue;
+            Some(s) => match &s.kind {
+                SummaryKind::Flows(flows) => {
+                    flows.iter().map(|f| (f.in_port, f.out_port)).collect()
                 }
-                match &s.kind {
-                    SummaryKind::Flows(flows) => {
-                        flows.iter().map(|f| (f.in_port, f.out_port)).collect()
-                    }
-                    SummaryKind::Egress | SummaryKind::Sink => Vec::new(),
-                }
-            }
+                SummaryKind::Egress | SummaryKind::Sink => Vec::new(),
+            },
             None => match r.ports {
                 // No summary: conservatively assume every input can reach
                 // every output.
@@ -589,14 +595,9 @@ pub(crate) fn flow_pair_adjacency(
         };
         for (ip, op) in pairs {
             if let Some(&(t, tin)) = wires.get(&(i, op)) {
-                if skip_queue_like {
-                    if let Some(s) = &resolved[t].summary {
-                        if s.queue_like {
-                            continue;
-                        }
-                    }
+                if !skipped(t) {
+                    adj.entry((i, ip)).or_default().push((t, tin));
                 }
-                adj.entry((i, ip)).or_default().push((t, tin));
             }
         }
     }

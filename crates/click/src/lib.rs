@@ -69,8 +69,8 @@ pub use config::{ClickConfig, ConfigError, Connection, ElementDecl, PortRef};
 pub use element::{Context, Element, ElementError, PortCount, Sink, VecSink};
 pub use graph::{BatchResult, Router, RouterError, RouterStats};
 pub use netfront::NetfrontRing;
-pub use registry::Registry;
+pub use registry::{class_info, ClassInfo, Netfront, Registry, Shardability};
 pub use summary::{
-    AbsField, Constraint, ElementSummary, FieldWrite, FlowSummary, LayerOp, RtOrigin, Shardability,
-    SummaryCtor, SummaryKind, ABS_FIELDS,
+    AbsField, Constraint, ElementSummary, FieldWrite, FlowSummary, LayerOp, RtOrigin, SummaryCtor,
+    SummaryKind, ABS_FIELDS,
 };

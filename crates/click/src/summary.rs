@@ -2,9 +2,10 @@
 //!
 //! Each summary describes, per input port, the set of flows an element can
 //! emit: which header fields it constrains, which it overwrites (and with
-//! what kind of value), and whether it pushes or pops a tunnel layer, plus
-//! the element's [`Shardability`], which the parallel runner reads. The
-//! `innet-analysis` crate composes summaries along every graph path with a
+//! what kind of value), and whether it pushes or pops a tunnel layer.
+//! Facts that do not depend on arguments (state, queue-likeness) live in
+//! [`crate::class_info`]'s table, not here. The `innet-analysis` crate
+//! composes summaries along every graph path with a
 //! worklist abstract interpretation, yielding an advisory config-level
 //! verdict and a field-effect table; admission never consults it, and
 //! decides safety with SymNet alone.
@@ -211,47 +212,6 @@ pub enum SummaryKind {
     Sink,
 }
 
-/// How an element's state interacts with flow-sharded replication — the
-/// three-point lattice behind the parallel runner's worker-count verdict.
-///
-/// The variants are ordered `Stateless < FlowPartitionable < Global`
-/// (derived `Ord`), so a configuration's verdict is simply the `max`
-/// over its elements: one `Global` element poisons the whole config,
-/// one `FlowPartitionable` element upgrades dispatch from the directed
-/// flow hash to the symmetric (connection-pinning) hash, and an
-/// all-`Stateless` config shards freely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Shardability {
-    /// Forwarding is a pure function of the packet: replicas make
-    /// identical per-packet decisions, so any flow-to-worker pinning
-    /// keeps output order-identical to a single instance.
-    Stateless,
-    /// Forwarding depends on state keyed by the *connection* (the
-    /// canonical 5-tuple): NAT translation tables, firewall connection
-    /// tracking, per-flow meters. Replicas stay equivalent to a single
-    /// instance as long as both directions of every connection are
-    /// pinned to the same replica — which the symmetric dispatch hash
-    /// guarantees — because then each replica owns a disjoint slice of
-    /// the connection-state table.
-    FlowPartitionable,
-    /// Forwarding depends on state shared *across* connections (token
-    /// buckets, queues, round-robin schedulers, opaque x86 VMs): no
-    /// flow-to-worker pinning can keep replicas equivalent, and the
-    /// runner degrades the configuration to a single worker.
-    Global,
-}
-
-impl Shardability {
-    /// Short display name (`stateless` / `flow` / `global`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Shardability::Stateless => "stateless",
-            Shardability::FlowPartitionable => "flow",
-            Shardability::Global => "global",
-        }
-    }
-}
-
 /// The complete field-effect summary of one configured element.
 #[derive(Debug, Clone)]
 pub struct ElementSummary {
@@ -259,14 +219,6 @@ pub struct ElementSummary {
     pub ports: PortCount,
     /// Flow behavior.
     pub kind: SummaryKind,
-    /// Whether this element breaks combinational cycles (queues,
-    /// shapers — anything that decouples input from output in time).
-    pub queue_like: bool,
-    /// Where this element sits on the replication-safety lattice: what
-    /// kind of cross-packet state (if any) its forwarding depends on,
-    /// and therefore what dispatch discipline flow-sharded execution
-    /// needs to replicate it faithfully. See [`Shardability`].
-    pub shardability: Shardability,
 }
 
 impl ElementSummary {
@@ -275,8 +227,6 @@ impl ElementSummary {
         ElementSummary {
             ports: PortCount::ONE_ONE,
             kind: SummaryKind::Flows(vec![FlowSummary::identity(0, 0)]),
-            queue_like: false,
-            shardability: Shardability::Stateless,
         }
     }
 
@@ -285,44 +235,7 @@ impl ElementSummary {
         ElementSummary {
             ports,
             kind: SummaryKind::Flows(flows),
-            queue_like: false,
-            shardability: Shardability::Stateless,
         }
-    }
-
-    /// Marks the element as cycle-breaking.
-    pub fn queue_like(mut self) -> ElementSummary {
-        self.queue_like = true;
-        self
-    }
-
-    /// Marks the element's forwarding as dependent on per-connection
-    /// state ([`Shardability::FlowPartitionable`]).
-    pub fn flow_state(mut self) -> ElementSummary {
-        self.shardability = Shardability::FlowPartitionable;
-        self
-    }
-
-    /// Marks the element's forwarding as dependent on cross-connection
-    /// state ([`Shardability::Global`]).
-    pub fn global_state(mut self) -> ElementSummary {
-        self.shardability = Shardability::Global;
-        self
-    }
-
-    /// Whether forwarding depends on *any* cross-packet state (the old
-    /// boolean view of the lattice).
-    pub fn is_stateful(&self) -> bool {
-        self.shardability != Shardability::Stateless
-    }
-
-    /// All flows consuming from `in_port` (empty for egress/sinks).
-    pub fn flows_from(&self, in_port: usize) -> impl Iterator<Item = &FlowSummary> {
-        let flows = match &self.kind {
-            SummaryKind::Flows(f) => f.as_slice(),
-            _ => &[],
-        };
-        flows.iter().filter(move |f| f.in_port == in_port)
     }
 }
 
@@ -356,8 +269,6 @@ fn to_netfront(args: &[String]) -> Result<ElementSummary, ElementError> {
     Ok(ElementSummary {
         ports: PortCount::new(1, 0),
         kind: SummaryKind::Egress,
-        queue_like: false,
-        shardability: Shardability::Stateless,
     })
 }
 
@@ -366,8 +277,6 @@ fn discard_sink(args: &[String]) -> Result<ElementSummary, ElementError> {
     Ok(ElementSummary {
         ports: PortCount::new(1, 0),
         kind: SummaryKind::Sink,
-        queue_like: false,
-        shardability: Shardability::Stateless,
     })
 }
 
@@ -377,8 +286,6 @@ fn idle_sink(args: &[String]) -> Result<ElementSummary, ElementError> {
     Ok(ElementSummary {
         ports: PortCount::ONE_ONE,
         kind: SummaryKind::Sink,
-        queue_like: false,
-        shardability: Shardability::Stateless,
     })
 }
 
@@ -395,24 +302,6 @@ macro_rules! identity_summary {
             Ok(ElementSummary::identity())
         }
     };
-    // Per-connection measurement state (FlowMeter): safe to shard as
-    // long as both directions of a connection stay on one worker.
-    ($class:literal, no_args, flow) => {
-        |args: &[String]| -> Result<ElementSummary, ElementError> {
-            ConfigArgs::new($class, args).expect_len(0)?;
-            Ok(ElementSummary::identity().flow_state())
-        }
-    };
-    // Queue-like elements decouple input from output in time, which also
-    // makes them global state for sharding: their emission schedule (and
-    // shared token bucket / buffer) depends on every packet they have
-    // absorbed so far, across all flows.
-    ($class:literal, $ty:ty, queue) => {
-        |args: &[String]| -> Result<ElementSummary, ElementError> {
-            <$ty>::from_args(&ConfigArgs::new($class, args))?;
-            Ok(ElementSummary::identity().queue_like().global_state())
-        }
-    };
 }
 
 macro_rules! any_output_summary {
@@ -420,22 +309,6 @@ macro_rules! any_output_summary {
         |args: &[String]| -> Result<ElementSummary, ElementError> {
             let e = <$ty>::from_args(&ConfigArgs::new($class, args))?;
             Ok(any_output(Element::ports(&e).outputs))
-        }
-    };
-    // Per-connection inspection state (DPI counters): shardable under
-    // symmetric dispatch.
-    ($class:literal, $ty:ty, flow) => {
-        |args: &[String]| -> Result<ElementSummary, ElementError> {
-            let e = <$ty>::from_args(&ConfigArgs::new($class, args))?;
-            Ok(any_output(Element::ports(&e).outputs).flow_state())
-        }
-    };
-    // Output choice depends on cross-flow arrival history (schedulers,
-    // token buckets, seeded rngs) — safe to verify, unsafe to replicate.
-    ($class:literal, $ty:ty, global) => {
-        |args: &[String]| -> Result<ElementSummary, ElementError> {
-            let e = <$ty>::from_args(&ConfigArgs::new($class, args))?;
-            Ok(any_output(Element::ports(&e).outputs).global_state())
         }
     };
 }
@@ -546,7 +419,7 @@ fn firewall(args: &[String]) -> Result<ElementSummary, ElementError> {
         writes: Vec::new(),
         layer: LayerOp::None,
     });
-    Ok(ElementSummary::flows(PortCount::new(2, 2), flows).flow_state())
+    Ok(ElementSummary::flows(PortCount::new(2, 2), flows))
 }
 
 fn nat(args: &[String]) -> Result<ElementSummary, ElementError> {
@@ -576,8 +449,7 @@ fn nat(args: &[String]) -> Result<ElementSummary, ElementError> {
                 layer: LayerOp::None,
             },
         ],
-    )
-    .flow_state())
+    ))
 }
 
 fn rewriter(args: &[String]) -> Result<ElementSummary, ElementError> {
@@ -620,8 +492,7 @@ fn rewriter(args: &[String]) -> Result<ElementSummary, ElementError> {
                 layer: LayerOp::None,
             },
         ],
-    )
-    .global_state())
+    ))
 }
 
 fn transparent_proxy(args: &[String]) -> Result<ElementSummary, ElementError> {
@@ -676,8 +547,7 @@ fn transparent_proxy(args: &[String]) -> Result<ElementSummary, ElementError> {
                 layer: LayerOp::None,
             },
         ],
-    )
-    .global_state())
+    ))
 }
 
 fn encap_flows(
@@ -820,8 +690,7 @@ fn change_enforcer(args: &[String]) -> Result<ElementSummary, ElementError> {
                 layer: LayerOp::None,
             },
         ],
-    )
-    .global_state())
+    ))
 }
 
 fn stock_addr(class: &str, args: &[String]) -> Result<u64, ElementError> {
@@ -848,9 +717,7 @@ fn stock_x86_vm(_args: &[String]) -> Result<ElementSummary, ElementError> {
             writes,
             layer: LayerOp::None,
         }],
-    )
-    // Arbitrary x86: assume the worst about internal state.
-    .global_state())
+    ))
 }
 
 fn stock_explicit_proxy(args: &[String]) -> Result<ElementSummary, ElementError> {
@@ -870,8 +737,7 @@ fn stock_explicit_proxy(args: &[String]) -> Result<ElementSummary, ElementError>
             ],
             layer: LayerOp::None,
         }],
-    )
-    .global_state())
+    ))
 }
 
 fn turnaround(
@@ -913,17 +779,27 @@ fn turnaround(
 }
 
 fn server_s(_args: &[String]) -> Result<ElementSummary, ElementError> {
-    Ok(turnaround(Some(proto(IpProto::Udp)), None, None, false).global_state())
+    Ok(turnaround(Some(proto(IpProto::Udp)), None, None, false))
 }
 
 fn stock_dns(args: &[String]) -> Result<ElementSummary, ElementError> {
     let own = stock_addr("StockDNSServer", args)?;
-    Ok(turnaround(Some(proto(IpProto::Udp)), Some(53), Some(own), true).global_state())
+    Ok(turnaround(
+        Some(proto(IpProto::Udp)),
+        Some(53),
+        Some(own),
+        true,
+    ))
 }
 
 fn stock_reverse_proxy(args: &[String]) -> Result<ElementSummary, ElementError> {
     let own = stock_addr("StockReverseProxy", args)?;
-    Ok(turnaround(Some(proto(IpProto::Tcp)), Some(80), Some(own), true).global_state())
+    Ok(turnaround(
+        Some(proto(IpProto::Tcp)),
+        Some(80),
+        Some(own),
+        true,
+    ))
 }
 
 /// Registers the field-effect summaries of the standard element library
@@ -963,21 +839,21 @@ pub(crate) fn register_standard(r: &mut Registry) {
 
     // Measurement.
     r.register_summary("Counter", identity_summary!("Counter", no_args));
-    r.register_summary("FlowMeter", identity_summary!("FlowMeter", no_args, flow));
+    r.register_summary("FlowMeter", identity_summary!("FlowMeter", no_args));
 
     // Shaping and queueing (cycle-breaking).
     r.register_summary(
         "RateLimiter",
-        identity_summary!("RateLimiter", el::RateLimiter, queue),
+        identity_summary!("RateLimiter", el::RateLimiter),
     );
     r.register_summary(
         "BandwidthShaper",
-        identity_summary!("BandwidthShaper", el::BandwidthShaper, queue),
+        identity_summary!("BandwidthShaper", el::BandwidthShaper),
     );
-    r.register_summary("Queue", identity_summary!("Queue", el::Queue, queue));
+    r.register_summary("Queue", identity_summary!("Queue", el::Queue));
     r.register_summary(
         "TimedUnqueue",
-        identity_summary!("TimedUnqueue", el::TimedUnqueue, queue),
+        identity_summary!("TimedUnqueue", el::TimedUnqueue),
     );
 
     // Stateful middleboxes.
@@ -995,13 +871,13 @@ pub(crate) fn register_standard(r: &mut Registry) {
     // Scheduling and annotations.
     r.register_summary(
         "RoundRobinSwitch",
-        any_output_summary!("RoundRobinSwitch", el::RoundRobinSwitch, global),
+        any_output_summary!("RoundRobinSwitch", el::RoundRobinSwitch),
     );
     r.register_summary(
         "RandomSwitch",
-        any_output_summary!("RandomSwitch", el::RandomSwitch, global),
+        any_output_summary!("RandomSwitch", el::RandomSwitch),
     );
-    r.register_summary("Meter", any_output_summary!("Meter", el::Meter, global));
+    r.register_summary("Meter", any_output_summary!("Meter", el::Meter));
     r.register_summary("Paint", identity_summary!("Paint", el::Paint));
     r.register_summary(
         "CheckPaint",
@@ -1011,7 +887,7 @@ pub(crate) fn register_standard(r: &mut Registry) {
     // Duplication, inspection, responders.
     r.register_summary("Tee", any_output_summary!("Tee", el::Tee));
     r.register_summary("IPMulticast", multicast);
-    r.register_summary("DPI", any_output_summary!("DPI", el::Dpi, flow));
+    r.register_summary("DPI", any_output_summary!("DPI", el::Dpi));
     r.register_summary("ICMPPingResponder", ping_responder);
     r.register_summary("StaticIPLookup", static_lookup);
 
@@ -1077,89 +953,6 @@ mod tests {
             }
             _ => panic!("SetIPSrc must be a transform"),
         }
-    }
-
-    #[test]
-    fn queue_classes_are_cycle_breaking() {
-        let r = Registry::standard();
-        for (class, args) in [
-            ("Queue", vec!["16".to_string()]),
-            ("TimedUnqueue", vec!["120".to_string(), "100".to_string()]),
-        ] {
-            assert!(r.summary(class, &args).unwrap().queue_like, "{class}");
-        }
-        assert!(!r.summary("Counter", &[]).unwrap().queue_like);
-    }
-
-    #[test]
-    fn shardability_classification() {
-        let r = Registry::standard();
-        // Per-connection state (flow tables keyed by the 5-tuple):
-        // shardable once both directions pin to one worker.
-        for (class, args) in [
-            ("StatefulFirewall", vec!["allow udp".to_string()]),
-            ("IPNAT", vec!["5.5.5.5".to_string()]),
-            ("FlowMeter", vec![]),
-            ("DPI", vec!["attack".to_string()]),
-        ] {
-            let s = r.summary(class, &args).unwrap();
-            assert_eq!(s.shardability, Shardability::FlowPartitionable, "{class}");
-            assert!(s.is_stateful(), "{class}");
-        }
-        // Cross-connection state (token buckets, schedulers, buffers,
-        // black boxes): never shardable.
-        for (class, args) in [
-            ("IPRewriter", vec!["pattern - - 1.2.3.4 - 0 0".to_string()]),
-            (
-                "TransparentProxy",
-                vec!["9.9.9.9".to_string(), "3128".to_string(), "80".to_string()],
-            ),
-            (
-                "ChangeEnforcer",
-                vec!["1.1.1.1".to_string(), "2.2.2.2".to_string()],
-            ),
-            ("Queue", vec!["16".to_string()]),
-            ("TimedUnqueue", vec!["120".to_string(), "100".to_string()]),
-            ("RateLimiter", vec!["1000".to_string()]),
-            ("RoundRobinSwitch", vec!["2".to_string()]),
-            ("Meter", vec!["1000".to_string()]),
-            ("StockX86VM", vec![]),
-        ] {
-            let s = r.summary(class, &args).unwrap();
-            assert_eq!(s.shardability, Shardability::Global, "{class}");
-            assert!(s.is_stateful(), "{class}");
-        }
-        // Pure functions of the packet replicate safely under any
-        // dispatch discipline.
-        for (class, args) in [
-            ("Counter", vec![]),
-            ("CheckIPHeader", vec![]),
-            ("DecIPTTL", vec![]),
-            ("IPFilter", vec!["allow udp".to_string()]),
-            ("SetIPSrc", vec!["10.0.0.1".to_string()]),
-            ("Tee", vec!["2".to_string()]),
-            ("FromNetfront", vec![]),
-            ("ToNetfront", vec![]),
-            ("Discard", vec![]),
-        ] {
-            let s = r.summary(class, &args).unwrap();
-            assert_eq!(s.shardability, Shardability::Stateless, "{class}");
-            assert!(!s.is_stateful(), "{class}");
-        }
-    }
-
-    #[test]
-    fn shardability_lattice_order() {
-        use Shardability::*;
-        // The config verdict is a lattice join (max): these orderings
-        // are what `Registry::config_shardability` relies on.
-        assert!(Stateless < FlowPartitionable);
-        assert!(FlowPartitionable < Global);
-        assert_eq!(Stateless.max(FlowPartitionable), FlowPartitionable);
-        assert_eq!(FlowPartitionable.max(Global), Global);
-        assert_eq!(Stateless.name(), "stateless");
-        assert_eq!(FlowPartitionable.name(), "flow");
-        assert_eq!(Global.name(), "global");
     }
 
     #[test]

@@ -7,30 +7,40 @@
 //! individual configurations is enough to decide whether it is safe to
 //! merge them. … Our prototype takes the simpler option of not
 //! consolidating clients running stateful processing."
+//!
+//! "Stateful" means any cross-packet state, read from the class table
+//! ([`innet_click::class_info`]): a module shares the VM only when every
+//! element is [`Shardability::Stateless`]. Per-flow state is as much a
+//! reason as cross-flow state, because a tenant can grow either or
+//! couple flows through it (DESIGN.md §5). A shared module also needs a
+//! single entry netfront, which the VM's demultiplexer replaces.
 
 use std::collections::HashMap;
 
-use innet_click::ClickConfig;
-use innet_symnet::{netfront_role, Netfront};
+use innet_click::{class_info, ClickConfig, ElementDecl, Netfront, Shardability};
 use innet_topology::{NodeId, NodeKind, Topology};
 
 use crate::netmodel::InstalledModule;
 
-/// Element classes that keep per-flow state: one tenant could blow up the
-/// shared VM's memory through them, so their owners get dedicated VMs.
-const STATEFUL_CLASSES: [&str; 5] = [
-    "StatefulFirewall",
-    "IPNAT",
-    "IPRewriter",
-    "TransparentProxy",
-    "ChangeEnforcer",
-];
-
-/// Whether a configuration keeps per-flow state.
+/// Whether a configuration keeps any cross-packet state: some element's
+/// class is not [`Shardability::Stateless`], or is unknown.
 pub fn is_stateful(cfg: &ClickConfig) -> bool {
     cfg.elements
         .iter()
-        .any(|e| STATEFUL_CLASSES.contains(&e.class.as_str()))
+        .any(|e| class_info(&e.class).is_none_or(|c| c.state != Shardability::Stateless))
+}
+
+/// The elements of `cfg` on the `side` of its boundary.
+fn netfronts(cfg: &ClickConfig, side: Netfront) -> impl Iterator<Item = &ElementDecl> {
+    let on_side =
+        move |e: &&ElementDecl| class_info(&e.class).and_then(|c| c.netfront) == Some(side);
+    cfg.elements.iter().filter(on_side)
+}
+
+/// Whether a module needs a VM of its own: it runs behind a sandbox,
+/// keeps state, or has more than one entry netfront.
+fn needs_own_vm(m: &InstalledModule) -> bool {
+    m.sandboxed || is_stateful(&m.config) || netfronts(&m.config, Netfront::Entry).count() > 1
 }
 
 /// A platform's VM packing plan.
@@ -39,7 +49,7 @@ pub struct ConsolidationPlan {
     /// Module names sharing the consolidated VM.
     pub shared: Vec<String>,
     /// Module names that get a dedicated VM each (stateful processing,
-    /// including everything behind a sandbox).
+    /// several entry netfronts, and everything behind a sandbox).
     pub dedicated: Vec<String>,
 }
 
@@ -48,7 +58,7 @@ pub fn plan(modules: &[InstalledModule]) -> ConsolidationPlan {
     let mut shared = Vec::new();
     let mut dedicated = Vec::new();
     for m in modules {
-        if m.sandboxed || is_stateful(&m.config) {
+        if needs_own_vm(m) {
             dedicated.push(m.name.clone());
         } else {
             shared.push(m.name.clone());
@@ -61,7 +71,11 @@ pub fn plan(modules: &[InstalledModule]) -> ConsolidationPlan {
 /// `IPClassifier` demultiplexer keyed on module addresses, each output
 /// feeding that module's (namespaced) graph, all exits re-multiplexed
 /// onto the outgoing interface. No connections are added between tenant
-/// graphs, so isolation holds by construction.
+/// graphs; `tests/tests/consolidation.rs` checks with the symbolic engine
+/// that a tenant's traffic visits only the demux and that tenant's nodes,
+/// and leaves as it would leave the tenant alone.
+///
+/// Every module must have at most one entry netfront, as [`plan`] ensures.
 pub fn consolidated_vm_config(modules: &[&InstalledModule]) -> ClickConfig {
     let mut cfg = ClickConfig::new();
     cfg.add_element("vm_in", "FromNetfront", &[]);
@@ -80,15 +94,12 @@ pub fn consolidated_vm_config(modules: &[&InstalledModule]) -> ClickConfig {
         // shared VM: the demux replaces the sources (they would otherwise
         // collide on the VM's interface numbers) and the shared egress
         // replaces the sinks.
-        let netfronts = |role| -> Vec<String> {
-            let decls = m.config.elements.iter();
-            decls
-                .filter(|e| netfront_role(&e.class) == Some(role))
-                .map(|e| format!("{}/{}", m.name, e.name))
-                .collect()
+        let names = |side| -> Vec<String> {
+            let decls = netfronts(&m.config, side);
+            decls.map(|e| format!("{}/{}", m.name, e.name)).collect()
         };
-        let source_names = netfronts(Netfront::Entry);
-        let sink_names = netfronts(Netfront::Exit);
+        let source_names = names(Netfront::Entry);
+        let sink_names = names(Netfront::Exit);
         let mut demux_wired = false;
         for c in &mut cfg.connections {
             if source_names.contains(&c.from.element) {
@@ -125,7 +136,7 @@ pub struct FleetConsolidationPlan {
     /// Module names sharing the consolidated VM on `home`.
     pub shared: Vec<String>,
     /// `(platform, module)` pairs that keep a dedicated VM where they
-    /// are (stateful processing and everything behind a sandbox).
+    /// are (the modules [`plan`] dedicates).
     pub dedicated: Vec<(NodeId, String)>,
     /// Relocations the plan implies: `(module, from, to)` for every
     /// shared tenant not already on `home` — the work list a fleet
@@ -148,7 +159,7 @@ pub fn plan_fleet(modules: &[InstalledModule], topo: &Topology) -> FleetConsolid
     let mut installed_per: HashMap<NodeId, usize> = HashMap::new();
     for m in modules {
         *installed_per.entry(m.platform).or_insert(0) += 1;
-        if m.sandboxed || is_stateful(&m.config) {
+        if needs_own_vm(m) {
             dedicated.push((m.platform, m.name.clone()));
         } else {
             shared.push(m.name.clone());
@@ -203,17 +214,125 @@ mod tests {
         }
     }
 
+    /// Valid arguments for every class that needs some (the rest take
+    /// none), so each one-element module is a configuration that builds.
+    const ARGS: &[(&str, &[&str])] = &[
+        ("BandwidthShaper", &["1000"]),
+        ("ChangeEnforcer", &["1.1.1.1", "2.2.2.2"]),
+        ("CheckPaint", &["3"]),
+        ("Classifier", &["12/0800", "-"]),
+        ("DPI", &["attack"]),
+        ("EtherEncap", &["0x0800", "1:1:1:1:1:1", "2:2:2:2:2:2"]),
+        ("IPClassifier", &["udp", "-"]),
+        ("IPEncap", &["1.1.1.1", "2.2.2.2"]),
+        ("IPFilter", &["allow udp"]),
+        ("IPMulticast", &["1.1.1.1", "2.2.2.2"]),
+        ("IPNAT", &["5.5.5.5"]),
+        ("IPRewriter", &["pattern - - 1.2.3.4 - 0 0"]),
+        ("MarkIPHeader", &["14"]),
+        ("Meter", &["1000"]),
+        ("Paint", &["3"]),
+        ("Queue", &["16"]),
+        ("RandomSwitch", &["2"]),
+        ("RateLimiter", &["1000"]),
+        ("RoundRobinSwitch", &["2"]),
+        ("SetIPDst", &["10.0.0.1"]),
+        ("SetIPSrc", &["10.0.0.1"]),
+        ("SetTOS", &["4"]),
+        ("StatefulFirewall", &["allow udp"]),
+        ("StaticIPLookup", &["172.16.0.0/12 0"]),
+        ("StockDNSServer", &["10.0.0.1"]),
+        ("StockExplicitProxy", &["10.0.0.1"]),
+        ("StockReverseProxy", &["10.0.0.1"]),
+        ("Strip", &["14"]),
+        ("Tee", &["2"]),
+        ("TimedUnqueue", &["120", "100"]),
+        ("TransparentProxy", &["9.9.9.9", "3128", "80"]),
+        ("UDPTunnelEncap", &["1.1.1.1", "7000", "2.2.2.2", "7001"]),
+    ];
+
     #[test]
-    fn stateful_detection() {
-        assert!(!is_stateful(
-            &ClickConfig::parse("FromNetfront() -> IPFilter(allow udp) -> ToNetfront();").unwrap()
-        ));
-        assert!(is_stateful(
-            &ClickConfig::parse(
-                "FromNetfront() -> [0]f :: StatefulFirewall(allow udp); f[0] -> ToNetfront();"
-            )
-            .unwrap()
-        ));
+    fn a_module_is_dedicated_exactly_when_its_class_keeps_state() {
+        let registry = Registry::standard();
+        let stock = [
+            "StockX86VM",
+            "StockExplicitProxy",
+            "StockDNSServer",
+            "StockReverseProxy",
+            "ServerS",
+        ];
+        let topo = Topology::figure3();
+        let platform = topo.platforms()[0];
+        let mut classes = 0;
+        for class in registry.classes().chain(stock) {
+            let args: Vec<String> = ARGS
+                .iter()
+                .find(|(c, _)| *c == class)
+                .map_or(&[][..], |(_, a)| *a)
+                .iter()
+                .map(|a| a.to_string())
+                .collect();
+            assert!(registry.summary(class, &args).is_ok(), "{class}{args:?}");
+            let arg_refs: Vec<&str> = args.iter().map(String::as_str).collect();
+            let mut m = module("m", Ipv4Addr::new(203, 0, 113, 1), "", false);
+            m.config.add_element("e", class, &arg_refs);
+            m.platform = platform;
+
+            let stateful = class_info(class).unwrap().state != Shardability::Stateless;
+            assert_eq!(is_stateful(&m.config), stateful, "{class}");
+            let p = plan(std::slice::from_ref(&m));
+            assert_eq!(p.dedicated.len(), stateful as usize, "{class}");
+            assert_eq!(p.shared.len(), !stateful as usize, "{class}");
+            let f = plan_fleet(std::slice::from_ref(&m), &topo);
+            assert_eq!(f.dedicated.len(), stateful as usize, "{class}");
+            assert_eq!(f.home.is_some(), !stateful, "{class}");
+            classes += 1;
+        }
+        assert_eq!(classes, 47);
+    }
+
+    #[test]
+    fn a_flow_meter_tenant_gets_its_own_vm() {
+        // Per-flow state counts: a tenant can grow FlowMeter's table
+        // without bound, so it must not share the VM.
+        let topo = Topology::figure3();
+        let config = "FromNetfront(0) -> FlowMeter() -> ToNetfront(0);";
+        let mut m = module("meter", Ipv4Addr::new(203, 0, 113, 1), config, false);
+        m.platform = topo.platforms()[0];
+        assert!(is_stateful(&m.config));
+        assert_eq!(plan(std::slice::from_ref(&m)).dedicated, vec!["meter"]);
+        let fleet = plan_fleet(std::slice::from_ref(&m), &topo);
+        assert_eq!(fleet.dedicated, vec![(m.platform, "meter".to_string())]);
+        assert_eq!(fleet.home, None);
+    }
+
+    #[test]
+    fn a_module_with_two_entries_gets_its_own_vm() {
+        // The shared VM's demux replaces one entry per tenant; a second
+        // entry would have no path in, so consolidating it panics.
+        let topo = Topology::figure3();
+        let two_in = "a :: FromNetfront(0); b :: FromNetfront(1); c :: Counter(); \
+                      a -> c; b -> c; c -> ToNetfront(0);";
+        let one_in = "FromNetfront() -> Counter() -> ToNetfront();";
+        let mut mods = vec![
+            module("two", Ipv4Addr::new(203, 0, 113, 1), two_in, false),
+            module("one", Ipv4Addr::new(203, 0, 113, 2), one_in, false),
+        ];
+        for m in &mut mods {
+            m.platform = topo.platforms()[0];
+        }
+        assert!(!is_stateful(&mods[0].config));
+        let p = plan(&mods);
+        assert_eq!(p.dedicated, vec!["two"]);
+        assert_eq!(p.shared, vec!["one"]);
+        let fleet = plan_fleet(&mods, &topo);
+        assert_eq!(fleet.dedicated, vec![(mods[0].platform, "two".to_string())]);
+        assert_eq!(fleet.shared, vec!["one"]);
+
+        let shared: Vec<&InstalledModule> = mods.iter().filter(|m| m.name == "one").collect();
+        consolidated_vm_config(&shared).validate().unwrap();
+        let two = std::panic::catch_unwind(|| consolidated_vm_config(&[&mods[0]]));
+        assert!(two.is_err(), "a second entry has no ingress path");
     }
 
     #[test]

@@ -275,16 +275,6 @@ impl Controller {
         self.modules().iter().map(rule).collect()
     }
 
-    /// The operator policy rules.
-    pub fn operator_policy_rules(&self) -> &[Requirement] {
-        &self.operator_policy
-    }
-
-    /// Registered client accounts.
-    pub fn client_accounts(&self) -> impl Iterator<Item = (&String, &ClientAccount)> {
-        self.clients.iter()
-    }
-
     /// Installs an already-verified module set verbatim, replacing the
     /// current one (a fleet's placement mirrored into its controller).
     /// Every module's platform must be a node of the controller's

@@ -45,14 +45,14 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-use innet_click::{ClickConfig, Registry};
+use innet_click::{class_info, ClickConfig, Netfront, Registry};
 use innet_packet::{
     pattern::{Atom, Dir, PatternExpr},
     Cidr,
 };
 use innet_symnet::{
-    build_sym_graph, model_for, netfront_role, DropModel, EgressModel, IdentityModel,
-    IpClassifierModel, Netfront, SymElement, SymError, SymGraph, SymOut, SymPacket, Wiring,
+    build_sym_graph, model_for, DropModel, EgressModel, IdentityModel, IpClassifierModel,
+    SymElement, SymError, SymGraph, SymOut, SymPacket, Wiring,
 };
 use innet_topology::{NodeId, NodeKind, Topology};
 
@@ -197,7 +197,7 @@ fn flatten_config(
     };
     for decl in &cfg.elements {
         let name = format!("{prefix}/{}", decl.name);
-        match netfront_role(&decl.class) {
+        match class_info(&decl.class).and_then(|c| c.netfront) {
             Some(Netfront::Entry) => {
                 let idx = graph.add_node(&name, Box::new(IdentityModel("FromNetfront")))?;
                 flat.entries.push((iface_of(&decl.args), idx));
@@ -439,7 +439,7 @@ impl NetworkModel {
                 let netfronts = |role| -> Result<Vec<usize>, SymError> {
                     let decls = m.config.elements.iter();
                     decls
-                        .filter(|d| netfront_role(&d.class) == Some(role))
+                        .filter(|d| class_info(&d.class).and_then(|c| c.netfront) == Some(role))
                         .map(|d| graph.node_index(&d.name))
                         .collect()
                 };

@@ -10,8 +10,7 @@
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-use innet_click::{ClickConfig, Connection, PortRef};
-use innet_symnet::{netfront_role, Netfront};
+use innet_click::{class_info, ClickConfig, Connection, Netfront, PortRef};
 
 fn iface_of(args: &[String]) -> u16 {
     args.first()
@@ -48,7 +47,7 @@ pub fn wrap_with_enforcer(
     let mut from_ifaces: HashMap<&str, u16> = HashMap::new();
     let mut to_ifaces: HashMap<&str, u16> = HashMap::new();
     for e in &cfg.elements {
-        match netfront_role(&e.class) {
+        match class_info(&e.class).and_then(|c| c.netfront) {
             Some(Netfront::Entry) => {
                 from_ifaces.insert(e.name.as_str(), iface_of(&e.args));
             }

@@ -70,11 +70,11 @@ pub use model::{
     explore, ExecOptions, ExecResult, Observe, SymElement, SymError, SymGraph, SymOut, Wiring,
 };
 pub use models::{
-    build_sym_graph, build_sym_graph_cached, model_for, netfront_role, AnyOutputModel,
-    ChangeEnforcerModel, DecTtlModel, DropModel, EgressModel, ExplicitProxyModel, FirewallModel,
-    IdentityModel, IpClassifierModel, IpFilterModel, ModelCache, MulticastModel, NatModel,
-    Netfront, OpaqueVmModel, PingResponderModel, RewriterModel, SetFieldModel, StaticLookupModel,
-    TransparentProxyModel, TunnelDecapModel, TunnelEncapModel, TurnaroundServerModel,
+    build_sym_graph, build_sym_graph_cached, model_for, AnyOutputModel, ChangeEnforcerModel,
+    DecTtlModel, DropModel, EgressModel, ExplicitProxyModel, FirewallModel, IdentityModel,
+    IpClassifierModel, IpFilterModel, ModelCache, MulticastModel, NatModel, OpaqueVmModel,
+    PingResponderModel, RewriterModel, SetFieldModel, StaticLookupModel, TransparentProxyModel,
+    TunnelDecapModel, TunnelEncapModel, TurnaroundServerModel,
 };
 pub use packet::{Hop, SymPacket, WriteRec};
 pub use security::{

@@ -306,18 +306,6 @@ impl SymGraph {
         v
     }
 
-    /// Every edge entering `node`, as `(from, from_port, to_port)`.
-    pub fn in_edges(&self, node: usize) -> Vec<(usize, usize, usize)> {
-        let mut v: Vec<(usize, usize, usize)> = self
-            .edges
-            .iter()
-            .filter(|(_, (to, _))| *to == node)
-            .map(|(&(from, fp), &(_, tp))| (from, fp, tp))
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Runs the engine over this graph ([`explore`]).
     pub fn run(
         &self,

@@ -12,9 +12,9 @@ use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use innet_click::{
-    elements as el,
+    class_info, elements as el,
     elements::{FieldSpec, FilterAction},
-    ClickConfig, ConfigArgs, Registry,
+    ClickConfig, ConfigArgs, Netfront, Registry,
 };
 use innet_packet::{pattern::PatternExpr, Cidr, IpProto};
 
@@ -690,33 +690,6 @@ impl TurnaroundServerModel {
 // Builder
 // ---------------------------------------------------------------------------
 
-/// Which side of a module's boundary a netfront endpoint is on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Netfront {
-    /// It receives from outside the module (`FromNetfront`, `FromDevice`).
-    Entry,
-    /// It transmits outside the module (`ToNetfront`, `ToDevice`).
-    Exit,
-}
-
-/// The netfront endpoint classes, and the side each is on.
-const NETFRONTS: [(&str, Netfront); 4] = [
-    ("FromNetfront", Netfront::Entry),
-    ("FromDevice", Netfront::Entry),
-    ("ToNetfront", Netfront::Exit),
-    ("ToDevice", Netfront::Exit),
-];
-
-fn netfront(class: &str) -> Option<(&'static str, Netfront)> {
-    NETFRONTS.iter().find(|(c, _)| *c == class).copied()
-}
-
-/// The boundary side of an element of `class`, or `None` when it is no
-/// netfront endpoint.
-pub fn netfront_role(class: &str) -> Option<Netfront> {
-    netfront(class).map(|(_, role)| role)
-}
-
 fn downcast_model(
     class: &str,
     args: &[String],
@@ -725,9 +698,13 @@ fn downcast_model(
     // A netfront endpoint's model needs only its interface number. Parse
     // it with the constructors' own parser rather than build the element
     // (whose constructor zero-fills a 128 KB ring).
-    if let Some((name, role)) = netfront(class) {
-        let iface = el::netfront_iface(&ConfigArgs::new(name, args))
-            .map_err(|e| SymError::Config(e.to_string()))?;
+    if let Some(role) = class_info(class).and_then(|c| c.netfront) {
+        let iface = el::netfront_iface(&ConfigArgs::new("FromNetfront", args)).map_err(|e| {
+            // The constructor fails in this same parser, before it builds
+            // the ring, and its error names the class as written.
+            let e = registry.instantiate(class, args).err().unwrap_or(e);
+            SymError::Config(e.to_string())
+        })?;
         return Ok(match role {
             Netfront::Exit => Box::new(EgressModel(iface)),
             Netfront::Entry => Box::new(IdentityModel("FromNetfront")),

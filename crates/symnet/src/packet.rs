@@ -262,11 +262,6 @@ impl SymPacket {
             .any(|w| w.field == f && w.at_hop != usize::MAX && w.at_hop >= from && w.at_hop < to)
     }
 
-    /// Number of recorded arrivals.
-    pub fn trace_len(&self) -> usize {
-        self.trace.len()
-    }
-
     /// Materializes the arrival history, oldest first.
     pub fn hops(&self) -> Vec<Hop> {
         self.trace.to_vec()

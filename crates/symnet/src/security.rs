@@ -37,13 +37,13 @@
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-use innet_click::{ClickConfig, Registry};
+use innet_click::{class_info, ClickConfig, Netfront, Registry};
 use serde::{Deserialize, Serialize};
 
 use crate::{
     field::Field,
     model::{ExecOptions, Observe, SymError},
-    models::{build_sym_graph_cached, netfront_role, ModelCache, Netfront},
+    models::{build_sym_graph_cached, ModelCache},
     packet::SymPacket,
     value::Origin,
 };
@@ -296,7 +296,7 @@ fn check_inner(
     let entries: Vec<String> = cfg
         .elements
         .iter()
-        .filter(|e| netfront_role(&e.class) == Some(Netfront::Entry))
+        .filter(|e| class_info(&e.class).and_then(|c| c.netfront) == Some(Netfront::Entry))
         .map(|e| e.name.clone())
         .collect();
     // A module with no netfront ingress (e.g. a pure stock model) is

@@ -49,14 +49,6 @@ pub enum SymValue {
 }
 
 impl SymValue {
-    /// The constant payload, if this is a constant.
-    pub fn as_const(&self) -> Option<u64> {
-        match self {
-            SymValue::Const(c) => Some(*c),
-            SymValue::Var(_) => None,
-        }
-    }
-
     /// The variable id, if this is a variable.
     pub fn as_var(&self) -> Option<VarId> {
         match self {
