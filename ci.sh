@@ -10,16 +10,17 @@
 # fenced set; without, it is the control-plane-only set: everything the
 # packet and fleet data paths, and the benchmark itself, are built from.
 #
-# Example — one table of class facts (parent 0de02a4): the change
-# touches the click registry and summaries, symnet, analysis, the
-# controller, one integration test and the docs, and fences the rest,
-# the data plane and the goldens included:
+# Example — one future-event list (parent cc45e7f): the change touches
+# the sim event queue, the fleet driver and fabric, four uncalled packet
+# and click accessors and the docs, and fences the rest, the benchmark,
+# the integration tests and the goldens included:
 #
-#   ./ci.sh --fence 0de02a4 \
-#     crates/{packet,obs,sim,topology,platform,policy,core,bench} crates/click \
-#     ':!crates/click/src/registry.rs' ':!crates/click/src/summary.rs' \
-#     ':!crates/click/src/lib.rs' examples benchmark BENCHMARK.json \
-#     'BENCH_*.json' Cargo.lock tests/tests/golden
+#   ./ci.sh --fence cc45e7f \
+#     crates/{obs,topology,policy,symnet,analysis,controller,core,bench} \
+#     crates/packet crates/click ':!crates/packet/src/builder.rs' \
+#     ':!crates/packet/src/udp.rs' ':!crates/packet/src/icmp.rs' \
+#     ':!crates/click/src/graph.rs' examples tests benchmark BENCHMARK.json \
+#     'BENCH_*.json' Cargo.lock
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -157,6 +158,16 @@ if grep -rnE '(topo|topology\(\))\.paths_from\(' crates/platform/src ||
         /vec!\[Vec::new\(\); n\]/ { print FILENAME ":" FNR ": " $0; hit = 1 }
         END { exit !hit }' crates/topology/src/graph.rs; then
   echo "build Topology::adjacency once and call Adjacency::paths_from" >&2
+  exit 1
+fi
+
+echo "==> one future-event list"
+# "Earliest time first, ties in scheduling order" is written once, in
+# innet_sim::EventQueue; the fleet driver's timeline and the fabric's
+# in-flight packets are instances of it. A hand-rolled heap elsewhere in
+# the simulator would be a second ordering rule that can drift from it.
+if grep -rn 'BinaryHeap' crates/platform/src crates/sim/src | grep -v '^crates/sim/src/des\.rs:'; then
+  echo "schedule on innet_sim::des::EventQueue (crates/sim/src/des.rs)" >&2
   exit 1
 fi
 

@@ -266,12 +266,6 @@ impl Router {
         self.elements[idx].as_any().downcast_ref::<T>()
     }
 
-    /// Mutable access to an element by name, downcast to `T`.
-    pub fn element_as_mut<T: 'static>(&mut self, name: &str) -> Option<&mut T> {
-        let idx = *self.index.get(name)?;
-        self.elements[idx].as_any_mut().downcast_mut::<T>()
-    }
-
     /// Delivers an external packet to the `FromNetfront` of `iface` at
     /// virtual time `now_ns`, running the graph to completion.
     ///

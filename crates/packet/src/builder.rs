@@ -174,13 +174,6 @@ impl PacketBuilder {
         self
     }
 
-    /// Sets TCP sequence and acknowledgment numbers.
-    pub fn seq_ack(mut self, seq: u32, ack: u32) -> Self {
-        self.tcp_seq = seq;
-        self.tcp_ack = ack;
-        self
-    }
-
     /// Sets the L4 payload bytes.
     pub fn payload(mut self, p: &[u8]) -> Self {
         self.payload = p.to_vec();

@@ -99,11 +99,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> IcmpView<T> {
         self.bm()[0] = k.number();
     }
 
-    /// Sets the code field.
-    pub fn set_code(&mut self, c: u8) {
-        self.bm()[1] = c;
-    }
-
     /// Sets the echo identifier.
     pub fn set_ident(&mut self, id: u16) {
         self.bm()[4..6].copy_from_slice(&id.to_be_bytes());

@@ -75,11 +75,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> UdpView<T> {
     pub fn set_len_field(&mut self, l: u16) {
         self.bm()[4..6].copy_from_slice(&l.to_be_bytes());
     }
-
-    /// Sets the UDP checksum field.
-    pub fn set_checksum(&mut self, c: u16) {
-        self.bm()[6..8].copy_from_slice(&c.to_be_bytes());
-    }
 }
 
 #[cfg(test)]

@@ -20,22 +20,23 @@
 //! [`FleetDriver::reclaim_every`], [`FleetDriver::on_tick`]), a traffic
 //! matrix ([`FleetDriver::traffic`]), and scenario events
 //! ([`FleetDriver::events`]). [`FleetDriver::run`] merges all of it
-//! into one deterministic timeline — items fire in `(time, insertion)`
-//! order and the fleet advances to each item's instant — and returns a
-//! [`DriverRun`] with the fleet, its outputs, and per-tenant failover
-//! records.
+//! into one deterministic timeline, an [`EventQueue`] of [`Work`] —
+//! items fire in `(time, insertion)` order and the fleet advances to
+//! each item's instant — and returns a [`DriverRun`] with the fleet,
+//! its outputs, and per-tenant failover records. The fleet's fabric
+//! keeps its own `EventQueue` of packets on the wire, drained by each
+//! advance: one shared queue would deliver a fabric arrival ahead of a
+//! packet injected earlier in the same advance window.
 //!
 //! A zero-event run is byte- and order-identical to the hand-rolled
 //! inject/advance loop over the fleet's crate-private primitives (pinned
 //! by the differential tests below), which is why the driver is the only
 //! public way to move fleet time.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::net::Ipv4Addr;
 
 use innet_packet::Packet;
-use innet_sim::des::SimTime;
+use innet_sim::des::{EventQueue, SimTime};
 use innet_topology::NodeId;
 
 use crate::fleet::{Fleet, FleetStats};
@@ -48,8 +49,9 @@ use crate::traffic::TrafficMatrix;
 /// conservative health-check timeout.
 const DETECTION_NS: SimTime = 50_000_000;
 
-/// One timeline item. Processing order is `(at, seq)` — insertion
-/// order breaks simultaneity ties, so runs are fully deterministic.
+/// One timeline item, queued at its instant on the driver's
+/// [`EventQueue`]: insertion order breaks simultaneity ties, so runs are
+/// fully deterministic.
 enum Work {
     /// Deliver a packet (home delivery when `ingress` is `None`).
     Packet {
@@ -76,30 +78,13 @@ enum Work {
     Tick { idx: usize },
 }
 
-struct Item {
-    at: SimTime,
-    seq: u64,
-    work: Work,
-}
-
-impl PartialEq for Item {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-
-impl Eq for Item {}
-
-impl Ord for Item {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-impl PartialOrd for Item {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// Schedules `work` at `at` and stretches `horizon` to cover it, so
+/// scheduled work never silently drops off the end of a run.
+fn push(items: &mut EventQueue<Work>, horizon: &mut SimTime, at: SimTime, work: Work) {
+    // The queue clamps past times to its clock; nothing may rely on it.
+    debug_assert!(at >= items.now(), "work scheduled into the past");
+    *horizon = (*horizon).max(at);
+    items.schedule(at, work);
 }
 
 /// What a [`FleetDriver::run`] produced.
@@ -130,8 +115,7 @@ pub struct DriverRun {
 pub struct FleetDriver<'h> {
     fleet: Fleet,
     horizon: SimTime,
-    seq: u64,
-    items: BinaryHeap<Reverse<Item>>,
+    items: EventQueue<Work>,
     scenario: Option<Scenario>,
     traffic: Option<TrafficMatrix>,
     hooks: Option<Box<dyn ScenarioHooks + 'h>>,
@@ -147,8 +131,7 @@ impl<'h> FleetDriver<'h> {
         FleetDriver {
             fleet,
             horizon: 0,
-            seq: 0,
-            items: BinaryHeap::new(),
+            items: EventQueue::new(),
             scenario: None,
             traffic: None,
             hooks: None,
@@ -159,12 +142,7 @@ impl<'h> FleetDriver<'h> {
     }
 
     fn push(&mut self, at: SimTime, work: Work) {
-        self.items.push(Reverse(Item {
-            at,
-            seq: self.seq,
-            work,
-        }));
-        self.seq += 1;
+        push(&mut self.items, &mut self.horizon, at, work);
     }
 
     /// Runs the timeline out to `horizon` (the run always ends with an
@@ -259,8 +237,7 @@ impl<'h> FleetDriver<'h> {
     pub fn run(self) -> DriverRun {
         let FleetDriver {
             mut fleet,
-            horizon,
-            mut seq,
+            mut horizon,
             mut items,
             scenario,
             mut traffic,
@@ -270,70 +247,51 @@ impl<'h> FleetDriver<'h> {
             reclaim,
         } = self;
 
-        let push =
-            |items: &mut BinaryHeap<Reverse<Item>>, seq: &mut u64, at: SimTime, work: Work| {
-                items.push(Reverse(Item {
-                    at,
-                    seq: *seq,
-                    work,
-                }));
-                *seq += 1;
-            };
-
-        // The horizon covers every explicitly scheduled item.
-        let mut horizon = horizon;
-        for Reverse(item) in items.iter() {
-            horizon = horizon.max(item.at);
-        }
-        if let Some(s) = &scenario {
-            for &(at, _) in s.events() {
-                horizon = horizon.max(at);
-            }
-        }
+        // Scenario event times are rate-change boundaries: the matrix is
+        // paced segment-wise so multiplier and ingress changes take
+        // effect exactly at their event. The horizon covers them too.
+        let mut boundaries: Vec<SimTime> = scenario
+            .iter()
+            .flat_map(|s| s.events().iter().map(|&(at, _)| at))
+            .collect();
+        boundaries.sort_unstable();
+        horizon = horizon.max(boundaries.last().copied().unwrap_or(0));
+        boundaries.push(horizon);
 
         // Expand periodic triggers out to the horizon.
         if let Some((period, threshold)) = rebalance {
             let mut t = period;
             while t <= horizon {
-                push(&mut items, &mut seq, t, Work::Rebalance { threshold });
+                push(&mut items, &mut horizon, t, Work::Rebalance { threshold });
                 t += period;
             }
         }
         if let Some((period, idle_ns)) = reclaim {
             let mut t = period;
             while t <= horizon {
-                push(&mut items, &mut seq, t, Work::Reclaim { idle_ns });
+                push(&mut items, &mut horizon, t, Work::Reclaim { idle_ns });
                 t += period;
             }
         }
         for (idx, &(period, _)) in ticks.iter().enumerate() {
             let mut t = period;
             while t <= horizon {
-                push(&mut items, &mut seq, t, Work::Tick { idx });
+                push(&mut items, &mut horizon, t, Work::Tick { idx });
                 t += period;
             }
         }
         if let Some(s) = &scenario {
             for (idx, &(at, _)) in s.events().iter().enumerate() {
-                push(&mut items, &mut seq, at, Work::Event { idx });
+                push(&mut items, &mut horizon, at, Work::Event { idx });
             }
         }
 
-        // Scenario event times are rate-change boundaries: pace the
-        // matrix segment-wise so multiplier and ingress changes take
-        // effect exactly at their event.
-        let mut boundaries: Vec<SimTime> = scenario
-            .iter()
-            .flat_map(|s| s.events().iter().map(|&(at, _)| at))
-            .collect();
-        boundaries.sort_unstable();
-        boundaries.push(horizon);
         let mut next_boundary = 0usize;
         if let Some(m) = traffic.as_mut() {
             for (at, ingress, pkt) in m.pace(boundaries[0].min(horizon)) {
                 push(
                     &mut items,
-                    &mut seq,
+                    &mut horizon,
                     at,
                     Work::Packet {
                         ingress: Some(ingress),
@@ -356,16 +314,15 @@ impl<'h> FleetDriver<'h> {
         let mut traffic_injected = 0u64;
         let mut errors = 0u64;
 
-        while let Some(Reverse(item)) = items.pop() {
-            let at = item.at;
+        while let Some((at, work)) = items.pop() {
             // Control actions act on a fleet advanced to `now` (a
             // migrate must see the boot that completed a second ago);
             // packets keep the inject-then-advance order of the
             // hand-rolled loop, which the differential pin freezes.
-            if !matches!(item.work, Work::Packet { .. }) {
+            if !matches!(work, Work::Packet { .. }) {
                 out.extend(fleet.advance(at));
             }
-            match item.work {
+            match work {
                 Work::Packet {
                     ingress,
                     from_matrix,
@@ -400,7 +357,7 @@ impl<'h> FleetDriver<'h> {
                     for (addr, dead) in outcome.stranded {
                         push(
                             &mut items,
-                            &mut seq,
+                            &mut horizon,
                             at + DETECTION_NS,
                             Work::Rehome {
                                 addr,
@@ -408,7 +365,6 @@ impl<'h> FleetDriver<'h> {
                                 killed_at: at,
                             },
                         );
-                        horizon = horizon.max(at + DETECTION_NS);
                     }
                     if outcome.demand_changed {
                         if let Some(m) = traffic.as_ref() {
@@ -428,7 +384,7 @@ impl<'h> FleetDriver<'h> {
                         for (t, ingress, pkt) in m.pace(until) {
                             push(
                                 &mut items,
-                                &mut seq,
+                                &mut horizon,
                                 t,
                                 Work::Packet {
                                     ingress: Some(ingress),

@@ -21,12 +21,11 @@
 //! single-host `SwitchController::on_packet` path — byte- and
 //! stats-identical to driving a bare [`Host`].
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::Ipv4Addr;
 
 use innet_packet::Packet;
-use innet_sim::des::SimTime;
+use innet_sim::des::{EventQueue, SimTime};
 use innet_sim::link::Link as SimLink;
 use innet_topology::{Adjacency, NodeId, NodeKind, PathAttrs, PlatformSpec, Topology};
 use rand::{rngs::StdRng, SeedableRng};
@@ -141,10 +140,8 @@ struct FabricLink {
 /// bounds the work a pathological re-home loop could cause.
 const MAX_FABRIC_HOPS: u8 = 4;
 
-/// A packet in flight on the fabric.
+/// A packet in flight on the fabric, queued at its arrival time.
 struct FabricEvent {
-    at: SimTime,
-    seq: u64,
     /// Where the packet entered the fabric (the re-route vantage if the
     /// destination dies while the packet is on the wire).
     origin: NodeId,
@@ -152,26 +149,6 @@ struct FabricEvent {
     /// Fabric traversals so far, compared against [`MAX_FABRIC_HOPS`].
     hops: u8,
     pkt: Packet,
-}
-
-impl PartialEq for FabricEvent {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-
-impl Eq for FabricEvent {}
-
-impl Ord for FabricEvent {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-impl PartialOrd for FabricEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// N hosts keyed by topology [`NodeId`], wired by a latency/bandwidth
@@ -192,8 +169,7 @@ pub struct Fleet {
     /// Tail-drop threshold: a packet that would wait longer than this in
     /// a link's FIFO queue is dropped instead of enqueued.
     max_queue_ns: SimTime,
-    events: BinaryHeap<Reverse<FabricEvent>>,
-    seq: u64,
+    events: EventQueue<FabricEvent>,
     migrating: BTreeMap<Ipv4Addr, Migration>,
     records: Vec<MigrationRecord>,
     /// Platforms killed by a scenario: sites stay for bookkeeping but
@@ -235,8 +211,7 @@ impl Fleet {
             locations: HashMap::new(),
             fabric: HashMap::new(),
             max_queue_ns: DEFAULT_MAX_QUEUE_NS,
-            events: BinaryHeap::new(),
-            seq: 0,
+            events: EventQueue::new(),
             migrating: BTreeMap::new(),
             records: Vec::new(),
             dead: BTreeSet::new(),
@@ -513,15 +488,17 @@ impl Fleet {
             .expect("fabric links are lossless");
         link.usage.packets += 1;
         link.usage.bytes += pkt.len() as u64;
-        self.events.push(Reverse(FabricEvent {
-            at: arrival,
-            seq: self.seq,
-            origin: from,
-            dst: to,
-            hops,
-            pkt,
-        }));
-        self.seq += 1;
+        // The queue clamps past times to its clock; nothing may rely on it.
+        debug_assert!(arrival >= self.events.now(), "arrival in the past");
+        self.events.schedule(
+            arrival,
+            FabricEvent {
+                origin: from,
+                dst: to,
+                hops,
+                pkt,
+            },
+        );
         self.stats.fabric_forwards += 1;
         Ok(true)
     }
@@ -642,13 +619,9 @@ impl Fleet {
     /// `(platform, iface, packet)`.
     pub(crate) fn advance(&mut self, now: SimTime) -> Vec<(NodeId, u16, Packet)> {
         let mut out = Vec::new();
-        while let Some(Reverse(ev)) = self.events.peek() {
-            if ev.at > now {
-                break;
-            }
-            let Reverse(ev) = self.events.pop().expect("peeked");
+        while let Some((at, ev)) = self.events.pop_due(now) {
             if self.serves(ev.dst, &ev.pkt) {
-                self.deliver_local(ev.dst, ev.pkt, ev.at, &mut out);
+                self.deliver_local(ev.dst, ev.pkt, at, &mut out);
                 continue;
             }
             // The destination died or the tenant moved mid-flight:
@@ -666,10 +639,10 @@ impl Fleet {
             }
             if cur == vantage {
                 self.stats.reroutes += 1;
-                self.deliver_local(cur, ev.pkt, ev.at, &mut out);
+                self.deliver_local(cur, ev.pkt, at, &mut out);
                 continue;
             }
-            match self.fabric_send(vantage, cur, ev.pkt, ev.at, ev.hops + 1) {
+            match self.fabric_send(vantage, cur, ev.pkt, at, ev.hops + 1) {
                 Ok(true) => {
                     // fabric_send counts a fresh forward; the re-route
                     // counter records that it was not the first hop.
