@@ -10,17 +10,14 @@
 # fenced set; without, it is the control-plane-only set: everything the
 # packet and fleet data paths, and the benchmark itself, are built from.
 #
-# Example — one future-event list (parent cc45e7f): the change touches
-# the sim event queue, the fleet driver and fabric, four uncalled packet
-# and click accessors and the docs, and fences the rest, the benchmark,
-# the integration tests and the goldens included:
+# Example — lint reads the models (parent ccc0b54): the change touches
+# analysis, symnet, the controller, three uncalled or constant corners of
+# sim, packet and core, the integration tests and the docs, and fences
+# the rest, the benchmark and the goldens included:
 #
-#   ./ci.sh --fence cc45e7f \
-#     crates/{obs,topology,policy,symnet,analysis,controller,core,bench} \
-#     crates/packet crates/click ':!crates/packet/src/builder.rs' \
-#     ':!crates/packet/src/udp.rs' ':!crates/packet/src/icmp.rs' \
-#     ':!crates/click/src/graph.rs' examples tests benchmark BENCHMARK.json \
-#     'BENCH_*.json' Cargo.lock
+#   ./ci.sh --fence ccc0b54 \
+#     crates/{obs,topology,policy,platform,click,bench} examples benchmark \
+#     BENCHMARK.json 'BENCH_*.json' tests/tests/golden Cargo.lock
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -189,6 +186,16 @@ if awk 'FNR == 1 { tests = 0 }
   crates/controller/src/*.rs ||
   grep -nE '\b(queue_like|shardability)\b' crates/click/src/summary.rs; then
   echo "read innet_click::class_info (crates/click/src/registry.rs)" >&2
+  exit 1
+fi
+
+echo "==> lint reads the models"
+# Lint reads each element's ports, reach and rules off the model memo's
+# entry (innet_symnet::ElementModel), the one the security check builds
+# its graph from. A field-effect summary or a second instantiation in
+# lint would be a second description of the element, and a second parse.
+if grep -nE '\.summary\(|has_summary\(|\.instantiate\(' crates/analysis/src/lint.rs; then
+  echo "read the element through ModelCache::model (innet_symnet::ElementModel)" >&2
   exit 1
 fi
 

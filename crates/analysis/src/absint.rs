@@ -15,16 +15,15 @@
 //! combiner turns any residual uncertainty into `None` ("fall back to
 //! SymNet"). See DESIGN.md §10 for the full soundness argument.
 
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use innet_click::{
-    AbsField, ClickConfig, Constraint, FieldWrite, LayerOp, Registry, RtOrigin, SummaryKind,
-    ABS_FIELDS,
+    AbsField, ClickConfig, Constraint, ElementSummary, FieldWrite, LayerOp, Registry, RtOrigin,
+    SummaryKind, ABS_FIELDS,
 };
 use innet_symnet::{RequesterClass, SecurityContext, Verdict};
 
-use crate::lint::{find_cycle, flow_pair_adjacency, is_entry, Resolved};
+use crate::lint::{element_index, find_cycle, flow_pair_adjacency, is_entry, wires};
 
 const N: usize = AbsField::COUNT;
 /// Worklist budget: configurations needing more abstract states than
@@ -375,17 +374,13 @@ struct Inconclusive;
 fn resolve_summaries(
     cfg: &ClickConfig,
     registry: &Registry,
-) -> Result<Vec<Resolved>, Inconclusive> {
+) -> Result<Vec<ElementSummary>, Inconclusive> {
     cfg.elements
         .iter()
         .map(|e| {
-            let s = registry
+            registry
                 .summary(&e.class, &e.args)
-                .map_err(|_| Inconclusive)?;
-            Ok(Resolved {
-                ports: Some(s.ports),
-                summary: Some(s),
-            })
+                .map_err(|_| Inconclusive)
         })
         .collect()
 }
@@ -394,26 +389,18 @@ fn resolve_summaries(
 fn egress_states(cfg: &ClickConfig, registry: &Registry) -> Result<Vec<AbsState>, Inconclusive> {
     cfg.validate().map_err(|_| Inconclusive)?;
     let resolved = resolve_summaries(cfg, registry)?;
-    let index: HashMap<&str, usize> = cfg
-        .elements
-        .iter()
-        .enumerate()
-        .map(|(i, e)| (e.name.as_str(), i))
-        .collect();
+    let wires = wires(cfg, &element_index(cfg));
 
     // Any cycle (even a legitimate, queue-containing one) makes the
     // path-enumeration below diverge from SymNet's bounded exploration;
     // punt those to the real thing.
-    let adj = flow_pair_adjacency(cfg, &resolved, &index, false);
+    let pairs = |i: usize| match &resolved[i].kind {
+        SummaryKind::Flows(flows) => flows.iter().map(|f| (f.in_port, f.out_port)).collect(),
+        SummaryKind::Egress | SummaryKind::Sink => Vec::new(),
+    };
+    let adj = flow_pair_adjacency(&wires, cfg.elements.len(), pairs, |_| false);
     if find_cycle(&adj).is_some() {
         return Err(Inconclusive);
-    }
-
-    let mut wires: HashMap<(usize, usize), (usize, usize)> = HashMap::new();
-    for c in &cfg.connections {
-        let f = index[c.from.element.as_str()];
-        let t = index[c.to.element.as_str()];
-        wires.insert((f, c.from.port), (t, c.to.port));
     }
 
     let mut entries: Vec<usize> = cfg
@@ -438,7 +425,7 @@ fn egress_states(cfg: &ClickConfig, registry: &Registry) -> Result<Vec<AbsState>
         if processed > MAX_STATES {
             return Err(Inconclusive);
         }
-        let summary = resolved[e].summary.as_ref().expect("resolved above");
+        let summary = &resolved[e];
         match &summary.kind {
             SummaryKind::Egress => egress.push(state),
             SummaryKind::Sink => {}

@@ -1,13 +1,15 @@
-//! Static analysis for Click configurations (the tier *before* SymNet).
+//! Static analysis for Click configurations, ahead of the SymNet check.
 //!
 //! Two passes, both cheap; only the first is on the admission path:
 //!
-//! 1. **Lint pass** ([`lint`]): structural rules over the element graph —
-//!    arity and wiring mistakes, unreachable elements, dead outputs,
-//!    queueless cycles — each reported as a structured [`Diagnostic`]
-//!    with a stable rule id (`IN-L001`…). Lint *errors* let the
-//!    controller reject a malformed configuration with a precise message
-//!    instead of an opaque symbolic-execution failure.
+//! 1. **Lint pass** ([`lint`], [`lint_cached`]): structural rules over
+//!    the element graph — arity and wiring mistakes, unreachable
+//!    elements, dead outputs, queueless cycles — each reported as a
+//!    structured [`Diagnostic`] with a stable rule id (`IN-L001`…). It
+//!    reads each element off its memoized [`innet_symnet::ElementModel`],
+//!    the entry the security check builds its graph from. Lint *errors*
+//!    let the controller reject a malformed configuration with a precise
+//!    message instead of an opaque symbolic-execution failure.
 //!
 //! 2. **Field-effect abstract interpretation** ([`flow_effects`],
 //!    [`abstract_verdict`]): composes the per-element summaries
@@ -31,4 +33,4 @@ mod absint;
 mod lint;
 
 pub use absint::{abstract_verdict, flow_effects, AnalysisReport, FlowEffect};
-pub use lint::{bind_self, lint, Diagnostic, LintReport, Severity, SELF_SENTINEL};
+pub use lint::{bind_self, lint, lint_cached, Diagnostic, LintReport, Severity, SELF_SENTINEL};

@@ -11,7 +11,7 @@ use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::Instant;
 
-use innet_analysis::{LintReport, SELF_SENTINEL};
+use innet_analysis::{lint_cached, LintReport, SELF_SENTINEL};
 use innet_click::ClickConfig;
 use innet_policy::Requirement;
 use innet_symnet::{check_module_memoized, SecurityContext, Verdict};
@@ -249,7 +249,8 @@ impl Controller {
     /// reads `$SELF` itself). Lint is a pure function of (configuration,
     /// registry), so a report memoized under the configuration's
     /// canonical text is an exact replay — the stock chains a fleet
-    /// redeploys under fresh module names lint once.
+    /// redeploys under fresh module names lint once. Lint fills the model
+    /// memo, so the security stage parses no element again.
     fn lint_stage(&self, config: &ModuleConfig, delta: &mut ControllerStats) -> LintReport {
         let t = Instant::now();
         let template = config.template();
@@ -258,7 +259,7 @@ impl Controller {
             .lint
             .get_or_try_insert_with(template.canonical_text(), || {
                 hit = false;
-                Ok::<_, Infallible>(innet_analysis::lint(&template, &self.registry))
+                Ok::<_, Infallible>(lint_cached(&template, &self.registry, &self.models))
             });
         delta.lint_cache_hits += u64::from(hit);
         let ns = ns_since(t);

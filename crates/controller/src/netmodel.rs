@@ -207,7 +207,7 @@ fn flatten_config(
                 flat.exits.push((iface_of(&decl.args), idx));
             }
             None => {
-                graph.add_node(&name, model_for(&decl.class, &decl.args, registry)?)?;
+                graph.add_shared(&name, model_for(&decl.class, &decl.args, registry)?.model)?;
             }
         }
     }
@@ -305,8 +305,8 @@ impl NetworkModel {
                 NodeKind::Router(routes) => {
                     let args: Vec<String> =
                         routes.iter().map(|(c, p)| format!("{c} {p}")).collect();
-                    let idx = graph
-                        .add_node(&node.name, model_for("StaticIPLookup", &args, registry)?)?;
+                    let lookup = model_for("StaticIPLookup", &args, registry)?.model;
+                    let idx = graph.add_shared(&node.name, lookup)?;
                     for &p in &ports[id] {
                         out_map.insert((id, p), vec![(idx, p)]);
                         in_map.insert((id, p), (idx, 0));
@@ -636,7 +636,7 @@ impl NetworkModel {
                 .iter()
                 .map(|m| format!("dst host {}", m.addr))
                 .collect();
-            graph.set_model(p.switch, model_for("IPClassifier", &rules, registry)?);
+            graph.set_model(p.switch, model_for("IPClassifier", &rules, registry)?.model);
             for (mi, module) in local.iter().enumerate() {
                 let prefix = format!("{}/{}#{}", p.name, module.name, module.id);
                 let ports = flatten_config(graph, &prefix, &module.config, registry)?;

@@ -26,6 +26,10 @@ pub struct ConsolidationAblation {
     pub consolidated_pps: f64,
     /// Throughput with one VM per tenant, round-robined on the core (pps).
     pub per_vm_pps: f64,
+    /// Packets the consolidated VM transmitted per round.
+    pub consolidated_tx_per_round: u64,
+    /// Packets the per-tenant VMs transmitted per round, all together.
+    pub per_vm_tx_per_round: u64,
     /// Memory for the consolidated deployment (MB).
     pub consolidated_mem_mb: u64,
     /// Memory for the per-tenant deployment (MB).
@@ -84,7 +88,7 @@ pub fn consolidation_ablation(tenants: usize, rounds: usize) -> ConsolidationAbl
         per_tenant_pkts[idx].push(p.clone());
     }
     let start = std::time::Instant::now();
-    let mut packets = 0u64;
+    let (mut packets, mut transmitted) = (0u64, 0u64);
     for _ in 0..rounds {
         for (r, pp) in per_vm.iter_mut().zip(per_tenant_pkts.iter()) {
             if pp.is_empty() {
@@ -92,6 +96,7 @@ pub fn consolidation_ablation(tenants: usize, rounds: usize) -> ConsolidationAbl
             }
             let s = r.run(pp, 1);
             packets += s.packets;
+            transmitted += s.transmitted;
         }
     }
     let elapsed = start.elapsed().as_nanos().max(1) as f64;
@@ -100,6 +105,8 @@ pub fn consolidation_ablation(tenants: usize, rounds: usize) -> ConsolidationAbl
         tenants,
         consolidated_pps: c_stats.offered_pps(),
         per_vm_pps: packets as f64 / (elapsed / 1e9),
+        consolidated_tx_per_round: c_stats.transmitted / rounds as u64,
+        per_vm_tx_per_round: transmitted / rounds as u64,
         consolidated_mem_mb: vm_mem_mb(VmTimingKind::ClickOs),
         per_vm_mem_mb: tenants as u64 * vm_mem_mb(VmTimingKind::ClickOs),
     }
@@ -256,14 +263,11 @@ mod tests {
     fn consolidation_saves_two_orders_of_memory() {
         let a = consolidation_ablation(64, 3);
         assert_eq!(a.per_vm_mem_mb, 64 * a.consolidated_mem_mb);
-        // Throughput stays within the same ballpark either way.
-        let ratio = a.consolidated_pps / a.per_vm_pps;
-        assert!(
-            (0.2..=5.0).contains(&ratio),
-            "consolidated {} vs per-VM {}",
-            a.consolidated_pps,
-            a.per_vm_pps
-        );
+        // Both arms forward every packet of a round: consolidation changes
+        // what the traffic costs, not what gets through. (The throughput
+        // ratio is wall clock: `benches/ablations.rs` prints it.)
+        assert_eq!(a.consolidated_tx_per_round, 256, "{a:?}");
+        assert_eq!(a.per_vm_tx_per_round, a.consolidated_tx_per_round, "{a:?}");
     }
 
     #[test]

@@ -45,8 +45,6 @@ pub struct PacketBuilder {
     tos: u8,
     ident: u16,
     tcp_flags: TcpFlags,
-    tcp_seq: u32,
-    tcp_ack: u32,
     icmp_kind: IcmpKind,
     icmp_ident: u16,
     icmp_seq: u16,
@@ -68,8 +66,6 @@ impl PacketBuilder {
             tos: 0,
             ident: 0,
             tcp_flags: TcpFlags::default(),
-            tcp_seq: 0,
-            tcp_ack: 0,
             icmp_kind: IcmpKind::EchoRequest,
             icmp_ident: 0,
             icmp_seq: 0,
@@ -242,8 +238,7 @@ impl PacketBuilder {
             IpProto::Tcp => {
                 buf[l4..l4 + 2].copy_from_slice(&self.src_port.to_be_bytes());
                 buf[l4 + 2..l4 + 4].copy_from_slice(&self.dst_port.to_be_bytes());
-                buf[l4 + 4..l4 + 8].copy_from_slice(&self.tcp_seq.to_be_bytes());
-                buf[l4 + 8..l4 + 12].copy_from_slice(&self.tcp_ack.to_be_bytes());
+                // Sequence and acknowledgement numbers stay zero.
                 buf[l4 + 12] = 5 << 4;
                 buf[l4 + 13] = self.tcp_flags.0;
                 buf[l4 + 14..l4 + 16].copy_from_slice(&0xffffu16.to_be_bytes());

@@ -47,15 +47,6 @@ impl<E> PartialOrd for Entry<E> {
     }
 }
 
-/// Shared-registry instruments for one event queue (see
-/// [`EventQueue::attach_metrics`]).
-#[derive(Debug, Clone)]
-struct QueueMetrics {
-    scheduled: innet_obs::Counter,
-    popped: innet_obs::Counter,
-    depth: innet_obs::Gauge,
-}
-
 /// A deterministic future-event list.
 ///
 /// Events scheduled for the same instant pop in scheduling order, so runs
@@ -65,7 +56,6 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
     seq: u64,
     now: SimTime,
-    metrics: Option<QueueMetrics>,
 }
 
 impl<E> EventQueue<E> {
@@ -75,22 +65,7 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::new(),
             seq: 0,
             now: 0,
-            metrics: None,
         }
-    }
-
-    /// Publishes this queue's counters into `registry` (Prometheus
-    /// namespace `innet_sim_*`): events scheduled, events popped, and a
-    /// pending-depth gauge, so DES drivers are observable like the rest
-    /// of the stack. Only events after attachment are counted.
-    pub fn attach_metrics(&mut self, registry: &innet_obs::Registry) {
-        let m = QueueMetrics {
-            scheduled: registry.counter("innet_sim_events_scheduled_total"),
-            popped: registry.counter("innet_sim_events_popped_total"),
-            depth: registry.gauge("innet_sim_queue_depth"),
-        };
-        m.depth.set(self.heap.len() as i64);
-        self.metrics = Some(m);
     }
 
     /// Current virtual time (the timestamp of the last popped event).
@@ -110,25 +85,12 @@ impl<E> EventQueue<E> {
             event,
         }));
         self.seq += 1;
-        if let Some(m) = &self.metrics {
-            m.scheduled.inc();
-            m.depth.set(self.heap.len() as i64);
-        }
-    }
-
-    /// Schedules `event` after a delay from now.
-    pub fn schedule_in(&mut self, delay: SimTime, event: E) {
-        self.schedule(self.now + delay, event);
     }
 
     /// Pops the next event, advancing virtual time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let Reverse(e) = self.heap.pop()?;
         self.now = e.at;
-        if let Some(m) = &self.metrics {
-            m.popped.inc();
-            m.depth.set(self.heap.len() as i64);
-        }
         Some((e.at, e.event))
     }
 
@@ -196,22 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn attached_metrics_track_queue_activity() {
-        let reg = innet_obs::Registry::new();
-        let mut q = EventQueue::new();
-        q.schedule(10, "pre-attach"); // not counted
-        q.attach_metrics(&reg);
-        assert_eq!(reg.gauge("innet_sim_queue_depth").get(), 1);
-        q.schedule(20, "a");
-        q.schedule(30, "b");
-        assert_eq!(reg.counter("innet_sim_events_scheduled_total").get(), 2);
-        assert_eq!(reg.gauge("innet_sim_queue_depth").get(), 3);
-        while q.pop().is_some() {}
-        assert_eq!(reg.counter("innet_sim_events_popped_total").get(), 3);
-        assert_eq!(reg.gauge("innet_sim_queue_depth").get(), 0);
-    }
-
-    #[test]
     fn pop_due_stops_at_now() {
         let mut q = EventQueue::new();
         assert_eq!(q.pop_due(100), None, "an empty queue has nothing due");
@@ -251,14 +197,5 @@ mod tests {
         q.schedule(1, f64::NAN);
         assert!(q.pop().is_some_and(|(at, x)| at == 1 && x.is_nan()));
         assert_eq!(q.pop(), Some((2, 0.5)));
-    }
-
-    #[test]
-    fn schedule_in_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(100, "x");
-        q.pop();
-        q.schedule_in(25, "y");
-        assert_eq!(q.pop(), Some((125, "y")));
     }
 }

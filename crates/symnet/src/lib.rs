@@ -71,10 +71,10 @@ pub use model::{
 };
 pub use models::{
     build_sym_graph, build_sym_graph_cached, model_for, AnyOutputModel, ChangeEnforcerModel,
-    DecTtlModel, DropModel, EgressModel, ExplicitProxyModel, FirewallModel, IdentityModel,
-    IpClassifierModel, IpFilterModel, ModelCache, MulticastModel, NatModel, OpaqueVmModel,
-    PingResponderModel, RewriterModel, SetFieldModel, StaticLookupModel, TransparentProxyModel,
-    TunnelDecapModel, TunnelEncapModel, TurnaroundServerModel,
+    DecTtlModel, DropModel, EgressModel, ElementModel, ExplicitProxyModel, FirewallModel,
+    IdentityModel, IpClassifierModel, IpFilterModel, ModelCache, MulticastModel, NatModel,
+    OpaqueVmModel, PingResponderModel, RewriterModel, SetFieldModel, StaticLookupModel,
+    TransparentProxyModel, TunnelDecapModel, TunnelEncapModel, TurnaroundServerModel,
 };
 pub use packet::{Hop, SymPacket, WriteRec};
 pub use security::{

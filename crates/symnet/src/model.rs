@@ -238,8 +238,8 @@ impl SymGraph {
     }
 
     /// Replaces the model of node `idx`, keeping its name and edges.
-    pub fn set_model(&mut self, idx: usize, model: Box<dyn SymElement>) {
-        self.nodes[idx] = Arc::from(model);
+    pub fn set_model(&mut self, idx: usize, model: Arc<dyn SymElement>) {
+        self.nodes[idx] = model;
     }
 
     /// Connects `[from_port]from -> [to_port]to` by node index.

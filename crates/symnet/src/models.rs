@@ -8,13 +8,15 @@
 //! *over-approximates* — it lets the packet take every possible branch — so
 //! security verdicts stay sound.
 
+use std::any::Any;
+use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use innet_click::{
     class_info, elements as el,
     elements::{FieldSpec, FilterAction},
-    ClickConfig, ConfigArgs, Netfront, Registry,
+    ClickConfig, ConfigArgs, Netfront, PortCount, Registry,
 };
 use innet_packet::{pattern::PatternExpr, Cidr, IpProto};
 
@@ -690,11 +692,16 @@ impl TurnaroundServerModel {
 // Builder
 // ---------------------------------------------------------------------------
 
+/// The built element behind `any`, of the type its class names.
+fn of<T: 'static>(any: &dyn Any) -> &T {
+    any.downcast_ref().expect("class matches")
+}
+
 fn downcast_model(
     class: &str,
     args: &[String],
     registry: &Registry,
-) -> Result<Box<dyn SymElement>, SymError> {
+) -> Result<ElementModel, SymError> {
     // A netfront endpoint's model needs only its interface number. Parse
     // it with the constructors' own parser rather than build the element
     // (whose constructor zero-fills a 128 KB ring).
@@ -705,35 +712,53 @@ fn downcast_model(
             let e = registry.instantiate(class, args).err().unwrap_or(e);
             SymError::Config(e.to_string())
         })?;
-        return Ok(match role {
-            Netfront::Exit => Box::new(EgressModel(iface)),
-            Netfront::Entry => Box::new(IdentityModel("FromNetfront")),
-        });
+        let (model, ports): (Box<dyn SymElement>, _) = match role {
+            Netfront::Exit => (Box::new(EgressModel(iface)), PortCount::new(1, 0)),
+            Netfront::Entry => (Box::new(IdentityModel("FromNetfront")), PortCount::ONE_ONE),
+        };
+        return Ok(ElementModel::new(model, ports, None));
     }
     // Instantiate the concrete element so argument parsing (and its error
     // reporting) is shared with the runtime, then read its configuration.
     let concrete = registry
         .instantiate(class, args)
         .map_err(|e| SymError::Config(e.to_string()))?;
+    let ports = concrete.ports();
     let any = concrete.as_any();
+    let any_output = |name| -> Box<dyn SymElement> {
+        Box::new(AnyOutputModel {
+            name,
+            n: ports.outputs,
+        })
+    };
+    let set = |name, field, value| -> Box<dyn SymElement> {
+        Box::new(SetFieldModel { name, field, value })
+    };
+    let (mut sink, mut rules, mut named) = (false, Vec::new(), None);
     let model: Box<dyn SymElement> = match class {
-        "Discard" => Box::new(DropModel("Discard")),
-        "Idle" => Box::new(DropModel("Idle")),
-        "Classifier" => {
-            let c = any.downcast_ref::<el::Classifier>().expect("class matches");
-            Box::new(AnyOutputModel {
-                name: "Classifier",
-                n: innet_click::Element::ports(c).outputs,
-            })
+        "Discard" => {
+            sink = true;
+            Box::new(DropModel("Discard"))
         }
+        "Idle" => {
+            sink = true;
+            Box::new(DropModel("Idle"))
+        }
+        "Classifier" => any_output("Classifier"),
         "IPClassifier" => {
-            let c = any
-                .downcast_ref::<el::IPClassifier>()
-                .expect("class matches");
-            Box::new(IpClassifierModel::new(c.rules().to_vec()))
+            let c = of::<el::IPClassifier>(any);
+            rules = c.rules().to_vec();
+            named = Some((0..rules.len()).collect());
+            Box::new(IpClassifierModel::new(rules.clone()))
         }
         "IPFilter" => {
-            let f = any.downcast_ref::<el::IPFilter>().expect("class matches");
+            let f = of::<el::IPFilter>(any);
+            rules = f.rules().iter().map(|(_, r)| r.clone()).collect();
+            let allows = f
+                .rules()
+                .iter()
+                .any(|(a, _)| matches!(a, FilterAction::Allow));
+            named = Some(allows.then_some(0).into_iter().collect());
             Box::new(IpFilterModel {
                 rules: f.rules().to_vec(),
             })
@@ -741,33 +766,20 @@ fn downcast_model(
         "CheckIPHeader" => Box::new(IdentityModel("CheckIPHeader")),
         "MarkIPHeader" => Box::new(IdentityModel("MarkIPHeader")),
         "DecIPTTL" => Box::new(DecTtlModel),
-        "SetIPSrc" => {
-            let s = any.downcast_ref::<el::SetIPSrc>().expect("class matches");
-            Box::new(SetFieldModel {
-                name: "SetIPSrc",
-                field: Field::IpSrc,
-                value: addr(s.addr()),
-            })
-        }
-        "SetIPDst" => {
-            let s = any.downcast_ref::<el::SetIPDst>().expect("class matches");
-            Box::new(SetFieldModel {
-                name: "SetIPDst",
-                field: Field::IpDst,
-                value: addr(s.addr()),
-            })
-        }
+        "SetIPSrc" => set(
+            "SetIPSrc",
+            Field::IpSrc,
+            addr(of::<el::SetIPSrc>(any).addr()),
+        ),
+        "SetIPDst" => set(
+            "SetIPDst",
+            Field::IpDst,
+            addr(of::<el::SetIPDst>(any).addr()),
+        ),
         "SetTOS" => {
             // Value re-parsed: SetTOS has no getter, but the arg is plain.
-            let v: u64 = args
-                .first()
-                .and_then(|a| a.trim().parse().ok())
-                .unwrap_or(0);
-            Box::new(SetFieldModel {
-                name: "SetTOS",
-                field: Field::Tos,
-                value: v,
-            })
+            let v = args.first().and_then(|a| a.trim().parse().ok());
+            set("SetTOS", Field::Tos, v.unwrap_or(0))
         }
         "Strip" | "EtherEncap" => Box::new(IdentityModel("L2")),
         "Counter" | "FlowMeter" => Box::new(IdentityModel("Measure")),
@@ -777,29 +789,25 @@ fn downcast_model(
             Box::new(IdentityModel("Timed"))
         }
         "StatefulFirewall" => {
-            let f = any
-                .downcast_ref::<el::StatefulFirewall>()
-                .expect("class matches");
+            let f = of::<el::StatefulFirewall>(any);
             Box::new(FirewallModel {
                 allow: f.allow_rules().to_vec(),
             })
         }
         "IPNAT" => {
-            let n = any.downcast_ref::<el::IpNat>().expect("class matches");
+            let n = of::<el::IpNat>(any);
             Box::new(NatModel {
                 public: addr(n.public_addr()),
             })
         }
         "IPRewriter" => {
-            let r = any.downcast_ref::<el::IPRewriter>().expect("class matches");
+            let r = of::<el::IPRewriter>(any);
             Box::new(RewriterModel {
                 pattern: r.pattern().clone(),
             })
         }
         "TransparentProxy" => {
-            let t = any
-                .downcast_ref::<el::TransparentProxy>()
-                .expect("class matches");
+            let t = of::<el::TransparentProxy>(any);
             let (p, pp, ip) = t.params();
             Box::new(TransparentProxyModel {
                 proxy: addr(p),
@@ -808,9 +816,7 @@ fn downcast_model(
             })
         }
         "UDPTunnelEncap" => {
-            let t = any
-                .downcast_ref::<el::UdpTunnelEncap>()
-                .expect("class matches");
+            let t = of::<el::UdpTunnelEncap>(any);
             let (src, sport, dst, dport) = t.params();
             Box::new(TunnelEncapModel {
                 name: "UDPTunnelEncap",
@@ -826,7 +832,7 @@ fn downcast_model(
             proto: IpProto::Udp.number() as u64,
         }),
         "IPEncap" => {
-            let t = any.downcast_ref::<el::IpEncap>().expect("class matches");
+            let t = of::<el::IpEncap>(any);
             let (src, dst) = t.params();
             Box::new(TunnelEncapModel {
                 name: "IPEncap",
@@ -841,58 +847,107 @@ fn downcast_model(
             name: "IPDecap",
             proto: IpProto::IpIp.number() as u64,
         }),
-        "RoundRobinSwitch" | "RandomSwitch" => {
-            let n = concrete.ports().outputs;
-            Box::new(AnyOutputModel { name: "Switch", n })
-        }
-        "Meter" => Box::new(AnyOutputModel {
-            name: "Meter",
-            n: 2,
-        }),
+        "RoundRobinSwitch" | "RandomSwitch" => any_output("Switch"),
+        "Meter" => any_output("Meter"),
         // Paint marks an annotation below the field model; CheckPaint may
         // route either way depending on it.
         "Paint" => Box::new(IdentityModel("Paint")),
-        "CheckPaint" => Box::new(AnyOutputModel {
-            name: "CheckPaint",
-            n: 2,
-        }),
-        "Tee" => {
-            let t = any.downcast_ref::<el::Tee>().expect("class matches");
-            let n = innet_click::Element::ports(t).outputs;
-            Box::new(AnyOutputModel { name: "Tee", n })
-        }
+        "CheckPaint" => any_output("CheckPaint"),
+        "Tee" => any_output("Tee"),
         "IPMulticast" => {
-            let m = any
-                .downcast_ref::<el::IpMulticast>()
-                .expect("class matches");
+            let m = of::<el::IpMulticast>(any);
             Box::new(MulticastModel {
                 dsts: m.destinations().iter().map(|&a| addr(a)).collect(),
             })
         }
-        "DPI" => Box::new(AnyOutputModel { name: "DPI", n: 2 }),
+        "DPI" => any_output("DPI"),
         "ICMPPingResponder" => Box::new(PingResponderModel),
         "StaticIPLookup" => {
-            let l = any
-                .downcast_ref::<el::StaticIPLookup>()
-                .expect("class matches");
+            let l = of::<el::StaticIPLookup>(any);
+            named = Some(l.routes().iter().map(|&(_, port)| port).collect());
             Box::new(StaticLookupModel {
                 routes: l.routes().to_vec(),
             })
         }
         "ChangeEnforcer" => {
-            let c = any
-                .downcast_ref::<el::ChangeEnforcer>()
-                .expect("class matches");
+            let c = of::<el::ChangeEnforcer>(any);
             Box::new(ChangeEnforcerModel {
                 module: addr(c.params().0),
             })
         }
         other => return Err(SymError::NoModel(other.to_string())),
     };
-    Ok(model)
+    Ok(ElementModel {
+        sink,
+        rules,
+        ..ElementModel::new(model, ports, named)
+    })
 }
 
-/// Builds the abstract model for one element class.
+/// One parse of an element's `(class, args)`, the model memo's entry: the
+/// symbolic model the security check runs and the facts lint reads off it.
+pub struct ElementModel {
+    /// The element's symbolic model.
+    pub model: Arc<dyn SymElement>,
+    /// Its port signature (for a netfront endpoint and a `Stock*` class,
+    /// the class's own: neither is built).
+    pub ports: PortCount,
+    /// For each input, the outputs it forwards to, read off one run of the
+    /// model. A first-match element (`IPFilter`, `IPClassifier`,
+    /// `StaticIPLookup`) forwards to every output a rule or route names,
+    /// shadowed or not, so lint still refuses a queueless cycle through it.
+    pub reach: Vec<BTreeSet<usize>>,
+    /// Whether the class absorbs every packet by construction (`Discard`,
+    /// `Idle`): an output it declares never emits.
+    pub sink: bool,
+    /// An `IPFilter`'s or `IPClassifier`'s patterns, in rule order.
+    pub rules: Vec<PatternExpr>,
+}
+
+impl ElementModel {
+    /// `model` with its ports; its reach is `named`, else read off the model.
+    fn new(
+        model: Box<dyn SymElement>,
+        ports: PortCount,
+        named: Option<BTreeSet<usize>>,
+    ) -> ElementModel {
+        let reach_of = |input| {
+            let outs = model.exec(input, probe()).into_iter();
+            outs.filter_map(|o| match o {
+                SymOut::Port(port, _) => Some(port),
+                SymOut::Egress(..) => None,
+            })
+            .collect()
+        };
+        let reach = match named {
+            Some(named) => vec![named],
+            None => (0..ports.inputs).map(reach_of).collect(),
+        };
+        ElementModel {
+            model: Arc::from(model),
+            ports,
+            reach,
+            sink: false,
+            rules: Vec::new(),
+        }
+    }
+}
+
+/// The packet reach is read with: every field free, the firewall's tag
+/// too, since an element may meet a packet an earlier one tagged (unlike
+/// [`SymPacket::unconstrained`]'s). Built once; each run clones it.
+fn probe() -> SymPacket {
+    static PROBE: OnceLock<SymPacket> = OnceLock::new();
+    let probe = PROBE.get_or_init(|| {
+        let mut probe = SymPacket::unconstrained();
+        let tag = probe.fresh(Origin::Free);
+        probe.write(Field::FwTag, tag);
+        probe
+    });
+    probe.clone()
+}
+
+/// Builds the abstract model for one element class, and its lint facts.
 ///
 /// Click classes are parsed through the concrete element implementation
 /// (shared argument validation), netfront endpoints through its argument
@@ -902,33 +957,32 @@ pub fn model_for(
     class: &str,
     args: &[String],
     registry: &Registry,
-) -> Result<Box<dyn SymElement>, SymError> {
+) -> Result<ElementModel, SymError> {
     let parse_addr = |i: usize| -> Result<Ipv4Addr, SymError> {
         args.get(i)
             .and_then(|a| a.trim().parse().ok())
             .ok_or_else(|| SymError::Config(format!("{class}: bad address argument {i}")))
     };
-    match class {
-        "StockX86VM" => Ok(Box::new(OpaqueVmModel)),
-        "StockExplicitProxy" => Ok(Box::new(ExplicitProxyModel {
+    let stock: Box<dyn SymElement> = match class {
+        "StockX86VM" => Box::new(OpaqueVmModel),
+        "StockExplicitProxy" => Box::new(ExplicitProxyModel {
             own: addr(parse_addr(0)?),
-        })),
-        "StockDNSServer" => Ok(Box::new(TurnaroundServerModel::dns(parse_addr(0)?))),
-        "StockReverseProxy" => Ok(Box::new(TurnaroundServerModel::reverse_proxy(parse_addr(
-            0,
-        )?))),
-        "ServerS" => Ok(Box::new(TurnaroundServerModel::paper_server())),
-        _ => downcast_model(class, args, registry),
-    }
+        }),
+        "StockDNSServer" => Box::new(TurnaroundServerModel::dns(parse_addr(0)?)),
+        "StockReverseProxy" => Box::new(TurnaroundServerModel::reverse_proxy(parse_addr(0)?)),
+        "ServerS" => Box::new(TurnaroundServerModel::paper_server()),
+        _ => return downcast_model(class, args, registry),
+    };
+    Ok(ElementModel::new(stock, PortCount::ONE_ONE, None))
 }
 
 /// The fleet-wide memos of the security check: two [`Memo`]s, each a
 /// pure function of its key, shared (`Arc`) across every request and
 /// verification worker.
 ///
-/// * **models** — `class '\0' args…` → the element's symbolic model.
-///   Building one re-parses the concrete element's arguments, which
-///   dominates graph construction on the admission path.
+/// * **models** — `class '\0' args…` → the [`ElementModel`]. Building one
+///   parses the element's arguments, which dominates graph construction
+///   on the admission path; lint fills this memo for the security check.
 /// * **graphs** — the configuration's canonical text (names included:
 ///   callers address nodes by name) → the wired, immutable [`SymGraph`].
 ///
@@ -937,7 +991,7 @@ pub fn model_for(
 /// all verification memoisation under one rule (see [`Memo`]).
 #[derive(Debug, Default)]
 pub struct ModelCache {
-    models: Memo<Arc<dyn SymElement>>,
+    models: Memo<Arc<ElementModel>>,
     graphs: Memo<Arc<SymGraph>>,
 }
 
@@ -960,16 +1014,16 @@ impl ModelCache {
         k
     }
 
-    /// The memoized model for `(class, args)`.
+    /// The memoized model of `(class, args)` and its lint facts.
     pub fn model(
         &self,
         class: &str,
         args: &[String],
         registry: &Registry,
-    ) -> Result<Arc<dyn SymElement>, SymError> {
+    ) -> Result<Arc<ElementModel>, SymError> {
         self.models
             .get_or_try_insert_with(ModelCache::key(class, args), || {
-                model_for(class, args, registry).map(Arc::from)
+                model_for(class, args, registry).map(Arc::new)
             })
     }
 
@@ -1027,12 +1081,12 @@ pub fn build_sym_graph_cached(
     for decl in &cfg.elements {
         match models {
             Some(cache) => {
-                let model = cache.model(&decl.class, &decl.args, registry)?;
-                g.add_shared(&decl.name, model)?;
+                let entry = cache.model(&decl.class, &decl.args, registry)?;
+                g.add_shared(&decl.name, Arc::clone(&entry.model))?;
             }
             None => {
-                let model = model_for(&decl.class, &decl.args, registry)?;
-                g.add_node(&decl.name, model)?;
+                let model = model_for(&decl.class, &decl.args, registry)?.model;
+                g.add_shared(&decl.name, model)?;
             }
         }
     }
@@ -1240,15 +1294,60 @@ mod tests {
     }
 
     #[test]
+    fn element_models_carry_the_facts_lint_reads() {
+        let registry = Registry::standard();
+        let entry = |class: &str, args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            model_for(class, &args, &registry).unwrap()
+        };
+        let shape = |e: &ElementModel| (e.ports.inputs, e.ports.outputs);
+        let outs = |outs: &[usize]| outs.iter().copied().collect::<BTreeSet<usize>>();
+        // Reach per input, read off the model. The firewall's inbound side
+        // passes tagged flows only, and the probe's tag is free.
+        let fw = entry("StatefulFirewall", &["allow udp"]);
+        assert_eq!(shape(&fw), (2, 2));
+        assert_eq!(fw.reach, [outs(&[0]), outs(&[1])]);
+        let tee = entry("Tee", &["3"]);
+        assert_eq!(tee.reach, [outs(&[0, 1, 2])]);
+        // Netfront endpoints get their ports without being built.
+        let exit = entry("ToNetfront", &["1"]);
+        assert_eq!(
+            (shape(&exit), exit.reach.as_slice()),
+            ((1, 0), &[outs(&[])][..])
+        );
+        assert_eq!(shape(&entry("FromDevice", &[])), (1, 1));
+        // Idle declares an output it never emits on.
+        let idle = entry("Idle", &[]);
+        assert!(idle.sink && shape(&idle) == (1, 1) && idle.reach == [outs(&[])]);
+        assert!(!entry("Counter", &[]).sink);
+        // A first-match element forwards to every output a rule names,
+        // shadowed or not, and keeps its rules for IN-L011.
+        let c = entry("IPClassifier", &["-", "udp"]);
+        assert_eq!(
+            (c.reach.as_slice(), c.rules.len()),
+            (&[outs(&[0, 1])][..], 2)
+        );
+        let f = entry("IPFilter", &["deny all", "allow udp"]);
+        assert_eq!((f.reach.as_slice(), f.rules.len()), (&[outs(&[0])][..], 2));
+        assert_eq!(entry("IPFilter", &["deny all"]).reach, [outs(&[])]);
+        let lookup = entry("StaticIPLookup", &["10.0.0.0/8 1", "10.0.0.0/8 0"]);
+        assert_eq!(lookup.reach, [outs(&[0, 1])]);
+    }
+
+    #[test]
     fn netfront_models_parse_without_building_the_element() {
         let registry = Registry::standard();
-        let model = model_for("ToDevice", &["3".to_string()], &registry).unwrap();
+        let model = model_for("ToDevice", &["3".to_string()], &registry)
+            .unwrap()
+            .model;
         let outs = model.exec(0, SymPacket::unconstrained());
         assert!(
             matches!(outs.as_slice(), [SymOut::Egress(3, _)]),
             "ToDevice(3) egresses on interface 3"
         );
-        let model = model_for("FromDevice", &["7".to_string()], &registry).unwrap();
+        let model = model_for("FromDevice", &["7".to_string()], &registry)
+            .unwrap()
+            .model;
         assert!(matches!(
             model.exec(0, SymPacket::unconstrained()).as_slice(),
             [SymOut::Port(0, _)]

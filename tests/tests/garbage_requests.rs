@@ -3,6 +3,9 @@
 //! from hostile text and programmatically via `ClientRequest::click` /
 //! `ClientRequest::stock`, which bypass every parse-time check.
 
+mod lint_oracle;
+
+use innet::controller::ModuleConfig;
 use innet::prelude::*;
 
 fn fresh() -> Controller {
@@ -15,16 +18,30 @@ fn fresh() -> Controller {
     c
 }
 
-/// Every deploy below must return; `Err` is fine, unwinding is not.
+/// Every deploy below must return; `Err` is fine, unwinding is not. A
+/// Click configuration is also linted by the summary-based oracle, which
+/// must agree with lint, and admission must refuse it at lint exactly when
+/// the oracle finds an error.
 fn deploy_must_not_panic(
     label: &str,
     request: ClientRequest,
 ) -> Result<DeployResponse, DeployError> {
     let mut c = fresh();
+    let oracle = match &request.config {
+        ModuleConfig::Click(cfg) => {
+            Some(lint_oracle::assert_lint_agrees(cfg, &Registry::standard()).0)
+        }
+        ModuleConfig::Stock(_) => None,
+    };
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         c.deploy("mobile-7", request)
     }));
-    outcome.unwrap_or_else(|_| panic!("deploy panicked on {label}"))
+    let outcome = outcome.unwrap_or_else(|_| panic!("deploy panicked on {label}"));
+    if let Some(oracle) = oracle {
+        let linted = matches!(outcome, Err(DeployError::Lint(_)));
+        assert_eq!(linted, oracle.has_errors(), "{label}: {oracle}");
+    }
+    outcome
 }
 
 #[test]

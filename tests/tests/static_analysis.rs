@@ -7,6 +7,8 @@
 //! agree with the whole-graph oracle, and `Controller::deploy` must
 //! land every request in the class that oracle names.
 
+mod lint_oracle;
+
 use innet::analysis::{abstract_verdict, lint, SELF_SENTINEL};
 use innet::click::{ClickConfig, Registry};
 use innet::controller::HardeningPolicy;
@@ -500,6 +502,40 @@ fn stock_corpus_is_admitted_by_the_symbolic_stage() {
     assert!(text.contains("innet_ctl_lint_rejects_total"), "{text}");
 }
 
+/// The stock corpus — every stock module's configuration and the Table 1
+/// middleboxes — lints the same under the summary-based oracle, and
+/// admission refuses at lint exactly what the oracle finds errors in.
+#[test]
+fn lint_agrees_with_its_oracle_on_the_stock_corpus() {
+    use innet::controller::{stock_config, table1_catalog, StockModule};
+    let registry = Registry::standard();
+    let peer = Ipv4Addr::new(198, 51, 100, 1);
+    let owner2 = Ipv4Addr::new(172, 16, 15, 134);
+    let assigned = ASSIGNED.parse().unwrap();
+    let mut c = controller();
+    for (i, kind) in [
+        StockModule::ReverseHttpProxy,
+        StockModule::ExplicitProxy,
+        StockModule::GeoDns,
+        StockModule::X86Vm,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let (oracle, _) = lint_oracle::assert_lint_agrees(&stock_config(kind, assigned), &registry);
+        assert!(!oracle.has_errors(), "{kind:?}: {oracle}");
+        let outcome = c.deploy("cdn-corp", ClientRequest::stock(format!("s{i}"), kind));
+        assert!(!matches!(outcome, Err(DeployError::Lint(_))), "{kind:?}");
+    }
+    let catalog = table1_catalog(assigned, REGISTERED.parse().unwrap(), owner2, peer);
+    for (name, cfg) in catalog {
+        let (oracle, _) = lint_oracle::assert_lint_agrees(&cfg, &registry);
+        let outcome = c.deploy("cdn-corp", ClientRequest::click(name, cfg));
+        let linted = matches!(outcome, Err(DeployError::Lint(_)));
+        assert_eq!(linted, oracle.has_errors(), "{name}: {oracle}");
+    }
+}
+
 /// A deploy exports the admission-pipeline
 /// instrumentation: the reason-labeled bailout counter, the security
 /// check counter, and the per-stage latency histograms.
@@ -558,8 +594,9 @@ fn rebind_assigned(cfg: &ClickConfig, to: &str) -> ClickConfig {
 /// must put each request in the class the whole-graph oracle
 /// `check_module` names — `Safe` installs plain, `SafeWithSandbox`
 /// installs sandboxed, `Reject` is a `SecurityReject` — with a lint
-/// refusal exactly when `lint` reports errors and `BadConfig` exactly
-/// when the oracle cannot model the configuration. One controller serves
+/// refusal exactly when `lint` reports errors (and the summary-based lint
+/// oracle agrees with it) and `BadConfig` exactly when the oracle cannot
+/// model the configuration. One controller serves
 /// the three classes of a configuration, so a verdict replayed across
 /// classes would show; each accept is killed at once so Figure 3 never
 /// fills.
@@ -592,7 +629,8 @@ fn admission_agrees_with_the_whole_graph_oracle_on_generated_configs() {
                 ..ctx(class)
             };
             let oracle = check_module(&bound, &oracle_ctx, &registry).map(|r| r.verdict);
-            let lint_errors = lint(&bound, &registry).has_errors();
+            let (oracle_report, _) = lint_oracle::assert_lint_agrees(&bound, &registry);
+            let lint_errors = oracle_report.has_errors();
 
             let outcome = c.deploy(&who, ClientRequest::click("m", template.clone()));
             let agrees = match (&outcome, &oracle) {
