@@ -10,14 +10,15 @@
 # fenced set; without, it is the control-plane-only set: everything the
 # packet and fleet data paths, and the benchmark itself, are built from.
 #
-# Example — lint reads the models (parent ccc0b54): the change touches
-# analysis, symnet, the controller, three uncalled or constant corners of
-# sim, packet and core, the integration tests and the docs, and fences
-# the rest, the benchmark and the goldens included:
+# Example — the checksum sums native-endian words (parent 3e4bf7f): the
+# change touches packet, click's netfront tests, symnet, ci.sh and the
+# docs, and fences the rest, the benchmark and the goldens included (it
+# regenerates BENCH_fig12_middlebox.json, so that snapshot is not fenced):
 #
-#   ./ci.sh --fence ccc0b54 \
-#     crates/{obs,topology,policy,platform,click,bench} examples benchmark \
-#     BENCHMARK.json 'BENCH_*.json' tests/tests/golden Cargo.lock
+#   ./ci.sh --fence 3e4bf7f \
+#     crates/{obs,sim,topology,policy,platform,analysis,core,bench} examples \
+#     benchmark BENCHMARK.json BENCH_admission.json BENCH_fleet.json \
+#     BENCH_parallel_scaling.json BENCH_scenarios.json tests/tests/golden Cargo.lock
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -196,6 +197,28 @@ echo "==> lint reads the models"
 # lint would be a second description of the element, and a second parse.
 if grep -nE '\.summary\(|has_summary\(|\.instantiate\(' crates/analysis/src/lint.rs; then
   echo "read the element through ModelCache::model (innet_symnet::ElementModel)" >&2
+  exit 1
+fi
+
+echo "==> the checksum sums native-endian words"
+# The one's-complement sum does not depend on byte order (RFC 1071
+# §2(B)), so internet_checksum adds native words and swaps its 16-bit
+# result once; a per-word big-endian read keeps the loop from
+# vectorising. verify_checksum copies the header to the stack, not the
+# heap, once per packet. Each body runs from its `fn` line to the brace
+# that closes it at the fn's own indentation (`}` or `    }`).
+body() {
+  awk -v fn="$1" -v pat="$2" '
+    $0 ~ ("fn " fn "\\(") { body = 1; match($0, /^ */); end = substr($0, 1, RLENGTH) "}" }
+    body && $0 ~ pat { print FILENAME ":" FNR ": " $0; hit = 1 }
+    body && $0 == end { body = 0 }
+    END { exit !hit }' crates/packet/src/ip.rs
+}
+fired=0
+body internet_checksum from_be_bytes && fired=1
+body verify_checksum to_vec && fired=1
+if [ "$fired" = 1 ]; then
+  echo "sum native-endian words and swap once; copy the header to the stack" >&2
   exit 1
 fi
 

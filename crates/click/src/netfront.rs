@@ -130,6 +130,29 @@ mod tests {
         assert_eq!(ring.head, 1);
     }
 
+    /// The checksum kernel's result over a seeded trace of mixed frame
+    /// sizes, 1 B to past a slot, pinned to the constant the big-endian
+    /// word loop computed: a faster kernel must reproduce it bit for bit.
+    #[test]
+    fn checksum_accumulator_is_pinned_on_a_seeded_trace() {
+        let mut state: u64 = 0x6e65_7466_726f_6e74;
+        let mut next = || {
+            // xorshift64*
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        };
+        let mut ring = NetfrontRing::new(5);
+        for _ in 0..500 {
+            let len = 1 + (next() % 2100) as usize;
+            let frame: Vec<u8> = (0..len).map(|_| (next() >> 56) as u8).collect();
+            ring.transfer(&Packet::from_bytes(frame));
+        }
+        assert_eq!((ring.packets, ring.bytes), (500, 523_586));
+        assert_eq!(ring.csum_acc, 0x0a14);
+    }
+
     #[test]
     fn oversized_packets_truncated_into_slot() {
         let mut ring = NetfrontRing::new(1);

@@ -70,30 +70,35 @@ impl std::fmt::Display for IpProto {
 /// The caller zeroes the checksum field before computing. Odd-length inputs
 /// are padded with a trailing zero byte, as the RFC requires.
 pub fn internet_checksum(data: &[u8]) -> u16 {
-    // A u64 accumulator cannot overflow below 2^32 words (~16 GiB
-    // inputs); the u32 it replaces would wrap — a debug-build panic — on
-    // ~128 KiB of 0xFF bytes. Summing 32-bit big-endian words is exact:
-    // each contributes `hi16 * 2^16 + lo16`, and 2^16 ≡ 1 (mod 2^16-1),
-    // so the final fold produces the same one's-complement sum as a
-    // 16-bit-word accumulation — at half the loop iterations, which
-    // matters because every netfront ring crossing pays this over the
-    // whole frame.
+    // The one's-complement sum does not depend on byte order (RFC 1071
+    // §2(B)): summing the words as the machine reads them yields the
+    // big-endian sum with its two bytes swapped, so the loop adds native
+    // words and the result is swapped once, after the fold (`from_be`, a
+    // no-op on a big-endian machine). A swap per word keeps the loop from
+    // vectorising, and every netfront ring crossing pays this loop over
+    // the whole frame.
+    //
+    // Summing 32-bit words is exact: each contributes `hi16 * 2^16 +
+    // lo16`, and 2^16 ≡ 1 (mod 2^16-1), so the fold produces the same
+    // sum as a 16-bit-word accumulation. A u64 accumulator cannot
+    // overflow below 2^32 words (~16 GiB inputs); a u32 would wrap — a
+    // debug-build panic — on ~128 KiB of 0xFF bytes.
     let mut sum: u64 = 0;
     let mut chunks = data.chunks_exact(4);
     for c in &mut chunks {
-        sum += u64::from(u32::from_be_bytes([c[0], c[1], c[2], c[3]]));
+        sum += u64::from(u32::from_ne_bytes([c[0], c[1], c[2], c[3]]));
     }
     let mut rest = chunks.remainder().chunks_exact(2);
     for c in &mut rest {
-        sum += u64::from(u16::from_be_bytes([c[0], c[1]]));
+        sum += u64::from(u16::from_ne_bytes([c[0], c[1]]));
     }
     if let [last] = rest.remainder() {
-        sum += u64::from(u16::from_be_bytes([*last, 0]));
+        sum += u64::from(u16::from_ne_bytes([*last, 0]));
     }
     while sum >> 16 != 0 {
         sum = (sum & 0xffff) + (sum >> 16);
     }
-    !(sum as u16)
+    !u16::from_be(sum as u16)
 }
 
 /// A typed view of an IPv4 header over a byte buffer that begins at the
@@ -187,11 +192,18 @@ impl<T: AsRef<[u8]>> Ipv4View<T> {
     }
 
     /// Recomputes the header checksum and compares it with the stored value.
+    ///
+    /// The header is copied to the stack (IHL ≤ 15, so at most 60 bytes)
+    /// with its checksum field zeroed. A stored `0xFFFF` therefore fails
+    /// where the recomputed value is `0x0000`, which a whole-header sum
+    /// would accept.
     pub fn verify_checksum(&self) -> bool {
-        let mut hdr = self.b()[..self.header_len].to_vec();
+        let mut hdr = [0u8; 60];
+        let hdr = &mut hdr[..self.header_len];
+        hdr.copy_from_slice(&self.b()[..self.header_len]);
         hdr[10] = 0;
         hdr[11] = 0;
-        internet_checksum(&hdr) == self.checksum()
+        internet_checksum(hdr) == self.checksum()
     }
 }
 
@@ -327,6 +339,21 @@ mod tests {
             0x00, 0x01, 0xc0, 0xa8, 0x00, 0xc7,
         ];
         assert_eq!(internet_checksum(&data), 0xb861);
+    }
+
+    #[test]
+    fn stored_ffff_is_not_a_zero_checksum() {
+        // The other words sum to 0xFFFF (0x4500 + 0xBAFF), so the
+        // recomputed checksum is 0x0000. A stored 0xFFFF is the other
+        // one's-complement zero: the whole header would sum to zero, but
+        // the field does not hold the value a sender computes.
+        let mut h = [0u8; IPV4_HDR_LEN];
+        h[0] = 0x45;
+        h[2..4].copy_from_slice(&0xBAFFu16.to_be_bytes());
+        h[10..12].copy_from_slice(&0xFFFFu16.to_be_bytes());
+        assert!(!Ipv4View::new(&h[..]).unwrap().verify_checksum());
+        h[10..12].copy_from_slice(&0x0000u16.to_be_bytes());
+        assert!(Ipv4View::new(&h[..]).unwrap().verify_checksum());
     }
 
     #[test]

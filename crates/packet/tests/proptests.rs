@@ -2,7 +2,9 @@
 
 use std::net::Ipv4Addr;
 
-use innet_packet::{internet_checksum, Cidr, FlowKey, IpProto, Packet, PacketBuilder, TcpFlags};
+use innet_packet::{
+    internet_checksum, Cidr, FlowKey, IpProto, Ipv4View, Packet, PacketBuilder, TcpFlags,
+};
 use proptest::prelude::*;
 
 fn arb_addr() -> impl Strategy<Value = Ipv4Addr> {
@@ -131,6 +133,37 @@ proptest! {
     }
 }
 
+proptest! {
+    /// `Ipv4View::verify_checksum` agrees with the formula it replaced
+    /// (copy the header to the heap, zero the field, recompute, compare
+    /// with the stored value) on random headers with IHL 5-15, half of
+    /// them carrying the correct checksum.
+    #[test]
+    fn verify_checksum_matches_the_heap_copy_formula(
+        bytes in proptest::collection::vec(any::<u8>(), 60),
+        ihl in 5u8..=15,
+        store_correct in any::<bool>(),
+    ) {
+        let mut bytes = bytes;
+        let hl = usize::from(ihl) * 4;
+        bytes[0] = 0x40 | ihl;
+        let heap_copy = |b: &[u8]| {
+            let mut hdr = b[..hl].to_vec();
+            hdr[10] = 0;
+            hdr[11] = 0;
+            reference_checksum(&hdr)
+        };
+        if store_correct {
+            let sum = heap_copy(&bytes);
+            bytes[10..12].copy_from_slice(&sum.to_be_bytes());
+        }
+        let stored = u16::from_be_bytes([bytes[10], bytes[11]]);
+        let view = Ipv4View::new(&bytes[..]).unwrap();
+        prop_assert_eq!(view.header_len(), hl);
+        prop_assert_eq!(view.verify_checksum(), heap_copy(&bytes) == stored);
+    }
+}
+
 /// RFC 1071 computed the slow, obviously-correct way: each 16-bit word is
 /// added with an immediate end-around carry, one word at a time. The
 /// production implementation defers carry folding; this reference is the
@@ -169,9 +202,50 @@ fn checksum_edge_cases() {
             "all-0xFF len {len}"
         );
     }
+    // The all-0xFF lengths again, at every start offset 0-7 of a larger
+    // buffer, so the unaligned subslices a ring slot never sees are covered.
+    for len in [1usize, 2, 3, 1499, 1500, 65535, 65536, 131072, 131073] {
+        let data = vec![0xFFu8; len + 8];
+        for off in 0..8 {
+            let s = &data[off..off + len];
+            assert_eq!(
+                internet_checksum(s),
+                reference_checksum(s),
+                "all-0xFF len {len} at {off}"
+            );
+        }
+    }
     // RFC 1071 §3 worked example: 00 01 f2 03 f4 f5 f6 f7 sums to ddf2
     // (before complement).
     let rfc = [0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7];
     assert_eq!(internet_checksum(&rfc), !0xddf2);
     assert_eq!(reference_checksum(&rfc), !0xddf2);
+}
+
+/// Deterministic differential at frame sizes: every length from 0 to one
+/// past a netfront ring slot (2,048 B), at every start offset 0-7 into a
+/// larger seeded-random buffer, against the bit-at-a-time reference.
+#[test]
+fn checksum_matches_reference_at_every_frame_size_and_offset() {
+    const MAX_LEN: usize = 2049;
+    // SplitMix64, so the buffer is the same on every run.
+    let mut state: u64 = 0x1071_2015;
+    let mut next = || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let buf: Vec<u8> = (0..MAX_LEN + 8).map(|_| next() as u8).collect();
+    for off in 0..8 {
+        for len in 0..=MAX_LEN {
+            let s = &buf[off..off + len];
+            assert_eq!(
+                internet_checksum(s),
+                reference_checksum(s),
+                "len {len} at {off}"
+            );
+        }
+    }
 }

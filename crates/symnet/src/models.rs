@@ -11,7 +11,7 @@
 use std::any::Any;
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, LazyLock, OnceLock};
 
 use innet_click::{
     class_info, elements as el,
@@ -896,7 +896,9 @@ pub struct ElementModel {
     /// model. A first-match element (`IPFilter`, `IPClassifier`,
     /// `StaticIPLookup`) forwards to every output a rule or route names,
     /// shadowed or not, so lint still refuses a queueless cycle through it.
-    pub reach: Vec<BTreeSet<usize>>,
+    /// Only lint reads it, so the runs happen on its first read, not when
+    /// the security check or the network model builds the entry.
+    pub reach: Reach,
     /// Whether the class absorbs every packet by construction (`Discard`,
     /// `Idle`): an output it declares never emits.
     pub sink: bool,
@@ -904,29 +906,35 @@ pub struct ElementModel {
     pub rules: Vec<PatternExpr>,
 }
 
+/// [`ElementModel::reach`]: computed on first dereference.
+type Reach = LazyLock<Vec<BTreeSet<usize>>, Box<dyn FnOnce() -> Vec<BTreeSet<usize>> + Send>>;
+
 impl ElementModel {
-    /// `model` with its ports; its reach is `named`, else read off the model.
+    /// `model` with its ports; its reach is `named`, else read off the
+    /// model when first dereferenced.
     fn new(
         model: Box<dyn SymElement>,
         ports: PortCount,
         named: Option<BTreeSet<usize>>,
     ) -> ElementModel {
-        let reach_of = |input| {
-            let outs = model.exec(input, probe()).into_iter();
+        let model: Arc<dyn SymElement> = Arc::from(model);
+        let runs = Arc::clone(&model);
+        let reach_of = move |input| {
+            let outs = runs.exec(input, probe()).into_iter();
             outs.filter_map(|o| match o {
                 SymOut::Port(port, _) => Some(port),
                 SymOut::Egress(..) => None,
             })
             .collect()
         };
-        let reach = match named {
+        let reach = move || match named {
             Some(named) => vec![named],
             None => (0..ports.inputs).map(reach_of).collect(),
         };
         ElementModel {
-            model: Arc::from(model),
+            model,
             ports,
-            reach,
+            reach: LazyLock::new(Box::new(reach)),
             sink: false,
             rules: Vec::new(),
         }
@@ -1306,9 +1314,9 @@ mod tests {
         // passes tagged flows only, and the probe's tag is free.
         let fw = entry("StatefulFirewall", &["allow udp"]);
         assert_eq!(shape(&fw), (2, 2));
-        assert_eq!(fw.reach, [outs(&[0]), outs(&[1])]);
+        assert_eq!(*fw.reach, [outs(&[0]), outs(&[1])]);
         let tee = entry("Tee", &["3"]);
-        assert_eq!(tee.reach, [outs(&[0, 1, 2])]);
+        assert_eq!(*tee.reach, [outs(&[0, 1, 2])]);
         // Netfront endpoints get their ports without being built.
         let exit = entry("ToNetfront", &["1"]);
         assert_eq!(
@@ -1318,7 +1326,7 @@ mod tests {
         assert_eq!(shape(&entry("FromDevice", &[])), (1, 1));
         // Idle declares an output it never emits on.
         let idle = entry("Idle", &[]);
-        assert!(idle.sink && shape(&idle) == (1, 1) && idle.reach == [outs(&[])]);
+        assert!(idle.sink && shape(&idle) == (1, 1) && *idle.reach == [outs(&[])]);
         assert!(!entry("Counter", &[]).sink);
         // A first-match element forwards to every output a rule names,
         // shadowed or not, and keeps its rules for IN-L011.
@@ -1329,9 +1337,9 @@ mod tests {
         );
         let f = entry("IPFilter", &["deny all", "allow udp"]);
         assert_eq!((f.reach.as_slice(), f.rules.len()), (&[outs(&[0])][..], 2));
-        assert_eq!(entry("IPFilter", &["deny all"]).reach, [outs(&[])]);
+        assert_eq!(*entry("IPFilter", &["deny all"]).reach, [outs(&[])]);
         let lookup = entry("StaticIPLookup", &["10.0.0.0/8 1", "10.0.0.0/8 0"]);
-        assert_eq!(lookup.reach, [outs(&[0, 1])]);
+        assert_eq!(*lookup.reach, [outs(&[0, 1])]);
     }
 
     #[test]
