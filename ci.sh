@@ -10,15 +10,14 @@
 # fenced set; without, it is the control-plane-only set: everything the
 # packet and fleet data paths, and the benchmark itself, are built from.
 #
-# Example — the checksum sums native-endian words (parent 3e4bf7f): the
-# change touches packet, click's netfront tests, symnet, ci.sh and the
-# docs, and fences the rest, the benchmark and the goldens included (it
-# regenerates BENCH_fig12_middlebox.json, so that snapshot is not fenced):
+# Example — the compiled plan lowers the interpreted graph and every
+# ClickOS VM runs it (parent 3b6409b): the change touches click,
+# platform, the integration tests, ci.sh and the docs, and fences the
+# rest, the benchmark, every snapshot and the goldens included:
 #
-#   ./ci.sh --fence 3e4bf7f \
-#     crates/{obs,sim,topology,policy,platform,analysis,core,bench} examples \
-#     benchmark BENCHMARK.json BENCH_admission.json BENCH_fleet.json \
-#     BENCH_parallel_scaling.json BENCH_scenarios.json tests/tests/golden Cargo.lock
+#   ./ci.sh --fence 3b6409b \
+#     crates/{packet,obs,sim,topology,policy,symnet,analysis,controller,core,bench} \
+#     examples benchmark BENCHMARK.json 'BENCH_*.json' Cargo.lock tests/tests/golden
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -197,6 +196,22 @@ echo "==> lint reads the models"
 # lint would be a second description of the element, and a second parse.
 if grep -nE '\.summary\(|has_summary\(|\.instantiate\(' crates/analysis/src/lint.rs; then
   echo "read the element through ModelCache::model (innet_symnet::ElementModel)" >&2
+  exit 1
+fi
+
+echo "==> one graph builder, one VM engine"
+# CompiledRouter::compile lowers the graph Router::from_config builds
+# (Router::into_parts): it instantiates, wires and port-checks nothing
+# itself, and its entry and exit stages take over the netfront elements'
+# own rings instead of allocating a second 128 KB ring each. A ClickOS
+# VM boots that plan, never the interpreter.
+if awk '/^#\[cfg\(test\)\]/ { exit }
+        /registry\.instantiate|RouterError::BadPort|NetfrontRing::(default|new)/ {
+          print FILENAME ":" FNR ": " $0; hit = 1
+        }
+        END { exit !hit }' crates/click/src/compile.rs ||
+  grep -nE 'Router::from_config' crates/platform/src/vm.rs; then
+  echo "lower Router::into_parts in compile; boot VMs with CompiledRouter::compile" >&2
   exit 1
 fi
 

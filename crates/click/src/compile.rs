@@ -40,19 +40,18 @@ use innet_packet::{
 
 use crate::{
     config::ClickConfig,
-    element::{Context, Element, Sink},
+    element::{Context, Element},
     elements::{
         BytePattern, CheckIPHeader, Classifier, Counter, DecIPTTL, FilterAction, FromNetfront,
         IPClassifier, IPFilter, StaticIPLookup, ToNetfront,
     },
-    graph::{BatchResult, RouterError, RouterStats},
+    graph::{
+        BatchResult, Router, RouterError, RouterMetrics, RouterParts, RouterStats, RunSink,
+        MAX_HOPS,
+    },
     netfront::NetfrontRing,
     registry::Registry,
 };
-
-/// Hop bound identical to the interpreter's: a compiled plan must detect
-/// forwarding loops at exactly the same point.
-const MAX_HOPS: usize = 100_000;
 
 /// The packet currently being worked on: (stage index, input port, the
 /// packet, and its cached header view with a "parsed L4 too" flag).
@@ -481,50 +480,10 @@ enum Stage {
     Gone,
 }
 
-/// Obs mirrors of [`RouterStats`], same series names as the interpreter so
-/// dashboards aggregate both engines.
-#[derive(Debug, Clone)]
-struct CompiledMetrics {
-    delivered: innet_obs::Counter,
-    transmitted: innet_obs::Counter,
-    hops: innet_obs::Counter,
-    dropped_unconnected: innet_obs::Counter,
-}
-
-impl CompiledMetrics {
-    fn register(reg: &innet_obs::Registry) -> CompiledMetrics {
-        CompiledMetrics {
-            delivered: reg.counter("innet_click_delivered_total"),
-            transmitted: reg.counter("innet_click_transmitted_total"),
-            hops: reg.counter("innet_click_hops_total"),
-            dropped_unconnected: reg
-                .labeled_counter("innet_click_drops_total", "reason")
-                .with("unconnected_port"),
-        }
-    }
-}
-
-/// Sink handed to `Dyn` stages: buffers port pushes, routes transmissions
-/// straight to the tx list (identical to the interpreter's run sink).
-struct StageSink<'a> {
-    emitted: &'a mut Vec<(usize, Packet)>,
-    tx: &'a mut Vec<(u16, Packet)>,
-}
-
-impl Sink for StageSink<'_> {
-    fn push(&mut self, port: usize, pkt: Packet) {
-        self.emitted.push((port, pkt));
-    }
-
-    fn transmit(&mut self, iface: u16, pkt: Packet) {
-        self.tx.push((iface, pkt));
-    }
-}
-
 /// Intermediate per-element lowering decision (phase 1 of `compile`).
 enum Lower {
-    Entry(u16),
-    Exit(u16),
+    Entry(u16, NetfrontRing),
+    Exit(u16, NetfrontRing),
     Classify(ClassifyProgram),
     Bytes(Vec<BytePattern>),
     Route(Vec<(Cidr, usize)>),
@@ -554,7 +513,7 @@ pub struct CompiledRouter {
     now_ns: u64,
     /// Execution counters, maintained identically to the interpreter's.
     pub stats: RouterStats,
-    metrics: Option<CompiledMetrics>,
+    metrics: Option<RouterMetrics>,
     scratch: VecDeque<(u32, u32, Packet)>,
     emitted_buf: Vec<(usize, Packet)>,
 }
@@ -575,56 +534,32 @@ fn edge_of(
 }
 
 impl CompiledRouter {
-    /// Lowers `cfg` into a compiled plan, validating it exactly like
-    /// [`Router::from_config`] (any valid config compiles — elements
-    /// without a native lowering run interpreted inside the plan).
+    /// Lowers `cfg` into a compiled plan: builds the interpreted graph
+    /// with [`Router::from_config`] (so both engines validate, instantiate
+    /// and wire identically) and lowers that graph. Any valid config
+    /// compiles — elements without a native lowering run interpreted
+    /// inside the plan.
     ///
     /// [`Router::from_config`]: crate::graph::Router::from_config
     pub fn compile(cfg: &ClickConfig, registry: &Registry) -> Result<CompiledRouter, RouterError> {
-        cfg.validate()?;
-        let mut elements: Vec<Box<dyn Element>> = Vec::with_capacity(cfg.elements.len());
-        let mut names = Vec::with_capacity(cfg.elements.len());
-        let mut index: HashMap<String, usize> = HashMap::new();
-        let mut rx_ifaces = HashMap::new();
-        for decl in &cfg.elements {
-            let el = registry.instantiate(&decl.class, &decl.args)?;
-            if let Some(fnf) = el.as_any().downcast_ref::<FromNetfront>() {
-                rx_ifaces.insert(fnf.iface(), elements.len() as u32);
-            }
-            index.insert(decl.name.clone(), elements.len());
-            names.push(decl.name.clone());
-            elements.push(el);
-        }
-
-        let mut edges: HashMap<(usize, usize), (usize, usize)> = HashMap::new();
-        for c in &cfg.connections {
-            let from_idx = index[&c.from.element];
-            let to_idx = index[&c.to.element];
-            if c.from.port >= elements[from_idx].ports().outputs {
-                return Err(RouterError::BadPort {
-                    port: c.from.clone(),
-                    input: false,
-                });
-            }
-            if c.to.port >= elements[to_idx].ports().inputs {
-                return Err(RouterError::BadPort {
-                    port: c.to.clone(),
-                    input: true,
-                });
-            }
-            edges.insert((from_idx, c.from.port), (to_idx, c.to.port));
-        }
+        let RouterParts {
+            mut elements,
+            names,
+            edges,
+            rx_ifaces,
+        } = Router::from_config(cfg, registry)?.into_parts();
 
         // Phase 1: decide each element's lowering (cloning rule data out
-        // of the instances; un-lowerable elements stay `Dyn`).
+        // of the instances and taking over the netfront rings;
+        // un-lowerable elements stay `Dyn`).
         let mut lower: Vec<Option<Lower>> = elements
-            .iter()
+            .iter_mut()
             .map(|el| {
-                let any = el.as_any();
-                Some(if let Some(f) = any.downcast_ref::<FromNetfront>() {
-                    Lower::Entry(f.iface())
-                } else if let Some(t) = any.downcast_ref::<ToNetfront>() {
-                    Lower::Exit(t.iface())
+                let any = el.as_any_mut();
+                Some(if let Some(f) = any.downcast_mut::<FromNetfront>() {
+                    Lower::Entry(f.iface(), f.ring_mut().take())
+                } else if let Some(t) = any.downcast_mut::<ToNetfront>() {
+                    Lower::Exit(t.iface(), t.ring_mut().take())
                 } else if let Some(c) = any.downcast_ref::<IPClassifier>() {
                     Lower::Classify(ClassifyProgram::build(c.rules()))
                 } else if let Some(c) = any.downcast_ref::<Classifier>() {
@@ -650,19 +585,38 @@ impl CompiledRouter {
             })
             .collect();
 
-        // Phase 2: fuse chains of micro-op elements. A chain extends from
+        // Phase 2: flatten the edge map. Each stage's slice of `edge_to`
+        // covers its wired ports only: an unwired port past the last
+        // wired one reads as unconnected either way.
+        let n = elements.len();
+        let mut out_count = vec![0u32; n];
+        for &(f, p) in edges.keys() {
+            out_count[f] = out_count[f].max(p as u32 + 1);
+        }
+        let mut out_base = Vec::with_capacity(n);
+        let mut wired = 0u32;
+        for &count in &out_count {
+            out_base.push(wired);
+            wired += count;
+        }
+        let mut edge_to = vec![None; wired as usize];
+        for (&(f, p), &(t, tp)) in &edges {
+            edge_to[out_base[f] as usize + p] = Some((t as u32, tp as u32));
+        }
+        let port0 = |i: usize| edge_of(&out_base, &out_count, &edge_to, i as u32, 0);
+
+        // Phase 3: fuse chains of micro-op elements. A chain extends from
         // a head through port-0 wires as long as the successor is itself
         // micro-op-able, has in-degree exactly 1 (nobody else can inject
         // into the middle of a fused chain), and is not already consumed
-        // (which also breaks cycles).
-        let n = elements.len();
+        // (which also breaks cycles). `chains[head]` lists its members.
         let mut in_degree = vec![0usize; n];
-        for &(to, _) in edges.values() {
-            in_degree[to] += 1;
+        for &(to, _) in edge_to.iter().flatten() {
+            in_degree[to as usize] += 1;
         }
         let micro = |l: &Option<Lower>| matches!(l, Some(Lower::Micro(_)));
         let mut consumed = vec![false; n];
-        let mut chains: Vec<(usize, Vec<usize>)> = Vec::new();
+        let mut chains: Vec<Vec<usize>> = vec![Vec::new(); n];
         for head in 0..n {
             if consumed[head] || !micro(&lower[head]) {
                 continue;
@@ -670,7 +624,8 @@ impl CompiledRouter {
             consumed[head] = true;
             let mut chain = vec![head];
             let mut cur = head;
-            while let Some(&(next, next_port)) = edges.get(&(cur, 0)) {
+            while let Some((next, next_port)) = port0(cur) {
+                let next = next as usize;
                 if next_port != 0 || consumed[next] || !micro(&lower[next]) || in_degree[next] != 1
                 {
                     break;
@@ -679,72 +634,40 @@ impl CompiledRouter {
                 chain.push(next);
                 cur = next;
             }
-            chains.push((head, chain));
+            chains[head] = chain;
         }
 
-        // Phase 3: materialize stages. Chain members collapse into their
+        // Phase 4: materialize stages. Chain members collapse into their
         // head's `Fused` stage; everything else lowers in place.
         let mut stages: Vec<Stage> = Vec::with_capacity(n);
         for (i, el) in elements.into_iter().enumerate() {
             let stage = match lower[i].take() {
-                Some(Lower::Entry(iface)) => Stage::Entry {
-                    iface,
-                    ring: NetfrontRing::default(),
-                },
-                Some(Lower::Exit(iface)) => Stage::Exit {
-                    iface,
-                    ring: NetfrontRing::default(),
-                },
+                Some(Lower::Entry(iface, ring)) => Stage::Entry { iface, ring },
+                Some(Lower::Exit(iface, ring)) => Stage::Exit { iface, ring },
                 Some(Lower::Classify(p)) => Stage::Classify(p),
                 Some(Lower::Bytes(p)) => Stage::ClassifyBytes(p),
                 Some(Lower::Route(r)) => Stage::Route(r),
+                // The head of a chain; its members were taken with it.
                 Some(Lower::Micro(op)) => {
-                    // Either the head of a recorded chain, or a member
-                    // already absorbed into one.
-                    match chains.iter_mut().find(|(h, _)| *h == i) {
-                        Some((_, chain)) => {
-                            let tail = *chain.last().expect("chains are non-empty");
-                            let exit_edge =
-                                edges.get(&(tail, 0)).map(|&(t, p)| (t as u32, p as u32));
-                            let mut ops = vec![op];
-                            for &m in chain.iter().skip(1) {
-                                match lower[m].take() {
-                                    Some(Lower::Micro(mop)) => ops.push(mop),
-                                    _ => unreachable!("chain members are micro-ops"),
-                                }
-                            }
-                            Stage::Fused { ops, exit_edge }
+                    let chain = std::mem::take(&mut chains[i]);
+                    let tail = *chain.last().expect("chains are non-empty");
+                    let mut ops = vec![op];
+                    for &m in &chain[1..] {
+                        match lower[m].take() {
+                            Some(Lower::Micro(mop)) => ops.push(mop),
+                            _ => unreachable!("chain members are micro-ops"),
                         }
-                        None => Stage::Gone,
+                    }
+                    Stage::Fused {
+                        ops,
+                        exit_edge: port0(tail),
                     }
                 }
                 Some(Lower::Dyn) => Stage::Dyn(el),
+                // A chain member absorbed into its head's stage.
                 None => Stage::Gone,
             };
             stages.push(stage);
-        }
-
-        // Phase 4: flatten the edge map.
-        let mut out_base = Vec::with_capacity(n);
-        let mut out_count = Vec::with_capacity(n);
-        let mut edge_to = Vec::new();
-        for (i, decl) in cfg.elements.iter().enumerate() {
-            // Output arity from the config declaration: re-instantiate is
-            // wasteful, so recover it from the recorded edges plus the
-            // stage shape. Declared arity only matters as an upper bound
-            // for the port-indexed table; the max wired port suffices.
-            let _ = decl;
-            let max_port = edges
-                .keys()
-                .filter(|&&(f, _)| f == i)
-                .map(|&(_, p)| p + 1)
-                .max()
-                .unwrap_or(0);
-            out_base.push(edge_to.len() as u32);
-            out_count.push(max_port as u32);
-            for p in 0..max_port {
-                edge_to.push(edges.get(&(i, p)).map(|&(t, tp)| (t as u32, tp as u32)));
-            }
         }
 
         Ok(CompiledRouter {
@@ -753,7 +676,10 @@ impl CompiledRouter {
             out_base,
             out_count,
             edge_to,
-            rx_ifaces,
+            rx_ifaces: rx_ifaces
+                .into_iter()
+                .map(|(iface, i)| (iface, i as u32))
+                .collect(),
             tx: Vec::new(),
             now_ns: 0,
             stats: RouterStats::default(),
@@ -766,7 +692,7 @@ impl CompiledRouter {
     /// Publishes counters into `registry` under the same
     /// `innet_click_*` names as the interpreter.
     pub fn attach_metrics(&mut self, registry: &innet_obs::Registry) {
-        self.metrics = Some(CompiledMetrics::register(registry));
+        self.metrics = Some(RouterMetrics::register(registry));
     }
 
     /// Number of stages (== elements of the source config).
@@ -1072,7 +998,7 @@ impl CompiledRouter {
                         let mut emitted = std::mem::take(&mut self.emitted_buf);
                         emitted.clear();
                         {
-                            let mut sink = StageSink {
+                            let mut sink = RunSink {
                                 emitted: &mut emitted,
                                 tx: &mut self.tx,
                             };
@@ -1210,7 +1136,7 @@ impl CompiledRouter {
         for (i, stage) in self.stages.iter_mut().enumerate() {
             if let Stage::Dyn(el) = stage {
                 let before_tx = self.tx.len();
-                let mut sink = StageSink {
+                let mut sink = RunSink {
                     emitted: &mut emitted,
                     tx: &mut self.tx,
                 };
@@ -1275,7 +1201,6 @@ impl std::fmt::Debug for CompiledRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::Router;
     use innet_packet::PacketBuilder;
 
     fn both(cfg: &str) -> (Router, CompiledRouter) {

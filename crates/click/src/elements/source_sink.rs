@@ -121,6 +121,12 @@ impl ToNetfront {
     pub fn iface(&self) -> u16 {
         self.iface
     }
+
+    /// Mutable access to the underlying ring (the compiled plan's exit
+    /// stage takes it over).
+    pub(crate) fn ring_mut(&mut self) -> &mut NetfrontRing {
+        &mut self.ring
+    }
 }
 
 impl Element for ToNetfront {

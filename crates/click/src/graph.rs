@@ -15,7 +15,9 @@ use crate::{
 
 /// Hard bound on element hops a single injected packet (and its clones) may
 /// traverse; exceeding it indicates a forwarding loop in the configuration.
-const MAX_HOPS: usize = 100_000;
+/// The compiled plan shares it, so both engines detect a loop at the same
+/// hop.
+pub(crate) const MAX_HOPS: usize = 100_000;
 
 /// Errors produced while instantiating or running a router.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,17 +89,18 @@ pub struct RouterStats {
 /// Shared-registry instruments a router publishes into when attached
 /// via [`Router::attach_metrics`]. Many routers attached to the same
 /// registry (every ClickOS VM on a host, say) share these handles, so
-/// the registry aggregates across the fleet.
+/// the registry aggregates across the fleet; the compiled plan publishes
+/// the same series.
 #[derive(Debug, Clone)]
-struct RouterMetrics {
-    delivered: innet_obs::Counter,
-    transmitted: innet_obs::Counter,
-    hops: innet_obs::Counter,
-    dropped_unconnected: innet_obs::Counter,
+pub(crate) struct RouterMetrics {
+    pub(crate) delivered: innet_obs::Counter,
+    pub(crate) transmitted: innet_obs::Counter,
+    pub(crate) hops: innet_obs::Counter,
+    pub(crate) dropped_unconnected: innet_obs::Counter,
 }
 
 impl RouterMetrics {
-    fn register(reg: &innet_obs::Registry) -> RouterMetrics {
+    pub(crate) fn register(reg: &innet_obs::Registry) -> RouterMetrics {
         RouterMetrics {
             delivered: reg.counter("innet_click_delivered_total"),
             transmitted: reg.counter("innet_click_transmitted_total"),
@@ -148,11 +151,11 @@ pub struct BatchResult {
     pub failed: u64,
 }
 
-/// Sink used during a run: buffers port pushes for queueing and routes
-/// transmissions straight into the router's tx list.
-struct RunSink<'a> {
-    emitted: &'a mut Vec<(usize, Packet)>,
-    tx: &'a mut Vec<(u16, Packet)>,
+/// Sink used during a run (of either engine): buffers port pushes for
+/// queueing and routes transmissions straight into the router's tx list.
+pub(crate) struct RunSink<'a> {
+    pub(crate) emitted: &'a mut Vec<(usize, Packet)>,
+    pub(crate) tx: &'a mut Vec<(u16, Packet)>,
 }
 
 impl Sink for RunSink<'_> {
@@ -500,6 +503,28 @@ impl Router {
     pub fn take_tx_into(&mut self, out: &mut Vec<(u16, Packet)>) {
         out.append(&mut self.tx);
     }
+
+    /// Hands over the graph this router was built with.
+    pub(crate) fn into_parts(self) -> RouterParts {
+        RouterParts {
+            elements: self.elements,
+            names: self.names,
+            edges: self.edges,
+            rx_ifaces: self.rx_ifaces,
+        }
+    }
+}
+
+/// A built router taken apart for lowering: [`CompiledRouter::compile`]
+/// builds through [`Router::from_config`] and consumes these, so the two
+/// engines share one instantiation, one name list and one wiring check.
+///
+/// [`CompiledRouter::compile`]: crate::CompiledRouter::compile
+pub(crate) struct RouterParts {
+    pub(crate) elements: Vec<Box<dyn Element>>,
+    pub(crate) names: Vec<String>,
+    pub(crate) edges: HashMap<(usize, usize), (usize, usize)>,
+    pub(crate) rx_ifaces: HashMap<u16, usize>,
 }
 
 impl std::fmt::Debug for Router {

@@ -72,6 +72,21 @@ impl NetfrontRing {
         self.bytes += len as u64;
     }
 
+    /// Moves the ring out, leaving behind one with no slots that must not
+    /// transfer again. The compiled plan takes over a netfront element's
+    /// ring this way instead of allocating a second one.
+    pub(crate) fn take(&mut self) -> NetfrontRing {
+        let husk = NetfrontRing {
+            slots: Vec::new(),
+            n_slots: 1,
+            head: 0,
+            packets: 0,
+            bytes: 0,
+            csum_acc: 0,
+        };
+        std::mem::replace(self, husk)
+    }
+
     /// Moves a whole batch through the ring in one call.
     ///
     /// This is the batched netfront drain: the per-packet copy and

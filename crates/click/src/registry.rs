@@ -305,13 +305,6 @@ impl Registry {
             .unwrap_or(Shardability::Stateless)
     }
 
-    /// Whether a configuration can be replicated across flow-sharded
-    /// workers without changing its forwarding behavior (its
-    /// [`Registry::config_shardability`] verdict is not `Global`).
-    pub fn config_shardable(&self, cfg: &crate::config::ClickConfig) -> bool {
-        self.config_shardability(cfg) != Shardability::Global
-    }
-
     /// All registered class names, sorted.
     pub fn classes(&self) -> impl Iterator<Item = &'static str> + '_ {
         self.ctors.keys().copied()
@@ -404,7 +397,7 @@ mod tests {
     }
 
     #[test]
-    fn config_shardable_verdicts() {
+    fn config_shardability_verdicts() {
         use crate::config::ClickConfig;
         let r = Registry::standard();
         let stateless = ClickConfig::parse(
@@ -412,19 +405,16 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.config_shardability(&stateless), Shardability::Stateless);
-        assert!(r.config_shardable(&stateless));
 
         // Per-connection state shards under symmetric dispatch; the
         // verdict is the join, so one NAT upgrades a stateless pipeline.
         let nat = ClickConfig::parse("FromNetfront() -> IPNAT(5.5.5.5) -> ToNetfront();").unwrap();
         assert_eq!(r.config_shardability(&nat), Shardability::FlowPartitionable);
-        assert!(r.config_shardable(&nat));
 
         // A queue decouples timing from arrival across all flows: not
         // shardable at all.
         let queued = ClickConfig::parse("FromNetfront() -> Queue(16) -> ToNetfront();").unwrap();
         assert_eq!(r.config_shardability(&queued), Shardability::Global);
-        assert!(!r.config_shardable(&queued));
 
         // A Global element poisons an otherwise flow-partitionable
         // config.

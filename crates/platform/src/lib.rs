@@ -16,7 +16,7 @@
 //! Control-plane latencies (boot/suspend/resume) and memory are *modelled*
 //! from the paper's own measurements — [`calib`] is the single source of
 //! truth and cites each constant. Data-plane processing is *executed*: a
-//! VM's interior is a real `innet_click::Router`, and the
+//! VM's interior is a real `innet_click::CompiledRouter`, and the
 //! [`ParallelRunner`] measures real throughput for the evaluation figures.
 //!
 //! There is one runner, configured through one builder, [`RunnerConfig`]:

@@ -44,7 +44,7 @@
 
 use std::time::Instant;
 
-use innet_click::{ClickConfig, Registry, Router, RouterError, Shardability};
+use innet_click::{ClickConfig, Registry, RouterError, Shardability};
 use innet_packet::{FlowKey, Packet, PacketPool};
 
 use crate::engine::Engine;
@@ -219,22 +219,9 @@ impl ParallelRunner {
         self.shardability != Shardability::Global
     }
 
-    /// Access to a worker's interpreted router replica (for counter
-    /// inspection). `None` for an out-of-range worker — or in compiled
-    /// mode, where replicas are flat plans with no element instances.
-    pub fn router(&self, worker: usize) -> Option<&Router> {
-        self.engines.get(worker).and_then(|e| e.router())
-    }
-
     /// Whether the replicas execute the compiled plan.
     pub fn is_compiled(&self) -> bool {
         self.engines.first().is_some_and(|e| e.is_compiled())
-    }
-
-    /// The compiled plan's stage listing; `None` when interpreting.
-    pub fn plan(&self) -> Option<Vec<String>> {
-        let plan = self.engines.first()?.compiled()?;
-        Some(plan.describe())
     }
 
     /// Pushes the packet set through the replicas `rounds` times,

@@ -2,10 +2,11 @@
 //!
 //! The host model charges calibrated latencies (see [`crate::calib`]) for
 //! boot, suspend, and resume, and real memory accounting; the packet
-//! processing *inside* a ClickOS VM is the real `innet_click::Router`, so
-//! data-plane behaviour is executed, not modelled.
+//! processing *inside* a ClickOS VM is the guest configuration compiled
+//! once at boot into an `innet_click::CompiledRouter`, so data-plane
+//! behaviour is executed, not modelled.
 
-use innet_click::{ClickConfig, Registry, Router, RouterError};
+use innet_click::{ClickConfig, CompiledRouter, Registry, RouterError};
 use innet_packet::Packet;
 
 use crate::calib::{
@@ -105,8 +106,8 @@ pub struct Vm {
     pub kind: VmTimingKind,
     /// Lifecycle state.
     pub state: VmState,
-    /// The Click instance running inside (ClickOS guests only).
-    pub router: Option<Router>,
+    /// The compiled Click instance running inside (ClickOS guests only).
+    pub router: Option<CompiledRouter>,
     /// Packets that arrived while booting/resuming, delivered when the VM
     /// becomes runnable (the switch controller buffers the first packets
     /// of a flow while its VM boots).
@@ -311,7 +312,7 @@ impl Host {
         }
         let router = match config {
             Some(cfg) => {
-                let mut r = Router::from_config(cfg, &self.registry)?;
+                let mut r = CompiledRouter::compile(cfg, &self.registry)?;
                 r.attach_metrics(&self.obs);
                 Some(r)
             }

@@ -9,7 +9,10 @@
 //! stateful firewall), each single-threaded and flow-sharded at
 //! 1/2/4/8 workers. A property test then drives randomly wired
 //! configurations from the standard element registry through both
-//! engines directly.
+//! engines directly. Single-threaded corpora and generated configs also
+//! run through a booting ClickOS VM, which runs the compiled plan, and
+//! an `IPNAT` tenant's mappings must survive live migration between
+//! hosts.
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -17,7 +20,8 @@ use std::net::Ipv4Addr;
 use innet::click::elements::IpNat;
 use innet::click::CompiledRouter;
 use innet::platform::{
-    consolidated_config, middlebox_config, nat_gateway_config, stateful_firewall_config,
+    consolidated_config, middlebox_config, nat_gateway_config, stateful_firewall_config, Delivery,
+    Host, VmId,
 };
 use innet::prelude::*;
 use proptest::prelude::*;
@@ -73,9 +77,9 @@ fn by_flow(out: &[(u16, Packet)]) -> BTreeMap<String, Vec<(u16, Vec<u8>)>> {
     groups
 }
 
-/// Single-threaded contract: the compiled one-worker runner's output
-/// must be identical to the interpreted one's — same egress, same bytes,
-/// same total order, same packet accounting.
+/// Single-threaded contract: the compiled one-worker runner's output,
+/// and a ClickOS VM's, must be identical to the interpreted runner's —
+/// same egress, same bytes, same total order, same packet accounting.
 fn assert_one_worker_identical(label: &str, cfg: &ClickConfig, trace: &[Packet]) {
     let mut interp = RunnerConfig::new().parallel(cfg).unwrap();
     let mut compiled = RunnerConfig::new().compiled(true).parallel(cfg).unwrap();
@@ -87,14 +91,21 @@ fn assert_one_worker_identical(label: &str, cfg: &ClickConfig, trace: &[Packet])
         istats.transmitted, cstats.transmitted,
         "{label}: transmitted"
     );
-    assert_eq!(iout.len(), cout.len(), "{label}: output count");
-    for (n, ((ie, ip), (ce, cp))) in iout.iter().zip(cout.iter()).enumerate() {
-        assert_eq!(ie, ce, "{label}: egress of output packet {n}");
-        assert_eq!(
-            ip.bytes(),
-            cp.bytes(),
-            "{label}: bytes of output packet {n}"
-        );
+    // A ClickOS VM runs the plan too, with a quarter of the trace
+    // buffered while it boots.
+    let mut host = Host::new(1024);
+    let vm = host.boot_clickos(cfg, 0).unwrap();
+    let (vout, _) = run_on_vm(&mut host, vm, trace, trace.len() / 4);
+    for (engine, out) in [("compiled", &cout), ("VM", &vout)] {
+        assert_eq!(iout.len(), out.len(), "{label}: {engine} output count");
+        for (n, ((ie, ip), (e, p))) in iout.iter().zip(out.iter()).enumerate() {
+            assert_eq!(ie, e, "{label}: {engine} egress of output packet {n}");
+            assert_eq!(
+                ip.bytes(),
+                p.bytes(),
+                "{label}: {engine} bytes of output packet {n}"
+            );
+        }
     }
 }
 
@@ -267,8 +278,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Any verified random wiring must push identically through the
-    /// interpreter and the compiled plan: same outputs in the same
-    /// order, same stats, same error behaviour.
+    /// interpreter, the compiled plan and a ClickOS VM on a `Host`: same
+    /// outputs in the same order, same stats, same error behaviour. The
+    /// VM gets part of the trace while it boots (buffered, then flushed
+    /// when it becomes runnable) and the rest once it runs.
     #[test]
     fn random_configs_push_identically(
         classes in proptest::collection::vec(0usize..11, 1..6),
@@ -283,23 +296,28 @@ proptest! {
         let registry = Registry::standard();
         // Construction itself must agree: `validate()` does not check
         // port arity, so some generated wirings are rejected at build
-        // time — by both engines, or by neither.
-        let (mut interp, mut compiled) =
-            match (Router::from_config(&cfg, &registry), CompiledRouter::compile(&cfg, &registry)) {
-                (Ok(i), Ok(c)) => (i, c),
-                (Err(_), Err(_)) => return Ok(()),
-                (i, c) => {
-                    return Err(format!(
-                        "engines disagree on validity: interp {:?} vs compiled {:?}",
-                        i.map(|_| ()),
-                        c.map(|_| ())
-                    ));
-                }
-            };
+        // time — by every engine, or by none.
+        let mut host = Host::new(1024);
+        let (mut interp, mut compiled, vm) = match (
+            Router::from_config(&cfg, &registry),
+            CompiledRouter::compile(&cfg, &registry),
+            host.boot_clickos(&cfg, 0),
+        ) {
+            (Ok(i), Ok(c), Ok(vm)) => (i, c, vm),
+            (Err(_), Err(_), Err(_)) => return Ok(()),
+            (i, c, vm) => {
+                return Err(format!(
+                    "engines disagree on validity (seed {seed}): interp {:?} vs compiled {:?} vs VM {:?}",
+                    i.map(|_| ()),
+                    c.map(|_| ()),
+                    vm.map(|_| ())
+                ));
+            }
+        };
         let clients = [Ipv4Addr::new(203, 0, 113, 7), Ipv4Addr::new(10, 0, 0, 1)];
         let trace = mixed_trace(24 + seed, &clients);
         let ir = interp.push_batch(trace.clone(), 1_000, 100);
-        let cr = compiled.push_batch(trace, 1_000, 100);
+        let cr = compiled.push_batch(trace.clone(), 1_000, 100);
         prop_assert_eq!(ir, cr);
         let itx = interp.take_tx();
         let ctx = compiled.take_tx();
@@ -309,5 +327,104 @@ proptest! {
             prop_assert_eq!(ip.bytes(), cp.bytes());
         }
         prop_assert_eq!(interp.stats.clone(), compiled.stats.clone());
+
+        let split = (seed + 1) * trace.len() / 5;
+        let (vtx, buffered) = run_on_vm(&mut host, vm, &trace, split);
+        prop_assert_eq!(buffered, split, "seed {}: packets buffered during boot", seed);
+        prop_assert_eq!(vtx.len(), itx.len(), "seed {}: VM output count", seed);
+        for (n, ((ie, ip), (ve, vp))) in itx.iter().zip(vtx.iter()).enumerate() {
+            prop_assert_eq!(ie, ve, "seed {}: egress of VM output {}", seed, n);
+            prop_assert_eq!(ip.bytes(), vp.bytes(), "seed {}: bytes of VM output {}", seed, n);
+        }
+        let vm_stats = host.vm(vm).unwrap().router.as_ref().expect("ClickOS VM").stats;
+        prop_assert_eq!(interp.stats.clone(), vm_stats, "seed {}: VM stats", seed);
+    }
+}
+
+/// Feeds `trace` to a freshly booted ClickOS VM: the first `split`
+/// packets while it boots, the rest once it runs, each at its ingress
+/// interface. Returns the VM's `(egress, packet)` output in order and
+/// how many packets the host buffered.
+fn run_on_vm(
+    host: &mut Host,
+    vm: VmId,
+    trace: &[Packet],
+    split: usize,
+) -> (Vec<(u16, Packet)>, usize) {
+    let ready_at = host.next_due().expect("the VM is booting");
+    let mut out = Vec::new();
+    let mut buffered = 0;
+    for (n, pkt) in trace.iter().enumerate() {
+        if n == split {
+            out.extend(host.advance(ready_at).into_iter().map(|(_, e, p)| (e, p)));
+        }
+        let now = if n < split {
+            n as u64
+        } else {
+            ready_at + n as u64
+        };
+        let (delivery, tx) = host
+            .deliver_tracked(vm, pkt.meta.ingress, pkt.clone(), now)
+            .unwrap();
+        buffered += usize::from(delivery == Delivery::Buffered);
+        out.extend(tx);
+    }
+    if split == trace.len() {
+        out.extend(host.advance(ready_at).into_iter().map(|(_, e, p)| (e, p)));
+    }
+    (out, buffered)
+}
+
+/// A NAT tenant migrates live: mappings opened on one host translate
+/// the replies delivered to the VM after it is implanted on another,
+/// exactly as an interpreted router that never moved translates them.
+#[test]
+fn nat_tenant_mappings_survive_migration() {
+    let cfg = nat_gateway_config(PUBLIC);
+    let trace = bidirectional_trace(true);
+    // The trace's first round opens every connection outbound; its
+    // second round is the replies.
+    let opened = trace.iter().take_while(|p| p.meta.ingress == 0).count();
+    assert_eq!(opened, 48);
+
+    let mut oracle = Router::from_config(&cfg, &Registry::standard()).unwrap();
+    for (n, pkt) in trace.iter().enumerate() {
+        oracle
+            .deliver(pkt.meta.ingress, pkt.clone(), n as u64)
+            .unwrap();
+    }
+    let want = oracle.take_tx();
+
+    let mut src = Host::new(1024);
+    let vm = src.boot_clickos(&cfg, 0).unwrap();
+    let (mut got, buffered) = run_on_vm(&mut src, vm, &trace[..opened], opened / 3);
+    assert_eq!(buffered, opened / 3);
+    assert_eq!(got.len(), opened, "every outbound packet is translated");
+
+    let now = src.next_due().unwrap_or(0).max(1_000_000_000);
+    let done = src.suspend(vm, now).unwrap();
+    src.advance(done);
+    let moved = src.extract(vm).unwrap();
+    let mut dst = Host::new(1024);
+    let (vm, ready) = dst.implant(moved, done).unwrap();
+    dst.advance(ready);
+    for (n, pkt) in trace[opened..].iter().enumerate() {
+        let tx = dst
+            .deliver(vm, pkt.meta.ingress, pkt.clone(), ready + n as u64)
+            .unwrap();
+        if n < opened {
+            // A reply: translated back to the inside host that opened it.
+            assert_eq!(tx.len(), 1, "reply {n} found its migrated mapping");
+            assert_eq!(tx[0].0, 0);
+            let inside = FlowKey::of(&trace[n]).unwrap();
+            let back = FlowKey::of(&tx[0].1).unwrap();
+            assert_eq!((back.dst, back.dst_port), (inside.src, inside.src_port));
+        }
+        got.extend(tx);
+    }
+    assert_eq!(got.len(), want.len(), "output count");
+    for (n, ((we, wp), (ge, gp))) in want.iter().zip(got.iter()).enumerate() {
+        assert_eq!(we, ge, "egress of output packet {n}");
+        assert_eq!(wp.bytes(), gp.bytes(), "bytes of output packet {n}");
     }
 }
