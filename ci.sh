@@ -10,14 +10,15 @@
 # fenced set; without, it is the control-plane-only set: everything the
 # packet and fleet data paths, and the benchmark itself, are built from.
 #
-# Example — the compiled plan lowers the interpreted graph and every
-# ClickOS VM runs it (parent 3b6409b): the change touches click,
-# platform, the integration tests, ci.sh and the docs, and fences the
-# rest, the benchmark, every snapshot and the goldens included:
+# Example — IPNAT keeps its mappings in one table (parent 190b342): the
+# change touches click, the integration tests, ci.sh, the docs and the
+# Figure 12 snapshot, and fences the rest, the benchmark and the goldens
+# included:
 #
-#   ./ci.sh --fence 3b6409b \
-#     crates/{packet,obs,sim,topology,policy,symnet,analysis,controller,core,bench} \
-#     examples benchmark BENCHMARK.json 'BENCH_*.json' Cargo.lock tests/tests/golden
+#   ./ci.sh --fence 190b342 \
+#     crates/{packet,obs,sim,topology,policy,symnet,analysis,controller,platform,core,bench} \
+#     examples benchmark BENCHMARK.json BENCH_admission.json BENCH_fleet.json \
+#     BENCH_parallel_scaling.json BENCH_scenarios.json Cargo.lock tests/tests/golden
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -132,16 +133,19 @@ if grep -nE '(From|To)Netfront::(from_args|new)' crates/click/src/summary.rs; th
   exit 1
 fi
 
-echo "==> IPNAT finds free ports in its bitmap"
-# A probe loop over the port map is what the bitmap replaced; outside the
-# debug-profile oracle (the `cfg(any(test, debug_assertions))` impl block)
-# and the unit tests, nat.rs must not ask the map whether a port is taken.
+echo "==> IPNAT keeps one table"
+# The mappings live in one dense entry array behind two open-addressed
+# indexes; a std map beside them would be a second copy to keep in step
+# and a SipHash probe per packet. The probe loop the port bitmap replaced
+# stays as its oracle, compiled only into test and debug builds.
 if awk '/^#\[cfg\(test\)\]/ { exit }
         /^#\[cfg\(any\(test, debug_assertions\)\)\]/ { oracle = 1 }
         oracle && /^}/ { oracle = 0 }
-        !oracle && /contains_key/ { print FILENAME ":" FNR ": " $0; hit = 1 }
-        END { exit !hit }' crates/click/src/elements/nat.rs; then
-  echo "read the port bitmap (IpNat::used), not the map" >&2
+        /HashMap|HashSet|BTreeMap/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+        /fn probe_alloc/ { if (oracle) found = 1; else { print FILENAME ":" FNR ": " $0; hit = 1 } }
+        END { if (!found) { print FILENAME ": no probe_alloc oracle"; hit = 1 }; exit !hit }' \
+  crates/click/src/elements/nat.rs; then
+  echo "keep IpNat's mappings in its entry table, and probe_alloc under cfg(any(test, debug_assertions))" >&2
   exit 1
 fi
 

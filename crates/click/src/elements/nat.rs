@@ -1,7 +1,7 @@
 //! `IPNAT` — network address and port translation (NAPT).
 
 use std::any::Any;
-use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::net::Ipv4Addr;
 
 use innet_packet::{FlowKey, IpProto, Packet};
@@ -26,16 +26,134 @@ const PROBE_LIMIT: u16 = 64;
 const WORDS: usize = (PORT_RANGE / 64) as usize;
 const _: () = assert!(WORDS as u32 * 64 == PORT_RANGE && PROBE_LIMIT == 64);
 
+/// An index slot that points at no entry. A live slot holds
+/// `key << 16 | id`; every live entry owns a distinct port, so ids stay
+/// below `PORT_RANGE` and never reach `0xffff`.
+const EMPTY: u32 = u32::MAX;
+const _: () = assert!(PORT_RANGE < 0xffff);
+
+/// Slots an index starts with once the first mapping arrives.
+const MIN_SLOTS: usize = 16;
+
+/// Fibonacci hashing's multiplier, 2^64/φ (as the compiled plan's
+/// `HostTable` uses).
+const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// Default idle timeout for translation entries (5 minutes, matching
 /// [`StatefulFirewall`](crate::elements::StatefulFirewall)).
 pub const DEFAULT_NAT_TIMEOUT_S: f64 = 300.0;
 
-/// One live translation: the allocated external port plus the virtual
-/// time the mapping last carried a packet (either direction).
+/// One live translation: the inside flow, its external port, and the
+/// virtual time the mapping last carried a packet (either direction).
 #[derive(Debug, Clone, Copy)]
-struct Mapping {
+struct Entry {
+    flow: FlowKey,
     port: u16,
     last_ns: u64,
+}
+
+/// The entry id a live index slot points at.
+fn id_of(slot: u32) -> usize {
+    (slot & 0xffff) as usize
+}
+
+/// An open-addressed index into a dense entry array: power-of-two
+/// slots, linear probing, and backward-shift deletion, so a lookup ends
+/// at the first empty slot and no tombstone ever lengthens a probe.
+#[derive(Debug, Default)]
+struct Index {
+    slots: Vec<u32>,
+    /// `64 - log2(slots.len())`: the home slot is the product's top bits.
+    shift: u32,
+}
+
+impl Index {
+    fn with_slots(n: usize) -> Index {
+        Index {
+            slots: vec![EMPTY; n],
+            shift: 64 - n.trailing_zeros(),
+        }
+    }
+
+    /// Where a probe for hash `h` starts (Fibonacci hashing: multiply by
+    /// 2^64/φ and keep the high bits).
+    #[inline]
+    fn home(&self, h: u64) -> usize {
+        (h.wrapping_mul(FIB) >> self.shift) as usize
+    }
+
+    /// The first slot on `h`'s probe run whose value satisfies `hit`.
+    #[inline]
+    fn find(&self, h: u64, hit: impl Fn(u32) -> bool) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(h);
+        loop {
+            match self.slots[i] {
+                EMPTY => return None,
+                v if hit(v) => return Some(i),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    fn insert(&mut self, h: u64, value: u32) {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(h);
+        while self.slots[i] != EMPTY {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = value;
+    }
+
+    /// Points the slot holding entry `from` at entry `to` instead.
+    fn repoint(&mut self, h: u64, from: usize, to: usize) {
+        let i = self.find(h, |v| id_of(v) == from).expect("entry indexed");
+        self.slots[i] = self.slots[i] & !0xffff | to as u32;
+    }
+
+    /// Empties `hole`, moving each later member of the probe run whose
+    /// home lies at or before the hole back into it. `hash` recomputes
+    /// a slot value's hash.
+    fn remove(&mut self, mut hole: usize, hash: impl Fn(u32) -> u64) {
+        let mask = self.slots.len() - 1;
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let v = self.slots[i];
+            if v == EMPTY {
+                break;
+            }
+            let home = self.home(hash(v));
+            if i.wrapping_sub(home) & mask >= i.wrapping_sub(hole) & mask {
+                self.slots[hole] = v;
+                hole = i;
+            }
+        }
+        self.slots[hole] = EMPTY;
+    }
+}
+
+/// A keyed hash of `flow`: one 64×64→128-bit multiply folded to 64 bits,
+/// so every key bit reaches every output bit. Without the instance's
+/// keys nobody can tell which flows will share a home slot.
+#[inline]
+fn flow_hash(keys: [u64; 2], flow: &FlowKey) -> u64 {
+    let addrs = u64::from(u32::from(flow.src)) << 32 | u64::from(u32::from(flow.dst));
+    let rest = u64::from(flow.src_port) << 32
+        | u64::from(flow.dst_port) << 16
+        | u64::from(flow.proto.number());
+    let m = u128::from(addrs ^ keys[0]) * u128::from(rest ^ keys[1]);
+    m as u64 ^ (m >> 64) as u64
+}
+
+/// The by-port index's hash, keyed for the same reason: inside hosts
+/// choose flows, and with them which ports get allocated.
+#[inline]
+fn port_hash(keys: [u64; 2], port: u16) -> u64 {
+    u64::from(port) ^ keys[0]
 }
 
 /// `IPNAT(PUBLIC_ADDR [, timeout SECS])` — source NAT with deterministic
@@ -57,19 +175,30 @@ struct Mapping {
 /// idle longer than the timeout are reaped — both directions atomically —
 /// on `tick`, freeing their ports for reuse.
 ///
+/// The mappings live in one table: a dense entry array and two keyed
+/// open-addressed `u32` indexes into it, one by inside flow and one by
+/// external port. A packet costs one index probe plus its entry, and
+/// memory grows with the live mappings, not with the port space.
+///
 /// One of Table 1's middleboxes: safe only when the *operator* runs it
 /// (it rewrites source addresses, which the anti-spoofing rule forbids for
 /// tenants).
 #[derive(Debug)]
 pub struct IpNat {
     public: Ipv4Addr,
-    /// internal flow (directed, inside->out) -> its live mapping.
-    forward: HashMap<FlowKey, Mapping>,
-    /// external port -> internal flow. Entry lifetime mirrors `forward`
-    /// exactly: every insert/remove updates both tables.
-    reverse: HashMap<u16, FlowKey>,
-    /// Bit `p - PORT_BASE` is set iff `reverse` holds `p`. 8 KB, allocated by
-    /// the first mapping: models build a NAT just to read `public_addr()`.
+    /// The live mappings, in no particular order; an entry's position
+    /// is its id in both indexes.
+    entries: Vec<Entry>,
+    /// Inside flow → entry: slots hold a 16-bit tag of the flow's hash
+    /// and the entry id.
+    by_flow: Index,
+    /// External port → entry: slots hold the port and the entry id.
+    by_port: Index,
+    /// This instance's hash keys, drawn once from `RandomState`.
+    keys: [u64; 2],
+    /// Bit `p - PORT_BASE` is set iff an entry holds port `p`. 8 KB,
+    /// allocated by the first mapping: models build a NAT just to read
+    /// `public_addr()`.
     used: Vec<u64>,
     timeout_ns: u64,
     translated_out: u64,
@@ -81,10 +210,18 @@ pub struct IpNat {
 impl IpNat {
     /// Creates a NAT advertising `public` with the given idle timeout.
     pub fn new(public: Ipv4Addr, timeout_ns: u64) -> IpNat {
+        let seed = std::collections::hash_map::RandomState::new();
+        IpNat::with_keys(public, timeout_ns, [seed.hash_one(0u8), seed.hash_one(1u8)])
+    }
+
+    /// A NAT whose indexes hash with `keys`.
+    fn with_keys(public: Ipv4Addr, timeout_ns: u64, keys: [u64; 2]) -> IpNat {
         IpNat {
             public,
-            forward: HashMap::new(),
-            reverse: HashMap::new(),
+            entries: Vec::new(),
+            by_flow: Index::default(),
+            by_port: Index::default(),
+            keys,
             used: Vec::new(),
             timeout_ns: timeout_ns.max(1),
             translated_out: 0,
@@ -123,7 +260,7 @@ impl IpNat {
 
     /// Number of active translations.
     pub fn mappings(&self) -> usize {
-        self.forward.len()
+        self.entries.len()
     }
 
     /// Counters: (outbound translated, inbound translated, dropped).
@@ -154,6 +291,26 @@ impl IpNat {
         PORT_BASE + (fnv1a_64(&bytes) % PORT_RANGE as u64) as u16
     }
 
+    /// The id of the entry mapping inside flow `flow`.
+    #[inline]
+    fn flow_entry(&self, flow: &FlowKey) -> Option<usize> {
+        let h = flow_hash(self.keys, flow);
+        let tag = h as u16 as u32;
+        let slot = self.by_flow.find(h, |v| {
+            v >> 16 == tag && self.entries[id_of(v)].flow == *flow
+        })?;
+        Some(id_of(self.by_flow.slots[slot]))
+    }
+
+    /// The id of the entry holding external `port`.
+    #[inline]
+    fn port_entry(&self, port: u16) -> Option<usize> {
+        let slot = self
+            .by_port
+            .find(port_hash(self.keys, port), |v| v >> 16 == u32::from(port))?;
+        Some(id_of(self.by_port.slots[slot]))
+    }
+
     /// Allocates an external port for `key`: the preferred port when
     /// free, else the first free port within [`PROBE_LIMIT`] candidates
     /// (wrapping). If the whole probe window is occupied, the *preferred*
@@ -175,64 +332,107 @@ impl IpNat {
         assert_eq!(self.probe_alloc(preferred), (port, free == 64));
         if free == 64 {
             // Probe window exhausted: reclaim the preferred port, evicting
-            // its owner from both tables so no stale forward entry leaks.
-            if let Some(victim) = self.release(port) {
-                self.forward.remove(&victim);
-                self.evicted += 1;
-            }
+            // its owner from both indexes so no stale flow entry leaks.
+            let victim = self.port_entry(port).expect("a set bit has an owner");
+            self.unbind(victim);
+            self.evicted += 1;
         }
         port
     }
 
-    /// Gives `port` to `flow`. Only this and `release` write `reverse`
-    /// and the bitmap, so the two cannot drift.
-    fn bind(&mut self, port: u16, flow: FlowKey) {
+    /// Gives `port` to `flow`. Only this and `unbind` write the entries,
+    /// the indexes and the bitmap, so the four cannot drift.
+    fn bind(&mut self, port: u16, flow: FlowKey, now_ns: u64) {
+        if 2 * (self.entries.len() + 1) > self.by_flow.slots.len() {
+            self.grow();
+        }
+        self.entries.push(Entry {
+            flow,
+            port,
+            last_ns: now_ns,
+        });
+        self.index(self.entries.len() - 1);
         let bit = usize::from(port - PORT_BASE);
         self.used[bit / 64] |= 1 << (bit % 64);
-        self.reverse.insert(port, flow);
         #[cfg(debug_assertions)]
         assert!(self.bit_is_owner(port));
     }
 
-    /// Frees `port`, returning the flow that held it.
-    fn release(&mut self, port: u16) -> Option<FlowKey> {
+    /// Removes entry `id` from both indexes and the bitmap. The last
+    /// entry moves into its place, and its two slots follow it.
+    fn unbind(&mut self, id: usize) {
+        let Entry { flow, port, .. } = self.entries[id];
+        let (keys, entries) = (self.keys, &self.entries);
+        let slot = self
+            .by_flow
+            .find(flow_hash(keys, &flow), |v| id_of(v) == id);
+        self.by_flow
+            .remove(slot.expect("entry indexed by flow"), |v| {
+                flow_hash(keys, &entries[id_of(v)].flow)
+            });
+        let slot = self.by_port.find(port_hash(keys, port), |v| id_of(v) == id);
+        self.by_port
+            .remove(slot.expect("entry indexed by port"), |v| {
+                port_hash(keys, (v >> 16) as u16)
+            });
+        let last = self.entries.len() - 1;
+        if id != last {
+            let moved = self.entries[last];
+            self.by_flow.repoint(flow_hash(keys, &moved.flow), last, id);
+            self.by_port.repoint(port_hash(keys, moved.port), last, id);
+        }
+        self.entries.swap_remove(id);
         let bit = usize::from(port - PORT_BASE);
         self.used[bit / 64] &= !(1 << (bit % 64));
-        let flow = self.reverse.remove(&port);
         #[cfg(debug_assertions)]
         assert!(self.bit_is_owner(port));
-        flow
     }
 
-    fn set_l4_ports(pkt: &mut Packet, src: Option<u16>, dst: Option<u16>) {
-        match pkt.ip_proto() {
-            Ok(IpProto::Udp) => {
-                if let Ok(mut u) = pkt.udp_mut() {
-                    if let Some(s) = src {
-                        u.set_src_port(s);
-                    }
-                    if let Some(d) = dst {
-                        u.set_dst_port(d);
-                    }
-                }
-            }
-            Ok(IpProto::Tcp) => {
-                if let Ok(mut t) = pkt.tcp_mut() {
-                    if let Some(s) = src {
-                        t.set_src_port(s);
-                    }
-                    if let Some(d) = dst {
-                        t.set_dst_port(d);
-                    }
-                }
-            }
-            Ok(IpProto::Icmp) => {
-                if let (Ok(mut i), Some(ident)) = (pkt.icmp_mut(), src.or(dst)) {
-                    i.set_ident(ident);
-                }
-            }
-            _ => {}
+    /// Inserts entry `id` into both indexes.
+    fn index(&mut self, id: usize) {
+        let Entry { flow, port, .. } = self.entries[id];
+        let h = flow_hash(self.keys, &flow);
+        self.by_flow.insert(h, (h as u32) << 16 | id as u32);
+        self.by_port.insert(
+            port_hash(self.keys, port),
+            u32::from(port) << 16 | id as u32,
+        );
+    }
+
+    /// Doubles both indexes and re-inserts every entry.
+    fn grow(&mut self) {
+        let n = (self.by_flow.slots.len() * 2).max(MIN_SLOTS);
+        self.by_flow = Index::with_slots(n);
+        self.by_port = Index::with_slots(n);
+        for id in 0..self.entries.len() {
+            self.index(id);
         }
+    }
+
+    /// Rewrites one endpoint of a packet whose flow key parsed: the
+    /// source (outbound) or destination (inbound) address, then that
+    /// side's L4 port, or an echo's ident, in place behind the IPv4
+    /// header. The header is parsed once; `FlowKey::of` already proved
+    /// the L4 header is there.
+    fn rewrite(pkt: &mut Packet, proto: IpProto, outbound: bool, addr: Ipv4Addr, port: u16) {
+        let l3 = pkt.l3_offset();
+        let Ok(mut ip) = pkt.ipv4_mut() else {
+            return;
+        };
+        if outbound {
+            ip.set_src(addr);
+        } else {
+            ip.set_dst(addr);
+        }
+        ip.update_checksum();
+        let l4 = l3 + ip.header_len();
+        let at = match proto {
+            IpProto::Udp | IpProto::Tcp if outbound => l4,
+            IpProto::Udp | IpProto::Tcp => l4 + 2,
+            IpProto::Icmp => l4 + 4,
+            _ => return,
+        };
+        pkt.bytes_mut()[at..at + 2].copy_from_slice(&port.to_be_bytes());
     }
 }
 
@@ -253,7 +453,7 @@ impl IpNat {
     fn probe_alloc(&self, preferred: u16) -> (u16, bool) {
         let mut p = preferred;
         for _ in 0..PROBE_LIMIT {
-            if !self.reverse.contains_key(&p) {
+            if self.port_entry(p).is_none() {
                 return (p, false);
             }
             p = IpNat::next_candidate(p);
@@ -263,7 +463,7 @@ impl IpNat {
 
     fn bit_is_owner(&self, port: u16) -> bool {
         let bit = usize::from(port - PORT_BASE);
-        (self.used[bit / 64] >> (bit % 64) & 1 == 1) == self.reverse.contains_key(&port)
+        (self.used[bit / 64] >> (bit % 64) & 1 == 1) == self.port_entry(port).is_some()
     }
 }
 
@@ -281,84 +481,60 @@ impl Element for IpNat {
             self.dropped += 1;
             return;
         };
-        match port {
-            0 => {
-                let ext_port = match self.forward.get_mut(&key) {
-                    Some(m) => {
-                        m.last_ns = ctx.now_ns;
-                        m.port
-                    }
-                    None => {
-                        let p = self.alloc_port(&key);
-                        self.forward.insert(
-                            key,
-                            Mapping {
-                                port: p,
-                                last_ns: ctx.now_ns,
-                            },
-                        );
-                        self.bind(p, key);
-                        p
-                    }
-                };
-                if let Ok(mut ip) = pkt.ipv4_mut() {
-                    ip.set_src(self.public);
-                    ip.update_checksum();
+        if port == 0 {
+            let ext_port = match self.flow_entry(&key) {
+                Some(id) => {
+                    let e = &mut self.entries[id];
+                    e.last_ns = ctx.now_ns;
+                    e.port
                 }
-                IpNat::set_l4_ports(&mut pkt, Some(ext_port), None);
-                self.translated_out += 1;
-                out.push(0, pkt);
-            }
-            _ => {
-                let Ok(ip) = pkt.ipv4() else {
-                    self.dropped += 1;
-                    return;
-                };
-                if ip.dst() != self.public {
-                    self.dropped += 1;
-                    return;
+                None => {
+                    let p = self.alloc_port(&key);
+                    self.bind(p, key, ctx.now_ns);
+                    p
                 }
-                // The mapping only matches traffic from the remote
-                // endpoint the inside host contacted (symmetric-NAT
-                // filtering, same policy as the old remote-keyed table).
-                // An echo's one "port" is its ident, the external one here.
-                let internal = self.reverse.get(&key.dst_port).copied().filter(|flow| {
-                    (flow.dst, flow.proto) == (key.src, key.proto)
-                        && (flow.dst_port == key.src_port || key.proto == IpProto::Icmp)
-                });
-                match internal {
-                    Some(internal) => {
-                        if let Some(m) = self.forward.get_mut(&internal) {
-                            m.last_ns = ctx.now_ns;
-                        }
-                        if let Ok(mut ip) = pkt.ipv4_mut() {
-                            ip.set_dst(internal.src);
-                            ip.update_checksum();
-                        }
-                        IpNat::set_l4_ports(&mut pkt, None, Some(internal.src_port));
-                        self.translated_in += 1;
-                        out.push(1, pkt);
-                    }
-                    None => self.dropped += 1,
-                }
-            }
+            };
+            IpNat::rewrite(&mut pkt, key.proto, true, self.public, ext_port);
+            self.translated_out += 1;
+            out.push(0, pkt);
+            return;
         }
+        // The mapping only matches traffic from the remote endpoint the
+        // inside host contacted (symmetric-NAT filtering). An echo's one
+        // "port" is its ident, the external one here.
+        let internal = (key.dst == self.public)
+            .then(|| self.port_entry(key.dst_port))
+            .flatten()
+            .filter(|&id| {
+                let flow = &self.entries[id].flow;
+                (flow.dst, flow.proto) == (key.src, key.proto)
+                    && (flow.dst_port == key.src_port || key.proto == IpProto::Icmp)
+            });
+        let Some(id) = internal else {
+            self.dropped += 1;
+            return;
+        };
+        let e = &mut self.entries[id];
+        e.last_ns = ctx.now_ns;
+        let (addr, port) = (e.flow.src, e.flow.src_port);
+        IpNat::rewrite(&mut pkt, key.proto, false, addr, port);
+        self.translated_in += 1;
+        out.push(1, pkt);
     }
 
     fn tick(&mut self, ctx: &Context, _out: &mut dyn Sink) {
         let (timeout, now) = (self.timeout_ns, ctx.now_ns);
-        // Both directions of an expired mapping go together, so a reaped
-        // port is immediately reusable and no table entry outlives the
-        // other. (`forward` steps aside so the closure can borrow `self`.)
-        let mut forward = std::mem::take(&mut self.forward);
-        forward.retain(|_, m| {
-            let live = now.saturating_sub(m.last_ns) <= timeout;
-            if !live {
-                self.release(m.port);
+        // One pass over the entries. Unbinding frees both directions and
+        // the port at once, and moves the last entry into the freed
+        // position, which is then examined in turn.
+        let mut id = 0;
+        while id < self.entries.len() {
+            if now.saturating_sub(self.entries[id].last_ns) > timeout {
+                self.unbind(id);
+            } else {
+                id += 1;
             }
-            live
-        });
-        self.forward = forward;
+        }
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -394,12 +570,10 @@ mod tests {
         }
     }
 
-    /// Seeds a live mapping by hand: `forward` directly, `reverse` and
-    /// the bitmap through `bind`, as the datapath does.
+    /// Seeds a live mapping by hand, through `bind` as the datapath does.
     fn occupy(n: &mut IpNat, port: u16, flow: FlowKey) {
         n.used.resize(WORDS, 0);
-        n.forward.insert(flow, Mapping { port, last_ns: 0 });
-        n.bind(port, flow);
+        n.bind(port, flow, 0);
     }
 
     /// Seeds occupants on `count` consecutive candidates from `first`.
@@ -416,13 +590,41 @@ mod tests {
         n.used.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// The three tables describe the same set of mappings.
+    /// The flow holding `port`, if any.
+    fn owner(n: &IpNat, port: u16) -> Option<FlowKey> {
+        n.port_entry(port).map(|id| n.entries[id].flow)
+    }
+
+    /// Occupied slots in an index.
+    fn occupied(index: &Index) -> usize {
+        index.slots.iter().filter(|&&v| v != EMPTY).count()
+    }
+
+    /// The longest probe any indexed flow needs: its distance from its
+    /// home slot, plus one.
+    fn max_flow_probe(n: &IpNat) -> usize {
+        let mask = n.by_flow.slots.len() - 1;
+        (0..n.by_flow.slots.len())
+            .filter(|&i| n.by_flow.slots[i] != EMPTY)
+            .map(|i| {
+                let flow = &n.entries[id_of(n.by_flow.slots[i])].flow;
+                let home = n.by_flow.home(flow_hash(n.keys, flow));
+                (i.wrapping_sub(home) & mask) + 1
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// The bitmap, the entries and both indexes describe the same set of
+    /// mappings, and every entry is found from both of its keys at its id.
     fn assert_in_lockstep(n: &IpNat) {
         assert_eq!(population(n), n.mappings());
-        assert_eq!(n.reverse.len(), n.mappings());
-        for (flow, m) in &n.forward {
-            assert!(n.bit_is_owner(m.port));
-            assert_eq!(n.reverse.get(&m.port), Some(flow));
+        assert_eq!(occupied(&n.by_flow), n.mappings());
+        assert_eq!(occupied(&n.by_port), n.mappings());
+        for (id, e) in n.entries.iter().enumerate() {
+            assert!(n.bit_is_owner(e.port));
+            assert_eq!(n.flow_entry(&e.flow), Some(id));
+            assert_eq!(n.port_entry(e.port), Some(id));
         }
     }
 
@@ -640,9 +842,9 @@ mod tests {
     fn colliding_preferred_ports_do_not_clobber() {
         // Regression for the wrapping cursor allocator: when a second
         // flow wants an external port that is still owned by a live
-        // mapping, the old allocator overwrote the reverse entry
+        // mapping, the old allocator overwrote the port's owner
         // (misdelivering the first flow's replies to the second flow's
-        // host) and leaked the first flow's forward entry forever. The
+        // host) and leaked the first flow's entry forever. The
         // probing allocator must keep both mappings live and intact.
         let sports = colliding_sports(5555, 2);
         let mut n = nat();
@@ -664,9 +866,9 @@ mod tests {
             .map(|(_, p)| p.udp().unwrap().src_port())
             .collect();
         assert_ne!(eports[0], eports[1], "live mapping's port re-issued");
-        // No leak: both tables track exactly the two live mappings.
-        assert_eq!(n.forward.len(), 2);
-        assert_eq!(n.reverse.len(), 2);
+        // No leak: the table tracks exactly the two live mappings.
+        assert_eq!(n.mappings(), 2);
+        assert_in_lockstep(&n);
         // Both flows' replies still reach the right internal port.
         for (i, &sport) in sports.iter().enumerate() {
             let reply = PacketBuilder::udp()
@@ -697,7 +899,7 @@ mod tests {
         // and including u16::MAX, plus PORT_BASE, leaving PORT_BASE + 1
         // as the first free candidate (all within the probe window).
         occupy_run(&mut n, preferred, u16::MAX - preferred + 2, 60_000);
-        assert!(n.reverse.contains_key(&u16::MAX) && n.reverse.contains_key(&PORT_BASE));
+        assert!(owner(&n, u16::MAX).is_some() && owner(&n, PORT_BASE).is_some());
         let got = n.alloc_port(&key);
         assert_eq!(got, PORT_BASE + 1, "probe must wrap past u16::MAX");
         assert_eq!(n.evictions(), 0);
@@ -711,14 +913,14 @@ mod tests {
         let preferred = IpNat::preferred_port(&key);
         // Fill the entire probe window with live occupants.
         occupy_run(&mut n, preferred, PROBE_LIMIT, 40_000);
-        let victim = n.reverse[&preferred];
+        let victim = owner(&n, preferred).unwrap();
         let got = n.alloc_port(&key);
         assert_eq!(got, preferred, "eviction reclaims the preferred port");
         assert_eq!(n.evictions(), 1);
-        // The victim vanished from *both* tables — no forward leak.
-        assert!(!n.forward.contains_key(&victim));
-        assert_eq!(n.forward.len(), PROBE_LIMIT as usize - 1);
-        assert_eq!(n.reverse.len(), PROBE_LIMIT as usize - 1);
+        // The victim vanished from *both* indexes — no flow-entry leak.
+        assert_eq!(n.flow_entry(&victim), None);
+        assert_eq!(owner(&n, preferred), None);
+        assert_eq!(n.mappings(), PROBE_LIMIT as usize - 1);
         assert_in_lockstep(&n);
     }
 
@@ -735,11 +937,11 @@ mod tests {
         // With that one taken too the word is full: the free port just
         // past it is out of reach and the preferred port's owner goes.
         occupy(&mut n, preferred + 63, out_key(39_999));
-        assert!(!n.reverse.contains_key(&(preferred + 64)));
-        let victim = n.reverse[&preferred];
+        assert_eq!(owner(&n, preferred + 64), None);
+        let victim = owner(&n, preferred).unwrap();
         assert_eq!(n.alloc_port(&key), preferred);
         assert_eq!(n.evictions(), 1);
-        assert!(!n.forward.contains_key(&victim));
+        assert_eq!(n.flow_entry(&victim), None);
         assert_in_lockstep(&n);
     }
 
@@ -763,12 +965,12 @@ mod tests {
             "bit 62 of the next word"
         );
         occupy(&mut n, preferred + 63, out_key(39_999));
-        assert!(!n.reverse.contains_key(&(preferred + 64)));
+        assert_eq!(owner(&n, preferred + 64), None);
         assert_eq!(n.evictions(), 0);
-        let victim = n.reverse[&preferred];
+        let victim = owner(&n, preferred).unwrap();
         assert_eq!(n.alloc_port(&key), preferred);
         assert_eq!(n.evictions(), 1);
-        assert!(!n.forward.contains_key(&victim));
+        assert_eq!(n.flow_entry(&victim), None);
         assert_in_lockstep(&n);
     }
 
@@ -776,14 +978,15 @@ mod tests {
     fn eviction_under_pressure_keeps_tables_in_lockstep() {
         // Fill a flow's whole probe window with live occupants, then push
         // the flow through the real datapath: the preferred-port victim
-        // must vanish from *both* tables (the old allocator diverged:
-        // reverse overwritten, forward retained forever) and replies on
-        // the contested port must reach the *new* owner.
+        // must vanish from *both* indexes (the old allocator diverged: the
+        // port's owner overwritten, the victim's flow entry retained
+        // forever) and replies on the contested port must reach the *new*
+        // owner.
         let key = out_key(9_123);
         let preferred = IpNat::preferred_port(&key);
         let mut n = nat();
         occupy_run(&mut n, preferred, PROBE_LIMIT, 50_000);
-        let victim = n.reverse[&preferred];
+        let victim = owner(&n, preferred).unwrap();
         let mut s = VecSink::new();
         n.push(
             0,
@@ -796,8 +999,7 @@ mod tests {
         );
         assert_eq!(s.pushed[0].1.udp().unwrap().src_port(), preferred);
         assert_eq!(n.evictions(), 1);
-        assert_eq!(n.forward.len(), n.reverse.len(), "tables diverged");
-        assert!(!n.forward.contains_key(&victim), "victim's forward leaked");
+        assert_eq!(n.flow_entry(&victim), None, "victim's flow entry leaked");
         // A reply to the contested port now belongs to the new owner.
         let reply = PacketBuilder::udp()
             .src(SERVER, 53)
@@ -806,19 +1008,15 @@ mod tests {
         n.push(1, reply, &Context::default(), &mut s);
         let back = s.pushed.last().unwrap();
         assert_eq!(back.1.udp().unwrap().dst_port(), key.src_port);
-        // Every reverse entry points at a live forward entry with the
-        // same port.
-        for (&port, flow) in &n.reverse {
-            assert_eq!(n.forward[flow].port, port);
-        }
         assert_in_lockstep(&n);
     }
 
     #[test]
     fn tables_stay_in_lockstep_through_fill_eviction_and_expiry() {
         // 72,000 distinct flows in 36 virtual seconds overflow the 64,512
-        // ports; the bitmap's population must track both maps at every
-        // step (tests/tests/nat_alloc.rs pins what this run emits).
+        // ports; the bitmap's population must track the entries at every
+        // step, and both indexes at every 8,192nd (tests/tests/nat_alloc.rs
+        // pins what this run emits).
         let mut n =
             IpNat::from_args(&ConfigArgs::parse("IPNAT", "203.0.113.1, timeout 60")).unwrap();
         let mut s = VecSink::new();
@@ -829,8 +1027,7 @@ mod tests {
                 .build();
             n.push(0, pkt, &Context::at(u64::from(i) * 500_000), &mut s);
             s.pushed.clear();
-            assert_eq!(population(&n), n.forward.len());
-            assert_eq!(population(&n), n.reverse.len());
+            assert_eq!(population(&n), n.mappings());
             if i % 8_192 == 0 {
                 assert_in_lockstep(&n);
             }
@@ -845,7 +1042,7 @@ mod tests {
     }
 
     #[test]
-    fn idle_nat_allocates_no_bitmap() {
+    fn idle_nat_allocates_nothing() {
         // Models and summaries build a NAT only to read its address, and
         // a gateway that sees no inside host has nothing to track.
         let mut n = nat();
@@ -856,11 +1053,15 @@ mod tests {
         }
         n.tick(&Context::at(1_000_000_000_000), &mut s);
         assert_eq!(n.counters(), (0, 0, 3));
-        assert_eq!(
-            n.used.capacity(),
-            0,
-            "inbound-only traffic allocates nothing"
-        );
+        let held = |n: &IpNat| {
+            [
+                n.used.capacity(),
+                n.entries.capacity(),
+                n.by_flow.slots.capacity(),
+                n.by_port.slots.capacity(),
+            ]
+        };
+        assert_eq!(held(&n), [0; 4], "inbound-only traffic allocates nothing");
         // The first mapping pays for the whole bitmap, once: 1,008 words.
         let pkt = PacketBuilder::udp()
             .src(INSIDE, 5555)
@@ -868,7 +1069,65 @@ mod tests {
             .build();
         n.push(0, pkt, &Context::default(), &mut s);
         assert_eq!((n.used.len(), n.used.capacity()), (1_008, 1_008));
+        assert_eq!(held(&n)[2..], [MIN_SLOTS; 2]);
         assert_in_lockstep(&n);
+    }
+
+    #[test]
+    fn indexes_grow_with_live_flows_not_the_port_space() {
+        // Figure 12 runs a hundred NATs of a few hundred flows each on one
+        // core; a port-indexed table would give each 64 Ki slots.
+        let mut n = nat();
+        let mut s = VecSink::new();
+        for i in 0..256u32 {
+            let pkt = PacketBuilder::udp()
+                .src(Ipv4Addr::from(0x0a00_0000 | i), 4000)
+                .dst(SERVER, 53)
+                .build();
+            n.push(0, pkt, &Context::default(), &mut s);
+        }
+        assert_eq!(n.mappings(), 256);
+        let slots = n.by_flow.slots.capacity() + n.by_port.slots.capacity();
+        assert!(slots <= 1_024, "{slots} index slots for 256 flows");
+        assert_in_lockstep(&n);
+    }
+
+    #[test]
+    fn keyed_index_spreads_flows_that_share_a_home_slot_under_another_key() {
+        // An inside host that knew the index's hash could open flows that
+        // all start probing at one slot and make every look-up walk them.
+        // Flows chosen to collide under key A are spread by key B.
+        const KEY_A: [u64; 2] = [0x243F_6A88_85A3_08D3, 0x1319_8A2E_0370_7344];
+        const KEY_B: [u64; 2] = [0xA409_3822_299F_31D0, 0x082E_FA98_EC4E_6C89];
+        const FLOWS: usize = 4_096;
+        // 4,096 flows at load 1/2 leave the indexes at 8,192 slots, so a
+        // shared home slot there is one at every smaller size too.
+        let at_full = Index::with_slots(2 * FLOWS);
+        let home = |flow: &FlowKey| at_full.home(flow_hash(KEY_A, flow));
+        let target = home(&out_key(0));
+        let flows: Vec<FlowKey> = (0..u32::MAX)
+            .map(|i| FlowKey {
+                src: Ipv4Addr::from(0x0a00_0000 | i),
+                ..out_key(4000)
+            })
+            .filter(|f| home(f) == target)
+            .take(FLOWS)
+            .collect();
+        let probe_under = |keys| {
+            let mut n = IpNat::with_keys(PUB, u64::MAX, keys);
+            for flow in &flows {
+                let port = n.alloc_port(flow);
+                n.bind(port, *flow, 0);
+            }
+            assert_eq!(n.by_flow.slots.len(), 2 * FLOWS);
+            assert_in_lockstep(&n);
+            max_flow_probe(&n)
+        };
+        assert_eq!(probe_under(KEY_A), FLOWS, "one probe run under key A");
+        // Measured: 14 under key B. A uniform hash at load 1/2 keeps the
+        // longest of 4,096 probes in the tens.
+        let b = probe_under(KEY_B);
+        assert!(b <= 40, "longest probe {b} under key B");
     }
 
     #[test]
@@ -936,7 +1195,11 @@ mod tests {
         // 61 virtual seconds idle: the reaper removes both directions.
         n.tick(&Context::at(61_000_000_000), &mut s);
         assert_eq!(n.mappings(), 0);
-        assert!(n.reverse.is_empty(), "port must be freed with the mapping");
+        assert_eq!(
+            owner(&n, ext_port),
+            None,
+            "port must be freed with the mapping"
+        );
         assert_in_lockstep(&n);
 
         // The stale reply no longer routes inside.
