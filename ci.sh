@@ -10,15 +10,14 @@
 # fenced set; without, it is the control-plane-only set: everything the
 # packet and fleet data paths, and the benchmark itself, are built from.
 #
-# Example — IPNAT keeps its mappings in one table (parent 190b342): the
-# change touches click, the integration tests, ci.sh, the docs and the
-# Figure 12 snapshot, and fences the rest, the benchmark and the goldens
-# included:
+# Example — the element library is one table (parent 8aa1e06): the
+# change touches click, packet, platform, bench, the integration tests,
+# ci.sh and the docs, and fences the rest, the benchmark, every committed
+# snapshot and the goldens included:
 #
-#   ./ci.sh --fence 190b342 \
-#     crates/{packet,obs,sim,topology,policy,symnet,analysis,controller,platform,core,bench} \
-#     examples benchmark BENCHMARK.json BENCH_admission.json BENCH_fleet.json \
-#     BENCH_parallel_scaling.json BENCH_scenarios.json Cargo.lock tests/tests/golden
+#   ./ci.sh --fence 8aa1e06 \
+#     crates/{obs,sim,topology,policy,symnet,analysis,controller,core} \
+#     examples benchmark BENCHMARK.json 'BENCH_*.json' Cargo.lock tests/tests/golden
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -190,6 +189,20 @@ if awk 'FNR == 1 { tests = 0 }
   crates/controller/src/*.rs ||
   grep -nE '\b(queue_like|shardability)\b' crates/click/src/summary.rs; then
   echo "read innet_click::class_info (crates/click/src/registry.rs)" >&2
+  exit 1
+fi
+
+echo "==> the element library is one table"
+# Each class is one row of class_table! (crates/click/src/registry.rs):
+# its facts, its constructor and its summary. Runtime registration
+# (register, register_summary, an empty registry to fill) or a map of
+# constructors beside the table would be a second class list that can
+# drift from it. The runner's worker rings are std's sync_channel; a
+# hand-rolled ring (crates/platform/src/spsc.rs) would be a second queue
+# to keep correct.
+if grep -rnE 'fn register\(|register_summary|fn empty\(|BTreeMap<[^>]*Ctor>' crates/click/src ||
+  { [ -e crates/platform/src/spsc.rs ] && echo "crates/platform/src/spsc.rs exists"; }; then
+  echo "add a row to class_table!; queue worker batches on std::sync::mpsc::sync_channel" >&2
   exit 1
 fi
 

@@ -340,7 +340,7 @@ fn probe_host() -> Row {
     let cells = [
         nproc.map_or_else(|_| "unknown".into(), Cell::from),
         run("rustc", &["-V"]),
-        run("git", &["rev-parse", "--short", "HEAD"]),
+        run("git", &["describe", "--always", "--dirty", "--abbrev=7"]),
         profile.into(),
     ];
     Row(HOST_FIELDS

@@ -76,6 +76,11 @@ impl ConfigArgs {
         }
     }
 
+    /// The element class these arguments configure.
+    pub(crate) fn class(&self) -> &'static str {
+        self.class
+    }
+
     /// Number of arguments.
     pub fn len(&self) -> usize {
         self.args.len()

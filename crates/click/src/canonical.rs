@@ -11,23 +11,9 @@
 
 use std::fmt::Write as _;
 
-use crate::config::ClickConfig;
+use innet_packet::fnv1a_64;
 
-/// 64-bit FNV-1a over a byte string: stable across processes and
-/// platforms, cheap, and good enough dispersion for cache digests. Do not
-/// use it alone as a map key for security-relevant caches — it is not
-/// collision-resistant against adversarial inputs; key the map by the full
-/// canonical form and treat this as a fingerprint.
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
+use crate::config::ClickConfig;
 
 /// Collapses every whitespace run to a single space and trims the ends, so
 /// `allow udp   dst port 1500` and `allow udp dst port 1500` normalize to
@@ -169,13 +155,5 @@ mod tests {
         assert_eq!(again.canonical_text(), cfg.canonical_text());
         assert_eq!(again.elements.len(), cfg.elements.len());
         assert_eq!(again.connections.len(), cfg.connections.len());
-    }
-
-    #[test]
-    fn fnv_vectors() {
-        // Published FNV-1a test vectors.
-        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
     }
 }

@@ -480,17 +480,6 @@ enum Stage {
     Gone,
 }
 
-/// Intermediate per-element lowering decision (phase 1 of `compile`).
-enum Lower {
-    Entry(u16, NetfrontRing),
-    Exit(u16, NetfrontRing),
-    Classify(ClassifyProgram),
-    Bytes(Vec<BytePattern>),
-    Route(Vec<(Cidr, usize)>),
-    Micro(MicroOp),
-    Dyn,
-}
-
 // ---------------------------------------------------------------------------
 // The compiled router.
 // ---------------------------------------------------------------------------
@@ -543,49 +532,13 @@ impl CompiledRouter {
     /// [`Router::from_config`]: crate::graph::Router::from_config
     pub fn compile(cfg: &ClickConfig, registry: &Registry) -> Result<CompiledRouter, RouterError> {
         let RouterParts {
-            mut elements,
+            elements,
             names,
             edges,
             rx_ifaces,
         } = Router::from_config(cfg, registry)?.into_parts();
 
-        // Phase 1: decide each element's lowering (cloning rule data out
-        // of the instances and taking over the netfront rings;
-        // un-lowerable elements stay `Dyn`).
-        let mut lower: Vec<Option<Lower>> = elements
-            .iter_mut()
-            .map(|el| {
-                let any = el.as_any_mut();
-                Some(if let Some(f) = any.downcast_mut::<FromNetfront>() {
-                    Lower::Entry(f.iface(), f.ring_mut().take())
-                } else if let Some(t) = any.downcast_mut::<ToNetfront>() {
-                    Lower::Exit(t.iface(), t.ring_mut().take())
-                } else if let Some(c) = any.downcast_ref::<IPClassifier>() {
-                    Lower::Classify(ClassifyProgram::build(c.rules()))
-                } else if let Some(c) = any.downcast_ref::<Classifier>() {
-                    Lower::Bytes(c.patterns().to_vec())
-                } else if let Some(r) = any.downcast_ref::<StaticIPLookup>() {
-                    Lower::Route(r.routes().to_vec())
-                } else if let Some(f) = any.downcast_ref::<IPFilter>() {
-                    Lower::Micro(MicroOp::Filter(FilterProgram::build(f.rules())))
-                } else if any.is::<CheckIPHeader>() {
-                    Lower::Micro(MicroOp::CheckIp)
-                } else if any.is::<DecIPTTL>() {
-                    Lower::Micro(MicroOp::DecTtl)
-                } else if any.is::<Counter>() {
-                    Lower::Micro(MicroOp::Count {
-                        packets: 0,
-                        bytes: 0,
-                        first_ns: None,
-                        last_ns: 0,
-                    })
-                } else {
-                    Lower::Dyn
-                })
-            })
-            .collect();
-
-        // Phase 2: flatten the edge map. Each stage's slice of `edge_to`
+        // Phase 1: flatten the edge map. Each stage's slice of `edge_to`
         // covers its wired ports only: an unwired port past the last
         // wired one reads as unconnected either way.
         let n = elements.len();
@@ -605,69 +558,91 @@ impl CompiledRouter {
         }
         let port0 = |i: usize| edge_of(&out_base, &out_count, &edge_to, i as u32, 0);
 
-        // Phase 3: fuse chains of micro-op elements. A chain extends from
-        // a head through port-0 wires as long as the successor is itself
-        // micro-op-able, has in-degree exactly 1 (nobody else can inject
+        // Phase 2: lower each element in place (cloning rule data out of
+        // the instances and taking over the netfront rings). A micro-op
+        // element becomes a one-op `Fused` stage; un-lowerable elements
+        // stay `Dyn`.
+        let mut stages: Vec<Stage> = elements
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut el)| {
+                let fused = |op| Stage::Fused {
+                    ops: vec![op],
+                    exit_edge: port0(i),
+                };
+                let any = el.as_any_mut();
+                if let Some(f) = any.downcast_mut::<FromNetfront>() {
+                    Stage::Entry {
+                        iface: f.iface(),
+                        ring: f.ring_mut().take(),
+                    }
+                } else if let Some(t) = any.downcast_mut::<ToNetfront>() {
+                    Stage::Exit {
+                        iface: t.iface(),
+                        ring: t.ring_mut().take(),
+                    }
+                } else if let Some(c) = any.downcast_ref::<IPClassifier>() {
+                    Stage::Classify(ClassifyProgram::build(c.rules()))
+                } else if let Some(c) = any.downcast_ref::<Classifier>() {
+                    Stage::ClassifyBytes(c.patterns().to_vec())
+                } else if let Some(r) = any.downcast_ref::<StaticIPLookup>() {
+                    Stage::Route(r.routes().to_vec())
+                } else if let Some(f) = any.downcast_ref::<IPFilter>() {
+                    fused(MicroOp::Filter(FilterProgram::build(f.rules())))
+                } else if any.is::<CheckIPHeader>() {
+                    fused(MicroOp::CheckIp)
+                } else if any.is::<DecIPTTL>() {
+                    fused(MicroOp::DecTtl)
+                } else if any.is::<Counter>() {
+                    fused(MicroOp::Count {
+                        packets: 0,
+                        bytes: 0,
+                        first_ns: None,
+                        last_ns: 0,
+                    })
+                } else {
+                    Stage::Dyn(el)
+                }
+            })
+            .collect();
+
+        // Phase 3: fuse chains of micro-op stages. A chain extends from a
+        // head through port-0 wires as long as the successor is itself a
+        // `Fused` stage, has in-degree exactly 1 (nobody else can inject
         // into the middle of a fused chain), and is not already consumed
-        // (which also breaks cycles). `chains[head]` lists its members.
+        // (which also breaks cycles). Members' ops move into the head,
+        // which takes over the tail's exit edge; the members become
+        // `Gone`.
         let mut in_degree = vec![0usize; n];
         for &(to, _) in edge_to.iter().flatten() {
             in_degree[to as usize] += 1;
         }
-        let micro = |l: &Option<Lower>| matches!(l, Some(Lower::Micro(_)));
+        let micro = |s: &Stage| matches!(s, Stage::Fused { .. });
         let mut consumed = vec![false; n];
-        let mut chains: Vec<Vec<usize>> = vec![Vec::new(); n];
         for head in 0..n {
-            if consumed[head] || !micro(&lower[head]) {
+            if consumed[head] || !micro(&stages[head]) {
                 continue;
             }
             consumed[head] = true;
-            let mut chain = vec![head];
+            let mut members = Vec::new();
             let mut cur = head;
             while let Some((next, next_port)) = port0(cur) {
                 let next = next as usize;
-                if next_port != 0 || consumed[next] || !micro(&lower[next]) || in_degree[next] != 1
+                if next_port != 0 || consumed[next] || !micro(&stages[next]) || in_degree[next] != 1
                 {
                     break;
                 }
                 consumed[next] = true;
-                chain.push(next);
+                if let Stage::Fused { ops, .. } = std::mem::replace(&mut stages[next], Stage::Gone)
+                {
+                    members.extend(ops);
+                }
                 cur = next;
             }
-            chains[head] = chain;
-        }
-
-        // Phase 4: materialize stages. Chain members collapse into their
-        // head's `Fused` stage; everything else lowers in place.
-        let mut stages: Vec<Stage> = Vec::with_capacity(n);
-        for (i, el) in elements.into_iter().enumerate() {
-            let stage = match lower[i].take() {
-                Some(Lower::Entry(iface, ring)) => Stage::Entry { iface, ring },
-                Some(Lower::Exit(iface, ring)) => Stage::Exit { iface, ring },
-                Some(Lower::Classify(p)) => Stage::Classify(p),
-                Some(Lower::Bytes(p)) => Stage::ClassifyBytes(p),
-                Some(Lower::Route(r)) => Stage::Route(r),
-                // The head of a chain; its members were taken with it.
-                Some(Lower::Micro(op)) => {
-                    let chain = std::mem::take(&mut chains[i]);
-                    let tail = *chain.last().expect("chains are non-empty");
-                    let mut ops = vec![op];
-                    for &m in &chain[1..] {
-                        match lower[m].take() {
-                            Some(Lower::Micro(mop)) => ops.push(mop),
-                            _ => unreachable!("chain members are micro-ops"),
-                        }
-                    }
-                    Stage::Fused {
-                        ops,
-                        exit_edge: port0(tail),
-                    }
-                }
-                Some(Lower::Dyn) => Stage::Dyn(el),
-                // A chain member absorbed into its head's stage.
-                None => Stage::Gone,
-            };
-            stages.push(stage);
+            if let Stage::Fused { ops, exit_edge } = &mut stages[head] {
+                ops.extend(members);
+                *exit_edge = port0(cur);
+            }
         }
 
         Ok(CompiledRouter {
@@ -692,7 +667,7 @@ impl CompiledRouter {
     /// Publishes counters into `registry` under the same
     /// `innet_click_*` names as the interpreter.
     pub fn attach_metrics(&mut self, registry: &innet_obs::Registry) {
-        self.metrics = Some(RouterMetrics::register(registry));
+        self.metrics = Some(RouterMetrics::new(registry));
     }
 
     /// Number of stages (== elements of the source config).
@@ -764,7 +739,7 @@ impl CompiledRouter {
         pkt: Packet,
         now_ns: u64,
     ) -> Result<(), RouterError> {
-        let (_, failed) = self.run_packets(idx, port, std::iter::once(pkt), now_ns, 0);
+        let (_, failed) = self.run_packets(idx, port, std::iter::once(pkt), now_ns, 0, 0);
         if failed > 0 {
             // The only error the plan body can raise.
             Err(RouterError::LoopDetected)
@@ -775,8 +750,9 @@ impl CompiledRouter {
 
     /// Runs each packet of `pkts` to completion from `(idx, port)`. The
     /// first packet runs at `first_now`; each later one `step_ns` after
-    /// its predecessor (the interpreter's virtual-time stepping). Returns
-    /// `(ok, failed)` packet counts.
+    /// its predecessor (the interpreter's virtual-time stepping). `spent`
+    /// is the hops each packet already took to get there: they count
+    /// against [`MAX_HOPS`]. Returns `(ok, failed)` packet counts.
     ///
     /// This is the body behind both [`run_from`](Self::run_from) (a
     /// one-packet batch) and the single-ingress fast path of
@@ -790,6 +766,7 @@ impl CompiledRouter {
         pkts: I,
         first_now: u64,
         step_ns: u64,
+        spent: usize,
     ) -> (u64, u64) {
         let mut ok = 0u64;
         let mut failed = 0u64;
@@ -806,7 +783,7 @@ impl CompiledRouter {
         for first in pkts {
             self.now_ns = now;
             let ctx = Context::at(now);
-            let mut hops = 0usize;
+            let mut hops = spent;
             let mut result = Ok(());
             // The packet being worked on right now, with its (possibly
             // cached) header view. The view survives native stages — none
@@ -1094,7 +1071,7 @@ impl CompiledRouter {
                         // single-ingress), so the Entry stamp is a no-op
                         // and the whole batch runs in one pass.
                         let (ok, failed) =
-                            self.run_packets(ni, np, batch.into_iter(), now + step_ns, step_ns);
+                            self.run_packets(ni, np, batch.into_iter(), now + step_ns, step_ns, 1);
                         result.delivered += ok;
                         result.failed += failed;
                     }

@@ -8,7 +8,6 @@ use innet_packet::{FlowKey, IpProto, Packet};
 
 use crate::{
     args::ConfigArgs,
-    canonical::fnv1a_64,
     element::{Context, Element, ElementError, PortCount, Sink},
 };
 
@@ -279,16 +278,11 @@ impl IpNat {
     }
 
     /// The external port this flow's mapping starts probing from: a hash
-    /// of the flow key, so the choice is a pure function of the flow and
-    /// identical no matter which packets preceded it.
+    /// of the flow key (its FNV-1a [`FlowKey::shard_hash`]), so the
+    /// choice is a pure function of the flow and identical no matter
+    /// which packets preceded it.
     pub fn preferred_port(key: &FlowKey) -> u16 {
-        let mut bytes = [0u8; 13];
-        bytes[..4].copy_from_slice(&key.src.octets());
-        bytes[4..8].copy_from_slice(&key.dst.octets());
-        bytes[8] = key.proto.number();
-        bytes[9..11].copy_from_slice(&key.src_port.to_be_bytes());
-        bytes[11..13].copy_from_slice(&key.dst_port.to_be_bytes());
-        PORT_BASE + (fnv1a_64(&bytes) % PORT_RANGE as u64) as u16
+        PORT_BASE + (key.shard_hash() % PORT_RANGE as u64) as u16
     }
 
     /// The id of the entry mapping inside flow `flow`.

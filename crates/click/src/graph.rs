@@ -100,7 +100,7 @@ pub(crate) struct RouterMetrics {
 }
 
 impl RouterMetrics {
-    pub(crate) fn register(reg: &innet_obs::Registry) -> RouterMetrics {
+    pub(crate) fn new(reg: &innet_obs::Registry) -> RouterMetrics {
         RouterMetrics {
             delivered: reg.counter("innet_click_delivered_total"),
             transmitted: reg.counter("innet_click_transmitted_total"),
@@ -245,7 +245,7 @@ impl Router {
     /// aggregate into the same series; only events after attachment are
     /// counted there.
     pub fn attach_metrics(&mut self, registry: &innet_obs::Registry) {
-        self.metrics = Some(RouterMetrics::register(registry));
+        self.metrics = Some(RouterMetrics::new(registry));
     }
 
     /// Number of elements in the graph.
@@ -282,7 +282,7 @@ impl Router {
         if let Some(m) = &self.metrics {
             m.delivered.inc();
         }
-        self.run_from(idx, 0, pkt, now_ns)
+        self.run_from(idx, 0, pkt, now_ns, 0)
     }
 
     /// Injects a packet directly into input `port` of element `name`
@@ -299,15 +299,18 @@ impl Router {
                 crate::config::ConfigError::UnknownElement(name.to_string()),
             ));
         };
-        self.run_from(idx, port, pkt, now_ns)
+        self.run_from(idx, port, pkt, now_ns, 0)
     }
 
+    /// Runs `pkt` to completion from `(idx, port)`. `spent` is the hops
+    /// it already took to get there: they count against [`MAX_HOPS`].
     fn run_from(
         &mut self,
         idx: usize,
         port: usize,
         pkt: Packet,
         now_ns: u64,
+        spent: usize,
     ) -> Result<(), RouterError> {
         self.now_ns = now_ns;
         let ctx = Context::at(now_ns);
@@ -315,7 +318,7 @@ impl Router {
         let mut emitted = std::mem::take(&mut self.emitted_buf);
         queue.clear();
         queue.push_back((idx, port, pkt));
-        let mut hops = 0usize;
+        let mut hops = spent;
         let mut result = Ok(());
         while let Some((i, p, pkt)) = queue.pop_front() {
             hops += 1;
@@ -414,7 +417,7 @@ impl Router {
                         for mut pkt in batch {
                             now += step_ns;
                             pkt.meta.ingress = iface;
-                            match self.run_from(ni, np, pkt, now) {
+                            match self.run_from(ni, np, pkt, now, 1) {
                                 Ok(()) => result.delivered += 1,
                                 Err(_) => result.failed += 1,
                             }
@@ -474,7 +477,7 @@ impl Router {
             match self.edges.get(&(i, out_port)).copied() {
                 Some((ni, np)) => {
                     // A tick-released packet then flows like any other.
-                    let _ = self.run_from(ni, np, pkt, now_ns);
+                    let _ = self.run_from(ni, np, pkt, now_ns, 0);
                 }
                 None => {
                     self.stats.dropped_unconnected += 1;
@@ -631,6 +634,25 @@ mod tests {
             .inject("t", 0, PacketBuilder::udp().build(), 0)
             .unwrap_err();
         assert_eq!(err, RouterError::LoopDetected);
+    }
+
+    #[test]
+    fn batched_loop_spends_the_per_packet_hop_budget() {
+        // The batch fast path takes the entry hop outside `run_from`;
+        // it still counts against the packet's budget, so a looping
+        // packet costs the same hops batched as delivered alone.
+        let cfg = "src :: FromNetfront(); t :: Tee(2); src -> t; t[0] -> t; t[1] -> Discard;";
+        let mut batched = build(cfg);
+        let mut single = build(cfg);
+        let pkts = vec![PacketBuilder::udp().build(); 2];
+        let result = batched.push_batch(pkts.clone(), 0, 1);
+        assert_eq!((result.delivered, result.failed), (0, 2));
+        for (n, pkt) in pkts.into_iter().enumerate() {
+            let err = single.deliver(0, pkt, 1 + n as u64).unwrap_err();
+            assert_eq!(err, RouterError::LoopDetected);
+        }
+        assert_eq!(batched.stats, single.stats);
+        assert_eq!(batched.stats.hops, 2 * MAX_HOPS as u64);
     }
 
     #[test]

@@ -63,7 +63,6 @@ mod registry;
 pub mod summary;
 
 pub use args::ConfigArgs;
-pub use canonical::fnv1a_64;
 pub use compile::{ClassifyProgram, CompiledRouter, FilterProgram};
 pub use config::{ClickConfig, ConfigError, Connection, ElementDecl, PortRef};
 pub use element::{Context, Element, ElementError, PortCount, Sink, VecSink};

@@ -1,24 +1,23 @@
-//! The element registry: class name → constructor, and the one table of
-//! class facts.
+//! The element library: one table with a row per class, and the
+//! [`Registry`] that reads it.
 //!
-//! The registry is the boundary that makes static analysis possible: a
-//! configuration is only instantiable if every class it names is registered,
-//! and every registered class has an abstract model in `innet-symnet`.
+//! The library is the boundary that makes static analysis possible: a
+//! configuration is only instantiable if every class it names has a row,
+//! and every row has an abstract model in `innet-symnet`.
 //!
-//! What a class *is* — a netfront entry or exit, stateless or keeping
-//! per-flow or cross-flow state, queue-like or not — is written once, in
-//! [`class_info`]'s table. Sharding, consolidation, lint and the symbolic
-//! models all read it there.
-
-use std::collections::BTreeMap;
+//! Each row is written once, in `class_table!`: the class name, what the
+//! class *is* ([`ClassInfo`]: a netfront entry or exit, stateless or
+//! keeping per-flow or cross-flow state, queue-like or not), its
+//! constructor (none for the controller's `Stock*`/`ServerS`
+//! pseudo-classes) and its field-effect summary. Sharding, consolidation,
+//! lint and the symbolic models all read it there.
 
 use crate::{
     args::ConfigArgs,
     element::{Element, ElementError},
-    elements::{self as el},
+    elements as el,
+    summary::{self as s, any_output_summary, identity_summary, ElementSummary, SummaryCtor},
 };
-
-use crate::summary::{ElementSummary, SummaryCtor};
 
 /// Which side of a module's boundary a netfront endpoint is on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,175 +114,149 @@ const QUEUE: ClassInfo = ClassInfo {
     ..GLOBAL
 };
 
+type Ctor = fn(&ConfigArgs) -> Result<Box<dyn Element>, ElementError>;
+
+macro_rules! ctor {
+    ($ty:ty, from_args) => {
+        Some(
+            |args: &ConfigArgs| -> Result<Box<dyn Element>, ElementError> {
+                Ok(Box::new(<$ty>::from_args(args)?))
+            },
+        )
+    };
+    ($ty:ty, no_args) => {
+        Some(
+            |args: &ConfigArgs| -> Result<Box<dyn Element>, ElementError> {
+                args.expect_len(0)?;
+                Ok(Box::new(<$ty>::default()))
+            },
+        )
+    };
+}
+
+/// One class of the library.
+struct Class {
+    name: &'static str,
+    /// `None` for the pseudo-classes the controller materialises itself.
+    ctor: Option<Ctor>,
+    summary: SummaryCtor,
+}
+
 /// Writes the class table once: as the `match` [`class_info`] looks
-/// classes up in and, for the tests that pin it, as a list of rows.
+/// classes up in, and as [`CLASSES`], which the [`Registry`] searches.
 macro_rules! class_table {
-    ($($($class:literal)|+ => $info:expr,)*) => {
+    ($($class:literal => $info:expr, $ctor:expr, $summary:expr;)*) => {
         /// The facts about `class`, or `None` for a class the standard
         /// library does not know. Neither allocates nor hashes.
         pub fn class_info(class: &str) -> Option<ClassInfo> {
             Some(match class {
-                $($($class)|+ => $info,)*
+                $($class => $info,)*
                 _ => return None,
             })
         }
 
-        #[cfg(test)]
-        const CLASSES: &[(&str, ClassInfo)] = &[$($(($class, $info)),+),*];
+        /// Every class, sorted by name.
+        const CLASSES: &[Class] = &[$(Class {
+            name: $class,
+            ctor: $ctor,
+            summary: $summary,
+        }),*];
     };
 }
 
-// Every class with a constructor or a summary, once. Counters are
-// stateless: replicating one shards its value, not its behaviour.
+// Every class, once, sorted by name: its facts, its constructor and its
+// summary. `FromDevice`/`ToDevice` are the Click names of the netfront
+// endpoints. Counters are stateless: replicating one shards its value,
+// not its behaviour.
 class_table! {
-    "FromNetfront" | "FromDevice" => ENTRY,
-    "ToNetfront" | "ToDevice" => EXIT,
-    "DPI" | "FlowMeter" | "IPNAT" | "StatefulFirewall" => FLOW,
-    "BandwidthShaper" | "Queue" | "RateLimiter" | "TimedUnqueue" => QUEUE,
-    "ChangeEnforcer" | "IPRewriter" | "Meter" | "RandomSwitch" | "RoundRobinSwitch"
-        | "TransparentProxy" => GLOBAL,
-    "ServerS" | "StockDNSServer" | "StockExplicitProxy" | "StockReverseProxy"
-        | "StockX86VM" => GLOBAL,
-    "CheckIPHeader" | "CheckPaint" | "Classifier" | "Counter" | "DecIPTTL" | "Discard"
-        | "EtherEncap" | "ICMPPingResponder" | "IPClassifier" | "IPDecap" | "IPEncap"
-        | "IPFilter" | "IPMulticast" | "Idle" | "MarkIPHeader" | "Paint" | "SetIPDst"
-        | "SetIPSrc" | "SetTOS" | "StaticIPLookup" | "Strip" | "Tee" | "UDPTunnelDecap"
-        | "UDPTunnelEncap" => PURE,
+    "BandwidthShaper" => QUEUE, ctor!(el::BandwidthShaper, from_args),
+        identity_summary!(el::BandwidthShaper);
+    "ChangeEnforcer" => GLOBAL, ctor!(el::ChangeEnforcer, from_args), s::change_enforcer;
+    "CheckIPHeader" => PURE, ctor!(el::CheckIPHeader, no_args), identity_summary!(no_args);
+    "CheckPaint" => PURE, ctor!(el::CheckPaint, from_args), any_output_summary!(el::CheckPaint);
+    "Classifier" => PURE, ctor!(el::Classifier, from_args), any_output_summary!(el::Classifier);
+    "Counter" => PURE, ctor!(el::Counter, no_args), identity_summary!(no_args);
+    "DPI" => FLOW, ctor!(el::Dpi, from_args), any_output_summary!(el::Dpi);
+    "DecIPTTL" => PURE, ctor!(el::DecIPTTL, no_args), s::dec_ip_ttl;
+    "Discard" => PURE, ctor!(el::Discard, no_args), s::discard_sink;
+    "EtherEncap" => PURE, ctor!(el::EtherEncap, from_args), identity_summary!(el::EtherEncap);
+    "FlowMeter" => FLOW, ctor!(el::FlowMeter, no_args), identity_summary!(no_args);
+    "FromDevice" => ENTRY, ctor!(el::FromNetfront, from_args), s::from_netfront;
+    "FromNetfront" => ENTRY, ctor!(el::FromNetfront, from_args), s::from_netfront;
+    "ICMPPingResponder" => PURE, ctor!(el::IcmpPingResponder, no_args), s::ping_responder;
+    "IPClassifier" => PURE, ctor!(el::IPClassifier, from_args), s::ip_classifier;
+    "IPDecap" => PURE, ctor!(el::IpDecap, no_args), s::ip_decap;
+    "IPEncap" => PURE, ctor!(el::IpEncap, from_args), s::ip_encap;
+    "IPFilter" => PURE, ctor!(el::IPFilter, from_args), s::ip_filter;
+    "IPMulticast" => PURE, ctor!(el::IpMulticast, from_args), s::multicast;
+    "IPNAT" => FLOW, ctor!(el::IpNat, from_args), s::nat;
+    "IPRewriter" => GLOBAL, ctor!(el::IPRewriter, from_args), s::rewriter;
+    "Idle" => PURE, ctor!(el::Idle, no_args), s::idle_sink;
+    "MarkIPHeader" => PURE, ctor!(el::MarkIPHeader, from_args), identity_summary!(el::MarkIPHeader);
+    "Meter" => GLOBAL, ctor!(el::Meter, from_args), any_output_summary!(el::Meter);
+    "Paint" => PURE, ctor!(el::Paint, from_args), identity_summary!(el::Paint);
+    "Queue" => QUEUE, ctor!(el::Queue, from_args), identity_summary!(el::Queue);
+    "RandomSwitch" => GLOBAL, ctor!(el::RandomSwitch, from_args),
+        any_output_summary!(el::RandomSwitch);
+    "RateLimiter" => QUEUE, ctor!(el::RateLimiter, from_args), identity_summary!(el::RateLimiter);
+    "RoundRobinSwitch" => GLOBAL, ctor!(el::RoundRobinSwitch, from_args),
+        any_output_summary!(el::RoundRobinSwitch);
+    "ServerS" => GLOBAL, None, s::server_s;
+    "SetIPDst" => PURE, ctor!(el::SetIPDst, from_args), s::set_ip_dst;
+    "SetIPSrc" => PURE, ctor!(el::SetIPSrc, from_args), s::set_ip_src;
+    "SetTOS" => PURE, ctor!(el::SetTOS, from_args), s::set_tos;
+    "StatefulFirewall" => FLOW, ctor!(el::StatefulFirewall, from_args), s::firewall;
+    "StaticIPLookup" => PURE, ctor!(el::StaticIPLookup, from_args), s::static_lookup;
+    "StockDNSServer" => GLOBAL, None, s::stock_dns;
+    "StockExplicitProxy" => GLOBAL, None, s::stock_explicit_proxy;
+    "StockReverseProxy" => GLOBAL, None, s::stock_reverse_proxy;
+    "StockX86VM" => GLOBAL, None, s::stock_x86_vm;
+    "Strip" => PURE, ctor!(el::Strip, from_args), identity_summary!(el::Strip);
+    "Tee" => PURE, ctor!(el::Tee, from_args), any_output_summary!(el::Tee);
+    "TimedUnqueue" => QUEUE, ctor!(el::TimedUnqueue, from_args),
+        identity_summary!(el::TimedUnqueue);
+    "ToDevice" => EXIT, ctor!(el::ToNetfront, from_args), s::to_netfront;
+    "ToNetfront" => EXIT, ctor!(el::ToNetfront, from_args), s::to_netfront;
+    "TransparentProxy" => GLOBAL, ctor!(el::TransparentProxy, from_args), s::transparent_proxy;
+    "UDPTunnelDecap" => PURE, ctor!(el::UdpTunnelDecap, no_args), s::udp_tunnel_decap;
+    "UDPTunnelEncap" => PURE, ctor!(el::UdpTunnelEncap, from_args), s::udp_tunnel_encap;
 }
 
-type Ctor = fn(&ConfigArgs) -> Result<Box<dyn Element>, ElementError>;
-
-/// A table of known element classes.
-pub struct Registry {
-    ctors: BTreeMap<&'static str, Ctor>,
-    summaries: BTreeMap<&'static str, SummaryCtor>,
+/// The row of `class`.
+fn row(class: &str) -> Option<&'static Class> {
+    let i = CLASSES.binary_search_by(|c| c.name.cmp(class)).ok()?;
+    Some(&CLASSES[i])
 }
 
-macro_rules! ctor {
-    ($ty:ty, from_args) => {
-        |args: &ConfigArgs| -> Result<Box<dyn Element>, ElementError> {
-            Ok(Box::new(<$ty>::from_args(args)?))
-        }
-    };
-    ($ty:ty, no_args) => {
-        |args: &ConfigArgs| -> Result<Box<dyn Element>, ElementError> {
-            args.expect_len(0)?;
-            Ok(Box::new(<$ty>::default()))
-        }
-    };
-}
+/// The standard In-Net element library, read from the class table.
+#[derive(Debug, Default)]
+pub struct Registry;
 
 impl Registry {
-    /// An empty registry.
-    pub fn empty() -> Registry {
-        Registry {
-            ctors: BTreeMap::new(),
-            summaries: BTreeMap::new(),
-        }
-    }
-
     /// The standard In-Net element library.
     pub fn standard() -> Registry {
-        let mut r = Registry::empty();
-
-        // Sources, sinks.
-        r.register("FromNetfront", ctor!(el::FromNetfront, from_args));
-        r.register("ToNetfront", ctor!(el::ToNetfront, from_args));
-        // Device aliases (Click configurations often use these names).
-        r.register("FromDevice", ctor!(el::FromNetfront, from_args));
-        r.register("ToDevice", ctor!(el::ToNetfront, from_args));
-        r.register("Discard", ctor!(el::Discard, no_args));
-        r.register("Idle", ctor!(el::Idle, no_args));
-
-        // Classification and filtering.
-        r.register("Classifier", ctor!(el::Classifier, from_args));
-        r.register("IPClassifier", ctor!(el::IPClassifier, from_args));
-        r.register("IPFilter", ctor!(el::IPFilter, from_args));
-
-        // Header manipulation.
-        r.register("CheckIPHeader", ctor!(el::CheckIPHeader, no_args));
-        r.register("MarkIPHeader", ctor!(el::MarkIPHeader, from_args));
-        r.register("DecIPTTL", ctor!(el::DecIPTTL, no_args));
-        r.register("SetIPSrc", ctor!(el::SetIPSrc, from_args));
-        r.register("SetIPDst", ctor!(el::SetIPDst, from_args));
-        r.register("SetTOS", ctor!(el::SetTOS, from_args));
-        r.register("Strip", ctor!(el::Strip, from_args));
-        r.register("EtherEncap", ctor!(el::EtherEncap, from_args));
-
-        // Measurement.
-        r.register("Counter", ctor!(el::Counter, no_args));
-        r.register("FlowMeter", ctor!(el::FlowMeter, no_args));
-
-        // Shaping and queueing.
-        r.register("RateLimiter", ctor!(el::RateLimiter, from_args));
-        r.register("BandwidthShaper", ctor!(el::BandwidthShaper, from_args));
-        r.register("Queue", ctor!(el::Queue, from_args));
-        r.register("TimedUnqueue", ctor!(el::TimedUnqueue, from_args));
-
-        // Stateful middleboxes.
-        r.register("StatefulFirewall", ctor!(el::StatefulFirewall, from_args));
-        r.register("IPNAT", ctor!(el::IpNat, from_args));
-        r.register("IPRewriter", ctor!(el::IPRewriter, from_args));
-        r.register("TransparentProxy", ctor!(el::TransparentProxy, from_args));
-
-        // Tunnels.
-        r.register("UDPTunnelEncap", ctor!(el::UdpTunnelEncap, from_args));
-        r.register("UDPTunnelDecap", ctor!(el::UdpTunnelDecap, no_args));
-        r.register("IPEncap", ctor!(el::IpEncap, from_args));
-        r.register("IPDecap", ctor!(el::IpDecap, no_args));
-
-        // Scheduling and annotations.
-        r.register("RoundRobinSwitch", ctor!(el::RoundRobinSwitch, from_args));
-        r.register("RandomSwitch", ctor!(el::RandomSwitch, from_args));
-        r.register("Meter", ctor!(el::Meter, from_args));
-        r.register("Paint", ctor!(el::Paint, from_args));
-        r.register("CheckPaint", ctor!(el::CheckPaint, from_args));
-
-        // Duplication, inspection, responders.
-        r.register("Tee", ctor!(el::Tee, from_args));
-        r.register("IPMulticast", ctor!(el::IpMulticast, from_args));
-        r.register("DPI", ctor!(el::Dpi, from_args));
-        r.register("ICMPPingResponder", ctor!(el::IcmpPingResponder, no_args));
-        r.register("StaticIPLookup", ctor!(el::StaticIPLookup, from_args));
-
-        // Sandboxing.
-        r.register("ChangeEnforcer", ctor!(el::ChangeEnforcer, from_args));
-
-        // Field-effect summaries for the static analyzer (covers every
-        // class above plus the controller's Stock* pseudo-classes).
-        crate::summary::register_standard(&mut r);
-
-        r
-    }
-
-    /// Registers (or replaces) a class constructor.
-    pub fn register(&mut self, class: &'static str, ctor: Ctor) {
-        self.ctors.insert(class, ctor);
-    }
-
-    /// Registers (or replaces) a class field-effect summary.
-    pub fn register_summary(&mut self, class: &'static str, ctor: SummaryCtor) {
-        self.summaries.insert(class, ctor);
+        Registry
     }
 
     /// Whether a class has a field-effect summary (this includes the
     /// `Stock*` pseudo-classes, which have no Click constructor).
     pub fn has_summary(&self, class: &str) -> bool {
-        self.summaries.contains_key(class)
+        row(class).is_some()
     }
 
     /// Builds the field-effect summary of a configured element,
     /// validating its arguments the same way instantiation does.
     pub fn summary(&self, class: &str, args: &[String]) -> Result<ElementSummary, ElementError> {
-        let Some(ctor) = self.summaries.get(class) else {
+        let Some(c) = row(class) else {
             return Err(ElementError::UnknownClass(class.to_string()));
         };
-        ctor(args)
+        (c.summary)(&ConfigArgs::new(c.name, args))
     }
 
-    /// Whether a class is known.
+    /// Whether a class can be instantiated: it has a row with a
+    /// constructor.
     pub fn knows(&self, class: &str) -> bool {
-        self.ctors.contains_key(class)
+        row(class).is_some_and(|c| c.ctor.is_some())
     }
 
     /// The configuration-level [`Shardability`] verdict: the lattice
@@ -305,9 +278,9 @@ impl Registry {
             .unwrap_or(Shardability::Stateless)
     }
 
-    /// All registered class names, sorted.
+    /// The names of every class with a constructor, sorted.
     pub fn classes(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.ctors.keys().copied()
+        CLASSES.iter().filter(|c| c.ctor.is_some()).map(|c| c.name)
     }
 
     /// Instantiates an element.
@@ -316,24 +289,14 @@ impl Registry {
         class: &str,
         args: &[String],
     ) -> Result<Box<dyn Element>, ElementError> {
-        let Some((name, ctor)) = self.ctors.get_key_value(class) else {
-            return Err(ElementError::UnknownClass(class.to_string()));
-        };
-        ctor(&ConfigArgs::new(name, args))
-    }
-}
-
-impl std::fmt::Debug for Registry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Registry")
-            .field("classes", &self.ctors.keys().collect::<Vec<_>>())
-            .finish()
-    }
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Registry::standard()
+        match row(class) {
+            Some(&Class {
+                name,
+                ctor: Some(ctor),
+                ..
+            }) => ctor(&ConfigArgs::new(name, args)),
+            _ => Err(ElementError::UnknownClass(class.to_string())),
+        }
     }
 }
 
@@ -429,29 +392,61 @@ mod tests {
         assert_eq!(r.config_shardability(&unknown), Shardability::Global);
     }
 
+    /// Every row with its facts.
+    fn rows() -> impl Iterator<Item = (&'static str, ClassInfo)> {
+        CLASSES
+            .iter()
+            .map(|c| (c.name, class_info(c.name).unwrap()))
+    }
+
     #[test]
     fn class_table_covers_every_class() {
-        // Every constructor and every summary-only stock class has a row,
-        // and the table has no row for a class nobody can build.
-        let r = Registry::standard();
-        let stock = [
-            "StockX86VM",
-            "StockExplicitProxy",
-            "StockDNSServer",
-            "StockReverseProxy",
-            "ServerS",
-        ];
-        let mut known: Vec<&str> = r.classes().chain(stock).collect();
-        known.sort_unstable();
-        let mut rows: Vec<&str> = CLASSES.iter().map(|(c, _)| *c).collect();
-        rows.sort_unstable();
-        assert_eq!(rows, known, "one row per class");
-        for class in known {
-            assert!(class_info(class).is_some(), "{class}");
-            assert!(r.has_summary(class), "{class}");
+        // One row per class, sorted by name (the registry binary-searches
+        // the table), and only the controller's pseudo-classes lack a
+        // constructor.
+        for pair in CLASSES.windows(2) {
+            assert!(
+                pair[0].name < pair[1].name,
+                "{} >= {}",
+                pair[0].name,
+                pair[1].name
+            );
         }
-        assert_eq!(class_info("FluxCapacitor"), None);
-        assert_eq!(class_info(""), None);
+        assert_eq!(CLASSES.len(), 47);
+        let r = Registry::standard();
+        let mut stock: Vec<&str> = CLASSES
+            .iter()
+            .map(|c| c.name)
+            .filter(|c| !r.knows(c))
+            .collect();
+        stock.sort_unstable();
+        assert_eq!(
+            stock,
+            [
+                "ServerS",
+                "StockDNSServer",
+                "StockExplicitProxy",
+                "StockReverseProxy",
+                "StockX86VM"
+            ]
+        );
+        assert_eq!(r.classes().count(), CLASSES.len() - stock.len());
+        for c in CLASSES {
+            assert!(class_info(c.name).is_some(), "{}", c.name);
+            assert!(r.has_summary(c.name), "{}", c.name);
+        }
+        for unknown in ["FluxCapacitor", "", "fromnetfront"] {
+            assert_eq!(class_info(unknown), None);
+            assert!(!r.knows(unknown) && !r.has_summary(unknown));
+            assert!(matches!(
+                r.summary(unknown, &[]),
+                Err(ElementError::UnknownClass(_))
+            ));
+        }
+        assert!(matches!(
+            r.instantiate("StockX86VM", &[]),
+            Err(ElementError::UnknownClass(_))
+        ));
     }
 
     #[test]
@@ -464,16 +459,15 @@ mod tests {
         ] {
             assert_eq!(class_info(class).unwrap().netfront, Some(side), "{class}");
         }
-        let others = CLASSES.iter().filter(|(_, c)| c.netfront.is_some());
+        let others = rows().filter(|(_, c)| c.netfront.is_some());
         assert_eq!(others.count(), 4);
     }
 
     #[test]
     fn queue_classes_are_cycle_breaking() {
-        let mut queues: Vec<&str> = CLASSES
-            .iter()
+        let mut queues: Vec<&str> = rows()
             .filter(|(_, c)| c.queue_like)
-            .map(|(class, _)| *class)
+            .map(|(class, _)| class)
             .collect();
         queues.sort_unstable();
         assert_eq!(
@@ -514,9 +508,7 @@ mod tests {
         }
         // Pure functions of the packet replicate safely under any
         // dispatch discipline: every other row.
-        let stateless = CLASSES
-            .iter()
-            .filter(|(_, c)| c.state == Shardability::Stateless);
+        let stateless = rows().filter(|(_, c)| c.state == Shardability::Stateless);
         assert_eq!(stateless.count(), CLASSES.len() - 4 - 15);
         for class in [
             "Counter",

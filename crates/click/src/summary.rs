@@ -4,7 +4,8 @@
 //! emit: which header fields it constrains, which it overwrites (and with
 //! what kind of value), and whether it pushes or pops a tunnel layer.
 //! Facts that do not depend on arguments (state, queue-likeness) live in
-//! [`crate::class_info`]'s table, not here. The `innet-analysis` crate
+//! [`crate::class_info`]'s table, not here; that table also names each
+//! class's summary function. The `innet-analysis` crate
 //! composes summaries along every graph path with a
 //! worklist abstract interpretation, yielding an advisory config-level
 //! verdict and a field-effect table; admission never consults it, and
@@ -26,7 +27,6 @@ use crate::{
     args::ConfigArgs,
     element::{Element, ElementError, PortCount},
     elements::{self as el, FieldSpec, FilterAction},
-    registry::Registry,
 };
 
 /// The header fields of the symbolic packet model, as seen by summaries.
@@ -242,7 +242,7 @@ impl ElementSummary {
 /// Constructor signature for a class summary: parses the element's
 /// arguments (sharing validation with the runtime constructor) and
 /// returns its field-effect summary.
-pub type SummaryCtor = fn(&[String]) -> Result<ElementSummary, ElementError>;
+pub type SummaryCtor = fn(&ConfigArgs) -> Result<ElementSummary, ElementError>;
 
 fn a64(a: Ipv4Addr) -> u64 {
     u32::from(a) as u64
@@ -254,34 +254,34 @@ fn proto(p: IpProto) -> u64 {
 
 /// One over-approximating flow per output, no constraints: the element
 /// definitely emits on every output (`Tee`, `Classifier`, switches…).
-fn any_output(outputs: usize) -> ElementSummary {
+pub(crate) fn any_output(outputs: usize) -> ElementSummary {
     let flows = (0..outputs).map(|o| FlowSummary::identity(0, o)).collect();
     ElementSummary::flows(PortCount::new(1, outputs), flows)
 }
 
-fn from_netfront(args: &[String]) -> Result<ElementSummary, ElementError> {
-    el::netfront_iface(&ConfigArgs::new("FromNetfront", args))?;
+pub(crate) fn from_netfront(args: &ConfigArgs) -> Result<ElementSummary, ElementError> {
+    el::netfront_iface(args)?;
     Ok(ElementSummary::identity())
 }
 
-fn to_netfront(args: &[String]) -> Result<ElementSummary, ElementError> {
-    el::netfront_iface(&ConfigArgs::new("ToNetfront", args))?;
+pub(crate) fn to_netfront(args: &ConfigArgs) -> Result<ElementSummary, ElementError> {
+    el::netfront_iface(args)?;
     Ok(ElementSummary {
         ports: PortCount::new(1, 0),
         kind: SummaryKind::Egress,
     })
 }
 
-fn discard_sink(args: &[String]) -> Result<ElementSummary, ElementError> {
-    ConfigArgs::new("Discard", args).expect_len(0)?;
+pub(crate) fn discard_sink(args: &ConfigArgs) -> Result<ElementSummary, ElementError> {
+    args.expect_len(0)?;
     Ok(ElementSummary {
         ports: PortCount::new(1, 0),
         kind: SummaryKind::Sink,
     })
 }
 
-fn idle_sink(args: &[String]) -> Result<ElementSummary, ElementError> {
-    ConfigArgs::new("Idle", args).expect_len(0)?;
+pub(crate) fn idle_sink(args: &ConfigArgs) -> Result<ElementSummary, ElementError> {
+    args.expect_len(0)?;
     // Idle declares an output port but never emits on it.
     Ok(ElementSummary {
         ports: PortCount::ONE_ONE,
@@ -289,32 +289,39 @@ fn idle_sink(args: &[String]) -> Result<ElementSummary, ElementError> {
     })
 }
 
+/// The summary of a one-in one-out pass-through class, validating its
+/// arguments with its constructor (or expecting none).
 macro_rules! identity_summary {
-    ($class:literal, no_args) => {
-        |args: &[String]| -> Result<ElementSummary, ElementError> {
-            ConfigArgs::new($class, args).expect_len(0)?;
-            Ok(ElementSummary::identity())
+    (no_args) => {
+        |args: &$crate::ConfigArgs| -> Result<$crate::ElementSummary, $crate::ElementError> {
+            args.expect_len(0)?;
+            Ok($crate::ElementSummary::identity())
         }
     };
-    ($class:literal, $ty:ty) => {
-        |args: &[String]| -> Result<ElementSummary, ElementError> {
-            <$ty>::from_args(&ConfigArgs::new($class, args))?;
-            Ok(ElementSummary::identity())
+    ($ty:ty) => {
+        |args: &$crate::ConfigArgs| -> Result<$crate::ElementSummary, $crate::ElementError> {
+            <$ty>::from_args(args)?;
+            Ok($crate::ElementSummary::identity())
         }
     };
 }
+pub(crate) use identity_summary;
 
+/// The summary of a class that may emit any packet on any of its outputs.
 macro_rules! any_output_summary {
-    ($class:literal, $ty:ty) => {
-        |args: &[String]| -> Result<ElementSummary, ElementError> {
-            let e = <$ty>::from_args(&ConfigArgs::new($class, args))?;
-            Ok(any_output(Element::ports(&e).outputs))
+    ($ty:ty) => {
+        |args: &$crate::ConfigArgs| -> Result<$crate::ElementSummary, $crate::ElementError> {
+            let e = <$ty>::from_args(args)?;
+            Ok($crate::summary::any_output(
+                $crate::Element::ports(&e).outputs,
+            ))
         }
     };
 }
+pub(crate) use any_output_summary;
 
-fn ip_classifier(args: &[String]) -> Result<ElementSummary, ElementError> {
-    let c = el::IPClassifier::from_args(&ConfigArgs::new("IPClassifier", args))?;
+pub(crate) fn ip_classifier(args: &ConfigArgs) -> Result<ElementSummary, ElementError> {
+    let c = el::IPClassifier::from_args(args)?;
     let n = c.rules().len();
     let flows = (0..n)
         .map(|i| FlowSummary {
@@ -328,8 +335,8 @@ fn ip_classifier(args: &[String]) -> Result<ElementSummary, ElementError> {
     Ok(ElementSummary::flows(PortCount::new(1, n), flows))
 }
 
-fn ip_filter(args: &[String]) -> Result<ElementSummary, ElementError> {
-    let f = el::IPFilter::from_args(&ConfigArgs::new("IPFilter", args))?;
+pub(crate) fn ip_filter(args: &ConfigArgs) -> Result<ElementSummary, ElementError> {
+    let f = el::IPFilter::from_args(args)?;
     let any_allow = f
         .rules()
         .iter()
@@ -348,8 +355,8 @@ fn ip_filter(args: &[String]) -> Result<ElementSummary, ElementError> {
     Ok(ElementSummary::flows(PortCount::ONE_ONE, flows))
 }
 
-fn dec_ip_ttl(args: &[String]) -> Result<ElementSummary, ElementError> {
-    ConfigArgs::new("DecIPTTL", args).expect_len(0)?;
+pub(crate) fn dec_ip_ttl(args: &ConfigArgs) -> Result<ElementSummary, ElementError> {
+    args.expect_len(0)?;
     Ok(ElementSummary::flows(
         PortCount::ONE_ONE,
         vec![FlowSummary {
@@ -362,12 +369,7 @@ fn dec_ip_ttl(args: &[String]) -> Result<ElementSummary, ElementError> {
     ))
 }
 
-fn set_field(
-    class: &'static str,
-    field: AbsField,
-    value: u64,
-) -> Result<ElementSummary, ElementError> {
-    let _ = class;
+fn set_field(field: AbsField, value: u64) -> Result<ElementSummary, ElementError> {
     Ok(ElementSummary::flows(
         PortCount::ONE_ONE,
         vec![FlowSummary {
@@ -380,28 +382,29 @@ fn set_field(
     ))
 }
 
-fn set_ip_src(args: &[String]) -> Result<ElementSummary, ElementError> {
-    let s = el::SetIPSrc::from_args(&ConfigArgs::new("SetIPSrc", args))?;
-    set_field("SetIPSrc", AbsField::IpSrc, a64(s.addr()))
+pub(crate) fn set_ip_src(args: &ConfigArgs) -> Result<ElementSummary, ElementError> {
+    let s = el::SetIPSrc::from_args(args)?;
+    set_field(AbsField::IpSrc, a64(s.addr()))
 }
 
-fn set_ip_dst(args: &[String]) -> Result<ElementSummary, ElementError> {
-    let s = el::SetIPDst::from_args(&ConfigArgs::new("SetIPDst", args))?;
-    set_field("SetIPDst", AbsField::IpDst, a64(s.addr()))
+pub(crate) fn set_ip_dst(args: &ConfigArgs) -> Result<ElementSummary, ElementError> {
+    let s = el::SetIPDst::from_args(args)?;
+    set_field(AbsField::IpDst, a64(s.addr()))
 }
 
-fn set_tos(args: &[String]) -> Result<ElementSummary, ElementError> {
-    el::SetTOS::from_args(&ConfigArgs::new("SetTOS", args))?;
+pub(crate) fn set_tos(args: &ConfigArgs) -> Result<ElementSummary, ElementError> {
+    el::SetTOS::from_args(args)?;
     // Value re-parsed the same way the symbolic model does.
     let v: u64 = args
-        .first()
+        .all()
+        .next()
         .and_then(|a| a.trim().parse().ok())
         .unwrap_or(0);
-    set_field("SetTOS", AbsField::Tos, v)
+    set_field(AbsField::Tos, v)
 }
 
-fn firewall(args: &[String]) -> Result<ElementSummary, ElementError> {
-    let f = el::StatefulFirewall::from_args(&ConfigArgs::new("StatefulFirewall", args))?;
+pub(crate) fn firewall(args: &ConfigArgs) -> Result<ElementSummary, ElementError> {
+    let f = el::StatefulFirewall::from_args(args)?;
     let mut flows = Vec::new();
     if !f.allow_rules().is_empty() {
         flows.push(FlowSummary {
@@ -422,8 +425,8 @@ fn firewall(args: &[String]) -> Result<ElementSummary, ElementError> {
     Ok(ElementSummary::flows(PortCount::new(2, 2), flows))
 }
 
-fn nat(args: &[String]) -> Result<ElementSummary, ElementError> {
-    let n = el::IpNat::from_args(&ConfigArgs::new("IPNAT", args))?;
+pub(crate) fn nat(args: &ConfigArgs) -> Result<ElementSummary, ElementError> {
+    let n = el::IpNat::from_args(args)?;
     let public = a64(n.public_addr());
     Ok(ElementSummary::flows(
         PortCount::new(2, 2),
@@ -452,8 +455,8 @@ fn nat(args: &[String]) -> Result<ElementSummary, ElementError> {
     ))
 }
 
-fn rewriter(args: &[String]) -> Result<ElementSummary, ElementError> {
-    let r = el::IPRewriter::from_args(&ConfigArgs::new("IPRewriter", args))?;
+pub(crate) fn rewriter(args: &ConfigArgs) -> Result<ElementSummary, ElementError> {
+    let r = el::IPRewriter::from_args(args)?;
     let p = r.pattern().clone();
     let ports = Element::ports(&r);
     let mut fwd_writes = Vec::new();
@@ -495,8 +498,8 @@ fn rewriter(args: &[String]) -> Result<ElementSummary, ElementError> {
     ))
 }
 
-fn transparent_proxy(args: &[String]) -> Result<ElementSummary, ElementError> {
-    let t = el::TransparentProxy::from_args(&ConfigArgs::new("TransparentProxy", args))?;
+pub(crate) fn transparent_proxy(args: &ConfigArgs) -> Result<ElementSummary, ElementError> {
+    let t = el::TransparentProxy::from_args(args)?;
     let (proxy, proxy_port, intercept) = t.params();
     let tcp = proto(IpProto::Tcp);
     Ok(ElementSummary::flows(
@@ -578,8 +581,8 @@ fn encap_flows(
     }]
 }
 
-fn udp_tunnel_encap(args: &[String]) -> Result<ElementSummary, ElementError> {
-    let t = el::UdpTunnelEncap::from_args(&ConfigArgs::new("UDPTunnelEncap", args))?;
+pub(crate) fn udp_tunnel_encap(args: &ConfigArgs) -> Result<ElementSummary, ElementError> {
+    let t = el::UdpTunnelEncap::from_args(args)?;
     let (src, sport, dst, dport) = t.params();
     Ok(ElementSummary::flows(
         PortCount::ONE_ONE,
@@ -593,8 +596,8 @@ fn udp_tunnel_encap(args: &[String]) -> Result<ElementSummary, ElementError> {
     ))
 }
 
-fn ip_encap(args: &[String]) -> Result<ElementSummary, ElementError> {
-    let t = el::IpEncap::from_args(&ConfigArgs::new("IPEncap", args))?;
+pub(crate) fn ip_encap(args: &ConfigArgs) -> Result<ElementSummary, ElementError> {
+    let t = el::IpEncap::from_args(args)?;
     let (src, dst) = t.params();
     Ok(ElementSummary::flows(
         PortCount::ONE_ONE,
@@ -615,18 +618,18 @@ fn decap(p: u64) -> ElementSummary {
     )
 }
 
-fn udp_tunnel_decap(args: &[String]) -> Result<ElementSummary, ElementError> {
-    ConfigArgs::new("UDPTunnelDecap", args).expect_len(0)?;
+pub(crate) fn udp_tunnel_decap(args: &ConfigArgs) -> Result<ElementSummary, ElementError> {
+    args.expect_len(0)?;
     Ok(decap(proto(IpProto::Udp)))
 }
 
-fn ip_decap(args: &[String]) -> Result<ElementSummary, ElementError> {
-    ConfigArgs::new("IPDecap", args).expect_len(0)?;
+pub(crate) fn ip_decap(args: &ConfigArgs) -> Result<ElementSummary, ElementError> {
+    args.expect_len(0)?;
     Ok(decap(proto(IpProto::IpIp)))
 }
 
-fn multicast(args: &[String]) -> Result<ElementSummary, ElementError> {
-    let m = el::IpMulticast::from_args(&ConfigArgs::new("IPMulticast", args))?;
+pub(crate) fn multicast(args: &ConfigArgs) -> Result<ElementSummary, ElementError> {
+    let m = el::IpMulticast::from_args(args)?;
     let flows = m
         .destinations()
         .iter()
@@ -641,8 +644,8 @@ fn multicast(args: &[String]) -> Result<ElementSummary, ElementError> {
     Ok(ElementSummary::flows(PortCount::ONE_ONE, flows))
 }
 
-fn ping_responder(args: &[String]) -> Result<ElementSummary, ElementError> {
-    ConfigArgs::new("ICMPPingResponder", args).expect_len(0)?;
+pub(crate) fn ping_responder(args: &ConfigArgs) -> Result<ElementSummary, ElementError> {
+    args.expect_len(0)?;
     Ok(ElementSummary::flows(
         PortCount::ONE_ONE,
         vec![FlowSummary {
@@ -658,8 +661,8 @@ fn ping_responder(args: &[String]) -> Result<ElementSummary, ElementError> {
     ))
 }
 
-fn static_lookup(args: &[String]) -> Result<ElementSummary, ElementError> {
-    let l = el::StaticIPLookup::from_args(&ConfigArgs::new("StaticIPLookup", args))?;
+pub(crate) fn static_lookup(args: &ConfigArgs) -> Result<ElementSummary, ElementError> {
+    let l = el::StaticIPLookup::from_args(args)?;
     let ports = Element::ports(&l);
     let flows = l
         .routes()
@@ -675,8 +678,8 @@ fn static_lookup(args: &[String]) -> Result<ElementSummary, ElementError> {
     Ok(ElementSummary::flows(ports, flows))
 }
 
-fn change_enforcer(args: &[String]) -> Result<ElementSummary, ElementError> {
-    let c = el::ChangeEnforcer::from_args(&ConfigArgs::new("ChangeEnforcer", args))?;
+pub(crate) fn change_enforcer(args: &ConfigArgs) -> Result<ElementSummary, ElementError> {
+    let c = el::ChangeEnforcer::from_args(args)?;
     let module = a64(c.params().0);
     Ok(ElementSummary::flows(
         PortCount::new(2, 2),
@@ -693,17 +696,18 @@ fn change_enforcer(args: &[String]) -> Result<ElementSummary, ElementError> {
     ))
 }
 
-fn stock_addr(class: &str, args: &[String]) -> Result<u64, ElementError> {
-    args.first()
+fn stock_addr(args: &ConfigArgs) -> Result<u64, ElementError> {
+    args.all()
+        .next()
         .and_then(|a| a.trim().parse::<Ipv4Addr>().ok())
         .map(a64)
         .ok_or_else(|| ElementError::BadArgs {
             class: "Stock",
-            message: format!("{class}: bad address argument 0"),
+            message: format!("{}: bad address argument 0", args.class()),
         })
 }
 
-fn stock_x86_vm(_args: &[String]) -> Result<ElementSummary, ElementError> {
+pub(crate) fn stock_x86_vm(_args: &ConfigArgs) -> Result<ElementSummary, ElementError> {
     let writes = ABS_FIELDS
         .iter()
         .map(|&f| (f, FieldWrite::Runtime(RtOrigin::Opaque)))
@@ -720,8 +724,8 @@ fn stock_x86_vm(_args: &[String]) -> Result<ElementSummary, ElementError> {
     ))
 }
 
-fn stock_explicit_proxy(args: &[String]) -> Result<ElementSummary, ElementError> {
-    let own = stock_addr("StockExplicitProxy", args)?;
+pub(crate) fn stock_explicit_proxy(args: &ConfigArgs) -> Result<ElementSummary, ElementError> {
+    let own = stock_addr(args)?;
     Ok(ElementSummary::flows(
         PortCount::ONE_ONE,
         vec![FlowSummary {
@@ -778,12 +782,12 @@ fn turnaround(
     )
 }
 
-fn server_s(_args: &[String]) -> Result<ElementSummary, ElementError> {
+pub(crate) fn server_s(_args: &ConfigArgs) -> Result<ElementSummary, ElementError> {
     Ok(turnaround(Some(proto(IpProto::Udp)), None, None, false))
 }
 
-fn stock_dns(args: &[String]) -> Result<ElementSummary, ElementError> {
-    let own = stock_addr("StockDNSServer", args)?;
+pub(crate) fn stock_dns(args: &ConfigArgs) -> Result<ElementSummary, ElementError> {
+    let own = stock_addr(args)?;
     Ok(turnaround(
         Some(proto(IpProto::Udp)),
         Some(53),
@@ -792,8 +796,8 @@ fn stock_dns(args: &[String]) -> Result<ElementSummary, ElementError> {
     ))
 }
 
-fn stock_reverse_proxy(args: &[String]) -> Result<ElementSummary, ElementError> {
-    let own = stock_addr("StockReverseProxy", args)?;
+pub(crate) fn stock_reverse_proxy(args: &ConfigArgs) -> Result<ElementSummary, ElementError> {
+    let own = stock_addr(args)?;
     Ok(turnaround(
         Some(proto(IpProto::Tcp)),
         Some(80),
@@ -802,110 +806,10 @@ fn stock_reverse_proxy(args: &[String]) -> Result<ElementSummary, ElementError> 
     ))
 }
 
-/// Registers the field-effect summaries of the standard element library
-/// (plus the controller's `Stock*` pseudo-classes) into `r`.
-pub(crate) fn register_standard(r: &mut Registry) {
-    // Sources, sinks.
-    r.register_summary("FromNetfront", from_netfront);
-    r.register_summary("FromDevice", from_netfront);
-    r.register_summary("ToNetfront", to_netfront);
-    r.register_summary("ToDevice", to_netfront);
-    r.register_summary("Discard", discard_sink);
-    r.register_summary("Idle", idle_sink);
-
-    // Classification and filtering.
-    r.register_summary(
-        "Classifier",
-        any_output_summary!("Classifier", el::Classifier),
-    );
-    r.register_summary("IPClassifier", ip_classifier);
-    r.register_summary("IPFilter", ip_filter);
-
-    // Header manipulation.
-    r.register_summary("CheckIPHeader", identity_summary!("CheckIPHeader", no_args));
-    r.register_summary(
-        "MarkIPHeader",
-        identity_summary!("MarkIPHeader", el::MarkIPHeader),
-    );
-    r.register_summary("DecIPTTL", dec_ip_ttl);
-    r.register_summary("SetIPSrc", set_ip_src);
-    r.register_summary("SetIPDst", set_ip_dst);
-    r.register_summary("SetTOS", set_tos);
-    r.register_summary("Strip", identity_summary!("Strip", el::Strip));
-    r.register_summary(
-        "EtherEncap",
-        identity_summary!("EtherEncap", el::EtherEncap),
-    );
-
-    // Measurement.
-    r.register_summary("Counter", identity_summary!("Counter", no_args));
-    r.register_summary("FlowMeter", identity_summary!("FlowMeter", no_args));
-
-    // Shaping and queueing (cycle-breaking).
-    r.register_summary(
-        "RateLimiter",
-        identity_summary!("RateLimiter", el::RateLimiter),
-    );
-    r.register_summary(
-        "BandwidthShaper",
-        identity_summary!("BandwidthShaper", el::BandwidthShaper),
-    );
-    r.register_summary("Queue", identity_summary!("Queue", el::Queue));
-    r.register_summary(
-        "TimedUnqueue",
-        identity_summary!("TimedUnqueue", el::TimedUnqueue),
-    );
-
-    // Stateful middleboxes.
-    r.register_summary("StatefulFirewall", firewall);
-    r.register_summary("IPNAT", nat);
-    r.register_summary("IPRewriter", rewriter);
-    r.register_summary("TransparentProxy", transparent_proxy);
-
-    // Tunnels.
-    r.register_summary("UDPTunnelEncap", udp_tunnel_encap);
-    r.register_summary("UDPTunnelDecap", udp_tunnel_decap);
-    r.register_summary("IPEncap", ip_encap);
-    r.register_summary("IPDecap", ip_decap);
-
-    // Scheduling and annotations.
-    r.register_summary(
-        "RoundRobinSwitch",
-        any_output_summary!("RoundRobinSwitch", el::RoundRobinSwitch),
-    );
-    r.register_summary(
-        "RandomSwitch",
-        any_output_summary!("RandomSwitch", el::RandomSwitch),
-    );
-    r.register_summary("Meter", any_output_summary!("Meter", el::Meter));
-    r.register_summary("Paint", identity_summary!("Paint", el::Paint));
-    r.register_summary(
-        "CheckPaint",
-        any_output_summary!("CheckPaint", el::CheckPaint),
-    );
-
-    // Duplication, inspection, responders.
-    r.register_summary("Tee", any_output_summary!("Tee", el::Tee));
-    r.register_summary("IPMulticast", multicast);
-    r.register_summary("DPI", any_output_summary!("DPI", el::Dpi));
-    r.register_summary("ICMPPingResponder", ping_responder);
-    r.register_summary("StaticIPLookup", static_lookup);
-
-    // Sandboxing.
-    r.register_summary("ChangeEnforcer", change_enforcer);
-
-    // Stock pseudo-classes (no Click constructor; the controller
-    // materializes them directly).
-    r.register_summary("StockX86VM", stock_x86_vm);
-    r.register_summary("StockExplicitProxy", stock_explicit_proxy);
-    r.register_summary("StockDNSServer", stock_dns);
-    r.register_summary("StockReverseProxy", stock_reverse_proxy);
-    r.register_summary("ServerS", server_s);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Registry;
 
     #[test]
     fn standard_registry_summarizes_every_class() {

@@ -7,6 +7,24 @@ use serde::{Deserialize, Serialize};
 
 use crate::{ip::IpProto, Packet, Result};
 
+/// 64-bit FNV-1a over a byte string: stable across processes and
+/// platforms (no per-process seed) and cheap. It is the flow dispatch
+/// hash, `IPNAT`'s preferred port and the configuration fingerprint. It
+/// is not collision-resistant against adversarial inputs: a
+/// security-relevant cache keys its map by the full input and treats
+/// this as a fingerprint.
+#[inline]
+pub fn fnv1a_64(bytes: &[u8]) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = OFFSET;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(PRIME);
+    }
+    h
+}
+
 /// A directed transport 5-tuple.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct FlowKey {
@@ -65,22 +83,15 @@ impl FlowKey {
     /// one worker and per-flow packet order is preserved end to end.
     /// The hash is deterministic across runs and platforms (no
     /// per-process seed), so shard assignments are reproducible.
+    #[inline]
     pub fn shard_hash(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        eat(&self.src.octets());
-        eat(&self.dst.octets());
-        eat(&[self.proto.number()]);
-        eat(&self.src_port.to_be_bytes());
-        eat(&self.dst_port.to_be_bytes());
-        h
+        let mut bytes = [0u8; 13];
+        bytes[..4].copy_from_slice(&self.src.octets());
+        bytes[4..8].copy_from_slice(&self.dst.octets());
+        bytes[8] = self.proto.number();
+        bytes[9..11].copy_from_slice(&self.src_port.to_be_bytes());
+        bytes[11..].copy_from_slice(&self.dst_port.to_be_bytes());
+        fnv1a_64(&bytes)
     }
 
     /// The worker shard this flow is pinned to among `workers` workers.
@@ -128,25 +139,17 @@ impl FlowKey {
     /// the hash is FNV-1a over a canonical byte encoding, deterministic
     /// across runs and platforms.
     pub fn symmetric_hash(&self, inbound: bool) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
         let (addr, port) = if inbound {
             (self.src, self.src_port)
         } else {
             (self.dst, self.dst_port)
         };
         let port = if self.proto == IpProto::Icmp { 0 } else { port };
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        eat(&addr.octets());
-        eat(&[self.proto.number()]);
-        eat(&port.to_be_bytes());
-        h
+        let mut bytes = [0u8; 7];
+        bytes[..4].copy_from_slice(&addr.octets());
+        bytes[4] = self.proto.number();
+        bytes[5..].copy_from_slice(&port.to_be_bytes());
+        fnv1a_64(&bytes)
     }
 
     /// The worker shard under symmetric dispatch (see
@@ -229,6 +232,75 @@ pub struct FlowTuple {
 mod tests {
     use super::*;
     use crate::PacketBuilder;
+
+    #[test]
+    fn fnv_vectors() {
+        // Published FNV-1a test vectors.
+        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn dispatch_hashes_are_pinned() {
+        // Values recorded from the byte-at-a-time loops these hashes
+        // replaced: shard assignments and NAT port choices depend on
+        // them bit for bit.
+        let key = |src, dst, proto, src_port, dst_port| FlowKey {
+            src,
+            dst,
+            proto,
+            src_port,
+            dst_port,
+        };
+        let cases = [
+            (
+                key(
+                    Ipv4Addr::new(10, 0, 0, 1),
+                    Ipv4Addr::new(192, 168, 1, 7),
+                    IpProto::Udp,
+                    5000,
+                    1500,
+                ),
+                [0x92248773ae85f009, 0x440927dcd314e929, 0x20361273e62475fc],
+            ),
+            (
+                key(
+                    Ipv4Addr::new(8, 8, 8, 8),
+                    Ipv4Addr::new(203, 0, 113, 9),
+                    IpProto::Tcp,
+                    443,
+                    61000,
+                ),
+                [0x6784a1edfdeec784, 0xb8976bd58b316778, 0x102f8d680eb89a99],
+            ),
+            (
+                key(
+                    Ipv4Addr::new(172, 16, 0, 2),
+                    Ipv4Addr::new(1, 1, 1, 1),
+                    IpProto::Icmp,
+                    77,
+                    77,
+                ),
+                [0xc59f508eca524c6a, 0x1971509b26a3b188, 0x0c8acc3adb0eb3f6],
+            ),
+            (
+                key(
+                    Ipv4Addr::UNSPECIFIED,
+                    Ipv4Addr::BROADCAST,
+                    IpProto::Other(47),
+                    0,
+                    0,
+                ),
+                [0xe67a166208d4ba6a, 0xd7add44e43f16b2a, 0x8dab2114320f8e9e],
+            ),
+        ];
+        for (k, [shard, outbound, inbound]) in cases {
+            assert_eq!(k.shard_hash(), shard, "{k}");
+            assert_eq!(k.symmetric_hash(false), outbound, "{k}");
+            assert_eq!(k.symmetric_hash(true), inbound, "{k}");
+        }
+    }
 
     #[test]
     fn udp_key() {

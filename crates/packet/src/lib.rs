@@ -60,7 +60,7 @@ mod udp;
 pub use buf::{Packet, PacketMeta, ANNO_SIZE};
 pub use builder::PacketBuilder;
 pub use ether::{EtherType, EtherView, MacAddr, ETHER_HDR_LEN};
-pub use flow::{FlowKey, FlowTuple};
+pub use flow::{fnv1a_64, FlowKey, FlowTuple};
 pub use icmp::{IcmpKind, IcmpView, ICMP_HDR_LEN};
 pub use ip::{internet_checksum, IpProto, Ipv4View, IPV4_HDR_LEN};
 pub use net::{Cidr, CidrParseError};

@@ -55,7 +55,6 @@ mod native;
 mod parallel;
 mod runner;
 mod scenario;
-mod spsc;
 mod switch;
 mod traffic;
 mod vm;

@@ -15,8 +15,9 @@
 //! * a flow-hash dispatcher pins each 5-tuple to one worker
 //!   ([`FlowKey::shard_of`]), so all packets of a flow traverse the same
 //!   replica in arrival order and per-flow output order is preserved;
-//! * hand-off happens in batches over bounded FIFO rings, which
-//!   back-pressure the dispatcher when a worker falls behind.
+//! * hand-off happens in batches over bounded FIFO rings (`std`'s
+//!   `sync_channel`), which back-pressure the dispatcher when a worker
+//!   falls behind.
 //!
 //! How much state a configuration keeps decides how it shards. The
 //! element registry's field-effect summaries place every class on the
@@ -42,6 +43,7 @@
 //! hurting small packets most, per-middlebox differences — emerge from
 //! the same mechanisms.
 
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::time::Instant;
 
 use innet_click::{ClickConfig, Registry, RouterError, Shardability};
@@ -49,7 +51,6 @@ use innet_packet::{FlowKey, Packet, PacketPool};
 
 use crate::engine::Engine;
 use crate::runner::RunnerConfig;
-use crate::spsc;
 
 /// Virtual-time step per packet: 1 µs, so token buckets refill
 /// realistically.
@@ -114,8 +115,6 @@ struct ParallelMetrics {
     packets: Vec<innet_obs::Counter>,
     /// Per-worker packets transmitted (`worker` label).
     transmitted: Vec<innet_obs::Counter>,
-    /// Per-worker ring depth, sampled at each dispatch.
-    queue_depth: Vec<innet_obs::Gauge>,
     /// Size of each dispatched batch.
     batch_size: innet_obs::Histogram,
     /// Wall-clock duration of each `run` call.
@@ -130,9 +129,6 @@ impl ParallelMetrics {
             packets: (0..workers).map(|w| packets.with(&w.to_string())).collect(),
             transmitted: (0..workers)
                 .map(|w| transmitted.with(&w.to_string()))
-                .collect(),
-            queue_depth: (0..workers)
-                .map(|w| registry.gauge(&format!("innet_parallel_queue_depth_w{w}")))
                 .collect(),
             batch_size: registry.histogram("innet_parallel_batch_size"),
             run_ns: registry.histogram("innet_parallel_run_ns"),
@@ -327,7 +323,7 @@ impl ParallelRunner {
             let mut senders = Vec::with_capacity(workers);
             let mut handles = Vec::with_capacity(workers);
             for (w, engine) in self.engines.iter_mut().enumerate() {
-                let (tx, rx) = spsc::ring::<Vec<Packet>>(RING_CAPACITY);
+                let (tx, rx) = sync_channel::<Vec<Packet>>(RING_CAPACITY);
                 senders.push(tx);
                 let worker_metrics = metrics
                     .as_ref()
@@ -336,7 +332,7 @@ impl ParallelRunner {
                     let mut clock = 0u64;
                     let mut tx_count = 0u64;
                     let mut out: Vec<(u16, Packet)> = Vec::new();
-                    while let Some(b) = rx.recv() {
+                    while let Ok(b) = rx.recv() {
                         let n = b.len() as u64;
                         engine.push_batch(b, clock, STEP_NS);
                         clock += STEP_NS * n;
@@ -381,13 +377,13 @@ impl ParallelRunner {
                     if pending[shard].len() >= batch {
                         let full =
                             std::mem::replace(&mut pending[shard], Vec::with_capacity(batch));
-                        dropped += dispatch(&senders[shard], full, shard, &metrics);
+                        dropped += dispatch(&senders[shard], full, &metrics);
                     }
                 }
             }
             for (shard, rest) in pending.into_iter().enumerate() {
                 if !rest.is_empty() {
-                    dropped += dispatch(&senders[shard], rest, shard, &metrics);
+                    dropped += dispatch(&senders[shard], rest, &metrics);
                 }
             }
             // Hang up: each worker drains its ring, then returns.
@@ -407,19 +403,17 @@ impl ParallelRunner {
 /// Sends one batch to one worker ring, blocking while it is full.
 /// Returns the number of packets lost because the worker hung up.
 fn dispatch(
-    sender: &spsc::RingSender<Vec<Packet>>,
+    sender: &SyncSender<Vec<Packet>>,
     batch: Vec<Packet>,
-    shard: usize,
     metrics: &Option<ParallelMetrics>,
 ) -> u64 {
     let size = batch.len() as u64;
     let dropped = match sender.send(batch) {
         Ok(()) => 0,
-        Err(b) => b.len() as u64,
+        Err(b) => b.0.len() as u64,
     };
     if let Some(m) = metrics {
         m.batch_size.observe(size);
-        m.queue_depth[shard].set(sender.len() as i64);
     }
     dropped
 }
@@ -587,8 +581,8 @@ mod tests {
     #[test]
     fn one_effective_worker_spawns_no_thread_and_creates_no_ring() {
         // Below two effective workers there is no dispatcher: the
-        // dispatch instruments (batch-size histogram, ring-depth gauge)
-        // are only ever touched by a ring send, so they stay empty —
+        // dispatch instrument (batch-size histogram) is only ever
+        // touched by a ring send, so it stays empty —
         // whether one worker was asked for or a Global config degraded
         // to one.
         let queue = ClickConfig::parse("FromNetfront() -> Queue(16) -> ToNetfront();").unwrap();
@@ -606,7 +600,6 @@ mod tests {
             assert_eq!(stats.dropped, 0);
             assert_eq!(stats.workers, 1);
             assert_eq!(registry.histogram("innet_parallel_batch_size").count(), 0);
-            assert_eq!(registry.gauge("innet_parallel_queue_depth_w0").get(), 0);
             assert_eq!(registry.histogram("innet_parallel_run_ns").count(), 1);
             let per_worker = registry.labeled_counter("innet_parallel_packets_total", "worker");
             assert_eq!(per_worker.cells(), vec![("0".to_string(), 200)]);

@@ -17,7 +17,7 @@
 
 use std::net::Ipv4Addr;
 
-use innet::click::fnv1a_64;
+use innet::packet::fnv1a_64;
 use innet::platform::{DriverRun, FleetStats, SwitchStats};
 use innet::prelude::*;
 use innet::topology::{generate_fleet, FleetParams, NodeId, NodeKind, PlatformSpec};
