@@ -10,14 +10,15 @@
 # fenced set; without, it is the control-plane-only set: everything the
 # packet and fleet data paths, and the benchmark itself, are built from.
 #
-# Example — the element library is one table (parent 8aa1e06): the
-# change touches click, packet, platform, bench, the integration tests,
-# ci.sh and the docs, and fences the rest, the benchmark, every committed
-# snapshot and the goldens included:
+# Example — the runner shards at ingress (parent bb7af6f): the change
+# touches platform, bench, the examples, the integration tests, ci.sh,
+# the parallel-scaling snapshot and the docs, and fences the rest, the
+# benchmark, the other snapshots and the goldens included:
 #
-#   ./ci.sh --fence 8aa1e06 \
-#     crates/{obs,sim,topology,policy,symnet,analysis,controller,core} \
-#     examples benchmark BENCHMARK.json 'BENCH_*.json' Cargo.lock tests/tests/golden
+#   ./ci.sh --fence bb7af6f \
+#     crates/{packet,click,obs,sim,topology,policy,symnet,analysis,controller,core} \
+#     benchmark BENCHMARK.json BENCH_admission.json BENCH_fig12_middlebox.json \
+#     BENCH_fleet.json BENCH_scenarios.json Cargo.lock tests/tests/golden
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -197,12 +198,26 @@ echo "==> the element library is one table"
 # its facts, its constructor and its summary. Runtime registration
 # (register, register_summary, an empty registry to fill) or a map of
 # constructors beside the table would be a second class list that can
-# drift from it. The runner's worker rings are std's sync_channel; a
-# hand-rolled ring (crates/platform/src/spsc.rs) would be a second queue
-# to keep correct.
-if grep -rnE 'fn register\(|register_summary|fn empty\(|BTreeMap<[^>]*Ctor>' crates/click/src ||
+# drift from it.
+if grep -rnE 'fn register\(|register_summary|fn empty\(|BTreeMap<[^>]*Ctor>' crates/click/src; then
+  echo "add a row to class_table!" >&2
+  exit 1
+fi
+
+echo "==> the runner has no dispatcher"
+# ParallelRunner splits its input into flow-hash shares once per call, at
+# ingress, and every replica runs the one loop (Replica::run) over its
+# own share. A dispatcher thread feeding worker rings, std's channel or a
+# hand-rolled one (crates/platform/src/spsc.rs), would be a second run
+# loop with a clone and a hand-off per packet.
+if awk 'FNR == 1 { tests = 0 }
+        /^#\[cfg\(test\)\]/ { tests = 1 }
+        !tests && /sync_channel|SyncSender|fn run_sharded|fn dispatch\(/ {
+          print FILENAME ":" FNR ": " $0; hit = 1
+        }
+        END { exit !hit }' crates/platform/src/*.rs ||
   { [ -e crates/platform/src/spsc.rs ] && echo "crates/platform/src/spsc.rs exists"; }; then
-  echo "add a row to class_table!; queue worker batches on std::sync::mpsc::sync_channel" >&2
+  echo "partition the input at ingress and run Replica::run on each share" >&2
   exit 1
 fi
 
@@ -319,6 +334,7 @@ echo "==> parallel example smoke-run"
 # Differential, sharded-NAT, and global-degrade checks always run; the
 # >=1.5x 4-worker speedup gate self-arms only on hosts with >=4 CPUs
 # (on fewer cores the workers time-slice and no speedup is possible).
+# The 2-worker/1-worker ratio is printed, not gated.
 # (capture first: grep -q would close the pipe mid-print)
 parallel_out="$(cargo run --release -q -p innet-examples --bin parallel)"
 grep -q "verdict: FlowPartitionable" <<<"$parallel_out"
@@ -326,6 +342,7 @@ grep -q "all translated" <<<"$parallel_out"
 grep -q "verdict: Global" <<<"$parallel_out"
 grep -q "engine: compiled" <<<"$parallel_out"
 grep -q "== verdict:" <<<"$parallel_out"
+grep -q "2-worker/1-worker ratio" <<<"$parallel_out"
 
 echo "==> bench snapshot smoke"
 # Quick-mode snapshot emission into a scratch dir, then schema

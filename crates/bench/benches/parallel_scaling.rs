@@ -1,7 +1,8 @@
 //! Flow-sharded scaling: `ParallelRunner` throughput across worker and
-//! batch sweeps — one worker is the in-thread baseline, with no
-//! dispatcher or ring in the measurement — on both engines (interpreted
-//! element graph vs compiled flat plan).
+//! batch sweeps on both engines (interpreted element graph vs compiled
+//! flat plan). Every worker count runs the same loop — one worker in the
+//! calling thread, more on one thread per replica over its flow-hash
+//! share — and only counts the host has cores for are swept.
 //!
 //! Three corpora: the stock consolidated firewall (the paper's
 //! §5/Figure 8 multi-tenant configuration — stateless, so it shards
@@ -9,7 +10,7 @@
 //! including `nat` as a flow-partitionable configuration that shards
 //! under the symmetric hash), and a bidirectional stateful corpus (NAT
 //! gateway + stateful firewall driven with interleaved forward and
-//! reverse traffic — the scaling the symmetric dispatch hash buys).
+//! reverse traffic — the scaling the symmetric partition hash buys).
 //!
 //! Besides the criterion-style timings, the bench records a
 //! `BENCH_parallel_scaling.json` snapshot (interpreted vs compiled pps
@@ -49,15 +50,23 @@ fn trace(dsts: &[Ipv4Addr]) -> Vec<Packet> {
         .collect()
 }
 
-/// Workers ∈ {1, 2, 4, 8} × batch ∈ {1, 32, 256} on the stock
-/// consolidated firewall, interpreted and compiled.
+/// The worker counts swept: 1, 2, 4 and 8, capped at the host's cores.
+/// More workers than cores only time-slice one another, so their rows
+/// would measure the scheduler, not the runner.
+fn worker_counts() -> Vec<usize> {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    [1, 2, 4, 8].into_iter().filter(|&w| w <= nproc).collect()
+}
+
+/// Workers × batch ∈ {1, 32, 256} on the stock consolidated firewall,
+/// interpreted and compiled.
 fn bench_consolidated_sweep(c: &mut Criterion) {
     let addrs = clients(16);
     let cfg = consolidated_config(&addrs);
     let pkts = trace(&addrs);
     for compiled in [false, true] {
         let engine = if compiled { "compiled" } else { "interp" };
-        for workers in [1usize, 2, 4, 8] {
+        for workers in worker_counts() {
             for batch in [1usize, 32, 256] {
                 let name = format!("parallel_consolidated16_{engine}_w{workers}_b{batch}");
                 c.bench_function(&name, |b| {
@@ -74,11 +83,11 @@ fn bench_consolidated_sweep(c: &mut Criterion) {
     }
 }
 
-/// The Figure 12 middlebox corpus at 1 and 4 workers, both engines.
-/// `nat` and `flowmeter` keep per-connection state only
+/// The Figure 12 middlebox corpus at every swept worker count, both
+/// engines. `nat` and `flowmeter` keep per-connection state only
 /// (flow-partitionable): they shard under the symmetric hash, so their
-/// `w4` rows scale like the stateless kinds instead of pinning to one
-/// worker.
+/// multi-worker rows scale like the stateless kinds instead of pinning
+/// to one worker.
 fn bench_middlebox_corpus(c: &mut Criterion) {
     let dsts = [Ipv4Addr::new(10, 0, 0, 1)];
     let pkts = trace(&dsts);
@@ -86,7 +95,7 @@ fn bench_middlebox_corpus(c: &mut Criterion) {
         let cfg = middlebox_config(kind).expect("known middlebox kind");
         for compiled in [false, true] {
             let engine = if compiled { "compiled" } else { "interp" };
-            for workers in [1usize, 4] {
+            for workers in worker_counts() {
                 let name = format!("parallel_{kind}_{engine}_w{workers}_b32");
                 c.bench_function(&name, |b| {
                     let mut runner = RunnerConfig::new()
@@ -159,7 +168,7 @@ fn bidirectional_trace(public: Ipv4Addr, nat: bool) -> Vec<Packet> {
 }
 
 /// The stateful corpus: bidirectional NAT gateway and stateful firewall
-/// at 1/2/4/8 workers under the symmetric dispatch hash — the
+/// at every swept worker count under the symmetric partition hash — the
 /// configurations that used to degrade to one worker.
 fn bench_stateful_corpus(c: &mut Criterion) {
     let public = Ipv4Addr::new(203, 0, 113, 1);
@@ -169,7 +178,7 @@ fn bench_stateful_corpus(c: &mut Criterion) {
     ];
     for (kind, cfg, is_nat) in corpus {
         let pkts = bidirectional_trace(public, is_nat);
-        for workers in [1usize, 2, 4, 8] {
+        for workers in worker_counts() {
             let name = format!("parallel_{kind}_bidir_w{workers}_b32");
             c.bench_function(&name, |b| {
                 let mut runner = RunnerConfig::new()
@@ -185,8 +194,6 @@ fn bench_stateful_corpus(c: &mut Criterion) {
 }
 
 /// Measured pps/gbps for one corpus on one engine at one worker count.
-/// One worker runs in the calling thread (no dispatcher in the
-/// measurement); more workers run the sharded path.
 ///
 /// Every corpus here forwards every packet, so the delivered rate read
 /// below equals the offered rate the one-worker rows have always
@@ -224,11 +231,8 @@ fn measure(
 /// Emits `BENCH_parallel_scaling.json`: interpreted vs compiled pps for
 /// the consolidated and stateful corpora per worker count.
 fn emit_snapshot(quick: bool) {
-    let (rounds, reps, worker_counts): (usize, usize, &[usize]) = if quick {
-        (4, 2, &[1, 2])
-    } else {
-        (150, 5, &[1, 2, 4, 8])
-    };
+    let (rounds, reps) = if quick { (4, 2) } else { (150, 5) };
+    let worker_counts = worker_counts();
     let mut snap = Snapshot::new("parallel_scaling");
 
     // Two tenant counts: the growth from 16 to 64 is where the compiled
@@ -238,7 +242,7 @@ fn emit_snapshot(quick: bool) {
         let addrs = clients(nclients);
         let consolidated = consolidated_config(&addrs);
         let cons_pkts = trace(&addrs);
-        for &workers in worker_counts {
+        for &workers in &worker_counts {
             for compiled in [false, true] {
                 let (pps, gbps) =
                     measure(&consolidated, &cons_pkts, workers, compiled, rounds, reps);
@@ -260,7 +264,7 @@ fn emit_snapshot(quick: bool) {
         ("statefulfw-bidir", stateful_firewall_config(), false),
     ] {
         let pkts = bidirectional_trace(public, is_nat);
-        for &workers in worker_counts {
+        for &workers in &worker_counts {
             for compiled in [false, true] {
                 let (pps, gbps) = measure(&cfg, &pkts, workers, compiled, rounds, reps);
                 let mode = if compiled { "compiled" } else { "interpreted" };
@@ -280,7 +284,7 @@ fn emit_snapshot(quick: bool) {
         "{:<20} {:>7} {:>12} {:>12} {:>8}",
         "corpus", "workers", "interp pps", "compiled pps", "speedup"
     );
-    for &workers in worker_counts {
+    for &workers in &worker_counts {
         for corpus in [
             "consolidated",
             "consolidated64",

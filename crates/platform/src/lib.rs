@@ -31,14 +31,15 @@
 //! # let _ = sharded;
 //! ```
 //!
-//! With one effective worker the [`ParallelRunner`] executes in the
-//! calling thread — one ClickOS VM is one Click thread on one vCPU. From
-//! two up it scales a configuration across flow-sharded router replicas
-//! according to its shardability verdict: stateless configurations shard
-//! under the directed flow hash, per-connection stateful ones (NAT,
-//! stateful firewall) shard under the symmetric connection-pinning hash,
-//! and globally stateful ones degrade to one worker (see
-//! [`ParallelRunner::shardability`]).
+//! Every replica of the [`ParallelRunner`] runs the same loop — one
+//! ClickOS VM is one Click thread on one vCPU. With one effective worker
+//! that loop runs in the calling thread over the whole input; from two
+//! up the input is split at ingress into flow-hash shares, one thread
+//! per replica, according to the configuration's shardability verdict:
+//! stateless configurations shard under the directed flow hash,
+//! per-connection stateful ones (NAT, stateful firewall) under the
+//! symmetric connection-pinning hash, and globally stateful ones degrade
+//! to one worker (see [`ParallelRunner::shardability`]).
 //!
 //! Fleet time has one clock: a [`Fleet`] is built, populated and
 //! inspected directly, but packets enter it and time advances only

@@ -59,7 +59,7 @@ pub fn middlebox_config(kind: &str) -> Option<ClickConfig> {
 /// configuration the parallel runner's stateful differential tests
 /// drive with interleaved forward and reverse traffic: both directions
 /// of a connection must land on the same replica (the symmetric
-/// dispatch hash guarantees it) for the reverse path to find its
+/// partition hash guarantees it) for the reverse path to find its
 /// mapping.
 pub fn nat_gateway_config(public: Ipv4Addr) -> ClickConfig {
     ClickConfig::parse(&format!(

@@ -1,23 +1,23 @@
-//! The runner: one verified configuration executed at full speed, in the
-//! calling thread or flow-sharded across N router replicas behind an
-//! RSS-style dispatcher.
+//! The runner: one verified configuration executed at full speed by N
+//! router replicas, each driven by the same loop over its own share of
+//! the input.
 //!
 //! The paper's platform runs each tenant module as one ClickOS VM on one
-//! vCPU; scaling a hot module means giving it more cores. With **one
-//! effective worker** that is what a run is: one engine driven in the
-//! calling thread, batch by batch, with no thread spawned, no ring and
-//! no dispatcher hash. From **two workers up** this module reproduces
-//! the standard software-RSS recipe for adding cores without giving up
-//! per-flow semantics:
+//! vCPU; scaling a hot module means giving it more cores, and a NIC's RSS
+//! splits the flows before any core touches them. The runner does the
+//! same. With **one effective worker** a run is one engine driven in the
+//! calling thread, batch by batch, over the whole input: no partition and
+//! no thread. From **two workers up** the input is partitioned once per
+//! call — at ingress, the way RSS hashes a frame to a receive queue — and
+//! one scoped thread per replica runs that same loop over its share:
 //!
-//! * every worker owns an *independent replica* of the same verified
-//!   [`ClickConfig`] — no shared element state, no locks on the data path;
-//! * a flow-hash dispatcher pins each 5-tuple to one worker
-//!   ([`FlowKey::shard_of`]), so all packets of a flow traverse the same
-//!   replica in arrival order and per-flow output order is preserved;
-//! * hand-off happens in batches over bounded FIFO rings (`std`'s
-//!   `sync_channel`), which back-pressure the dispatcher when a worker
-//!   falls behind.
+//! * every replica owns its own engine built from the same verified
+//!   [`ClickConfig`], and its own [`PacketPool`] — no shared element
+//!   state, no locks and no hand-off on the data path;
+//! * the partition pins each 5-tuple to one share ([`FlowKey::shard_of`])
+//!   and keeps each share in input order, so all packets of a flow
+//!   traverse the same replica in arrival order and per-flow output
+//!   order is preserved.
 //!
 //! How much state a configuration keeps decides how it shards. The
 //! element registry's field-effect summaries place every class on the
@@ -28,7 +28,7 @@
 //!   replicas shard freely under the directed flow hash.
 //! * **`FlowPartitionable`** — state is keyed by the connection (NAT
 //!   tables, firewall conntrack, per-flow meters). Still sharded, but
-//!   dispatch switches to the *symmetric* hash
+//!   the partition switches to the *symmetric* hash
 //!   ([`FlowKey::symmetric_shard_of`]), which pins both directions of a
 //!   connection to the same replica so each replica owns a disjoint
 //!   slice of connection state.
@@ -43,7 +43,7 @@
 //! hurting small packets most, per-middlebox differences — emerge from
 //! the same mechanisms.
 
-use std::sync::mpsc::{sync_channel, SyncSender};
+use std::borrow::Borrow;
 use std::time::Instant;
 
 use innet_click::{ClickConfig, Registry, RouterError, Shardability};
@@ -56,9 +56,6 @@ use crate::runner::RunnerConfig;
 /// realistically.
 const STEP_NS: u64 = 1_000;
 
-/// Per-worker ring capacity, counted in *batches*.
-const RING_CAPACITY: usize = 1024;
-
 /// Result of a timed run.
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelStats {
@@ -66,9 +63,8 @@ pub struct ParallelStats {
     pub packets: u64,
     /// Packets transmitted out of all replicas.
     pub transmitted: u64,
-    /// Packets the dispatcher could not hand to a worker because the
-    /// worker had hung up (rings are lossless, so a full ring never
-    /// drops; always 0 in a one-worker run, which has no ring).
+    /// Always 0: each replica takes its share of the input directly, so
+    /// there is no hand-off to lose a packet on.
     pub dropped: u64,
     /// Wall-clock nanoseconds elapsed.
     pub elapsed_ns: u64,
@@ -108,49 +104,71 @@ impl ParallelStats {
     }
 }
 
-/// Shared-registry instruments for one runner (`innet_parallel_*`).
-#[derive(Clone)]
-struct ParallelMetrics {
-    /// Per-worker packets processed (`worker` label).
-    packets: Vec<innet_obs::Counter>,
-    /// Per-worker packets transmitted (`worker` label).
-    transmitted: Vec<innet_obs::Counter>,
-    /// Size of each dispatched batch.
-    batch_size: innet_obs::Histogram,
-    /// Wall-clock duration of each `run` call.
-    run_ns: innet_obs::Histogram,
+/// One replica: an engine, the buffer pool its round inputs are copied
+/// from, and its `innet_parallel_*{worker}` counters.
+struct Replica {
+    engine: Engine,
+    /// Round inputs are copies of the replica's share, and in
+    /// non-collecting runs the transmitted buffers recycle straight back
+    /// into the next round's copies.
+    pool: PacketPool,
+    /// `(packets, transmitted)` when metrics are attached.
+    counters: Option<(innet_obs::Counter, innet_obs::Counter)>,
 }
 
-impl ParallelMetrics {
-    fn new(registry: &innet_obs::Registry, workers: usize) -> ParallelMetrics {
-        let packets = registry.labeled_counter("innet_parallel_packets_total", "worker");
-        let transmitted = registry.labeled_counter("innet_parallel_transmitted_total", "worker");
-        ParallelMetrics {
-            packets: (0..workers).map(|w| packets.with(&w.to_string())).collect(),
-            transmitted: (0..workers)
-                .map(|w| transmitted.with(&w.to_string()))
-                .collect(),
-            batch_size: registry.histogram("innet_parallel_batch_size"),
-            run_ns: registry.histogram("innet_parallel_run_ns"),
+impl Replica {
+    /// The run loop, the same for every worker count: the replica's
+    /// engine driven over `share` `rounds` times in `batch`-sized
+    /// batches, the way one ClickOS VM pins its Click thread to one vCPU.
+    /// Virtual time starts at 0 and steps [`STEP_NS`] before each packet.
+    /// Returns `(transmitted, collected)`.
+    fn run<P: Borrow<Packet>>(
+        &mut self,
+        share: &[P],
+        rounds: usize,
+        batch: usize,
+        collect: bool,
+    ) -> (u64, Vec<(u16, Packet)>) {
+        let mut now_ns = 0u64;
+        let mut transmitted = 0u64;
+        let mut out: Vec<(u16, Packet)> = Vec::new();
+        for _ in 0..rounds {
+            for chunk in share.chunks(batch) {
+                let copies: Vec<Packet> = chunk
+                    .iter()
+                    .map(|p| self.pool.copy_of(p.borrow()))
+                    .collect();
+                self.engine.push_batch(copies, now_ns, STEP_NS);
+                now_ns += STEP_NS * chunk.len() as u64;
+                let before = out.len();
+                self.engine.take_tx_into(&mut out);
+                transmitted += (out.len() - before) as u64;
+                if !collect {
+                    for (_, pkt) in out.drain(..) {
+                        self.pool.recycle(pkt);
+                    }
+                }
+            }
         }
+        if let Some((packets, tx)) = &self.counters {
+            packets.add((share.len() * rounds) as u64);
+            tx.add(transmitted);
+        }
+        (transmitted, out)
     }
 }
 
-/// The runner: N replicas of one router. One replica runs in the calling
-/// thread; two or more run on worker threads behind a flow-hash
-/// dispatcher. Build one with
+/// The runner: N replicas of one router, each running the same loop over
+/// its flow-hash share of the input. One replica runs in the calling
+/// thread; two or more run on scoped threads. Build one with
 /// [`RunnerConfig::parallel`](crate::RunnerConfig::parallel).
 pub struct ParallelRunner {
-    engines: Vec<Engine>,
+    replicas: Vec<Replica>,
     requested_workers: usize,
     shardability: Shardability,
     batch: usize,
-    metrics: Option<ParallelMetrics>,
-    /// Buffer pool of the one-worker path: round inputs are copies of
-    /// the caller's packet set, and in non-collecting runs the
-    /// transmitted buffers recycle straight back into the next round's
-    /// copies.
-    pool: PacketPool,
+    /// Wall-clock duration of each `run` call (`innet_parallel_run_ns`).
+    run_ns: Option<innet_obs::Histogram>,
 }
 
 impl ParallelRunner {
@@ -167,8 +185,14 @@ impl ParallelRunner {
         } else {
             config.workers
         };
-        let mut engines = Vec::with_capacity(effective);
-        for _ in 0..effective {
+        let counters = config.metrics.as_ref().map(|reg| {
+            (
+                reg.labeled_counter("innet_parallel_packets_total", "worker"),
+                reg.labeled_counter("innet_parallel_transmitted_total", "worker"),
+            )
+        });
+        let mut replicas = Vec::with_capacity(effective);
+        for w in 0..effective {
             let mut engine = Engine::build(cfg, &registry, config.compiled)?;
             if let Some(reg) = &config.metrics {
                 // Replicas share the same click counters: the registry
@@ -176,25 +200,31 @@ impl ParallelRunner {
                 // aggregates across workers.
                 engine.attach_metrics(reg);
             }
-            engines.push(engine);
+            let label = w.to_string();
+            replicas.push(Replica {
+                engine,
+                pool: PacketPool::new(),
+                counters: counters
+                    .as_ref()
+                    .map(|(p, t)| (p.with(&label), t.with(&label))),
+            });
         }
         Ok(ParallelRunner {
-            engines,
+            replicas,
             requested_workers: config.workers,
             shardability,
             batch: config.batch,
-            metrics: config
+            run_ns: config
                 .metrics
                 .as_ref()
-                .map(|r| ParallelMetrics::new(r, effective)),
-            pool: PacketPool::new(),
+                .map(|r| r.histogram("innet_parallel_run_ns")),
         })
     }
 
     /// Workers actually running (1 when the configuration keeps global
     /// state).
     pub fn effective_workers(&self) -> usize {
-        self.engines.len()
+        self.replicas.len()
     }
 
     /// Workers asked for via [`RunnerConfig::workers`].
@@ -204,20 +234,16 @@ impl ParallelRunner {
 
     /// The registry's [`Shardability`] verdict for this configuration
     /// ([`Registry::config_shardability`]): it decides both the worker
-    /// count and the dispatch hash.
+    /// count and the partition hash.
     pub fn shardability(&self) -> Shardability {
         self.shardability
     }
 
-    /// Whether the configuration passed the registry's replication-safety
-    /// check (its verdict is not [`Shardability::Global`]).
-    pub fn shardable(&self) -> bool {
-        self.shardability != Shardability::Global
-    }
-
     /// Whether the replicas execute the compiled plan.
     pub fn is_compiled(&self) -> bool {
-        self.engines.first().is_some_and(|e| e.is_compiled())
+        self.replicas
+            .first()
+            .is_some_and(|r| r.engine.is_compiled())
     }
 
     /// Pushes the packet set through the replicas `rounds` times,
@@ -230,10 +256,10 @@ impl ParallelRunner {
 
     /// Like [`ParallelRunner::run`], but also returns every transmitted
     /// `(egress, packet)` pair. With one worker that is transmission
-    /// order — the reference output the sharded path's differential
-    /// tests compare against. With more, the pairs are concatenated
-    /// worker by worker: within one worker's slice — and therefore
-    /// within any one flow — packets appear in transmission order.
+    /// order — the reference output the sharded runs' differential tests
+    /// compare against. With more, the pairs are concatenated worker by
+    /// worker: within one worker's slice — and therefore within any one
+    /// flow — packets appear in transmission order.
     pub fn run_collect(
         &mut self,
         packets: &[Packet],
@@ -249,173 +275,67 @@ impl ParallelRunner {
         collect: bool,
     ) -> (ParallelStats, Vec<(u16, Packet)>) {
         let start = Instant::now();
-        // Below two effective workers there is nothing to dispatch to.
-        let (transmitted, dropped, collected) = if self.engines.len() == 1 {
-            let (transmitted, collected) = self.run_in_thread(packets, rounds, collect);
-            (transmitted, 0, collected)
+        let batch = self.batch;
+        let results = if let [replica] = self.replicas.as_mut_slice() {
+            vec![replica.run(packets, rounds, batch, collect)]
         } else {
-            self.run_sharded(packets, rounds, collect)
+            let shares = self.partition(packets);
+            std::thread::scope(|s| {
+                let handles: Vec<_> = self
+                    .replicas
+                    .iter_mut()
+                    .zip(&shares)
+                    .map(|(replica, share)| {
+                        s.spawn(move || replica.run(share, rounds, batch, collect))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("worker panicked"))
+                    .collect()
+            })
         };
+        let mut transmitted = 0u64;
+        let mut collected = Vec::new();
+        for (tx, out) in results {
+            transmitted += tx;
+            collected.extend(out);
+        }
         let stats = ParallelStats {
             packets: (packets.len() * rounds) as u64,
             transmitted,
-            dropped,
+            dropped: 0,
             elapsed_ns: start.elapsed().as_nanos().max(1) as u64,
-            workers: self.engines.len(),
+            workers: self.replicas.len(),
         };
-        if let Some(m) = &self.metrics {
-            m.run_ns.observe(stats.elapsed_ns);
+        if let Some(run_ns) = &self.run_ns {
+            run_ns.observe(stats.elapsed_ns);
         }
         (stats, collected)
     }
 
-    /// The one-worker path: the single replica driven in the calling
-    /// thread, the way one ClickOS VM pins its Click thread to one vCPU.
-    /// Returns `(transmitted, collected)`; without a ring nothing drops.
-    fn run_in_thread(
-        &mut self,
-        packets: &[Packet],
-        rounds: usize,
-        collect: bool,
-    ) -> (u64, Vec<(u16, Packet)>) {
-        let engine = &mut self.engines[0];
-        let mut now_ns = 0u64;
-        let mut transmitted = 0u64;
-        let mut out: Vec<(u16, Packet)> = Vec::new();
-        for _ in 0..rounds {
-            for chunk in packets.chunks(self.batch) {
-                let copies: Vec<Packet> = chunk.iter().map(|p| self.pool.copy_of(p)).collect();
-                engine.push_batch(copies, now_ns, STEP_NS);
-                now_ns += STEP_NS * chunk.len() as u64;
-                let before = out.len();
-                engine.take_tx_into(&mut out);
-                transmitted += (out.len() - before) as u64;
-                if !collect {
-                    for (_, pkt) in out.drain(..) {
-                        self.pool.recycle(pkt);
-                    }
-                }
-            }
+    /// Splits the input into one share per replica, each in input order.
+    /// Flow-partitionable configurations (NAT, stateful firewall) keep
+    /// per-connection state, so both directions of a connection must
+    /// land on the same replica: they partition under the symmetric hash,
+    /// which keys on the remote endpoint and is invariant under source
+    /// NAT. Stateless configurations keep the plain directed hash.
+    fn partition<'a>(&self, packets: &'a [Packet]) -> Vec<Vec<&'a Packet>> {
+        let workers = self.replicas.len();
+        let symmetric = self.shardability == Shardability::FlowPartitionable;
+        let mut shares: Vec<Vec<&Packet>> = (0..workers)
+            .map(|_| Vec::with_capacity(packets.len() / workers + 1))
+            .collect();
+        for pkt in packets {
+            let shard = if symmetric {
+                FlowKey::symmetric_shard_of(pkt, workers)
+            } else {
+                FlowKey::shard_of(pkt, workers)
+            };
+            shares[shard].push(pkt);
         }
-        if let Some(m) = &self.metrics {
-            m.packets[0].add((packets.len() * rounds) as u64);
-            m.transmitted[0].add(transmitted);
-        }
-        (transmitted, out)
+        shares
     }
-
-    /// The sharded path: one thread per replica behind the flow-hash
-    /// dispatcher. Returns `(transmitted, dropped, collected)`.
-    fn run_sharded(
-        &mut self,
-        packets: &[Packet],
-        rounds: usize,
-        collect: bool,
-    ) -> (u64, u64, Vec<(u16, Packet)>) {
-        let workers = self.engines.len();
-        let batch = self.batch;
-        let metrics = self.metrics.clone();
-        let mut dropped = 0u64;
-        let mut transmitted = 0u64;
-        let mut collected: Vec<(u16, Packet)> = Vec::new();
-
-        std::thread::scope(|s| {
-            let mut senders = Vec::with_capacity(workers);
-            let mut handles = Vec::with_capacity(workers);
-            for (w, engine) in self.engines.iter_mut().enumerate() {
-                let (tx, rx) = sync_channel::<Vec<Packet>>(RING_CAPACITY);
-                senders.push(tx);
-                let worker_metrics = metrics
-                    .as_ref()
-                    .map(|m| (m.packets[w].clone(), m.transmitted[w].clone()));
-                handles.push(s.spawn(move || {
-                    let mut clock = 0u64;
-                    let mut tx_count = 0u64;
-                    let mut out: Vec<(u16, Packet)> = Vec::new();
-                    while let Ok(b) = rx.recv() {
-                        let n = b.len() as u64;
-                        engine.push_batch(b, clock, STEP_NS);
-                        clock += STEP_NS * n;
-                        let before = out.len();
-                        engine.take_tx_into(&mut out);
-                        let emitted = (out.len() - before) as u64;
-                        tx_count += emitted;
-                        if let Some((pkts, txs)) = &worker_metrics {
-                            pkts.add(n);
-                            txs.add(emitted);
-                        }
-                        if !collect {
-                            out.clear();
-                        }
-                    }
-                    (tx_count, out)
-                }));
-            }
-
-            // The dispatcher: flow-hash every packet to its worker,
-            // flushing per-worker batches as they fill. Because one flow
-            // always hashes to one worker and the rings are FIFO,
-            // per-flow order is preserved end to end.
-            //
-            // Flow-partitionable configs (NAT, stateful firewall) carry
-            // per-connection state, so both directions of a connection
-            // must land on the same replica: they dispatch under the
-            // symmetric hash, which keys on the remote endpoint and is
-            // invariant under source NAT. Stateless configs keep the
-            // plain directed hash.
-            let symmetric = self.shardability == Shardability::FlowPartitionable;
-            let mut pending: Vec<Vec<Packet>> =
-                (0..workers).map(|_| Vec::with_capacity(batch)).collect();
-            for _ in 0..rounds {
-                for pkt in packets {
-                    let shard = if symmetric {
-                        FlowKey::symmetric_shard_of(pkt, workers)
-                    } else {
-                        FlowKey::shard_of(pkt, workers)
-                    };
-                    pending[shard].push(pkt.clone());
-                    if pending[shard].len() >= batch {
-                        let full =
-                            std::mem::replace(&mut pending[shard], Vec::with_capacity(batch));
-                        dropped += dispatch(&senders[shard], full, &metrics);
-                    }
-                }
-            }
-            for (shard, rest) in pending.into_iter().enumerate() {
-                if !rest.is_empty() {
-                    dropped += dispatch(&senders[shard], rest, &metrics);
-                }
-            }
-            // Hang up: each worker drains its ring, then returns.
-            drop(senders);
-            for h in handles {
-                let (tx_count, out) = h.join().expect("worker panicked");
-                transmitted += tx_count;
-                if collect {
-                    collected.extend(out);
-                }
-            }
-        });
-        (transmitted, dropped, collected)
-    }
-}
-
-/// Sends one batch to one worker ring, blocking while it is full.
-/// Returns the number of packets lost because the worker hung up.
-fn dispatch(
-    sender: &SyncSender<Vec<Packet>>,
-    batch: Vec<Packet>,
-    metrics: &Option<ParallelMetrics>,
-) -> u64 {
-    let size = batch.len() as u64;
-    let dropped = match sender.send(batch) {
-        Ok(()) => 0,
-        Err(b) => b.0.len() as u64,
-    };
-    if let Some(m) = metrics {
-        m.batch_size.observe(size);
-    }
-    dropped
 }
 
 #[cfg(test)]
@@ -446,7 +366,7 @@ mod tests {
             .workers(4)
             .parallel(&plain_firewall())
             .unwrap();
-        assert!(runner.shardable());
+        assert_eq!(runner.shardability(), Shardability::Stateless);
         assert_eq!(runner.effective_workers(), 4);
         assert_eq!(runner.requested_workers(), 4);
     }
@@ -454,10 +374,9 @@ mod tests {
     #[test]
     fn flow_partitionable_config_shards_under_symmetric_hash() {
         // NAT keeps per-connection state only: it shards, and the
-        // verdict selects the symmetric dispatch hash.
+        // verdict selects the symmetric partition hash.
         let cfg = middlebox_config("nat").unwrap();
         let runner = RunnerConfig::new().workers(8).parallel(&cfg).unwrap();
-        assert!(runner.shardable());
         assert_eq!(runner.shardability(), Shardability::FlowPartitionable);
         assert_eq!(runner.effective_workers(), 8);
         assert_eq!(runner.requested_workers(), 8);
@@ -470,7 +389,6 @@ mod tests {
         // config to a single worker no matter how many were requested.
         let cfg = ClickConfig::parse("FromNetfront() -> Queue(16) -> ToNetfront();").unwrap();
         let runner = RunnerConfig::new().workers(8).parallel(&cfg).unwrap();
-        assert!(!runner.shardable());
         assert_eq!(runner.shardability(), Shardability::Global);
         assert_eq!(runner.effective_workers(), 1);
         assert_eq!(runner.requested_workers(), 8);
@@ -504,7 +422,7 @@ mod tests {
         let clients: Vec<Ipv4Addr> = (0..8).map(|i| Ipv4Addr::new(203, 0, 113, 1 + i)).collect();
         let cfg = consolidated_config(&clients);
         let mut runner = RunnerConfig::new().workers(4).parallel(&cfg).unwrap();
-        assert!(runner.shardable());
+        assert_eq!(runner.shardability(), Shardability::Stateless);
         let pkts: Vec<Packet> = (0..256)
             .map(|i| {
                 PacketBuilder::udp()
@@ -533,9 +451,9 @@ mod tests {
         assert_eq!(per_worker.get("0") + per_worker.get("1"), 100);
         let tx = registry.labeled_counter("innet_parallel_transmitted_total", "worker");
         assert_eq!(tx.get("0") + tx.get("1"), 100);
-        // Every ring send is observed: the instruments the one-worker
-        // test requires to stay empty do fill here.
-        assert!(registry.histogram("innet_parallel_batch_size").count() >= 25);
+        // Both replicas took a share: the partition spread the trace.
+        assert!(per_worker.get("0") > 0 && per_worker.get("1") > 0);
+        assert_eq!(registry.histogram("innet_parallel_run_ns").count(), 1);
     }
 
     #[test]
@@ -580,11 +498,10 @@ mod tests {
 
     #[test]
     fn one_effective_worker_spawns_no_thread_and_creates_no_ring() {
-        // Below two effective workers there is no dispatcher: the
-        // dispatch instrument (batch-size histogram) is only ever
-        // touched by a ring send, so it stays empty —
-        // whether one worker was asked for or a Global config degraded
-        // to one.
+        // Below two effective workers the one replica runs the whole
+        // input in the calling thread, unpartitioned: worker 0 is the
+        // only worker that counts a packet — whether one worker was
+        // asked for or a Global config degraded to one.
         let queue = ClickConfig::parse("FromNetfront() -> Queue(16) -> ToNetfront();").unwrap();
         for (cfg, workers) in [(plain_firewall(), 1), (queue, 8)] {
             let registry = innet_obs::Registry::new();
@@ -599,7 +516,6 @@ mod tests {
             assert_eq!(stats.packets, 200);
             assert_eq!(stats.dropped, 0);
             assert_eq!(stats.workers, 1);
-            assert_eq!(registry.histogram("innet_parallel_batch_size").count(), 0);
             assert_eq!(registry.histogram("innet_parallel_run_ns").count(), 1);
             let per_worker = registry.labeled_counter("innet_parallel_packets_total", "worker");
             assert_eq!(per_worker.cells(), vec![("0".to_string(), 200)]);
@@ -637,7 +553,7 @@ mod tests {
         let stats = ParallelStats {
             packets: 10,
             transmitted: 4,
-            dropped: 6,
+            dropped: 0,
             elapsed_ns: 1_000_000_000,
             workers: 2,
         };

@@ -1,11 +1,11 @@
 //! The unified runner configuration builder.
 //!
 //! One builder describes *how* to run — workers, batch, metrics, engine —
-//! and finishes as the one runner, [`ParallelRunner`]. How it executes
-//! follows from what it can observe: with one effective worker (one
-//! requested, or a globally stateful configuration degraded to one) it
-//! runs in the calling thread; from two up it shards flows across
-//! worker threads.
+//! and finishes as the one runner, [`ParallelRunner`]. Every worker count
+//! runs the same loop: with one effective worker (one requested, or a
+//! globally stateful configuration degraded to one) over the whole input
+//! in the calling thread; from two up over each replica's flow-hash share
+//! of the input, one thread per replica.
 //!
 //! ```
 //! use innet_platform::{plain_firewall, RunnerConfig};
@@ -26,12 +26,13 @@ use innet_click::{ClickConfig, RouterError};
 
 use crate::parallel::ParallelRunner;
 
-/// Default dispatch batch size: large enough to amortize ring hand-off,
-/// small enough not to distort latency in the simulated workloads.
+/// Default batch size: large enough to amortize the per-push netfront
+/// and metrics costs, small enough not to distort latency in the
+/// simulated workloads.
 pub const DEFAULT_BATCH: usize = 32;
 
 /// Builder describing how a runner should execute a configuration:
-/// worker count, dispatch batch size, metrics registry, and engine.
+/// worker count, batch size, metrics registry, and engine.
 /// Finish with [`RunnerConfig::parallel`].
 #[derive(Debug, Clone)]
 pub struct RunnerConfig {
@@ -74,15 +75,14 @@ impl RunnerConfig {
     /// Requests `n` flow-sharded workers (clamped to at least 1). The
     /// runner still degrades to 1 if the configuration keeps global
     /// (cross-flow) state; per-connection state shards fine under the
-    /// symmetric dispatch hash.
+    /// symmetric partition hash.
     pub fn workers(mut self, n: usize) -> RunnerConfig {
         self.workers = n.max(1);
         self
     }
 
-    /// Sets the dispatch batch size (clamped to at least 1): how many
-    /// packets move through the netfront ring — and across worker rings
-    /// — per hand-off.
+    /// Sets the batch size (clamped to at least 1): how many packets each
+    /// replica pushes through its engine's netfront ring at once.
     pub fn batch(mut self, n: usize) -> RunnerConfig {
         self.batch = n.max(1);
         self

@@ -1,18 +1,19 @@
 //! Flow-sharded parallel execution: scale the stock consolidated
 //! firewall across worker threads with the unified `RunnerConfig`
 //! builder, observe the `innet_parallel_*` instruments, shard a
-//! bidirectional NAT gateway under the symmetric dispatch hash, and
+//! bidirectional NAT gateway under the symmetric partition hash, and
 //! verify the global-state degrade rule on a queue.
 //!
-//! Exits non-zero if 4 workers fail to reach 1.5x the single-worker
-//! rate on the stateless corpus — the smoke threshold CI enforces (the
-//! full ≥3x target is measured by the `parallel_scaling` bench). One
-//! worker runs in the calling thread with no dispatcher, so the gate
-//! compares the sharded path against the path it has to beat. The
-//! speedup gate only applies on hosts with at least 4 CPUs: on fewer
-//! cores the workers time-slice one another and no speedup is
-//! physically possible, so the run still checks every correctness
-//! invariant but reports the scaling numbers as informational.
+//! Every worker count runs the same loop: one worker in the calling
+//! thread over the whole trace, more on one thread per replica over its
+//! flow-hash share. The run prints the 2-worker/1-worker ratio, and
+//! exits non-zero if 4 workers fail to reach 1.5x the single-worker rate
+//! on the stateless corpus — the smoke threshold CI enforces (the full
+//! ≥3x target is measured by the `parallel_scaling` bench). The speedup
+//! gate only applies on hosts with at least 4 CPUs: on fewer cores the
+//! workers time-slice one another, so the run still checks every
+//! correctness invariant but reports the scaling numbers as
+//! informational.
 //!
 //! Run with: `cargo run --release -p innet-examples --bin parallel`
 
@@ -49,6 +50,7 @@ fn main() {
 
     println!("== consolidated firewall (16 tenants), {TRACE_LEN}-packet trace x{ROUNDS} ==");
     let mut baseline = 0.0;
+    let mut at2 = 0.0;
     let mut at4 = 0.0;
     for workers in [1usize, 2, 4, 8] {
         let reg = obs::Registry::new();
@@ -67,6 +69,9 @@ fn main() {
         };
         if workers == 1 {
             baseline = stats.pps();
+        }
+        if workers == 2 {
+            at2 = stats.pps();
         }
         if workers == 4 {
             at4 = stats.pps();
@@ -106,7 +111,7 @@ fn main() {
 
     // Sharded NAT: per-connection state is flow-partitionable, so a
     // bidirectional NAT gateway runs on all requested workers — the
-    // symmetric dispatch hash pins each connection's forward packets
+    // symmetric partition hash pins each connection's forward packets
     // and its publicly-addressed replies to the same replica.
     let public = Ipv4Addr::new(203, 0, 113, 1);
     let nat = nat_gateway_config(public);
@@ -115,7 +120,7 @@ fn main() {
         .batch(32)
         .parallel(&nat)
         .expect("valid config");
-    println!("== sharded NAT (symmetric dispatch) ==");
+    println!("== sharded NAT (symmetric partition) ==");
     println!(
         "  IPNAT gateway: requested {} workers, running {} (verdict: {:?})",
         runner.requested_workers(),
@@ -195,13 +200,17 @@ fn main() {
         runner.effective_workers(),
         runner.shardability()
     );
-    assert!(!runner.shardable());
+    assert_eq!(runner.shardability(), Shardability::Global);
     assert_eq!(runner.effective_workers(), 1);
 
     let speedup4 = at4 / baseline;
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
+    println!(
+        "== 2-worker/1-worker ratio: {:.2}x on {cores} core(s) (reported, not gated) ==",
+        at2 / baseline
+    );
     if cores >= 4 {
         println!("== verdict: 4-worker speedup {speedup4:.2}x on {cores} cores (smoke threshold 1.5x) ==");
         assert!(

@@ -298,6 +298,38 @@ fn random_config(rng: &mut StdRng, registry: &Registry) -> ClickConfig {
     cfg
 }
 
+/// A deliberately ill-formed variant of a random configuration, so that
+/// the "every engine refuses it" leg runs: `defect` 0 adds a wire that
+/// leaves an output port at or past its element's arity, 1 declares an
+/// element of an unknown class, 2 wires from an element nobody declared.
+fn ill_formed_config(rng: &mut StdRng, registry: &Registry, defect: u64) -> ClickConfig {
+    let mut cfg = random_config(rng, registry);
+    let last = cfg.elements.len() - 1;
+    let pick = rng.gen_range(0..=last);
+    match defect {
+        0 => {
+            let decl = &cfg.elements[pick];
+            let arity = registry
+                .instantiate(&decl.class, &decl.args)
+                .expect("templates build")
+                .ports()
+                .outputs;
+            let from = decl.name.clone();
+            cfg.connect(
+                from,
+                arity + rng.gen_range(0..2usize),
+                format!("e{last}"),
+                0,
+            );
+        }
+        1 => {
+            cfg.add_element("unknown", "NoSuchElement", &[]);
+        }
+        _ => cfg.connect("undeclared", 0, format!("e{pick}"), 0),
+    }
+    cfg
+}
+
 /// Seed of [`random_configs_push_identically`]'s generator.
 const RANDOM_CONFIG_SEED: u64 = 0x1a7e_57ab_1e5e_ed00;
 
@@ -305,20 +337,29 @@ const RANDOM_CONFIG_SEED: u64 = 0x1a7e_57ab_1e5e_ed00;
 /// the compiled plan and a ClickOS VM on a `Host`: same outputs in the
 /// same order, same stats, same error behaviour. The VM gets part of the
 /// trace while it boots (buffered, then flushed when it becomes
-/// runnable) and the rest once it runs. Floors on the cases that build
-/// and that transmit keep the generator reaching the code it checks.
+/// runnable) and the rest once it runs. After the well-formed cases come
+/// ill-formed ones ([`ill_formed_config`]), which every engine must
+/// refuse alike. Floors on the cases that build, that transmit and that
+/// every engine refuses keep the generator reaching the code it checks.
 #[test]
 fn random_configs_push_identically() {
     const CASES: u64 = 24;
-    println!("random_configs_push_identically: seed {RANDOM_CONFIG_SEED:#x}, {CASES} cases");
+    const ILL_FORMED: u64 = 9;
+    println!(
+        "random_configs_push_identically: seed {RANDOM_CONFIG_SEED:#x}, \
+         {CASES} cases and {ILL_FORMED} ill-formed ones"
+    );
     let registry = Registry::standard();
-    let (mut built, mut transmitting) = (0, 0);
-    for case in 0..CASES {
+    let (mut built, mut transmitting, mut refused) = (0, 0, 0);
+    for case in 0..CASES + ILL_FORMED {
         let mut rng = StdRng::seed_from_u64(RANDOM_CONFIG_SEED ^ case);
-        let cfg = random_config(&mut rng, &registry);
+        let cfg = match case.checked_sub(CASES) {
+            None => random_config(&mut rng, &registry),
+            Some(k) => ill_formed_config(&mut rng, &registry, k % 3),
+        };
         let variant = rng.gen_range(0..4);
         match push_identically(&cfg, &registry, variant) {
-            Ok(None) => {}
+            Ok(None) => refused += 1,
             Ok(Some(tx)) => {
                 built += 1;
                 transmitting += usize::from(tx > 0);
@@ -329,19 +370,30 @@ fn random_configs_push_identically() {
             ),
         }
     }
-    println!("{built} of {CASES} cases built, {transmitting} transmitted");
+    println!(
+        "{built} of {CASES} cases built, {transmitting} transmitted; \
+         {refused} of {} refused by every engine",
+        CASES + ILL_FORMED
+    );
     assert!(built >= BUILT_FLOOR, "{built} of {CASES} cases built");
     assert!(
         transmitting >= TRANSMITTING_FLOOR,
         "{transmitting} of {CASES} cases transmitted"
     );
+    assert!(
+        refused >= REFUSED_FLOOR,
+        "{refused} of {} cases refused",
+        CASES + ILL_FORMED
+    );
 }
 
-/// Cases of [`random_configs_push_identically`] that must build and
-/// that must transmit: measured 24 and 21 of 24 at
+/// Cases of [`random_configs_push_identically`] that must build, that
+/// must transmit and that every engine must refuse: measured 24 and 21
+/// of the 24 well-formed cases, and 9 of all 33, at
 /// [`RANDOM_CONFIG_SEED`], less a margin. Never lowered to pass.
 const BUILT_FLOOR: usize = 20;
 const TRANSMITTING_FLOOR: usize = 16;
+const REFUSED_FLOOR: usize = 7;
 
 /// Runs one generated case through the three engines. `Ok(None)`: every
 /// engine refused to build it; `Ok(Some(n))`: all three built it and

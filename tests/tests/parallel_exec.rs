@@ -7,10 +7,10 @@
 //! That contract now covers *stateful* (flow-partitionable)
 //! configurations too: a NAT gateway and a stateful firewall are driven
 //! with interleaved forward and reverse traffic, where correctness
-//! depends on the symmetric dispatch hash pinning both directions of
+//! depends on the symmetric partition hash pinning both directions of
 //! every connection to the same replica.
 //!
-//! Also property-checks the dispatch invariants the guarantees rest on:
+//! Also property-checks the partition invariants the guarantees rest on:
 //! the directed flow hash never splits one 5-tuple across workers, and
 //! the symmetric hash maps a flow and its reverse to the same shard.
 
@@ -62,7 +62,7 @@ fn by_flow(out: &[(u16, Packet)]) -> BTreeMap<String, Vec<(u16, Vec<u8>)>> {
 /// out to the requested worker count, and — at 2/4/8 workers on both
 /// engines — produce per-flow byte- and order-identical output to the
 /// one-worker reference, which runs the interpreter in the calling
-/// thread with no dispatcher in the way.
+/// thread over the whole trace, unpartitioned.
 fn assert_sharded_matches_one_worker(
     cfg: &ClickConfig,
     trace: &[Packet],
@@ -210,7 +210,7 @@ fn sharded_nat_matches_one_worker_per_flow() {
 fn sharded_nat_pings_match_one_worker_per_flow() {
     // An echo's identifier is the "port" the NAT rewrites, both ways:
     // the ping leaves with the external ident and the reply carries it
-    // back, so the dispatcher must pin the pair by remote address alone.
+    // back, so the partition must pin the pair by remote address alone.
     // The reference forwarding the whole trace is the proof that every
     // reply found its mapping.
     let mut used_idents = std::collections::BTreeSet::new();
@@ -280,7 +280,6 @@ fn global_config_runs_single_worker() {
     // registry verdict is Global and the runner degrades to one worker.
     let cfg = ClickConfig::parse("FromNetfront() -> Queue(16) -> ToNetfront();").unwrap();
     let runner = RunnerConfig::new().workers(8).parallel(&cfg).unwrap();
-    assert!(!runner.shardable());
     assert_eq!(runner.shardability(), Shardability::Global);
     assert_eq!(runner.effective_workers(), 1);
     assert_eq!(runner.requested_workers(), 8);
@@ -308,7 +307,7 @@ fn global_config_runs_single_worker() {
     assert_eq!(stats.transmitted, 100);
 
     // Degrading to one worker means *being* the one-worker runner: no
-    // dispatcher re-batches the trace per shard, so the output is
+    // partition splits the trace into shares, so the output is
     // byte- and order-identical, not merely per flow.
     let mut one = RunnerConfig::new().parallel(&rr).unwrap();
     let (_, want) = one.run_collect(&pkts, 1);
@@ -360,7 +359,7 @@ fn arb_packet() -> impl Strategy<Value = Packet> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The dispatch invariant behind the ordering guarantee: for any
+    /// The partition invariant behind the ordering guarantee: for any
     /// packet and worker count, every packet of one directed 5-tuple
     /// lands on exactly one worker.
     #[test]
@@ -385,7 +384,7 @@ proptest! {
         prop_assert_eq!(key.shard(workers), key.shard(workers));
     }
 
-    /// The symmetric-dispatch invariant behind stateful sharding: a flow
+    /// The symmetric-partition invariant behind stateful sharding: a flow
     /// sent outbound and its reply arriving inbound land on the same
     /// shard — even when NAT has rewritten the reply's destination to
     /// an arbitrary public endpoint, because the hash keys only on the
