@@ -10,15 +10,14 @@
 # fenced set; without, it is the control-plane-only set: everything the
 # packet and fleet data paths, and the benchmark itself, are built from.
 #
-# Example — the runner shards at ingress (parent bb7af6f): the change
-# touches platform, bench, the examples, the integration tests, ci.sh,
-# the parallel-scaling snapshot and the docs, and fences the rest, the
-# benchmark, the other snapshots and the goldens included:
+# Example — a deploy request is read once (parent 746c4b1): the change
+# touches click, controller, the integration tests, ci.sh and the docs,
+# and fences the rest, the benchmark, the snapshots and the goldens
+# included:
 #
-#   ./ci.sh --fence bb7af6f \
-#     crates/{packet,click,obs,sim,topology,policy,symnet,analysis,controller,core} \
-#     benchmark BENCHMARK.json BENCH_admission.json BENCH_fig12_middlebox.json \
-#     BENCH_fleet.json BENCH_scenarios.json Cargo.lock tests/tests/golden
+#   ./ci.sh --fence 746c4b1 \
+#     crates/{packet,obs,sim,topology,policy,symnet,analysis,platform,core,bench} \
+#     examples benchmark BENCHMARK.json 'BENCH_*.json' Cargo.lock tests/tests/golden
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -266,6 +265,25 @@ body internet_checksum from_be_bytes && fired=1
 body verify_checksum to_vec && fired=1
 if [ "$fired" = 1 ]; then
   echo "sum native-endian words and swap once; copy the header to the stack" >&2
+  exit 1
+fi
+
+echo "==> a request is read once"
+# The lexer skips comments where they lie and its tokens borrow the text
+# (crates/click/src/config.rs); the placement walk passes a full
+# platform without recording it, and builds the (platform, reason)
+# strings only when the search places nothing
+# (crates/controller/src/admission.rs). A comment-stripping copy, a
+# token that owns a String, or owned reasons collected during the walk
+# would copy the request, or allocate per platform, on every deploy.
+if awk '/^#\[cfg\(test\)\]/ { exit }
+        /fn strip_comments\(/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+        /^enum Tok[ <]/ { tok = 1 }
+        tok && /String/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+        tok && /^}/ { tok = 0 }
+        END { exit !hit }' crates/click/src/config.rs ||
+  grep -nE 'reasons: Vec<\(String, String\)>' crates/controller/src/admission.rs; then
+  echo "lex the text in place (config.rs); build refusal reasons after the walk (admission.rs)" >&2
   exit 1
 fi
 

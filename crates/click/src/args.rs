@@ -18,41 +18,43 @@ pub struct ConfigArgs {
     args: Vec<String>,
 }
 
+/// Byte offsets of `raw`'s top-level commas: those outside parentheses
+/// and double quotes. Every delimiter is ASCII, so a byte scan cuts only
+/// at char boundaries.
+fn top_level_commas(raw: &str) -> impl Iterator<Item = usize> + '_ {
+    let (mut depth, mut in_quote) = (0usize, false);
+    raw.bytes().enumerate().filter_map(move |(i, b)| {
+        match b {
+            b'"' => in_quote = !in_quote,
+            b'(' if !in_quote => depth += 1,
+            b')' if !in_quote => depth = depth.saturating_sub(1),
+            b',' if depth == 0 && !in_quote => return Some(i),
+            _ => {}
+        }
+        None
+    })
+}
+
 /// Splits a raw argument string on top-level commas, trimming whitespace.
 ///
 /// Commas inside parentheses or double quotes do not split, so patterns like
-/// `Classifier(12/0800, -)` and nested expressions survive.
+/// `Classifier(12/0800, -)` and nested expressions survive. Each argument
+/// is copied once, from its span, into a list sized to hold them all.
 pub fn split_args(raw: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut in_quote = false;
-    let mut cur = String::new();
-    for c in raw.chars() {
-        match c {
-            '"' => {
-                in_quote = !in_quote;
-                cur.push(c);
-            }
-            '(' if !in_quote => {
-                depth += 1;
-                cur.push(c);
-            }
-            ')' if !in_quote => {
-                depth = depth.saturating_sub(1);
-                cur.push(c);
-            }
-            ',' if depth == 0 && !in_quote => {
-                out.push(cur.trim().to_string());
-                cur.clear();
-            }
-            _ => cur.push(c),
-        }
-    }
-    let last = cur.trim();
-    if !last.is_empty() {
-        out.push(last.to_string());
-    }
     // `Foo()` and `Foo( )` both mean "no arguments".
+    if raw.trim().is_empty() {
+        return Vec::new();
+    }
+    let mut out = Vec::with_capacity(top_level_commas(raw).count() + 1);
+    let mut start = 0;
+    for comma in top_level_commas(raw) {
+        out.push(raw[start..comma].trim().to_owned());
+        start = comma + 1;
+    }
+    let last = raw[start..].trim();
+    if !last.is_empty() {
+        out.push(last.to_owned());
+    }
     if out.len() == 1 && out[0].is_empty() {
         out.clear();
     }

@@ -9,24 +9,35 @@
 //! that, unlike `std`'s seeded `DefaultHasher`, is identical across
 //! processes and runs.
 
+use std::cmp::Ordering;
 use std::fmt::Write as _;
 
 use innet_packet::fnv1a_64;
 
 use crate::config::ClickConfig;
 
-/// Collapses every whitespace run to a single space and trims the ends, so
+/// The words of `arg`, in order: its normal form collapses every
+/// whitespace run to a single space and trims the ends, so
 /// `allow udp   dst port 1500` and `allow udp dst port 1500` normalize to
 /// the same argument.
-fn normalize_arg(arg: &str) -> String {
-    let mut out = String::with_capacity(arg.len());
-    for word in arg.split_whitespace() {
-        if !out.is_empty() {
-            out.push(' ');
-        }
-        out.push_str(word);
-    }
-    out
+fn words(arg: &str) -> impl Iterator<Item = (bool, &str)> {
+    arg.split_whitespace()
+        .enumerate()
+        .map(|(i, word)| (i > 0, word))
+}
+
+/// The bytes of `arg`'s normal form, without building it.
+fn normal_bytes(arg: &str) -> impl Iterator<Item = u8> + '_ {
+    words(arg).flat_map(|(spaced, word)| spaced.then_some(b' ').into_iter().chain(word.bytes()))
+}
+
+/// Orders argument lists as the lists of their normal forms order.
+fn cmp_args(a: &[String], b: &[String]) -> Ordering {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| normal_bytes(x).cmp(normal_bytes(y)))
+        .find(|o| o.is_ne())
+        .unwrap_or_else(|| a.len().cmp(&b.len()))
 }
 
 impl ClickConfig {
@@ -43,45 +54,73 @@ impl ClickConfig {
     ///
     /// The rendered text is memoized per config instance (every
     /// admission-path memo — verdict, lint, graph — keys on it), so
-    /// repeated calls return a clone of the first rendering.
+    /// repeated calls return a clone of the first rendering; a caller
+    /// that only reads it borrows [`canonical_str`](Self::canonical_str).
     pub fn canonical_text(&self) -> String {
-        self.canonical
-            .get_or_init(|| self.render_canonical())
-            .clone()
+        self.canonical_str().to_owned()
     }
 
-    fn render_canonical(&self) -> String {
-        let mut elements: Vec<(&str, &str, Vec<String>)> = self
-            .elements
-            .iter()
-            .map(|e| {
-                (
-                    e.name.as_str(),
-                    e.class.as_str(),
-                    e.args.iter().map(|a| normalize_arg(a)).collect(),
-                )
-            })
-            .collect();
-        elements.sort();
-        let mut connections: Vec<(&str, usize, &str, usize)> = self
-            .connections
-            .iter()
-            .map(|c| {
-                (
-                    c.from.element.as_str(),
-                    c.from.port,
-                    c.to.element.as_str(),
-                    c.to.port,
-                )
-            })
-            .collect();
-        connections.sort();
+    /// The memoized [`canonical_text`](Self::canonical_text), borrowed.
+    pub fn canonical_str(&self) -> &str {
+        self.canonical.get_or_init(|| self.render_canonical())
+    }
 
-        let mut s = String::new();
-        for (name, class, args) in &elements {
-            let _ = writeln!(s, "{} :: {}({});", name, class, args.join(", "));
+    /// Renders the normal form in one pass into one buffer: indices are
+    /// sorted, not copies, and arguments are normalized as they are
+    /// written.
+    fn render_canonical(&self) -> String {
+        let (els, cons) = (&self.elements, &self.connections);
+        let args_len = |args: &[String]| args.iter().map(|a| a.len() + 2).sum::<usize>();
+        let len = els
+            .iter()
+            .map(|e| e.name.len() + e.class.len() + args_len(&e.args) + 8)
+            .chain(
+                cons.iter()
+                    .map(|c| c.from.element.len() + c.to.element.len() + 16),
+            )
+            .sum();
+        let mut s = String::with_capacity(len);
+
+        let mut order: Vec<usize> = (0..els.len()).collect();
+        order.sort_unstable_by(|&a, &b| {
+            let (a, b) = (&els[a], &els[b]);
+            a.name
+                .cmp(&b.name)
+                .then_with(|| a.class.cmp(&b.class))
+                .then_with(|| cmp_args(&a.args, &b.args))
+        });
+        for e in order.iter().map(|&i| &els[i]) {
+            s.push_str(&e.name);
+            s.push_str(" :: ");
+            s.push_str(&e.class);
+            s.push('(');
+            for (i, arg) in e.args.iter().enumerate() {
+                if i > 0 {
+                    s.push_str(", ");
+                }
+                for (spaced, word) in words(arg) {
+                    if spaced {
+                        s.push(' ');
+                    }
+                    s.push_str(word);
+                }
+            }
+            s.push_str(");\n");
         }
-        for (from, from_port, to, to_port) in &connections {
+
+        order.clear();
+        order.extend(0..cons.len());
+        let key = |i: usize| {
+            let c = &cons[i];
+            (
+                c.from.element.as_str(),
+                c.from.port,
+                c.to.element.as_str(),
+                c.to.port,
+            )
+        };
+        order.sort_unstable_by(|&a, &b| key(a).cmp(&key(b)));
+        for (from, from_port, to, to_port) in order.into_iter().map(key) {
             let _ = writeln!(s, "{from}[{from_port}] -> [{to_port}]{to};");
         }
         s
@@ -89,7 +128,7 @@ impl ClickConfig {
 
     /// Stable 64-bit fingerprint of [`canonical_text`](Self::canonical_text).
     pub fn canonical_hash(&self) -> u64 {
-        fnv1a_64(self.canonical_text().as_bytes())
+        fnv1a_64(self.canonical_str().as_bytes())
     }
 }
 

@@ -14,8 +14,10 @@
 //!             | CLASS '(..)'              -- anonymous element
 //! ```
 //!
-//! Comments (`// ...` and `/* ... */`) are stripped. Class names start with
-//! an uppercase letter; element names do not (Click's own convention).
+//! Comments (`// ...` and `/* ... */`) are skipped by the lexer, which
+//! reads the text once: names and argument lists borrow it until they
+//! are stored. Class names start with an uppercase letter; element names
+//! do not (Click's own convention).
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -181,6 +183,18 @@ impl ClickConfig {
         });
     }
 
+    /// Releases what the configuration holds only while it is admitted:
+    /// the memoized canonical text and spare capacity. For a
+    /// configuration kept as long as its module runs.
+    pub fn shrink_to_fit(&mut self) {
+        self.canonical.take();
+        self.elements.shrink_to_fit();
+        self.connections.shrink_to_fit();
+        for e in &mut self.elements {
+            e.args.shrink_to_fit();
+        }
+    }
+
     /// Looks up a declaration by instance name.
     pub fn element(&self, name: &str) -> Option<&ElementDecl> {
         self.elements.iter().find(|e| e.name == name)
@@ -196,26 +210,50 @@ impl ClickConfig {
     }
 
     /// Checks structural sanity: unique names, known references, no output
-    /// fan-out.
+    /// fan-out. The first fault in statement order is reported: a name
+    /// declared twice, then the first connection that names an unknown
+    /// element or leaves an output port a second time. Names and output
+    /// ports are compared by sorting indices, so a large configuration
+    /// costs `n log n` comparisons and no copy of any name.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        let mut seen = HashMap::new();
-        for e in &self.elements {
-            if seen.insert(e.name.as_str(), ()).is_some() {
-                return Err(ConfigError::DuplicateName(e.name.clone()));
-            }
+        // Ties order by index, so within a run of equal names the run's
+        // second index is where a statement-order scan stops.
+        let name = |i: usize| self.elements[i].name.as_str();
+        let mut names: Vec<usize> = (0..self.elements.len()).collect();
+        names.sort_unstable_by(|&a, &b| name(a).cmp(name(b)).then(a.cmp(&b)));
+        let duplicate = names
+            .windows(2)
+            .filter(|w| name(w[0]) == name(w[1]))
+            .map(|w| w[1])
+            .min();
+        if let Some(at) = duplicate {
+            return Err(ConfigError::DuplicateName(name(at).to_owned()));
         }
-        let mut outs = HashMap::new();
-        for c in &self.connections {
+        let known = |element: &str| names.binary_search_by(|&i| name(i).cmp(element)).is_ok();
+
+        let from = |i: usize| &self.connections[i].from;
+        let mut outs: Vec<usize> = (0..self.connections.len()).collect();
+        outs.sort_unstable_by(|&a, &b| {
+            let (x, y) = (from(a), from(b));
+            (&x.element, x.port, a).cmp(&(&y.element, y.port, b))
+        });
+        let fanout = outs
+            .windows(2)
+            .filter(|w| from(w[0]) == from(w[1]))
+            .map(|w| w[1])
+            .min()
+            .unwrap_or(usize::MAX);
+        for c in self.connections.iter().take(fanout.saturating_add(1)) {
             for p in [&c.from, &c.to] {
-                if !seen.contains_key(p.element.as_str()) {
+                if !known(&p.element) {
                     return Err(ConfigError::UnknownElement(p.element.clone()));
                 }
             }
-            if outs.insert(c.from.clone(), ()).is_some() {
-                return Err(ConfigError::OutputFanout(c.from.clone()));
-            }
         }
-        Ok(())
+        match self.connections.get(fanout) {
+            Some(c) => Err(ConfigError::OutputFanout(c.from.clone())),
+            None => Ok(()),
+        }
     }
 
     /// Imports all elements and connections of `other`, prefixing every
@@ -270,11 +308,16 @@ impl ClickConfig {
 // Lexer
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
-    Ident(String),
-    /// `(` raw argument text `)` — captured verbatim with nesting.
-    Args(String),
+/// A token. Names and argument lists borrow the configuration's text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tok<'a> {
+    Ident(&'a str),
+    /// `(` raw argument text `)`: the span between the parentheses, with
+    /// nesting. `commented` says a comment lies inside it.
+    Args {
+        raw: &'a str,
+        commented: bool,
+    },
     DoubleColon,
     Arrow,
     LBracket,
@@ -283,129 +326,127 @@ enum Tok {
     Number(usize),
 }
 
-fn strip_comments(text: &str) -> Result<String, ConfigError> {
-    let mut out = String::with_capacity(text.len());
-    let mut chars = text.chars().peekable();
-    while let Some(c) = chars.next() {
-        if c == '/' {
-            match chars.peek() {
-                Some('/') => {
-                    for d in chars.by_ref() {
-                        if d == '\n' {
-                            out.push('\n');
-                            break;
-                        }
-                    }
-                }
-                Some('*') => {
-                    chars.next();
-                    let mut prev = '\0';
-                    let mut closed = false;
-                    for d in chars.by_ref() {
-                        if prev == '*' && d == '/' {
-                            closed = true;
-                            break;
-                        }
-                        prev = d;
-                    }
-                    if !closed {
-                        return Err(ConfigError::Syntax("unterminated /* comment".into()));
-                    }
-                    out.push(' ');
-                }
-                _ => out.push(c),
-            }
-        } else {
-            out.push(c);
-        }
+/// The comment that starts at byte `i` of `text`, if one does: the byte
+/// just past it, and whether it is a block comment. A line comment ends
+/// before its newline; a block comment just past its `*/`.
+fn comment_at(text: &str, i: usize) -> Result<Option<(usize, bool)>, ConfigError> {
+    match text.as_bytes().get(i..i + 2) {
+        Some(b"//") => Ok(Some((
+            text[i..].find('\n').map_or(text.len(), |n| i + n),
+            false,
+        ))),
+        Some(b"/*") => match text[i + 2..].find("*/") {
+            Some(n) => Ok(Some((i + 2 + n + 2, true))),
+            None => Err(ConfigError::Syntax("unterminated /* comment".into())),
+        },
+        _ => Ok(None),
     }
-    Ok(out)
 }
 
-fn lex(text: &str) -> Result<Vec<Tok>, ConfigError> {
-    let text = strip_comments(text)?;
-    let mut toks = Vec::new();
-    let mut chars = text.char_indices().peekable();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            c if c.is_whitespace() => {}
-            ';' => toks.push(Tok::Semi),
-            '[' => toks.push(Tok::LBracket),
-            ']' => toks.push(Tok::RBracket),
-            ':' => {
-                if chars.peek().map(|&(_, d)| d) == Some(':') {
-                    chars.next();
-                    toks.push(Tok::DoubleColon);
-                } else {
-                    return Err(ConfigError::Syntax(format!("stray ':' at byte {i}")));
-                }
+/// `raw` with its comments cut out: a block comment reads as one space,
+/// a line comment as nothing (its newline stays). Only argument lists
+/// that hold a comment are copied through here.
+fn uncommented(raw: &str) -> String {
+    let mut out = String::with_capacity(raw.len());
+    let (mut from, mut i) = (0, 0);
+    while let Some(k) = raw[i..].find('/') {
+        let at = i + k;
+        i = at + 1;
+        // The lexer already found every comment in `raw` terminated.
+        if let Ok(Some((end, block))) = comment_at(raw, at) {
+            out.push_str(&raw[from..at]);
+            if block {
+                out.push(' ');
             }
-            '-' => {
-                if chars.peek().map(|&(_, d)| d) == Some('>') {
-                    chars.next();
-                    toks.push(Tok::Arrow);
-                } else {
-                    return Err(ConfigError::Syntax(format!("stray '-' at byte {i}")));
-                }
+            (from, i) = (end, end);
+        }
+    }
+    out.push_str(&raw[from..]);
+    out
+}
+
+/// Splits `text` into tokens in one pass, skipping whitespace and
+/// comments. The whole text is lexed before any of it is parsed, so a
+/// lexical fault anywhere outranks a syntactic one earlier on.
+fn lex(text: &str) -> Result<Vec<Tok<'_>>, ConfigError> {
+    let bytes = text.as_bytes();
+    // A request's configuration is a few dozen tokens.
+    let mut toks = Vec::with_capacity(32);
+    let mut i = 0;
+    while let Some(c) = text[i..].chars().next() {
+        if let Some((end, _)) = comment_at(text, i)? {
+            i = end;
+            continue;
+        }
+        let next = i + c.len_utf8();
+        let (tok, end) = match c {
+            c if c.is_whitespace() => {
+                i = next;
+                continue;
             }
+            ';' => (Tok::Semi, next),
+            '[' => (Tok::LBracket, next),
+            ']' => (Tok::RBracket, next),
+            ':' if bytes.get(next) == Some(&b':') => (Tok::DoubleColon, next + 1),
+            ':' => return Err(ConfigError::Syntax(format!("stray ':' at byte {i}"))),
+            '-' if bytes.get(next) == Some(&b'>') => (Tok::Arrow, next + 1),
+            '-' => return Err(ConfigError::Syntax(format!("stray '-' at byte {i}"))),
             '(' => {
-                // Capture raw args up to the matching close paren.
-                let mut depth = 1usize;
-                let mut raw = String::new();
-                for (_, d) in chars.by_ref() {
-                    match d {
-                        '(' => {
-                            depth += 1;
-                            raw.push(d);
-                        }
-                        ')' => {
+                // Up to the matching close paren; parentheses inside a
+                // comment do not count.
+                let (mut depth, mut commented, mut j) = (1usize, false, next);
+                loop {
+                    match bytes.get(j) {
+                        None => return Err(ConfigError::Syntax("unbalanced '('".into())),
+                        Some(b'(') => depth += 1,
+                        Some(b')') => {
                             depth -= 1;
                             if depth == 0 {
                                 break;
                             }
-                            raw.push(d);
                         }
-                        _ => raw.push(d),
+                        Some(b'/') => {
+                            if let Some((end, _)) = comment_at(text, j)? {
+                                commented = true;
+                                j = end;
+                                continue;
+                            }
+                        }
+                        _ => {}
                     }
+                    j += 1;
                 }
-                if depth != 0 {
-                    return Err(ConfigError::Syntax("unbalanced '('".into()));
-                }
-                toks.push(Tok::Args(raw));
+                let raw = &text[next..j];
+                (Tok::Args { raw, commented }, j + 1)
             }
             c if c.is_ascii_digit() => {
-                let mut n = String::from(c);
-                while let Some(&(_, d)) = chars.peek() {
-                    if d.is_ascii_digit() {
-                        n.push(d);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
+                let end = i + bytes[i..].iter().take_while(|b| b.is_ascii_digit()).count();
+                let n = &text[i..end];
                 let v = n
                     .parse()
                     .map_err(|_| ConfigError::Syntax(format!("bad number '{n}'")))?;
-                toks.push(Tok::Number(v));
+                (Tok::Number(v), end)
             }
             c if c.is_alphabetic() || c == '_' => {
-                let mut id = String::from(c);
-                while let Some(&(_, d)) = chars.peek() {
-                    if d.is_alphanumeric() || d == '_' || d == '@' || d == '/' {
-                        id.push(d);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                toks.push(Tok::Ident(id));
+                // A `/` continues a name unless it opens a comment.
+                let ends = |(k, d): &(usize, char)| {
+                    let comment = matches!(bytes.get(next + k + 1), Some(b'/' | b'*'));
+                    !(d.is_alphanumeric() || *d == '_' || *d == '@' || (*d == '/' && !comment))
+                };
+                let end = text[next..]
+                    .char_indices()
+                    .find(ends)
+                    .map_or(text.len(), |(k, _)| next + k);
+                (Tok::Ident(&text[i..end]), end)
             }
             other => {
                 return Err(ConfigError::Syntax(format!(
                     "unexpected character '{other}' at byte {i}"
                 )));
             }
-        }
+        };
+        toks.push(tok);
+        i = end;
     }
     Ok(toks)
 }
@@ -414,34 +455,51 @@ fn lex(text: &str) -> Result<Vec<Tok>, ConfigError> {
 // Parser
 // ---------------------------------------------------------------------------
 
-struct Parser {
-    toks: Vec<Tok>,
+struct Parser<'a> {
+    toks: Vec<Tok<'a>>,
     pos: usize,
     cfg: ClickConfig,
+    /// Element index by name, for every name the text declares. A
+    /// generated anonymous name (`Class@n`) is not in it; every one holds
+    /// an `@`, so only a name with one is also looked for by a scan.
+    declared: HashMap<&'a str, usize>,
 }
 
-impl Parser {
-    fn new(text: &str) -> Result<Parser, ConfigError> {
+impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Result<Parser<'a>, ConfigError> {
+        let toks = lex(text)?;
+        // Sized from the tokens: each `->` is one connection, and each
+        // name is at most one element, a declaration's two names one.
+        let count = |tok: fn(&Tok<'_>) -> bool| toks.iter().filter(|t| tok(t)).count();
+        let arrows = count(|t| matches!(t, Tok::Arrow));
+        let names = count(|t| matches!(t, Tok::Ident(_)));
+        let declarations = count(|t| matches!(t, Tok::DoubleColon));
+        let cfg = ClickConfig {
+            elements: Vec::with_capacity(names.saturating_sub(declarations)),
+            connections: Vec::with_capacity(arrows),
+            ..ClickConfig::default()
+        };
         Ok(Parser {
-            toks: lex(text)?,
+            toks,
             pos: 0,
-            cfg: ClickConfig::new(),
+            cfg,
+            declared: HashMap::new(),
         })
     }
 
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos)
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.toks.get(self.pos).copied()
     }
 
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).cloned();
+    fn next(&mut self) -> Option<Tok<'a>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
         t
     }
 
-    fn eat(&mut self, t: &Tok) -> bool {
+    fn eat(&mut self, t: Tok<'_>) -> bool {
         if self.peek() == Some(t) {
             self.pos += 1;
             true
@@ -450,8 +508,8 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, t: Tok, what: &str) -> Result<(), ConfigError> {
-        if self.eat(&t) {
+    fn expect(&mut self, t: Tok<'_>, what: &str) -> Result<(), ConfigError> {
+        if self.eat(t) {
             Ok(())
         } else {
             Err(ConfigError::Syntax(format!(
@@ -461,9 +519,18 @@ impl Parser {
         }
     }
 
+    /// The index of the element named `name`, if one is declared yet.
+    fn lookup(&self, name: &str) -> Option<usize> {
+        match self.declared.get(name) {
+            Some(&at) => Some(at),
+            None if name.contains('@') => self.cfg.elements.iter().position(|e| e.name == name),
+            None => None,
+        }
+    }
+
     fn run(mut self) -> Result<ClickConfig, ConfigError> {
         while self.peek().is_some() {
-            if self.eat(&Tok::Semi) {
+            if self.eat(Tok::Semi) {
                 continue;
             }
             self.statement()?;
@@ -475,55 +542,49 @@ impl Parser {
 
     /// Parses either a pure declaration or a connection chain.
     fn statement(&mut self) -> Result<(), ConfigError> {
-        let first = self.endpoint()?;
-        if self.peek() != Some(&Tok::Arrow) {
-            // A lone declaration/reference statement.
-            return Ok(());
-        }
-        let mut prev = first;
-        while self.eat(&Tok::Arrow) {
-            let next = self.endpoint()?;
-            self.cfg.connections.push(Connection {
-                from: PortRef::new(prev.0.clone(), prev.2),
-                to: PortRef::new(next.0.clone(), next.1),
-            });
-            prev = next;
+        let (mut prev, _, mut out_port) = self.endpoint()?;
+        while self.eat(Tok::Arrow) {
+            let (next, in_port, next_out) = self.endpoint()?;
+            let name = |at: usize| self.cfg.elements[at].name.clone();
+            let connection = Connection {
+                from: PortRef::new(name(prev), out_port),
+                to: PortRef::new(name(next), in_port),
+            };
+            self.cfg.connections.push(connection);
+            (prev, out_port) = (next, next_out);
         }
         Ok(())
     }
 
     /// Parses `[inport]? ref [outport]?`, returning
-    /// `(element_name, in_port, out_port)`.
-    fn endpoint(&mut self) -> Result<(String, usize, usize), ConfigError> {
-        let in_port = if self.eat(&Tok::LBracket) {
-            let n = self.number()?;
-            self.expect(Tok::RBracket, "']'")?;
-            n
-        } else {
-            0
-        };
-        let name = self.element_ref()?;
-        let out_port = if self.eat(&Tok::LBracket) {
-            let n = self.number()?;
-            self.expect(Tok::RBracket, "']'")?;
-            n
-        } else {
-            0
-        };
-        Ok((name, in_port, out_port))
+    /// `(element_index, in_port, out_port)`.
+    fn endpoint(&mut self) -> Result<(usize, usize, usize), ConfigError> {
+        let in_port = self.port()?;
+        let at = self.element_ref()?;
+        let out_port = self.port()?;
+        Ok((at, in_port, out_port))
     }
 
-    fn number(&mut self) -> Result<usize, ConfigError> {
-        match self.next() {
-            Some(Tok::Number(n)) => Ok(n),
-            other => Err(ConfigError::Syntax(format!(
-                "expected port number, found {other:?}"
-            ))),
+    /// An optional `[n]`; port 0 when absent.
+    fn port(&mut self) -> Result<usize, ConfigError> {
+        if !self.eat(Tok::LBracket) {
+            return Ok(0);
         }
+        let n = match self.next() {
+            Some(Tok::Number(n)) => n,
+            other => {
+                return Err(ConfigError::Syntax(format!(
+                    "expected port number, found {other:?}"
+                )))
+            }
+        };
+        self.expect(Tok::RBracket, "']'")?;
+        Ok(n)
     }
 
-    /// Parses an element reference, registering declarations as needed.
-    fn element_ref(&mut self) -> Result<String, ConfigError> {
+    /// Parses an element reference, registering declarations as needed;
+    /// returns the element's index.
+    fn element_ref(&mut self) -> Result<usize, ConfigError> {
         let Some(Tok::Ident(id)) = self.next() else {
             return Err(ConfigError::Syntax(format!(
                 "expected element, found {:?}",
@@ -532,50 +593,56 @@ impl Parser {
         };
 
         // `name :: Class(args)` — declaration (inline or standalone).
-        if self.peek() == Some(&Tok::DoubleColon) {
-            self.pos += 1;
+        if self.eat(Tok::DoubleColon) {
             let Some(Tok::Ident(class)) = self.next() else {
                 return Err(ConfigError::Syntax("expected class after '::'".into()));
             };
             let args = self.optional_args();
-            if self.cfg.element(&id).is_some() {
-                return Err(ConfigError::DuplicateName(id));
+            if self.lookup(id).is_some() {
+                return Err(ConfigError::DuplicateName(id.to_owned()));
             }
-            self.cfg.elements.push(ElementDecl {
-                name: id.clone(),
-                class,
-                args,
-            });
-            return Ok(id);
+            self.declared.insert(id, self.cfg.elements.len());
+            return Ok(self.push(id.to_owned(), class, args));
         }
 
         // `Class(args)` — anonymous element (class names are capitalized).
+        // `-> Discard;` style: anonymous element without parens, unless
+        // the name is declared.
         let looks_like_class = id.chars().next().is_some_and(|c| c.is_uppercase());
-        if looks_like_class && matches!(self.peek(), Some(Tok::Args(_))) {
-            let args = self.optional_args();
-            return Ok(self
-                .cfg
-                .add_anon(id, &args.iter().map(|s| s.as_str()).collect::<Vec<_>>()));
+        if !(looks_like_class && matches!(self.peek(), Some(Tok::Args { .. }))) {
+            match self.lookup(id) {
+                Some(at) => return Ok(at),
+                None if looks_like_class => {}
+                None => return Err(ConfigError::UnknownElement(id.to_owned())),
+            }
         }
-        if looks_like_class && self.cfg.element(&id).is_none() {
-            // `-> Discard;` style: anonymous element without parens.
-            return Ok(self.cfg.add_anon(id, &[]));
-        }
+        let args = self.optional_args();
+        self.cfg.anon_counter += 1;
+        let name = format!("{id}@{}", self.cfg.anon_counter);
+        Ok(self.push(name, id, args))
+    }
 
-        // Otherwise: a reference to a previously declared element.
-        if self.cfg.element(&id).is_none() {
-            return Err(ConfigError::UnknownElement(id));
-        }
-        Ok(id)
+    /// Appends a declaration; returns its index.
+    fn push(&mut self, name: String, class: &str, args: Vec<String>) -> usize {
+        self.cfg.elements.push(ElementDecl {
+            name,
+            class: class.to_owned(),
+            args,
+        });
+        self.cfg.elements.len() - 1
     }
 
     fn optional_args(&mut self) -> Vec<String> {
-        if let Some(Tok::Args(raw)) = self.peek() {
-            let raw = raw.clone();
-            self.pos += 1;
-            split_args(&raw)
-        } else {
-            Vec::new()
+        match self.peek() {
+            Some(Tok::Args { raw, commented }) => {
+                self.pos += 1;
+                if commented {
+                    split_args(&uncommented(raw))
+                } else {
+                    split_args(raw)
+                }
+            }
+            _ => Vec::new(),
         }
     }
 }

@@ -7,7 +7,6 @@
 //! [`Controller::finish`] stamps the outcome on it and hands it to the
 //! ledger, the only place statistics are written.
 
-use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -102,16 +101,17 @@ impl Controller {
                 delta.cache_hits += 1;
                 delta.check_ns_saved += hit.check_ns;
                 let result = replay.and_then(|(platform, sandboxed)| {
-                    self.commit_unchecked(client_id, &account, &request, platform, sandboxed)
+                    self.commit_unchecked(client_id, &account, request, platform, sandboxed)
                 });
                 return self.finish(delta, result);
             }
         }
 
         delta.cache_misses += 1;
-        let (result, work) = self.deploy_uncached(client_id, &account, &request);
+        let names_self = request.config.names_self();
+        let (result, work) = self.deploy_uncached(client_id, &account, request);
         delta += &work;
-        if let Some(outcome) = CachedOutcome::of(&request, &result) {
+        if let Some(outcome) = CachedOutcome::of(names_self, &result) {
             let check_ns = work.check_ns;
             self.verdicts
                 .insert(epoch, key, CachedVerdict { outcome, check_ns });
@@ -152,7 +152,7 @@ impl Controller {
         &mut self,
         client_id: &str,
         account: &ClientAccount,
-        request: &ClientRequest,
+        request: ClientRequest,
     ) -> (
         Result<(NodeId, DeployResponse), DeployError>,
         ControllerStats,
@@ -176,7 +176,16 @@ impl Controller {
             Err(e) => return (Err(e), delta),
         };
 
-        let mut reasons: Vec<(String, String)> = Vec::new();
+        // With no operator policy and no requirement, placement checks
+        // nothing: the first platform with an address takes the module.
+        let checks_placement =
+            !(self.operator_policy.is_empty() && request.requirements.is_empty());
+        let names_self = request.config.names_self();
+        // Placement refusals, in walk order. A full platform's reason is
+        // not recorded: it is read again off the table only if the search
+        // places nothing, so the walk past full platforms allocates
+        // nothing.
+        let mut refused: Vec<(NodeId, String)> = Vec::new();
         let found = 'search: {
             // Candidates in placement-preference order: client latency,
             // residual capacity, link headroom (see `PlacementContext`),
@@ -188,23 +197,14 @@ impl Controller {
                 // Capacity check and tentative address assignment on
                 // this platform.
                 let t_place = Instant::now();
-                let slot = if self.table.has_room(platform) {
-                    self.free_addr(platform)
-                } else {
-                    Err("platform full")
-                };
+                let slot = self.slot(platform);
                 delta.stage_placement_ns += ns_since(t_place);
-                let (addr, next_addr) = match slot {
-                    Ok(slot) => slot,
-                    Err(why) => {
-                        let name = self.topology.node(platform).name.clone();
-                        reasons.push((name, why.to_string()));
-                        continue;
-                    }
+                let Ok((addr, next_addr)) = slot else {
+                    continue;
                 };
                 // The sentinel never equals a literal the configuration
                 // compares `$SELF` with; this address may. Check it here.
-                let sandboxed = if request.config.names_self() {
+                let sandboxed = if names_self {
                     let here = SecurityContext {
                         assigned_addr: addr,
                         ..ctx.clone()
@@ -217,32 +217,64 @@ impl Controller {
                 } else {
                     sandboxed
                 };
+                if !checks_placement {
+                    break 'search Ok((platform, addr, sandboxed, next_addr, None));
+                }
                 // The module as it would be installed there: bound to
                 // that address (stock modules need it; Click
                 // configurations may reference it as `$SELF`).
                 let t_place = Instant::now();
                 let candidate =
-                    self.module_at(client_id, account, request, platform, addr, sandboxed);
+                    self.module_at(client_id, account, &request, platform, addr, sandboxed);
                 delta.stage_placement_ns += ns_since(t_place);
                 match self.placement_stage(&candidate, &request.requirements, &mut delta) {
-                    Ok(None) => break 'search Ok((candidate, next_addr)),
-                    Ok(Some(why)) => {
-                        reasons.push((self.topology.node(platform).name.clone(), why));
+                    Ok(None) => {
+                        break 'search Ok((platform, addr, sandboxed, next_addr, Some(candidate)))
                     }
+                    Ok(Some(why)) => refused.push((platform, why)),
                     Err(e) => break 'search Err(e),
                 }
             }
+            let reasons = self.placement_reasons(refused);
             Err(DeployError::NoFeasiblePlacement { reasons })
         };
         // The search only reads the table; the one write comes after it.
-        let result = found.map(|(candidate, next_addr)| {
-            let platform = candidate.platform;
-            let mut resp = self.commit(candidate, next_addr);
+        let result = found.map(|(platform, addr, sandboxed, next_addr, candidate)| {
+            let module = candidate.unwrap_or_else(|| {
+                let t_place = Instant::now();
+                let module =
+                    self.install_at(client_id, account, request, platform, addr, sandboxed);
+                delta.stage_placement_ns += ns_since(t_place);
+                module
+            });
+            let mut resp = self.commit(module, next_addr);
             resp.compile_ns = delta.compile_ns;
             resp.check_ns = delta.check_ns;
             (platform, resp)
         });
         (result, delta)
+    }
+
+    /// The `(platform, reason)` list of a search that placed nothing, in
+    /// rank order: a full platform's capacity reason, read again off the
+    /// table the search left unchanged, and every other platform's
+    /// placement refusal, taken from `refused` in walk order.
+    fn placement_reasons(&self, refused: Vec<(NodeId, String)>) -> Vec<(String, String)> {
+        let mut refused = refused.into_iter();
+        self.table
+            .ranked()
+            .map(|platform| {
+                let why = match self.slot(platform) {
+                    Err(why) => why.to_string(),
+                    Ok(_) => {
+                        let (at, why) = refused.next().expect("every open platform refused");
+                        debug_assert_eq!(at, platform);
+                        why
+                    }
+                };
+                (self.topology.node(platform).name.clone(), why)
+            })
+            .collect()
     }
 
     /// Stage 1: lint, of the request as a client would write it (`lint`
@@ -254,13 +286,17 @@ impl Controller {
     fn lint_stage(&self, config: &ModuleConfig, delta: &mut ControllerStats) -> LintReport {
         let t = Instant::now();
         let template = config.template();
-        let mut hit = true;
-        let Ok(report) = self
-            .lint
-            .get_or_try_insert_with(template.canonical_text(), || {
-                hit = false;
-                Ok::<_, Infallible>(lint_cached(&template, &self.registry, &self.models))
-            });
+        let key = template.canonical_str();
+        let cached = self.lint.get(key);
+        let hit = cached.is_some();
+        let report = cached.unwrap_or_else(|| {
+            // Read before linting: a report computed across a flush is
+            // not stored.
+            let epoch = self.lint.epoch();
+            let report = lint_cached(&template, &self.registry, &self.models);
+            self.lint.insert(epoch, key.to_owned(), report.clone());
+            report
+        });
         delta.lint_cache_hits += u64::from(hit);
         let ns = ns_since(t);
         delta.analysis_ns += ns;

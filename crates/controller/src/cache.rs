@@ -92,17 +92,18 @@ pub(crate) struct CachedVerdict {
 }
 
 impl CachedOutcome {
-    /// What the verdict memo should remember of `request`'s full
+    /// What the verdict memo should remember of a request's full
     /// evaluation (an accept with the platform it committed to), if
-    /// anything.
+    /// anything. `names_self` is [`ModuleConfig::names_self`] of the
+    /// request.
     pub fn of(
-        request: &ClientRequest,
+        names_self: bool,
         result: &Result<(NodeId, DeployResponse), DeployError>,
     ) -> Option<CachedOutcome> {
         match result {
             // Checked at the one address it was installed at: the accept
             // holds there, not at the next address a hit would hand out.
-            Ok(_) if request.config.names_self() => None,
+            Ok(_) if names_self => None,
             Ok((platform, resp)) => Some(CachedOutcome::Accept {
                 platform: *platform,
                 sandboxed: resp.sandboxed,
@@ -156,7 +157,7 @@ pub(crate) fn verdict_key(
     );
     push_field(&mut key, "module", &request.module_name);
     match &request.config {
-        ModuleConfig::Click(cfg) => push_field(&mut key, "click", &cfg.canonical_text()),
+        ModuleConfig::Click(cfg) => push_field(&mut key, "click", cfg.canonical_str()),
         ModuleConfig::Stock(kind) => push_field(&mut key, "stock", &format!("{kind:?}")),
     }
     for req in &request.requirements {

@@ -361,6 +361,16 @@ impl Controller {
             .ok_or("no address pool")
     }
 
+    /// [`Controller::free_addr`] on a platform with room, or the
+    /// platform's capacity reason.
+    pub(crate) fn slot(&self, platform: NodeId) -> Result<(Ipv4Addr, u64), &'static str> {
+        if self.table.has_room(platform) {
+            self.free_addr(platform)
+        } else {
+            Err("platform full")
+        }
+    }
+
     /// Installs a verified module and stores the address cursor
     /// [`Controller::free_addr`] proposed with its address. The
     /// response's timings are the caller's to fill in.
@@ -383,7 +393,8 @@ impl Controller {
 
     /// `request` bound to `addr` on `platform`, behind the
     /// `ChangeEnforcer` sandbox if its verdict asked for one: the module
-    /// the next commit would install.
+    /// the next commit would install, built from a copy of the request's
+    /// name and configuration.
     pub(crate) fn module_at(
         &self,
         client_id: &str,
@@ -393,15 +404,36 @@ impl Controller {
         addr: Ipv4Addr,
         sandboxed: bool,
     ) -> InstalledModule {
-        let raw_cfg = request.config.materialize(addr);
+        let copy = ClientRequest {
+            module_name: request.module_name.clone(),
+            config: request.config.clone(),
+            requirements: Vec::new(),
+        };
+        self.install_at(client_id, account, copy, platform, addr, sandboxed)
+    }
+
+    /// [`Controller::module_at`], consuming the request: a configuration
+    /// that neither `$SELF` binding nor the sandbox changes is moved into
+    /// the module, not copied, and sheds what only admission read.
+    pub(crate) fn install_at(
+        &self,
+        client_id: &str,
+        account: &ClientAccount,
+        request: ClientRequest,
+        platform: NodeId,
+        addr: Ipv4Addr,
+        sandboxed: bool,
+    ) -> InstalledModule {
+        let mut raw_cfg = request.config.into_materialized(addr);
         let config = if sandboxed {
             wrap_with_enforcer(&raw_cfg, addr, &account.registered)
         } else {
-            raw_cfg.into_owned()
+            raw_cfg.shrink_to_fit();
+            raw_cfg
         };
         InstalledModule {
             id: self.next_id,
-            name: request.module_name.clone(),
+            name: request.module_name,
             platform,
             addr,
             config,
@@ -418,7 +450,7 @@ impl Controller {
         &mut self,
         client_id: &str,
         account: &ClientAccount,
-        request: &ClientRequest,
+        request: ClientRequest,
         platform: NodeId,
         sandboxed: bool,
     ) -> Result<DeployResponse, DeployError> {
@@ -427,7 +459,7 @@ impl Controller {
                 .map_err(|why| DeployError::NoFeasiblePlacement {
                     reasons: vec![(self.topology.node(platform).name.clone(), why.to_string())],
                 })?;
-        let module = self.module_at(client_id, account, request, platform, addr, sandboxed);
+        let module = self.install_at(client_id, account, request, platform, addr, sandboxed);
         Ok(self.commit(module, next_addr))
     }
 

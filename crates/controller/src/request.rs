@@ -69,6 +69,18 @@ impl ModuleConfig {
         }
     }
 
+    /// [`ModuleConfig::materialize`], consuming the configuration: a Click
+    /// configuration that names no `$SELF` is moved, not copied.
+    pub(crate) fn into_materialized(self, addr: Ipv4Addr) -> ClickConfig {
+        match self {
+            ModuleConfig::Click(c) => match bind_self(&c, addr) {
+                Cow::Owned(bound) => bound,
+                Cow::Borrowed(_) => c,
+            },
+            ModuleConfig::Stock(kind) => stock_config(kind, addr),
+        }
+    }
+
     /// The configuration as a client would write it, `$SELF` unbound.
     pub(crate) fn template(&self) -> Cow<'_, ClickConfig> {
         match self {
@@ -181,65 +193,78 @@ impl ClientRequest {
     /// reach from ...
     /// ```
     ///
-    /// Lines starting with `reach` begin a requirement; subsequent
-    /// indented/continuation lines (`-> …`, `const …`) extend it.
+    /// A line whose first two words are `reach from` begins a
+    /// requirement; subsequent indented/continuation lines (`-> …`,
+    /// `const …`) extend it. Any other line belongs to the configuration,
+    /// whose text is parsed where it lies in `text` when its lines follow
+    /// one another there, and joined with `\n` otherwise.
     pub fn parse(text: &str) -> Result<ClientRequest, RequestParseError> {
         let err = |m: &str| RequestParseError {
             message: m.to_string(),
         };
-        let mut module_name = String::from("module");
+        let mut module_name = "module";
         let mut stock: Option<StockModule> = None;
-        let mut config_lines: Vec<&str> = Vec::new();
-        let mut reach_blocks: Vec<String> = Vec::new();
+        // The configuration's lines: their span in `text` while each
+        // follows the last after one `\n`, their join once one does not.
+        let mut span: Option<(usize, usize)> = None;
+        let mut joined: Option<String> = None;
+        let mut reach_blocks: Vec<Cow<'_, str>> = Vec::new();
 
-        for raw in text.lines() {
+        for (at, raw) in lines_at(text) {
             let line = raw.trim();
             if line.is_empty() || line.starts_with("//") {
                 continue;
             }
             if let Some(rest) = line.strip_prefix("module ") {
-                module_name = rest.trim_end_matches(':').trim().to_string();
+                module_name = rest.trim_end_matches(':').trim();
                 continue;
             }
             if let Some(rest) = line.strip_prefix("stock ") {
                 let mut parts = rest.splitn(2, ':');
                 let name = parts.next().unwrap_or("stock").trim();
                 let kind_s = parts.next().unwrap_or(name).trim();
-                module_name = name.to_string();
+                module_name = name;
                 stock = Some(
                     StockModule::parse(kind_s)
                         .ok_or_else(|| err(&format!("unknown stock module '{kind_s}'")))?,
                 );
                 continue;
             }
-            if line.starts_with("reach") {
-                reach_blocks.push(line.to_string());
+            if opens_requirement(line) {
+                reach_blocks.push(Cow::Borrowed(line));
             } else if let Some(last) = reach_blocks.last_mut() {
                 // Continuation of the current requirement.
+                let last = last.to_mut();
                 last.push(' ');
                 last.push_str(line);
             } else {
-                config_lines.push(raw);
+                let end = at + raw.len();
+                match (&mut joined, span) {
+                    (Some(joined), _) => {
+                        joined.push('\n');
+                        joined.push_str(raw);
+                    }
+                    (None, Some((start, last))) if at != last + 1 => {
+                        joined = Some(format!("{}\n{raw}", &text[start..last]));
+                    }
+                    (None, Some((start, _))) => span = Some((start, end)),
+                    (None, None) => span = Some((at, end)),
+                }
             }
         }
+        let config_text = joined
+            .as_deref()
+            .or_else(|| span.map(|(start, end)| &text[start..end]));
 
-        let config = match stock {
-            Some(kind) => {
-                if !config_lines.is_empty() {
-                    return Err(err("a stock request cannot also carry a configuration"));
-                }
-                ModuleConfig::Stock(kind)
+        let config = match (stock, config_text) {
+            (Some(_), Some(_)) => {
+                return Err(err("a stock request cannot also carry a configuration"));
             }
-            None => {
-                let text = config_lines.join("\n");
-                if text.trim().is_empty() {
-                    return Err(err("request carries no configuration"));
-                }
-                ModuleConfig::Click(
-                    ClickConfig::parse(&text)
-                        .map_err(|e| err(&format!("bad configuration: {e}")))?,
-                )
-            }
+            (Some(kind), None) => ModuleConfig::Stock(kind),
+            (None, None) => return Err(err("request carries no configuration")),
+            (None, Some(text)) => ModuleConfig::Click(
+                ClickConfig::parse(text).map_err(|e| err(&format!("bad configuration: {e}")))?,
+            ),
         };
 
         let requirements = reach_blocks
@@ -248,11 +273,32 @@ impl ClientRequest {
             .collect::<Result<Vec<_>, _>>()?;
 
         Ok(ClientRequest {
-            module_name,
+            module_name: module_name.to_owned(),
             config,
             requirements,
         })
     }
+}
+
+/// Whether a request line opens a requirement: its first two words are
+/// `reach from`. A configuration line may name an element `reach…`.
+fn opens_requirement(line: &str) -> bool {
+    let mut words = line.split_whitespace();
+    words.next() == Some("reach") && words.next() == Some("from")
+}
+
+/// The lines of `text` as [`str::lines`] cuts them, each with its byte
+/// offset in `text`.
+fn lines_at(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    let mut at = 0;
+    text.split_inclusive('\n').map(move |piece| {
+        let start = at;
+        at += piece.len();
+        let line = piece
+            .strip_suffix('\n')
+            .map_or(piece, |l| l.strip_suffix('\r').unwrap_or(l));
+        (start, line)
+    })
 }
 
 #[cfg(test)]
@@ -307,6 +353,33 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.requirements.len(), 2);
+    }
+
+    #[test]
+    fn an_element_named_reach_is_configuration() {
+        let r = ClientRequest::parse(
+            "module m:\nreacher :: Counter();\nFromNetfront() -> reacher -> ToNetfront();",
+        )
+        .unwrap();
+        let ModuleConfig::Click(cfg) = &r.config else {
+            panic!("expected a Click configuration");
+        };
+        assert_eq!(cfg.element("reacher").unwrap().class, "Counter");
+        assert_eq!(cfg.connections.len(), 2);
+        assert!(r.requirements.is_empty());
+    }
+
+    #[test]
+    fn configuration_lines_apart_parse_as_their_join() {
+        // A blank line, a comment line and CRLF endings between the
+        // configuration's lines: the lines are joined, not sliced.
+        let text = "module m:\r\nf :: IPFilter(allow\r\n\r\n// aside\r\n  udp);\r\n\
+                    FromNetfront() -> f -> ToNetfront();\r\n";
+        let r = ClientRequest::parse(text).unwrap();
+        let ModuleConfig::Click(cfg) = &r.config else {
+            panic!("expected a Click configuration");
+        };
+        assert_eq!(cfg.element("f").unwrap().args, vec!["allow\n  udp"]);
     }
 
     #[test]

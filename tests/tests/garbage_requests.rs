@@ -3,6 +3,7 @@
 //! from hostile text and programmatically via `ClientRequest::click` /
 //! `ClientRequest::stock`, which bypass every parse-time check.
 
+mod hostile;
 mod lint_oracle;
 
 use innet::controller::ModuleConfig;
@@ -97,16 +98,10 @@ fn self_loop_does_not_panic() {
 fn hostile_arguments_do_not_panic() {
     // Arguments that are not remotely parseable as what the element
     // expects.
-    for args in [
-        &["-1"][..],
-        &["999999999999999999999999"][..],
-        &["\u{0}\u{ffff}"][..],
-        &["$SELF$SELF$SELF"][..],
-        &[""][..],
-    ] {
+    for arg in hostile::HOSTILE_ARGS {
         let mut cfg = ClickConfig::new();
         cfg.add_element("in", "FromNetfront", &[]);
-        cfg.add_element("f", "IPFilter", args);
+        cfg.add_element("f", "IPFilter", &[arg]);
         cfg.add_element("out", "ToNetfront", &[]);
         cfg.connect("in", 0, "f", 0);
         cfg.connect("f", 0, "out", 0);
@@ -294,25 +289,6 @@ fn max_offset_classifier_pattern_does_not_panic() {
     push_both_engines(&cfg, hostile_frames(64));
 }
 
-/// Hostile rule fragments for the tcpdump-style classifiers: nonsense
-/// tokens, out-of-range values, and a few valid rules so construction
-/// sometimes succeeds and the push path actually runs.
-const HOSTILE_IP_RULES: &[&str] = &[
-    "dst host 203.0.113.7",
-    "allow udp dst port 65535",
-    "dst port 18446744073709551615",
-    "src net 256.256.256.256/99",
-    "proto 999",
-    "tcp syn",
-    "udp",
-    "allow",
-    "deny all",
-    "-",
-    "",
-    "%%%%",
-    "\u{0}\u{ffff}",
-];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -340,10 +316,10 @@ proptest! {
     /// hostile fragments, pushed as well as parsed.
     #[test]
     fn hostile_ip_rules_never_panic(
-        picks in proptest::collection::vec(0usize..HOSTILE_IP_RULES.len(), 1..4),
+        picks in proptest::collection::vec(0usize..hostile::HOSTILE_IP_RULES.len(), 1..4),
         frame_len in 0usize..4096,
     ) {
-        let args: Vec<&str> = picks.iter().map(|&i| HOSTILE_IP_RULES[i]).collect();
+        let args: Vec<&str> = picks.iter().map(|&i| hostile::HOSTILE_IP_RULES[i]).collect();
         for class in ["IPClassifier", "IPFilter"] {
             let cfg = pipeline(class, &args);
             let _ = deploy_must_not_panic("hostile ip rules", ClientRequest::click("m", cfg.clone()));
