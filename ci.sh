@@ -10,13 +10,14 @@
 # fenced set; without, it is the control-plane-only set: everything the
 # packet and fleet data paths, and the benchmark itself, are built from.
 #
-# Example — a deploy request is read once (parent 746c4b1): the change
-# touches click, controller, the integration tests, ci.sh and the docs,
-# and fences the rest, the benchmark, the snapshots and the goldens
+# Example — the element and model traits say only what they compute
+# (parent af4ced8): the change touches click, symnet, controller, the
+# integration tests, ci.sh, the root Cargo.toml and the docs, and fences
+# the rest, the benchmark, both lockfiles, the snapshots and the goldens
 # included:
 #
-#   ./ci.sh --fence 746c4b1 \
-#     crates/{packet,obs,sim,topology,policy,symnet,analysis,platform,core,bench} \
+#   ./ci.sh --fence af4ced8 \
+#     crates/{packet,obs,sim,topology,policy,analysis,platform,core,bench} \
 #     examples benchmark BENCHMARK.json 'BENCH_*.json' Cargo.lock tests/tests/golden
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -284,6 +285,23 @@ if awk '/^#\[cfg\(test\)\]/ { exit }
         END { exit !hit }' crates/click/src/config.rs ||
   grep -nE 'reasons: Vec<\(String, String\)>' crates/controller/src/admission.rs; then
   echo "lex the text in place (config.rs); build refusal reasons after the walk (admission.rs)" >&2
+  exit 1
+fi
+
+echo "==> an element says only what it computes"
+# Element and SymElement say what an element does to a packet, nothing
+# else. Its class is the class-table row it was built from, and its
+# concrete type is reached by upcasting the element itself to `dyn Any`
+# (`&*el as &dyn Any`, never the Box). A per-impl class_name, a
+# hand-written as_any/as_any_mut or a model_name would be one more
+# description of each class to keep in step with the table.
+if awk 'FNR == 1 { tests = 0 }
+        /^#\[cfg\(test\)\]/ { tests = 1 }
+        !tests && /fn (class_name|as_any|as_any_mut|model_name) *[(<]/ {
+          print FILENAME ":" FNR ": " $0; hit = 1
+        }
+        END { exit !hit }' $(find crates tests examples -name '*.rs' -not -path '*/target/*'); then
+  echo "name the class from the class table; upcast the element to dyn Any" >&2
   exit 1
 fi
 

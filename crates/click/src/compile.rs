@@ -30,6 +30,7 @@
 //!
 //! [`Router`]: crate::graph::Router
 
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::net::Ipv4Addr;
 
@@ -473,8 +474,11 @@ enum Stage {
         exit_edge: Option<(u32, u32)>,
     },
     /// Any element without a native lowering runs as the interpreted
-    /// instance behind dynamic dispatch.
-    Dyn(Box<dyn Element>),
+    /// instance behind dynamic dispatch; `class` is its class-table row.
+    Dyn {
+        el: Box<dyn Element>,
+        class: &'static str,
+    },
     /// A chain member consumed by a `Fused` stage; unreachable (fusion
     /// requires in-degree 1 from its chain predecessor).
     Gone,
@@ -564,13 +568,14 @@ impl CompiledRouter {
         // stay `Dyn`.
         let mut stages: Vec<Stage> = elements
             .into_iter()
+            .zip(&cfg.elements)
             .enumerate()
-            .map(|(i, mut el)| {
+            .map(|(i, (mut el, decl))| {
                 let fused = |op| Stage::Fused {
                     ops: vec![op],
                     exit_edge: port0(i),
                 };
-                let any = el.as_any_mut();
+                let any: &mut dyn Any = &mut *el;
                 if let Some(f) = any.downcast_mut::<FromNetfront>() {
                     Stage::Entry {
                         iface: f.iface(),
@@ -601,7 +606,11 @@ impl CompiledRouter {
                         last_ns: 0,
                     })
                 } else {
-                    Stage::Dyn(el)
+                    let class = registry
+                        .classes()
+                        .find(|&c| c == decl.class)
+                        .expect("an instantiated class has a row");
+                    Stage::Dyn { el, class }
                 }
             })
             .collect();
@@ -697,7 +706,7 @@ impl CompiledRouter {
                     let names: Vec<&str> = ops.iter().map(|o| o.name()).collect();
                     format!("fused[{}]", names.join(","))
                 }
-                Stage::Dyn(el) => format!("dyn({})", el.class_name()),
+                Stage::Dyn { class, .. } => format!("dyn({class})"),
                 Stage::Gone => "gone".to_string(),
             })
             .collect()
@@ -969,7 +978,7 @@ impl CompiledRouter {
                             }
                         }
                     }
-                    Stage::Dyn(el) => {
+                    Stage::Dyn { el, .. } => {
                         hop!('run);
                         let before_tx = self.tx.len();
                         let mut emitted = std::mem::take(&mut self.emitted_buf);
@@ -1111,7 +1120,7 @@ impl CompiledRouter {
         let mut new_tx = 0u64;
         let mut emitted: Vec<(usize, Packet)> = Vec::new();
         for (i, stage) in self.stages.iter_mut().enumerate() {
-            if let Stage::Dyn(el) = stage {
+            if let Stage::Dyn { el, .. } = stage {
                 let before_tx = self.tx.len();
                 let mut sink = RunSink {
                     emitted: &mut emitted,
@@ -1149,7 +1158,7 @@ impl CompiledRouter {
         self.stages
             .iter()
             .filter_map(|s| match s {
-                Stage::Dyn(el) => el.next_tick_ns(),
+                Stage::Dyn { el, .. } => el.next_tick_ns(),
                 _ => None,
             })
             .min()

@@ -128,10 +128,12 @@ impl std::error::Error for ElementError {}
 /// `push` and `tick` are never called concurrently. All inter-element
 /// communication happens through packets (the property the paper relies on
 /// when consolidating multiple tenants into one VM, §5).
+///
+/// The trait says only what an element computes. Its class is the row of
+/// the class table it was built from, and its concrete type is reached by
+/// upcasting the element itself to `dyn Any` (`&*el as &dyn Any`, never the
+/// `Box`, which is an `Any` of its own).
 pub trait Element: Send + Any {
-    /// The Click class name (e.g. `"IPFilter"`).
-    fn class_name(&self) -> &'static str;
-
     /// How many input and output ports this instance exposes.
     fn ports(&self) -> PortCount;
 
@@ -147,12 +149,6 @@ pub trait Element: Send + Any {
     fn next_tick_ns(&self) -> Option<u64> {
         None
     }
-
-    /// Dynamic view for test/metric introspection.
-    fn as_any(&self) -> &dyn Any;
-
-    /// Mutable dynamic view for test/metric introspection.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 #[cfg(test)]

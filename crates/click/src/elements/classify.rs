@@ -1,8 +1,6 @@
 //! Packet classification: raw byte patterns (`Classifier`) and the
 //! tcpdump-style `IPClassifier`.
 
-use std::any::Any;
-
 use innet_packet::{pattern::PatternExpr, Packet};
 
 use crate::{
@@ -158,10 +156,6 @@ impl Classifier {
 }
 
 impl Element for Classifier {
-    fn class_name(&self) -> &'static str {
-        "Classifier"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::new(1, self.patterns.len())
     }
@@ -174,14 +168,6 @@ impl Element for Classifier {
             }
         }
         self.dropped += 1;
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -254,10 +240,6 @@ impl IPClassifier {
 }
 
 impl Element for IPClassifier {
-    fn class_name(&self) -> &'static str {
-        "IPClassifier"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::new(1, self.rules.len())
     }
@@ -277,14 +259,6 @@ impl Element for IPClassifier {
             }
         }
         self.dropped += 1;
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -1,6 +1,5 @@
 //! Measurement elements: `Counter` and the per-flow `FlowMeter`.
 
-use std::any::Any;
 use std::collections::HashMap;
 
 use innet_packet::{FlowTuple, Packet};
@@ -45,10 +44,6 @@ impl Counter {
 }
 
 impl Element for Counter {
-    fn class_name(&self) -> &'static str {
-        "Counter"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::ONE_ONE
     }
@@ -59,14 +54,6 @@ impl Element for Counter {
         self.first_ns.get_or_insert(ctx.now_ns);
         self.last_ns = ctx.now_ns;
         out.push(0, pkt);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -117,10 +104,6 @@ impl FlowMeter {
 }
 
 impl Element for FlowMeter {
-    fn class_name(&self) -> &'static str {
-        "FlowMeter"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::ONE_ONE
     }
@@ -139,14 +122,6 @@ impl Element for FlowMeter {
             Err(_) => self.non_ip += 1,
         }
         out.push(0, pkt);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -1,7 +1,5 @@
 //! `DPI` — deep packet inspection by payload signature matching.
 
-use std::any::Any;
-
 use innet_packet::Packet;
 
 use crate::{
@@ -54,10 +52,6 @@ impl Dpi {
 }
 
 impl Element for Dpi {
-    fn class_name(&self) -> &'static str {
-        "DPI"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::new(1, 2)
     }
@@ -75,14 +69,6 @@ impl Element for Dpi {
             self.clean += 1;
             out.push(0, pkt);
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -8,7 +8,6 @@
 //! module to the world passes only when it is not spoofed and its
 //! destination is authorized (white-listed or implicitly authorized).
 
-use std::any::Any;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -118,10 +117,6 @@ impl ChangeEnforcer {
 }
 
 impl Element for ChangeEnforcer {
-    fn class_name(&self) -> &'static str {
-        "ChangeEnforcer"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::new(2, 2)
     }
@@ -161,14 +156,6 @@ impl Element for ChangeEnforcer {
         let now = ctx.now_ns;
         self.authorized
             .retain(|_, &mut last| now.saturating_sub(last) <= timeout);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

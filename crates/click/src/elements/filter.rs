@@ -1,7 +1,5 @@
 //! `IPFilter` — ordered allow/deny rules.
 
-use std::any::Any;
-
 use innet_packet::{pattern::PatternExpr, Packet};
 
 use crate::{
@@ -89,10 +87,6 @@ impl IPFilter {
 }
 
 impl Element for IPFilter {
-    fn class_name(&self) -> &'static str {
-        "IPFilter"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::ONE_ONE
     }
@@ -113,14 +107,6 @@ impl Element for IPFilter {
         }
         // Implicit final deny.
         self.dropped += 1;
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

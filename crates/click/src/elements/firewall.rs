@@ -1,7 +1,6 @@
 //! `StatefulFirewall` — the paper's canonical stateful middlebox: allow
 //! selected outbound traffic and only *related* inbound traffic.
 
-use std::any::Any;
 use std::collections::HashMap;
 
 use innet_packet::{pattern::PatternExpr, FlowKey, FlowTuple, Packet};
@@ -104,10 +103,6 @@ impl StatefulFirewall {
 }
 
 impl Element for StatefulFirewall {
-    fn class_name(&self) -> &'static str {
-        "StatefulFirewall"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::new(2, 2)
     }
@@ -147,14 +142,6 @@ impl Element for StatefulFirewall {
         let now = ctx.now_ns;
         self.conns
             .retain(|_, &mut last| now.saturating_sub(last) <= timeout);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -1,7 +1,6 @@
 //! Header manipulation elements: validity checks, TTL, field setters,
 //! stripping and Ethernet encapsulation.
 
-use std::any::Any;
 use std::net::Ipv4Addr;
 
 use innet_packet::{EtherType, MacAddr, Packet, ETHER_HDR_LEN};
@@ -31,10 +30,6 @@ impl CheckIPHeader {
 }
 
 impl Element for CheckIPHeader {
-    fn class_name(&self) -> &'static str {
-        "CheckIPHeader"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::ONE_ONE
     }
@@ -49,14 +44,6 @@ impl Element for CheckIPHeader {
         } else {
             self.dropped += 1;
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -78,10 +65,6 @@ impl MarkIPHeader {
 }
 
 impl Element for MarkIPHeader {
-    fn class_name(&self) -> &'static str {
-        "MarkIPHeader"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::ONE_ONE
     }
@@ -89,14 +72,6 @@ impl Element for MarkIPHeader {
     fn push(&mut self, _port: usize, mut pkt: Packet, _ctx: &Context, out: &mut dyn Sink) {
         pkt.meta.l3_offset = Some(self.offset);
         out.push(0, pkt);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -121,10 +96,6 @@ impl DecIPTTL {
 }
 
 impl Element for DecIPTTL {
-    fn class_name(&self) -> &'static str {
-        "DecIPTTL"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::ONE_ONE
     }
@@ -142,14 +113,6 @@ impl Element for DecIPTTL {
         ip.set_ttl(ttl - 1);
         ip.update_checksum();
         out.push(0, pkt);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -175,10 +138,6 @@ impl SetIPSrc {
 }
 
 impl Element for SetIPSrc {
-    fn class_name(&self) -> &'static str {
-        "SetIPSrc"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::ONE_ONE
     }
@@ -189,14 +148,6 @@ impl Element for SetIPSrc {
             ip.update_checksum();
         }
         out.push(0, pkt);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -222,10 +173,6 @@ impl SetIPDst {
 }
 
 impl Element for SetIPDst {
-    fn class_name(&self) -> &'static str {
-        "SetIPDst"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::ONE_ONE
     }
@@ -236,14 +183,6 @@ impl Element for SetIPDst {
             ip.update_checksum();
         }
         out.push(0, pkt);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -265,10 +204,6 @@ impl SetTOS {
 }
 
 impl Element for SetTOS {
-    fn class_name(&self) -> &'static str {
-        "SetTOS"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::ONE_ONE
     }
@@ -279,14 +214,6 @@ impl Element for SetTOS {
             ip.update_checksum();
         }
         out.push(0, pkt);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -309,10 +236,6 @@ impl Strip {
 }
 
 impl Element for Strip {
-    fn class_name(&self) -> &'static str {
-        "Strip"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::ONE_ONE
     }
@@ -323,14 +246,6 @@ impl Element for Strip {
         } else {
             self.underflow += 1;
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -384,10 +299,6 @@ impl EtherEncap {
 }
 
 impl Element for EtherEncap {
-    fn class_name(&self) -> &'static str {
-        "EtherEncap"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::ONE_ONE
     }
@@ -399,14 +310,6 @@ impl Element for EtherEncap {
         hdr[12..14].copy_from_slice(&self.ethertype.0.to_be_bytes());
         pkt.push_front(&hdr);
         out.push(0, pkt);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -1,6 +1,5 @@
 //! `IPNAT` — network address and port translation (NAPT).
 
-use std::any::Any;
 use std::hash::BuildHasher;
 use std::net::Ipv4Addr;
 
@@ -462,10 +461,6 @@ impl IpNat {
 }
 
 impl Element for IpNat {
-    fn class_name(&self) -> &'static str {
-        "IPNAT"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::new(2, 2)
     }
@@ -529,14 +524,6 @@ impl Element for IpNat {
                 id += 1;
             }
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

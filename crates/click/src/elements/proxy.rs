@@ -1,6 +1,5 @@
 //! `TransparentProxy` — interception of HTTP traffic toward a proxy.
 
-use std::any::Any;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -63,10 +62,6 @@ impl TransparentProxy {
 }
 
 impl Element for TransparentProxy {
-    fn class_name(&self) -> &'static str {
-        "TransparentProxy"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::new(2, 2)
     }
@@ -118,14 +113,6 @@ impl Element for TransparentProxy {
                 out.push(1, pkt);
             }
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

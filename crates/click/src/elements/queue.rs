@@ -1,6 +1,5 @@
 //! Queueing elements: `Queue` and the batcher `TimedUnqueue`.
 
-use std::any::Any;
 use std::collections::VecDeque;
 
 use innet_packet::Packet;
@@ -50,10 +49,6 @@ impl Queue {
 }
 
 impl Element for Queue {
-    fn class_name(&self) -> &'static str {
-        "Queue"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::ONE_ONE
     }
@@ -81,14 +76,6 @@ impl Element for Queue {
         } else {
             None
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -148,10 +135,6 @@ impl TimedUnqueue {
 }
 
 impl Element for TimedUnqueue {
-    fn class_name(&self) -> &'static str {
-        "TimedUnqueue"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::ONE_ONE
     }
@@ -186,14 +169,6 @@ impl Element for TimedUnqueue {
 
     fn next_tick_ns(&self) -> Option<u64> {
         self.next_release_ns
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

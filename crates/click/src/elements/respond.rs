@@ -1,8 +1,6 @@
 //! `ICMPPingResponder` — answers echo requests; the workhorse of the
 //! paper's Figure 5 reaction-time experiment.
 
-use std::any::Any;
-
 use innet_packet::{IcmpKind, Packet};
 
 use crate::element::{Context, Element, PortCount, Sink};
@@ -29,10 +27,6 @@ impl IcmpPingResponder {
 }
 
 impl Element for IcmpPingResponder {
-    fn class_name(&self) -> &'static str {
-        "ICMPPingResponder"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::ONE_ONE
     }
@@ -61,14 +55,6 @@ impl Element for IcmpPingResponder {
             .set_kind(IcmpKind::EchoReply);
         self.answered += 1;
         out.push(0, pkt);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -1,6 +1,5 @@
 //! `IPRewriter` — pattern-based header rewriting, Click style.
 
-use std::any::Any;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -153,10 +152,6 @@ impl IPRewriter {
 }
 
 impl Element for IPRewriter {
-    fn class_name(&self) -> &'static str {
-        "IPRewriter"
-    }
-
     fn ports(&self) -> PortCount {
         let outs = self.pattern.fwd_out.max(self.pattern.rev_out) + 1;
         PortCount::new(2, outs)
@@ -192,14 +187,6 @@ impl Element for IPRewriter {
                 None => self.dropped += 1,
             },
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

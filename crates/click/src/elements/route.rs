@@ -1,7 +1,5 @@
 //! `StaticIPLookup` — longest-prefix-match routing.
 
-use std::any::Any;
-
 use innet_packet::{Cidr, Packet};
 
 use crate::{
@@ -69,10 +67,6 @@ impl StaticIPLookup {
 }
 
 impl Element for StaticIPLookup {
-    fn class_name(&self) -> &'static str {
-        "StaticIPLookup"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::new(1, self.n_outputs)
     }
@@ -87,14 +81,6 @@ impl Element for StaticIPLookup {
             Some(&(_, port)) => out.push(port, pkt),
             None => self.no_route += 1,
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

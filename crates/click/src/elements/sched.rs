@@ -1,8 +1,6 @@
 //! Scheduling and annotation elements: `RoundRobinSwitch`,
 //! `RandomSwitch`, `Meter`, `Paint`, and `CheckPaint`.
 
-use std::any::Any;
-
 use innet_packet::Packet;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -41,10 +39,6 @@ impl RoundRobinSwitch {
 }
 
 impl Element for RoundRobinSwitch {
-    fn class_name(&self) -> &'static str {
-        "RoundRobinSwitch"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::new(1, self.n)
     }
@@ -53,14 +47,6 @@ impl Element for RoundRobinSwitch {
         let port = self.next;
         self.next = (self.next + 1) % self.n;
         out.push(port, pkt);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -92,10 +78,6 @@ impl RandomSwitch {
 }
 
 impl Element for RandomSwitch {
-    fn class_name(&self) -> &'static str {
-        "RandomSwitch"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::new(1, self.n)
     }
@@ -103,14 +85,6 @@ impl Element for RandomSwitch {
     fn push(&mut self, _port: usize, pkt: Packet, _ctx: &Context, out: &mut dyn Sink) {
         let port = self.rng.gen_range(0..self.n);
         out.push(port, pkt);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -149,10 +123,6 @@ impl Meter {
 }
 
 impl Element for Meter {
-    fn class_name(&self) -> &'static str {
-        "Meter"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::new(1, 2)
     }
@@ -165,14 +135,6 @@ impl Element for Meter {
             self.excess += 1;
             out.push(1, pkt);
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -194,10 +156,6 @@ impl Paint {
 }
 
 impl Element for Paint {
-    fn class_name(&self) -> &'static str {
-        "Paint"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::ONE_ONE
     }
@@ -205,14 +163,6 @@ impl Element for Paint {
     fn push(&mut self, _port: usize, mut pkt: Packet, _ctx: &Context, out: &mut dyn Sink) {
         pkt.set_anno_u8(PAINT_ANNO, self.color);
         out.push(0, pkt);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -235,10 +185,6 @@ impl CheckPaint {
 }
 
 impl Element for CheckPaint {
-    fn class_name(&self) -> &'static str {
-        "CheckPaint"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::new(1, 2)
     }
@@ -249,14 +195,6 @@ impl Element for CheckPaint {
         } else {
             out.push(0, pkt);
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

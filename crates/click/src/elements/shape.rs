@@ -1,7 +1,6 @@
 //! Traffic shaping: packet-rate policing and byte-rate shaping, both built
 //! on a virtual-time token bucket.
 
-use std::any::Any;
 use std::collections::VecDeque;
 
 use innet_packet::Packet;
@@ -120,10 +119,6 @@ impl RateLimiter {
 }
 
 impl Element for RateLimiter {
-    fn class_name(&self) -> &'static str {
-        "RateLimiter"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::ONE_ONE
     }
@@ -135,14 +130,6 @@ impl Element for RateLimiter {
         } else {
             self.dropped += 1;
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -205,10 +192,6 @@ impl BandwidthShaper {
 }
 
 impl Element for BandwidthShaper {
-    fn class_name(&self) -> &'static str {
-        "BandwidthShaper"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::ONE_ONE
     }
@@ -232,14 +215,6 @@ impl Element for BandwidthShaper {
         self.queue
             .front()
             .map(|p| self.bucket.available_at(p.len() as f64))
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

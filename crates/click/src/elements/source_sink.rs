@@ -1,8 +1,6 @@
 //! Packet entry and exit points: the netfront boundary, plus `Discard` and
 //! `Idle`.
 
-use std::any::Any;
-
 use innet_packet::Packet;
 
 use crate::{
@@ -67,10 +65,6 @@ impl FromNetfront {
 }
 
 impl Element for FromNetfront {
-    fn class_name(&self) -> &'static str {
-        "FromNetfront"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::ONE_ONE
     }
@@ -79,14 +73,6 @@ impl Element for FromNetfront {
         self.ring.transfer(&pkt);
         pkt.meta.ingress = self.iface;
         out.push(0, pkt);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -130,10 +116,6 @@ impl ToNetfront {
 }
 
 impl Element for ToNetfront {
-    fn class_name(&self) -> &'static str {
-        "ToNetfront"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::new(1, 0)
     }
@@ -141,14 +123,6 @@ impl Element for ToNetfront {
     fn push(&mut self, _port: usize, pkt: Packet, _ctx: &Context, out: &mut dyn Sink) {
         self.ring.transfer(&pkt);
         out.transmit(self.iface, pkt);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -171,24 +145,12 @@ impl Discard {
 }
 
 impl Element for Discard {
-    fn class_name(&self) -> &'static str {
-        "Discard"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::new(1, 0)
     }
 
     fn push(&mut self, _port: usize, _pkt: Packet, _ctx: &Context, _out: &mut dyn Sink) {
         self.dropped += 1;
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -197,23 +159,11 @@ impl Element for Discard {
 pub struct Idle;
 
 impl Element for Idle {
-    fn class_name(&self) -> &'static str {
-        "Idle"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::ONE_ONE
     }
 
     fn push(&mut self, _port: usize, _pkt: Packet, _ctx: &Context, _out: &mut dyn Sink) {}
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,5 @@
 //! Duplication elements: `Tee` and `IPMulticast`.
 
-use std::any::Any;
 use std::net::Ipv4Addr;
 
 use innet_packet::Packet;
@@ -32,10 +31,6 @@ impl Tee {
 }
 
 impl Element for Tee {
-    fn class_name(&self) -> &'static str {
-        "Tee"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::new(1, self.n)
     }
@@ -45,14 +40,6 @@ impl Element for Tee {
             out.push(i, pkt.clone());
         }
         out.push(self.n - 1, pkt);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -94,10 +81,6 @@ impl IpMulticast {
 }
 
 impl Element for IpMulticast {
-    fn class_name(&self) -> &'static str {
-        "IPMulticast"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::ONE_ONE
     }
@@ -112,14 +95,6 @@ impl Element for IpMulticast {
             self.replicated += 1;
             out.push(0, copy);
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -5,7 +5,6 @@
 //! analysis case — the inner destination is only known at decapsulation
 //! time, so a third party's tunnel endpoint needs sandboxing.
 
-use std::any::Any;
 use std::net::Ipv4Addr;
 
 use innet_packet::{
@@ -74,10 +73,6 @@ impl UdpTunnelEncap {
 }
 
 impl Element for UdpTunnelEncap {
-    fn class_name(&self) -> &'static str {
-        "UDPTunnelEncap"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::ONE_ONE
     }
@@ -90,14 +85,6 @@ impl Element for UdpTunnelEncap {
         udp[4..6].copy_from_slice(&((UDP_HDR_LEN + inner.len()) as u16).to_be_bytes());
         let outer = build_outer(IpProto::Udp, self.src, self.dst, &udp, inner);
         out.push(0, outer);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -122,10 +109,6 @@ impl UdpTunnelDecap {
 }
 
 impl Element for UdpTunnelDecap {
-    fn class_name(&self) -> &'static str {
-        "UDPTunnelDecap"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::ONE_ONE
     }
@@ -143,14 +126,6 @@ impl Element for UdpTunnelDecap {
         buf.extend_from_slice(&fresh_ether_header(EtherType::IPV4));
         buf.extend_from_slice(inner);
         out.push(0, Packet::from_bytes(buf));
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -178,10 +153,6 @@ impl IpEncap {
 }
 
 impl Element for IpEncap {
-    fn class_name(&self) -> &'static str {
-        "IPEncap"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::ONE_ONE
     }
@@ -190,14 +161,6 @@ impl Element for IpEncap {
         let inner = &pkt.bytes()[pkt.l3_offset()..];
         let outer = build_outer(IpProto::IpIp, self.src, self.dst, &[], inner);
         out.push(0, outer);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -215,10 +178,6 @@ impl IpDecap {
 }
 
 impl Element for IpDecap {
-    fn class_name(&self) -> &'static str {
-        "IPDecap"
-    }
-
     fn ports(&self) -> PortCount {
         PortCount::ONE_ONE
     }
@@ -235,14 +194,6 @@ impl Element for IpDecap {
             }
             _ => self.dropped += 1,
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

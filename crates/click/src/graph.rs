@@ -1,6 +1,7 @@
 //! The router: instantiates a configuration and drives packets through the
 //! element graph.
 
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 
 use innet_packet::Packet;
@@ -178,7 +179,7 @@ impl Router {
         let mut rx_ifaces = HashMap::new();
         for decl in &cfg.elements {
             let el = registry.instantiate(&decl.class, &decl.args)?;
-            if let Some(fnf) = el.as_any().downcast_ref::<FromNetfront>() {
+            if let Some(fnf) = (&*el as &dyn Any).downcast_ref::<FromNetfront>() {
                 rx_ifaces.insert(fnf.iface(), elements.len());
             }
             index.insert(decl.name.clone(), elements.len());
@@ -266,7 +267,7 @@ impl Router {
     /// Immutable access to an element by name, downcast to `T`.
     pub fn element_as<T: 'static>(&self, name: &str) -> Option<&T> {
         let idx = *self.index.get(name)?;
-        self.elements[idx].as_any().downcast_ref::<T>()
+        (&*self.elements[idx] as &dyn Any).downcast_ref::<T>()
     }
 
     /// Delivers an external packet to the `FromNetfront` of `iface` at
@@ -318,28 +319,25 @@ impl Router {
         let mut emitted = std::mem::take(&mut self.emitted_buf);
         queue.clear();
         queue.push_back((idx, port, pkt));
+        // Hops and transmissions are counted once per call, as the
+        // compiled engine does: the totals are only read between calls,
+        // and replicas sharing the metrics counters then contend once per
+        // packet, not once per hop. Only elements add to `tx` here.
         let mut hops = spent;
+        let tx_before = self.tx.len();
         let mut result = Ok(());
         while let Some((i, p, pkt)) = queue.pop_front() {
-            hops += 1;
-            if hops > MAX_HOPS {
+            if hops >= MAX_HOPS {
                 result = Err(RouterError::LoopDetected);
                 break;
             }
-            self.stats.hops += 1;
-            let before_tx = self.tx.len();
+            hops += 1;
             emitted.clear();
             let mut sink = RunSink {
                 emitted: &mut emitted,
                 tx: &mut self.tx,
             };
             self.elements[i].push(p, pkt, &ctx, &mut sink);
-            let transmitted = (self.tx.len() - before_tx) as u64;
-            self.stats.transmitted += transmitted;
-            if let Some(m) = &self.metrics {
-                m.hops.inc();
-                m.transmitted.add(transmitted);
-            }
             for (out_port, out_pkt) in emitted.drain(..) {
                 match self.edges.get(&(i, out_port)) {
                     Some(&(ni, np)) => queue.push_back((ni, np, out_pkt)),
@@ -351,6 +349,14 @@ impl Router {
                     }
                 }
             }
+        }
+        let ran = (hops - spent) as u64;
+        let transmitted = (self.tx.len() - tx_before) as u64;
+        self.stats.hops += ran;
+        self.stats.transmitted += transmitted;
+        if let Some(m) = &self.metrics {
+            m.hops.add(ran);
+            m.transmitted.add(transmitted);
         }
         // Return the buffers to the router for the next packet (cleared
         // of any in-flight work if a loop bailed out mid-run).
@@ -398,8 +404,7 @@ impl Router {
         if let Some(iface) = shared_iface {
             if let Some(&entry) = self.rx_ifaces.get(&iface) {
                 let successor = self.edges.get(&(entry, 0)).copied();
-                let fnf = self.elements[entry]
-                    .as_any_mut()
+                let fnf = (&mut *self.elements[entry] as &mut dyn Any)
                     .downcast_mut::<FromNetfront>()
                     .expect("rx_ifaces only indexes FromNetfront elements");
                 fnf.ring_mut().transfer_batch(&batch);

@@ -199,11 +199,11 @@ fn flatten_config(
         let name = format!("{prefix}/{}", decl.name);
         match class_info(&decl.class).and_then(|c| c.netfront) {
             Some(Netfront::Entry) => {
-                let idx = graph.add_node(&name, Box::new(IdentityModel("FromNetfront")))?;
+                let idx = graph.add_node(&name, Box::new(IdentityModel))?;
                 flat.entries.push((iface_of(&decl.args), idx));
             }
             Some(Netfront::Exit) => {
-                let idx = graph.add_node(&name, Box::new(IdentityModel("ToNetfront")))?;
+                let idx = graph.add_node(&name, Box::new(IdentityModel))?;
                 flat.exits.push((iface_of(&decl.args), idx));
             }
             None => {
@@ -271,10 +271,8 @@ impl NetworkModel {
         for (id, node) in topo.nodes.iter().enumerate() {
             match &node.kind {
                 NodeKind::Internet => {
-                    let src = graph.add_node(
-                        format!("{}.src", node.name),
-                        Box::new(IdentityModel("Edge")),
-                    )?;
+                    let src =
+                        graph.add_node(format!("{}.src", node.name), Box::new(IdentityModel))?;
                     let dst = graph.add_node(
                         format!("{}.dst", node.name),
                         Box::new(EgressModel(id as u16)),
@@ -288,10 +286,8 @@ impl NetworkModel {
                 }
                 NodeKind::ClientSubnet(cidr) => {
                     internal_prefixes.push(*cidr);
-                    let src = graph.add_node(
-                        format!("{}.src", node.name),
-                        Box::new(IdentityModel("Edge")),
-                    )?;
+                    let src =
+                        graph.add_node(format!("{}.src", node.name), Box::new(IdentityModel))?;
                     let dst = graph.add_node(
                         format!("{}.dst", node.name),
                         Box::new(EgressModel(id as u16)),
@@ -332,14 +328,10 @@ impl NetworkModel {
                     internal_prefixes.push(spec.addr_pool);
                     // The vswitch demux; `with_modules` gives it one rule
                     // per module.
-                    let switch = graph.add_node(
-                        format!("{}/switch", node.name),
-                        Box::new(DropModel("EmptyPlatform")),
-                    )?;
-                    let uplink = graph.add_node(
-                        format!("{}/out", node.name),
-                        Box::new(IdentityModel("PlatformUplink")),
-                    )?;
+                    let switch =
+                        graph.add_node(format!("{}/switch", node.name), Box::new(DropModel))?;
+                    let uplink =
+                        graph.add_node(format!("{}/out", node.name), Box::new(IdentityModel))?;
                     platforms.push(Platform {
                         node: id,
                         name: node.name.clone(),
@@ -649,7 +641,6 @@ impl NetworkModel {
                 let ingress = graph.add_node(
                     format!("{prefix}/__ingress"),
                     Box::new(AnyOutputModel {
-                        name: "ModuleIngress",
                         n: ports.entries.len().max(1),
                     }),
                 )?;

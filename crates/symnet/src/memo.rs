@@ -108,21 +108,22 @@ impl<V: Clone> Memo<V> {
     /// The memoized value for `key`, computing and storing it on first
     /// sight. `compute` runs outside the lock; its value is returned
     /// either way but only stored if no [`Memo::bump_epoch`] intervened.
-    /// An `Err` is returned as-is and never cached.
+    /// An `Err` is returned as-is and never cached. The key is copied
+    /// only when an entry is stored.
     pub fn get_or_try_insert_with<E>(
         &self,
-        key: String,
+        key: &str,
         compute: impl FnOnce() -> Result<V, E>,
     ) -> Result<V, E> {
         let epoch = {
             let inner = self.read();
-            if let Some(hit) = inner.entries.get(&key) {
+            if let Some(hit) = inner.entries.get(key) {
                 return Ok(hit.clone());
             }
             inner.epoch
         };
         let value = compute()?;
-        self.insert(epoch, key, value.clone());
+        self.insert(epoch, key.to_owned(), value.clone());
         Ok(value)
     }
 }
@@ -140,9 +141,8 @@ mod tests {
         assert_eq!(memo.get("other"), None);
         assert_eq!(memo.len(), 1);
         // A hit never runs the closure.
-        let hit = memo.get_or_try_insert_with("k".to_string(), || -> Result<u32, ()> {
-            panic!("computed on a hit")
-        });
+        let hit =
+            memo.get_or_try_insert_with("k", || -> Result<u32, ()> { panic!("computed on a hit") });
         assert_eq!(hit, Ok(7));
     }
 
@@ -174,17 +174,14 @@ mod tests {
         // forced here by bumping from inside the closure, which also
         // proves the lock is not held across it.
         let memo = Memo::<u32>::default();
-        let got = memo.get_or_try_insert_with("k".to_string(), || -> Result<u32, ()> {
+        let got = memo.get_or_try_insert_with("k", || -> Result<u32, ()> {
             memo.bump_epoch();
             Ok(9)
         });
         assert_eq!(got, Ok(9), "the caller still gets its value");
         assert_eq!(memo.get("k"), None, "but the stale value was not stored");
         // Computed wholly inside the new epoch, it lands.
-        assert_eq!(
-            memo.get_or_try_insert_with("k".to_string(), || Ok::<_, ()>(9)),
-            Ok(9)
-        );
+        assert_eq!(memo.get_or_try_insert_with("k", || Ok::<_, ()>(9)), Ok(9));
         assert_eq!(memo.get("k"), Some(9));
     }
 
@@ -192,14 +189,11 @@ mod tests {
     fn an_error_is_not_cached() {
         let memo = Memo::<u32>::default();
         assert_eq!(
-            memo.get_or_try_insert_with("k".to_string(), || Err::<u32, _>("boom")),
+            memo.get_or_try_insert_with("k", || Err::<u32, _>("boom")),
             Err("boom")
         );
         assert!(memo.is_empty());
-        assert_eq!(
-            memo.get_or_try_insert_with("k".to_string(), || Ok::<_, &str>(3)),
-            Ok(3)
-        );
+        assert_eq!(memo.get_or_try_insert_with("k", || Ok::<_, &str>(3)), Ok(3));
         assert_eq!(memo.len(), 1);
     }
 }

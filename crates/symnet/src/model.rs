@@ -23,9 +23,6 @@ pub enum SymOut {
 
 /// An abstract model of one processing node.
 pub trait SymElement: Send + Sync {
-    /// Model name (class name for Click-derived models).
-    fn model_name(&self) -> &'static str;
-
     /// Executes the model on one symbolic packet, producing zero or more
     /// branch continuations. Implementations must not loop internally.
     fn exec(&self, in_port: usize, pkt: SymPacket) -> Vec<SymOut>;
@@ -363,9 +360,6 @@ mod tests {
     /// A model that writes a constant destination then forwards.
     struct SetDst(u64);
     impl SymElement for SetDst {
-        fn model_name(&self) -> &'static str {
-            "SetDst"
-        }
         fn exec(&self, _p: usize, mut pkt: SymPacket) -> Vec<SymOut> {
             pkt.write(Field::IpDst, SymValue::Const(self.0));
             vec![SymOut::Port(0, pkt)]
@@ -375,9 +369,6 @@ mod tests {
     /// A terminal egress model.
     struct Out(u16);
     impl SymElement for Out {
-        fn model_name(&self) -> &'static str {
-            "Out"
-        }
         fn exec(&self, _p: usize, pkt: SymPacket) -> Vec<SymOut> {
             vec![SymOut::Egress(self.0, pkt)]
         }
@@ -400,9 +391,6 @@ mod tests {
     fn hop_bound_terminates_loops() {
         struct Loop;
         impl SymElement for Loop {
-            fn model_name(&self) -> &'static str {
-                "Loop"
-            }
             fn exec(&self, _p: usize, pkt: SymPacket) -> Vec<SymOut> {
                 vec![SymOut::Port(0, pkt)]
             }

@@ -39,12 +39,9 @@ fn addr(a: Ipv4Addr) -> u64 {
 
 /// Passes the packet through unchanged (counters, queues, shapers, checks —
 /// anything invisible at the header level; SymNet does not model time).
-pub struct IdentityModel(pub &'static str);
+pub struct IdentityModel;
 
 impl SymElement for IdentityModel {
-    fn model_name(&self) -> &'static str {
-        self.0
-    }
     fn exec(&self, _p: usize, pkt: SymPacket) -> Vec<SymOut> {
         vec![SymOut::Port(0, pkt)]
     }
@@ -54,21 +51,15 @@ impl SymElement for IdentityModel {
 pub struct EgressModel(pub u16);
 
 impl SymElement for EgressModel {
-    fn model_name(&self) -> &'static str {
-        "ToNetfront"
-    }
     fn exec(&self, _p: usize, pkt: SymPacket) -> Vec<SymOut> {
         vec![SymOut::Egress(self.0, pkt)]
     }
 }
 
 /// Absorbs everything (`Discard`, `Idle`).
-pub struct DropModel(pub &'static str);
+pub struct DropModel;
 
 impl SymElement for DropModel {
-    fn model_name(&self) -> &'static str {
-        self.0
-    }
     fn exec(&self, _p: usize, _pkt: SymPacket) -> Vec<SymOut> {
         vec![]
     }
@@ -78,16 +69,11 @@ impl SymElement for DropModel {
 /// constraints (raw `Classifier` byte patterns are below the abstraction
 /// level of the field model; `Tee` genuinely duplicates).
 pub struct AnyOutputModel {
-    /// Display name.
-    pub name: &'static str,
     /// Number of outputs.
     pub n: usize,
 }
 
 impl SymElement for AnyOutputModel {
-    fn model_name(&self) -> &'static str {
-        self.name
-    }
     fn exec(&self, _p: usize, pkt: SymPacket) -> Vec<SymOut> {
         (0..self.n).map(|i| SymOut::Port(i, pkt.clone())).collect()
     }
@@ -111,9 +97,6 @@ impl IpClassifierModel {
 }
 
 impl SymElement for IpClassifierModel {
-    fn model_name(&self) -> &'static str {
-        "IPClassifier"
-    }
     fn exec(&self, _p: usize, pkt: SymPacket) -> Vec<SymOut> {
         let mut out = Vec::new();
         let mut remaining = vec![pkt];
@@ -136,9 +119,6 @@ pub struct IpFilterModel {
 }
 
 impl SymElement for IpFilterModel {
-    fn model_name(&self) -> &'static str {
-        "IPFilter"
-    }
     fn exec(&self, _p: usize, pkt: SymPacket) -> Vec<SymOut> {
         let mut out = Vec::new();
         let mut remaining = vec![pkt];
@@ -164,9 +144,6 @@ pub struct StaticLookupModel {
 }
 
 impl SymElement for StaticLookupModel {
-    fn model_name(&self) -> &'static str {
-        "StaticIPLookup"
-    }
     fn exec(&self, _p: usize, pkt: SymPacket) -> Vec<SymOut> {
         let mut out = Vec::new();
         let mut remaining = vec![pkt];
@@ -203,15 +180,11 @@ impl SymElement for StaticLookupModel {
 /// Writes one field to a constant (`SetIPSrc`, `SetIPDst`, `SetTOS`,
 /// `EtherEncap`'s IP-invisible cousin is identity).
 pub struct SetFieldModel {
-    name: &'static str,
     field: Field,
     value: u64,
 }
 
 impl SymElement for SetFieldModel {
-    fn model_name(&self) -> &'static str {
-        self.name
-    }
     fn exec(&self, _p: usize, mut pkt: SymPacket) -> Vec<SymOut> {
         pkt.write(self.field, SymValue::Const(self.value));
         vec![SymOut::Port(0, pkt)]
@@ -223,9 +196,6 @@ impl SymElement for SetFieldModel {
 pub struct DecTtlModel;
 
 impl SymElement for DecTtlModel {
-    fn model_name(&self) -> &'static str {
-        "DecIPTTL"
-    }
     fn exec(&self, _p: usize, pkt: SymPacket) -> Vec<SymOut> {
         match pkt.get(Field::Ttl) {
             SymValue::Const(c) => {
@@ -268,9 +238,6 @@ pub struct FirewallModel {
 }
 
 impl SymElement for FirewallModel {
-    fn model_name(&self) -> &'static str {
-        "StatefulFirewall"
-    }
     fn exec(&self, in_port: usize, pkt: SymPacket) -> Vec<SymOut> {
         match in_port {
             0 => self
@@ -303,9 +270,6 @@ pub struct NatModel {
 }
 
 impl SymElement for NatModel {
-    fn model_name(&self) -> &'static str {
-        "IPNAT"
-    }
     fn exec(&self, in_port: usize, mut pkt: SymPacket) -> Vec<SymOut> {
         match in_port {
             0 => {
@@ -335,9 +299,6 @@ pub struct RewriterModel {
 }
 
 impl SymElement for RewriterModel {
-    fn model_name(&self) -> &'static str {
-        "IPRewriter"
-    }
     fn exec(&self, in_port: usize, mut pkt: SymPacket) -> Vec<SymOut> {
         match in_port {
             0 => {
@@ -376,9 +337,6 @@ pub struct TransparentProxyModel {
 }
 
 impl SymElement for TransparentProxyModel {
-    fn model_name(&self) -> &'static str {
-        "TransparentProxy"
-    }
     fn exec(&self, in_port: usize, pkt: SymPacket) -> Vec<SymOut> {
         match in_port {
             0 => {
@@ -428,7 +386,6 @@ impl SymElement for TransparentProxyModel {
 /// Tunnel encapsulation: pushes a fresh outer header with constant
 /// endpoints; the inner header survives untouched underneath.
 pub struct TunnelEncapModel {
-    name: &'static str,
     proto: u64,
     src: u64,
     sport: Option<u64>,
@@ -437,9 +394,6 @@ pub struct TunnelEncapModel {
 }
 
 impl SymElement for TunnelEncapModel {
-    fn model_name(&self) -> &'static str {
-        self.name
-    }
     fn exec(&self, _p: usize, mut pkt: SymPacket) -> Vec<SymOut> {
         pkt.push_layer();
         pkt.write(Field::Proto, SymValue::Const(self.proto));
@@ -462,14 +416,10 @@ impl SymElement for TunnelEncapModel {
 /// becomes a fresh [`Origin::Decap`] variable — the situation that makes a
 /// third-party tunnel endpoint sandbox-worthy in Table 1.
 pub struct TunnelDecapModel {
-    name: &'static str,
     proto: u64,
 }
 
 impl SymElement for TunnelDecapModel {
-    fn model_name(&self) -> &'static str {
-        self.name
-    }
     fn exec(&self, _p: usize, mut pkt: SymPacket) -> Vec<SymOut> {
         if !pkt.constrain_eq(Field::Proto, self.proto) {
             return vec![];
@@ -494,9 +444,6 @@ pub struct MulticastModel {
 }
 
 impl SymElement for MulticastModel {
-    fn model_name(&self) -> &'static str {
-        "IPMulticast"
-    }
     fn exec(&self, _p: usize, pkt: SymPacket) -> Vec<SymOut> {
         self.dsts
             .iter()
@@ -514,9 +461,6 @@ impl SymElement for MulticastModel {
 pub struct PingResponderModel;
 
 impl SymElement for PingResponderModel {
-    fn model_name(&self) -> &'static str {
-        "ICMPPingResponder"
-    }
     fn exec(&self, _p: usize, mut pkt: SymPacket) -> Vec<SymOut> {
         if !pkt.constrain_eq(Field::Proto, IpProto::Icmp.number() as u64) {
             return vec![];
@@ -537,9 +481,6 @@ pub struct ChangeEnforcerModel {
 }
 
 impl SymElement for ChangeEnforcerModel {
-    fn model_name(&self) -> &'static str {
-        "ChangeEnforcer"
-    }
     fn exec(&self, in_port: usize, mut pkt: SymPacket) -> Vec<SymOut> {
         match in_port {
             0 => vec![SymOut::Port(0, pkt)],
@@ -567,9 +508,6 @@ pub struct ExplicitProxyModel {
 }
 
 impl SymElement for ExplicitProxyModel {
-    fn model_name(&self) -> &'static str {
-        "StockExplicitProxy"
-    }
     fn exec(&self, _p: usize, mut pkt: SymPacket) -> Vec<SymOut> {
         pkt.write(Field::IpSrc, SymValue::Const(self.own));
         let d = pkt.fresh(Origin::Computed);
@@ -589,9 +527,6 @@ impl SymElement for ExplicitProxyModel {
 pub struct OpaqueVmModel;
 
 impl SymElement for OpaqueVmModel {
-    fn model_name(&self) -> &'static str {
-        "StockX86VM"
-    }
     fn exec(&self, _p: usize, mut pkt: SymPacket) -> Vec<SymOut> {
         pkt.havoc_all(Origin::Opaque);
         vec![SymOut::Port(0, pkt)]
@@ -607,7 +542,6 @@ impl SymElement for OpaqueVmModel {
 /// source is either the server's own constant address or the flipped
 /// ingress destination.
 pub struct TurnaroundServerModel {
-    name: &'static str,
     /// Protocol the server accepts, if restricted.
     proto: Option<u64>,
     /// Destination port the server listens on, if restricted.
@@ -620,9 +554,6 @@ pub struct TurnaroundServerModel {
 }
 
 impl SymElement for TurnaroundServerModel {
-    fn model_name(&self) -> &'static str {
-        self.name
-    }
     fn exec(&self, _p: usize, mut pkt: SymPacket) -> Vec<SymOut> {
         if let Some(proto) = self.proto {
             if !pkt.constrain_eq(Field::Proto, proto) {
@@ -657,7 +588,6 @@ impl TurnaroundServerModel {
     /// The paper's Figure 2 server S: UDP, flips addresses, payload kept.
     pub fn paper_server() -> TurnaroundServerModel {
         TurnaroundServerModel {
-            name: "ServerS",
             proto: Some(IpProto::Udp.number() as u64),
             listen_port: None,
             own_addr: None,
@@ -668,7 +598,6 @@ impl TurnaroundServerModel {
     /// The stock geolocation DNS server.
     pub fn dns(own: Ipv4Addr) -> TurnaroundServerModel {
         TurnaroundServerModel {
-            name: "StockDNSServer",
             proto: Some(IpProto::Udp.number() as u64),
             listen_port: Some(53),
             own_addr: Some(addr(own)),
@@ -679,7 +608,6 @@ impl TurnaroundServerModel {
     /// The stock reverse HTTP proxy.
     pub fn reverse_proxy(own: Ipv4Addr) -> TurnaroundServerModel {
         TurnaroundServerModel {
-            name: "StockReverseProxy",
             proto: Some(IpProto::Tcp.number() as u64),
             listen_port: Some(80),
             own_addr: Some(addr(own)),
@@ -714,7 +642,7 @@ fn downcast_model(
         })?;
         let (model, ports): (Box<dyn SymElement>, _) = match role {
             Netfront::Exit => (Box::new(EgressModel(iface)), PortCount::new(1, 0)),
-            Netfront::Entry => (Box::new(IdentityModel("FromNetfront")), PortCount::ONE_ONE),
+            Netfront::Entry => (Box::new(IdentityModel), PortCount::ONE_ONE),
         };
         return Ok(ElementModel::new(model, ports, None));
     }
@@ -724,27 +652,26 @@ fn downcast_model(
         .instantiate(class, args)
         .map_err(|e| SymError::Config(e.to_string()))?;
     let ports = concrete.ports();
-    let any = concrete.as_any();
-    let any_output = |name| -> Box<dyn SymElement> {
-        Box::new(AnyOutputModel {
-            name,
-            n: ports.outputs,
-        })
-    };
-    let set = |name, field, value| -> Box<dyn SymElement> {
-        Box::new(SetFieldModel { name, field, value })
-    };
+    let any: &dyn Any = &*concrete;
+    let set = |field, value| -> Box<dyn SymElement> { Box::new(SetFieldModel { field, value }) };
     let (mut sink, mut rules, mut named) = (false, Vec::new(), None);
     let model: Box<dyn SymElement> = match class {
-        "Discard" => {
+        "Discard" | "Idle" => {
             sink = true;
-            Box::new(DropModel("Discard"))
+            Box::new(DropModel)
         }
-        "Idle" => {
-            sink = true;
-            Box::new(DropModel("Idle"))
+        // Header-invisible: checks, L2 framing, measurement, and (SymNet
+        // does not model time, paper §7) shapers and queues. Paint marks
+        // an annotation below the field model.
+        "CheckIPHeader" | "MarkIPHeader" | "Strip" | "EtherEncap" | "Counter" | "FlowMeter"
+        | "RateLimiter" | "BandwidthShaper" | "Queue" | "TimedUnqueue" | "Paint" => {
+            Box::new(IdentityModel)
         }
-        "Classifier" => any_output("Classifier"),
+        // Below the field model: raw byte patterns, payload matching,
+        // schedulers and meters, and CheckPaint's annotation test may
+        // route either way; Tee genuinely duplicates.
+        "Classifier" | "DPI" | "RoundRobinSwitch" | "RandomSwitch" | "Meter" | "CheckPaint"
+        | "Tee" => Box::new(AnyOutputModel { n: ports.outputs }),
         "IPClassifier" => {
             let c = of::<el::IPClassifier>(any);
             rules = c.rules().to_vec();
@@ -763,30 +690,13 @@ fn downcast_model(
                 rules: f.rules().to_vec(),
             })
         }
-        "CheckIPHeader" => Box::new(IdentityModel("CheckIPHeader")),
-        "MarkIPHeader" => Box::new(IdentityModel("MarkIPHeader")),
         "DecIPTTL" => Box::new(DecTtlModel),
-        "SetIPSrc" => set(
-            "SetIPSrc",
-            Field::IpSrc,
-            addr(of::<el::SetIPSrc>(any).addr()),
-        ),
-        "SetIPDst" => set(
-            "SetIPDst",
-            Field::IpDst,
-            addr(of::<el::SetIPDst>(any).addr()),
-        ),
+        "SetIPSrc" => set(Field::IpSrc, addr(of::<el::SetIPSrc>(any).addr())),
+        "SetIPDst" => set(Field::IpDst, addr(of::<el::SetIPDst>(any).addr())),
         "SetTOS" => {
             // Value re-parsed: SetTOS has no getter, but the arg is plain.
             let v = args.first().and_then(|a| a.trim().parse().ok());
-            set("SetTOS", Field::Tos, v.unwrap_or(0))
-        }
-        "Strip" | "EtherEncap" => Box::new(IdentityModel("L2")),
-        "Counter" | "FlowMeter" => Box::new(IdentityModel("Measure")),
-        "RateLimiter" | "BandwidthShaper" | "Queue" | "TimedUnqueue" => {
-            // SymNet does not model time (paper §7): shapers and queues
-            // are header-invisible.
-            Box::new(IdentityModel("Timed"))
+            set(Field::Tos, v.unwrap_or(0))
         }
         "StatefulFirewall" => {
             let f = of::<el::StatefulFirewall>(any);
@@ -819,7 +729,6 @@ fn downcast_model(
             let t = of::<el::UdpTunnelEncap>(any);
             let (src, sport, dst, dport) = t.params();
             Box::new(TunnelEncapModel {
-                name: "UDPTunnelEncap",
                 proto: IpProto::Udp.number() as u64,
                 src: addr(src),
                 sport: Some(sport as u64),
@@ -828,14 +737,12 @@ fn downcast_model(
             })
         }
         "UDPTunnelDecap" => Box::new(TunnelDecapModel {
-            name: "UDPTunnelDecap",
             proto: IpProto::Udp.number() as u64,
         }),
         "IPEncap" => {
             let t = of::<el::IpEncap>(any);
             let (src, dst) = t.params();
             Box::new(TunnelEncapModel {
-                name: "IPEncap",
                 proto: IpProto::IpIp.number() as u64,
                 src: addr(src),
                 sport: None,
@@ -844,23 +751,14 @@ fn downcast_model(
             })
         }
         "IPDecap" => Box::new(TunnelDecapModel {
-            name: "IPDecap",
             proto: IpProto::IpIp.number() as u64,
         }),
-        "RoundRobinSwitch" | "RandomSwitch" => any_output("Switch"),
-        "Meter" => any_output("Meter"),
-        // Paint marks an annotation below the field model; CheckPaint may
-        // route either way depending on it.
-        "Paint" => Box::new(IdentityModel("Paint")),
-        "CheckPaint" => any_output("CheckPaint"),
-        "Tee" => any_output("Tee"),
         "IPMulticast" => {
             let m = of::<el::IpMulticast>(any);
             Box::new(MulticastModel {
                 dsts: m.destinations().iter().map(|&a| addr(a)).collect(),
             })
         }
-        "DPI" => any_output("DPI"),
         "ICMPPingResponder" => Box::new(PingResponderModel),
         "StaticIPLookup" => {
             let l = of::<el::StaticIPLookup>(any);
@@ -1030,7 +928,7 @@ impl ModelCache {
         registry: &Registry,
     ) -> Result<Arc<ElementModel>, SymError> {
         self.models
-            .get_or_try_insert_with(ModelCache::key(class, args), || {
+            .get_or_try_insert_with(&ModelCache::key(class, args), || {
                 model_for(class, args, registry).map(Arc::new)
             })
     }
@@ -1040,10 +938,9 @@ impl ModelCache {
     /// configuration memoized with `cfg`'s canonical text, which sorts
     /// declarations: address them by name.
     pub fn graph(&self, cfg: &ClickConfig, registry: &Registry) -> Result<Arc<SymGraph>, SymError> {
-        self.graphs
-            .get_or_try_insert_with(cfg.canonical_text(), || {
-                build_sym_graph_cached(cfg, registry, Some(self)).map(Arc::new)
-            })
+        self.graphs.get_or_try_insert_with(cfg.canonical_str(), || {
+            build_sym_graph_cached(cfg, registry, Some(self)).map(Arc::new)
+        })
     }
 
     /// The memoized wired graph for `cfg` when there is one, else one
@@ -1058,7 +955,7 @@ impl ModelCache {
         cfg: &ClickConfig,
         registry: &Registry,
     ) -> Result<Arc<SymGraph>, SymError> {
-        match self.graphs.get(&cfg.canonical_text()) {
+        match self.graphs.get(cfg.canonical_str()) {
             Some(graph) => Ok(graph),
             None => build_sym_graph_cached(cfg, registry, Some(self)).map(Arc::new),
         }

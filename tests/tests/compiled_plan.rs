@@ -20,8 +20,8 @@ use std::net::Ipv4Addr;
 use innet::click::elements::IpNat;
 use innet::click::CompiledRouter;
 use innet::platform::{
-    consolidated_config, middlebox_config, nat_gateway_config, stateful_firewall_config, Delivery,
-    Host, VmId,
+    consolidated_config, middlebox_config, nat_gateway_config, plain_firewall,
+    stateful_firewall_config, Delivery, Host, VmId,
 };
 use innet::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -139,6 +139,30 @@ fn assert_parallel_identical(label: &str, cfg: &ClickConfig, trace: &[Packet], w
             "{label} w{w}: per-flow output"
         );
     }
+}
+
+/// The plans the benchmark's `pkt-*` workloads run, pinned stage by
+/// stage: 64 consolidated tenants, the plain firewall and the NAT gateway.
+/// Every stage but `IPNAT` lowers natively. A lowering whose downcast
+/// misses the concrete element (one that upcasts the `Box` instead of the
+/// element inside it) would leave every stage `dyn(..)` and run every
+/// packet interpreted; it fails here.
+#[test]
+fn packet_workload_plans_are_pinned() {
+    let registry = Registry::standard();
+    let plan = |cfg: &ClickConfig| CompiledRouter::compile(cfg, &registry).unwrap().describe();
+    let tenants: Vec<Ipv4Addr> = (1..=64).map(|i| Ipv4Addr::new(203, 0, 113, i)).collect();
+    let mut demux = vec!["entry(0)", "exit(0)", "classify(64 host-table)"];
+    demux.extend(["fused[filter]"; 64]);
+    assert_eq!(plan(&consolidated_config(&tenants)), demux);
+    assert_eq!(
+        plan(&plain_firewall()),
+        ["entry(0)", "fused[filter]", "exit(0)"]
+    );
+    assert_eq!(
+        plan(&nat_gateway_config(PUBLIC)),
+        ["entry(0)", "entry(1)", "dyn(IPNAT)", "exit(1)", "exit(0)"]
+    );
 }
 
 #[test]

@@ -8,6 +8,7 @@
 //! [`assert_lint_agrees`] checks the production lint against it: both must
 //! give the same multiset of rule ids, up to the rows of [`DIFFERENCES`].
 
+use std::any::Any;
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 
@@ -346,7 +347,7 @@ pub fn oracle_lint(cfg: &ClickConfig, registry: &Registry) -> LintReport {
                 let Ok(el) = registry.instantiate(&e.class, &e.args) else {
                     continue; // Diagnosed via IN-L003.
                 };
-                let Some(f) = el.as_any().downcast_ref::<IPFilter>() else {
+                let Some(f) = (&*el as &dyn Any).downcast_ref::<IPFilter>() else {
                     continue;
                 };
                 f.rules().iter().map(|(_, x)| x.clone()).collect()
@@ -355,7 +356,7 @@ pub fn oracle_lint(cfg: &ClickConfig, registry: &Registry) -> LintReport {
                 let Ok(el) = registry.instantiate(&e.class, &e.args) else {
                     continue;
                 };
-                let Some(c) = el.as_any().downcast_ref::<IPClassifier>() else {
+                let Some(c) = (&*el as &dyn Any).downcast_ref::<IPClassifier>() else {
                     continue;
                 };
                 c.rules().to_vec()
